@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, SupersolutionNotFound
-from .linearization import fredholm_monitor, lambda1
+from .linearization import fredholm_monitor, lambda1, linearized_operator
 from .operator import NonlocalOperator, principal_eigenpair
 from .problem import ProblemSpec
 from .singular import DEFAULT_TOL, SolutionField, _newton_full, solve_min
@@ -107,8 +107,9 @@ def _metric_weight(op: NonlocalOperator, u_scale: float) -> float:
 
 
 def _make_point(lam, fld, op, spec, compute_monitor, tol, segment="minimal") -> BranchPoint:
-    lam1 = lambda1(lam, fld, op, spec, tol=max(tol, 1e-10)).value
-    mon = fredholm_monitor(lam, fld, op, spec) if compute_monitor else None
+    lin = linearized_operator(lam, fld, op, spec)
+    lam1 = lambda1(lam, fld, op, spec, tol=max(tol, 1e-10), lin=lin).value
+    mon = fredholm_monitor(lam, fld, op, spec, lin=lin) if compute_monitor else None
     return BranchPoint(
         lam=lam,
         solution=fld,

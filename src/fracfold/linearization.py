@@ -1,12 +1,22 @@
 """Linearized spectral analysis and derivative solves of the solution operator.
 
 Around a positive solution u of A u = lam (K u^-delta + f(u)) the linearized
-operator is A + diag(lam delta K u^(-delta-1) - lam f'(u)); its smallest
+operator is J = A + diag(lam delta K u^(-delta-1) - lam f'(u)); its smallest
 eigenvalue tracks stability of the minimal branch and vanishes at the fold.
 
+With P = A + diag(lam delta K u^(-delta-1)) and F = diag(lam f'(u)), J = P - F
+and the Fredholm monitor obeys I - P^(-1) F = P^(-1) J, so
+
+    sigma_min(I - P^(-1) F) = 1 / sigma_max(J^(-1) P) = 1 / sigma_max(I + J^(-1) F).
+
+Both numbers come from one LinearizedOperator, which factors J once and
+shares the factor: lambda1 runs shift-invert Lanczos on the Cholesky factor
+of J (of J - mu*I with the Gershgorin shift mu when J is indefinite), and the
+monitor runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J's factor
+(Cholesky, or LU when J is indefinite) per step.
+
 The solution operator T(lam, h) of A u - lam K u^(-delta) = h is twice
-differentiable; with P = A + diag(lam delta K u^(-delta-1)) its derivative
-fields solve
+differentiable; its derivative fields solve
 
     P v    = phi                                     (direction phi in h)
     P w1   = K u^-delta                              (d/dlam)
@@ -21,11 +31,20 @@ against finite differences of the solve itself in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, svdvals
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from .operator import EigenPair, NonlocalOperator, smallest_eigenpairs
+from .errors import ConvergenceError
+from .operator import (
+    EigenPair,
+    NonlocalOperator,
+    _gershgorin_cholesky,
+    _lanczos_largest,
+    _shift_invert_pairs,
+    _try_cholesky,
+)
 from .problem import ProblemSpec
 from .singular import DEFAULT_TOL, SolutionField, solve_A
 
@@ -40,14 +59,40 @@ __all__ = [
     "fredholm_monitor",
 ]
 
+# Relative residual |B x - theta x| / theta accepted for the monitor's Ritz pair;
+# the Ritz value is then within that of an eigenvalue, so sigma_min is good to 5e-9.
+MONITOR_RTOL = 1e-8
+
 
 @dataclass(eq=False)
 class LinearizedOperator:
-    """Base operator plus the diagonal potential of the linearization."""
+    """J = base + diag(potential) = P - diag(fprime); each factor is computed once, on first use."""
 
     base: NonlocalOperator
     potential: np.ndarray
     matrix: np.ndarray
+    fprime: np.ndarray
+
+    @cached_property
+    def cholesky(self):
+        """Cholesky factor of J, or None when J is not positive definite."""
+        return _try_cholesky(self.matrix)
+
+    @cached_property
+    def spectral_factor(self):
+        """Cholesky factor of J - mu I: mu = 0 when J is positive definite, else the Gershgorin shift."""
+        return self.cholesky or _gershgorin_cholesky(self.matrix)
+
+    @cached_property
+    def solve(self):
+        """x -> J^-1 x by J's Cholesky or LU factor, or None when J is exactly singular."""
+        cho = self.cholesky
+        if cho is not None:
+            return lambda x: cho_solve(cho, x, check_finite=False)
+        lu = lu_factor(self.matrix)
+        if not np.all(np.diag(lu[0])):
+            return None
+        return lambda x: lu_solve(lu, x, check_finite=False)
 
 
 def _values(u) -> np.ndarray:
@@ -60,23 +105,27 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
     if uv.min() <= 0.0:
         raise ValueError("linearization requires a strictly positive field")
     k = spec.k_field(op.grid)
-    potential = lam * spec.delta * k * uv ** (-spec.delta - 1.0) - lam * spec.nonlinearity.fprime(uv)
+    fprime = lam * spec.nonlinearity.fprime(uv)
+    potential = lam * spec.delta * k * uv ** (-spec.delta - 1.0) - fprime
     if not np.all(np.isfinite(potential)):
         raise ValueError("linearized potential is not finite")
-    return LinearizedOperator(base=op, potential=potential, matrix=op.matrix + np.diag(potential))
+    return LinearizedOperator(base=op, potential=potential, matrix=op.matrix + np.diag(potential), fprime=fprime)
 
 
 def lambda1_pairs(
-    lam: float, u, op: NonlocalOperator, spec: ProblemSpec, k: int = 2, tol: float = DEFAULT_TOL
+    lam: float, u, op: NonlocalOperator, spec: ProblemSpec, k: int = 2, tol: float = DEFAULT_TOL, lin=None
 ) -> list[EigenPair]:
-    """k smallest eigenpairs of the linearization (first one is principal)."""
-    lin = linearized_operator(lam, u, op, spec)
-    return smallest_eigenpairs(lin.matrix, k, tol=tol)
+    """k smallest eigenpairs of the linearization (first one is principal).
+
+    Pass `lin` to reuse a linearization, and its factors, built at (lam, u).
+    """
+    lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
+    return _shift_invert_pairs(lin.matrix, k, lin.spectral_factor, tol)
 
 
-def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> EigenPair:
-    """Principal eigenpair of the linearization around u."""
-    return lambda1_pairs(lam, u, op, spec, k=1, tol=tol)[0]
+def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
+    """Principal eigenpair of the linearization around u (`lin` as in lambda1_pairs)."""
+    return lambda1_pairs(lam, u, op, spec, k=1, tol=tol, lin=lin)[0]
 
 
 def _p_factor(lam: float, uv: np.ndarray, op: NonlocalOperator, spec: ProblemSpec):
@@ -175,15 +224,30 @@ def sensitivity_bundle(
     return SensitivityBundle(w1=w1, w11=w11, w12=w12, w22=w22, v=v, residuals=residuals)
 
 
-def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> float:
+def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin=None) -> float:
     """Smallest singular value of I - P^(-1) diag(lam f'(u)).
 
     This is the compact-perturbation-of-identity form of the equation's
     linearization; a near-zero value flags a singular point of the branch and
-    co-occurs with a vanishing principal eigenvalue.
+    co-occurs with a vanishing principal eigenvalue.  It is computed as
+    1/sigma_max(I + J^-1 F) by Lanczos on J's factor (see the module notes);
+    pass `lin` to reuse a linearization built at (lam, u).
     """
-    uv = _values(u)
-    _, factor = _p_factor(lam, uv, op, spec)
-    fp = lam * spec.nonlinearity.fprime(uv)
-    correction = cho_solve(factor, np.diag(fp))
-    return float(svdvals(np.eye(op.n) - correction).min())
+    lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
+    fp = lin.fprime
+    if not np.any(fp):
+        return 1.0
+    solve = lin.solve
+    if solve is None:
+        return 0.0
+
+    def normal(v):  # (I + F J^-1)(I + J^-1 F) v = (J^-1 P)^T (J^-1 P) v
+        z = v + solve(fp * v)
+        return z + fp * solve(z)
+
+    theta, vecs = _lanczos_largest(normal, op.n, 1)
+    theta, x = float(theta[0]), vecs[:, 0]
+    res = float(np.linalg.norm(normal(x) - theta * x))
+    if res > MONITOR_RTOL * theta:
+        raise ConvergenceError(f"monitor Ritz residual {res:.3e} exceeds {MONITOR_RTOL:.0e} relative", residual=res)
+    return float(1.0 / np.sqrt(theta))

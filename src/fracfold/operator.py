@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.special import gamma, hyp2f1
 
 from .errors import AssemblyError, ConvergenceError, GridError
@@ -221,60 +221,80 @@ def _gershgorin_lower(mat: np.ndarray) -> float:
     return float(np.min(d - radius))
 
 
-def smallest_eigenpairs(mat: np.ndarray, k: int, tol: float = 1e-8, maxit: int = 500) -> list[EigenPair]:
-    """k smallest eigenpairs of a dense symmetric matrix.
+def _sine_profile(n: int) -> np.ndarray:
+    return np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
 
-    Shifted inverse iteration: a Gershgorin shift makes the matrix positive
-    definite, inverse power steps (with deflation against converged vectors)
-    isolate each eigenvector from below, and Rayleigh-quotient steps finish
-    the convergence.  Residuals are sup-norm on the sup-normalized vector.
+
+def _try_cholesky(mat: np.ndarray):
+    """Cholesky factor of mat, or None when mat is not positive definite.
+
+    A negative Rayleigh quotient on the sine profile already proves that
+    (as on most of the upper branch) and saves the failing factorization.
     """
-    n = mat.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    probe = _sine_profile(mat.shape[0])
+    if probe @ (mat @ probe) < 0.0:
+        return None
+    try:
+        return cho_factor(mat, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _gershgorin_cholesky(mat: np.ndarray):
+    """Cholesky factor of mat - mu I, mu = min(g, 0) - 1 below every Gershgorin disc."""
     shift = min(_gershgorin_lower(mat), 0.0) - 1.0
-    cho = cho_factor(mat - shift * np.eye(n), lower=True)
-    xi = np.arange(1, n + 1) / (n + 1)
+    return cho_factor(mat - shift * np.eye(mat.shape[0]), lower=True)
+
+
+def _lanczos_largest(matvec, n: int, k: int, maxit: int | None = None):
+    """k largest-magnitude eigenpairs of a symmetric operator by Lanczos (ARPACK).
+
+    The fixed sine start vector makes repeated runs agree bit for bit.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    try:
+        return eigsh(
+            LinearOperator((n, n), matvec=matvec, dtype=float), k=k, which="LM", v0=_sine_profile(n), maxiter=maxit
+        )
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Lanczos iteration did not converge: {exc}") from exc
+
+
+def _shift_invert_pairs(mat, k, factor, tol, maxit=500) -> list[EigenPair]:
+    """k smallest eigenpairs of symmetric mat from the Cholesky factor of mat - mu*I.
+
+    As mu lies below the spectrum, the k smallest eigenvalues of mat are the
+    k largest of (mat - mu*I)^-1.  Each eigenvalue is the Rayleigh
+    quotient of its Ritz vector; residuals are sup-norm on the sup-normalized
+    vector.
+    """
+    _, vecs = _lanczos_largest(lambda x: cho_solve(factor, x, check_finite=False), mat.shape[0], k, maxit)
     pairs: list[EigenPair] = []
-    basis: list[np.ndarray] = []
-    for j in range(k):
-        x = np.sin((j + 1) * np.pi * xi)
-        for v in basis:
-            x -= (v @ x) * v
-        x /= np.linalg.norm(x)
+    for x in vecs.T:
         mu = float(x @ (mat @ x))
-        res = np.inf
-        for it in range(maxit):
-            if res <= 1e-2 * max(1.0, abs(mu)) and it >= 3:
-                try:
-                    y = lu_solve(lu_factor(mat - mu * np.eye(n)), x)
-                except np.linalg.LinAlgError:
-                    y = cho_solve(cho, x)
-            else:
-                y = cho_solve(cho, x)
-            for v in basis:
-                y -= (v @ y) * v
-            ynorm = np.linalg.norm(y)
-            if ynorm == 0.0:
-                break
-            x = y / ynorm
-            mu = float(x @ (mat @ x))
-            res = float(np.abs(mat @ x - mu * x).max() / np.abs(x).max())
-            if res <= tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"eigen iteration for pair {j} stalled after {maxit} steps", residual=res
-            )
-        if res > tol:
-            raise ConvergenceError(f"eigen iteration for pair {j} stalled", residual=res)
-        basis.append(x.copy())
         vec = x / np.abs(x).max()
         if vec[np.argmax(np.abs(vec))] < 0.0:
             vec = -vec
+        res = float(np.abs(mat @ vec - mu * vec).max())
+        if res > tol:
+            raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}", residual=res)
         pairs.append(EigenPair(value=mu, vector=vec, residual=res))
     pairs.sort(key=lambda p: p.value)
     return pairs
+
+
+def smallest_eigenpairs(mat: np.ndarray, k: int, tol: float = 1e-8, maxit: int = 500) -> list[EigenPair]:
+    """k smallest eigenpairs of a dense symmetric matrix.
+
+    Shift-invert Lanczos on one Cholesky factor: of mat itself when it is
+    positive definite, else of mat - mu*I with the Gershgorin shift mu.
+    """
+    n = mat.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < {n}, got {k}")
+    factor = _try_cholesky(mat) or _gershgorin_cholesky(mat)
+    return _shift_invert_pairs(mat, k, factor, tol, maxit)
 
 
 def eigen_smallest(op: NonlocalOperator, k: int, tol: float = 1e-8) -> list[EigenPair]:

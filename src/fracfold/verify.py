@@ -60,11 +60,12 @@ class VerificationReport:
 
 
 def format_report(report: VerificationReport) -> str:
-    width = max(len(r.name) for r in report.records) if report.records else 4
-    lines = [f"{'check'.ljust(width)}  status  expected        measured        tolerance"]
-    for r in report.records:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.name.ljust(width)}  {status:4s}  {r.expected:14s}  {r.measured:14s}  {r.tolerance}")
+    header = ("check", "status", "expected", "measured", "tolerance")
+    rows = [header] + [
+        (r.name, "PASS" if r.passed else "FAIL", r.expected, r.measured, r.tolerance) for r in report.records
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header) - 1)]
+    lines = ["  ".join([*(cell.ljust(w) for cell, w in zip(row, widths)), row[-1]]) for row in rows]
     total = sum(1 for r in report.records if r.passed)
     lines.append(f"{total}/{len(report.records)} records passed")
     return "\n".join(lines)
@@ -87,6 +88,13 @@ class _Cache(dict):
         key = ("op", half_width, n, s)
         if key not in self:
             self[key] = assemble_operator(build_grid(half_width, n), s)
+        return self[key]
+
+    def pure(self, spec: ProblemSpec, n: int, tol: float):
+        """Pure singular solution on (-1, 1) with n nodes, shared across suites."""
+        key = ("pure", n, spec.s, spec.delta, spec.beta, spec.coeff, tol)
+        if key not in self:
+            self[key] = solve_pure_singular(spec, self.operator(1.0, n, spec.s), tol=tol)
         return self[key]
 
 
@@ -198,14 +206,11 @@ def check_comparison(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
 def check_scaling(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     records = []
     s, n = 0.4, 256
-    op = cache.operator(1.0, n, s)
     for delta in (0.5, 1.0, 3.0):
         base = ProblemSpec(s=s, delta=delta, beta=0.0, coeff=1.0)
-        u1 = solve_pure_singular(base, op, tol=cfg.newton_tol)
+        u1 = cache.pure(base, n, cfg.newton_tol)
         for lam in (0.25, 4.0):
-            direct = solve_pure_singular(
-                ProblemSpec(s=s, delta=delta, beta=0.0, coeff=lam), op, tol=cfg.newton_tol
-            )
+            direct = cache.pure(ProblemSpec(s=s, delta=delta, beta=0.0, coeff=lam), n, cfg.newton_tol)
             scaled = scale_pure_singular(u1, lam)
             dist = float(np.abs(direct.values - scaled.values).max())
             records.append(
@@ -232,7 +237,7 @@ def check_rates(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         ("rate-super", ProblemSpec(s=0.4, delta=3.0, beta=0.0), 0.2, 0.05),
     ):
         op = cache.operator(1.0, n, spec.s)
-        u = solve_pure_singular(spec, op, tol=cfg.newton_tol)
+        u = cache.pure(spec, n, cfg.newton_tol)
         alpha, r2 = fit_boundary_exponent(u.values, op.grid)
         records.append(
             _record(
@@ -247,7 +252,7 @@ def check_rates(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         )
     spec = ProblemSpec(s=0.5, delta=1.0, beta=0.0)
     op = cache.operator(1.0, n, spec.s)
-    u = solve_pure_singular(spec, op, tol=cfg.newton_tol)
+    u = cache.pure(spec, n, cfg.newton_tol)
     alpha, r2 = fit_boundary_exponent(u.values, op.grid)
     flag = classify_regime(spec.s, spec.delta, spec.beta) is Regime.CRITICAL
     records.append(
@@ -277,7 +282,7 @@ def check_hs_threshold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
         ProblemSpec(s=0.75, delta=5.0, beta=1.4),
     ):
         op = cache.operator(1.0, n, spec.s)
-        u = solve_pure_singular(spec, op, tol=cfg.newton_tol)
+        u = cache.pure(spec, n, cfg.newton_tol)
         mass, verdict = hs_membership_indicator(u.values, op.grid, spec)
         threshold = 2.0 * spec.beta + spec.delta * (2.0 * spec.s - 1.0)
         algebraic = "finite" if threshold < 1.0 + 2.0 * spec.s else "diverging"
@@ -309,7 +314,7 @@ def check_holder(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         at_g, at_gp, hs = [], [], []
         for n in (256, 512, 1024):
             op = cache.operator(1.0, n, spec.s)
-            u = solve_pure_singular(spec, op, tol=cfg.newton_tol)
+            u = cache.pure(spec, n, cfg.newton_tol)
             at_g.append(holder_seminorm(u.values, op.grid, gam))
             at_gp.append(holder_seminorm(u.values, op.grid, gam + 0.1))
             hs.append(op.grid.h)
@@ -330,7 +335,7 @@ def check_holder(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             _record(
                 f"{name}-growth",
                 "seminorm 0.1 above the predicted exponent blows up like h^-0.1 under refinement",
-                {"s": spec.s, "delta": spec.delta, "gamma": gam + 0.1},
+                {"s": spec.s, "delta": spec.delta, "gamma": round(gam + 0.1, 12)},
                 "0.1 +- 0.05 per step",
                 f"exponents {['%.3f' % g for g in growth]}",
                 "+-0.05",

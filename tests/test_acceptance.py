@@ -23,6 +23,10 @@ from fracfold.verify import (
     check_scaling,
     check_sensitivity,
     check_uniqueness,
+    format_report,
+    VerificationRecord,
+    VerificationReport,
+    _Cache,
 )
 
 
@@ -65,16 +69,17 @@ def test_criterion_06_holder_regimes(accept_cfg, accept_cache):
 
 
 @pytest.mark.parametrize("offset, growth_passes", [(0.0, True), (0.2, False), (-0.2, False)])
-def test_criterion_06_growth_rejects_wrong_exponent(monkeypatch, accept_cfg, accept_cache, offset, growth_passes):
+def test_criterion_06_growth_rejects_wrong_exponent(monkeypatch, accept_cfg, offset, growth_passes):
     # exact power laws d^(gamma + offset) stand in for the solves; a field
-    # smoother (e = -0.1) or rougher (e = 0.3) than predicted must fail
+    # smoother (e = -0.1) or rougher (e = 0.3) than predicted must fail.  A
+    # fresh cache, because the shared one already holds the real solves.
     predicted = {0.5: 0.4, 3.0: 0.2}
 
     def power_law(spec, op, tol):
         return SimpleNamespace(values=op.grid.distance() ** (predicted[spec.delta] + offset))
 
     monkeypatch.setattr(verify, "solve_pure_singular", power_law)
-    records = {r.name: r for r in check_holder(accept_cfg, accept_cache)}
+    records = {r.name: r for r in check_holder(accept_cfg, _Cache())}
     for name in ("holder-sub", "holder-super"):
         assert records[f"{name}-growth"].passed is growth_passes, records[f"{name}-growth"]
     if growth_passes:
@@ -103,3 +108,40 @@ def test_criterion_11_sensitivity_derivatives(accept_cfg, accept_cache):
 
 def test_criterion_12_small_lambda_uniqueness(accept_cfg, accept_cache):
     _run(check_uniqueness, accept_cfg, accept_cache)
+
+
+def test_holder_reuses_the_rates_solves(monkeypatch, accept_cfg):
+    # the n=1024 solves of rate-sub and rate-super are the holder suite's finest grid
+    solved = []
+
+    def power_law(spec, op, tol):
+        solved.append((op.n, spec.s, spec.delta))
+        return SimpleNamespace(values=op.grid.distance() ** 0.3)
+
+    monkeypatch.setattr(verify, "solve_pure_singular", power_law)
+    cache = _Cache()
+    check_rates(accept_cfg, cache)
+    holder = check_holder(accept_cfg, cache)
+    assert len(solved) == len(set(solved)) == 7
+    assert (1024, 0.4, 0.5) in solved and (1024, 0.4, 3.0) in solved
+    gammas = [r.params["gamma"] for r in holder]
+    assert gammas == [0.4, 0.5, 0.2, 0.3]
+
+
+def test_format_report_columns_line_up():
+    report = VerificationReport(
+        records=[
+            VerificationRecord("a", "", {}, "0.1 +- 0.05 per step", "exponents ['0.111', '0.109']", "+-0.05", True),
+            VerificationRecord("longer-name", "", {}, "0", "1.2e-09", "2e-8", False),
+        ]
+    )
+    lines = format_report(report).splitlines()
+    header = lines[0]
+    starts = [header.index(col) for col in ("status", "expected", "measured", "tolerance")]
+    for line, r in zip(lines[1:], report.records):
+        cells = ("PASS" if r.passed else "FAIL", r.expected, r.measured, r.tolerance)
+        assert line.startswith(r.name + " ")
+        for start, cell in zip(starts, cells):
+            assert line[start:].startswith(cell + " ") or line[start:] == cell
+            assert line[start - 2:start] == "  "
+    assert lines[-1] == "1/2 records passed"

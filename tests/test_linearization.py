@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, svdvals
 
 from fracfold import ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_A, solve_min
 from fracfold.linearization import (
+    LinearizedOperator,
     d2A_directional,
     fredholm_monitor,
     lambda1,
@@ -11,7 +14,7 @@ from fracfold.linearization import (
     linearized_operator,
     sensitivity_bundle,
 )
-from fracfold.operator import principal_eigenpair
+from fracfold.operator import principal_eigenpair, smallest_eigenpairs
 from fracfold.singular import solve_pure_singular
 
 
@@ -139,10 +142,103 @@ def test_bundle_finite_difference_cross_checks(op192):
 
 def test_monitor_identity_without_nonlinearity(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
-    assert fredholm_monitor(0.2, pure_field.values, op192, spec) == pytest.approx(1.0, abs=1e-12)
+    assert fredholm_monitor(0.2, pure_field.values, op192, spec) == 1.0
 
 
 def test_monitor_bounded_away_at_small_lambda(op192):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     field = solve_min(0.01, spec, op192)
     assert fredholm_monitor(0.01, field.values, op192, spec) > 0.9
+
+
+# --- dense oracles at every point of the rounded branch -----------------------------
+# eigh and svdvals carry an absolute error of about eps*||J||, so the eigenvalue
+# comparison is relative with a floor of 1 (the fold point has lambda1 near 0).
+
+
+def _rounded(branch, segment=None):
+    # points of trace_minimal and fold_round; other tests extend the shared
+    # fixture in place with monitor-free upper points
+    return [p for p in branch.points if p.monitor is not None and segment in (None, p.segment)]
+
+
+def _dense_monitor(lam, u, op, spec):
+    k = spec.k_field(op.grid)
+    p = op.matrix + np.diag(lam * spec.delta * k * u ** (-spec.delta - 1.0))
+    f = np.diag(lam * spec.nonlinearity.fprime(u))
+    return float(svdvals(np.eye(op.n) - np.linalg.solve(p, f)).min())
+
+
+def test_branch_lambda1_matches_eigh(folded_branch, op256_s04, canonical_spec):
+    points = _rounded(folded_branch)
+    assert {p.segment for p in points} == {"minimal", "fold", "upper"}
+    for p in points:
+        jac = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec).matrix
+        oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 0])[0]
+        scale = 1e-9 * max(1.0, abs(oracle))
+        assert p.lambda1 == pytest.approx(oracle, abs=scale), (p.segment, p.lam)
+        direct = lambda1(p.lam, p.solution, op256_s04, canonical_spec)
+        assert direct.value == pytest.approx(oracle, abs=scale)
+        assert np.abs(direct.vector).max() == pytest.approx(1.0)
+
+
+def test_branch_monitor_matches_svd(folded_branch, op256_s04, canonical_spec):
+    monitors = []
+    for p in _rounded(folded_branch):
+        oracle = _dense_monitor(p.lam, p.solution.values, op256_s04, canonical_spec)
+        assert p.monitor == pytest.approx(oracle, abs=1e-9), (p.segment, p.lam)
+        direct = fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec)
+        assert direct == pytest.approx(oracle, abs=1e-9)
+        monitors.append((p.segment, oracle))
+    # the upper segment reaches points well away from the fold, not only its neighbourhood
+    assert max(m for seg, m in monitors if seg == "upper") >= 0.25
+
+
+def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, canonical_spec):
+    p = _rounded(folded_branch, "upper")[-1]
+    jac = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec).matrix
+    oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 2])
+    assert oracle[0] < 0.0 < oracle[1]
+    pairs = smallest_eigenpairs(jac, 3, tol=1e-9)
+    assert [q.value for q in pairs] == sorted(q.value for q in pairs)
+    for q, val in zip(pairs, oracle):
+        assert q.value == pytest.approx(val, abs=1e-9 * max(1.0, abs(val)))
+        assert np.abs(q.vector).max() == pytest.approx(1.0)
+        assert np.abs(jac @ q.vector - q.value * q.vector).max() <= 1e-9
+        assert q.residual <= 1e-9
+
+
+def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # lambda1 and the monitor of one linearization: a single Cholesky of J on
+    # the minimal branch; on the upper one the sine profile proves J
+    # indefinite, leaving the shifted Cholesky plus the LU of J
+    import fracfold.linearization as lin_mod
+    import fracfold.operator as op_mod
+
+    calls = []
+    for mod, name in ((op_mod, "cho_factor"), (lin_mod, "lu_factor")):
+        original = getattr(mod, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    for p, expected in (
+        (_rounded(folded_branch, "minimal")[-1], ["cho_factor"]),
+        (_rounded(folded_branch, "upper")[-1], ["cho_factor", "lu_factor"]),
+    ):
+        calls.clear()
+        lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
+        lambda1(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
+        fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
+        assert calls == expected
+
+
+def test_monitor_zero_when_linearization_is_singular(op192, pure_field):
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
+    singular = np.diag(np.arange(192.0))
+    lin = LinearizedOperator(base=op192, potential=np.zeros(192), matrix=singular, fprime=np.ones(192))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LU reports the zero pivot
+        assert fredholm_monitor(0.2, pure_field.values, op192, spec, lin=lin) == 0.0
