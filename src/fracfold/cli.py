@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .blas import single_pool
 from .config import RunConfig, load_config
 from .continuation import fold_round, multiplicity_scan, trace_minimal
 from .errors import SupersolutionNotFound
@@ -180,6 +181,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
+@single_pool
 def main(argv=None) -> int:
     parser = _Parser(prog="fracfold", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

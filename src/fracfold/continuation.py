@@ -12,15 +12,16 @@ contribute comparably to arclength near the fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blas import single_pool
 from .errors import ConvergenceError, SupersolutionNotFound
 from .linearization import fredholm_monitor, lambda1, linearized_operator
 from .operator import NonlocalOperator, principal_eigenpair
 from .problem import ProblemSpec
-from .singular import DEFAULT_TOL, SolutionField, _newton_full, solve_min
+from .singular import DEFAULT_TOL, SolutionField, _lu_step, _newton_full, solve_min
 
 __all__ = [
     "BranchPoint",
@@ -131,6 +132,7 @@ def _assign_arclength(points: list[BranchPoint], w: float) -> None:
         p.arclength = total
 
 
+@single_pool
 def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy = TracePolicy()) -> Branch:
     """Trace the minimal branch to the fold and bracket the extremal parameter.
 
@@ -227,10 +229,8 @@ def _bordered_newton(op, spec, z0, tangent, ds, anchor, w, tol, max_iter):
         jac[:n, n] = -(k * u ** (-spec.delta) + nl.f(u))
         jac[n, :n] = w ** 2 * udot
         jac[n, n] = lamdot
-        rhs = np.concatenate([-g, [-nval]])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
+        step = _lu_step(jac, np.concatenate([-g, [-nval]]))
+        if step is None:
             return None
         t = 1.0
         base = np.abs(g).max() + abs(nval)
@@ -290,6 +290,7 @@ class _ArcStepper:
         raise ConvergenceError("pseudo-arclength corrector failed below the minimum step")
 
 
+@single_pool
 def fold_round(
     branch: Branch,
     op: NonlocalOperator,
@@ -377,7 +378,11 @@ def fold_round(
 
 
 def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
-    """Continue the upper segment until stop(point) or the step budget ends."""
+    """Continue the upper segment until stop(point) or the step budget ends.
+
+    The points go to a new Branch; the one passed in is left as it was.
+    """
+    branch = replace(branch, points=list(branch.points))
     upper = branch.upper_points()
     if len(upper) < 2:
         raise ValueError("branch has no rounded upper segment to extend")
@@ -413,6 +418,7 @@ def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
     return branch
 
 
+@single_pool
 def multiplicity_scan(
     spec: ProblemSpec,
     op: NonlocalOperator,
@@ -480,6 +486,7 @@ class ProbeResult:
     branch: Branch
 
 
+@single_pool
 def asymptotic_bifurcation_probe(
     branch: Branch,
     op: NonlocalOperator,
@@ -531,6 +538,7 @@ class UniquenessReport:
     trials: list[dict]
 
 
+@single_pool
 def uniqueness_probe(
     lam: float,
     spec: ProblemSpec,
@@ -562,7 +570,7 @@ def uniqueness_probe(
         start = cap * rng.uniform(0.02, 1.0, size=op.n)
         try:
             vals, res, _ = _newton_full(op, spec, lam, start, tol)
-        except (ConvergenceError, np.linalg.LinAlgError):
+        except ConvergenceError:
             records.append({"trial": t, "outcome": "diverged"})
             continue
         dist = float(np.abs(vals - minimal.values).max())

@@ -36,6 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
+from .blas import single_pool
 from .errors import ConvergenceError
 from .operator import (
     EigenPair,
@@ -112,6 +113,7 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
     return LinearizedOperator(base=op, potential=potential, matrix=op.matrix + np.diag(potential), fprime=fprime)
 
 
+@single_pool
 def lambda1_pairs(
     lam: float, u, op: NonlocalOperator, spec: ProblemSpec, k: int = 2, tol: float = DEFAULT_TOL, lin=None
 ) -> list[EigenPair]:
@@ -135,6 +137,7 @@ def _p_factor(lam: float, uv: np.ndarray, op: NonlocalOperator, spec: ProblemSpe
     return mat, cho_factor(mat, lower=True)
 
 
+@single_pool
 def d2A_directional(
     lam: float,
     h: np.ndarray,
@@ -153,9 +156,9 @@ def d2A_directional(
     if u is None:
         u = solve_A(lam, h, op, spec, tol=tol)
     mat, factor = _p_factor(lam, _values(u), op, spec)
-    v = cho_solve(factor, phi)
+    v = cho_solve(factor, phi, check_finite=False)
     res = np.abs(mat @ v - phi).max()
-    if res > tol * (1.0 + np.abs(phi).max()):
+    if not res <= tol * (1.0 + np.abs(phi).max()):  # also rejects a NaN residual
         raise RuntimeError(f"directional solve residual {res:.3e} exceeds tolerance")
     return v
 
@@ -172,6 +175,7 @@ class SensitivityBundle:
     residuals: dict
 
 
+@single_pool
 def sensitivity_bundle(
     lam: float,
     h: np.ndarray,
@@ -203,27 +207,28 @@ def sensitivity_bundle(
 
     rhs = {}
     rhs["w1"] = k * uv ** -d
-    w1 = cho_solve(factor, rhs["w1"])
+    w1 = cho_solve(factor, rhs["w1"], check_finite=False)
     rhs["v"] = phi
-    v = cho_solve(factor, phi)
-    v_psi = v if psi is phi else cho_solve(factor, psi)
+    v = cho_solve(factor, phi, check_finite=False)
+    v_psi = v if psi is phi else cho_solve(factor, psi, check_finite=False)
     rhs["w11"] = lam * d * (d + 1.0) * k * uv ** (-d - 2.0) * w1 ** 2 - 2.0 * d * k * uv ** (-d - 1.0) * w1
-    w11 = cho_solve(factor, rhs["w11"])
+    w11 = cho_solve(factor, rhs["w11"], check_finite=False)
     rhs["w12"] = lam * d * (d + 1.0) * k * uv ** (-d - 2.0) * w1 * v - d * k * uv ** (-d - 1.0) * v
-    w12 = cho_solve(factor, rhs["w12"])
+    w12 = cho_solve(factor, rhs["w12"], check_finite=False)
     rhs["w22"] = lam * d * (d + 1.0) * k * uv ** (-d - 2.0) * v * v_psi
-    w22 = cho_solve(factor, rhs["w22"])
+    w22 = cho_solve(factor, rhs["w22"], check_finite=False)
 
     fields = {"w1": w1, "v": v, "w11": w11, "w12": w12, "w22": w22}
     residuals = {}
     for name, field in fields.items():
         res = float(np.abs(mat @ field - rhs[name]).max())
         residuals[name] = res
-        if res > tol * (1.0 + np.abs(rhs[name]).max()):
+        if not res <= tol * (1.0 + np.abs(rhs[name]).max()):
             raise RuntimeError(f"sensitivity solve {name} residual {res:.3e} exceeds tolerance")
     return SensitivityBundle(w1=w1, w11=w11, w12=w12, w22=w22, v=v, residuals=residuals)
 
 
+@single_pool
 def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin=None) -> float:
     """Smallest singular value of I - P^(-1) diag(lam f'(u)).
 

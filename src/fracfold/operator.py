@@ -203,7 +203,7 @@ def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite at all nodes")
-    return cho_solve(op._cholesky(), rhs)
+    return cho_solve(op._cholesky(), rhs, check_finite=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
+from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError, SupersolutionNotFound
 from .operator import Grid, NonlocalOperator, principal_eigenpair, solve_dirichlet
 from .problem import ProblemSpec, RegularizedSpec, no_nonlinearity, regularize
@@ -89,7 +90,7 @@ def _solve_shifted_singular(
             return u, float(res), float(tol * scale)
         jac_diag = shift + delta * kfield * (u + eps) ** (-delta - 1.0)
         jac = mat + np.diag(jac_diag)
-        step = cho_solve(cho_factor(jac, lower=True), -res_vec)
+        step = cho_solve(cho_factor(jac, lower=True), -res_vec, check_finite=False)
         t = 1.0
         while t >= 2.0 ** -40:
             trial = np.maximum(u + t * step, POSITIVITY_FLOOR)
@@ -132,6 +133,7 @@ def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
     return float(ratio.min() ** (1.0 / (1.0 + spec.delta)))
 
 
+@single_pool
 def solve_pure_singular(
     spec: ProblemSpec,
     op: NonlocalOperator,
@@ -223,6 +225,7 @@ def torsion_field(op: NonlocalOperator) -> np.ndarray:
     return op._cache["torsion"]
 
 
+@single_pool
 def solve_A(
     lam: float,
     h: np.ndarray,
@@ -274,6 +277,16 @@ def _full_residual(op: NonlocalOperator, spec: ProblemSpec, lam: float, u: np.nd
     return op.matrix @ u - lam * (k * u ** (-spec.delta) + spec.nonlinearity.f(u))
 
 
+def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """jac^-1 rhs by LU with partial pivoting, or None when jac is not finite or exactly singular."""
+    if not np.all(np.isfinite(jac)):
+        return None
+    lu = lu_factor(jac, check_finite=False)
+    if not np.all(np.diag(lu[0])):
+        return None
+    return lu_solve(lu, rhs, check_finite=False)
+
+
 def _newton_full(op, spec, lam, u0, tol, maxit=60):
     """Damped Newton on the full equation A u = lam (K u^-delta + f(u))."""
     k = spec.k_field(op.grid)
@@ -286,11 +299,9 @@ def _newton_full(op, spec, lam, u0, tol, maxit=60):
         if res <= tol * scale:
             return u, float(res), float(tol * scale)
         jac_diag = lam * spec.delta * k * u ** (-spec.delta - 1.0) - lam * nl.fprime(u)
-        jac = op.matrix + np.diag(jac_diag)
-        try:
-            step = np.linalg.solve(jac, -res_vec)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian in Newton polish: {exc}", residual=float(res))
+        step = _lu_step(op.matrix + np.diag(jac_diag), -res_vec)
+        if step is None:
+            raise ConvergenceError("non-finite or singular Jacobian in Newton polish", residual=float(res))
         t = 1.0
         while t >= 2.0 ** -40:
             trial = np.maximum(u + t * step, POSITIVITY_FLOOR)
@@ -398,6 +409,7 @@ def _supersolution_from(
     return None
 
 
+@single_pool
 def solve_min(
     lam: float,
     spec: ProblemSpec,

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from .blas import single_pool
 from .config import RunConfig
 from .continuation import (
     FoldPolicy,
@@ -671,6 +672,7 @@ SUITES["all"] = [fn for name in (
 ) for fn in SUITES[name]]
 
 
+@single_pool
 def verify_suite(cfg: RunConfig, suites: list[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: the config's `suites` field)."""
     if suites is None:

@@ -110,6 +110,17 @@ def test_criterion_12_small_lambda_uniqueness(accept_cfg, accept_cache):
     _run(check_uniqueness, accept_cfg, accept_cache)
 
 
+
+def test_asymptotic_records_do_not_depend_on_suite_order(accept_cfg):
+    # multiplicity extends the same cached upper segment that asymptotic starts from
+    def asymptotic(suites):
+        records = verify.verify_suite(accept_cfg, suites).records
+        return [(r.name, r.measured, r.passed) for r in records if r.name.startswith("asymptotic")]
+
+    alone_first = asymptotic(["asymptotic", "multiplicity"])
+    assert [name for name, _, _ in alone_first] == ["asymptotic-growth", "asymptotic-extends"]
+    assert asymptotic(["multiplicity", "asymptotic"]) == alone_first
+
 def test_holder_reuses_the_rates_solves(monkeypatch, accept_cfg):
     # the n=1024 solves of rate-sub and rate-super are the holder suite's finest grid
     solved = []

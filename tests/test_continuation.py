@@ -104,6 +104,16 @@ def test_asymptotic_probe_growth_and_extension(folded_branch, op256_s04, canonic
     assert max(minimal_sups) <= fold_sup * (1.0 + 1e-9)
 
 
+
+def test_upper_extension_leaves_the_input_branch_alone(folded_branch, op256_s04, canonical_spec):
+    before = list(folded_branch.points)
+    lam_est = folded_branch.lambda_estimate
+    multiplicity_scan(canonical_spec, op256_s04, [0.9 * lam_est], branch=folded_branch)
+    probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=3.0, steps=40)
+    assert len(probe.branch.points) > len(before)
+    assert len(folded_branch.points) == len(before)
+    assert all(a is b for a, b in zip(folded_branch.points, before))
+
 def test_asymptotic_tail_power_law(folded_branch, op256_s04, canonical_spec):
     # natural scaling of the superlinear term: sup ~ lam^(-1/(p-1)) on the tail
     probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=60.0, steps=400)
