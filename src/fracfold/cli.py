@@ -90,7 +90,7 @@ def _solve_common(cfg: RunConfig, pure: bool):
         spec = ProblemSpec(
             s=cfg.s, delta=cfg.delta, beta=cfg.beta, coeff=cfg.coeff * lam, nonlinearity=no_nonlinearity()
         )
-        field = solve_pure_singular(spec, op, tol=cfg.newton_tol, eps_stop=cfg.eps_stop)
+        field = solve_pure_singular(spec, op, tol=cfg.newton_tol)
         pair = principal_eigenpair(op)
         profile = build_weight_profile(pair.vector, spec.s, spec.delta, spec.beta)
         report = cone_norms(field.values, profile)

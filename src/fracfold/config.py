@@ -14,7 +14,7 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config"]
 _SECTIONS = {
     "problem": ("s", "delta", "beta", "coeff", "nonlinearity", "p", "c", "lam"),
     "grid": ("half_width", "n"),
-    "tolerances": ("newton_tol", "eigen_tol", "eps_stop"),
+    "tolerances": ("newton_tol",),
     "continuation": (
         "lambda_init",
         "max_points",
@@ -22,8 +22,6 @@ _SECTIONS = {
         "bracket_rtol",
         "arc_step",
         "fold_steps",
-        "probe_steps",
-        "growth_cap",
     ),
     "output": ("out_dir", "seed"),
     "verify": ("suites",),
@@ -45,16 +43,12 @@ class RunConfig:
     half_width: float = 1.0
     n: int = 511
     newton_tol: float = 1e-8
-    eigen_tol: float = 1e-8
-    eps_stop: float = 1e-6
     lambda_init: float = 0.0
     max_points: int = 48
     lambda1_threshold: float = 0.0
     bracket_rtol: float = 1e-3
     arc_step: float = 0.02
     fold_steps: int = 60
-    probe_steps: int = 2000
-    growth_cap: float = 1e3
     out_dir: str = "out"
     seed: int = 0
     suites: str = "all"

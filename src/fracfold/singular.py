@@ -6,9 +6,13 @@ All solves share one damped-Newton core for equations of the form
 
     (A + shift*I) u - k(x) (u + eps)^(-delta) = rhs,
 
-whose residual map is componentwise concave, so Newton steps started from a
-supersolution decrease monotonically and positivity is preserved without the
-arithmetic floor ever binding at convergence.
+whose residual map is componentwise concave with an M-matrix Jacobian.  Hence
+a full Newton step lands on a subsolution, and from a subsolution every
+(damped) step points upward and stays a subsolution.  Started from a
+subsolution the iterates rise monotonically; started from a supersolution the
+first step undershoots to a subsolution and the iterates rise from there.
+Either way positivity is preserved without the arithmetic floor binding at
+convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError, SupersolutionNotFound
 from .operator import Grid, NonlocalOperator, principal_eigenpair, solve_dirichlet
-from .problem import ProblemSpec, RegularizedSpec, no_nonlinearity, regularize
+from .problem import ProblemSpec, RegularizedSpec, no_nonlinearity
 from .weights import NormReport, build_weight_profile, cone_norms, fit_boundary_exponent
 
 __all__ = [
@@ -75,7 +79,9 @@ def _solve_shifted_singular(
 ) -> tuple[np.ndarray, float, float]:
     """Damped Newton for (A + shift*I) u - k (u+eps)^(-delta) = rhs.
 
-    Returns (u, residual, bound); convergence means residual <= bound with
+    By concavity of the residual each full step lands on a subsolution, after
+    which the iterates increase monotonically onto the solution.  Returns
+    (u, residual, bound); convergence means residual <= bound with
     bound = tol * (sup magnitude of the equation's terms at the solution).
     """
     mat = op.matrix
@@ -108,9 +114,12 @@ def _solve_shifted_singular(
 def solve_regularized(rspec: RegularizedSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
     """Solve A u = K_eps (u + eps)^(-delta), the strictly convex regularization.
 
-    Newton starts from the linear solve with the singular term frozen at u = 0,
-    which is a supersolution, so the iterates decrease monotonically onto the
-    unique solution.
+    Newton starts from w = max((K_eps / diag A)^(1/(1+delta)) - eps, 0), a
+    subsolution since (A w)_i <= A_ii w_i <= K_eps,i (w_i + eps)^(-delta) for
+    an A with nonpositive off-diagonals, and the iterates rise monotonically
+    onto the unique solution.  w has the local scaling of the solution, which
+    matters for large delta: from far below, Newton raises u + eps by only
+    about a factor 1 + 1/delta per step.
     """
     spec = rspec.base
     if not spec.nonlinearity.is_none:
@@ -120,7 +129,7 @@ def solve_regularized(rspec: RegularizedSpec, op: NonlocalOperator, tol: float =
         u = solve_dirichlet(op, keps)
         res = float(np.abs(op.matrix @ u - keps).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(keps).max()))
-    u0 = solve_dirichlet(op, keps * eps ** (-delta))
+    u0 = np.maximum((keps / np.diag(op.matrix)) ** (1.0 / (1.0 + delta)) - eps, 0.0)
     u, res, bound = _solve_shifted_singular(op, keps, delta, eps, np.zeros(op.n), u0, tol)
     return SolutionField(u, op.grid, spec, res, bound)
 
@@ -134,21 +143,14 @@ def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
 
 
 @single_pool
-def solve_pure_singular(
-    spec: ProblemSpec,
-    op: NonlocalOperator,
-    tol: float = DEFAULT_TOL,
-    eps0: float = 1.0,
-    ratio: float = 0.5,
-    eps_stop: float = 1e-6,
-    max_steps: int = 60,
-) -> SolutionField:
-    """Solve A u = K u^(-delta) as the limit of the regularized solves.
+def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
+    """Solve A u = K u^(-delta) by one damped-Newton run from c* phi_1.
 
-    The schedule eps_k = eps0 * ratio^k runs until successive iterates are
-    Cauchy in sup norm, then one unregularized Newton polish removes the
-    remaining eps bias.  Any lambda must be folded into spec.coeff.  The
-    result is checked a posteriori against the eigenfunction subsolution.
+    c* phi_1 is a discrete subsolution, and the residual map is componentwise
+    concave with an M-matrix Jacobian, so the iterates rise monotonically from
+    it onto the solution and stay positive; no regularization is needed to
+    reach eps = 0.  Any lambda must be folded into spec.coeff.  The result is
+    checked a posteriori against the subsolution.
     """
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:
@@ -156,35 +158,9 @@ def solve_pure_singular(
         res = float(np.abs(op.matrix @ u - k).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
-    eps = eps0
-    prev = None
-    gap = np.inf
-    for _ in range(max_steps):
-        rspec = regularize(spec, op.grid, eps)
-        if prev is None:
-            current = solve_regularized(rspec, op, tol=tol)
-        else:
-            u, res, bound = _solve_shifted_singular(
-                op, rspec.k_eps, spec.delta, eps, np.zeros(op.n), prev.values, tol
-            )
-            current = SolutionField(u, op.grid, spec, res, bound)
-        if prev is not None:
-            gap = np.abs(current.values - prev.values).max()
-            if gap <= eps_stop:
-                prev = current
-                break
-        prev = current
-        eps *= ratio
-    else:
-        regime = f"beta/s + delta = {spec.beta / spec.s + spec.delta:.3f}"
-        raise ConvergenceError(
-            f"regularization schedule exhausted ({regime}, last sup gap {gap:.3e})", residual=float(gap)
-        )
-
-    u, res, bound = _solve_shifted_singular(op, k, spec.delta, 0.0, np.zeros(op.n), prev.values, tol)
-    cstar = subsolution_constant(spec, op)
-    phi = principal_eigenpair(op).vector
-    if np.any(u < cstar * phi * (1.0 - 1e-6)):
+    lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
+    u, res, bound = _solve_shifted_singular(op, k, spec.delta, 0.0, np.zeros(op.n), lower, tol)
+    if np.any(u < lower * (1.0 - 1e-6)):
         raise BracketViolation("pure singular solution dipped below the eigenfunction subsolution")
     return SolutionField(u, op.grid, spec, res, bound)
 
@@ -237,8 +213,9 @@ def solve_A(
     """Solution operator of A u - lam*K u^(-delta) = h.
 
     For h >= 0 the solution is bracketed by the scaled pure singular solution
-    below and that field plus max(h)*U above; Newton starts from the upper
-    bracket.  Nonpositive h is attempted anyway and reported as a bracket
+    below and that field plus max(h)*U above.  Newton starts from the upper
+    bracket; its first step lands on a subsolution and the iterates rise from
+    there.  Nonpositive h is attempted anyway and reported as a bracket
     violation if positivity fails.
     """
     h = np.asarray(h, dtype=float)

@@ -30,6 +30,13 @@ def test_config_rejects_unknown_keys():
         parse_config("[mystery]\ns = 0.4\n")
 
 
+def test_config_rejects_removed_keys():
+    for section, name in (("tolerances", "eps_stop"), ("tolerances", "eigen_tol"),
+                          ("continuation", "probe_steps"), ("continuation", "growth_cap")):
+        with pytest.raises(ValueError):
+            parse_config(f"[{section}]\n{name} = 1\n")
+
+
 def test_cli_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["solve-ps", "--does-not-exist", "1"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracfold import (
     BracketViolation,
@@ -15,6 +17,7 @@ from fracfold import (
     solve_pure_singular,
     solve_regularized,
 )
+from fracfold import singular
 from fracfold.operator import principal_eigenpair
 from fracfold.singular import (
     monotone_iterate,
@@ -231,3 +234,59 @@ def test_end_to_end_comparison_principle(op256):
     u_lo = solve_pure_singular(spec_lo, op256).values
     u_hi = solve_pure_singular(spec_hi, op256).values
     assert np.all(u_lo <= u_hi + 1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.1, 0.9),
+    delta=st.floats(0.1, 12.0),
+    beta_frac=st.floats(0.0, 0.95),
+    coeff=st.floats(0.01, 50.0),
+)
+@example(s=0.9, delta=12.0, beta_frac=0.0, coeff=1.0)
+@example(s=0.12846782773568963, delta=10.75, beta_frac=0.75, coeff=13.0)
+def test_pure_singular_properties(s, delta, beta_frac, coeff):
+    op = assemble_operator(build_grid(1.0, 256), s)
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, coeff=coeff)
+    field = solve_pure_singular(spec, op)
+    u = field.values
+    assert _residual(op, spec, 1.0, u) <= field.residual_bound
+    slack = 1e-10 * (1.0 + u.max())
+    # Newton rises from the eigenfunction subsolution it starts at
+    lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
+    assert np.all(u >= lower - slack)
+    # the regularized solution is a subsolution of the eps = 0 problem
+    regularized = solve_regularized(regularize(spec, op.grid, 1e-2), op).values
+    assert np.all(u >= regularized - slack)
+    # larger weight, larger solution
+    heavier = solve_pure_singular(ProblemSpec(s=s, delta=delta, beta=spec.beta, coeff=2.0 * coeff), op).values
+    assert np.all(heavier >= u - slack)
+
+
+# the three specs of the `rates` suite
+RATES_SPECS = [
+    ProblemSpec(s=0.4, delta=0.5, beta=0.0),
+    ProblemSpec(s=0.4, delta=3.0, beta=0.0),
+    ProblemSpec(s=0.5, delta=1.0, beta=0.0),
+]
+
+
+def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
+    # only the Newton Jacobians: the eigenpair factors through fracfold.operator
+    calls = []
+    factor = singular.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(singular, "cho_factor", counting)
+    for spec in RATES_SPECS:
+        counts = []
+        for n in (256, 1024):
+            op = assemble_operator(build_grid(1.0, n), spec.s)
+            calls.clear()
+            solve_pure_singular(spec, op)
+            counts.append(len(calls))
+        assert max(counts) <= 12, (spec, counts)
+        assert abs(counts[0] - counts[1]) <= 2, (spec, counts)
