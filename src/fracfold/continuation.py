@@ -4,14 +4,17 @@ bifurcation probing, and the small-parameter uniqueness probe.
 
 The minimal branch is advanced in lam with warm-started minimal solves; the
 extremal parameter is bracketed by bisection on solve success.  The fold is
-rounded by pseudo-arclength continuation on the pair (u, lam): the corrector
-is Newton on the bordered system whose last row is the tangent normalization,
-with the u-component weighted by 1/||u_fold||_inf so both components
-contribute comparably to arclength near the fold.
+rounded, and the upper segment extended, by one pseudo-arclength stepping
+loop on the pair (u, lam), `_arclength_points`; fold rounding and extension
+differ only in where they stop.  Its corrector is the damped-Newton core of
+`singular` on the problem's `Equation`, bordered by the tangent normalization
+and solved by LU, with the u-component weighted by 1/||u_fold||_inf so both
+components contribute comparably to arclength near the fold.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +24,7 @@ from .errors import ConvergenceError, SupersolutionNotFound
 from .linearization import fredholm_monitor, lambda1, linearized_operator
 from .operator import NonlocalOperator, principal_eigenpair
 from .problem import ProblemSpec
-from .singular import DEFAULT_TOL, SolutionField, _lu_step, _newton_full, solve_min
+from .singular import DEFAULT_TOL, Equation, SolutionField, _lu_step, damped_newton, solve_min
 
 __all__ = [
     "BranchPoint",
@@ -76,10 +79,24 @@ class Branch:
         return [p for p in self.points if p.segment == "upper"]
 
 
+# Minimal-branch tracing multiplies lam by this factor until a solve fails.
+LAMBDA_GROWTH = 2.0
+
+# Pseudo-arclength step control: a failed corrector halves ds down to DS_MIN;
+# a success grows it by DS_GROWTH up to the policy's ds_max.  While rounding
+# the fold, ds is capped at DS_FOLD where |dlam/ds| < SHRINK_ZONE, until
+# FIT_HALFWIDTH upper points (the half-width of the quadratic fit) exist.
+DS_MIN = 1e-8
+DS_GROWTH = 1.4
+SHRINK_ZONE = 0.35
+DS_FOLD = 2.5e-3
+FIT_HALFWIDTH = 6
+MAX_CORRECTOR = 14  # Newton steps of one corrector
+
+
 @dataclass(frozen=True)
 class TracePolicy:
     lambda_init: float | None = None
-    growth: float = 2.0
     max_points: int = 48
     lambda1_threshold: float = 0.0
     bracket_rtol: float = 1e-3
@@ -91,16 +108,10 @@ class TracePolicy:
 @dataclass(frozen=True)
 class FoldPolicy:
     ds: float = 0.02
-    ds_min: float = 1e-8
     ds_max: float = 0.25
-    growth: float = 1.4
-    shrink_zone: float = 0.35
-    ds_fold: float = 2.5e-3
-    max_corrector: int = 14
     steps: int = 60
     tol: float = DEFAULT_TOL
     compute_monitor: bool = True
-    fit_halfwidth: int = 6
 
 
 def _metric_weight(op: NonlocalOperator, u_scale: float) -> float:
@@ -160,7 +171,7 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
 
     lam_ok, lam_fail = lam, None
     while lam_fail is None and len(points) < policy.max_points:
-        trial = lam_ok * policy.growth
+        trial = lam_ok * LAMBDA_GROWTH
         try:
             fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev, newton_fallback=True)
         except (SupersolutionNotFound, ConvergenceError):
@@ -202,92 +213,108 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
     )
 
 
-def _equation_residual(op, spec, lam, u):
-    k = spec.k_field(op.grid)
-    return op.matrix @ u - lam * (k * u ** (-spec.delta) + spec.nonlinearity.f(u))
+def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
+    """One pseudo-arclength step of length ds from anchor = (u0, lam0).
 
+    From the predictor anchor + ds * tangent, Newton solves the bordered system
 
-def _bordered_newton(op, spec, z0, tangent, ds, anchor, w, tol, max_iter):
-    """Corrector for the pseudo-arclength step; z = (u, lam)."""
-    n = op.n
-    k = spec.k_field(op.grid)
-    nl = spec.nonlinearity
-    u = z0[0].copy()
-    lam = z0[1]
-    udot, lamdot = tangent
+        G(u, lam) = 0,   w^2 udot.(u - u0) + lamdot (lam - lam0) = ds,
+
+    whose Jacobian [[G_u, G_lam], [w^2 udot, lamdot]] is factored by LU; eq
+    gives G at any lam.  Returns (u, lam, residual, bound) with sup|G| <=
+    bound = tol * eq.scale(u) at the returned lam, or None on failure.
+    """
     u0, lam0 = anchor
-    for _ in range(max_iter):
-        g = _equation_residual(op, spec, lam, u)
-        nval = w ** 2 * (udot @ (u - u0)) + lamdot * (lam - lam0) - ds
-        scale = 1.0 + lam * np.abs(k * u ** (-spec.delta) + nl.f(u)).max()
-        if np.abs(g).max() <= tol * scale and abs(nval) <= tol * (1.0 + ds):
-            return u, lam, float(np.abs(g).max())
+    udot, lamdot = tangent
+    n = len(u0)
+
+    def residual(z):
+        u = z[:n]
+        return np.append(replace(eq, lam=z[n]).residual(u), w ** 2 * (udot @ (u - u0)) + lamdot * (z[n] - lam0) - ds)
+
+    def bound(z):
+        return np.append(np.full(n, tol * replace(eq, lam=z[n]).scale(z[:n])), tol * (1.0 + ds))
+
+    def step(z, r):
+        u, at = z[:n], replace(eq, lam=z[n])
         jac = np.empty((n + 1, n + 1))
-        jac[:n, :n] = op.matrix + np.diag(
-            lam * spec.delta * k * u ** (-spec.delta - 1.0) - lam * nl.fprime(u)
-        )
-        jac[:n, n] = -(k * u ** (-spec.delta) + nl.f(u))
+        jac[:n, :n] = at.jacobian(u)
+        jac[:n, n] = at.d_dlam(u)
         jac[n, :n] = w ** 2 * udot
         jac[n, n] = lamdot
-        step = _lu_step(jac, np.concatenate([-g, [-nval]]))
-        if step is None:
-            return None
-        t = 1.0
-        base = np.abs(g).max() + abs(nval)
-        while t >= 2.0 ** -30:
-            u_t = u + t * step[:n]
-            lam_t = lam + t * step[n]
-            if u_t.min() > 0.0 and lam_t > 0.0:
-                g_t = _equation_residual(op, spec, lam_t, u_t)
-                n_t = w ** 2 * (udot @ (u_t - u0)) + lamdot * (lam_t - lam0) - ds
-                if np.abs(g_t).max() + abs(n_t) < base:
-                    u, lam = u_t, lam_t
-                    break
-            t *= 0.5
-        else:
-            return None
-    return None
+        return _lu_step(jac, -r)
+
+    def trial(z, t, dz):
+        zt = z + t * dz
+        return zt if zt[:n].min() > 0.0 and zt[n] > 0.0 else None
+
+    def merit(r):
+        return np.abs(r[:n]).max() + abs(r[n])
+
+    predictor = np.append(np.maximum(u0 + ds * udot, 1e-14), lam0 + ds * lamdot)
+    try:
+        z, r, b = damped_newton(predictor, residual, merit, bound, step, trial, MAX_CORRECTOR, 30)
+    except ConvergenceError:
+        return None
+    return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[0])
 
 
-class _ArcStepper:
-    """Reusable pseudo-arclength stepper state for fold rounding and probes."""
+class _StepFailure(ConvergenceError):
+    """The corrector failed at every step length down to DS_MIN."""
 
-    def __init__(self, op, spec, w, policy: FoldPolicy, refine_fold: bool = False):
-        self.op = op
-        self.spec = spec
-        self.w = w
-        self.policy = policy
-        self.ds = policy.ds
-        self.refine_fold = refine_fold
 
-    def tangent_from(self, zprev, zcurr, prev_tangent=None):
-        du = zcurr[0] - zprev[0]
-        dlam = zcurr[1] - zprev[1]
-        norm = np.sqrt(self.w ** 2 * (du @ du) + dlam ** 2)
-        udot, lamdot = du / norm, dlam / norm
-        if prev_tangent is not None:
-            orient = self.w ** 2 * (prev_tangent[0] @ udot) + prev_tangent[1] * lamdot
-            if orient < 0.0:
-                udot, lamdot = -udot, -lamdot
-        return udot, lamdot
+def _tangent(w, zprev, zcurr, prev_tangent=None):
+    """Unit secant from zprev to zcurr in the weighted norm, oriented along prev_tangent."""
+    du = zcurr[0] - zprev[0]
+    dlam = zcurr[1] - zprev[1]
+    norm = np.sqrt(w ** 2 * (du @ du) + dlam ** 2)
+    udot, lamdot = du / norm, dlam / norm
+    if prev_tangent is not None:
+        orient = w ** 2 * (prev_tangent[0] @ udot) + prev_tangent[1] * lamdot
+        if orient < 0.0:
+            udot, lamdot = -udot, -lamdot
+    return udot, lamdot
 
-    def advance(self, z, tangent):
-        """One adaptive predictor-corrector step; returns (z_new, residual)."""
-        policy = self.policy
-        ds = self.ds
-        if self.refine_fold and abs(tangent[1]) < policy.shrink_zone:
-            ds = min(ds, policy.ds_fold)
-        while ds >= policy.ds_min:
-            pred = (np.maximum(z[0] + ds * tangent[0], 1e-14), z[1] + ds * tangent[1])
-            out = _bordered_newton(
-                self.op, self.spec, pred, tangent, ds, z, self.w, policy.tol, policy.max_corrector
-            )
-            if out is not None:
-                u, lam, res = out
-                self.ds = min(ds * policy.growth, policy.ds_max)
-                return (u, lam), res
+
+def _arclength_points(op, spec, policy: FoldPolicy, w, start, upper):
+    """Pseudo-arclength continuation onward from the two points `start`.
+
+    Yields one BranchPoint per step, at most policy.steps of them; the caller
+    decides where to stop.  Points are "minimal" until dlam/ds first turns
+    negative and "upper" from then on (from the start when `upper`).  Started
+    on the minimal segment, it rounds the fold with the step capped at DS_FOLD
+    near it (see the step-control constants).  A corrector failing at every
+    step length raises _StepFailure.
+    """
+    rounding = not upper
+    eq = Equation.of(op, spec, 0.0)
+    prev, last = start
+    z = (last.solution.values, last.lam)
+    tangent = _tangent(w, (prev.solution.values, prev.lam), z)
+    ds = policy.ds
+    sigma = last.arclength
+    n_upper = 0
+    for _ in range(policy.steps):
+        if rounding and n_upper < FIT_HALFWIDTH and abs(tangent[1]) < SHRINK_ZONE:
+            ds = min(ds, DS_FOLD)
+        while ds >= DS_MIN and (out := _corrector(eq, z, tangent, ds, w, policy.tol)) is None:
             ds *= 0.5
-        raise ConvergenceError("pseudo-arclength corrector failed below the minimum step")
+        if ds < DS_MIN:
+            raise _StepFailure("pseudo-arclength corrector failed below the minimum step")
+        u, lam, res, bound = out
+        ds = min(ds * DS_GROWTH, policy.ds_max)
+        tangent = _tangent(w, z, (u, lam), tangent)
+        du = u - z[0]
+        sigma += float(np.sqrt(w ** 2 * (du @ du) + (lam - z[1]) ** 2))
+        upper = upper or tangent[1] < 0.0
+        n_upper += upper
+        fld = SolutionField(values=u, grid=op.grid, spec=spec.with_lambda(lam), residual=res, residual_bound=bound)
+        point = _make_point(
+            lam, fld, op, spec, policy.compute_monitor, policy.tol, segment="upper" if upper else "minimal"
+        )
+        point.arclength = sigma
+        yield point
+        z = (u, lam)
 
 
 @single_pool
@@ -309,51 +336,20 @@ def fold_round(
         raise ValueError("fold rounding needs at least two minimal-branch points")
     lam_est = branch.lambda_estimate if branch.lambda_estimate is not None else minimal[-1].lam
     w = _metric_weight(op, minimal[-1].sup_norm)
-    stepper = _ArcStepper(op, spec, w, policy, refine_fold=True)
 
-    zprev = (minimal[-2].solution.values, minimal[-2].lam)
-    z = (minimal[-1].solution.values, minimal[-1].lam)
-    tangent = stepper.tangent_from(zprev, z, None)
-
-    arc = [(minimal[-1].arclength, z)]
     new_points: list[BranchPoint] = []
-    passed_fold = False
-    sigma = minimal[-1].arclength
-    for _ in range(policy.steps):
-        z_new, res = stepper.advance(z, tangent)
-        tangent = stepper.tangent_from(z, z_new, tangent)
-        du = z_new[0] - z[0]
-        sigma += float(np.sqrt(w ** 2 * (du @ du) + (z_new[1] - z[1]) ** 2))
-        fld = SolutionField(
-            values=z_new[0],
-            grid=op.grid,
-            spec=spec.with_lambda(z_new[1]),
-            residual=res,
-            residual_bound=policy.tol * (1.0 + z_new[1]),
-        )
-        seg = "upper" if (passed_fold or tangent[1] < 0.0) else "minimal"
-        if tangent[1] < 0.0:
-            passed_fold = True
-        point = _make_point(z_new[1], fld, op, spec, policy.compute_monitor, policy.tol, segment=seg)
-        point.arclength = sigma
+    for point in _arclength_points(op, spec, policy, w, minimal[-2:], upper=False):
         new_points.append(point)
-        arc.append((sigma, z_new))
-        z = z_new
-        if passed_fold and stepper.refine_fold:
-            behind = sum(1 for q in new_points if q.segment == "upper")
-            if behind >= policy.fit_halfwidth:
-                stepper.refine_fold = False
-        if passed_fold and len(new_points) >= 8 and z_new[1] < 0.85 * lam_est:
+        if point.segment == "upper" and len(new_points) >= 8 and point.lam < 0.85 * lam_est:
             break
-
-    if not passed_fold:
+    if not any(p.segment == "upper" for p in new_points):
         raise ConvergenceError("continuation did not pass the fold within the step budget")
 
     combined = minimal + new_points
     apex = max(combined, key=lambda p: p.lam)
     idx = combined.index(apex)
-    lo = max(0, idx - policy.fit_halfwidth)
-    hi = min(len(combined), idx + policy.fit_halfwidth + 1)
+    lo = max(0, idx - FIT_HALFWIDTH)
+    hi = min(len(combined), idx + FIT_HALFWIDTH + 1)
     window = combined[lo:hi]
     sig = np.array([p.arclength for p in window]) - apex.arclength
     lams = np.array([p.lam for p in window])
@@ -387,34 +383,13 @@ def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
     if len(upper) < 2:
         raise ValueError("branch has no rounded upper segment to extend")
     w = _metric_weight(op, branch.fold.u_at_fold.sup_norm if branch.fold else upper[-1].sup_norm)
-    stepper = _ArcStepper(op, spec, w, policy)
-    zprev = (upper[-2].solution.values, upper[-2].lam)
-    z = (upper[-1].solution.values, upper[-1].lam)
-    tangent = stepper.tangent_from(zprev, z, None)
-    sigma = upper[-1].arclength
-    for _ in range(policy.steps):
-        if stop(branch.points[-1]):
-            break
-        try:
-            z_new, res = stepper.advance(z, tangent)
-        except ConvergenceError:
-            break
-        tangent = stepper.tangent_from(z, z_new, tangent)
-        du = z_new[0] - z[0]
-        sigma += float(np.sqrt(w ** 2 * (du @ du) + (z_new[1] - z[1]) ** 2))
-        fld = SolutionField(
-            values=z_new[0],
-            grid=op.grid,
-            spec=spec.with_lambda(z_new[1]),
-            residual=res,
-            residual_bound=policy.tol * (1.0 + z_new[1]),
-        )
-        point = _make_point(z_new[1], fld, op, spec, policy.compute_monitor, policy.tol, segment="upper")
-        point.arclength = sigma
-        branch.points.append(point)
-        z = z_new
-        if z_new[1] <= 1e-8:
-            break
+    if stop(branch.points[-1]):
+        return branch
+    with suppress(_StepFailure):
+        for point in _arclength_points(op, spec, policy, w, upper[-2:], upper=True):
+            branch.points.append(point)
+            if stop(point) or point.lam <= 1e-8:
+                break
     return branch
 
 
@@ -461,7 +436,7 @@ def multiplicity_scan(
                 frac = 0.5 if a.lam == b.lam else (lam_t - a.lam) / (b.lam - a.lam)
                 seed = (1.0 - frac) * a.solution.values + frac * b.solution.values
                 try:
-                    vals, res, bound = _newton_full(op, spec, lam_t, seed, tol)
+                    vals, res, bound = Equation.of(op, spec, lam_t).solve(seed, tol, _lu_step, 60)
                 except ConvergenceError:
                     continue
                 second = SolutionField(vals, op.grid, spec.with_lambda(lam_t), res, bound)
@@ -563,13 +538,14 @@ def uniqueness_probe(
             f"lam = {lam} is not in the small-parameter window: "
             f"minimal amplitude {minimal.sup_norm:.3e} >= cap {cap:.3e}"
         )
+    eq = Equation.of(op, spec, lam)
     rng = np.random.default_rng(seed)
     records = []
     verdict = "unique"
     for t in range(trials):
         start = cap * rng.uniform(0.02, 1.0, size=op.n)
         try:
-            vals, res, _ = _newton_full(op, spec, lam, start, tol)
+            vals, _, _ = eq.solve(start, tol, _lu_step, 60)
         except ConvergenceError:
             records.append({"trial": t, "outcome": "diverged"})
             continue

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, lu_solve
 
 from .blas import single_pool
 from .errors import ConvergenceError
@@ -45,9 +45,10 @@ from .operator import (
     _lanczos_largest,
     _shift_invert_pairs,
     _try_cholesky,
+    _try_lu,
 )
-from .problem import ProblemSpec
-from .singular import DEFAULT_TOL, SolutionField, solve_A
+from .problem import ProblemSpec, no_nonlinearity
+from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, solve_A
 
 __all__ = [
     "LinearizedOperator",
@@ -90,27 +91,21 @@ class LinearizedOperator:
         cho = self.cholesky
         if cho is not None:
             return lambda x: cho_solve(cho, x, check_finite=False)
-        lu = lu_factor(self.matrix)
-        if not np.all(np.diag(lu[0])):
-            return None
-        return lambda x: lu_solve(lu, x, check_finite=False)
-
-
-def _values(u) -> np.ndarray:
-    return u.values if isinstance(u, SolutionField) else np.asarray(u, dtype=float)
+        lu = _try_lu(self.matrix)
+        return None if lu is None else (lambda x: lu_solve(lu, x, check_finite=False))
 
 
 def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
     """A + diag(lam delta K u^(-delta-1) - lam f'(u)) around a positive field."""
-    uv = _values(u)
+    uv = _field_values(u)
     if uv.min() <= 0.0:
         raise ValueError("linearization requires a strictly positive field")
-    k = spec.k_field(op.grid)
-    fprime = lam * spec.nonlinearity.fprime(uv)
-    potential = lam * spec.delta * k * uv ** (-spec.delta - 1.0) - fprime
+    eq = Equation.of(op, spec, lam)
+    potential = eq.potential(uv)
     if not np.all(np.isfinite(potential)):
         raise ValueError("linearized potential is not finite")
-    return LinearizedOperator(base=op, potential=potential, matrix=op.matrix + np.diag(potential), fprime=fprime)
+    fprime = lam * spec.nonlinearity.fprime(uv)
+    return LinearizedOperator(base=op, potential=potential, matrix=eq.jacobian(uv), fprime=fprime)
 
 
 @single_pool
@@ -128,13 +123,6 @@ def lambda1_pairs(
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
     """Principal eigenpair of the linearization around u (`lin` as in lambda1_pairs)."""
     return lambda1_pairs(lam, u, op, spec, k=1, tol=tol, lin=lin)[0]
-
-
-def _p_factor(lam: float, uv: np.ndarray, op: NonlocalOperator, spec: ProblemSpec):
-    k = spec.k_field(op.grid)
-    pot = lam * spec.delta * k * uv ** (-spec.delta - 1.0)
-    mat = op.matrix + np.diag(pot)
-    return mat, cho_factor(mat, lower=True)
 
 
 @single_pool
@@ -155,7 +143,8 @@ def d2A_directional(
     phi = np.asarray(phi, dtype=float)
     if u is None:
         u = solve_A(lam, h, op, spec, tol=tol)
-    mat, factor = _p_factor(lam, _values(u), op, spec)
+    mat = Equation(op, spec.k_field(op.grid), spec.delta, no_nonlinearity(), lam).jacobian(_field_values(u))
+    factor = cho_factor(mat, lower=True)
     v = cho_solve(factor, phi, check_finite=False)
     res = np.abs(mat @ v - phi).max()
     if not res <= tol * (1.0 + np.abs(phi).max()):  # also rejects a NaN residual
@@ -193,7 +182,7 @@ def sensitivity_bundle(
     h = np.asarray(h, dtype=float)
     if u is None:
         u = solve_A(lam, h, op, spec, tol=tol)
-    uv = _values(u)
+    uv = _field_values(u)
     n = op.n
     if directions is None:
         phi = np.ones(n)
@@ -203,7 +192,8 @@ def sensitivity_bundle(
         psi = np.asarray(directions[1], dtype=float) if directions[1] is not None else phi
     k = spec.k_field(op.grid)
     d = spec.delta
-    mat, factor = _p_factor(lam, uv, op, spec)
+    mat = Equation(op, k, d, no_nonlinearity(), lam).jacobian(uv)
+    factor = cho_factor(mat, lower=True)
 
     rhs = {}
     rhs["w1"] = k * uv ** -d

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve, lu_factor, toeplitz
 from scipy.special import gamma, hyp2f1
 
 from .errors import AssemblyError, ConvergenceError, GridError
@@ -238,6 +238,14 @@ def _try_cholesky(mat: np.ndarray):
         return cho_factor(mat, lower=True)
     except np.linalg.LinAlgError:
         return None
+
+
+def _try_lu(mat: np.ndarray):
+    """LU factor of mat with partial pivoting, or None when mat is not finite or exactly singular."""
+    if not np.all(np.isfinite(mat)):
+        return None
+    lu = lu_factor(mat, check_finite=False)
+    return lu if np.all(np.diag(lu[0])) else None
 
 
 def _gershgorin_cholesky(mat: np.ndarray):

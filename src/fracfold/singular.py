@@ -2,17 +2,24 @@
 operator of the shifted equation, and the monotone iteration for minimal
 solutions.
 
-All solves share one damped-Newton core for equations of the form
+Every solve is one `Equation`,
 
-    (A + shift*I) u - k(x) (u + eps)^(-delta) = rhs,
+    G(u) = (A + shift*I) u - lam (k(x) (u + eps)^(-delta) + f(u)) - rhs,
 
-whose residual map is componentwise concave with an M-matrix Jacobian.  Hence
-a full Newton step lands on a subsolution, and from a subsolution every
-(damped) step points upward and stays a subsolution.  Started from a
-subsolution the iterates rise monotonically; started from a supersolution the
-first step undershoots to a subsolution and the iterates rise from there.
-Either way positivity is preserved without the arithmetic floor binding at
-convergence.
+handed to one damped-Newton core, `damped_newton`.  The equation gives the
+residual, the stopping scale, the potential (the Jacobian is A +
+diag(potential)) and dG/dlam; the caller gives the linear step (Cholesky for
+the shifted equations below, LU for the full equation, a bordered LU for the
+arclength corrector in `continuation`) and the trial map (the positivity
+floor here, rejection of nonpositive trials in the corrector).
+
+Without f the residual map is componentwise concave with an M-matrix
+Jacobian.  Hence a full Newton step lands on a subsolution, and from a
+subsolution every (damped) step points upward and stays a subsolution.
+Started from a subsolution the iterates rise monotonically; started from a
+supersolution the first step undershoots to a subsolution and the iterates
+rise from there.  Either way positivity is preserved without the arithmetic
+floor binding at convergence.
 """
 
 from __future__ import annotations
@@ -20,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, lu_solve
 
 from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError, SupersolutionNotFound
-from .operator import Grid, NonlocalOperator, principal_eigenpair, solve_dirichlet
-from .problem import ProblemSpec, RegularizedSpec, no_nonlinearity
+from .operator import Grid, NonlocalOperator, _try_lu, principal_eigenpair, solve_dirichlet
+from .problem import Nonlinearity, ProblemSpec, RegularizedSpec, no_nonlinearity
 from .weights import NormReport, build_weight_profile, cone_norms, fit_boundary_exponent
 
 __all__ = [
@@ -44,6 +51,9 @@ __all__ = [
 POSITIVITY_FLOOR = 1e-30
 DEFAULT_TOL = 1e-8
 ORDER_SLACK = 1e-11
+MAX_SWEEPS = 400  # shifted monotone sweeps before the scheme is declared unsettled
+SCHEME_GAP = 1e-3  # relative sweep-to-sweep change that hands over to the Newton polish
+MAX_DOUBLINGS = 40  # the supersolution search tries M = m0 * 2^j for j = -16..MAX_DOUBLINGS
 
 
 @dataclass(eq=False)
@@ -62,53 +72,120 @@ class SolutionField:
         return float(np.abs(self.values).max())
 
 
-def _shifted_residual(mat, shift, kfield, delta, eps, rhs, u):
-    return mat @ u + shift * u - kfield * (u + eps) ** (-delta) - rhs
+@dataclass(frozen=True, eq=False)
+class Equation:
+    """G(u) = (A + shift I) u - lam (k (u + eps)^(-delta) + f(u)) - rhs on op's grid.
 
-
-def _solve_shifted_singular(
-    op: NonlocalOperator,
-    kfield: np.ndarray,
-    delta: float,
-    eps: float,
-    rhs: np.ndarray,
-    u0: np.ndarray,
-    tol: float,
-    shift: float = 0.0,
-    maxit: int = 80,
-) -> tuple[np.ndarray, float, float]:
-    """Damped Newton for (A + shift*I) u - k (u+eps)^(-delta) = rhs.
-
-    By concavity of the residual each full step lands on a subsolution, after
-    which the iterates increase monotonically onto the solution.  Returns
-    (u, residual, bound); convergence means residual <= bound with
-    bound = tol * (sup magnitude of the equation's terms at the solution).
+    With shift = eps = rhs = 0 this is the map G(u, lam) of the problem; the
+    shifted sweeps of the monotone scheme and the regularized and forced solves
+    set the rest.  Callers that fold lam into k pass lam = 1.
     """
-    mat = op.matrix
-    u = np.maximum(np.asarray(u0, dtype=float).copy(), POSITIVITY_FLOOR)
-    res_vec = _shifted_residual(mat, shift, kfield, delta, eps, rhs, u)
-    res = np.abs(res_vec).max()
-    for _ in range(maxit):
-        scale = 1.0 + np.abs(kfield * (u + eps) ** (-delta)).max() + np.abs(rhs).max()
-        if res <= tol * scale:
-            if u.min() <= 10.0 * POSITIVITY_FLOOR:
-                raise ConvergenceError("positivity floor active at convergence", residual=float(res))
-            return u, float(res), float(tol * scale)
-        jac_diag = shift + delta * kfield * (u + eps) ** (-delta - 1.0)
-        jac = mat + np.diag(jac_diag)
-        step = cho_solve(cho_factor(jac, lower=True), -res_vec, check_finite=False)
-        t = 1.0
-        while t >= 2.0 ** -40:
-            trial = np.maximum(u + t * step, POSITIVITY_FLOOR)
-            trial_vec = _shifted_residual(mat, shift, kfield, delta, eps, rhs, trial)
-            trial_res = np.abs(trial_vec).max()
-            if trial_res < res:
-                u, res_vec, res = trial, trial_vec, trial_res
+
+    op: NonlocalOperator
+    k: np.ndarray
+    delta: float
+    nonlinearity: Nonlinearity
+    lam: float
+    eps: float = 0.0
+    shift: float = 0.0
+    rhs: np.ndarray | float = 0.0
+
+    @classmethod
+    def of(cls, op: NonlocalOperator, spec: ProblemSpec, lam: float) -> "Equation":
+        """G(u, lam) = A u - lam (K u^(-delta) + f(u)) for spec's data."""
+        return cls(op, spec.k_field(op.grid), spec.delta, spec.nonlinearity, lam)
+
+    def _source(self, u: np.ndarray) -> np.ndarray:
+        return self.k * (u + self.eps) ** (-self.delta) + self.nonlinearity.f(u)
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        return self.op.matrix @ u + self.shift * u - self.lam * self._source(u) - self.rhs
+
+    def scale(self, u: np.ndarray) -> float:
+        """1 + sup of the nonlinear and forcing terms: Newton stops at residual <= tol * scale."""
+        return 1.0 + np.abs(self.lam * self._source(u)).max() + np.abs(self.rhs).max()
+
+    def potential(self, u: np.ndarray) -> np.ndarray:
+        """Diagonal part of the Jacobian: dG/du = A + diag(potential)."""
+        singular = self.lam * self.delta * self.k * (u + self.eps) ** (-self.delta - 1.0)
+        return self.shift + singular - self.lam * self.nonlinearity.fprime(u)
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        return self.op.matrix + np.diag(self.potential(u))
+
+    def d_dlam(self, u: np.ndarray) -> np.ndarray:
+        return -self._source(u)
+
+    def solve(self, u0, tol: float, linear_solve, maxit: int) -> tuple[np.ndarray, float, float]:
+        """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
+
+        linear_solve(jac, rhs) is _cholesky_step or _lu_step.  Returns
+        (u, residual, bound) with residual <= bound = tol * scale(u); a
+        solution resting on the floor is a ConvergenceError.
+        """
+        u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
+
+        def step(u, r):
+            return linear_solve(self.jacobian(u), -r)
+
+        u, r, b = damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), step, _floored, maxit, 40)
+        res = float(_sup_norm(r))
+        if u.min() <= 10.0 * POSITIVITY_FLOOR:
+            raise ConvergenceError("positivity floor active at convergence", residual=res)
+        return u, res, float(b)
+
+
+def damped_newton(x, residual, merit, bound, step, trial, maxit: int, halvings: int):
+    """Newton's method with a halving line search on merit(residual(x)).
+
+    x is converged when |residual(x)| <= bound(x) componentwise (bound may be
+    a scalar); this is tested at the start and after every step, the last
+    allowed one included.  step(x, r) is the Newton step for residual r, or
+    None when the Jacobian is not finite or exactly singular.  trial(x, t, dx)
+    maps the damped step x + t dx into the admissible set, or gives None to
+    reject it; t runs 1, 1/2, ..., 2^-halvings until the merit decreases.
+    Returns (x, residual(x), bound(x)); failure is a ConvergenceError.
+    """
+    r = residual(x)
+    m = merit(r)
+    steps = 0
+    while not np.all(np.abs(r) <= (b := bound(x))):
+        if steps == maxit:
+            raise ConvergenceError(f"Newton stalled at residual {m:.3e} after {maxit} steps", residual=float(m))
+        steps += 1
+        dx = step(x, r)
+        if dx is None:
+            raise ConvergenceError("non-finite or singular Jacobian in Newton", residual=float(m))
+        for j in range(halvings + 1):
+            xt = trial(x, 0.5 ** j, dx)
+            if xt is None:
+                continue
+            rt = residual(xt)
+            mt = merit(rt)
+            if mt < m:
+                x, r, m = xt, rt, mt
                 break
-            t *= 0.5
         else:
-            break
-    raise ConvergenceError(f"Newton stalled at residual {res:.3e}", residual=float(res))
+            raise ConvergenceError(f"Newton stalled at residual {m:.3e}", residual=float(m))
+    return x, r, b
+
+
+def _sup_norm(r: np.ndarray) -> float:
+    return np.abs(r).max()
+
+
+def _floored(u, t, du):
+    return np.maximum(u + t * du, POSITIVITY_FLOOR)
+
+
+def _cholesky_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return cho_solve(cho_factor(jac, lower=True), rhs, check_finite=False)
+
+
+def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """jac^-1 rhs by LU with partial pivoting, or None when jac is not finite or exactly singular."""
+    lu = _try_lu(jac)
+    return None if lu is None else lu_solve(lu, rhs, check_finite=False)
 
 
 def solve_regularized(rspec: RegularizedSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
@@ -130,7 +207,7 @@ def solve_regularized(rspec: RegularizedSpec, op: NonlocalOperator, tol: float =
         res = float(np.abs(op.matrix @ u - keps).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(keps).max()))
     u0 = np.maximum((keps / np.diag(op.matrix)) ** (1.0 / (1.0 + delta)) - eps, 0.0)
-    u, res, bound = _solve_shifted_singular(op, keps, delta, eps, np.zeros(op.n), u0, tol)
+    u, res, bound = Equation(op, keps, delta, spec.nonlinearity, 1.0, eps=eps).solve(u0, tol, _cholesky_step, 80)
     return SolutionField(u, op.grid, spec, res, bound)
 
 
@@ -159,7 +236,7 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-    u, res, bound = _solve_shifted_singular(op, k, spec.delta, 0.0, np.zeros(op.n), lower, tol)
+    u, res, bound = Equation(op, k, spec.delta, no_nonlinearity(), 1.0).solve(lower, tol, _cholesky_step, 80)
     if np.any(u < lower * (1.0 - 1e-6)):
         raise BracketViolation("pure singular solution dipped below the eigenfunction subsolution")
     return SolutionField(u, op.grid, spec, res, bound)
@@ -232,9 +309,9 @@ def solve_A(
     if usub is None:
         usub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
-    k = lam * spec.k_field(op.grid)
+    eq = Equation(op, lam * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0, rhs=h)
     try:
-        u, res, bound = _solve_shifted_singular(op, k, spec.delta, 0.0, h, upper, tol)
+        u, res, bound = eq.solve(upper, tol, _cholesky_step, 80)
     except ConvergenceError as exc:
         raise BracketViolation(f"solve for the shifted equation failed: {exc}") from exc
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
@@ -249,50 +326,6 @@ def _shift_constant(spec: ProblemSpec, top: float) -> float:
     return float(max(np.max(nl.fprime(ts)), 0.0))
 
 
-def _full_residual(op: NonlocalOperator, spec: ProblemSpec, lam: float, u: np.ndarray) -> np.ndarray:
-    k = spec.k_field(op.grid)
-    return op.matrix @ u - lam * (k * u ** (-spec.delta) + spec.nonlinearity.f(u))
-
-
-def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """jac^-1 rhs by LU with partial pivoting, or None when jac is not finite or exactly singular."""
-    if not np.all(np.isfinite(jac)):
-        return None
-    lu = lu_factor(jac, check_finite=False)
-    if not np.all(np.diag(lu[0])):
-        return None
-    return lu_solve(lu, rhs, check_finite=False)
-
-
-def _newton_full(op, spec, lam, u0, tol, maxit=60):
-    """Damped Newton on the full equation A u = lam (K u^-delta + f(u))."""
-    k = spec.k_field(op.grid)
-    nl = spec.nonlinearity
-    u = np.maximum(np.asarray(u0, dtype=float).copy(), POSITIVITY_FLOOR)
-    res_vec = _full_residual(op, spec, lam, u)
-    res = np.abs(res_vec).max()
-    for _ in range(maxit):
-        scale = 1.0 + lam * np.abs(k * u ** (-spec.delta) + nl.f(u)).max()
-        if res <= tol * scale:
-            return u, float(res), float(tol * scale)
-        jac_diag = lam * spec.delta * k * u ** (-spec.delta - 1.0) - lam * nl.fprime(u)
-        step = _lu_step(op.matrix + np.diag(jac_diag), -res_vec)
-        if step is None:
-            raise ConvergenceError("non-finite or singular Jacobian in Newton polish", residual=float(res))
-        t = 1.0
-        while t >= 2.0 ** -40:
-            trial = np.maximum(u + t * step, POSITIVITY_FLOOR)
-            trial_vec = _full_residual(op, spec, lam, trial)
-            trial_res = np.abs(trial_vec).max()
-            if trial_res < res:
-                u, res_vec, res = trial, trial_vec, trial_res
-                break
-            t *= 0.5
-        else:
-            break
-    raise ConvergenceError(f"Newton on the full equation stalled at {res:.3e}", residual=float(res))
-
-
 def _field_values(field) -> np.ndarray:
     return field.values if isinstance(field, SolutionField) else np.asarray(field, dtype=float)
 
@@ -304,15 +337,13 @@ def monotone_iterate(
     op: NonlocalOperator,
     spec: ProblemSpec,
     tol: float = DEFAULT_TOL,
-    max_outer: int = 400,
-    scheme_gap: float = 1e-3,
 ) -> SolutionField:
     """Minimal solution above `sub` via the shifted monotone scheme.
 
     Each sweep solves (A + lam*C) u_n - lam*K u_n^(-delta) = lam*C u_{n-1}
     + lam*f(u_{n-1}) with C large enough that t -> C t + f(t) increases on
     [0, max sup], so the iterates are nondecreasing and capped by the
-    supersolution.  Once successive sweeps differ by less than `scheme_gap`
+    supersolution.  Once successive sweeps differ by less than SCHEME_GAP
     (relative), a Newton polish on the full equation finishes the convergence;
     by concavity of the residual map the polish steps remain nondecreasing,
     so the combined sequence stays monotone and inside the bracket.
@@ -321,17 +352,16 @@ def monotone_iterate(
     usup = _field_values(sup)
     if np.any(usub > usup * (1.0 + 1e-12) + ORDER_SLACK):
         raise BracketViolation("subsolution exceeds supersolution")
-    k = spec.k_field(op.grid)
+    lam_k = lam * spec.k_field(op.grid)
     nl = spec.nonlinearity
     shift_c = _shift_constant(spec, float(usup.max()))
     sup_slack = ORDER_SLACK * (1.0 + float(usup.max()))
 
     u = usub.copy()
-    for _ in range(max_outer):
+    for _ in range(MAX_SWEEPS):
         rhs = lam * (shift_c * u + nl.f(u))
-        unew, _, _ = _solve_shifted_singular(
-            op, lam * k, spec.delta, 0.0, rhs, u, 0.1 * tol, shift=lam * shift_c
-        )
+        sweep = Equation(op, lam_k, spec.delta, no_nonlinearity(), 1.0, shift=lam * shift_c, rhs=rhs)
+        unew, _, _ = sweep.solve(u, 0.1 * tol, _cholesky_step, 80)
         if np.any(unew < u - ORDER_SLACK * (1.0 + np.abs(u).max())):
             raise BracketViolation("monotone iterate decreased at a node")
         if np.any(unew > usup + sup_slack):
@@ -340,12 +370,12 @@ def monotone_iterate(
         u = unew
         if nl.is_none:
             break
-        if gap <= scheme_gap * (1.0 + np.abs(u).max()):
+        if gap <= SCHEME_GAP * (1.0 + np.abs(u).max()):
             break
     else:
         raise ConvergenceError("monotone scheme did not settle", residual=float(gap))
 
-    u_polished, res, bound = _newton_full(op, spec, lam, u, tol)
+    u_polished, res, bound = Equation.of(op, spec, lam).solve(u, tol, _lu_step, 60)
     if np.any(u_polished < u - ORDER_SLACK * (1.0 + np.abs(u).max())):
         raise BracketViolation("Newton polish decreased below the monotone iterate")
     if np.any(u_polished > usup + sup_slack):
@@ -359,7 +389,6 @@ def _supersolution_from(
     op: NonlocalOperator,
     base: np.ndarray,
     usub_lam: np.ndarray,
-    max_doublings: int = 40,
 ) -> np.ndarray | None:
     """Search ubar = base + M*U for the smallest admissible M, or None.
 
@@ -373,8 +402,7 @@ def _supersolution_from(
     action = op.matrix @ base
     a_torsion = op.matrix @ torsion
     m0 = max(1.0, lam * float(nl.f(np.array([2.0 * usub_lam.max()]))[0]))
-    exponents = list(range(-16, max_doublings + 1))
-    for j in exponents:
+    for j in range(-16, MAX_DOUBLINGS + 1):
         m = m0 * 2.0 ** j
         ubar = base + m * torsion
         lhs = action + m * a_torsion
@@ -393,7 +421,6 @@ def solve_min(
     op: NonlocalOperator,
     tol: float = DEFAULT_TOL,
     sub_hint=None,
-    with_report: bool = True,
     newton_fallback: bool = False,
 ) -> SolutionField:
     """Minimal solution of A u = lam (K u^-delta + f(u)) for lam below the fold.
@@ -431,7 +458,7 @@ def solve_min(
             raise BracketViolation("warm-start subsolution pokes above the found supersolution")
         field = monotone_iterate(lam, sub, ubar, op, spec, tol=tol)
     elif newton_fallback:
-        values, res, bound = _newton_full(op, spec, lam, sub, tol, maxit=50)
+        values, res, bound = Equation.of(op, spec, lam).solve(sub, tol, _lu_step, 50)
         if np.any(values < sub - ORDER_SLACK * (1.0 + sub.max())):
             raise BracketViolation("fallback solve dipped below its subsolution")
         if np.any(values < usub_lam * (1.0 - 1e-8) - ORDER_SLACK):
@@ -441,14 +468,11 @@ def solve_min(
         raise SupersolutionNotFound(
             f"no admissible supersolution at lambda = {lam!r}; likely above the extremal parameter"
         )
-    if with_report:
-        pair = principal_eigenpair(op)
-        profile = build_weight_profile(pair.vector, spec.s, spec.delta, spec.beta)
-        report = cone_norms(field.values, profile)
-        try:
-            alpha, r2 = fit_boundary_exponent(field.values, op.grid)
-            report.fitted_exponent, report.fit_r2 = alpha, r2
-        except ValueError:
-            pass
-        field.report = report
+    pair = principal_eigenpair(op)
+    profile = build_weight_profile(pair.vector, spec.s, spec.delta, spec.beta)
+    field.report = cone_norms(field.values, profile)
+    try:
+        field.report.fitted_exponent, field.report.fit_r2 = fit_boundary_exponent(field.values, op.grid)
+    except ValueError:
+        pass
     return field

@@ -10,8 +10,8 @@ import pytest
 
 from fracfold import ConvergenceError, ProblemSpec, assemble_operator, blas, build_grid, no_nonlinearity
 from fracfold import singular
-from fracfold.continuation import _bordered_newton
-from fracfold.singular import _lu_step, _newton_full, solve_A
+from fracfold.continuation import _corrector
+from fracfold.singular import Equation, _lu_step, solve_A
 
 MAPS = "7f00-7f10 r-xp 00000000 00:2a 123 {}\n"
 NUMPY_LIB = "/site-packages/numpy.libs/libscipy_openblas64_-32a4b2a6.so"
@@ -104,10 +104,10 @@ def test_singular_jacobian_fails_newton_and_corrector():
     spec = ProblemSpec(s=0.4, delta=0.0, nonlinearity=no_nonlinearity())
     assert _lu_step(op.matrix, np.ones(op.n)) is None
     with pytest.raises(ConvergenceError, match="singular Jacobian"):
-        _newton_full(op, spec, 1.0, np.ones(op.n), 1e-8)
+        Equation.of(op, spec, 1.0).solve(np.ones(op.n), 1e-8, _lu_step, 60)
     u = np.ones(op.n)
     tangent = (np.ones(op.n) / np.sqrt(op.n), 0.5)
-    assert _bordered_newton(op, spec, (u, 1.0), tangent, 0.1, (u, 1.0), 1.0, 1e-8, 5) is None
+    assert _corrector(Equation.of(op, spec, 1.0), (u, 1.0), tangent, 0.1, 1.0, 1e-8) is None
 
 
 def test_non_finite_jacobian_is_a_convergence_failure(op16, canonical_spec):
@@ -118,4 +118,4 @@ def test_non_finite_jacobian_is_a_convergence_failure(op16, canonical_spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConvergenceError):
-            _newton_full(op, canonical_spec, 0.1, np.ones(op.n), 1e-8)
+            Equation.of(op, canonical_spec, 0.1).solve(np.ones(op.n), 1e-8, _lu_step, 60)

@@ -8,7 +8,7 @@ from fracfold.continuation import (
     small_solution_cap,
     uniqueness_probe,
 )
-from fracfold.singular import _newton_full
+from fracfold.singular import Equation, _lu_step
 
 
 def test_trace_orders_and_positivity(folded_branch):
@@ -19,6 +19,12 @@ def test_trace_orders_and_positivity(folded_branch):
     lo, hi = folded_branch.bracket
     assert lo < folded_branch.lambda_estimate <= hi
     assert (hi - lo) <= 1.1e-3 * hi
+
+
+def test_every_point_meets_its_stored_residual_bound(folded_branch):
+    # arclength points store the bound their corrector enforced
+    for p in folded_branch.points:
+        assert p.solution.residual <= p.solution.residual_bound, (p.lam, p.segment)
 
 
 def test_lambda1_changes_sign_exactly_once(folded_branch):
@@ -133,7 +139,7 @@ def test_uniqueness_probe_small_lambda(folded_branch, op256_s04, canonical_spec)
 def test_uniqueness_probe_start_at_minimal(folded_branch, op256_s04, canonical_spec):
     lam = 1e-3 * folded_branch.lambda_estimate
     minimal = solve_min(lam, canonical_spec, op256_s04)
-    vals, res, _ = _newton_full(op256_s04, canonical_spec, lam, minimal.values, 1e-10)
+    vals, res, _ = Equation.of(op256_s04, canonical_spec, lam).solve(minimal.values, 1e-10, _lu_step, 60)
     assert np.abs(vals - minimal.values).max() <= 1e-8
 
 
@@ -144,7 +150,7 @@ def test_uniqueness_probe_scaled_starts(folded_branch, op256_s04, canonical_spec
     limits = []
     for factor in (0.5, 2.0):
         start = np.minimum(factor * minimal.values, cap)
-        vals, _, _ = _newton_full(op256_s04, canonical_spec, lam, start, 1e-10)
+        vals, _, _ = Equation.of(op256_s04, canonical_spec, lam).solve(start, 1e-10, _lu_step, 60)
         limits.append(vals)
     assert np.abs(limits[0] - limits[1]).max() <= 1e-8
     assert np.abs(limits[0] - minimal.values).max() <= 1e-7

@@ -212,11 +212,10 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
     # lambda1 and the monitor of one linearization: a single Cholesky of J on
     # the minimal branch; on the upper one the sine profile proves J
     # indefinite, leaving the shifted Cholesky plus the LU of J
-    import fracfold.linearization as lin_mod
     import fracfold.operator as op_mod
 
     calls = []
-    for mod, name in ((op_mod, "cho_factor"), (lin_mod, "lu_factor")):
+    for mod, name in ((op_mod, "cho_factor"), (op_mod, "lu_factor")):
         original = getattr(mod, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from fracfold import (
     BracketViolation,
+    ConvergenceError,
     ProblemSpec,
     assemble_operator,
     build_grid,
+    no_nonlinearity,
     power_nonlinearity,
     regularize,
     scale_pure_singular,
@@ -290,3 +294,61 @@ def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
             counts.append(len(calls))
         assert max(counts) <= 12, (spec, counts)
         assert abs(counts[0] - counts[1]) <= 2, (spec, counts)
+
+
+def test_newton_tests_convergence_after_its_last_step(op256):
+    # the iterate made by the last allowed step is tested too: a budget of
+    # exactly the steps the solve needs converges, one fewer fails
+    spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
+    eq = singular.Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
+    start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
+    steps = []
+
+    def counting(jac, rhs):
+        steps.append(1)
+        return singular._cholesky_step(jac, rhs)
+
+    u, res, bound = eq.solve(start, 1e-8, counting, 80)
+    needed = len(steps)
+    assert needed >= 2 and res <= bound
+    again, _, _ = eq.solve(start, 1e-8, singular._cholesky_step, needed)
+    assert np.array_equal(again, u)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        eq.solve(start, 1e-8, singular._cholesky_step, needed - 1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.1, 0.9),
+    delta=st.floats(0.0, 12.0),
+    beta_frac=st.floats(0.0, 0.95),
+    lam=st.floats(0.01, 2.0),
+    shift=st.floats(0.0, 5.0),
+    eps=st.floats(0.0, 0.1),
+    power=st.sampled_from([None, 1.5, 2.0, 3.0]),
+)
+@example(s=0.4, delta=0.5, beta_frac=0.0, lam=0.5, shift=0.0, eps=0.0, power=2.0)
+@example(s=0.9, delta=12.0, beta_frac=0.95, lam=2.0, shift=5.0, eps=0.1, power=3.0)
+def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam, shift, eps, power):
+    n = 64
+    op = assemble_operator(build_grid(1.0, n), s)
+    nl = power_nonlinearity(power) if power is not None else no_nonlinearity()
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=nl)
+    x = op.grid.nodes
+    eq = singular.Equation(op, spec.k_field(op.grid), delta, nl, lam, eps=eps, shift=shift, rhs=np.cos(x))
+    u = 0.05 + (1.0 - x ** 2) * (1.0 + 0.3 * np.sin(5.0 * x))
+    # size of the terms of G, which bounds the rounding error of a difference of residuals
+    size = np.abs(op.matrix) @ u + shift * u + lam * (eq.k * (u + eps) ** (-delta) + nl.f(u)) + 1.0
+
+    # potential: the Jacobian is A + diag(potential); relative steps of 1e-6 in u + eps
+    v = (u + eps) * np.sin(3.0 * x + 0.5)
+    h = 1e-6
+    fd = (eq.residual(u + h * v) - eq.residual(u - h * v)) / (2.0 * h)
+    jv = op.matrix @ v + eq.potential(u) * v
+    assert np.all(np.abs(fd - jv) <= 1e-7 * np.abs(eq.potential(u) * v) + 1e-8 * size)
+    assert np.allclose(eq.jacobian(u) @ v, jv, rtol=1e-12, atol=1e-12 * size.max())
+
+    # d_dlam: G is affine in lam
+    dl = 1e-3 * lam
+    fd_lam = (replace(eq, lam=lam + dl).residual(u) - replace(eq, lam=lam - dl).residual(u)) / (2.0 * dl)
+    assert np.all(np.abs(fd_lam - eq.d_dlam(u)) <= 1e-14 * size / dl)

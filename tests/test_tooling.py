@@ -78,3 +78,32 @@ def test_linalg_names_in_source_are_counted_or_cheap():
                 continue
             for name in names:
                 assert name in allowed, f"{path.name}:{node.lineno} uses linalg.{name}"
+
+
+def _is_diag_call(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr == "diag")
+        or (isinstance(node.func, ast.Name) and node.func.id == "diag")
+    )
+
+
+def test_jacobians_are_assembled_only_by_the_equation():
+    # a matrix plus np.diag(...) is a Jacobian assembly; singular.Equation owns the only one
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Equation"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Add)
+                and (_is_diag_call(node.left) or _is_diag_call(node.right))
+                and id(node) not in owned
+            ):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
