@@ -5,7 +5,6 @@ from .errors import (
     BracketViolation,
     ConvergenceError,
     GridError,
-    SupersolutionNotFound,
 )
 from .operator import (
     EigenPair,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit status: 0 on success, 1 on usage errors, 2 when a verification suite
-reports a failed record.  The output directory comes from --out, else the
+Exit status: 0 on success, 1 on usage errors and failed solves, 2 when a
+verification suite reports a failed record.  The output directory comes from --out, else the
 FRACFOLD_OUT environment variable, else the config default.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from .blas import single_pool
 from .config import RunConfig, load_config
 from .continuation import fold_round, multiplicity_scan, trace_minimal
-from .errors import SupersolutionNotFound
+from .errors import ConvergenceError
 from .io import atomic_write_text, export_plot_data, write_branch_csv, write_solution_json
 from .operator import assemble_operator, build_grid, dump_triplets, principal_eigenpair
 from .problem import ProblemSpec, no_nonlinearity
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
             return _cmd_multiplicity(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (ValueError, OSError, SupersolutionNotFound) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     raise AssertionError("unreachable")

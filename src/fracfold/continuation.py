@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blas import single_pool
-from .errors import ConvergenceError, SupersolutionNotFound
+from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
 from .operator import NonlocalOperator, principal_eigenpair
 from .problem import ProblemSpec
@@ -160,12 +160,12 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
 
     for _ in range(80):
         try:
-            fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=prev, newton_fallback=True)
+            fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=prev)
             break
-        except (SupersolutionNotFound, ConvergenceError):
+        except ConvergenceError:
             lam *= 0.5
             if lam < 1e-12 * lam1s:
-                raise SupersolutionNotFound("no starting point found on the minimal branch")
+                raise ConvergenceError("no starting point found on the minimal branch")
     points.append(_make_point(lam, fld, op, spec, policy.compute_monitor, policy.tol))
     prev = fld
 
@@ -173,8 +173,8 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
     while lam_fail is None and len(points) < policy.max_points:
         trial = lam_ok * LAMBDA_GROWTH
         try:
-            fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev, newton_fallback=True)
-        except (SupersolutionNotFound, ConvergenceError):
+            fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev)
+        except ConvergenceError:
             lam_fail = trial
             break
         points.append(_make_point(trial, fld, op, spec, policy.compute_monitor, policy.tol))
@@ -192,8 +192,8 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
             break
         trial = lam_ok + step
         try:
-            fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev, newton_fallback=True)
-        except (SupersolutionNotFound, ConvergenceError):
+            fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev)
+        except ConvergenceError:
             lam_fail = trial
             continue
         points.append(_make_point(trial, fld, op, spec, policy.compute_monitor, policy.tol))
@@ -429,7 +429,7 @@ def multiplicity_scan(
     for lam_t in lam_targets:
         below = [p for p in branch.minimal_points() if p.lam <= lam_t]
         hint = max(below, key=lambda p: p.lam).solution if below else None
-        minimal = solve_min(lam_t, spec, op, tol=tol, sub_hint=hint, newton_fallback=True)
+        minimal = solve_min(lam_t, spec, op, tol=tol, sub_hint=hint)
         second = None
         for a, b in zip(upper, upper[1:]):
             if (a.lam - lam_t) * (b.lam - lam_t) <= 0.0:
@@ -532,7 +532,7 @@ def uniqueness_probe(
     cap = small_solution_cap(spec, op)
     if not np.isfinite(cap):
         cap = 1.0
-    minimal = solve_min(lam, spec, op, tol=tol, newton_fallback=True)
+    minimal = solve_min(lam, spec, op, tol=tol)
     if minimal.sup_norm >= cap:
         raise ValueError(
             f"lam = {lam} is not in the small-parameter window: "

@@ -17,9 +17,5 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class SupersolutionNotFound(RuntimeError):
-    """No admissible supersolution was found; the parameter is likely past the fold."""
-
-
 class BracketViolation(RuntimeError):
-    """A sub/supersolution bracket failed to contain the iterates."""
+    """A solve left the order bounds it must keep, such as its subsolution."""

@@ -1,25 +1,26 @@
-"""Nonlinear solves: regularized and pure singular problems, the solution
-operator of the shifted equation, and the monotone iteration for minimal
-solutions.
+"""Nonlinear solves: regularized and pure singular problems, the forced
+solution operator, and minimal solutions.
 
 Every solve is one `Equation`,
 
-    G(u) = (A + shift*I) u - lam (k(x) (u + eps)^(-delta) + f(u)) - rhs,
+    G(u) = A u - lam (k(x) (u + eps)^(-delta) + f(u)) - rhs,
 
 handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
 diag(potential)) and dG/dlam; the caller gives the linear step (Cholesky for
-the shifted equations below, LU for the full equation, a bordered LU for the
-arclength corrector in `continuation`) and the trial map (the positivity
-floor here, rejection of nonpositive trials in the corrector).
+the solves below, LU for the second solutions and multistarts in
+`continuation`, a bordered LU for its arclength corrector) and the trial map
+(the positivity floor here, rejection of nonpositive trials in the corrector).
 
-Without f the residual map is componentwise concave with an M-matrix
-Jacobian.  Hence a full Newton step lands on a subsolution, and from a
-subsolution every (damped) step points upward and stays a subsolution.
-Started from a subsolution the iterates rise monotonically; started from a
-supersolution the first step undershoots to a subsolution and the iterates
-rise from there.  Either way positivity is preserved without the arithmetic
-floor binding at convergence.
+When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
+concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
+lands on a subsolution, and from a subsolution every (damped) step points
+upward and stays a subsolution below the minimal solution, where the
+Jacobian dominates the one at the minimal solution and is positive definite.
+Started from a subsolution, Newton is the monotone iteration of the theory;
+started from a supersolution, its first step undershoots to a subsolution
+and the iterates rise from there.  Either way positivity is preserved
+without the arithmetic floor binding at convergence.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_solve
+from scipy.linalg import cho_solve, lu_solve
 
 from .blas import single_pool
-from .errors import BracketViolation, ConvergenceError, SupersolutionNotFound
-from .operator import Grid, NonlocalOperator, _try_lu, principal_eigenpair, solve_dirichlet
+from .errors import BracketViolation, ConvergenceError
+from .operator import Grid, NonlocalOperator, _try_cholesky, _try_lu, principal_eigenpair, solve_dirichlet
 from .problem import Nonlinearity, ProblemSpec, RegularizedSpec, no_nonlinearity
 from .weights import NormReport, build_weight_profile, cone_norms, fit_boundary_exponent
 
@@ -51,9 +52,6 @@ __all__ = [
 POSITIVITY_FLOOR = 1e-30
 DEFAULT_TOL = 1e-8
 ORDER_SLACK = 1e-11
-MAX_SWEEPS = 400  # shifted monotone sweeps before the scheme is declared unsettled
-SCHEME_GAP = 1e-3  # relative sweep-to-sweep change that hands over to the Newton polish
-MAX_DOUBLINGS = 40  # the supersolution search tries M = m0 * 2^j for j = -16..MAX_DOUBLINGS
 
 
 @dataclass(eq=False)
@@ -74,11 +72,11 @@ class SolutionField:
 
 @dataclass(frozen=True, eq=False)
 class Equation:
-    """G(u) = (A + shift I) u - lam (k (u + eps)^(-delta) + f(u)) - rhs on op's grid.
+    """G(u) = A u - lam (k (u + eps)^(-delta) + f(u)) - rhs on op's grid.
 
-    With shift = eps = rhs = 0 this is the map G(u, lam) of the problem; the
-    shifted sweeps of the monotone scheme and the regularized and forced solves
-    set the rest.  Callers that fold lam into k pass lam = 1.
+    With eps = rhs = 0 this is the map G(u, lam) of the problem; the
+    regularized and forced solves set the rest.  Callers that fold lam into k
+    pass lam = 1.
     """
 
     op: NonlocalOperator
@@ -87,7 +85,6 @@ class Equation:
     nonlinearity: Nonlinearity
     lam: float
     eps: float = 0.0
-    shift: float = 0.0
     rhs: np.ndarray | float = 0.0
 
     @classmethod
@@ -99,7 +96,7 @@ class Equation:
         return self.k * (u + self.eps) ** (-self.delta) + self.nonlinearity.f(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return self.op.matrix @ u + self.shift * u - self.lam * self._source(u) - self.rhs
+        return self.op.matrix @ u - self.lam * self._source(u) - self.rhs
 
     def scale(self, u: np.ndarray) -> float:
         """1 + sup of the nonlinear and forcing terms: Newton stops at residual <= tol * scale."""
@@ -108,7 +105,7 @@ class Equation:
     def potential(self, u: np.ndarray) -> np.ndarray:
         """Diagonal part of the Jacobian: dG/du = A + diag(potential)."""
         singular = self.lam * self.delta * self.k * (u + self.eps) ** (-self.delta - 1.0)
-        return self.shift + singular - self.lam * self.nonlinearity.fprime(u)
+        return singular - self.lam * self.nonlinearity.fprime(u)
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         return self.op.matrix + np.diag(self.potential(u))
@@ -141,7 +138,8 @@ def damped_newton(x, residual, merit, bound, step, trial, maxit: int, halvings: 
     x is converged when |residual(x)| <= bound(x) componentwise (bound may be
     a scalar); this is tested at the start and after every step, the last
     allowed one included.  step(x, r) is the Newton step for residual r, or
-    None when the Jacobian is not finite or exactly singular.  trial(x, t, dx)
+    None when its linear solve rejects the Jacobian (not finite, exactly
+    singular, or not positive definite for a Cholesky step).  trial(x, t, dx)
     maps the damped step x + t dx into the admissible set, or gives None to
     reject it; t runs 1, 1/2, ..., 2^-halvings until the merit decreases.
     Returns (x, residual(x), bound(x)); failure is a ConvergenceError.
@@ -155,7 +153,7 @@ def damped_newton(x, residual, merit, bound, step, trial, maxit: int, halvings: 
         steps += 1
         dx = step(x, r)
         if dx is None:
-            raise ConvergenceError("non-finite or singular Jacobian in Newton", residual=float(m))
+            raise ConvergenceError("non-finite, indefinite or singular Jacobian in Newton", residual=float(m))
         for j in range(halvings + 1):
             xt = trial(x, 0.5 ** j, dx)
             if xt is None:
@@ -178,8 +176,10 @@ def _floored(u, t, du):
     return np.maximum(u + t * du, POSITIVITY_FLOOR)
 
 
-def _cholesky_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return cho_solve(cho_factor(jac, lower=True), rhs, check_finite=False)
+def _cholesky_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """jac^-1 rhs by Cholesky, or None when jac is not positive definite."""
+    factor = _try_cholesky(jac)
+    return None if factor is None else cho_solve(factor, rhs, check_finite=False)
 
 
 def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -272,7 +272,7 @@ def pure_singular_cached(spec: ProblemSpec, op: NonlocalOperator, tol: float = D
 
 
 def torsion_field(op: NonlocalOperator) -> np.ndarray:
-    """Solution of A U = 1, the supersolution building block; cached."""
+    """Solution of A U = 1, which builds the upper start of `solve_A`; cached."""
     if "torsion" not in op._cache:
         op._cache["torsion"] = solve_dirichlet(op, np.ones(op.n))
     return op._cache["torsion"]
@@ -317,101 +317,48 @@ def solve_A(
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
 
 
-def _shift_constant(spec: ProblemSpec, top: float) -> float:
-    """C with t -> C t + f(t) increasing on [0, top]."""
-    nl = spec.nonlinearity
-    if nl.is_none:
-        return 0.0
-    ts = np.linspace(0.0, top, 257)[1:]
-    return float(max(np.max(nl.fprime(ts)), 0.0))
-
-
 def _field_values(field) -> np.ndarray:
     return field.values if isinstance(field, SolutionField) else np.asarray(field, dtype=float)
+
+
+def _require_convexity(spec: ProblemSpec, k: np.ndarray, top: float) -> None:
+    """ValueError unless t -> min(k) t^(-delta) + f(t) is convex at 256 points of (0, top]."""
+    t = np.linspace(0.0, top, 257)[1:]
+    with np.errstate(over="ignore"):
+        curvature = spec.delta * (spec.delta + 1.0) * k.min() * t ** (-spec.delta - 2.0)
+    if not np.all(curvature + spec.nonlinearity.fsecond(t) >= 0.0):
+        raise ValueError("K t^(-delta) + f(t) is not convex on the range of the solution")
 
 
 def monotone_iterate(
     lam: float,
     sub,
-    sup,
     op: NonlocalOperator,
     spec: ProblemSpec,
     tol: float = DEFAULT_TOL,
 ) -> SolutionField:
-    """Minimal solution above `sub` via the shifted monotone scheme.
+    """Minimal solution above the subsolution `sub` by one damped-Newton run.
 
-    Each sweep solves (A + lam*C) u_n - lam*K u_n^(-delta) = lam*C u_{n-1}
-    + lam*f(u_{n-1}) with C large enough that t -> C t + f(t) increases on
-    [0, max sup], so the iterates are nondecreasing and capped by the
-    supersolution.  Once successive sweeps differ by less than SCHEME_GAP
-    (relative), a Newton polish on the full equation finishes the convergence;
-    by concavity of the residual map the polish steps remain nondecreasing,
-    so the combined sequence stays monotone and inside the bracket.
+    With t -> K t^(-delta) + f(t) convex, Newton from a subsolution is the
+    monotone iteration (see the module docstring): the iterates rise, stay
+    below the minimal solution and meet Jacobians that dominate the one there,
+    so every step is a Cholesky solve.  A Jacobian that is not positive
+    definite ends the run with ConvergenceError; it shows that no stable
+    solution lies above `sub`, as past the fold.  The convexity is sampled on
+    (0, max u] (ValueError when it fails) and the result is checked against
+    `sub` a posteriori.
     """
     usub = _field_values(sub)
-    usup = _field_values(sup)
-    if np.any(usub > usup * (1.0 + 1e-12) + ORDER_SLACK):
-        raise BracketViolation("subsolution exceeds supersolution")
-    lam_k = lam * spec.k_field(op.grid)
-    nl = spec.nonlinearity
-    shift_c = _shift_constant(spec, float(usup.max()))
-    sup_slack = ORDER_SLACK * (1.0 + float(usup.max()))
-
-    u = usub.copy()
-    for _ in range(MAX_SWEEPS):
-        rhs = lam * (shift_c * u + nl.f(u))
-        sweep = Equation(op, lam_k, spec.delta, no_nonlinearity(), 1.0, shift=lam * shift_c, rhs=rhs)
-        unew, _, _ = sweep.solve(u, 0.1 * tol, _cholesky_step, 80)
-        if np.any(unew < u - ORDER_SLACK * (1.0 + np.abs(u).max())):
-            raise BracketViolation("monotone iterate decreased at a node")
-        if np.any(unew > usup + sup_slack):
-            raise BracketViolation("monotone iterate escaped the supersolution")
-        gap = np.abs(unew - u).max()
-        u = unew
-        if nl.is_none:
-            break
-        if gap <= SCHEME_GAP * (1.0 + np.abs(u).max()):
-            break
-    else:
-        raise ConvergenceError("monotone scheme did not settle", residual=float(gap))
-
-    u_polished, res, bound = Equation.of(op, spec, lam).solve(u, tol, _lu_step, 60)
-    if np.any(u_polished < u - ORDER_SLACK * (1.0 + np.abs(u).max())):
-        raise BracketViolation("Newton polish decreased below the monotone iterate")
-    if np.any(u_polished > usup + sup_slack):
-        raise BracketViolation("Newton polish escaped the supersolution")
-    return SolutionField(u_polished, op.grid, replace(spec, lam=lam), res, bound)
-
-
-def _supersolution_from(
-    lam: float,
-    spec: ProblemSpec,
-    op: NonlocalOperator,
-    base: np.ndarray,
-    usub_lam: np.ndarray,
-) -> np.ndarray | None:
-    """Search ubar = base + M*U for the smallest admissible M, or None.
-
-    M ranges over a geometric grid around the starting guess
-    max(1, lam * max f(2 * max usub_lam)); the admissibility check is the
-    nodewise discrete supersolution inequality.
-    """
-    k = spec.k_field(op.grid)
-    nl = spec.nonlinearity
-    torsion = torsion_field(op)
-    action = op.matrix @ base
-    a_torsion = op.matrix @ torsion
-    m0 = max(1.0, lam * float(nl.f(np.array([2.0 * usub_lam.max()]))[0]))
-    for j in range(-16, MAX_DOUBLINGS + 1):
-        m = m0 * 2.0 ** j
-        ubar = base + m * torsion
-        lhs = action + m * a_torsion
-        rhs = lam * (k * ubar ** (-spec.delta) + nl.f(ubar))
-        margin = lhs - rhs
-        scale = 1.0 + np.abs(rhs).max()
-        if margin.min() >= -1e-12 * scale:
-            return ubar
-    return None
+    eq = Equation.of(op, spec, lam)
+    try:
+        u, res, bound = eq.solve(usub, tol, _cholesky_step, 60)
+    except ConvergenceError as exc:
+        msg = f"no minimal solution at lambda = {lam!r}, likely past the fold: {exc}"
+        raise ConvergenceError(msg, residual=exc.residual) from exc
+    if np.any(u < usub - ORDER_SLACK * (1.0 + np.abs(usub).max())):
+        raise BracketViolation("Newton iterate fell below its subsolution")
+    _require_convexity(spec, eq.k, float(u.max()))
+    return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
 
 
 @single_pool
@@ -421,53 +368,20 @@ def solve_min(
     op: NonlocalOperator,
     tol: float = DEFAULT_TOL,
     sub_hint=None,
-    newton_fallback: bool = False,
 ) -> SolutionField:
     """Minimal solution of A u = lam (K u^-delta + f(u)) for lam below the fold.
 
     The subsolution is the rescaled pure singular solution, joined with the
     warm-start hint when one is supplied (any solution at a smaller lambda is
-    a valid subsolution).  The supersolution search tries base + M*U over both
-    available bases and the bracket feeds the monotone iteration; if no
-    admissible M exists the parameter is reported as likely past the fold.
-
-    The additive supersolution family caps out strictly below the fold (the
-    pointwise margin of base + M*U closes before the spectral one), so branch
-    tracing sets newton_fallback=True: the residual map is componentwise
-    concave with an M-matrix Jacobian, hence damped Newton started from the
-    subsolution increases monotonically and converges exactly when a solution
-    above the start exists, which makes it a sharp existence probe for the
-    remaining sliver below the fold.
+    a valid subsolution), and `monotone_iterate` rises from it.  Past the fold
+    the run ends in ConvergenceError.
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    usub_lam = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
-    sub = usub_lam
+    sub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
     if sub_hint is not None:
         sub = np.maximum(sub, _field_values(sub_hint))
-
-    ubar = None
-    bases = [sub] if sub is usub_lam else [sub, usub_lam]
-    for base in bases:
-        ubar = _supersolution_from(lam, spec, op, base, usub_lam)
-        if ubar is not None:
-            break
-
-    if ubar is not None:
-        if np.any(sub > ubar + ORDER_SLACK * (1.0 + ubar.max())):
-            raise BracketViolation("warm-start subsolution pokes above the found supersolution")
-        field = monotone_iterate(lam, sub, ubar, op, spec, tol=tol)
-    elif newton_fallback:
-        values, res, bound = Equation.of(op, spec, lam).solve(sub, tol, _lu_step, 50)
-        if np.any(values < sub - ORDER_SLACK * (1.0 + sub.max())):
-            raise BracketViolation("fallback solve dipped below its subsolution")
-        if np.any(values < usub_lam * (1.0 - 1e-8) - ORDER_SLACK):
-            raise BracketViolation("fallback solve dipped below the singular subsolution")
-        field = SolutionField(values, op.grid, replace(spec, lam=lam), res, bound)
-    else:
-        raise SupersolutionNotFound(
-            f"no admissible supersolution at lambda = {lam!r}; likely above the extremal parameter"
-        )
+    field = monotone_iterate(lam, sub, op, spec, tol=tol)
     pair = principal_eigenpair(op)
     profile = build_weight_profile(pair.vector, spec.s, spec.delta, spec.beta)
     field.report = cone_norms(field.values, profile)

@@ -27,9 +27,9 @@ from .continuation import (
     trace_minimal,
     uniqueness_probe,
 )
-from .errors import SupersolutionNotFound
-from .linearization import sensitivity_bundle
-from .operator import assemble_operator, build_grid, normalization_constant, solve_dirichlet
+from .errors import ConvergenceError
+from .linearization import lambda1, sensitivity_bundle
+from .operator import assemble_operator, build_grid, normalization_constant, principal_eigenpair, solve_dirichlet
 from .problem import ProblemSpec, power_nonlinearity
 from .singular import scale_pure_singular, solve_A, solve_min, solve_pure_singular
 from .weights import classify_regime, fit_boundary_exponent, holder_seminorm, hs_membership_indicator, Regime
@@ -401,23 +401,54 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     )
     op = cache.operator(1.0, 512, _BRANCH_SPEC.s)
     lam_est = estimates[512]
-    failed = False
-    try:
-        solve_min(1.05 * lam_est, _BRANCH_SPEC, op, tol=cfg.newton_tol)
-    except SupersolutionNotFound:
-        failed = True
+    bound = _nonexistence_bound(_BRANCH_SPEC, op)
     records.append(
         _record(
             "branch-nonexistence",
-            "no solution is found beyond the extremal parameter",
-            {"n": 512, "lam": 1.05 * lam_est},
-            "solve fails",
-            "failed" if failed else "succeeded",
-            "must fail",
-            failed,
+            "every solution has lambda <= mu_1/m, so the traced extremal parameter lies below it",
+            {"n": 512, **_params(_BRANCH_SPEC)},
+            "Lambda <= mu_1/m",
+            f"Lambda {lam_est:.6f}, mu_1/m {bound:.5f} (mu_1 {principal_eigenpair(op).value:.5f})",
+            "exact bound",
+            lam_est <= bound,
+        )
+    )
+    lam = 0.95 * lam_est
+    try:
+        lam1 = lambda1(lam, solve_min(lam, _BRANCH_SPEC, op, tol=cfg.newton_tol), op, _BRANCH_SPEC).value
+        measured = f"lambda1 {lam1:.4f}"
+    except ConvergenceError as exc:
+        lam1, measured = None, f"solve failed: {exc}"
+    records.append(
+        _record(
+            "branch-existence",
+            "a stable minimal solution exists just below the extremal parameter",
+            {"n": 512, "lam": lam},
+            "solve succeeds, lambda1 > 0",
+            measured,
+            "strict",
+            lam1 is not None and lam1 > 0.0,
         )
     )
     return records
+
+
+def _nonexistence_bound(spec: ProblemSpec, op) -> float:
+    """mu_1 / m, above which the discrete problem has no solution (power f).
+
+    A is a symmetric M-matrix with A phi_1 = mu_1 phi_1 and phi_1 > 0, and
+    K t^(-delta) + c t^p >= m t for all t > 0 with m the minimum over t of
+    (min K t^(-delta) + c t^p) / t, attained at t^(p+delta) =
+    (delta+1) min K / (c (p-1)).  Testing the equation against phi_1 gives
+    mu_1 (phi_1, u) >= lam m (phi_1, u), so lam <= mu_1 / m.
+    """
+    nl = spec.nonlinearity
+    if nl.kind != "power":
+        raise ValueError("the phi_1 bound is in closed form for a power nonlinearity only")
+    k, d, p, c = spec.k_field(op.grid).min(), spec.delta, nl.p, nl.c
+    t = ((d + 1.0) * k / (c * (p - 1.0))) ** (1.0 / (p + d))
+    m = k * t ** (-d - 1.0) + c * t ** (p - 1.0)
+    return principal_eigenpair(op).value / m
 
 
 # --- 8. fold bending -------------------------------------------------------------

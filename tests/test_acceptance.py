@@ -5,6 +5,7 @@ them) and asserts the criterion.  The checks live in fracfold.verify and are
 shared with the CLI's `verify` subcommand.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -88,6 +89,19 @@ def test_criterion_06_growth_rejects_wrong_exponent(monkeypatch, accept_cfg, off
 
 def test_criterion_07_minimal_branch(accept_cfg, accept_cache):
     _run(check_branch, accept_cfg, accept_cache)
+
+
+@pytest.mark.parametrize("factor, passes", [(1.0, True), (1.1, False)])
+def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cache, factor, passes):
+    # the traced branches with their extremal parameter planted 10 % high: it
+    # then exceeds the phi_1 bound, and no solution exists at 0.95 of it
+    cache = _Cache()
+    for n in (512, 1024):
+        branch = verify._traced(accept_cache, n, accept_cfg.newton_tol)
+        cache[("branch", n)] = replace(branch, lambda_estimate=factor * branch.lambda_estimate)
+    records = {r.name: r for r in check_branch(accept_cfg, cache)}
+    for name in ("branch-nonexistence", "branch-existence"):
+        assert records[name].passed is passes, records[name]
 
 
 def test_criterion_08_fold_bending(accept_cfg, accept_cache):

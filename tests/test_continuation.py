@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracfold import SupersolutionNotFound, solve_min
+from fracfold import ConvergenceError, solve_min
 from fracfold.continuation import (
     asymptotic_bifurcation_probe,
     multiplicity_scan,
@@ -9,6 +9,7 @@ from fracfold.continuation import (
     uniqueness_probe,
 )
 from fracfold.singular import Equation, _lu_step
+from fracfold.verify import _nonexistence_bound
 
 
 def test_trace_orders_and_positivity(folded_branch):
@@ -67,9 +68,11 @@ def test_branch_curve_is_continuous(folded_branch):
 
 
 def test_nonexistence_above_fold(folded_branch, op256_s04, canonical_spec):
+    # past the phi_1 bound no solution exists, so the solve must fail
     lam_est = folded_branch.lambda_estimate
     for factor in (1.05, 1.3):
-        with pytest.raises(SupersolutionNotFound):
+        assert factor * lam_est > _nonexistence_bound(canonical_spec, op256_s04)
+        with pytest.raises(ConvergenceError):
             solve_min(factor * lam_est, canonical_spec, op256_s04)
 
 

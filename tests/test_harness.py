@@ -169,6 +169,12 @@ def test_cli_solve_plambda(tmp_path):
     assert min(payload["values"]) > 0.0
 
 
+def test_cli_solve_past_the_fold_is_a_clean_error(tmp_path, capsys):
+    code = main(["solve-plambda", "--lambda", "0.7", "--n", "128", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_multiplicity(tmp_path):
     code = main(
         ["multiplicity", "--s", "0.4", "--delta", "0.5", "--beta", "0", "--p", "2",

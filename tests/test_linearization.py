@@ -51,7 +51,7 @@ def test_lambda1_decreasing_in_lambda(op192):
     values = []
     prev = None
     for lam in (0.1, 0.2, 0.3):
-        field = solve_min(lam, spec, op192, sub_hint=prev, newton_fallback=True)
+        field = solve_min(lam, spec, op192, sub_hint=prev)
         values.append(lambda1(lam, field.values, op192, spec).value)
         prev = field
     assert values[0] > values[1] > values[2] > 0.0

@@ -22,14 +22,16 @@ from fracfold import (
     solve_regularized,
 )
 from fracfold import singular
+from fracfold.linearization import lambda1
 from fracfold.operator import principal_eigenpair
+from fracfold.problem import Nonlinearity
 from fracfold.singular import (
     monotone_iterate,
     pure_singular_cached,
     subsolution_constant,
     torsion_field,
-    _supersolution_from,
 )
+from fracfold.verify import _BRANCH_SPEC, _nonexistence_bound
 
 
 @pytest.fixture(scope="module")
@@ -167,27 +169,42 @@ def test_solve_A_bracket(op256):
 def test_monotone_iterate_none_nonlinearity(op256):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
     lam = 0.1
-    usub = scale_pure_singular(pure_singular_cached(spec, op256), lam).values
-    ubar = usub + torsion_field(op256)
-    out = monotone_iterate(lam, usub, ubar, op256, spec)
+    # half the solution is a subsolution that leaves Newton work to do
+    usub = 0.5 * scale_pure_singular(pure_singular_cached(spec, op256), lam).values
+    out = monotone_iterate(lam, usub, op256, spec)
     pure = scale_pure_singular(pure_singular_cached(spec, op256), lam)
     assert np.abs(out.values - pure.values).max() <= 1e-7
 
 
 def test_monotone_iterate_two_brackets_agree(op256, canonical_spec):
-    lam = 0.05
+    # from the singular subsolution and from a higher one, the solution at 0.9 lam joined in
+    lam = 0.4
     usub = scale_pure_singular(pure_singular_cached(canonical_spec, op256), lam).values
-    ubar1 = _supersolution_from(lam, canonical_spec, op256, usub, usub)
-    assert ubar1 is not None
-    ubar2 = ubar1 + 3.0 * torsion_field(op256)
-    r1 = monotone_iterate(lam, usub, ubar1, op256, canonical_spec)
-    r2 = monotone_iterate(lam, usub, ubar2, op256, canonical_spec)
-    assert np.abs(r1.values - r2.values).max() <= 1e-3
+    below = solve_min(0.9 * lam, canonical_spec, op256).values
+    r1 = monotone_iterate(lam, usub, op256, canonical_spec)
+    r2 = monotone_iterate(lam, np.maximum(usub, below), op256, canonical_spec)
+    assert np.any(below > usub)
+    assert np.abs(r1.values - r2.values).max() <= 1e-7
 
 
 def test_monotone_iterate_rejects_crossed_bracket(op256, canonical_spec):
+    # a supersolution passed as the subsolution: Newton descends below it
+    u_min = solve_min(0.05, canonical_spec, op256).values
     with pytest.raises(BracketViolation):
-        monotone_iterate(0.05, np.full(256, 2.0), np.full(256, 1.0), op256, canonical_spec)
+        monotone_iterate(0.05, 2.0 * u_min, op256, canonical_spec)
+
+
+def test_monotone_iterate_requires_convexity(op256):
+    # f(t) = t - t^2 / 10 has f'' < 0, and with delta = 0 nothing offsets it
+    concave = Nonlinearity(
+        kind="custom",
+        f_fn=lambda t: t - 0.1 * t ** 2,
+        fp_fn=lambda t: 1.0 - 0.2 * t,
+        fpp_fn=lambda t: np.full_like(t, -0.2),
+    )
+    spec = ProblemSpec(s=0.4, delta=0.0, beta=0.0, nonlinearity=concave)
+    with pytest.raises(ValueError, match="not convex"):
+        solve_min(0.1, spec, op256)
 
 
 def test_solve_min_small_lambda_limit(op256, canonical_spec):
@@ -276,15 +293,16 @@ RATES_SPECS = [
 
 
 def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
-    # only the Newton Jacobians: the eigenpair factors through fracfold.operator
+    # Newton steps of the pure singular solves, then of minimal solves that
+    # rise from the cached pure solution
     calls = []
-    factor = singular.cho_factor
+    step = singular._cholesky_step
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return factor(*args, **kwargs)
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(singular, "cho_factor", counting)
+    monkeypatch.setattr(singular, "_cholesky_step", counting)
     for spec in RATES_SPECS:
         counts = []
         for n in (256, 1024):
@@ -292,8 +310,18 @@ def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
             calls.clear()
             solve_pure_singular(spec, op)
             counts.append(len(calls))
-        assert max(counts) <= 12, (spec, counts)
+        assert min(counts) >= 2 and max(counts) <= 12, (spec, counts)
         assert abs(counts[0] - counts[1]) <= 2, (spec, counts)
+    ops = {n: assemble_operator(build_grid(1.0, n), _BRANCH_SPEC.s) for n in (256, 1024)}
+    for lam in (0.26, 0.50):
+        counts = []
+        for n, op in ops.items():
+            pure_singular_cached(_BRANCH_SPEC, op)
+            calls.clear()
+            solve_min(lam, _BRANCH_SPEC, op)
+            counts.append(len(calls))
+        assert min(counts) >= 2 and max(counts) <= 12, (lam, counts)
+        assert abs(counts[0] - counts[1]) <= 2, (lam, counts)
 
 
 def test_newton_tests_convergence_after_its_last_step(op256):
@@ -323,22 +351,21 @@ def test_newton_tests_convergence_after_its_last_step(op256):
     delta=st.floats(0.0, 12.0),
     beta_frac=st.floats(0.0, 0.95),
     lam=st.floats(0.01, 2.0),
-    shift=st.floats(0.0, 5.0),
     eps=st.floats(0.0, 0.1),
     power=st.sampled_from([None, 1.5, 2.0, 3.0]),
 )
-@example(s=0.4, delta=0.5, beta_frac=0.0, lam=0.5, shift=0.0, eps=0.0, power=2.0)
-@example(s=0.9, delta=12.0, beta_frac=0.95, lam=2.0, shift=5.0, eps=0.1, power=3.0)
-def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam, shift, eps, power):
+@example(s=0.4, delta=0.5, beta_frac=0.0, lam=0.5, eps=0.0, power=2.0)
+@example(s=0.9, delta=12.0, beta_frac=0.95, lam=2.0, eps=0.1, power=3.0)
+def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam, eps, power):
     n = 64
     op = assemble_operator(build_grid(1.0, n), s)
     nl = power_nonlinearity(power) if power is not None else no_nonlinearity()
     spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=nl)
     x = op.grid.nodes
-    eq = singular.Equation(op, spec.k_field(op.grid), delta, nl, lam, eps=eps, shift=shift, rhs=np.cos(x))
+    eq = singular.Equation(op, spec.k_field(op.grid), delta, nl, lam, eps=eps, rhs=np.cos(x))
     u = 0.05 + (1.0 - x ** 2) * (1.0 + 0.3 * np.sin(5.0 * x))
     # size of the terms of G, which bounds the rounding error of a difference of residuals
-    size = np.abs(op.matrix) @ u + shift * u + lam * (eq.k * (u + eps) ** (-delta) + nl.f(u)) + 1.0
+    size = np.abs(op.matrix) @ u + lam * (eq.k * (u + eps) ** (-delta) + nl.f(u)) + 1.0
 
     # potential: the Jacobian is A + diag(potential); relative steps of 1e-6 in u + eps
     v = (u + eps) * np.sin(3.0 * x + 0.5)
@@ -352,3 +379,32 @@ def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam,
     dl = 1e-3 * lam
     fd_lam = (replace(eq, lam=lam + dl).residual(u) - replace(eq, lam=lam - dl).residual(u)) / (2.0 * dl)
     assert np.all(np.abs(fd_lam - eq.d_dlam(u)) <= 1e-14 * size / dl)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.1, 0.9),
+    delta=st.floats(0.0, 4.0),
+    beta_frac=st.floats(0.0, 0.9),
+    power=st.sampled_from([1.5, 2.0, 3.0]),
+    coeff=st.floats(0.1, 10.0),
+    fracs=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).filter(lambda f: f[0] != f[1]),
+)
+@example(s=0.4, delta=0.5, beta_frac=0.0, power=2.0, coeff=1.0, fracs=(0.5, 1.0))
+def test_minimal_solve_properties(s, delta, beta_frac, power, coeff, fracs):
+    op = assemble_operator(build_grid(1.0, 128), s)
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, coeff=coeff,
+                       nonlinearity=power_nonlinearity(power))
+    top = 0.5 * _nonexistence_bound(spec, op)
+    lam1, lam2 = (top * f for f in sorted(fracs))
+    lower, upper = solve_min(lam1, spec, op), solve_min(lam2, spec, op)
+    for lam, field in ((lam1, lower), (lam2, upper)):
+        u = field.values
+        assert _residual(op, spec, lam, u) <= field.residual_bound
+        # Newton rises from the scaled pure singular solution
+        usub = scale_pure_singular(pure_singular_cached(spec, op), lam).values
+        assert np.all(u >= usub - 1e-10 * (1.0 + u.max()))
+        # a minimal solution is stable
+        assert lambda1(lam, u, op, spec).value > 0.0
+    # ordered parameters, ordered minimal solutions
+    assert np.all(lower.values <= upper.values + 1e-10 * (1.0 + upper.values.max()))
