@@ -18,7 +18,6 @@ _SECTIONS = {
     "continuation": (
         "lambda_init",
         "max_points",
-        "lambda1_threshold",
         "bracket_rtol",
         "arc_step",
         "fold_steps",
@@ -45,7 +44,6 @@ class RunConfig:
     newton_tol: float = 1e-8
     lambda_init: float = 0.0
     max_points: int = 48
-    lambda1_threshold: float = 0.0
     bracket_rtol: float = 1e-3
     arc_step: float = 0.02
     fold_steps: int = 60
@@ -68,7 +66,6 @@ class RunConfig:
         return TracePolicy(
             lambda_init=self.lambda_init if self.lambda_init > 0.0 else None,
             max_points=self.max_points,
-            lambda1_threshold=self.lambda1_threshold,
             bracket_rtol=self.bracket_rtol,
             tol=self.newton_tol,
         )

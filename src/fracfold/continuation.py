@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,40 @@ __all__ = [
 
 @dataclass(eq=False)
 class BranchPoint:
+    """A solution (lam, u) of the branch, located by arclength and segment.
+
+    `lambda1` (principal eigenvalue of the linearization) and `monitor` (the
+    Fredholm monitor) are computed together on the first read of either, from
+    one linearized operator and its shared factor; the point keeps the two
+    floats, not the matrix or its factor.  A failure there surfaces only to a
+    caller that reads them.
+    """
+
     lam: float
     solution: SolutionField
-    sup_norm: float
-    lambda1: float
-    monitor: float | None
-    arclength: float
+    op: NonlocalOperator
+    tol: float
+    arclength: float = 0.0
     segment: str = "minimal"
+
+    @property
+    def sup_norm(self) -> float:
+        return self.solution.sup_norm
+
+    @cached_property
+    def _stability(self) -> tuple[float, float]:
+        lam, u, op, spec = self.lam, self.solution, self.op, self.solution.spec
+        lin = linearized_operator(lam, u, op, spec)
+        lam1 = lambda1(lam, u, op, spec, tol=max(self.tol, 1e-10), lin=lin).value
+        return lam1, fredholm_monitor(lam, u, op, spec, lin=lin)
+
+    @property
+    def lambda1(self) -> float:
+        return self._stability[0]
+
+    @property
+    def monitor(self) -> float:
+        return self._stability[1]
 
 
 @dataclass(eq=False)
@@ -98,10 +126,8 @@ MAX_CORRECTOR = 14  # Newton steps of one corrector
 class TracePolicy:
     lambda_init: float | None = None
     max_points: int = 48
-    lambda1_threshold: float = 0.0
     bracket_rtol: float = 1e-3
     min_step_fraction: float = 1e-6
-    compute_monitor: bool = True
     tol: float = DEFAULT_TOL
 
 
@@ -111,26 +137,10 @@ class FoldPolicy:
     ds_max: float = 0.25
     steps: int = 60
     tol: float = DEFAULT_TOL
-    compute_monitor: bool = True
 
 
 def _metric_weight(op: NonlocalOperator, u_scale: float) -> float:
     return 1.0 / (np.sqrt(op.n) * max(u_scale, 1e-30))
-
-
-def _make_point(lam, fld, op, spec, compute_monitor, tol, segment="minimal") -> BranchPoint:
-    lin = linearized_operator(lam, fld, op, spec)
-    lam1 = lambda1(lam, fld, op, spec, tol=max(tol, 1e-10), lin=lin).value
-    mon = fredholm_monitor(lam, fld, op, spec, lin=lin) if compute_monitor else None
-    return BranchPoint(
-        lam=lam,
-        solution=fld,
-        sup_norm=fld.sup_norm,
-        lambda1=lam1,
-        monitor=mon,
-        arclength=0.0,
-        segment=segment,
-    )
 
 
 def _assign_arclength(points: list[BranchPoint], w: float) -> None:
@@ -166,7 +176,7 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
             lam *= 0.5
             if lam < 1e-12 * lam1s:
                 raise ConvergenceError("no starting point found on the minimal branch")
-    points.append(_make_point(lam, fld, op, spec, policy.compute_monitor, policy.tol))
+    points.append(BranchPoint(lam, fld, op, policy.tol))
     prev = fld
 
     lam_ok, lam_fail = lam, None
@@ -177,12 +187,9 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
         except ConvergenceError:
             lam_fail = trial
             break
-        points.append(_make_point(trial, fld, op, spec, policy.compute_monitor, policy.tol))
+        points.append(BranchPoint(trial, fld, op, policy.tol))
         prev = fld
         lam_ok = trial
-        if points[-1].lambda1 < policy.lambda1_threshold:
-            lam_fail = trial * (1.0 + policy.bracket_rtol)
-            break
     if lam_fail is None:
         raise ConvergenceError("minimal branch did not terminate within the point budget")
 
@@ -196,11 +203,9 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
         except ConvergenceError:
             lam_fail = trial
             continue
-        points.append(_make_point(trial, fld, op, spec, policy.compute_monitor, policy.tol))
+        points.append(BranchPoint(trial, fld, op, policy.tol))
         prev = fld
         lam_ok = trial
-        if points[-1].lambda1 < policy.lambda1_threshold:
-            break
 
     points.sort(key=lambda p: p.lam)
     w = _metric_weight(op, points[-1].sup_norm)
@@ -284,7 +289,9 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start, upper):
     negative and "upper" from then on (from the start when `upper`).  Started
     on the minimal segment, it rounds the fold with the step capped at DS_FOLD
     near it (see the step-control constants).  A corrector failing at every
-    step length raises _StepFailure.
+    step length raises _StepFailure.  A step computes no lambda1 or monitor:
+    the points compute them when read, so only a caller reading them meets
+    their failures.
     """
     rounding = not upper
     eq = Equation.of(op, spec, 0.0)
@@ -309,11 +316,7 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start, upper):
         upper = upper or tangent[1] < 0.0
         n_upper += upper
         fld = SolutionField(values=u, grid=op.grid, spec=spec.with_lambda(lam), residual=res, residual_bound=bound)
-        point = _make_point(
-            lam, fld, op, spec, policy.compute_monitor, policy.tol, segment="upper" if upper else "minimal"
-        )
-        point.arclength = sigma
-        yield point
+        yield BranchPoint(lam, fld, op, policy.tol, sigma, "upper" if upper else "minimal")
         z = (u, lam)
 
 
@@ -348,7 +351,7 @@ def fold_round(
     combined = minimal + new_points
     apex = max(combined, key=lambda p: p.lam)
     idx = combined.index(apex)
-    lo = max(0, idx - FIT_HALFWIDTH)
+    lo = max(len(minimal) - 2, idx - FIT_HALFWIDTH)  # not into the coarse points before the arclength start
     hi = min(len(combined), idx + FIT_HALFWIDTH + 1)
     window = combined[lo:hi]
     sig = np.array([p.arclength for p in window]) - apex.arclength
@@ -376,7 +379,9 @@ def fold_round(
 def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
     """Continue the upper segment until stop(point) or the step budget ends.
 
-    The points go to a new Branch; the one passed in is left as it was.
+    The points go to a new Branch; the one passed in is left as it was.  Only
+    a corrector failing at every step length ends the extension early; no
+    lambda1 or monitor is computed unless stop reads it.
     """
     branch = replace(branch, points=list(branch.points))
     upper = branch.upper_points()
@@ -400,7 +405,6 @@ def multiplicity_scan(
     lam_list,
     tol: float = DEFAULT_TOL,
     branch: Branch | None = None,
-    fold_policy: FoldPolicy | None = None,
 ) -> list[dict]:
     """Minimal and second solutions at each requested lam below the fold.
 
@@ -414,15 +418,13 @@ def multiplicity_scan(
     if spec.beta != 0.0:
         raise ValueError("multiplicity scan requires beta = 0")
     spec.require_subcritical()
-    if branch is None or branch.fold is None:
-        policy = fold_policy or FoldPolicy(steps=400, compute_monitor=False)
-        branch = branch or trace_minimal(spec, op, TracePolicy(tol=tol, compute_monitor=False))
-        if branch.fold is None:
-            branch = fold_round(branch, op, spec, policy)
+    if branch is None:
+        branch = trace_minimal(spec, op, TracePolicy(tol=tol))
+    if branch.fold is None:
+        branch = fold_round(branch, op, spec, FoldPolicy(steps=400, tol=tol))
     lam_targets = sorted(lam_list, reverse=True)
     need = min(lam_targets)
-    policy = fold_policy or FoldPolicy(steps=600, compute_monitor=False)
-    branch = _extend_upper(branch, op, spec, policy, stop=lambda p: p.lam < need)
+    branch = _extend_upper(branch, op, spec, FoldPolicy(steps=600, tol=tol), stop=lambda p: p.lam < need)
 
     upper = branch.upper_points()
     rows = []
@@ -480,7 +482,7 @@ def asymptotic_bifurcation_probe(
     if branch.fold is None:
         raise ValueError("probe requires a fold-rounded branch")
     fold_sup = branch.fold.u_at_fold.sup_norm
-    policy = FoldPolicy(ds=0.2, ds_max=2.0, steps=steps, compute_monitor=False, tol=tol)
+    policy = FoldPolicy(ds=0.2, ds_max=2.0, steps=steps, tol=tol)
     branch = _extend_upper(
         branch, op, spec, policy, stop=lambda p: p.sup_norm >= growth_cap * fold_sup
     )

@@ -63,9 +63,8 @@ def write_solution_json(field: SolutionField, path) -> None:
 def write_branch_csv(branch: Branch, path) -> None:
     lines = ["lambda,sup_norm,lambda1,monitor,arclength,residual,segment"]
     for p in branch.points:
-        monitor = "" if p.monitor is None else repr(float(p.monitor))
         lines.append(
-            f"{float(p.lam)!r},{float(p.sup_norm)!r},{float(p.lambda1)!r},{monitor},"
+            f"{float(p.lam)!r},{float(p.sup_norm)!r},{float(p.lambda1)!r},{float(p.monitor)!r},"
             f"{float(p.arclength)!r},{float(p.solution.residual)!r},{p.segment}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -351,11 +351,11 @@ def check_holder(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
 _BRANCH_SPEC = ProblemSpec(s=0.4, delta=0.5, beta=0.0, coeff=1.0, nonlinearity=power_nonlinearity(2.0))
 
 
-def _traced(cache: _Cache, n: int, tol: float, monitor: bool = True):
+def _traced(cache: _Cache, n: int, tol: float):
     key = ("branch", n)
     if key not in cache:
         op = cache.operator(1.0, n, _BRANCH_SPEC.s)
-        cache[key] = trace_minimal(_BRANCH_SPEC, op, TracePolicy(tol=tol, compute_monitor=monitor))
+        cache[key] = trace_minimal(_BRANCH_SPEC, op, TracePolicy(tol=tol))
     return cache[key]
 
 
@@ -455,14 +455,12 @@ def _nonexistence_bound(spec: ProblemSpec, op) -> float:
 
 def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     records = []
-    sets = [
-        ("fold-a", _BRANCH_SPEC, 256),
-        ("fold-b", ProblemSpec(s=0.45, delta=1.0, beta=0.1, coeff=1.0, nonlinearity=power_nonlinearity(2.5)), 256),
-    ]
-    for name, spec, n in sets:
-        op = cache.operator(1.0, n, spec.s)
-        branch = trace_minimal(spec, op, TracePolicy(tol=cfg.newton_tol))
-        branch = fold_round(branch, op, spec, FoldPolicy(tol=cfg.newton_tol))
+    tol = cfg.newton_tol
+    spec_b = ProblemSpec(s=0.45, delta=1.0, beta=0.1, coeff=1.0, nonlinearity=power_nonlinearity(2.5))
+    op_b = cache.operator(1.0, 256, spec_b.s)
+    branch_b = fold_round(trace_minimal(spec_b, op_b, TracePolicy(tol=tol)), op_b, spec_b, FoldPolicy(tol=tol))
+    sets = [("fold-a", _BRANCH_SPEC, _folded(cache, 256, tol)), ("fold-b", spec_b, branch_b)]
+    for name, spec, branch in sets:
         fold = branch.fold
         apex = max(p.lam for p in branch.points)
         width = branch.bracket[1] - branch.bracket[0]
@@ -471,7 +469,7 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             _record(
                 name,
                 "normalized branch slope vanishes at the fold and the curvature is negative",
-                {**_params(spec), "n": n},
+                {**_params(spec), "n": 256},
                 "|lam'| <= 1e-2, lam'' < 0",
                 f"lam' {fold.lambda_prime:.2e}, lam'' {fold.quadratic_coeff:.3f}, apex {apex:.6f}",
                 "1e-2 and sign",

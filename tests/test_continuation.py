@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fracfold.continuation
 from fracfold import ConvergenceError, solve_min
 from fracfold.continuation import (
     asymptotic_bifurcation_probe,
@@ -9,7 +10,7 @@ from fracfold.continuation import (
     uniqueness_probe,
 )
 from fracfold.singular import Equation, _lu_step
-from fracfold.verify import _nonexistence_bound
+from fracfold.verify import _folded, _nonexistence_bound
 
 
 def test_trace_orders_and_positivity(folded_branch):
@@ -35,15 +36,25 @@ def test_lambda1_changes_sign_exactly_once(folded_branch):
     assert changes == 1
 
 
-def test_fold_bending(folded_branch):
-    fold = folded_branch.fold
+def _assert_fold_bends(branch):
+    fold = branch.fold
     assert fold is not None
     assert abs(fold.lambda_prime) <= 1e-2
     assert fold.quadratic_coeff < 0.0
     assert fold.fit_residual <= 1e-4
-    apex = max(p.lam for p in folded_branch.points)
+    apex = max(p.lam for p in branch.points)
     lo, hi = fold.bracket
-    assert abs(apex - folded_branch.lambda_estimate) <= max(hi - lo, 1e-3 * hi)
+    assert abs(apex - branch.lambda_estimate) <= max(hi - lo, 1e-3 * hi)
+
+
+def test_fold_bending(folded_branch):
+    _assert_fold_bends(folded_branch)
+
+
+def test_fold_bending_n512(accept_cfg, accept_cache):
+    # fewer than FIT_HALFWIDTH arclength points precede the apex here; the fit
+    # window must not reach back into the coarse geometric and bisection points
+    _assert_fold_bends(_folded(accept_cache, 512, accept_cfg.newton_tol))
 
 
 def test_upper_segment_unstable(folded_branch):
@@ -122,6 +133,25 @@ def test_upper_extension_leaves_the_input_branch_alone(folded_branch, op256_s04,
     assert len(probe.branch.points) > len(before)
     assert len(folded_branch.points) == len(before)
     assert all(a is b for a, b in zip(folded_branch.points, before))
+
+
+def test_upper_extension_computes_no_stability(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # the probe and the multiplicity extension read lam and sup_norm only, so no
+    # point they add computes its lambda1 or monitor
+    calls = []
+    for name in ("lambda1", "fredholm_monitor"):
+        original = getattr(fracfold.continuation, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fracfold.continuation, name, counted)
+    lam_est = folded_branch.lambda_estimate
+    multiplicity_scan(canonical_spec, op256_s04, [0.5 * lam_est], branch=folded_branch)
+    asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=30.0, steps=400)
+    assert calls == []
+
 
 def test_asymptotic_tail_power_law(folded_branch, op256_s04, canonical_spec):
     # natural scaling of the superlinear term: sup ~ lam^(-1/(p-1)) on the tail

@@ -32,7 +32,8 @@ def test_config_rejects_unknown_keys():
 
 def test_config_rejects_removed_keys():
     for section, name in (("tolerances", "eps_stop"), ("tolerances", "eigen_tol"),
-                          ("continuation", "probe_steps"), ("continuation", "growth_cap")):
+                          ("continuation", "probe_steps"), ("continuation", "growth_cap"),
+                          ("continuation", "lambda1_threshold")):
         with pytest.raises(ValueError):
             parse_config(f"[{section}]\n{name} = 1\n")
 

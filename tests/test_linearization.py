@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh, svdvals
 
 from fracfold import ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_A, solve_min
+from fracfold.continuation import BranchPoint
 from fracfold.linearization import (
     LinearizedOperator,
     d2A_directional,
@@ -157,9 +158,7 @@ def test_monitor_bounded_away_at_small_lambda(op192):
 
 
 def _rounded(branch, segment=None):
-    # points of trace_minimal and fold_round; other tests extend the shared
-    # fixture in place with monitor-free upper points
-    return [p for p in branch.points if p.monitor is not None and segment in (None, p.segment)]
+    return [p for p in branch.points if segment in (None, p.segment)]
 
 
 def _dense_monitor(lam, u, op, spec):
@@ -232,6 +231,15 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         lambda1(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
         fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
         assert calls == expected
+        # a branch point reads both from one linearization, once, and then keeps the values
+        fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
+        calls.clear()
+        values = (fresh.lambda1, fresh.monitor)
+        assert calls == expected
+        calls.clear()
+        assert (fresh.lambda1, fresh.monitor) == values
+        assert calls == []
+        assert values == (p.lambda1, p.monitor)
 
 
 def test_monitor_zero_when_linearization_is_singular(op192, pure_field):

@@ -80,6 +80,24 @@ def test_linalg_names_in_source_are_counted_or_cheap():
                 assert name in allowed, f"{path.name}:{node.lineno} uses linalg.{name}"
 
 
+def test_linearization_is_built_only_by_branch_points():
+    # continuation computes lambda1 and the monitor only when a BranchPoint's are read
+    tree = ast.parse((SOURCE / "continuation.py").read_text())
+    owned = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "BranchPoint"
+        for node in ast.walk(cls)
+    }
+    names = {"linearized_operator", "lambda1", "fredholm_monitor"}
+    sites = [
+        f"continuation.py:{node.lineno} {node.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in names and id(node) not in owned
+    ]
+    assert sites == []
+
+
 def _is_diag_call(node) -> bool:
     return isinstance(node, ast.Call) and (
         (isinstance(node.func, ast.Attribute) and node.func.attr == "diag")
