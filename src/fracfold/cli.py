@@ -84,6 +84,7 @@ def _cmd_assemble_check(args) -> int:
 
 
 def _solve_common(cfg: RunConfig, pure: bool):
+    """The solve-ps or solve-plambda solution, with its cone-norm report."""
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
     if pure:
         lam = cfg.lam if cfg.lam > 0 else 1.0
@@ -91,29 +92,26 @@ def _solve_common(cfg: RunConfig, pure: bool):
             s=cfg.s, delta=cfg.delta, beta=cfg.beta, coeff=cfg.coeff * lam, nonlinearity=no_nonlinearity()
         )
         field = solve_pure_singular(spec, op, tol=cfg.newton_tol)
-        pair = principal_eigenpair(op)
-        profile = build_weight_profile(pair.vector, spec.s, spec.delta, spec.beta)
-        report = cone_norms(field.values, profile)
-        try:
-            report.fitted_exponent, report.fit_r2 = fit_boundary_exponent(field.values, op.grid)
-        except ValueError:
-            pass
-        field.report = report
         field.spec = replace(field.spec, coeff=cfg.coeff, lam=lam)
-        return op, field
-    spec = cfg.problem_spec()
-    field = solve_min(cfg.lam, spec, op, tol=cfg.newton_tol)
-    return op, field
+    else:
+        field = solve_min(cfg.lam, cfg.problem_spec(), op, tol=cfg.newton_tol)
+    profile = build_weight_profile(principal_eigenpair(op).vector, cfg.s, cfg.delta, cfg.beta)
+    field.report = cone_norms(field.values, profile)
+    try:
+        field.report.fitted_exponent, field.report.fit_r2 = fit_boundary_exponent(field.values, op.grid)
+    except ValueError:
+        pass
+    return field
 
 
 def _cmd_solve(args, pure: bool) -> int:
     cfg = _build_config(args)
-    op, field = _solve_common(cfg, pure)
+    field = _solve_common(cfg, pure)
     os.makedirs(cfg.out_dir, exist_ok=True)
     name = "solution-ps.json" if pure else "solution-plambda.json"
     path = os.path.join(cfg.out_dir, name)
     write_solution_json(field, path)
-    alpha = field.report.fitted_exponent if field.report else None
+    alpha = field.report.fitted_exponent
     print(
         f"{'solve-ps' if pure else 'solve-plambda'}: n={cfg.n} sup={field.sup_norm:.6f} "
         f"residual={field.residual:.2e} fitted_exponent={alpha if alpha is None else f'{alpha:.4f}'} -> {path}"

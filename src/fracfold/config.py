@@ -15,13 +15,7 @@ _SECTIONS = {
     "problem": ("s", "delta", "beta", "coeff", "nonlinearity", "p", "c", "lam"),
     "grid": ("half_width", "n"),
     "tolerances": ("newton_tol",),
-    "continuation": (
-        "lambda_init",
-        "max_points",
-        "bracket_rtol",
-        "arc_step",
-        "fold_steps",
-    ),
+    "continuation": ("lambda_init", "max_points", "arc_step", "fold_steps"),
     "output": ("out_dir", "seed"),
     "verify": ("suites",),
 }
@@ -44,7 +38,6 @@ class RunConfig:
     newton_tol: float = 1e-8
     lambda_init: float = 0.0
     max_points: int = 48
-    bracket_rtol: float = 1e-3
     arc_step: float = 0.02
     fold_steps: int = 60
     out_dir: str = "out"
@@ -63,12 +56,8 @@ class RunConfig:
         )
 
     def trace_policy(self) -> TracePolicy:
-        return TracePolicy(
-            lambda_init=self.lambda_init if self.lambda_init > 0.0 else None,
-            max_points=self.max_points,
-            bracket_rtol=self.bracket_rtol,
-            tol=self.newton_tol,
-        )
+        lambda_init = self.lambda_init if self.lambda_init > 0.0 else None
+        return TracePolicy(lambda_init=lambda_init, max_points=self.max_points, tol=self.newton_tol)
 
     def fold_policy(self) -> FoldPolicy:
         return FoldPolicy(ds=self.arc_step, steps=self.fold_steps, tol=self.newton_tol)

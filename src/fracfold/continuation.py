@@ -1,15 +1,18 @@
-"""Branch tracing through the fold: minimal-branch continuation, pseudo-
-arclength rounding of the turning point, multiplicity extraction, asymptotic
-bifurcation probing, and the small-parameter uniqueness probe.
+"""Branch tracing through the fold: minimal-branch continuation, the fold as a
+regular solution, pseudo-arclength rounding of the turning point,
+multiplicity extraction, asymptotic bifurcation probing, and the
+small-parameter uniqueness probe.
 
-The minimal branch is advanced in lam with warm-started minimal solves; the
-extremal parameter is bracketed by bisection on solve success.  The fold is
-rounded, and the upper segment extended, by one pseudo-arclength stepping
-loop on the pair (u, lam), `_arclength_points`; fold rounding and extension
-differ only in where they stop.  Its corrector is the damped-Newton core of
-`singular` on the problem's `Equation`, bordered by the tangent normalization
-and solved by LU, with the u-component weighted by 1/||u_fold||_inf so both
-components contribute comparably to arclength near the fold.
+The minimal branch is advanced in lam with warm-started minimal solves until
+the first one fails; the fold is then solved for as the regular solution of
+the Moore-Spence system, and its lam is the extremal parameter.  From the
+fold, one pseudo-arclength stepping loop on the pair (u, lam),
+`_arclength_points`, walks back down the minimal segment, out along the upper
+one, and extends the upper segment.  Its corrector is the damped-Newton core
+of `singular` on the problem's `Equation`, bordered by the tangent
+normalization and solved by LU, with the u-component weighted by
+1/||u_fold||_inf so both components contribute comparably to arclength near
+the fold.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 from .blas import single_pool
 from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
-from .operator import NonlocalOperator, principal_eigenpair
+from .operator import EigenPair, NonlocalOperator, principal_eigenpair
 from .problem import ProblemSpec
-from .singular import DEFAULT_TOL, Equation, SolutionField, _lu_step, damped_newton, solve_min
+from .singular import DEFAULT_TOL, Equation, SolutionField, _lu_solver, _lu_step, damped_newton, solve_min
 
 __all__ = [
     "BranchPoint",
@@ -48,11 +51,11 @@ __all__ = [
 class BranchPoint:
     """A solution (lam, u) of the branch, located by arclength and segment.
 
-    `lambda1` (principal eigenvalue of the linearization) and `monitor` (the
-    Fredholm monitor) are computed together on the first read of either, from
-    one linearized operator and its shared factor; the point keeps the two
-    floats, not the matrix or its factor.  A failure there surfaces only to a
-    caller that reads them.
+    `lambda1` (principal eigenvalue of the linearization), its `eigenvector`
+    and `monitor` (the Fredholm monitor) are computed together on the first
+    read of any, from one linearized operator and its shared factor; the point
+    keeps the eigenpair and the monitor, not the matrix or its factor.  A
+    failure there surfaces only to a caller that reads them.
     """
 
     lam: float
@@ -67,15 +70,20 @@ class BranchPoint:
         return self.solution.sup_norm
 
     @cached_property
-    def _stability(self) -> tuple[float, float]:
+    def _stability(self) -> tuple[EigenPair, float]:
         lam, u, op, spec = self.lam, self.solution, self.op, self.solution.spec
         lin = linearized_operator(lam, u, op, spec)
-        lam1 = lambda1(lam, u, op, spec, tol=max(self.tol, 1e-10), lin=lin).value
-        return lam1, fredholm_monitor(lam, u, op, spec, lin=lin)
+        pair = lambda1(lam, u, op, spec, tol=max(self.tol, 1e-10), lin=lin)
+        return pair, fredholm_monitor(lam, u, op, spec, lin=lin)
 
     @property
     def lambda1(self) -> float:
-        return self._stability[0]
+        return self._stability[0].value
+
+    @property
+    def eigenvector(self) -> np.ndarray:
+        """Principal eigenvector of the linearization, sup-normalized, positive at its largest entry."""
+        return self._stability[0].vector
 
     @property
     def monitor(self) -> float:
@@ -84,8 +92,6 @@ class BranchPoint:
 
 @dataclass(eq=False)
 class FoldInfo:
-    lambda_estimate: float
-    bracket: tuple[float, float]
     quadratic_coeff: float
     u_at_fold: SolutionField
     lambda_prime: float
@@ -97,11 +103,14 @@ class Branch:
     points: list[BranchPoint] = field(default_factory=list)
     fold: FoldInfo | None = None
     lambda_estimate: float | None = None
-    bracket: tuple[float, float] | None = None
     metric_weight: float | None = None
 
     def minimal_points(self) -> list[BranchPoint]:
         return [p for p in self.points if p.segment == "minimal"]
+
+    def fold_point(self) -> BranchPoint:
+        (point,) = [p for p in self.points if p.segment == "fold"]  # ValueError unless exactly one
+        return point
 
     def upper_points(self) -> list[BranchPoint]:
         return [p for p in self.points if p.segment == "upper"]
@@ -111,12 +120,11 @@ class Branch:
 LAMBDA_GROWTH = 2.0
 
 # Pseudo-arclength step control: a failed corrector halves ds down to DS_MIN;
-# a success grows it by DS_GROWTH up to the policy's ds_max.  While rounding
-# the fold, ds is capped at DS_FOLD where |dlam/ds| < SHRINK_ZONE, until
-# FIT_HALFWIDTH upper points (the half-width of the quadratic fit) exist.
+# a success grows it by DS_GROWTH up to the policy's ds_max.  Fold rounding
+# takes FIT_HALFWIDTH steps of DS_FOLD on either side of the fold (the window
+# of the quadratic fit) before the upper segment continues at the policy's ds.
 DS_MIN = 1e-8
 DS_GROWTH = 1.4
-SHRINK_ZONE = 0.35
 DS_FOLD = 2.5e-3
 FIT_HALFWIDTH = 6
 MAX_CORRECTOR = 14  # Newton steps of one corrector
@@ -126,8 +134,6 @@ MAX_CORRECTOR = 14  # Newton steps of one corrector
 class TracePolicy:
     lambda_init: float | None = None
     max_points: int = 48
-    bracket_rtol: float = 1e-3
-    min_step_fraction: float = 1e-6
     tol: float = DEFAULT_TOL
 
 
@@ -155,67 +161,100 @@ def _assign_arclength(points: list[BranchPoint], w: float) -> None:
 
 @single_pool
 def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy = TracePolicy()) -> Branch:
-    """Trace the minimal branch to the fold and bracket the extremal parameter.
+    """Trace the minimal branch to the fold and solve for the fold point.
 
-    lam grows geometrically with warm starts until the first failed solve,
-    then the bracket is refined by bisection (each successful probe is kept as
-    a branch sample) down to the policy's relative width.  Success of the
-    warm-started solve is the bracketing predicate, so the estimate converges
-    to the fold of the discrete problem.
+    lam grows geometrically with warm-started minimal solves until the first
+    one fails.  That failure only ends the growth: it proves nothing about
+    existence.  The fold is then solved for from the last point by
+    `_fold_point` and appended as the branch's one "fold" point; its lam is
+    the extremal parameter.  A failed fold solve raises ConvergenceError.
     """
     lam1s = principal_eigenpair(op).value
     lam = policy.lambda_init if policy.lambda_init is not None else 0.02 * lam1s
-    points: list[BranchPoint] = []
-    prev: SolutionField | None = None
-
     for _ in range(80):
         try:
-            fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=prev)
+            fld = solve_min(lam, spec, op, tol=policy.tol)
             break
         except ConvergenceError:
             lam *= 0.5
             if lam < 1e-12 * lam1s:
                 raise ConvergenceError("no starting point found on the minimal branch")
-    points.append(BranchPoint(lam, fld, op, policy.tol))
-    prev = fld
+    points = [BranchPoint(lam, fld, op, policy.tol)]
 
-    lam_ok, lam_fail = lam, None
-    while lam_fail is None and len(points) < policy.max_points:
-        trial = lam_ok * LAMBDA_GROWTH
+    while len(points) < policy.max_points:
+        lam *= LAMBDA_GROWTH
         try:
-            fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev)
+            fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=points[-1].solution)
         except ConvergenceError:
-            lam_fail = trial
             break
-        points.append(BranchPoint(trial, fld, op, policy.tol))
-        prev = fld
-        lam_ok = trial
-    if lam_fail is None:
+        points.append(BranchPoint(lam, fld, op, policy.tol))
+    else:
         raise ConvergenceError("minimal branch did not terminate within the point budget")
 
-    while (lam_fail - lam_ok) > policy.bracket_rtol * lam_fail and len(points) < policy.max_points + 32:
-        step = 0.5 * (lam_fail - lam_ok)
-        if step < policy.min_step_fraction * lam_fail:
-            break
-        trial = lam_ok + step
-        try:
-            fld = solve_min(trial, spec, op, tol=policy.tol, sub_hint=prev)
-        except ConvergenceError:
-            lam_fail = trial
-            continue
-        points.append(BranchPoint(trial, fld, op, policy.tol))
-        prev = fld
-        lam_ok = trial
-
-    points.sort(key=lambda p: p.lam)
-    w = _metric_weight(op, points[-1].sup_norm)
+    fold = _fold_point(op, spec, points[-1])
+    points.append(fold)
+    w = _metric_weight(op, fold.sup_norm)
     _assign_arclength(points, w)
-    return Branch(
-        points=points,
-        lambda_estimate=0.5 * (lam_ok + lam_fail),
-        bracket=(lam_ok, lam_fail),
-        metric_weight=w,
-    )
+    return Branch(points=points, lambda_estimate=fold.lam, metric_weight=w)
+
+
+def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
+    """The fold as the regular solution z = (u, phi, lam) of the Moore-Spence system
+
+        G(u, lam) = 0,   G_u(u, lam) phi = 0,   l.phi = 1
+
+    (Moore & Spence, SINUM 17, 1980), by damped Newton from `start` and its
+    principal eigenvector phi0, with l = phi0 / |phi0|^2; failure is a
+    ConvergenceError.  The Newton system G_u du + G_lam dlam = r1,
+    B du + G_u dphi + c dlam = r2, l.dphi = r3 (B = diag(d_potential * phi),
+    c = potential/lam * phi) is solved by bordering with one LU of
+    M = [[G_u, G_lam], [l, 0]], nonsingular at a simple fold (Govaerts, SIAM
+    2000, ch. 3): M (du, dlam) = (r1, t) and M (dphi, xi) = (r2 - B du -
+    c dlam, r3) are affine in t, and t makes xi = 0.
+    """
+    n, tol = op.n, start.tol
+    eq = Equation.of(op, spec, start.lam)
+    phi0 = start.eigenvector
+    l = phi0 / (phi0 @ phi0)
+
+    def parts(z):
+        return z[:n], z[n:-1], replace(eq, lam=z[-1])
+
+    def residual(z):
+        u, phi, at = parts(z)
+        return np.concatenate([at.residual(u), op.matrix @ phi + at.potential(u) * phi, [l @ phi - 1.0]])
+
+    def bound(z):
+        u, phi, at = parts(z)
+        phi_scale = 1.0 + np.abs(at.potential(u) * phi).max()
+        return np.concatenate([np.full(n, tol * at.scale(u)), np.full(n, tol * phi_scale), [tol]])
+
+    def step(z, r):
+        u, phi, at = parts(z)
+        solve = _lu_solver(np.block([[at.jacobian(u), at.d_dlam(u)[:, None]], [l, 0.0]]))
+        if solve is None:
+            return None
+        b, c = at.d_potential(u) * phi, replace(at, lam=1.0).potential(u) * phi
+        x = solve(np.column_stack([np.append(-r[:n], 0.0), np.append(np.zeros(n), 1.0)]))
+        y = solve(np.column_stack([np.append(-r[n:-1] - b * x[:n, 0] - c * x[n, 0], -r[-1]),
+                                   np.append(-b * x[:n, 1] - c * x[n, 1], 0.0)]))
+        t = -y[n, 0] / y[n, 1]
+        dx, dy = x[:, 0] + t * x[:, 1], y[:, 0] + t * y[:, 1]
+        return np.concatenate([dx[:n], dy[:n], dx[n:]])
+
+    def trial(z, t, dz):
+        zt = z + t * dz
+        return zt if zt[:n].min() > 0.0 and zt[-1] > 0.0 else None
+
+    z0 = np.concatenate([start.solution.values, phi0, [start.lam]])
+    scale = bound(z0)
+    try:
+        z, r, b = damped_newton(z0, residual, lambda r: np.abs(r / scale).max(), bound, step, trial, 20, 30)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"no fold found from lambda = {start.lam!r}: {exc}", residual=exc.residual) from exc
+    lam = float(z[-1])
+    fld = SolutionField(z[:n], op.grid, spec.with_lambda(lam), float(np.abs(r[:n]).max()), float(b[0]))
+    return BranchPoint(lam, fld, op, tol, segment="fold")
 
 
 def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
@@ -281,29 +320,20 @@ def _tangent(w, zprev, zcurr, prev_tangent=None):
     return udot, lamdot
 
 
-def _arclength_points(op, spec, policy: FoldPolicy, w, start, upper):
-    """Pseudo-arclength continuation onward from the two points `start`.
+def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tangent, segment: str):
+    """Pseudo-arclength continuation from `start` along the unit `tangent`.
 
-    Yields one BranchPoint per step, at most policy.steps of them; the caller
-    decides where to stop.  Points are "minimal" until dlam/ds first turns
-    negative and "upper" from then on (from the start when `upper`).  Started
-    on the minimal segment, it rounds the fold with the step capped at DS_FOLD
-    near it (see the step-control constants).  A corrector failing at every
-    step length raises _StepFailure.  A step computes no lambda1 or monitor:
-    the points compute them when read, so only a caller reading them meets
-    their failures.
+    Yields one BranchPoint per step, labelled `segment`, at most policy.steps
+    of them; the caller decides where to stop.  Arclength runs on from
+    start's.  A corrector failing at every step length raises _StepFailure.
+    A step computes no lambda1 or monitor: the points compute them when read,
+    so only a caller reading them meets their failures.
     """
-    rounding = not upper
     eq = Equation.of(op, spec, 0.0)
-    prev, last = start
-    z = (last.solution.values, last.lam)
-    tangent = _tangent(w, (prev.solution.values, prev.lam), z)
+    z = (start.solution.values, start.lam)
     ds = policy.ds
-    sigma = last.arclength
-    n_upper = 0
+    sigma = start.arclength
     for _ in range(policy.steps):
-        if rounding and n_upper < FIT_HALFWIDTH and abs(tangent[1]) < SHRINK_ZONE:
-            ds = min(ds, DS_FOLD)
         while ds >= DS_MIN and (out := _corrector(eq, z, tangent, ds, w, policy.tol)) is None:
             ds *= 0.5
         if ds < DS_MIN:
@@ -313,10 +343,8 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start, upper):
         tangent = _tangent(w, z, (u, lam), tangent)
         du = u - z[0]
         sigma += float(np.sqrt(w ** 2 * (du @ du) + (lam - z[1]) ** 2))
-        upper = upper or tangent[1] < 0.0
-        n_upper += upper
         fld = SolutionField(values=u, grid=op.grid, spec=spec.with_lambda(lam), residual=res, residual_bound=bound)
-        yield BranchPoint(lam, fld, op, policy.tol, sigma, "upper" if upper else "minimal")
+        yield BranchPoint(lam, fld, op, policy.tol, sigma, segment)
         z = (u, lam)
 
 
@@ -327,53 +355,36 @@ def fold_round(
     spec: ProblemSpec,
     policy: FoldPolicy = FoldPolicy(),
 ) -> Branch:
-    """Round the fold by pseudo-arclength and append upper-segment points.
+    """Round the fold from the traced fold point and append the upper segment.
 
-    Continues from the end of the minimal segment, detects the turning point
-    as the sign change of dlam/ds, fits lam(arclength) by a quadratic around
-    the sample of maximal lam, and stores the fold data (apex slope after
-    normalization by the lam scale, curvature, solution at the fold).
+    At the fold the branch's tangent is (phi, 0), phi the principal
+    eigenvector there.  FIT_HALFWIDTH steps of DS_FOLD along -phi walk back
+    down the minimal segment, as many along +phi start the upper one, and the
+    upper segment then continues under `policy` until lam falls below 0.85
+    of the fold's.  lam(arclength) is fitted by a quadratic over these points
+    and the fold, as a check independent of the fold solve: the apex slope
+    (normalized by the lam scale) and the curvature are stored.
     """
-    minimal = branch.minimal_points()
-    if len(minimal) < 2:
-        raise ValueError("fold rounding needs at least two minimal-branch points")
-    lam_est = branch.lambda_estimate if branch.lambda_estimate is not None else minimal[-1].lam
-    w = _metric_weight(op, minimal[-1].sup_norm)
+    fold = branch.fold_point()
+    w = _metric_weight(op, fold.sup_norm)
+    phi = fold.eigenvector / (w * np.linalg.norm(fold.eigenvector))
+    near = FoldPolicy(ds=DS_FOLD, ds_max=DS_FOLD, steps=FIT_HALFWIDTH, tol=policy.tol)
+    back = list(_arclength_points(op, spec, near, w, fold, (-phi, 0.0), "minimal"))
+    for p in back:
+        p.arclength = 2.0 * fold.arclength - p.arclength
+    window = back[::-1] + [fold] + list(_arclength_points(op, spec, near, w, fold, (phi, 0.0), "upper"))
 
-    new_points: list[BranchPoint] = []
-    for point in _arclength_points(op, spec, policy, w, minimal[-2:], upper=False):
-        new_points.append(point)
-        if point.segment == "upper" and len(new_points) >= 8 and point.lam < 0.85 * lam_est:
-            break
-    if not any(p.segment == "upper" for p in new_points):
-        raise ConvergenceError("continuation did not pass the fold within the step budget")
-
-    combined = minimal + new_points
-    apex = max(combined, key=lambda p: p.lam)
-    idx = combined.index(apex)
-    lo = max(len(minimal) - 2, idx - FIT_HALFWIDTH)  # not into the coarse points before the arclength start
-    hi = min(len(combined), idx + FIT_HALFWIDTH + 1)
-    window = combined[lo:hi]
-    sig = np.array([p.arclength for p in window]) - apex.arclength
+    sig = np.array([p.arclength for p in window]) - fold.arclength
     lams = np.array([p.lam for p in window])
     coeffs = np.polyfit(sig, lams, 2)
-    fit_residual = float(np.abs(np.polyval(coeffs, sig) - lams).max())
-    apex.segment = "fold"
-    fold = FoldInfo(
-        lambda_estimate=lam_est,
-        bracket=branch.bracket if branch.bracket is not None else (minimal[-1].lam, apex.lam),
+    info = FoldInfo(
         quadratic_coeff=2.0 * float(coeffs[0]),
-        u_at_fold=apex.solution,
-        lambda_prime=float(coeffs[1]) / lam_est,
-        fit_residual=fit_residual,
+        u_at_fold=fold.solution,
+        lambda_prime=float(coeffs[1]) / fold.lam,
+        fit_residual=float(np.abs(np.polyval(coeffs, sig) - lams).max()),
     )
-    return Branch(
-        points=combined,
-        fold=fold,
-        lambda_estimate=branch.lambda_estimate,
-        bracket=branch.bracket,
-        metric_weight=w,
-    )
+    rounded = Branch(branch.minimal_points() + window, info, branch.lambda_estimate, w)
+    return _extend_upper(rounded, op, spec, policy, stop=lambda p: p.lam < 0.85 * fold.lam)
 
 
 def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
@@ -387,11 +398,13 @@ def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
     upper = branch.upper_points()
     if len(upper) < 2:
         raise ValueError("branch has no rounded upper segment to extend")
-    w = _metric_weight(op, branch.fold.u_at_fold.sup_norm if branch.fold else upper[-1].sup_norm)
+    w = branch.metric_weight
     if stop(branch.points[-1]):
         return branch
+    prev, last = upper[-2:]
+    tangent = _tangent(w, (prev.solution.values, prev.lam), (last.solution.values, last.lam))
     with suppress(_StepFailure):
-        for point in _arclength_points(op, spec, policy, w, upper[-2:], upper=True):
+        for point in _arclength_points(op, spec, policy, w, last, tangent, "upper"):
             branch.points.append(point)
             if stop(point) or point.lam <= 1e-8:
                 break

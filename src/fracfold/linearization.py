@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .blas import single_pool
 from .errors import ConvergenceError
@@ -45,10 +45,9 @@ from .operator import (
     _lanczos_largest,
     _shift_invert_pairs,
     _try_cholesky,
-    _try_lu,
 )
 from .problem import ProblemSpec, no_nonlinearity
-from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, solve_A
+from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, _lu_solver, solve_A
 
 __all__ = [
     "LinearizedOperator",
@@ -68,10 +67,8 @@ MONITOR_RTOL = 1e-8
 
 @dataclass(eq=False)
 class LinearizedOperator:
-    """J = base + diag(potential) = P - diag(fprime); each factor is computed once, on first use."""
+    """J = P - diag(fprime); each factor is computed once, on first use."""
 
-    base: NonlocalOperator
-    potential: np.ndarray
     matrix: np.ndarray
     fprime: np.ndarray
 
@@ -91,8 +88,7 @@ class LinearizedOperator:
         cho = self.cholesky
         if cho is not None:
             return lambda x: cho_solve(cho, x, check_finite=False)
-        lu = _try_lu(self.matrix)
-        return None if lu is None else (lambda x: lu_solve(lu, x, check_finite=False))
+        return _lu_solver(self.matrix)
 
 
 def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
@@ -105,7 +101,7 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
     if not np.all(np.isfinite(potential)):
         raise ValueError("linearized potential is not finite")
     fprime = lam * spec.nonlinearity.fprime(uv)
-    return LinearizedOperator(base=op, potential=potential, matrix=eq.jacobian(uv), fprime=fprime)
+    return LinearizedOperator(matrix=eq.jacobian(uv), fprime=fprime)
 
 
 @single_pool

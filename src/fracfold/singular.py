@@ -9,8 +9,9 @@ handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
 diag(potential)) and dG/dlam; the caller gives the linear step (Cholesky for
 the solves below, LU for the second solutions and multistarts in
-`continuation`, a bordered LU for its arclength corrector) and the trial map
-(the positivity floor here, rejection of nonpositive trials in the corrector).
+`continuation`, a bordered LU for its arclength corrector and its fold solve)
+and the trial map (the positivity floor here, rejection of nonpositive trials
+in `continuation`).
 
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
@@ -26,6 +27,7 @@ without the arithmetic floor binding at convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve, lu_solve
@@ -34,7 +36,7 @@ from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError
 from .operator import Grid, NonlocalOperator, _try_cholesky, _try_lu, principal_eigenpair, solve_dirichlet
 from .problem import Nonlinearity, ProblemSpec, RegularizedSpec, no_nonlinearity
-from .weights import NormReport, build_weight_profile, cone_norms, fit_boundary_exponent
+from .weights import NormReport
 
 __all__ = [
     "SolutionField",
@@ -106,6 +108,11 @@ class Equation:
         """Diagonal part of the Jacobian: dG/du = A + diag(potential)."""
         singular = self.lam * self.delta * self.k * (u + self.eps) ** (-self.delta - 1.0)
         return singular - self.lam * self.nonlinearity.fprime(u)
+
+    def d_potential(self, u: np.ndarray) -> np.ndarray:
+        """d(potential)/du: the second derivative G_uu[v, w] is d_potential * v * w."""
+        singular = self.lam * self.delta * (self.delta + 1.0) * self.k * (u + self.eps) ** (-self.delta - 2.0)
+        return -singular - self.lam * self.nonlinearity.fsecond(u)
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         return self.op.matrix + np.diag(self.potential(u))
@@ -182,10 +189,15 @@ def _cholesky_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return None if factor is None else cho_solve(factor, rhs, check_finite=False)
 
 
+def _lu_solver(jac: np.ndarray):
+    """x -> jac^-1 x by one LU with partial pivoting, or None when jac is not finite or exactly singular."""
+    lu = _try_lu(jac)
+    return None if lu is None else partial(lu_solve, lu, check_finite=False)
+
+
 def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """jac^-1 rhs by LU with partial pivoting, or None when jac is not finite or exactly singular."""
-    lu = _try_lu(jac)
-    return None if lu is None else lu_solve(lu, rhs, check_finite=False)
+    return None if (solve := _lu_solver(jac)) is None else solve(rhs)
 
 
 def solve_regularized(rspec: RegularizedSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
@@ -381,12 +393,4 @@ def solve_min(
     sub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
     if sub_hint is not None:
         sub = np.maximum(sub, _field_values(sub_hint))
-    field = monotone_iterate(lam, sub, op, spec, tol=tol)
-    pair = principal_eigenpair(op)
-    profile = build_weight_profile(pair.vector, spec.s, spec.delta, spec.beta)
-    field.report = cone_norms(field.values, profile)
-    try:
-        field.report.fitted_exponent, field.report.fit_r2 = fit_boundary_exponent(field.values, op.grid)
-    except ValueError:
-        pass
-    return field
+    return monotone_iterate(lam, sub, op, spec, tol=tol)

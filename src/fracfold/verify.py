@@ -31,7 +31,7 @@ from .errors import ConvergenceError
 from .linearization import lambda1, sensitivity_bundle
 from .operator import assemble_operator, build_grid, normalization_constant, principal_eigenpair, solve_dirichlet
 from .problem import ProblemSpec, power_nonlinearity
-from .singular import scale_pure_singular, solve_A, solve_min, solve_pure_singular
+from .singular import Equation, scale_pure_singular, solve_A, solve_min, solve_pure_singular
 from .weights import classify_regime, fit_boundary_exponent, holder_seminorm, hs_membership_indicator, Regime
 
 __all__ = ["VerificationRecord", "VerificationReport", "verify_suite", "SUITES", "format_report"]
@@ -371,7 +371,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     records = []
     estimates = {}
     for n in (512, 1024):
-        branch = _traced(cache, n, cfg.newton_tol)
+        branch = _folded(cache, n, cfg.newton_tol)
         estimates[n] = branch.lambda_estimate
         l1 = [p.lambda1 for p in branch.minimal_points()]
         tail = l1[-4:]
@@ -430,6 +430,20 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             lam1 is not None and lam1 > 0.0,
         )
     )
+    fold = _folded(cache, 512, cfg.newton_tol).fold_point()
+    res = float(np.abs(Equation.of(op, _BRANCH_SPEC, lam_est).residual(fold.solution.values)).max())
+    records.append(
+        _record(
+            "branch-fold-point",
+            "the fold point solves the problem at the extremal parameter, where lambda1 vanishes with phi > 0",
+            {"n": 512, **_params(_BRANCH_SPEC)},
+            "residual <= its bound, |lambda1| <= 1e-6, phi > 0",
+            f"residual {res:.2e} (bound {fold.solution.residual_bound:.2e}), lambda1 {fold.lambda1:.1e}, "
+            f"min phi {fold.eigenvector.min():.3f}",
+            "1e-6",
+            res <= fold.solution.residual_bound and abs(fold.lambda1) <= 1e-6 and fold.eigenvector.min() > 0.0,
+        )
+    )
     return records
 
 
@@ -463,8 +477,7 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     for name, spec, branch in sets:
         fold = branch.fold
         apex = max(p.lam for p in branch.points)
-        width = branch.bracket[1] - branch.bracket[0]
-        consistent = abs(apex - branch.lambda_estimate) <= max(width, 1e-3 * branch.lambda_estimate)
+        consistent = abs(apex - branch.lambda_estimate) <= 1e-3 * branch.lambda_estimate
         records.append(
             _record(
                 name,
@@ -672,33 +685,19 @@ def _params(spec: ProblemSpec) -> dict:
 
 
 SUITES = {
-    "discretization": [check_discretization],
-    "comparison": [check_comparison],
-    "scaling": [check_scaling],
-    "rates": [check_rates],
-    "hs-threshold": [check_hs_threshold],
-    "holder": [check_holder],
-    "branch": [check_branch],
-    "fold": [check_fold],
-    "multiplicity": [check_multiplicity],
-    "asymptotic": [check_asymptotic],
-    "sensitivity": [check_sensitivity],
-    "uniqueness": [check_uniqueness],
+    "discretization": check_discretization,
+    "comparison": check_comparison,
+    "scaling": check_scaling,
+    "rates": check_rates,
+    "hs-threshold": check_hs_threshold,
+    "holder": check_holder,
+    "branch": check_branch,
+    "fold": check_fold,
+    "multiplicity": check_multiplicity,
+    "asymptotic": check_asymptotic,
+    "sensitivity": check_sensitivity,
+    "uniqueness": check_uniqueness,
 }
-SUITES["all"] = [fn for name in (
-    "discretization",
-    "comparison",
-    "scaling",
-    "rates",
-    "hs-threshold",
-    "holder",
-    "branch",
-    "fold",
-    "multiplicity",
-    "asymptotic",
-    "sensitivity",
-    "uniqueness",
-) for fn in SUITES[name]]
 
 
 @single_pool
@@ -708,22 +707,22 @@ def verify_suite(cfg: RunConfig, suites: list[str] | None = None) -> Verificatio
         suites = [name.strip() for name in cfg.suites.split(",") if name.strip()]
     cache = _Cache()
     report = VerificationReport()
-    for name in suites:
+    for name in (one for name in suites for one in (SUITES if name == "all" else [name])):
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        for fn in SUITES[name]:
-            try:
-                report.records.extend(fn(cfg, cache))
-            except Exception as exc:  # a failed module run is a failed record, not a crash
-                report.records.append(
-                    _record(
-                        f"{fn.__name__}-error",
-                        "check executed without raising",
-                        {},
-                        "completion",
-                        f"{type(exc).__name__}: {exc}",
-                        "no exception",
-                        False,
-                    )
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        fn = SUITES[name]
+        try:
+            report.records.extend(fn(cfg, cache))
+        except Exception as exc:  # a failed module run is a failed record, not a crash
+            report.records.append(
+                _record(
+                    f"{fn.__name__}-error",
+                    "check executed without raising",
+                    {},
+                    "completion",
+                    f"{type(exc).__name__}: {exc}",
+                    "no exception",
+                    False,
                 )
+            )
     return report

@@ -91,17 +91,19 @@ def test_criterion_07_minimal_branch(accept_cfg, accept_cache):
     _run(check_branch, accept_cfg, accept_cache)
 
 
-@pytest.mark.parametrize("factor, passes", [(1.0, True), (1.1, False)])
+@pytest.mark.parametrize("factor, passes", [(0.9, False), (1.0, True), (1.1, False)])
 def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cache, factor, passes):
-    # the traced branches with their extremal parameter planted 10 % high: it
-    # then exceeds the phi_1 bound, and no solution exists at 0.95 of it
+    # the folded branches with their extremal parameter planted 10 % off.  Too
+    # high, it exceeds the phi_1 bound and no solution exists at 0.95 of it;
+    # too low, only the fold point catches it, as it no longer solves there
     cache = _Cache()
     for n in (512, 1024):
-        branch = verify._traced(accept_cache, n, accept_cfg.newton_tol)
-        cache[("branch", n)] = replace(branch, lambda_estimate=factor * branch.lambda_estimate)
+        branch = verify._folded(accept_cache, n, accept_cfg.newton_tol)
+        cache[("folded", n)] = replace(branch, lambda_estimate=factor * branch.lambda_estimate)
     records = {r.name: r for r in check_branch(accept_cfg, cache)}
+    assert records["branch-fold-point"].passed is passes, records["branch-fold-point"]
     for name in ("branch-nonexistence", "branch-existence"):
-        assert records[name].passed is passes, records[name]
+        assert records[name].passed is (passes or factor < 1.0), records[name]
 
 
 def test_criterion_08_fold_bending(accept_cfg, accept_cache):

@@ -4,13 +4,15 @@ import pytest
 import fracfold.continuation
 from fracfold import ConvergenceError, solve_min
 from fracfold.continuation import (
+    _fold_point,
     asymptotic_bifurcation_probe,
     multiplicity_scan,
     small_solution_cap,
+    trace_minimal,
     uniqueness_probe,
 )
-from fracfold.singular import Equation, _lu_step
-from fracfold.verify import _folded, _nonexistence_bound
+from fracfold.singular import Equation, _lu_solver, _lu_step
+from fracfold.verify import _folded, _nonexistence_bound, _traced
 
 
 def test_trace_orders_and_positivity(folded_branch):
@@ -18,9 +20,10 @@ def test_trace_orders_and_positivity(folded_branch):
     sups = [p.sup_norm for p in minimal]
     assert all(a < b for a, b in zip(sups, sups[1:]))
     assert all(p.lambda1 > 0.0 for p in minimal)
-    lo, hi = folded_branch.bracket
-    assert lo < folded_branch.lambda_estimate <= hi
-    assert (hi - lo) <= 1.1e-3 * hi
+    fold = folded_branch.fold_point()
+    assert folded_branch.lambda_estimate == fold.lam
+    assert max(p.lam for p in minimal) < fold.lam
+    assert max(sups) < fold.sup_norm
 
 
 def test_every_point_meets_its_stored_residual_bound(folded_branch):
@@ -36,6 +39,47 @@ def test_lambda1_changes_sign_exactly_once(folded_branch):
     assert changes == 1
 
 
+def test_trace_stops_solving_at_the_first_failed_step(monkeypatch, op256_s04, canonical_spec):
+    # one solve per geometric point plus the failing step; past it the fold is
+    # solved for, not bracketed by more solves that may fail for any reason
+    lams = []
+    original = fracfold.continuation.solve_min
+
+    def counted(lam, *args, **kwargs):
+        lams.append(lam)
+        return original(lam, *args, **kwargs)
+
+    monkeypatch.setattr(fracfold.continuation, "solve_min", counted)
+    branch = trace_minimal(canonical_spec, op256_s04)
+    assert len(lams) == len(branch.minimal_points()) + 1
+    assert lams[-1] > branch.lambda_estimate
+    assert branch.points[-1] is branch.fold_point()
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache, canonical_spec, n):
+    # the Moore-Spence solve from the last geometric point takes a few Newton
+    # steps to a positive u and phi, and no arclength sample lies above it
+    tol = accept_cfg.newton_tol
+    traced = _traced(accept_cache, n, tol)
+    sizes = []
+
+    def counted(jac):
+        sizes.append(len(jac))
+        return _lu_solver(jac)
+
+    monkeypatch.setattr(fracfold.continuation, "_lu_solver", counted)
+    op = accept_cache.operator(1.0, n, canonical_spec.s)
+    fold = _fold_point(op, canonical_spec, traced.minimal_points()[-1])
+    assert 1 <= len(sizes) <= 6 and set(sizes) == {n + 1}  # one bordered LU per Newton step
+    assert fold.lam == traced.lambda_estimate
+    assert fold.solution.values.min() > 0.0
+    assert fold.eigenvector.min() > 0.0
+    monkeypatch.undo()
+    apex = max(p.lam for p in _folded(accept_cache, n, tol).points)
+    assert abs(apex - fold.lam) <= 1e-6 * fold.lam
+
+
 def _assert_fold_bends(branch):
     fold = branch.fold
     assert fold is not None
@@ -43,8 +87,7 @@ def _assert_fold_bends(branch):
     assert fold.quadratic_coeff < 0.0
     assert fold.fit_residual <= 1e-4
     apex = max(p.lam for p in branch.points)
-    lo, hi = fold.bracket
-    assert abs(apex - branch.lambda_estimate) <= max(hi - lo, 1e-3 * hi)
+    assert abs(apex - branch.lambda_estimate) <= 1e-6 * branch.lambda_estimate
 
 
 def test_fold_bending(folded_branch):
@@ -52,8 +95,8 @@ def test_fold_bending(folded_branch):
 
 
 def test_fold_bending_n512(accept_cfg, accept_cache):
-    # fewer than FIT_HALFWIDTH arclength points precede the apex here; the fit
-    # window must not reach back into the coarse geometric and bisection points
+    # the fit window is the FIT_HALFWIDTH arclength points on either side of
+    # the solved fold, never the coarse geometric points before them
     _assert_fold_bends(_folded(accept_cache, 512, accept_cfg.newton_tol))
 
 
@@ -196,8 +239,7 @@ def test_uniqueness_probe_requires_window(folded_branch, op256_s04, canonical_sp
 
 def test_lambda1_extrapolation_predicts_fold(folded_branch):
     # linear extrapolation of the last two stability eigenvalues to zero lands
-    # at the fold estimate (square-root vanishing makes it land just beyond,
-    # within a couple of bracket widths)
+    # at the solved fold (square-root vanishing makes it land just beyond)
     minimal = folded_branch.minimal_points()
     (l1a, la), (l1b, lb) = [(p.lambda1, p.lam) for p in minimal[-2:]]
     slope = (l1b - l1a) / (lb - la)

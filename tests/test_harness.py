@@ -33,7 +33,7 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_removed_keys():
     for section, name in (("tolerances", "eps_stop"), ("tolerances", "eigen_tol"),
                           ("continuation", "probe_steps"), ("continuation", "growth_cap"),
-                          ("continuation", "lambda1_threshold")):
+                          ("continuation", "lambda1_threshold"), ("continuation", "bracket_rtol")):
         with pytest.raises(ValueError):
             parse_config(f"[{section}]\n{name} = 1\n")
 
@@ -119,8 +119,8 @@ def test_cli_branch_csv(tmp_path, capsys):
 def test_cli_verify_exit_codes(tmp_path, monkeypatch):
     passing = VerificationRecord("ok", "", {}, "1", "1", "", True)
     failing = VerificationRecord("bad", "", {}, "1", "2", "", False)
-    monkeypatch.setitem(SUITES, "fake-pass", [lambda cfg, cache: [passing]])
-    monkeypatch.setitem(SUITES, "fake-fail", [lambda cfg, cache: [passing, failing]])
+    monkeypatch.setitem(SUITES, "fake-pass", lambda cfg, cache: [passing])
+    monkeypatch.setitem(SUITES, "fake-fail", lambda cfg, cache: [passing, failing])
     assert main(["verify", "--suite", "fake-pass", "--out", str(tmp_path / "p")]) == 0
     assert main(["verify", "--suite", "fake-fail", "--out", str(tmp_path / "f")]) == 2
     report = json.loads((tmp_path / "f" / "verification.json").read_text())
@@ -168,6 +168,7 @@ def test_cli_solve_plambda(tmp_path):
     assert payload["params"]["p"] == 2.0
     assert payload["params"]["lambda"] == 0.1
     assert min(payload["values"]) > 0.0
+    assert payload["cone_norm"] > 0.0 and payload["fitted_exponent"] is not None
 
 
 def test_cli_solve_past_the_fold_is_a_clean_error(tmp_path, capsys):

@@ -245,7 +245,7 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
 def test_monitor_zero_when_linearization_is_singular(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     singular = np.diag(np.arange(192.0))
-    lin = LinearizedOperator(base=op192, potential=np.zeros(192), matrix=singular, fprime=np.ones(192))
+    lin = LinearizedOperator(matrix=singular, fprime=np.ones(192))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # LU reports the zero pivot
         assert fredholm_monitor(0.2, pure_field.values, op192, spec, lin=lin) == 0.0
