@@ -13,7 +13,6 @@ from .operator import (
     apply,
     assemble_operator,
     build_grid,
-    eigen_smallest,
     green_column,
     normalization_constant,
     solve_dirichlet,

@@ -91,7 +91,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read_string(text)
     values = {}
     for section in parser.sections():

@@ -198,6 +198,17 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
     return Branch(points=points, lambda_estimate=fold.lam, metric_weight=w)
 
 
+def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):
+    """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for _lu_solver."""
+    n = len(u)
+    mat = np.empty((n + 1, n + 1))  # filled in place: np.block takes 20 times as long at n = 256
+    mat[:n, :n] = at.jacobian(u)
+    mat[:n, n] = at.d_dlam(u)
+    mat[n, :n] = row
+    mat[n, n] = corner
+    return _lu_solver(mat)
+
+
 def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
     """The fold as the regular solution z = (u, phi, lam) of the Moore-Spence system
 
@@ -231,7 +242,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
 
     def step(z, r):
         u, phi, at = parts(z)
-        solve = _lu_solver(np.block([[at.jacobian(u), at.d_dlam(u)[:, None]], [l, 0.0]]))
+        solve = _bordered_solver(at, u, l, 0.0)
         if solve is None:
             return None
         b, c = at.d_potential(u) * phi, replace(at, lam=1.0).potential(u) * phi
@@ -280,13 +291,8 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
         return np.append(np.full(n, tol * replace(eq, lam=z[n]).scale(z[:n])), tol * (1.0 + ds))
 
     def step(z, r):
-        u, at = z[:n], replace(eq, lam=z[n])
-        jac = np.empty((n + 1, n + 1))
-        jac[:n, :n] = at.jacobian(u)
-        jac[:n, n] = at.d_dlam(u)
-        jac[n, :n] = w ** 2 * udot
-        jac[n, n] = lamdot
-        return _lu_step(jac, -r)
+        solve = _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
+        return None if solve is None else solve(-r)
 
     def trial(z, t, dz):
         zt = z + t * dz

@@ -15,26 +15,28 @@ of J (of J - mu*I with the Gershgorin shift mu when J is indefinite), and the
 monitor runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J's factor
 (Cholesky, or LU when J is indefinite) per step.
 
-The solution operator T(lam, h) of A u - lam K u^(-delta) = h is twice
-differentiable; its derivative fields solve
+The solution operator T(lam, h) of G(u, lam) = A u - lam K u^-delta - h = 0
+is twice differentiable.  Implicit differentiation gives its derivative
+fields as solves with P = G_u, the linearization without f:
 
     P v    = phi                                     (direction phi in h)
-    P w1   = K u^-delta                              (d/dlam)
-    P w11  = lam d(d+1) K u^(-d-2) w1^2 - 2 d K u^(-d-1) w1
-    P w12  = lam d(d+1) K u^(-d-2) w1 v  -   d K u^(-d-1) v
-    P w22  = lam d(d+1) K u^(-d-2) v_phi v_psi
+    P w1   = -G_lam                                  (d/dlam)
+    P w11  = -G_uu[w1, w1] - 2 G_ulam w1
+    P w12  = -G_uu[w1, v]  -   G_ulam v
+    P w22  = -G_uu[v_phi, v_psi]
 
-(obtained by implicit differentiation; all right-hand sides are checked
-against finite differences of the solve itself in the test suite).
+with G_uu[a, b] = Equation.d_potential * a * b and G_ulam the potential at
+lam = 1.  All right-hand sides are checked against finite differences of the
+solve itself in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .blas import single_pool
 from .errors import ConvergenceError
@@ -54,7 +56,6 @@ __all__ = [
     "SensitivityBundle",
     "linearized_operator",
     "lambda1",
-    "lambda1_pairs",
     "d2A_directional",
     "sensitivity_bundle",
     "fredholm_monitor",
@@ -105,20 +106,30 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
 
 
 @single_pool
-def lambda1_pairs(
-    lam: float, u, op: NonlocalOperator, spec: ProblemSpec, k: int = 2, tol: float = DEFAULT_TOL, lin=None
-) -> list[EigenPair]:
-    """k smallest eigenpairs of the linearization (first one is principal).
+def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
+    """Principal eigenpair of the linearization around u.
 
     Pass `lin` to reuse a linearization, and its factors, built at (lam, u).
     """
     lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
-    return _shift_invert_pairs(lin.matrix, k, lin.spectral_factor, tol)
+    return _shift_invert_pairs(lin.matrix, 1, lin.spectral_factor, tol)[0]
 
 
-def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
-    """Principal eigenpair of the linearization around u (`lin` as in lambda1_pairs)."""
-    return lambda1_pairs(lam, u, op, spec, k=1, tol=tol, lin=lin)[0]
+def _derivative_system(lam: float, h, op: NonlocalOperator, spec: ProblemSpec, tol: float, u):
+    """(u, Equation, P) at u = T(lam, h), both without f; P is an M-matrix plus a nonnegative diagonal."""
+    if u is None:
+        u = solve_A(lam, np.asarray(h, dtype=float), op, spec, tol=tol)
+    spec = replace(spec, nonlinearity=no_nonlinearity())
+    return _field_values(u), Equation.of(op, spec, lam), linearized_operator(lam, u, op, spec)
+
+
+def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str) -> tuple[np.ndarray, float]:
+    """(P^-1 rhs, sup residual), raising when the residual exceeds tol * (1 + sup|rhs|)."""
+    x = p.solve(rhs)
+    res = float(np.abs(p.matrix @ x - rhs).max())
+    if not res <= tol * (1.0 + np.abs(rhs).max()):  # also rejects a NaN residual
+        raise RuntimeError(f"{name} solve residual {res:.3e} exceeds tolerance")
+    return x, res
 
 
 @single_pool
@@ -136,16 +147,8 @@ def d2A_directional(
     v solves (A + lam delta K u^(-delta-1)) v = phi at u = T(lam, h); the
     potential is nonnegative, so the system is always solvable.
     """
-    phi = np.asarray(phi, dtype=float)
-    if u is None:
-        u = solve_A(lam, h, op, spec, tol=tol)
-    mat = Equation(op, spec.k_field(op.grid), spec.delta, no_nonlinearity(), lam).jacobian(_field_values(u))
-    factor = cho_factor(mat, lower=True)
-    v = cho_solve(factor, phi, check_finite=False)
-    res = np.abs(mat @ v - phi).max()
-    if not res <= tol * (1.0 + np.abs(phi).max()):  # also rejects a NaN residual
-        raise RuntimeError(f"directional solve residual {res:.3e} exceeds tolerance")
-    return v
+    *_, p = _derivative_system(lam, h, op, spec, tol, u)
+    return _checked_solve(p, np.asarray(phi, dtype=float), tol, "directional")[0]
 
 
 @dataclass(eq=False)
@@ -175,42 +178,25 @@ def sensitivity_bundle(
     directions = (phi, psi) are the forcing-slot directions; psi defaults to
     phi.  Every field's residual is recorded and checked against tol.
     """
-    h = np.asarray(h, dtype=float)
-    if u is None:
-        u = solve_A(lam, h, op, spec, tol=tol)
-    uv = _field_values(u)
-    n = op.n
     if directions is None:
-        phi = np.ones(n)
-        psi = phi
-    else:
-        phi = np.asarray(directions[0], dtype=float)
-        psi = np.asarray(directions[1], dtype=float) if directions[1] is not None else phi
-    k = spec.k_field(op.grid)
-    d = spec.delta
-    mat = Equation(op, k, d, no_nonlinearity(), lam).jacobian(uv)
-    factor = cho_factor(mat, lower=True)
-
-    rhs = {}
-    rhs["w1"] = k * uv ** -d
-    w1 = cho_solve(factor, rhs["w1"], check_finite=False)
-    rhs["v"] = phi
-    v = cho_solve(factor, phi, check_finite=False)
-    v_psi = v if psi is phi else cho_solve(factor, psi, check_finite=False)
-    rhs["w11"] = lam * d * (d + 1.0) * k * uv ** (-d - 2.0) * w1 ** 2 - 2.0 * d * k * uv ** (-d - 1.0) * w1
-    w11 = cho_solve(factor, rhs["w11"], check_finite=False)
-    rhs["w12"] = lam * d * (d + 1.0) * k * uv ** (-d - 2.0) * w1 * v - d * k * uv ** (-d - 1.0) * v
-    w12 = cho_solve(factor, rhs["w12"], check_finite=False)
-    rhs["w22"] = lam * d * (d + 1.0) * k * uv ** (-d - 2.0) * v * v_psi
-    w22 = cho_solve(factor, rhs["w22"], check_finite=False)
-
-    fields = {"w1": w1, "v": v, "w11": w11, "w12": w12, "w22": w22}
+        directions = (np.ones(op.n), None)
+    phi = np.asarray(directions[0], dtype=float)
+    psi = phi if directions[1] is None else np.asarray(directions[1], dtype=float)
+    uv, eq, p = _derivative_system(lam, h, op, spec, tol, u)
+    g_uu = eq.d_potential(uv)
+    g_ulam = replace(eq, lam=1.0).potential(uv)
     residuals = {}
-    for name, field in fields.items():
-        res = float(np.abs(mat @ field - rhs[name]).max())
-        residuals[name] = res
-        if not res <= tol * (1.0 + np.abs(rhs[name]).max()):
-            raise RuntimeError(f"sensitivity solve {name} residual {res:.3e} exceeds tolerance")
+
+    def solve(name, rhs):
+        x, residuals[name] = _checked_solve(p, rhs, tol, f"sensitivity {name}")
+        return x
+
+    w1 = solve("w1", -eq.d_dlam(uv))
+    v = solve("v", phi)
+    v_psi = v if psi is phi else p.solve(psi)
+    w11 = solve("w11", -g_uu * w1 * w1 - 2.0 * g_ulam * w1)
+    w12 = solve("w12", -g_uu * w1 * v - g_ulam * v)
+    w22 = solve("w22", -g_uu * v * v_psi)
     return SensitivityBundle(w1=w1, w11=w11, w12=w12, w22=w22, v=v, residuals=residuals)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "assemble_operator",
     "apply",
     "solve_dirichlet",
-    "eigen_smallest",
     "green_column",
     "dump_triplets",
 ]
@@ -269,7 +268,7 @@ def _lanczos_largest(matvec, n: int, k: int, maxit: int | None = None):
         raise ConvergenceError(f"Lanczos iteration did not converge: {exc}") from exc
 
 
-def _shift_invert_pairs(mat, k, factor, tol, maxit=500) -> list[EigenPair]:
+def _shift_invert_pairs(mat, k, factor, tol) -> list[EigenPair]:
     """k smallest eigenpairs of symmetric mat from the Cholesky factor of mat - mu*I.
 
     As mu lies below the spectrum, the k smallest eigenvalues of mat are the
@@ -277,7 +276,7 @@ def _shift_invert_pairs(mat, k, factor, tol, maxit=500) -> list[EigenPair]:
     quotient of its Ritz vector; residuals are sup-norm on the sup-normalized
     vector.
     """
-    _, vecs = _lanczos_largest(lambda x: cho_solve(factor, x, check_finite=False), mat.shape[0], k, maxit)
+    _, vecs = _lanczos_largest(lambda x: cho_solve(factor, x, check_finite=False), mat.shape[0], k, 500)
     pairs: list[EigenPair] = []
     for x in vecs.T:
         mu = float(x @ (mat @ x))
@@ -292,7 +291,7 @@ def _shift_invert_pairs(mat, k, factor, tol, maxit=500) -> list[EigenPair]:
     return pairs
 
 
-def smallest_eigenpairs(mat: np.ndarray, k: int, tol: float = 1e-8, maxit: int = 500) -> list[EigenPair]:
+def smallest_eigenpairs(mat: np.ndarray, k: int, tol: float = 1e-8) -> list[EigenPair]:
     """k smallest eigenpairs of a dense symmetric matrix.
 
     Shift-invert Lanczos on one Cholesky factor: of mat itself when it is
@@ -302,22 +301,16 @@ def smallest_eigenpairs(mat: np.ndarray, k: int, tol: float = 1e-8, maxit: int =
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
     factor = _try_cholesky(mat) or _gershgorin_cholesky(mat)
-    return _shift_invert_pairs(mat, k, factor, tol, maxit)
+    return _shift_invert_pairs(mat, k, factor, tol)
 
 
-def eigen_smallest(op: NonlocalOperator, k: int, tol: float = 1e-8) -> list[EigenPair]:
-    """k smallest eigenpairs of the operator, first eigenvector positive."""
-    pairs = smallest_eigenpairs(op.matrix, k, tol=tol)
-    first = pairs[0]
-    if first.vector.min() <= 0.0:
-        raise ConvergenceError("principal eigenvector is not strictly positive", residual=first.residual)
-    return pairs
-
-
-def principal_eigenpair(op: NonlocalOperator, tol: float = 1e-8) -> EigenPair:
-    """Cached principal eigenpair (sup-normalized positive eigenfunction)."""
+def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
+    """Cached principal eigenpair of the operator (sup-normalized, strictly positive eigenvector)."""
     if "phi1" not in op._cache:
-        op._cache["phi1"] = eigen_smallest(op, 1, tol=tol)[0]
+        pair = smallest_eigenpairs(op.matrix, 1)[0]
+        if pair.vector.min() <= 0.0:
+            raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
+        op._cache["phi1"] = pair
     return op._cache["phi1"]
 
 

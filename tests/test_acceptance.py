@@ -122,6 +122,22 @@ def test_criterion_11_sensitivity_derivatives(accept_cfg, accept_cache):
     _run(check_sensitivity, accept_cfg, accept_cache)
 
 
+@pytest.mark.parametrize("planted", ["w1", "v", "w11", "w12", "w22"])
+def test_criterion_11_sensitivity_rejects_a_wrong_field(monkeypatch, accept_cfg, accept_cache, planted):
+    # the real bundle with one derivative field 0.1 % off: its record must
+    # fail, and the four others must still pass
+    real = verify.sensitivity_bundle
+
+    def planted_bundle(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        return replace(bundle, **{planted: (1.0 + 1e-3) * getattr(bundle, planted)})
+
+    monkeypatch.setattr(verify, "sensitivity_bundle", planted_bundle)
+    records = {r.name: r for r in check_sensitivity(accept_cfg, accept_cache)}
+    for name in ("w1", "v", "w11", "w12", "w22"):
+        assert records[f"sensitivity-{name}"].passed is (name != planted), records[f"sensitivity-{name}"]
+
+
 def test_criterion_12_small_lambda_uniqueness(accept_cfg, accept_cache):
     _run(check_uniqueness, accept_cfg, accept_cache)
 

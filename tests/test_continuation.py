@@ -260,13 +260,13 @@ def test_fold_curvature_matches_spectral_projection(folded_branch, op256_s04, ca
     # independent oracle: projecting the second-order branch expansion onto
     # the (near-)null eigenvector at the apex gives the bending coefficient
     # -phi.(G_uu[udot,udot]) / phi.G_lam in the arclength parametrization
-    from fracfold.linearization import lambda1_pairs
+    from fracfold.linearization import lambda1
 
     apex = max(folded_branch.points, key=lambda p: p.lam)
     u, lam = apex.solution.values, apex.lam
     w = folded_branch.metric_weight
     op, spec = op256_s04, canonical_spec
-    phi = lambda1_pairs(lam, u, op, spec, k=1)[0].vector
+    phi = lambda1(lam, u, op, spec).vector
     k = spec.k_field(op.grid)
     guu = -lam * (spec.delta * (spec.delta + 1.0) * k * u ** (-spec.delta - 2.0)
                   + spec.nonlinearity.fsecond(u))

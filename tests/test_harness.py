@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ def test_config_round_trip_identity():
     again = parse_config(text)
     assert again == cfg
     assert parse_config(serialize_config(again)) == again
+
+
+def test_readme_config_block_parses_to_defaults():
+    # the README's example file, inline `;` comments included, is the default configuration
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block) == RunConfig()
 
 
 def test_config_rejects_unknown_keys():

@@ -11,7 +11,6 @@ from fracfold.linearization import (
     d2A_directional,
     fredholm_monitor,
     lambda1,
-    lambda1_pairs,
     linearized_operator,
     sensitivity_bundle,
 )
@@ -40,7 +39,9 @@ def test_lambda1_matches_dense_oracle(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     lin = linearized_operator(0.2, pure_field.values, op192, spec)
     oracle = eigh(lin.matrix, eigvals_only=True)[:2]
-    pairs = lambda1_pairs(0.2, pure_field.values, op192, spec, k=2)
+    principal = lambda1(0.2, pure_field.values, op192, spec, lin=lin)
+    assert principal.value == pytest.approx(oracle[0], abs=1e-9 * max(1.0, abs(oracle[0])))
+    pairs = smallest_eigenpairs(lin.matrix, 2)
     assert pairs[0].value == pytest.approx(oracle[0], abs=1e-9 * max(1.0, abs(oracle[0])))
     assert pairs[1].value == pytest.approx(oracle[1], abs=1e-9 * max(1.0, abs(oracle[1])))
     gap = (pairs[1].value - pairs[0].value) / abs(pairs[0].value)
@@ -139,6 +140,28 @@ def test_bundle_finite_difference_cross_checks(op192):
         + tsolve(lam - t, h - t * phi)
     ) / (4.0 * t ** 2)
     assert np.abs(w12_fd - bundle.w12).max() <= 1e-2 * (1.0 + np.abs(bundle.w12).max())
+
+
+def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
+    # one counted Cholesky of P serves every derivative field, and the
+    # directional solve is the bundle's v to the last bit
+    import fracfold.operator as op_mod
+
+    spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
+    h = np.full(192, 0.4)
+    phi = np.cos(0.5 * np.pi * op192.grid.nodes)
+    base = solve_A(0.3, h, op192, spec)
+    calls = []
+    original = op_mod.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(op_mod, "cho_factor", counted)
+    bundle = sensitivity_bundle(0.3, h, op192, spec, directions=(phi, phi), u=base)
+    assert calls == [(192, 192)]
+    assert np.array_equal(d2A_directional(0.3, h, phi, op192, spec, u=base), bundle.v)
 
 
 def test_monitor_identity_without_nonlinearity(op192, pure_field):

@@ -9,11 +9,10 @@ from fracfold import (
     apply,
     assemble_operator,
     build_grid,
-    eigen_smallest,
     green_column,
     solve_dirichlet,
 )
-from fracfold.operator import dump_triplets, normalization_constant
+from fracfold.operator import dump_triplets, normalization_constant, principal_eigenpair, smallest_eigenpairs
 
 
 def test_grid_partition_arithmetic():
@@ -134,7 +133,7 @@ def test_solve_matches_closed_form():
 
 
 def test_eigen_principal_pair(op128_s05):
-    pair = eigen_smallest(op128_s05, 1)[0]
+    pair = principal_eigenpair(op128_s05)
     assert pair.vector.min() > 0.0
     assert np.abs(pair.vector).max() == pytest.approx(1.0)
     assert pair.residual <= 1e-8
@@ -143,7 +142,7 @@ def test_eigen_principal_pair(op128_s05):
 
 
 def test_eigen_second_pair_sign_change_and_gap(op128_s05):
-    pairs = eigen_smallest(op128_s05, 2)
+    pairs = smallest_eigenpairs(op128_s05.matrix, 2)
     assert pairs[1].value > pairs[0].value
     second = pairs[1].vector
     assert second.min() < 0.0 < second.max()
@@ -151,7 +150,7 @@ def test_eigen_second_pair_sign_change_and_gap(op128_s05):
 
 def test_eigen_against_dense_oracle(op256_s04):
     oracle = eigh(op256_s04.matrix, eigvals_only=True)[:3]
-    mine = eigen_smallest(op256_s04, 3)
+    mine = smallest_eigenpairs(op256_s04.matrix, 3)
     for pair, val in zip(mine, oracle):
         assert pair.value == pytest.approx(val, abs=1e-10 * max(1.0, abs(val)))
 
@@ -160,13 +159,13 @@ def test_eigen_grid_self_convergence():
     vals = {}
     for n in (512, 1024):
         op = assemble_operator(build_grid(1.0, n), 0.5)
-        vals[n] = eigen_smallest(op, 1)[0].value
+        vals[n] = principal_eigenpair(op).value
     assert abs(vals[512] - vals[1024]) / vals[1024] <= 0.01
 
 
 def test_eigen_bad_count(op128_s05):
     with pytest.raises(ValueError):
-        eigen_smallest(op128_s05, 0)
+        smallest_eigenpairs(op128_s05.matrix, 0)
 
 
 def test_green_column_positivity_symmetry(op128_s05):

@@ -125,3 +125,21 @@ def test_jacobians_are_assembled_only_by_the_equation():
             ):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def test_factorizations_are_called_only_in_the_operator_module():
+    # every other module factors through operator's _try_cholesky, _try_lu or
+    # _gershgorin_cholesky, so the factorization ledger has one home
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            sites += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("cho_factor", "lu_factor")]
+    assert sites and all(site.startswith("operator.py:") for site in sites), sites

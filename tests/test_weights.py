@@ -9,13 +9,13 @@ from fracfold import (
     classify_regime,
     cone_norms,
     distance_field,
-    eigen_smallest,
     fit_boundary_exponent,
     holder_seminorm,
     hs_membership_indicator,
     weight_k,
 )
 from fracfold import assemble_operator
+from fracfold.operator import principal_eigenpair
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def test_fit_on_corrected_power(grid1023):
 def test_fit_on_principal_eigenfunction():
     g = build_grid(1.0, 1024)
     op = assemble_operator(g, 0.5)
-    phi = eigen_smallest(op, 1)[0].vector
+    phi = principal_eigenpair(op).vector
     fitted, _ = fit_boundary_exponent(phi, g)
     assert fitted == pytest.approx(0.5, abs=0.05)
 
