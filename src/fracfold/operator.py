@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, toeplitz
+from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, lu_factor, toeplitz
 from scipy.special import gamma, hyp2f1
 
 from .errors import AssemblyError, ConvergenceError, GridError
@@ -56,6 +56,8 @@ __all__ = [
 
 MIN_NODES = 8
 SIGN_SLACK = 1e-12
+# Lanczos gives up after this many operator applications.
+LANCZOS_STEPS = 200
 
 
 def normalization_constant(s: float) -> float:
@@ -253,19 +255,41 @@ def _gershgorin_cholesky(mat: np.ndarray):
     return cho_factor(mat - shift * np.eye(mat.shape[0]), lower=True)
 
 
-def _lanczos_largest(matvec, n: int, k: int, maxit: int | None = None):
-    """k largest-magnitude eigenpairs of a symmetric operator by Lanczos (ARPACK).
+def _lanczos_largest(matvec, n: int, k: int, rtol: float):
+    """k largest eigenpairs of a symmetric operator by Lanczos, as (ascending values, column vectors).
 
-    The fixed sine start vector makes repeated runs agree bit for bit.
+    Full reorthogonalization keeps the basis orthonormal, so the residual of
+    a Ritz pair (theta, Q s) of the j x j tridiagonal is beta_j |s_j| (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 13).  It is tested after every
+    step, and the run stops once it is at most rtol |theta| for each of the
+    top k pairs; on breakdown (beta_j = 0) they are exact.  The basis grows
+    one vector per step.  The start vector linspace(1, 2, n) is fixed, so
+    repeated runs agree bit for bit.  It is positive, so it meets the Perron
+    vector of an inverse M-matrix, and it has no reflection symmetry, so the
+    Krylov space of a reflection-symmetric operator holds its antisymmetric
+    modes too.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    try:
-        return eigsh(
-            LinearOperator((n, n), matvec=matvec, dtype=float), k=k, which="LM", v0=_sine_profile(n), maxiter=maxit
-        )
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"Lanczos iteration did not converge: {exc}") from exc
+    q = np.linspace(1.0, 2.0, n)
+    basis = [q / np.linalg.norm(q)]
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(1, min(LANCZOS_STEPS, n) + 1):
+        w = matvec(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        qs = np.array(basis)
+        w = w - qs.T @ (qs @ w)
+        w -= qs.T @ (qs @ w)
+        b = float(np.linalg.norm(w))
+        if j >= k:
+            theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+            theta, s = theta[-k:], s[:, -k:]
+            if np.all(b * np.abs(s[-1]) <= rtol * np.abs(theta)):
+                return theta, qs.T @ s
+        if b == 0.0:
+            break
+        beta.append(b)
+        basis.append(w / b)
+    raise ConvergenceError(f"Lanczos found no {k} converged Ritz pairs in {len(alpha)} steps")
 
 
 def _shift_invert_pairs(mat, k, factor, tol) -> list[EigenPair]:
@@ -274,9 +298,13 @@ def _shift_invert_pairs(mat, k, factor, tol) -> list[EigenPair]:
     As mu lies below the spectrum, the k smallest eigenvalues of mat are the
     k largest of (mat - mu*I)^-1.  Each eigenvalue is the Rayleigh
     quotient of its Ritz vector; residuals are sup-norm on the sup-normalized
-    vector.
+    vector.  Lanczos stops at the Ritz residual rtol theta that keeps them
+    below tol: the residual in mat is then at most
+    sqrt(n) ||mat - mu I|| rtol, and ||mat - mu I|| <= 2 ||mat||_inf + 1 for
+    mu = 0 and for the Gershgorin shift alike.
     """
-    _, vecs = _lanczos_largest(lambda x: cho_solve(factor, x, check_finite=False), mat.shape[0], k, 500)
+    rtol = tol / (np.sqrt(mat.shape[0]) * (2.0 * np.abs(mat).sum(axis=1).max() + 1.0))
+    _, vecs = _lanczos_largest(lambda x: cho_solve(factor, x, check_finite=False), mat.shape[0], k, rtol)
     pairs: list[EigenPair] = []
     for x in vecs.T:
         mu = float(x @ (mat @ x))

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, svdvals
+from scipy.linalg import eigh, svd
 
 from fracfold import ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_A, solve_min
 from fracfold.continuation import BranchPoint
@@ -185,10 +185,12 @@ def _rounded(branch, segment=None):
 
 
 def _dense_monitor(lam, u, op, spec):
+    """sigma_min of I - P^-1 F and its right singular vector."""
     k = spec.k_field(op.grid)
     p = op.matrix + np.diag(lam * spec.delta * k * u ** (-spec.delta - 1.0))
     f = np.diag(lam * spec.nonlinearity.fprime(u))
-    return float(svdvals(np.eye(op.n) - np.linalg.solve(p, f)).min())
+    _, sigma, vh = svd(np.eye(op.n) - np.linalg.solve(p, f))
+    return float(sigma[-1]), vh[-1]
 
 
 def test_branch_lambda1_matches_eigh(folded_branch, op256_s04, canonical_spec):
@@ -207,13 +209,16 @@ def test_branch_lambda1_matches_eigh(folded_branch, op256_s04, canonical_spec):
 def test_branch_monitor_matches_svd(folded_branch, op256_s04, canonical_spec):
     monitors = []
     for p in _rounded(folded_branch):
-        oracle = _dense_monitor(p.lam, p.solution.values, op256_s04, canonical_spec)
+        oracle, vec = _dense_monitor(p.lam, p.solution.values, op256_s04, canonical_spec)
         assert p.monitor == pytest.approx(oracle, abs=1e-9), (p.segment, p.lam)
         direct = fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec)
         assert direct == pytest.approx(oracle, abs=1e-9)
-        monitors.append((p.segment, oracle))
+        monitors.append((p.segment, oracle, np.abs(vec + vec[::-1]).max() <= 1e-6))
     # the upper segment reaches points well away from the fold, not only its neighbourhood
-    assert max(m for seg, m in monitors if seg == "upper") >= 0.25
+    assert max(m for seg, m, _ in monitors if seg == "upper") >= 0.25
+    # and points where sigma_min's singular vector is antisymmetric: J and F are
+    # reflection-symmetric, so a Krylov run from a symmetric start misses that mode
+    assert any(anti for seg, _, anti in monitors if seg == "upper")
 
 
 def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, canonical_spec):
@@ -263,6 +268,37 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         assert (fresh.lambda1, fresh.monitor) == values
         assert calls == []
         assert values == (p.lambda1, p.monitor)
+
+
+def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):
+    # each Lanczos run stops once its Ritz pair has converged; runs of a fixed
+    # 21 applications take 65 solves per point (21 for lambda1, 2 * 21 + 2 for
+    # the monitor and its residual check).  The factors stay one set per point.
+    import fracfold.linearization as lin_mod
+    import fracfold.operator as op_mod
+    import fracfold.singular as sing_mod
+
+    calls = {"solve": 0, "factor": 0}
+    for mod, name, kind in (
+        (op_mod, "cho_solve", "solve"),
+        (lin_mod, "cho_solve", "solve"),
+        (sing_mod, "lu_solve", "solve"),
+        (op_mod, "cho_factor", "factor"),
+        (op_mod, "lu_factor", "factor"),
+    ):
+        original = getattr(mod, name)
+
+        def counted(*args, _original=original, _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    points = _rounded(folded_branch)
+    for p in points:
+        fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
+        _ = (fresh.lambda1, fresh.monitor)
+    assert calls["solve"] <= 30 * len(points)
+    assert calls["factor"] <= 44
 
 
 def test_monitor_zero_when_linearization_is_singular(op192, pure_field):

@@ -5,6 +5,7 @@ from scipy.linalg import eigh
 from scipy.special import gamma
 
 from fracfold import (
+    ConvergenceError,
     GridError,
     apply,
     assemble_operator,
@@ -12,7 +13,14 @@ from fracfold import (
     green_column,
     solve_dirichlet,
 )
-from fracfold.operator import dump_triplets, normalization_constant, principal_eigenpair, smallest_eigenpairs
+import fracfold.operator as op_mod
+from fracfold.operator import (
+    _lanczos_largest,
+    dump_triplets,
+    normalization_constant,
+    principal_eigenpair,
+    smallest_eigenpairs,
+)
 
 
 def test_grid_partition_arithmetic():
@@ -166,6 +174,34 @@ def test_eigen_grid_self_convergence():
 def test_eigen_bad_count(op128_s05):
     with pytest.raises(ValueError):
         smallest_eigenpairs(op128_s05.matrix, 0)
+
+
+def _second_difference(n):
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
+def test_lanczos_finds_an_antisymmetric_top_mode():
+    # tridiag(-1, 2, -1) of even order is reflection-symmetric and its top
+    # eigenvector sin(n pi i / (n+1)) is antisymmetric: a Krylov space built
+    # from a reflection-symmetric start never contains it
+    n = 10
+    mat = _second_difference(n)
+    vals, vecs = _lanczos_largest(lambda x: mat @ x, n, 1, 1e-12)
+    assert vals[0] == pytest.approx(2.0 + 2.0 * np.cos(np.pi / (n + 1)), rel=1e-12)
+    vec = vecs[:, 0]
+    assert np.abs(vec + vec[::-1]).max() <= 1e-8
+    assert np.linalg.norm(mat @ vec - vals[0] * vec) <= 1e-10
+
+
+def test_lanczos_breakdown_and_step_cap(monkeypatch):
+    # a start vector that is an eigenvector breaks down after one step with the exact pair
+    vals, vecs = _lanczos_largest(lambda x: 3.0 * x, 12, 1, 1e-12)
+    assert vals[0] == pytest.approx(3.0, rel=1e-15)
+    assert np.linalg.norm(vecs[:, 0]) == pytest.approx(1.0)
+    monkeypatch.setattr(op_mod, "LANCZOS_STEPS", 3)
+    mat = _second_difference(40)
+    with pytest.raises(ConvergenceError):
+        _lanczos_largest(lambda x: mat @ x, 40, 1, 1e-12)
 
 
 def test_green_column_positivity_symmetry(op128_s05):

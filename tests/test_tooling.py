@@ -22,11 +22,13 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 SOURCE = pathlib.Path(fracfold.__file__).parent
 
 # the dense kernels the ledger counts, and linalg names that factor no n x n
-# matrix (lstsq fits three columns in weights.fit_boundary_exponent).  A dense
+# matrix (lstsq fits three columns in weights.fit_boundary_exponent;
+# eigh_tridiagonal diagonalizes the j x j Lanczos tridiagonal, j at most the
+# step count of operator._lanczos_largest).  A dense
 # `solve` is forbidden from both libraries: every factorization goes through
 # scipy's counted kernels, and numpy's BLAS pool stays out of the solves.
 COUNTED = {"cho_factor", "lu_factor", "svdvals"}
-HELPERS = {"cho_solve", "lu_solve", "toeplitz", "norm", "lstsq", "LinAlgError"}
+HELPERS = {"cho_solve", "lu_solve", "toeplitz", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
 FORBIDDEN = ("solve", "eigh", "eigvalsh", "eig", "ldl", "cholesky", "lu", "qr", "svd", "inv", "pinv", "det")
 
 
@@ -78,6 +80,19 @@ def test_linalg_names_in_source_are_counted_or_cheap():
                 continue
             for name in names:
                 assert name in allowed, f"{path.name}:{node.lineno} uses linalg.{name}"
+
+
+def test_no_sparse_eigensolver():
+    # eigenpairs come from operator's own Lanczos routine, not scipy.sparse.linalg (ARPACK)
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(m.startswith("scipy.sparse") for m in modules), f"{path.name}:{node.lineno}"
 
 
 def test_linearization_is_built_only_by_branch_points():
