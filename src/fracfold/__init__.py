@@ -10,10 +10,8 @@ from .operator import (
     EigenPair,
     Grid,
     NonlocalOperator,
-    apply,
     assemble_operator,
     build_grid,
-    green_column,
     normalization_constant,
     solve_dirichlet,
 )
@@ -32,13 +30,12 @@ from .continuation import (
 from .linearization import (
     LinearizedOperator,
     SensitivityBundle,
-    d2A_directional,
     fredholm_monitor,
     lambda1,
     linearized_operator,
     sensitivity_bundle,
 )
-from .problem import Nonlinearity, ProblemSpec, RegularizedSpec, no_nonlinearity, power_nonlinearity, regularize
+from .problem import Nonlinearity, ProblemSpec, no_nonlinearity, power_nonlinearity
 from .singular import (
     SolutionField,
     monotone_iterate,
@@ -46,7 +43,6 @@ from .singular import (
     solve_A,
     solve_min,
     solve_pure_singular,
-    solve_regularized,
 )
 from .weights import (
     NormReport,

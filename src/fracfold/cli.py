@@ -132,7 +132,7 @@ def _cmd_branch(args, with_fold: bool) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "branch.csv")
     write_branch_csv(branch, path)
-    line = f"branch: n={cfg.n} points={len(branch.points)} Lambda={branch.lambda_estimate:.6f}"
+    line = f"branch: n={cfg.n} points={len(branch.points)} Lambda={branch.fold_point().lam:.6f}"
     if with_fold and branch.fold:
         line += f" lam'={branch.fold.lambda_prime:.2e} lam''={branch.fold.quadratic_coeff:.4f}"
     print(line + f" -> {path}")
@@ -147,7 +147,7 @@ def _cmd_multiplicity(args) -> int:
     spec = cfg.problem_spec()
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
     branch = fold_round(trace_minimal(spec, op, cfg.trace_policy()), op, spec, cfg.fold_policy())
-    lam_est = branch.lambda_estimate
+    lam_est = branch.fold_point().lam
     rows = multiplicity_scan(spec, op, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est],
                              tol=cfg.newton_tol, branch=branch)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -92,18 +92,19 @@ class BranchPoint:
 
 @dataclass(eq=False)
 class FoldInfo:
+    """The quadratic fit of lam(arclength) over the fold window; the fold itself is Branch.fold_point()."""
+
     quadratic_coeff: float
-    u_at_fold: SolutionField
     lambda_prime: float
     fit_residual: float
 
 
 @dataclass(eq=False)
 class Branch:
+    """Traced points, with the fold's quadratic fit once rounded; fold_point() holds Lambda and u there."""
+
     points: list[BranchPoint] = field(default_factory=list)
     fold: FoldInfo | None = None
-    lambda_estimate: float | None = None
-    metric_weight: float | None = None
 
     def minimal_points(self) -> list[BranchPoint]:
         return [p for p in self.points if p.segment == "minimal"]
@@ -145,7 +146,7 @@ class FoldPolicy:
     tol: float = DEFAULT_TOL
 
 
-def _metric_weight(op: NonlocalOperator, u_scale: float) -> float:
+def _arclength_weight(op: NonlocalOperator, u_scale: float) -> float:
     return 1.0 / (np.sqrt(op.n) * max(u_scale, 1e-30))
 
 
@@ -193,9 +194,8 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
 
     fold = _fold_point(op, spec, points[-1])
     points.append(fold)
-    w = _metric_weight(op, fold.sup_norm)
-    _assign_arclength(points, w)
-    return Branch(points=points, lambda_estimate=fold.lam, metric_weight=w)
+    _assign_arclength(points, _arclength_weight(op, fold.sup_norm))
+    return Branch(points=points)
 
 
 def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):
@@ -264,7 +264,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     except ConvergenceError as exc:
         raise ConvergenceError(f"no fold found from lambda = {start.lam!r}: {exc}", residual=exc.residual) from exc
     lam = float(z[-1])
-    fld = SolutionField(z[:n], op.grid, spec.with_lambda(lam), float(np.abs(r[:n]).max()), float(b[0]))
+    fld = SolutionField(z[:n], op.grid, replace(spec, lam=lam), float(np.abs(r[:n]).max()), float(b[0]))
     return BranchPoint(lam, fld, op, tol, segment="fold")
 
 
@@ -349,7 +349,7 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tange
         tangent = _tangent(w, z, (u, lam), tangent)
         du = u - z[0]
         sigma += float(np.sqrt(w ** 2 * (du @ du) + (lam - z[1]) ** 2))
-        fld = SolutionField(values=u, grid=op.grid, spec=spec.with_lambda(lam), residual=res, residual_bound=bound)
+        fld = SolutionField(values=u, grid=op.grid, spec=replace(spec, lam=lam), residual=res, residual_bound=bound)
         yield BranchPoint(lam, fld, op, policy.tol, sigma, segment)
         z = (u, lam)
 
@@ -372,7 +372,7 @@ def fold_round(
     (normalized by the lam scale) and the curvature are stored.
     """
     fold = branch.fold_point()
-    w = _metric_weight(op, fold.sup_norm)
+    w = _arclength_weight(op, fold.sup_norm)
     phi = fold.eigenvector / (w * np.linalg.norm(fold.eigenvector))
     near = FoldPolicy(ds=DS_FOLD, ds_max=DS_FOLD, steps=FIT_HALFWIDTH, tol=policy.tol)
     back = list(_arclength_points(op, spec, near, w, fold, (-phi, 0.0), "minimal"))
@@ -385,11 +385,10 @@ def fold_round(
     coeffs = np.polyfit(sig, lams, 2)
     info = FoldInfo(
         quadratic_coeff=2.0 * float(coeffs[0]),
-        u_at_fold=fold.solution,
         lambda_prime=float(coeffs[1]) / fold.lam,
         fit_residual=float(np.abs(np.polyval(coeffs, sig) - lams).max()),
     )
-    rounded = Branch(branch.minimal_points() + window, info, branch.lambda_estimate, w)
+    rounded = Branch(branch.minimal_points() + window, info)
     return _extend_upper(rounded, op, spec, policy, stop=lambda p: p.lam < 0.85 * fold.lam)
 
 
@@ -404,7 +403,7 @@ def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
     upper = branch.upper_points()
     if len(upper) < 2:
         raise ValueError("branch has no rounded upper segment to extend")
-    w = branch.metric_weight
+    w = _arclength_weight(op, branch.fold_point().sup_norm)
     if stop(branch.points[-1]):
         return branch
     prev, last = upper[-2:]
@@ -460,7 +459,7 @@ def multiplicity_scan(
                     vals, res, bound = Equation.of(op, spec, lam_t).solve(seed, tol, _lu_step, 60)
                 except ConvergenceError:
                     continue
-                second = SolutionField(vals, op.grid, spec.with_lambda(lam_t), res, bound)
+                second = SolutionField(vals, op.grid, replace(spec, lam=lam_t), res, bound)
                 break
         gap = float(np.abs(second.values - minimal.values).max()) if second is not None else None
         rows.append(
@@ -500,7 +499,7 @@ def asymptotic_bifurcation_probe(
     """
     if branch.fold is None:
         raise ValueError("probe requires a fold-rounded branch")
-    fold_sup = branch.fold.u_at_fold.sup_norm
+    fold_sup = branch.fold_point().sup_norm
     policy = FoldPolicy(ds=0.2, ds_max=2.0, steps=steps, tol=tol)
     branch = _extend_upper(
         branch, op, spec, policy, stop=lambda p: p.sup_norm >= growth_cap * fold_sup

@@ -60,7 +60,6 @@ __all__ = [
     "SensitivityBundle",
     "linearized_operator",
     "lambda1",
-    "d2A_directional",
     "sensitivity_bundle",
     "fredholm_monitor",
 ]
@@ -118,14 +117,6 @@ def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float =
     return _shift_invert_pairs(lin.matrix, 1, lin.spectral_factor, tol)[0]
 
 
-def _derivative_system(lam: float, h, op: NonlocalOperator, spec: ProblemSpec, tol: float, u):
-    """(u, Equation, P) at u = T(lam, h), both without f; P is an M-matrix plus a nonnegative diagonal."""
-    if u is None:
-        u = solve_A(lam, np.asarray(h, dtype=float), op, spec, tol=tol)
-    spec = replace(spec, nonlinearity=no_nonlinearity())
-    return _field_values(u), Equation.of(op, spec, lam), linearized_operator(lam, u, op, spec)
-
-
 def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str) -> tuple[np.ndarray, float]:
     """(P^-1 rhs, sup residual), raising when the residual exceeds tol * (1 + sup|rhs|)."""
     x = p.solve(rhs)
@@ -133,25 +124,6 @@ def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str
     if not res <= tol * (1.0 + np.abs(rhs).max()):  # also rejects a NaN residual
         raise RuntimeError(f"{name} solve residual {res:.3e} exceeds tolerance")
     return x, res
-
-
-@single_pool
-def d2A_directional(
-    lam: float,
-    h: np.ndarray,
-    phi: np.ndarray,
-    op: NonlocalOperator,
-    spec: ProblemSpec,
-    tol: float = DEFAULT_TOL,
-    u: SolutionField | None = None,
-) -> np.ndarray:
-    """Directional derivative v of the solution operator in its forcing slot.
-
-    v solves (A + lam delta K u^(-delta-1)) v = phi at u = T(lam, h); the
-    potential is nonnegative, so the system is always solvable.
-    """
-    *_, p = _derivative_system(lam, h, op, spec, tol, u)
-    return _checked_solve(p, np.asarray(phi, dtype=float), tol, "directional")[0]
 
 
 @dataclass(eq=False)
@@ -179,13 +151,17 @@ def sensitivity_bundle(
     """Solve the four derivative systems of the solution operator at (lam, h).
 
     directions = (phi, psi) are the forcing-slot directions; psi defaults to
-    phi.  Every field's residual is recorded and checked against tol.
+    phi, and v is the directional derivative along phi.  Every field's
+    residual is recorded and checked against tol.
     """
     if directions is None:
         directions = (np.ones(op.n), None)
     phi = np.asarray(directions[0], dtype=float)
     psi = phi if directions[1] is None else np.asarray(directions[1], dtype=float)
-    uv, eq, p = _derivative_system(lam, h, op, spec, tol, u)
+    if u is None:
+        u = solve_A(lam, np.asarray(h, dtype=float), op, spec, tol=tol)
+    spec = replace(spec, nonlinearity=no_nonlinearity())  # P = G_u is the linearization without f
+    uv, eq, p = _field_values(u), Equation.of(op, spec, lam), linearized_operator(lam, u, op, spec)
     g_uu = eq.d_potential(uv)
     g_ulam = replace(eq, lam=1.0).potential(uv)
     residuals = {}

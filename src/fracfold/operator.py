@@ -48,9 +48,7 @@ __all__ = [
     "normalization_constant",
     "build_grid",
     "assemble_operator",
-    "apply",
     "solve_dirichlet",
-    "green_column",
     "dump_triplets",
 ]
 
@@ -185,14 +183,6 @@ def _check_structure(op: NonlocalOperator) -> None:
         raise AssemblyError("assembled operator has a nonpositive row sum")
 
 
-def apply(op: NonlocalOperator, u: np.ndarray) -> np.ndarray:
-    """Matrix-vector product A u for a field on the operator's grid."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.n,):
-        raise ValueError(f"field has shape {u.shape}, expected ({op.n},)")
-    return op.matrix @ u
-
-
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve A w = rhs by the cached Cholesky factorization.
 
@@ -250,9 +240,15 @@ def _try_lu(mat: np.ndarray):
 
 
 def _gershgorin_cholesky(mat: np.ndarray):
-    """Cholesky factor of mat - mu I, mu = min(g, 0) - 1 below every Gershgorin disc."""
+    """Cholesky factor of mat - mu I, mu = min(g, 0) - 1 below every Gershgorin disc.
+
+    The shift is taken off the diagonal of one Fortran-ordered copy, which
+    LAPACK then factors in place.
+    """
     shift = min(_gershgorin_lower(mat), 0.0) - 1.0
-    return cho_factor(mat - shift * np.eye(mat.shape[0]), lower=True)
+    shifted = np.array(mat, order="F")
+    shifted[np.diag_indices_from(shifted)] -= shift
+    return cho_factor(shifted, lower=True, overwrite_a=True)
 
 
 def _lanczos_largest(matvec, n: int, k: int, rtol: float):
@@ -340,15 +336,6 @@ def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
             raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
         op._cache["phi1"] = pair
     return op._cache["phi1"]
-
-
-def green_column(op: NonlocalOperator, j: int) -> np.ndarray:
-    """Discrete Green function x -> G(x, x_j): column j of the inverse scaled by 1/h."""
-    if not 0 <= j < op.n:
-        raise IndexError(f"node index {j} out of range [0, {op.n})")
-    e = np.zeros(op.n)
-    e[j] = 1.0
-    return solve_dirichlet(op, e) / op.grid.h
 
 
 def dump_triplets(op: NonlocalOperator, path) -> None:

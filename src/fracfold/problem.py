@@ -12,14 +12,14 @@ subcritical power p < (1+2s)/(1-2s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .operator import Grid
 
-__all__ = ["Nonlinearity", "ProblemSpec", "RegularizedSpec", "power_nonlinearity", "no_nonlinearity", "regularize"]
+__all__ = ["Nonlinearity", "ProblemSpec", "power_nonlinearity", "no_nonlinearity"]
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,6 @@ class ProblemSpec:
         return 2.0 * self.beta + self.delta * (2.0 * self.s - 1.0) < 1.0 + 2.0 * self.s
 
     @property
-    def regime_indicator(self) -> float:
-        """beta/s + delta - 1; negative SUB, zero CRITICAL, positive SUPER."""
-        return self.beta / self.s + self.delta - 1.0
-
-    @property
     def subcritical_limit(self) -> float:
         """Largest admissible power exponent, (1+2s)/(1-2s) for s < 1/2."""
         if self.s >= 0.5:
@@ -144,9 +139,6 @@ class ProblemSpec:
             return np.full(grid.n, self.coeff)
         return self.coeff * grid.distance() ** (-self.beta)
 
-    def with_lambda(self, lam: float) -> "ProblemSpec":
-        return replace(self, lam=lam)
-
     def audit(self) -> dict:
         """Hypothesis audit for the superlinear term; informative, not gating."""
         nl = self.nonlinearity
@@ -165,24 +157,3 @@ class ProblemSpec:
         elif nl.kind == "custom":
             record.update(nl.compliance)
         return record
-
-
-@dataclass(frozen=True, eq=False)
-class RegularizedSpec:
-    """Problem data with the singular term smoothed: K_eps / (u + eps)^delta."""
-
-    base: ProblemSpec
-    eps: float
-    k_eps: np.ndarray
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError(f"regularization eps must be positive, got {self.eps}")
-
-
-def regularize(spec: ProblemSpec, grid: Grid, eps: float) -> RegularizedSpec:
-    """Clip the weight at 1/eps: K_eps(x) = min(1/eps, K(x))."""
-    if eps <= 0.0:
-        raise ValueError(f"regularization eps must be positive, got {eps}")
-    k = spec.k_field(grid)
-    return RegularizedSpec(base=spec, eps=float(eps), k_eps=np.minimum(1.0 / eps, k))

@@ -1,9 +1,9 @@
-"""Nonlinear solves: regularized and pure singular problems, the forced
-solution operator, and minimal solutions.
+"""Nonlinear solves: the pure singular problem, the forced solution operator,
+and minimal solutions.
 
 Every solve is one `Equation`,
 
-    G(u) = A u - lam (k(x) (u + eps)^(-delta) + f(u)) - rhs,
+    G(u) = A u - lam (k(x) u^(-delta) + f(u)) - rhs,
 
 handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
@@ -21,7 +21,9 @@ Jacobian dominates the one at the minimal solution and is positive definite.
 Started from a subsolution, Newton is the monotone iteration of the theory;
 started from a supersolution, its first step undershoots to a subsolution
 and the iterates rise from there.  Either way positivity is preserved
-without the arithmetic floor binding at convergence.
+without the arithmetic floor binding at convergence.  So every solve runs
+at the singular term itself: the regularized problems (u + eps)^(-delta)
+through which the theory reaches it are not needed to compute it.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ from scipy.linalg import cho_solve, lu_solve
 from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError
 from .operator import Grid, NonlocalOperator, _try_cholesky, _try_lu, principal_eigenpair, solve_dirichlet
-from .problem import Nonlinearity, ProblemSpec, RegularizedSpec, no_nonlinearity
+from .problem import Nonlinearity, ProblemSpec, no_nonlinearity
 from .weights import NormReport
 
 __all__ = [
     "SolutionField",
-    "solve_regularized",
     "solve_pure_singular",
     "scale_pure_singular",
     "solve_A",
@@ -74,11 +75,10 @@ class SolutionField:
 
 @dataclass(frozen=True, eq=False)
 class Equation:
-    """G(u) = A u - lam (k (u + eps)^(-delta) + f(u)) - rhs on op's grid.
+    """G(u) = A u - lam (k u^(-delta) + f(u)) - rhs on op's grid.
 
-    With eps = rhs = 0 this is the map G(u, lam) of the problem; the
-    regularized and forced solves set the rest.  Callers that fold lam into k
-    pass lam = 1.
+    With rhs = 0 this is the map G(u, lam) of the problem; the forced solve
+    sets rhs.  Callers that fold lam into k pass lam = 1.
     """
 
     op: NonlocalOperator
@@ -86,7 +86,6 @@ class Equation:
     delta: float
     nonlinearity: Nonlinearity
     lam: float
-    eps: float = 0.0
     rhs: np.ndarray | float = 0.0
 
     @classmethod
@@ -95,7 +94,7 @@ class Equation:
         return cls(op, spec.k_field(op.grid), spec.delta, spec.nonlinearity, lam)
 
     def _source(self, u: np.ndarray) -> np.ndarray:
-        return self.k * (u + self.eps) ** (-self.delta) + self.nonlinearity.f(u)
+        return self.k * u ** (-self.delta) + self.nonlinearity.f(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.op.matrix @ u - self.lam * self._source(u) - self.rhs
@@ -106,12 +105,12 @@ class Equation:
 
     def potential(self, u: np.ndarray) -> np.ndarray:
         """Diagonal part of the Jacobian: dG/du = A + diag(potential)."""
-        singular = self.lam * self.delta * self.k * (u + self.eps) ** (-self.delta - 1.0)
+        singular = self.lam * self.delta * self.k * u ** (-self.delta - 1.0)
         return singular - self.lam * self.nonlinearity.fprime(u)
 
     def d_potential(self, u: np.ndarray) -> np.ndarray:
         """d(potential)/du: the second derivative G_uu[v, w] is d_potential * v * w."""
-        singular = self.lam * self.delta * (self.delta + 1.0) * self.k * (u + self.eps) ** (-self.delta - 2.0)
+        singular = self.lam * self.delta * (self.delta + 1.0) * self.k * u ** (-self.delta - 2.0)
         return -singular - self.lam * self.nonlinearity.fsecond(u)
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
@@ -200,29 +199,6 @@ def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return None if (solve := _lu_solver(jac)) is None else solve(rhs)
 
 
-def solve_regularized(rspec: RegularizedSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
-    """Solve A u = K_eps (u + eps)^(-delta), the strictly convex regularization.
-
-    Newton starts from w = max((K_eps / diag A)^(1/(1+delta)) - eps, 0), a
-    subsolution since (A w)_i <= A_ii w_i <= K_eps,i (w_i + eps)^(-delta) for
-    an A with nonpositive off-diagonals, and the iterates rise monotonically
-    onto the unique solution.  w has the local scaling of the solution, which
-    matters for large delta: from far below, Newton raises u + eps by only
-    about a factor 1 + 1/delta per step.
-    """
-    spec = rspec.base
-    if not spec.nonlinearity.is_none:
-        raise ValueError("regularized solves handle the pure singular term only")
-    delta, eps, keps = spec.delta, rspec.eps, rspec.k_eps
-    if delta == 0.0:
-        u = solve_dirichlet(op, keps)
-        res = float(np.abs(op.matrix @ u - keps).max())
-        return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(keps).max()))
-    u0 = np.maximum((keps / np.diag(op.matrix)) ** (1.0 / (1.0 + delta)) - eps, 0.0)
-    u, res, bound = Equation(op, keps, delta, spec.nonlinearity, 1.0, eps=eps).solve(u0, tol, _cholesky_step, 80)
-    return SolutionField(u, op.grid, spec, res, bound)
-
-
 def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
     """Largest c making c*phi a discrete subsolution of A u = K u^(-delta)."""
     pair = principal_eigenpair(op)
@@ -237,9 +213,9 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
 
     c* phi_1 is a discrete subsolution, and the residual map is componentwise
     concave with an M-matrix Jacobian, so the iterates rise monotonically from
-    it onto the solution and stay positive; no regularization is needed to
-    reach eps = 0.  Any lambda must be folded into spec.coeff.  The result is
-    checked a posteriori against the subsolution.
+    it onto the solution and stay positive; no regularization is needed.  Any
+    lambda must be folded into spec.coeff.  The result is checked a posteriori
+    against the subsolution.
     """
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:

@@ -372,7 +372,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     estimates = {}
     for n in (512, 1024):
         branch = _folded(cache, n, cfg.newton_tol)
-        estimates[n] = branch.lambda_estimate
+        estimates[n] = branch.fold_point().lam
         l1 = [p.lambda1 for p in branch.minimal_points()]
         tail = l1[-4:]
         decreasing = all(tail[i] > tail[i + 1] for i in range(len(tail) - 1))
@@ -400,7 +400,8 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         )
     )
     op = cache.operator(1.0, 512, _BRANCH_SPEC.s)
-    lam_est = estimates[512]
+    fold = _folded(cache, 512, cfg.newton_tol).fold_point()
+    lam_est = fold.lam
     bound = _nonexistence_bound(_BRANCH_SPEC, op)
     records.append(
         _record(
@@ -430,8 +431,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             lam1 is not None and lam1 > 0.0,
         )
     )
-    fold = _folded(cache, 512, cfg.newton_tol).fold_point()
-    res = float(np.abs(Equation.of(op, _BRANCH_SPEC, lam_est).residual(fold.solution.values)).max())
+    res = float(np.abs(Equation.of(op, _BRANCH_SPEC, fold.lam).residual(fold.solution.values)).max())
     records.append(
         _record(
             "branch-fold-point",
@@ -477,7 +477,8 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     for name, spec, branch in sets:
         fold = branch.fold
         apex = max(p.lam for p in branch.points)
-        consistent = abs(apex - branch.lambda_estimate) <= 1e-3 * branch.lambda_estimate
+        lam_est = branch.fold_point().lam
+        consistent = abs(apex - lam_est) <= 1e-3 * lam_est
         records.append(
             _record(
                 name,
@@ -497,7 +498,7 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
 def check_multiplicity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     branch = _folded(cache, 256, cfg.newton_tol)
     op = cache.operator(1.0, 256, _BRANCH_SPEC.s)
-    lam_est = branch.lambda_estimate
+    lam_est = branch.fold_point().lam
     rows = multiplicity_scan(
         _BRANCH_SPEC, op, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est], tol=cfg.newton_tol, branch=branch
     )
@@ -536,7 +537,7 @@ def check_multiplicity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
 def check_asymptotic(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     branch = _folded(cache, 256, cfg.newton_tol)
     op = cache.operator(1.0, 256, _BRANCH_SPEC.s)
-    fold_sup = branch.fold.u_at_fold.sup_norm
+    fold_sup = branch.fold_point().sup_norm
     apex_lam = max(p.lam for p in branch.points)
     probe1 = asymptotic_bifurcation_probe(branch, op, _BRANCH_SPEC, growth_cap=30.0, steps=400, tol=cfg.newton_tol)
     lam_inf_1 = probe1.lambda_a
@@ -661,7 +662,7 @@ def check_sensitivity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]
 def check_uniqueness(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     branch = _traced(cache, 256, cfg.newton_tol)
     op = cache.operator(1.0, 256, _BRANCH_SPEC.s)
-    lam = 1e-3 * branch.lambda_estimate
+    lam = 1e-3 * branch.fold_point().lam
     report = uniqueness_probe(lam, _BRANCH_SPEC, op, trials=10, tol=cfg.newton_tol, seed=cfg.seed)
     outcomes = [t["outcome"] for t in report.trials]
     return [

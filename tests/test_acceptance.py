@@ -91,15 +91,21 @@ def test_criterion_07_minimal_branch(accept_cfg, accept_cache):
     _run(check_branch, accept_cfg, accept_cache)
 
 
+def _with_fold(branch, **changes):
+    """A copy of branch whose fold point is replaced by a copy with `changes`."""
+    fold = branch.fold_point()
+    return replace(branch, points=[replace(p, **changes) if p is fold else p for p in branch.points])
+
+
 @pytest.mark.parametrize("factor, passes", [(0.9, False), (1.0, True), (1.1, False)])
 def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cache, factor, passes):
-    # the folded branches with their extremal parameter planted 10 % off.  Too
-    # high, it exceeds the phi_1 bound and no solution exists at 0.95 of it;
-    # too low, only the fold point catches it, as it no longer solves there
+    # the folded branches with the lam of their fold point planted 10 % off.
+    # Too high, it exceeds the phi_1 bound and no solution exists at 0.95 of
+    # it; too low, only the fold point catches it, as it no longer solves there
     cache = _Cache()
     for n in (512, 1024):
         branch = verify._folded(accept_cache, n, accept_cfg.newton_tol)
-        cache[("folded", n)] = replace(branch, lambda_estimate=factor * branch.lambda_estimate)
+        cache[("folded", n)] = _with_fold(branch, lam=factor * branch.fold_point().lam)
     records = {r.name: r for r in check_branch(accept_cfg, cache)}
     assert records["branch-fold-point"].passed is passes, records["branch-fold-point"]
     for name in ("branch-nonexistence", "branch-existence"):
@@ -108,6 +114,27 @@ def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cach
 
 def test_criterion_08_fold_bending(accept_cfg, accept_cache):
     _run(check_fold, accept_cfg, accept_cache)
+
+
+@pytest.mark.parametrize("planted", [None, "curvature", "slope"])
+def test_criterion_08_fold_rejects_a_planted_fit(monkeypatch, accept_cfg, accept_cache, planted):
+    # the real fold fits with lam'' of the wrong sign, or with |lam'| = 2e-2:
+    # both fold-* records must fail; unplanted, both pass
+    def plant(branch):
+        if planted == "curvature":
+            return replace(branch, fold=replace(branch.fold, quadratic_coeff=-branch.fold.quadratic_coeff))
+        if planted == "slope":
+            return replace(branch, fold=replace(branch.fold, lambda_prime=2e-2))
+        return branch
+
+    cache = _Cache(accept_cache)
+    cache[("folded", 256)] = plant(verify._folded(accept_cache, 256, accept_cfg.newton_tol))
+    real = verify.fold_round
+    monkeypatch.setattr(verify, "fold_round", lambda *args, **kwargs: plant(real(*args, **kwargs)))
+    records = check_fold(accept_cfg, cache)
+    assert [r.name for r in records] == ["fold-a", "fold-b"]
+    for r in records:
+        assert r.passed is (planted is None), r
 
 
 def test_criterion_09_multiplicity(accept_cfg, accept_cache):

@@ -4,6 +4,7 @@ import pytest
 import fracfold.continuation
 from fracfold import ConvergenceError, solve_min
 from fracfold.continuation import (
+    _arclength_weight,
     _fold_point,
     asymptotic_bifurcation_probe,
     multiplicity_scan,
@@ -21,7 +22,6 @@ def test_trace_orders_and_positivity(folded_branch):
     assert all(a < b for a, b in zip(sups, sups[1:]))
     assert all(p.lambda1 > 0.0 for p in minimal)
     fold = folded_branch.fold_point()
-    assert folded_branch.lambda_estimate == fold.lam
     assert max(p.lam for p in minimal) < fold.lam
     assert max(sups) < fold.sup_norm
 
@@ -52,7 +52,7 @@ def test_trace_stops_solving_at_the_first_failed_step(monkeypatch, op256_s04, ca
     monkeypatch.setattr(fracfold.continuation, "solve_min", counted)
     branch = trace_minimal(canonical_spec, op256_s04)
     assert len(lams) == len(branch.minimal_points()) + 1
-    assert lams[-1] > branch.lambda_estimate
+    assert lams[-1] > branch.fold_point().lam
     assert branch.points[-1] is branch.fold_point()
 
 
@@ -72,7 +72,7 @@ def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache,
     op = accept_cache.operator(1.0, n, canonical_spec.s)
     fold = _fold_point(op, canonical_spec, traced.minimal_points()[-1])
     assert 1 <= len(sizes) <= 6 and set(sizes) == {n + 1}  # one bordered LU per Newton step
-    assert fold.lam == traced.lambda_estimate
+    assert fold.lam == traced.fold_point().lam
     assert fold.solution.values.min() > 0.0
     assert fold.eigenvector.min() > 0.0
     monkeypatch.undo()
@@ -86,8 +86,8 @@ def _assert_fold_bends(branch):
     assert abs(fold.lambda_prime) <= 1e-2
     assert fold.quadratic_coeff < 0.0
     assert fold.fit_residual <= 1e-4
-    apex = max(p.lam for p in branch.points)
-    assert abs(apex - branch.lambda_estimate) <= 1e-6 * branch.lambda_estimate
+    apex, lam_fold = max(p.lam for p in branch.points), branch.fold_point().lam
+    assert abs(apex - lam_fold) <= 1e-6 * lam_fold
 
 
 def test_fold_bending(folded_branch):
@@ -113,8 +113,8 @@ def test_monitor_near_zero_at_fold(folded_branch):
     assert abs(apex.lambda1) <= 5e-3
 
 
-def test_branch_curve_is_continuous(folded_branch):
-    w = folded_branch.metric_weight
+def test_branch_curve_is_continuous(folded_branch, op256_s04):
+    w = _arclength_weight(op256_s04, folded_branch.fold_point().sup_norm)
     pts = sorted(folded_branch.points, key=lambda p: p.arclength)
     for a, b in zip(pts, pts[1:]):
         dsup = abs(b.sup_norm - a.sup_norm)
@@ -123,7 +123,7 @@ def test_branch_curve_is_continuous(folded_branch):
 
 def test_nonexistence_above_fold(folded_branch, op256_s04, canonical_spec):
     # past the phi_1 bound no solution exists, so the solve must fail
-    lam_est = folded_branch.lambda_estimate
+    lam_est = folded_branch.fold_point().lam
     for factor in (1.05, 1.3):
         assert factor * lam_est > _nonexistence_bound(canonical_spec, op256_s04)
         with pytest.raises(ConvergenceError):
@@ -131,7 +131,7 @@ def test_nonexistence_above_fold(folded_branch, op256_s04, canonical_spec):
 
 
 def test_multiplicity_gaps(folded_branch, op256_s04, canonical_spec):
-    lam_est = folded_branch.lambda_estimate
+    lam_est = folded_branch.fold_point().lam
     rows = multiplicity_scan(
         canonical_spec, op256_s04, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est], branch=folded_branch
     )
@@ -155,7 +155,7 @@ def test_multiplicity_requires_power_and_beta_zero(op256_s04, canonical_spec):
 
 
 def test_asymptotic_probe_growth_and_extension(folded_branch, op256_s04, canonical_spec):
-    fold_sup = folded_branch.fold.u_at_fold.sup_norm
+    fold_sup = folded_branch.fold_point().sup_norm
     apex_lam = max(p.lam for p in folded_branch.points)
     probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=30.0, steps=400)
     sup_max = probe.table[:, 1].max()
@@ -170,7 +170,7 @@ def test_asymptotic_probe_growth_and_extension(folded_branch, op256_s04, canonic
 
 def test_upper_extension_leaves_the_input_branch_alone(folded_branch, op256_s04, canonical_spec):
     before = list(folded_branch.points)
-    lam_est = folded_branch.lambda_estimate
+    lam_est = folded_branch.fold_point().lam
     multiplicity_scan(canonical_spec, op256_s04, [0.9 * lam_est], branch=folded_branch)
     probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=3.0, steps=40)
     assert len(probe.branch.points) > len(before)
@@ -190,7 +190,7 @@ def test_upper_extension_computes_no_stability(monkeypatch, folded_branch, op256
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(fracfold.continuation, name, counted)
-    lam_est = folded_branch.lambda_estimate
+    lam_est = folded_branch.fold_point().lam
     multiplicity_scan(canonical_spec, op256_s04, [0.5 * lam_est], branch=folded_branch)
     asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=30.0, steps=400)
     assert calls == []
@@ -200,27 +200,27 @@ def test_asymptotic_tail_power_law(folded_branch, op256_s04, canonical_spec):
     # natural scaling of the superlinear term: sup ~ lam^(-1/(p-1)) on the tail
     probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=60.0, steps=400)
     table = probe.table
-    tail = table[table[:, 1] >= 8.0 * folded_branch.fold.u_at_fold.sup_norm]
+    tail = table[table[:, 1] >= 8.0 * folded_branch.fold_point().sup_norm]
     slope = np.polyfit(np.log(tail[:, 0]), np.log(tail[:, 1]), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
 
 
 def test_uniqueness_probe_small_lambda(folded_branch, op256_s04, canonical_spec):
-    lam = 1e-3 * folded_branch.lambda_estimate
+    lam = 1e-3 * folded_branch.fold_point().lam
     report = uniqueness_probe(lam, canonical_spec, op256_s04, trials=10, seed=3)
     assert report.verdict == "unique"
     assert all(t["outcome"] in ("minimal", "diverged", "left_admissible_set") for t in report.trials)
 
 
 def test_uniqueness_probe_start_at_minimal(folded_branch, op256_s04, canonical_spec):
-    lam = 1e-3 * folded_branch.lambda_estimate
+    lam = 1e-3 * folded_branch.fold_point().lam
     minimal = solve_min(lam, canonical_spec, op256_s04)
     vals, res, _ = Equation.of(op256_s04, canonical_spec, lam).solve(minimal.values, 1e-10, _lu_step, 60)
     assert np.abs(vals - minimal.values).max() <= 1e-8
 
 
 def test_uniqueness_probe_scaled_starts(folded_branch, op256_s04, canonical_spec):
-    lam = 1e-3 * folded_branch.lambda_estimate
+    lam = 1e-3 * folded_branch.fold_point().lam
     cap = small_solution_cap(canonical_spec, op256_s04)
     minimal = solve_min(lam, canonical_spec, op256_s04)
     limits = []
@@ -234,7 +234,7 @@ def test_uniqueness_probe_scaled_starts(folded_branch, op256_s04, canonical_spec
 
 def test_uniqueness_probe_requires_window(folded_branch, op256_s04, canonical_spec):
     with pytest.raises(ValueError):
-        uniqueness_probe(0.9 * folded_branch.lambda_estimate, canonical_spec, op256_s04)
+        uniqueness_probe(0.9 * folded_branch.fold_point().lam, canonical_spec, op256_s04)
 
 
 def test_lambda1_extrapolation_predicts_fold(folded_branch):
@@ -244,7 +244,7 @@ def test_lambda1_extrapolation_predicts_fold(folded_branch):
     (l1a, la), (l1b, lb) = [(p.lambda1, p.lam) for p in minimal[-2:]]
     slope = (l1b - l1a) / (lb - la)
     crossing = lb - l1b / slope
-    assert abs(crossing - folded_branch.lambda_estimate) <= 2e-3 * folded_branch.lambda_estimate
+    assert abs(crossing - folded_branch.fold_point().lam) <= 2e-3 * folded_branch.fold_point().lam
 
 
 def test_multiplicity_scan_builds_its_own_branch(canonical_spec):
@@ -264,7 +264,7 @@ def test_fold_curvature_matches_spectral_projection(folded_branch, op256_s04, ca
 
     apex = max(folded_branch.points, key=lambda p: p.lam)
     u, lam = apex.solution.values, apex.lam
-    w = folded_branch.metric_weight
+    w = _arclength_weight(op256_s04, folded_branch.fold_point().sup_norm)
     op, spec = op256_s04, canonical_spec
     phi = lambda1(lam, u, op, spec).vector
     k = spec.k_field(op.grid)

@@ -8,7 +8,6 @@ from fracfold import ProblemSpec, assemble_operator, build_grid, power_nonlinear
 from fracfold.continuation import BranchPoint
 from fracfold.linearization import (
     LinearizedOperator,
-    d2A_directional,
     fredholm_monitor,
     lambda1,
     linearized_operator,
@@ -65,16 +64,21 @@ def test_linearized_operator_requires_positive_field(op192):
         linearized_operator(0.1, np.zeros(192), op192, spec)
 
 
+def _directional(lam, h, phi, op, spec, tol=1e-8, u=None):
+    """The directional derivative v of the solution operator in its forcing slot, along phi."""
+    return sensitivity_bundle(lam, h, op, spec, directions=(phi, None), tol=tol, u=u).v
+
+
 def test_d2A_zero_direction_and_linearity(op192, rng):
     spec = ProblemSpec(s=0.4, delta=0.7, beta=0.0)
     h = np.full(192, 0.4)
     base = solve_A(0.3, h, op192, spec)
-    assert np.all(d2A_directional(0.3, h, np.zeros(192), op192, spec, u=base) == 0.0)
+    assert np.all(_directional(0.3, h, np.zeros(192), op192, spec, u=base) == 0.0)
     phi = rng.normal(size=192)
     psi = rng.normal(size=192)
-    va = d2A_directional(0.3, h, phi, op192, spec, u=base)
-    vb = d2A_directional(0.3, h, psi, op192, spec, u=base)
-    vab = d2A_directional(0.3, h, 2.0 * phi - 3.0 * psi, op192, spec, u=base)
+    va = _directional(0.3, h, phi, op192, spec, u=base)
+    vb = _directional(0.3, h, psi, op192, spec, u=base)
+    vab = _directional(0.3, h, 2.0 * phi - 3.0 * psi, op192, spec, u=base)
     assert np.abs(vab - (2.0 * va - 3.0 * vb)).max() <= 1e-10 * max(1.0, np.abs(vab).max())
 
 
@@ -84,7 +88,7 @@ def test_d2A_finite_difference_orders(op192):
     phi = np.cos(0.5 * np.pi * op192.grid.nodes)
     tol = 1e-11
     base = solve_A(0.3, h, op192, spec, tol=tol)
-    v = d2A_directional(0.3, h, phi, op192, spec, tol=tol, u=base)
+    v = _directional(0.3, h, phi, op192, spec, tol=tol, u=base)
     errs = []
     for t in (1e-3, 1e-4, 1e-5):
         approx = (solve_A(0.3, h + t * phi, op192, spec, tol=tol).values - base.values) / t
@@ -143,8 +147,7 @@ def test_bundle_finite_difference_cross_checks(op192):
 
 
 def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
-    # one counted Cholesky of P serves every derivative field, and the
-    # directional solve is the bundle's v to the last bit
+    # one counted Cholesky of P serves every derivative field
     import fracfold.operator as op_mod
 
     spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
@@ -159,9 +162,26 @@ def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(op_mod, "cho_factor", counted)
-    bundle = sensitivity_bundle(0.3, h, op192, spec, directions=(phi, phi), u=base)
+    sensitivity_bundle(0.3, h, op192, spec, directions=(phi, phi), u=base)
     assert calls == [(192, 192)]
-    assert np.array_equal(d2A_directional(0.3, h, phi, op192, spec, u=base), bundle.v)
+
+
+def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec):
+    # on an indefinite upper-branch J the shift comes off the diagonal of one
+    # copy: the factor equals that of J - mu I formed in full, and J is untouched
+    import fracfold.operator as op_mod
+    from scipy.linalg import cho_factor
+
+    point = folded_branch.upper_points()[-1]
+    jac = linearized_operator(point.lam, point.solution, op256_s04, canonical_spec).matrix
+    assert op_mod._try_cholesky(jac) is None
+    before = jac.copy()
+    shift = min(op_mod._gershgorin_lower(jac), 0.0) - 1.0
+    factor, lower = op_mod._gershgorin_cholesky(jac)
+    expected, expected_lower = cho_factor(jac - shift * np.eye(len(jac)), lower=True)
+    assert lower is expected_lower is True
+    assert np.array_equal(factor.view(np.uint64), expected.view(np.uint64))  # bit for bit
+    assert np.array_equal(jac, before)
 
 
 def test_monitor_identity_without_nonlinearity(op192, pure_field):

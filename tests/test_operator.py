@@ -7,10 +7,8 @@ from scipy.special import gamma
 from fracfold import (
     ConvergenceError,
     GridError,
-    apply,
     assemble_operator,
     build_grid,
-    green_column,
     solve_dirichlet,
 )
 import fracfold.operator as op_mod
@@ -68,20 +66,20 @@ def test_operator_rejects_bad_order():
 
 def test_constant_field_sees_only_the_tail(op128_s05):
     c = 1.7
-    out = apply(op128_s05, np.full(128, c))
+    out = op128_s05.matrix @ np.full(128, c)
     assert np.all(out > 0.0)
     assert np.allclose(out, c * op128_s05.matrix.sum(axis=1), rtol=1e-13)
 
 
 def test_apply_linearity_and_shapes(op128_s05, rng):
-    n = op128_s05.n
-    assert np.all(apply(op128_s05, np.zeros(n)) == 0.0)
+    n, mat = op128_s05.n, op128_s05.matrix
+    assert np.all(mat @ np.zeros(n) == 0.0)
     u, v = rng.normal(size=n), rng.normal(size=n)
-    lhs = apply(op128_s05, u + v)
-    rhs = apply(op128_s05, u) + apply(op128_s05, v)
+    lhs = mat @ (u + v)
+    rhs = mat @ u + mat @ v
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
     with pytest.raises(ValueError):
-        apply(op128_s05, np.ones(n + 1))
+        solve_dirichlet(op128_s05, np.ones(n + 1))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -111,7 +109,7 @@ def test_closed_form_constant_against_quadrature():
 def test_apply_on_closed_form_samples(s, const):
     g = build_grid(1.0, 1024)
     op = assemble_operator(g, s)
-    out = apply(op, (1.0 - g.nodes ** 2) ** s)
+    out = op.matrix @ (1.0 - g.nodes ** 2) ** s
     inner = np.abs(g.nodes) <= 0.5
     assert np.abs(out[inner] - const).max() / const <= 1e-2
 
@@ -119,7 +117,7 @@ def test_apply_on_closed_form_samples(s, const):
 def test_solve_zero_and_roundtrip(op128_s05, rng):
     assert np.all(solve_dirichlet(op128_s05, np.zeros(128)) == 0.0)
     v = rng.normal(size=128)
-    rec = solve_dirichlet(op128_s05, apply(op128_s05, v))
+    rec = solve_dirichlet(op128_s05, op128_s05.matrix @ v)
     assert np.abs(rec - v).max() <= 1e-10 * np.abs(v).max()
     with pytest.raises(ValueError):
         solve_dirichlet(op128_s05, np.full(128, np.nan))
@@ -145,7 +143,7 @@ def test_eigen_principal_pair(op128_s05):
     assert pair.vector.min() > 0.0
     assert np.abs(pair.vector).max() == pytest.approx(1.0)
     assert pair.residual <= 1e-8
-    out = apply(op128_s05, pair.vector)
+    out = op128_s05.matrix @ pair.vector
     assert np.abs(out - pair.value * pair.vector).max() <= 1e-7
 
 
@@ -204,13 +202,16 @@ def test_lanczos_breakdown_and_step_cap(monkeypatch):
         _lanczos_largest(lambda x: mat @ x, 40, 1, 1e-12)
 
 
+def _green_column(op, j):
+    """Discrete Green function x -> G(x, x_j): column j of the inverse scaled by 1/h."""
+    return solve_dirichlet(op, np.eye(op.n)[j]) / op.grid.h
+
+
 def test_green_column_positivity_symmetry(op128_s05):
-    gi = green_column(op128_s05, 20)
-    gj = green_column(op128_s05, 90)
+    gi = _green_column(op128_s05, 20)
+    gj = _green_column(op128_s05, 90)
     assert gi.min() > 0.0
     assert gi[90] == pytest.approx(gj[20], rel=1e-10)
-    with pytest.raises(IndexError):
-        green_column(op128_s05, 128)
 
 
 def _green_bound_constant(op):
@@ -219,7 +220,7 @@ def _green_bound_constant(op):
     idx = np.arange(g.n)
     best = 0.0
     for j in range(0, g.n, max(1, g.n // 48)):
-        col = green_column(op, j)
+        col = _green_column(op, j)
         mask = idx != j
         gap = np.abs(g.nodes[mask] - g.nodes[j])
         bound = np.minimum(d[mask] ** op.s * d[j] ** op.s, gap ** op.s * d[mask] ** op.s) / gap

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracfold import ProblemSpec, build_grid, no_nonlinearity, power_nonlinearity, regularize
+from fracfold import ProblemSpec, Regime, build_grid, classify_regime, no_nonlinearity, power_nonlinearity
 
 
 def test_spec_validation():
@@ -46,7 +46,7 @@ def test_hs_flag_and_regime_indicator():
     assert spec.hs_flag  # -0.6 < 1.8
     spec = ProblemSpec(s=0.75, delta=5.0, beta=1.4)
     assert not spec.hs_flag  # 5.3 > 2.5
-    assert ProblemSpec(s=0.5, delta=1.0, beta=0.0).regime_indicator == pytest.approx(0.0)
+    assert classify_regime(0.5, 1.0, 0.0) is Regime.CRITICAL  # beta/s + delta - 1 = 0
 
 
 def test_subcritical_gate():
@@ -68,13 +68,9 @@ def test_audit_record():
     assert audit["f5_elasticity_bound"] == 2.0
 
 
-def test_k_field_and_regularization():
+def test_k_field():
     g = build_grid(1.0, 64)
     spec = ProblemSpec(s=0.4, delta=1.0, beta=0.3, coeff=2.0)
     k = spec.k_field(g)
     assert np.allclose(k * g.distance() ** 0.3, 2.0)
-    rspec = regularize(spec, g, 0.01)
-    assert np.all(rspec.k_eps <= k)
-    assert np.all(rspec.k_eps <= 100.0)
-    with pytest.raises(ValueError):
-        regularize(spec, g, 0.0)
+    assert np.all(ProblemSpec(s=0.4, delta=1.0, coeff=2.0).k_field(g) == 2.0)

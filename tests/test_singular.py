@@ -13,13 +13,11 @@ from fracfold import (
     build_grid,
     no_nonlinearity,
     power_nonlinearity,
-    regularize,
     scale_pure_singular,
     solve_A,
     solve_dirichlet,
     solve_min,
     solve_pure_singular,
-    solve_regularized,
 )
 from fracfold import singular
 from fracfold.linearization import lambda1
@@ -50,34 +48,38 @@ def _residual(op, spec, lam, u):
     return np.abs(op.matrix @ u - lam * (k * u ** (-spec.delta) + spec.nonlinearity.f(u))).max()
 
 
-def test_regularized_delta_zero_is_linear(op256):
-    spec = ProblemSpec(s=0.4, delta=0.0, beta=0.0, coeff=2.0)
-    rspec = regularize(spec, op256.grid, 0.1)
-    field = solve_regularized(rspec, op256)
-    direct = solve_dirichlet(op256, rspec.k_eps)
-    assert np.array_equal(field.values, direct)
+def _regularized(spec, op, eps, tol=1e-8):
+    """Solution u of A u = K_eps (u + eps)^(-delta), K_eps = min(1/eps, K), the theory's regularization.
+
+    In v = u + eps it is the Equation A v = K_eps v^(-delta) + eps A 1.  Newton
+    starts from v = max((K_eps / diag A)^(1/(1+delta)), eps), a subsolution
+    since (A v)_i <= A_ii v_i for an A with nonpositive off-diagonals, and
+    the iterates rise onto the unique solution.
+    """
+    k_eps = np.minimum(1.0 / eps, spec.k_field(op.grid))
+    eq = singular.Equation(op, k_eps, spec.delta, no_nonlinearity(), 1.0, rhs=eps * op.matrix.sum(axis=1))
+    start = np.maximum((k_eps / np.diag(op.matrix)) ** (1.0 / (1.0 + spec.delta)), eps)
+    v, _, _ = eq.solve(start, tol, singular._cholesky_step, 80)
+    return v - eps
 
 
 def test_regularized_monotone_in_eps(op256):
     spec = ProblemSpec(s=0.4, delta=1.0, beta=0.0)
-    fields = [solve_regularized(regularize(spec, op256.grid, eps), op256).values for eps in (0.5, 0.25, 0.125)]
+    fields = [_regularized(spec, op256, eps) for eps in (0.5, 0.25, 0.125)]
     slack = 1e-12
     assert np.all(fields[1] >= fields[0] - slack)
     assert np.all(fields[2] >= fields[1] - slack)
 
 
 def test_regularized_eps_refinement(op192_s05):
+    # away from the wall the regularized solutions converge to the eps = 0
+    # solve, at first order in eps
     spec = ProblemSpec(s=0.5, delta=1.0, beta=0.0)
-    u3 = solve_regularized(regularize(spec, op192_s05.grid, 1e-3), op192_s05)
-    u4 = solve_regularized(regularize(spec, op192_s05.grid, 1e-4), op192_s05)
+    u = solve_pure_singular(spec, op192_s05).values
     away = op192_s05.grid.distance() >= 0.1
-    assert np.abs(u3.values - u4.values)[away].max() <= 1e-2
-
-
-def test_regularized_rejects_nonlinearity(op256):
-    spec = ProblemSpec(s=0.4, delta=1.0, nonlinearity=power_nonlinearity(2.0))
-    with pytest.raises(ValueError):
-        solve_regularized(regularize(spec, op256.grid, 0.1), op256)
+    errs = [np.abs(_regularized(spec, op192_s05, eps) - u)[away].max() for eps in (1e-3, 1e-4)]
+    assert errs[0] <= 1e-3
+    assert errs[1] <= 0.2 * errs[0]
 
 
 def test_pure_singular_delta_zero(op256):
@@ -278,8 +280,7 @@ def test_pure_singular_properties(s, delta, beta_frac, coeff):
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
     assert np.all(u >= lower - slack)
     # the regularized solution is a subsolution of the eps = 0 problem
-    regularized = solve_regularized(regularize(spec, op.grid, 1e-2), op).values
-    assert np.all(u >= regularized - slack)
+    assert np.all(u >= _regularized(spec, op, 1e-2) - slack)
     # larger weight, larger solution
     heavier = solve_pure_singular(ProblemSpec(s=s, delta=delta, beta=spec.beta, coeff=2.0 * coeff), op).values
     assert np.all(heavier >= u - slack)
@@ -352,24 +353,23 @@ def test_newton_tests_convergence_after_its_last_step(op256):
     delta=st.floats(0.0, 12.0),
     beta_frac=st.floats(0.0, 0.95),
     lam=st.floats(0.01, 2.0),
-    eps=st.floats(0.0, 0.1),
     power=st.sampled_from([None, 1.5, 2.0, 3.0]),
 )
-@example(s=0.4, delta=0.5, beta_frac=0.0, lam=0.5, eps=0.0, power=2.0)
-@example(s=0.9, delta=12.0, beta_frac=0.95, lam=2.0, eps=0.1, power=3.0)
-def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam, eps, power):
+@example(s=0.4, delta=0.5, beta_frac=0.0, lam=0.5, power=2.0)
+@example(s=0.9, delta=12.0, beta_frac=0.95, lam=2.0, power=3.0)
+def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam, power):
     n = 64
     op = assemble_operator(build_grid(1.0, n), s)
     nl = power_nonlinearity(power) if power is not None else no_nonlinearity()
     spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=nl)
     x = op.grid.nodes
-    eq = singular.Equation(op, spec.k_field(op.grid), delta, nl, lam, eps=eps, rhs=np.cos(x))
+    eq = singular.Equation(op, spec.k_field(op.grid), delta, nl, lam, rhs=np.cos(x))
     u = 0.05 + (1.0 - x ** 2) * (1.0 + 0.3 * np.sin(5.0 * x))
     # size of the terms of G, which bounds the rounding error of a difference of residuals
-    size = np.abs(op.matrix) @ u + lam * (eq.k * (u + eps) ** (-delta) + nl.f(u)) + 1.0
+    size = np.abs(op.matrix) @ u + lam * (eq.k * u ** (-delta) + nl.f(u)) + 1.0
 
-    # potential: the Jacobian is A + diag(potential); relative steps of 1e-6 in u + eps
-    v = (u + eps) * np.sin(3.0 * x + 0.5)
+    # potential: the Jacobian is A + diag(potential); relative steps of 1e-6 in u
+    v = u * np.sin(3.0 * x + 0.5)
     h = 1e-6
     fd = (eq.residual(u + h * v) - eq.residual(u - h * v)) / (2.0 * h)
     jv = op.matrix @ v + eq.potential(u) * v

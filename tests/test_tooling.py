@@ -54,6 +54,15 @@ def test_wrapped_names_exist(spans):
         assert name in bound
 
 
+def test_every_exported_name_resolves():
+    # a deleted definition must not leave its name behind in an __all__
+    modules = [fracfold, *_modules()]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert sum(hasattr(m, "__all__") for m in modules) >= 10
+    missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
+    assert missing == []
+
+
 def test_no_module_binds_an_uncounted_dense_routine():
     forbidden = {getattr(lib, name) for lib in (scipy.linalg, numpy.linalg) for name in FORBIDDEN if hasattr(lib, name)}
     for module in _modules():
