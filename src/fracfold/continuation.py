@@ -118,7 +118,10 @@ class Branch:
 
 
 # Minimal-branch tracing multiplies lam by this factor until a solve fails.
+# A fold solve that fails is started again from a point between the last
+# solved and the first failed lam, at most FOLD_STARTS - 1 times.
 LAMBDA_GROWTH = 2.0
+FOLD_STARTS = 4
 
 # Pseudo-arclength step control: a failed corrector halves ds down to DS_MIN;
 # a success grows it by DS_GROWTH up to the policy's ds_max.  Fold rounding
@@ -168,7 +171,9 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
     one fails.  That failure only ends the growth: it proves nothing about
     existence.  The fold is then solved for from the last point by
     `_fold_point` and appended as the branch's one "fold" point; its lam is
-    the extremal parameter.  A failed fold solve raises ConvergenceError.
+    the extremal parameter.  When that solve fails, a point closer to the
+    fold (`_closer_point`) is added and the fold solved for from there; the
+    last failure raises ConvergenceError.
     """
     lam1s = principal_eigenpair(op).value
     lam = policy.lambda_init if policy.lambda_init is not None else 0.02 * lam1s
@@ -192,10 +197,38 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
     else:
         raise ConvergenceError("minimal branch did not terminate within the point budget")
 
-    fold = _fold_point(op, spec, points[-1])
+    above = lam  # the first lam whose minimal solve failed
+    for attempt in range(FOLD_STARTS):
+        try:
+            fold = _fold_point(op, spec, points[-1])
+            break
+        except ConvergenceError:
+            if attempt == FOLD_STARTS - 1:
+                raise
+        # Moore-Spence Newton can diverge from a start far below the fold (at
+        # s = 0.1 from 65 % of it): start again from a point closer to it
+        point, above = _closer_point(spec, op, policy, points[-1], above)
+        points.append(point)
     points.append(fold)
     _assign_arclength(points, _arclength_weight(op, fold.sup_norm))
     return Branch(points=points)
+
+
+def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: float) -> tuple[BranchPoint, float]:
+    """The minimal point at the geometric mean of below.lam and the failed lam `above`, and the new `above`.
+
+    A failed solve at the mean takes the place of `above`, and the mean is
+    taken again, at most FOLD_STARTS times; then ConvergenceError.
+    """
+    for _ in range(FOLD_STARTS):
+        lam = float(np.sqrt(below.lam * above))
+        try:
+            fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=below.solution)
+        except ConvergenceError:
+            above = lam
+            continue
+        return BranchPoint(lam, fld, op, policy.tol), above
+    raise ConvergenceError(f"no minimal solve between lambda = {below.lam!r} and {above!r}")
 
 
 def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):

@@ -10,10 +10,15 @@ and the Fredholm monitor obeys I - P^(-1) F = P^(-1) J, so
     sigma_min(I - P^(-1) F) = 1 / sigma_max(J^(-1) P) = 1 / sigma_max(I + J^(-1) F).
 
 Both numbers come from one LinearizedOperator, which factors J once and
-shares the factor: lambda1 runs shift-invert Lanczos on the Cholesky factor
-of J (of J - mu*I with the Gershgorin shift mu when J is indefinite), and the
+shares the factor: Cholesky when J is positive definite, else LU.  lambda1
+runs Lanczos through it on J^-1, or on -J^-1 when J is indefinite, whose top
+Ritz pair is the negative eigenvalue of J nearest 0.  J is an irreducible
+symmetric Z-matrix, so that pair is lambda1 exactly when its eigenvector is
+strictly positive (Perron-Frobenius).  Only where it is not (Morse index 2 or
+more, or J numerically singular at the fold) does lambda1 take a second
+factor, the Cholesky factor of J - mu*I with the Gershgorin shift mu.  The
 monitor runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J's factor
-(Cholesky, or LU when J is indefinite) per step.  Each Lanczos run
+per step.  Each Lanczos run
 (operator._lanczos_largest) stops as soon as its Ritz pair has converged,
 after 2-15 steps on the default branch at n=256 to 2048.  Its start vector
 has no reflection symmetry: J and F are reflection-symmetric, and on the
@@ -40,13 +45,13 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blas import single_pool
 from .errors import ConvergenceError
 from .operator import (
     EigenPair,
     NonlocalOperator,
+    _cholesky_solver,
     _gershgorin_cholesky,
     _lanczos_largest,
     _shift_invert_pairs,
@@ -83,17 +88,10 @@ class LinearizedOperator:
         return _try_cholesky(self.matrix)
 
     @cached_property
-    def spectral_factor(self):
-        """Cholesky factor of J - mu I: mu = 0 when J is positive definite, else the Gershgorin shift."""
-        return self.cholesky or _gershgorin_cholesky(self.matrix)
-
-    @cached_property
     def solve(self):
         """x -> J^-1 x by J's Cholesky or LU factor, or None when J is exactly singular."""
         cho = self.cholesky
-        if cho is not None:
-            return lambda x: cho_solve(cho, x, check_finite=False)
-        return _lu_solver(self.matrix)
+        return _lu_solver(self.matrix) if cho is None else _cholesky_solver(cho)
 
 
 def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
@@ -111,10 +109,37 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
     """Principal eigenpair of the linearization around u.
 
-    Pass `lin` to reuse a linearization, and its factors, built at (lam, u).
+    Lanczos through J's own factor, with the Gershgorin-shifted Cholesky
+    factor as the fallback on an indefinite J (see the module notes).  Pass
+    `lin` to reuse a linearization, and its factors, built at (lam, u).
     """
     lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
-    return _shift_invert_pairs(lin.matrix, 1, lin.spectral_factor, tol)[0]
+    if lin.cholesky is not None:
+        return _shift_invert_pairs(lin.matrix, 1, lin.solve, tol)[0]
+    pair = _perron_pair(lin, tol)
+    if pair is not None:
+        return pair
+    return _shift_invert_pairs(lin.matrix, 1, _cholesky_solver(_gershgorin_cholesky(lin.matrix)), tol)[0]
+
+
+def _perron_pair(lin: LinearizedOperator, tol: float) -> EigenPair | None:
+    """lambda1 of an indefinite J from the Lanczos run on -J^-1, or None when it is not certified.
+
+    J = A + diag(potential) is an irreducible symmetric Z-matrix, so by
+    Perron-Frobenius a strictly positive eigenvector belongs to lambda1 and to
+    no other eigenvalue; for the positive vector x with residual r the
+    Collatz-Wielandt bounds give |lambda1 - mu| <= max|r_i| / min x_i.  The
+    pair is accepted when its value is negative, its residual is at most tol
+    and its sup-normalized vector is strictly positive.
+    """
+    solve = lin.solve
+    if solve is None:
+        return None
+    try:
+        pair = _shift_invert_pairs(lin.matrix, 1, lambda x: -solve(x), tol)[0]
+    except ConvergenceError:
+        return None
+    return pair if pair.value < 0.0 and pair.vector.min() > 0.0 else None
 
 
 def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str) -> tuple[np.ndarray, float]:

@@ -32,11 +32,19 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_solve
+from scipy.linalg import lu_solve
 
 from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError
-from .operator import Grid, NonlocalOperator, _try_cholesky, _try_lu, principal_eigenpair, solve_dirichlet
+from .operator import (
+    Grid,
+    NonlocalOperator,
+    _cholesky_solver,
+    _try_cholesky,
+    _try_lu,
+    principal_eigenpair,
+    solve_dirichlet,
+)
 from .problem import Nonlinearity, ProblemSpec, no_nonlinearity
 from .weights import NormReport
 
@@ -185,7 +193,7 @@ def _floored(u, t, du):
 def _cholesky_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """jac^-1 rhs by Cholesky, or None when jac is not positive definite."""
     factor = _try_cholesky(jac)
-    return None if factor is None else cho_solve(factor, rhs, check_finite=False)
+    return None if factor is None else _cholesky_solver(factor)(rhs)
 
 
 def _lu_solver(jac: np.ndarray):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracfold.continuation
-from fracfold import ConvergenceError, solve_min
+from fracfold import ConvergenceError, ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_min
 from fracfold.continuation import (
+    FoldPolicy,
+    TracePolicy,
     _arclength_weight,
     _fold_point,
     asymptotic_bifurcation_probe,
+    fold_round,
     multiplicity_scan,
     small_solution_cap,
     trace_minimal,
@@ -248,8 +253,6 @@ def test_lambda1_extrapolation_predicts_fold(folded_branch):
 
 
 def test_multiplicity_scan_builds_its_own_branch(canonical_spec):
-    from fracfold import assemble_operator, build_grid
-
     op = assemble_operator(build_grid(1.0, 96), canonical_spec.s)
     rows = multiplicity_scan(canonical_spec, op, [0.2])
     assert rows[0]["complete"]
@@ -275,3 +278,33 @@ def test_fold_curvature_matches_spectral_projection(folded_branch, op256_s04, ca
     analytic = -(phi @ (guu * udot * udot)) / (phi @ glam)
     assert analytic < 0.0
     assert folded_branch.fold.quadratic_coeff == pytest.approx(analytic, rel=0.1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.1, 0.9),
+    delta=st.floats(0.1, 4.0),
+    beta_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    p=st.floats(1.5, 3.0),
+)
+@example(s=0.1, delta=1.109375, beta_frac=0.0, p=2.671875)  # the first fold solve diverges
+def test_branch_pipeline_across_parameters(s, delta, beta_frac, p):
+    # trace, fold solve and rounding succeed, lambda1 changes sign at the fold
+    # and matches the dense oracle at every point, and the branch bends back.
+    # Among the drawn sets, one fold solve starts again from a closer point and
+    # the shifted-Cholesky fallback of lambda1 runs on some points.
+    op = assemble_operator(build_grid(1.0, 128), s)
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=power_nonlinearity(p))
+    branch = fold_round(trace_minimal(spec, op, TracePolicy()), op, spec, FoldPolicy())
+    assert branch.fold.quadratic_coeff < 0.0
+    fold = branch.fold_point()
+    if spec.beta == 0.0:
+        assert fold.lam <= _nonexistence_bound(spec, op)
+    assert branch.upper_points()
+    for point in branch.points:
+        oracle = np.linalg.eigvalsh(Equation.of(op, spec, point.lam).jacobian(point.solution.values))[0]
+        assert point.lambda1 == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle))), (point.segment, point.lam)
+        if point.segment == "minimal":
+            assert point.lambda1 > 0.0, point.lam
+        elif point.segment == "upper":
+            assert point.lambda1 < 0.0, point.lam

@@ -255,10 +255,20 @@ def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, c
         assert q.residual <= 1e-9
 
 
+def _forbid_gershgorin_factor(monkeypatch):
+    """Make lambda1's fallback, the Gershgorin-shifted Cholesky factor, fail the test if it is built."""
+    import fracfold.linearization as lin_mod
+
+    def no_fallback(mat):
+        raise AssertionError("the Gershgorin-shifted factor was built")
+
+    monkeypatch.setattr(lin_mod, "_gershgorin_cholesky", no_fallback)
+
+
 def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
     # lambda1 and the monitor of one linearization: a single Cholesky of J on
     # the minimal branch; on the upper one the sine profile proves J
-    # indefinite, leaving the shifted Cholesky plus the LU of J
+    # indefinite, and the LU of J serves both (lambda1 by Lanczos on -J^-1)
     import fracfold.operator as op_mod
 
     calls = []
@@ -272,7 +282,7 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         monkeypatch.setattr(mod, name, counted)
     for p, expected in (
         (_rounded(folded_branch, "minimal")[-1], ["cho_factor"]),
-        (_rounded(folded_branch, "upper")[-1], ["cho_factor", "lu_factor"]),
+        (_rounded(folded_branch, "upper")[-1], ["lu_factor"]),
     ):
         calls.clear()
         lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
@@ -293,15 +303,25 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
 def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):
     # each Lanczos run stops once its Ritz pair has converged; runs of a fixed
     # 21 applications take 65 solves per point (21 for lambda1, 2 * 21 + 2 for
-    # the monitor and its residual check).  The factors stay one set per point.
+    # the monitor and its residual check).  The factors stay one per point:
+    # an indefinite J's LU serves lambda1 too, so no Gershgorin factor is built.
     import fracfold.linearization as lin_mod
     import fracfold.operator as op_mod
     import fracfold.singular as sing_mod
 
     calls = {"solve": 0, "factor": 0}
+
+    def count(kind, result):
+        calls[kind] += 1
+        return result
+
+    def counted_solver(factor, _original=op_mod._cholesky_solver):
+        solve = _original(factor)
+        return lambda x: count("solve", solve(x))
+
+    for mod in (op_mod, lin_mod, sing_mod):
+        monkeypatch.setattr(mod, "_cholesky_solver", counted_solver)
     for mod, name, kind in (
-        (op_mod, "cho_solve", "solve"),
-        (lin_mod, "cho_solve", "solve"),
         (sing_mod, "lu_solve", "solve"),
         (op_mod, "cho_factor", "factor"),
         (op_mod, "lu_factor", "factor"),
@@ -309,16 +329,63 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
         original = getattr(mod, name)
 
         def counted(*args, _original=original, _kind=kind, **kwargs):
-            calls[_kind] += 1
-            return _original(*args, **kwargs)
+            return count(_kind, _original(*args, **kwargs))
 
         monkeypatch.setattr(mod, name, counted)
+    _forbid_gershgorin_factor(monkeypatch)
     points = _rounded(folded_branch)
     for p in points:
         fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
         _ = (fresh.lambda1, fresh.monitor)
-    assert calls["solve"] <= 30 * len(points)
-    assert calls["factor"] <= 44
+    # measured: 594 solves over the 26 points, one factor each
+    assert calls["solve"] <= 24 * len(points)
+    assert calls["factor"] == len(points)
+
+
+def test_upper_lambda1_comes_from_the_lu_of_J(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # on every upper point Lanczos on -J^-1 through J's LU finds lambda1, with
+    # a positive eigenvector (the Perron certificate) and no shifted factor
+    _forbid_gershgorin_factor(monkeypatch)
+    upper = folded_branch.upper_points()
+    assert len(upper) >= 5
+    for p in upper:
+        lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
+        assert lin.cholesky is None
+        pair = lambda1(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
+        oracle = np.linalg.eigvalsh(lin.matrix)[0]
+        assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle))), p.lam
+        assert pair.value < 0.0
+        assert pair.vector.min() > 0.0
+
+
+def test_lambda1_falls_back_past_morse_index_one(op192):
+    # J = A - cI with c between mu_2 and mu_3 of A has two negative eigenvalues;
+    # the top Ritz pair of -J^-1 belongs to mu_2 - c, whose eigenvector changes
+    # sign, so lambda1 must come from the shifted Cholesky factor instead
+    mu = np.linalg.eigvalsh(op192.matrix)[:3]
+    c = 0.5 * (mu[1] + mu[2])
+    jac = op192.matrix - c * np.eye(op192.n)
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
+    pair = lambda1(0.1, np.ones(op192.n), op192, spec, lin=LinearizedOperator(jac, np.zeros(op192.n)))
+    assert pair.value == pytest.approx(mu[0] - c, abs=1e-9 * abs(mu[0] - c))
+    assert pair.vector.min() > 0.0
+
+
+def test_cholesky_solver_matches_cho_solve(op192, pure_field, rng):
+    from scipy.linalg import cho_factor, cho_solve
+
+    from fracfold.operator import _cholesky_solver
+
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
+    jac = linearized_operator(0.2, pure_field.values, op192, spec).matrix
+    assert np.linalg.eigvalsh(jac)[0] > 0.0
+    for mat in (op192.matrix, jac):
+        factor = cho_factor(mat, lower=True)
+        for x in (rng.normal(size=op192.n), np.ones(op192.n)):
+            expected = cho_solve(factor, x)
+            kept = x.copy()
+            assert np.abs(_cholesky_solver(factor)(x) - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.array_equal(x, kept)  # the right-hand side is not overwritten
 
 
 def test_monitor_zero_when_linearization_is_singular(op192, pure_field):

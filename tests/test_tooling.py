@@ -24,11 +24,14 @@ SOURCE = pathlib.Path(fracfold.__file__).parent
 # the dense kernels the ledger counts, and linalg names that factor no n x n
 # matrix (lstsq fits three columns in weights.fit_boundary_exponent;
 # eigh_tridiagonal diagonalizes the j x j Lanczos tridiagonal, j at most the
-# step count of operator._lanczos_largest).  A dense
+# step count of operator._lanczos_largest; get_blas_funcs fetches the O(n^2)
+# triangular solve trsv of operator._cholesky_solver).  A dense
 # `solve` is forbidden from both libraries: every factorization goes through
 # scipy's counted kernels, and numpy's BLAS pool stays out of the solves.
+# cho_solve is not allowed either: LAPACK's potrs takes 2-4 times as long as
+# the trsv pair on one right-hand side.
 COUNTED = {"cho_factor", "lu_factor", "svdvals"}
-HELPERS = {"cho_solve", "lu_solve", "toeplitz", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
+HELPERS = {"get_blas_funcs", "lu_solve", "toeplitz", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
 FORBIDDEN = ("solve", "eigh", "eigvalsh", "eig", "ldl", "cholesky", "lu", "qr", "svd", "inv", "pinv", "det")
 
 
@@ -153,7 +156,8 @@ def test_jacobians_are_assembled_only_by_the_equation():
 
 def test_factorizations_are_called_only_in_the_operator_module():
     # every other module factors through operator's _try_cholesky, _try_lu or
-    # _gershgorin_cholesky, so the factorization ledger has one home
+    # _gershgorin_cholesky, and solves with a Cholesky factor through its
+    # _cholesky_solver, so the factorization ledger has one home
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
