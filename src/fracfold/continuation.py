@@ -12,7 +12,10 @@ one, and extends the upper segment.  Its corrector is the damped-Newton core
 of `singular` on the problem's `Equation`, bordered by the tangent
 normalization and solved by LU, with the u-component weighted by
 1/||u_fold||_inf so both components contribute comparably to arclength near
-the fold.
+the fold.  One run keeps one bordered LU for all its correctors: a step
+solves with it while the merit keeps falling fast enough, and factors afresh
+otherwise (the chord method), so most points cost no factorization.  Every
+point meets the same residual bound as with a fresh factor at every step.
 """
 
 from __future__ import annotations
@@ -132,6 +135,7 @@ DS_GROWTH = 1.4
 DS_FOLD = 2.5e-3
 FIT_HALFWIDTH = 6
 MAX_CORRECTOR = 14  # Newton steps of one corrector
+CHORD_RATIO = 0.1  # reuse the stored LU while the last step cut the merit to this fraction or less
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,7 @@ def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float
     """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for _lu_solver."""
     n = len(u)
     mat = np.empty((n + 1, n + 1))  # filled in place: np.block takes 20 times as long at n = 256
-    mat[:n, :n] = at.jacobian(u)
+    at.jacobian(u, out=mat[:n, :n])
     mat[:n, n] = at.d_dlam(u)
     mat[n, :n] = row
     mat[n, n] = corner
@@ -301,7 +305,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     return BranchPoint(lam, fld, op, tol, segment="fold")
 
 
-def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
+def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = None):
     """One pseudo-arclength step of length ds from anchor = (u0, lam0).
 
     From the predictor anchor + ds * tangent, Newton solves the bordered system
@@ -311,10 +315,21 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
     whose Jacobian [[G_u, G_lam], [w^2 udot, lamdot]] is factored by LU; eq
     gives G at any lam.  Returns (u, lam, residual, bound) with sup|G| <=
     bound = tol * eq.scale(u) at the returned lam, or None on failure.
+
+    `store` holds at most one bordered LU, shared by the correctors of one
+    arclength run (Shamanskii's chord method, Kelley, SIAM 2003, ch. 2 and
+    5).  The first step solves with the stored factor whenever there is one;
+    a later step does so while the merit fell to at most CHORD_RATIO of its
+    value at the step before.  Otherwise the step drops the stored factor and
+    stores a fresh LU at the current iterate.  A step from a reused factor
+    passes the same line search and stopping test as a Newton step.  When a
+    corrector that reused a factor fails, it empties the store and runs once
+    more from the same predictor without one, factoring afresh at every step.
     """
     u0, lam0 = anchor
     udot, lamdot = tangent
     n = len(u0)
+    last_merit, reused = None, False
 
     def residual(z):
         u = z[:n]
@@ -324,8 +339,20 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
         return np.append(np.full(n, tol * replace(eq, lam=z[n]).scale(z[:n])), tol * (1.0 + ds))
 
     def step(z, r):
+        nonlocal last_merit, reused
+        m, prev = merit(r), last_merit
+        last_merit = m
+        if store and (prev is None or m <= CHORD_RATIO * prev):
+            reused = True
+            return store[0](-r)
+        if store is not None:
+            store.clear()  # the old factor goes before its replacement is built
         solve = _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
-        return None if solve is None else solve(-r)
+        if solve is None:
+            return None
+        if store is not None:
+            store.append(solve)
+        return solve(-r)
 
     def trial(z, t, dz):
         zt = z + t * dz
@@ -338,7 +365,10 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol):
     try:
         z, r, b = damped_newton(predictor, residual, merit, bound, step, trial, MAX_CORRECTOR, 30)
     except ConvergenceError:
-        return None
+        if not reused:
+            return None
+        store.clear()
+        return _corrector(eq, anchor, tangent, ds, w, tol)
     return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[0])
 
 
@@ -366,25 +396,30 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tange
     of them; the caller decides where to stop.  Arclength runs on from
     start's.  A corrector failing at every step length raises _StepFailure.
     A step computes no lambda1 or monitor: the points compute them when read,
-    so only a caller reading them meets their failures.
+    so only a caller reading them meets their failures.  The correctors share
+    one stored bordered LU (see `_corrector`), dropped when the run ends.
     """
     eq = Equation.of(op, spec, 0.0)
     z = (start.solution.values, start.lam)
     ds = policy.ds
     sigma = start.arclength
-    for _ in range(policy.steps):
-        while ds >= DS_MIN and (out := _corrector(eq, z, tangent, ds, w, policy.tol)) is None:
-            ds *= 0.5
-        if ds < DS_MIN:
-            raise _StepFailure("pseudo-arclength corrector failed below the minimum step")
-        u, lam, res, bound = out
-        ds = min(ds * DS_GROWTH, policy.ds_max)
-        tangent = _tangent(w, z, (u, lam), tangent)
-        du = u - z[0]
-        sigma += float(np.sqrt(w ** 2 * (du @ du) + (lam - z[1]) ** 2))
-        fld = SolutionField(values=u, grid=op.grid, spec=replace(spec, lam=lam), residual=res, residual_bound=bound)
-        yield BranchPoint(lam, fld, op, policy.tol, sigma, segment)
-        z = (u, lam)
+    store = []
+    try:
+        for _ in range(policy.steps):
+            while ds >= DS_MIN and (out := _corrector(eq, z, tangent, ds, w, policy.tol, store)) is None:
+                ds *= 0.5
+            if ds < DS_MIN:
+                raise _StepFailure("pseudo-arclength corrector failed below the minimum step")
+            u, lam, res, bound = out
+            ds = min(ds * DS_GROWTH, policy.ds_max)
+            tangent = _tangent(w, z, (u, lam), tangent)
+            du = u - z[0]
+            sigma += float(np.sqrt(w ** 2 * (du @ du) + (lam - z[1]) ** 2))
+            fld = SolutionField(values=u, grid=op.grid, spec=replace(spec, lam=lam), residual=res, residual_bound=bound)
+            yield BranchPoint(lam, fld, op, policy.tol, sigma, segment)
+            z = (u, lam)
+    finally:
+        store.clear()
 
 
 @single_pool

@@ -9,7 +9,8 @@ handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
 diag(potential)) and dG/dlam; the caller gives the linear step (Cholesky for
 the solves below, LU for the second solutions and multistarts in
-`continuation`, a bordered LU for its arclength corrector and its fold solve)
+`continuation`, a bordered LU for its arclength corrector, reused across
+steps, and its fold solve)
 and the trial map (the positivity floor here, rejection of nonpositive trials
 in `continuation`).
 
@@ -121,8 +122,17 @@ class Equation:
         singular = self.lam * self.delta * (self.delta + 1.0) * self.k * u ** (-self.delta - 2.0)
         return -singular - self.lam * self.nonlinearity.fsecond(u)
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        return self.op.matrix + np.diag(self.potential(u))
+    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """dG/du = A + diag(potential), written into `out` (an n x n array or view) or a new array.
+
+        A is copied into the target and the potential added to its diagonal,
+        which gives the bits of A + diag(potential) without an n x n temporary.
+        """
+        if out is None:
+            out = np.empty_like(self.op.matrix)
+        out[...] = self.op.matrix
+        out[np.diag_indices(len(u))] += self.potential(u)
+        return out
 
     def d_dlam(self, u: np.ndarray) -> np.ndarray:
         return -self._source(u)
@@ -153,7 +163,10 @@ def damped_newton(x, residual, merit, bound, step, trial, maxit: int, halvings: 
     a scalar); this is tested at the start and after every step, the last
     allowed one included.  step(x, r) is the Newton step for residual r, or
     None when its linear solve rejects the Jacobian (not finite, exactly
-    singular, or not positive definite for a Cholesky step).  trial(x, t, dx)
+    singular, or not positive definite for a Cholesky step).  The step may
+    also solve with a factor of the Jacobian at an earlier point (the chord
+    steps of continuation's corrector); it then meets the same line search
+    and the same stopping test.  trial(x, t, dx)
     maps the damped step x + t dx into the admissible set, or gives None to
     reject it; t runs 1, 1/2, ..., 2^-halvings until the merit decreases.
     Returns (x, residual(x), bound(x)); failure is a ConvergenceError.

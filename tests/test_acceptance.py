@@ -141,6 +141,25 @@ def test_criterion_09_multiplicity(accept_cfg, accept_cache):
     _run(check_multiplicity, accept_cfg, accept_cache)
 
 
+@pytest.mark.parametrize("planted", [False, True])
+def test_criterion_09_multiplicity_rejects_a_planted_second_solution(monkeypatch, accept_cfg, accept_cache, planted):
+    # the scan's rows with each second solution planted equal to the minimal
+    # one (so gap 0): both multiplicity-* records must fail; unplanted, both pass
+    real = verify.multiplicity_scan
+
+    def scan(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        if not planted:
+            return rows
+        return [{**r, "second": r["minimal"], "gap": 0.0} for r in rows]
+
+    monkeypatch.setattr(verify, "multiplicity_scan", scan)
+    records = check_multiplicity(accept_cfg, accept_cache)
+    assert [r.name for r in records] == ["multiplicity-distinct", "multiplicity-gap-shrinks"]
+    for r in records:
+        assert r.passed is not planted, r
+
+
 def test_criterion_10_asymptotic_bifurcation(accept_cfg, accept_cache):
     _run(check_asymptotic, accept_cfg, accept_cache)
 

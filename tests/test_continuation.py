@@ -4,12 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracfold.continuation
+import fracfold.operator
 from fracfold import ConvergenceError, ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_min
 from fracfold.continuation import (
     FoldPolicy,
     TracePolicy,
+    _arclength_points,
     _arclength_weight,
+    _bordered_solver,
+    _corrector,
     _fold_point,
+    _tangent,
     asymptotic_bifurcation_probe,
     fold_round,
     multiplicity_scan,
@@ -171,6 +176,100 @@ def test_asymptotic_probe_growth_and_extension(folded_branch, op256_s04, canonic
     minimal_sups = [p.sup_norm for p in folded_branch.minimal_points()]
     assert max(minimal_sups) <= fold_sup * (1.0 + 1e-9)
 
+
+def test_probe_makes_fewer_factorizations_than_points(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # the correctors of one arclength run share a bordered LU: most points are
+    # corrected with a factor made for an earlier one, so the probe makes fewer
+    # LU factorizations than it adds points (one or more each without reuse)
+    calls = []
+    original = fracfold.operator.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fracfold.operator, "lu_factor", counted)
+    probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, steps=400)
+    added = len(probe.branch.points) - len(folded_branch.points)
+    assert len(calls) < added
+
+
+def _upper_tangent(branch, w, i):
+    a, b = branch.upper_points()[i - 1 : i + 1]
+    return _tangent(w, (a.solution.values, a.lam), (b.solution.values, b.lam))
+
+
+def test_corrector_recovers_from_a_stale_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # a stored factor from the far end of the upper segment still gives a
+    # point that meets its residual bound and the arclength equation; the
+    # corrector has to factor afresh on the way
+    op, spec, tol, ds = op256_s04, canonical_spec, 1e-8, 0.02
+    w = _arclength_weight(op, folded_branch.fold_point().sup_norm)
+    upper = folded_branch.upper_points()
+    far = upper[-1]
+    far_udot, far_lamdot = _upper_tangent(folded_branch, w, len(upper) - 1)
+    stale = _bordered_solver(Equation.of(op, spec, far.lam), far.solution.values, w ** 2 * far_udot, far_lamdot)
+    fresh = []
+
+    def counted(*args):
+        fresh.append(1)
+        return _bordered_solver(*args)
+
+    monkeypatch.setattr(fracfold.continuation, "_bordered_solver", counted)
+    udot, lamdot = _upper_tangent(folded_branch, w, 1)
+    u0, lam0 = upper[1].solution.values, upper[1].lam
+    store = [stale]
+    u, lam, res, bound = _corrector(Equation.of(op, spec, 0.0), (u0, lam0), (udot, lamdot), ds, w, tol, store)
+    assert res <= bound
+    assert np.abs(Equation.of(op, spec, lam).residual(u)).max() == res
+    assert abs(w ** 2 * (udot @ (u - u0)) + lamdot * (lam - lam0) - ds) <= tol * (1.0 + ds)
+    assert len(fresh) >= 1
+    assert len(store) <= 1 and (not store or store[0] is not stale)
+
+
+def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # every reuse of a stored factor returns a zero step, so each corrector
+    # that reuses one fails its line search and runs again with a fresh
+    # factor at every step, at the same ds: the run yields the points of a
+    # run that never reuses
+    op, spec = op256_s04, canonical_spec
+    w = _arclength_weight(op, folded_branch.fold_point().sup_norm)
+    upper = folded_branch.upper_points()
+    start, tangent = upper[-1], _upper_tangent(folded_branch, w, len(upper) - 1)
+    policy = FoldPolicy(steps=12)
+
+    def run():
+        return [(p.lam, p.arclength) for p in _arclength_points(op, spec, policy, w, start, tangent, "upper")]
+
+    real = fracfold.continuation._corrector
+    monkeypatch.setattr(fracfold.continuation, "_corrector", lambda *args: real(*args[:6]))
+    never_reused = run()
+    monkeypatch.undo()
+
+    useless = []
+
+    def planted(*args):
+        solve = _bordered_solver(*args)
+        if solve is None:
+            return None
+        uses = []
+
+        def stored(x):
+            uses.append(1)
+            if len(uses) == 1:  # the step that made the factor
+                return solve(x)
+            useless.append(1)
+            return np.zeros_like(x)
+
+        return stored
+
+    monkeypatch.setattr(fracfold.continuation, "_bordered_solver", planted)
+    fallen_back = run()
+    assert len(useless) >= policy.steps - 1
+    assert len(fallen_back) == len(never_reused) == policy.steps
+    for (lam_a, sig_a), (lam_b, sig_b) in zip(fallen_back, never_reused):
+        assert abs(lam_a - lam_b) <= 1e-8
+        assert abs(sig_a - sig_b) <= 1e-8
 
 
 def test_upper_extension_leaves_the_input_branch_alone(folded_branch, op256_s04, canonical_spec):

@@ -375,6 +375,13 @@ def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam,
     jv = op.matrix @ v + eq.potential(u) * v
     assert np.all(np.abs(fd - jv) <= 1e-7 * np.abs(eq.potential(u) * v) + 1e-8 * size)
     assert np.allclose(eq.jacobian(u) @ v, jv, rtol=1e-12, atol=1e-12 * size.max())
+    # assembled in place, into a new array or the leading block of a larger
+    # one, it has the bits of A + diag(potential) and leaves the border alone
+    block = np.zeros((n + 1, n + 1))
+    eq.jacobian(u, out=block[:n, :n])
+    assert np.array_equal(block[:n, :n], op.matrix + np.diag(eq.potential(u)))
+    assert np.array_equal(eq.jacobian(u), block[:n, :n])
+    assert not block[n].any() and not block[:, n].any()
 
     # d_dlam: G is affine in lam
     dl = 1e-3 * lam

@@ -125,33 +125,48 @@ def test_linearization_is_built_only_by_branch_points():
     assert sites == []
 
 
-def _is_diag_call(node) -> bool:
+def _is_call_to(node, names) -> bool:
+    func = getattr(node, "func", None)
     return isinstance(node, ast.Call) and (
-        (isinstance(node.func, ast.Attribute) and node.func.attr == "diag")
-        or (isinstance(node.func, ast.Name) and node.func.id == "diag")
+        (isinstance(func, ast.Attribute) and func.attr in names) or (isinstance(func, ast.Name) and func.id in names)
+    )
+
+
+def _writes_a_diagonal(node) -> bool:
+    """`m + diag(d)`, or an assignment into `m[diag_indices(...)]` (`+=` included)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_call_to(node.left, {"diag"}) or _is_call_to(node.right, {"diag"})
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(
+        isinstance(t, ast.Subscript)
+        and any(_is_call_to(sub, {"diag_indices", "diag_indices_from"}) for sub in ast.walk(t.slice))
+        for t in targets
     )
 
 
 def test_jacobians_are_assembled_only_by_the_equation():
-    # a matrix plus np.diag(...) is a Jacobian assembly; singular.Equation owns the only one
+    # a matrix diagonal is written in three places: operator assembles A (its
+    # wall correction) and shifts it for the Gershgorin factor, and
+    # singular.Equation adds the potential to make the Jacobian.  Any other
+    # site, in any module or a second one in these, is a second Jacobian assembly.
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owned = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "Equation"
-            for node in ast.walk(cls)
-        }
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.BinOp)
-                and isinstance(node.op, ast.Add)
-                and (_is_diag_call(node.left) or _is_diag_call(node.right))
-                and id(node) not in owned
-            ):
-                sites.append(f"{path.name}:{node.lineno}")
-    assert sites == []
+        for top in ast.parse(path.read_text()).body:
+            sites += [(path.name, getattr(top, "name", None)) for node in ast.walk(top) if _writes_a_diagonal(node)]
+    assert sorted(sites) == [
+        ("operator.py", "_gershgorin_cholesky"),
+        ("operator.py", "assemble_operator"),
+        ("singular.py", "Equation"),
+    ]
+
+
+def test_bordered_matrix_takes_its_block_from_the_equation():
+    # the corrector's and the fold solve's bordered matrix has G_u written in
+    # place by Equation.jacobian, not copied from an array assembled elsewhere
+    tree = ast.parse((SOURCE / "continuation.py").read_text())
+    (solver,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_bordered_solver"]
+    calls = [node for node in ast.walk(solver) if _is_call_to(node, {"jacobian"})]
+    assert len(calls) == 1 and [kw.arg for kw in calls[0].keywords] == ["out"]
 
 
 def test_factorizations_are_called_only_in_the_operator_module():
