@@ -12,10 +12,12 @@ one, and extends the upper segment.  Its corrector is the damped-Newton core
 of `singular` on the problem's `Equation`, bordered by the tangent
 normalization and solved by LU, with the u-component weighted by
 1/||u_fold||_inf so both components contribute comparably to arclength near
-the fold.  One run keeps one bordered LU for all its correctors: a step
-solves with it while the merit keeps falling fast enough, and factors afresh
-otherwise (the chord method), so most points cost no factorization.  Every
-point meets the same residual bound as with a fresh factor at every step.
+the fold.  One run keeps one bordered LU for all its correctors, reused by
+the chord rule of `damped_newton` (a step solves with it while the merit
+keeps falling fast enough, and factors afresh otherwise), so most points
+cost no factorization.  The fold solve and the fixed-lam LU solves (second
+solutions, multistarts) run the same rule within each solve.  Every point
+meets the same residual bound as with a fresh factor at every step.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
 from .operator import EigenPair, NonlocalOperator, principal_eigenpair
 from .problem import ProblemSpec
-from .singular import DEFAULT_TOL, Equation, SolutionField, _lu_solver, _lu_step, damped_newton, solve_min
+from .singular import DEFAULT_TOL, Equation, SolutionField, _lu_solver, damped_newton, solve_min
 
 __all__ = [
     "BranchPoint",
@@ -135,7 +137,6 @@ DS_GROWTH = 1.4
 DS_FOLD = 2.5e-3
 FIT_HALFWIDTH = 6
 MAX_CORRECTOR = 14  # Newton steps of one corrector
-CHORD_RATIO = 0.1  # reuse the stored LU while the last step cut the merit to this fraction or less
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,9 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     c = potential/lam * phi) is solved by bordering with one LU of
     M = [[G_u, G_lam], [l, 0]], nonsingular at a simple fold (Govaerts, SIAM
     2000, ch. 3): M (du, dlam) = (r1, t) and M (dphi, xi) = (r2 - B du -
-    c dlam, r3) are affine in t, and t makes xi = 0.
+    c dlam, r3) are affine in t, and t makes xi = 0.  The factor handed to
+    damped_newton is that bordering closure, with M's LU and the t-columns
+    solved once per factorization, so a chord step costs two LU solves.
     """
     n, tol = op.n, start.tol
     eq = Equation.of(op, spec, start.lam)
@@ -277,18 +280,23 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
         phi_scale = 1.0 + np.abs(at.potential(u) * phi).max()
         return np.concatenate([np.full(n, tol * at.scale(u)), np.full(n, tol * phi_scale), [tol]])
 
-    def step(z, r):
+    def factor(z):
         u, phi, at = parts(z)
         solve = _bordered_solver(at, u, l, 0.0)
         if solve is None:
             return None
         b, c = at.d_potential(u) * phi, replace(at, lam=1.0).potential(u) * phi
-        x = solve(np.column_stack([np.append(-r[:n], 0.0), np.append(np.zeros(n), 1.0)]))
-        y = solve(np.column_stack([np.append(-r[n:-1] - b * x[:n, 0] - c * x[n, 0], -r[-1]),
-                                   np.append(-b * x[:n, 1] - c * x[n, 1], 0.0)]))
-        t = -y[n, 0] / y[n, 1]
-        dx, dy = x[:, 0] + t * x[:, 1], y[:, 0] + t * y[:, 1]
-        return np.concatenate([dx[:n], dy[:n], dx[n:]])
+        x1 = solve(np.append(np.zeros(n), 1.0))
+        y1 = solve(np.append(-b * x1[:n] - c * x1[n], 0.0))
+
+        def bordered(v):
+            x = solve(np.append(v[:n], 0.0))
+            y = solve(np.append(v[n:-1] - b * x[:n] - c * x[n], v[-1]))
+            t = -y[n] / y1[n]
+            dx, dy = x + t * x1, y + t * y1
+            return np.concatenate([dx[:n], dy[:n], dx[n:]])
+
+        return bordered
 
     def trial(z, t, dz):
         zt = z + t * dz
@@ -297,7 +305,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     z0 = np.concatenate([start.solution.values, phi0, [start.lam]])
     scale = bound(z0)
     try:
-        z, r, b = damped_newton(z0, residual, lambda r: np.abs(r / scale).max(), bound, step, trial, 20, 30)
+        z, r, b = damped_newton(z0, residual, lambda r: np.abs(r / scale).max(), bound, factor, trial, 20, 30)
     except ConvergenceError as exc:
         raise ConvergenceError(f"no fold found from lambda = {start.lam!r}: {exc}", residual=exc.residual) from exc
     lam = float(z[-1])
@@ -315,21 +323,13 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
     whose Jacobian [[G_u, G_lam], [w^2 udot, lamdot]] is factored by LU; eq
     gives G at any lam.  Returns (u, lam, residual, bound) with sup|G| <=
     bound = tol * eq.scale(u) at the returned lam, or None on failure.
-
-    `store` holds at most one bordered LU, shared by the correctors of one
-    arclength run (Shamanskii's chord method, Kelley, SIAM 2003, ch. 2 and
-    5).  The first step solves with the stored factor whenever there is one;
-    a later step does so while the merit fell to at most CHORD_RATIO of its
-    value at the step before.  Otherwise the step drops the stored factor and
-    stores a fresh LU at the current iterate.  A step from a reused factor
-    passes the same line search and stopping test as a Newton step.  When a
-    corrector that reused a factor fails, it empties the store and runs once
-    more from the same predictor without one, factoring afresh at every step.
+    `store` is damped_newton's: the correctors of one arclength run share
+    one bordered LU through it, reused by the chord rule there, fresh-factor
+    retry included.
     """
     u0, lam0 = anchor
     udot, lamdot = tangent
     n = len(u0)
-    last_merit, reused = None, False
 
     def residual(z):
         u = z[:n]
@@ -338,21 +338,8 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
     def bound(z):
         return np.append(np.full(n, tol * replace(eq, lam=z[n]).scale(z[:n])), tol * (1.0 + ds))
 
-    def step(z, r):
-        nonlocal last_merit, reused
-        m, prev = merit(r), last_merit
-        last_merit = m
-        if store and (prev is None or m <= CHORD_RATIO * prev):
-            reused = True
-            return store[0](-r)
-        if store is not None:
-            store.clear()  # the old factor goes before its replacement is built
-        solve = _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
-        if solve is None:
-            return None
-        if store is not None:
-            store.append(solve)
-        return solve(-r)
+    def factor(z):
+        return _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
 
     def trial(z, t, dz):
         zt = z + t * dz
@@ -363,12 +350,9 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
 
     predictor = np.append(np.maximum(u0 + ds * udot, 1e-14), lam0 + ds * lamdot)
     try:
-        z, r, b = damped_newton(predictor, residual, merit, bound, step, trial, MAX_CORRECTOR, 30)
+        z, r, b = damped_newton(predictor, residual, merit, bound, factor, trial, MAX_CORRECTOR, 30, store)
     except ConvergenceError:
-        if not reused:
-            return None
-        store.clear()
-        return _corrector(eq, anchor, tangent, ds, w, tol)
+        return None
     return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[0])
 
 
@@ -524,7 +508,7 @@ def multiplicity_scan(
                 frac = 0.5 if a.lam == b.lam else (lam_t - a.lam) / (b.lam - a.lam)
                 seed = (1.0 - frac) * a.solution.values + frac * b.solution.values
                 try:
-                    vals, res, bound = Equation.of(op, spec, lam_t).solve(seed, tol, _lu_step, 60)
+                    vals, res, bound = Equation.of(op, spec, lam_t).solve(seed, tol, _lu_solver, 60)
                 except ConvergenceError:
                     continue
                 second = SolutionField(vals, op.grid, replace(spec, lam=lam_t), res, bound)
@@ -633,7 +617,7 @@ def uniqueness_probe(
     for t in range(trials):
         start = cap * rng.uniform(0.02, 1.0, size=op.n)
         try:
-            vals, _, _ = eq.solve(start, tol, _lu_step, 60)
+            vals, _, _ = eq.solve(start, tol, _lu_solver, 60)
         except ConvergenceError:
             records.append({"trial": t, "outcome": "diverged"})
             continue

@@ -11,12 +11,15 @@ and the Fredholm monitor obeys I - P^(-1) F = P^(-1) J, so
 
 Both numbers come from one LinearizedOperator, which factors J once and
 shares the factor: Cholesky when J is positive definite, else LU.  lambda1
-runs Lanczos through it on J^-1, or on -J^-1 when J is indefinite, whose top
-Ritz pair is the negative eigenvalue of J nearest 0.  J is an irreducible
+runs Lanczos through it on J^-1, or on -J^-1 when J's Cholesky fails, whose
+top Ritz pair is the negative eigenvalue of J nearest 0.  J is an irreducible
 symmetric Z-matrix, so that pair is lambda1 exactly when its eigenvector is
-strictly positive (Perron-Frobenius).  Only where it is not (Morse index 2 or
-more, or J numerically singular at the fold) does lambda1 take a second
-factor, the Cholesky factor of J - mu*I with the Gershgorin shift mu.  The
+strictly positive (Perron-Frobenius), whatever the sign its Rayleigh quotient
+rounds to at a fold.  Where it is not, the top pair of J^-1 through the LU is
+tested the same way (a Cholesky that failed by rounding at a positive
+lambda1).  Only where neither is certified (Morse index 2 or more) does
+lambda1 take a second factor, the Cholesky factor of J - mu*I with the
+Gershgorin shift mu.  The
 monitor runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J's factor
 per step.  Each Lanczos run
 (operator._lanczos_largest) stops as soon as its Ritz pair has converged,
@@ -110,7 +113,8 @@ def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float =
     """Principal eigenpair of the linearization around u.
 
     Lanczos through J's own factor, with the Gershgorin-shifted Cholesky
-    factor as the fallback on an indefinite J (see the module notes).  Pass
+    factor as the fallback when J's Cholesky fails and the Perron test
+    rejects the Lanczos pair of -J^-1 (see the module notes).  Pass
     `lin` to reuse a linearization, and its factors, built at (lam, u).
     """
     lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
@@ -123,23 +127,30 @@ def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float =
 
 
 def _perron_pair(lin: LinearizedOperator, tol: float) -> EigenPair | None:
-    """lambda1 of an indefinite J from the Lanczos run on -J^-1, or None when it is not certified.
+    """lambda1 of J, when its Cholesky failed, from J's LU; None when it is not certified.
 
     J = A + diag(potential) is an irreducible symmetric Z-matrix, so by
     Perron-Frobenius a strictly positive eigenvector belongs to lambda1 and to
     no other eigenvalue; for the positive vector x with residual r the
     Collatz-Wielandt bounds give |lambda1 - mu| <= max|r_i| / min x_i.  The
-    pair is accepted when its value is negative, its residual is at most tol
-    and its sup-normalized vector is strictly positive.
+    top Lanczos pair of -J^-1 is that of the negative eigenvalue nearest 0
+    (lambda1 at Morse index 1); when it is not certified, the top pair of
+    J^-1 is tried, lambda1 when J is positive definite and its Cholesky failed
+    only by rounding, as at a fold.  A pair is accepted when its residual is
+    at most tol and its sup-normalized vector is strictly positive, whatever
+    the sign its value rounds to.
     """
     solve = lin.solve
     if solve is None:
         return None
-    try:
-        pair = _shift_invert_pairs(lin.matrix, 1, lambda x: -solve(x), tol)[0]
-    except ConvergenceError:
-        return None
-    return pair if pair.value < 0.0 and pair.vector.min() > 0.0 else None
+    for sign in (-1.0, 1.0):
+        try:
+            pair = _shift_invert_pairs(lin.matrix, 1, lambda x: sign * solve(x), tol)[0]
+        except ConvergenceError:
+            continue
+        if pair.vector.min() > 0.0:
+            return pair
+    return None
 
 
 def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str) -> tuple[np.ndarray, float]:

@@ -7,24 +7,25 @@ Every solve is one `Equation`,
 
 handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
-diag(potential)) and dG/dlam; the caller gives the linear step (Cholesky for
-the solves below, LU for the second solutions and multistarts in
-`continuation`, a bordered LU for its arclength corrector, reused across
-steps, and its fold solve)
+diag(potential)) and dG/dlam; the caller gives the factor function (Cholesky
+for the solves below, LU for the second solutions and multistarts in
+`continuation`, a bordered LU for its arclength corrector and its fold solve)
 and the trial map (the positivity floor here, rejection of nonpositive trials
-in `continuation`).
+in `continuation`).  `damped_newton` reuses a factor while the merit falls
+fast (the chord rule), so a solve makes fewer factorizations than steps.
 
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
 lands on a subsolution, and from a subsolution every (damped) step points
 upward and stays a subsolution below the minimal solution, where the
 Jacobian dominates the one at the minimal solution and is positive definite.
-Started from a subsolution, Newton is the monotone iteration of the theory;
-started from a supersolution, its first step undershoots to a subsolution
-and the iterates rise from there.  Either way positivity is preserved
-without the arithmetic floor binding at convergence.  So every solve runs
-at the singular term itself: the regularized problems (u + eps)^(-delta)
-through which the theory reaches it are not needed to compute it.
+Started from a subsolution, Newton is the monotone iteration of the theory,
+and so is the chord method (see `monotone_iterate`); started from a
+supersolution, its first step undershoots to a subsolution and the iterates
+rise from there.  Either way positivity is preserved without the arithmetic
+floor binding at convergence.  So every solve runs at the singular term
+itself: the regularized problems (u + eps)^(-delta) through which the theory
+reaches it are not needed to compute it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ __all__ = [
 POSITIVITY_FLOOR = 1e-30
 DEFAULT_TOL = 1e-8
 ORDER_SLACK = 1e-11
+CHORD_RATIO = 0.1  # a Newton run reuses its stored factor while the last step cut the merit to this fraction or less
 
 
 @dataclass(eq=False)
@@ -137,62 +139,87 @@ class Equation:
     def d_dlam(self, u: np.ndarray) -> np.ndarray:
         return -self._source(u)
 
-    def solve(self, u0, tol: float, linear_solve, maxit: int) -> tuple[np.ndarray, float, float]:
+    def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
         """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
 
-        linear_solve(jac, rhs) is _cholesky_step or _lu_step.  Returns
-        (u, residual, bound) with residual <= bound = tol * scale(u); a
-        solution resting on the floor is a ConvergenceError.
+        factor(jac) is _spd_solver or _lu_solver: a solve with the Jacobian,
+        or None when its factorization rejects it.  damped_newton keeps one
+        such solve for the run and reuses it by its chord rule.  Returns (u,
+        residual, bound) with residual <= bound = tol * scale(u); a solution
+        resting on the floor is a ConvergenceError.
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
-
-        def step(u, r):
-            return linear_solve(self.jacobian(u), -r)
-
-        u, r, b = damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), step, _floored, maxit, 40)
+        u, r, b = damped_newton(
+            u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), lambda u: factor(self.jacobian(u)), _floored, maxit, 40
+        )
         res = float(_sup_norm(r))
         if u.min() <= 10.0 * POSITIVITY_FLOOR:
             raise ConvergenceError("positivity floor active at convergence", residual=res)
         return u, res, float(b)
 
 
-def damped_newton(x, residual, merit, bound, step, trial, maxit: int, halvings: int):
-    """Newton's method with a halving line search on merit(residual(x)).
+def damped_newton(x, residual, merit, bound, factor, trial, maxit: int, halvings: int, store: list | None = None):
+    """Newton's method with a halving line search on merit(residual(x)), reusing factors by the chord rule.
 
     x is converged when |residual(x)| <= bound(x) componentwise (bound may be
     a scalar); this is tested at the start and after every step, the last
-    allowed one included.  step(x, r) is the Newton step for residual r, or
-    None when its linear solve rejects the Jacobian (not finite, exactly
-    singular, or not positive definite for a Cholesky step).  The step may
-    also solve with a factor of the Jacobian at an earlier point (the chord
-    steps of continuation's corrector); it then meets the same line search
-    and the same stopping test.  trial(x, t, dx)
-    maps the damped step x + t dx into the admissible set, or gives None to
-    reject it; t runs 1, 1/2, ..., 2^-halvings until the merit decreases.
-    Returns (x, residual(x), bound(x)); failure is a ConvergenceError.
+    allowed one included.  factor(x) returns a solve v -> J(x)^-1 v with the
+    Jacobian at x, or None when its factorization rejects it (not finite,
+    exactly singular, or not positive definite for a Cholesky factor); the
+    step for residual r is solve(-r).  trial(x, t, dx) maps the damped step
+    x + t dx into the admissible set, or gives None to reject it; t runs 1,
+    1/2, ..., 2^-halvings until the merit decreases.
+
+    The chord rule (Shamanskii's method with Kelley's contraction test,
+    Kelley, SIAM 2003, ch. 2 and 5): `store` holds at most one solve.  A step
+    solves with the stored one when it is the run's first step (the solve then
+    comes from an earlier run sharing the store) or the merit fell to at most
+    CHORD_RATIO of its value at the step before; otherwise it empties the
+    store and stores a fresh factor at x.  A chord step meets the same line
+    search and stopping test as a Newton step, so the returned x meets the
+    same bound.  When a run that reused a factor fails, it is run once more
+    from the same x with a fresh factor at every step and nothing stored.
+    Without `store` the factor lives for this call; pass a list to share it
+    across runs (the arclength correctors).  Returns (x, residual(x),
+    bound(x)); failure is a ConvergenceError.
     """
-    r = residual(x)
-    m = merit(r)
-    steps = 0
-    while not np.all(np.abs(r) <= (b := bound(x))):
-        if steps == maxit:
-            raise ConvergenceError(f"Newton stalled at residual {m:.3e} after {maxit} steps", residual=float(m))
-        steps += 1
-        dx = step(x, r)
-        if dx is None:
-            raise ConvergenceError("non-finite, indefinite or singular Jacobian in Newton", residual=float(m))
-        for j in range(halvings + 1):
-            xt = trial(x, 0.5 ** j, dx)
-            if xt is None:
-                continue
-            rt = residual(xt)
-            mt = merit(rt)
-            if mt < m:
-                x, r, m = xt, rt, mt
-                break
-        else:
-            raise ConvergenceError(f"Newton stalled at residual {m:.3e}", residual=float(m))
-    return x, r, b
+    store = [] if store is None else store
+    start, r0 = x, residual(x)
+    for chord in (True, False):
+        x, r, reused, prev, steps = start, r0, False, None, 0
+        m = merit(r)
+        try:
+            while not np.all(np.abs(r) <= (b := bound(x))):
+                if steps == maxit:
+                    raise ConvergenceError(f"Newton stalled at residual {m:.3e} after {maxit} steps", residual=float(m))
+                steps += 1
+                if chord and store and (prev is None or m <= CHORD_RATIO * prev):
+                    solve, reused = store[0], True
+                else:
+                    solve = None  # the old factor goes before its replacement is built
+                    store.clear()
+                    if (solve := factor(x)) is None:
+                        raise ConvergenceError("non-finite, indefinite or singular Jacobian in Newton", residual=float(m))
+                    if chord:
+                        store.append(solve)
+                prev = m
+                dx = solve(-r)
+                for j in range(halvings + 1):
+                    xt = trial(x, 0.5 ** j, dx)
+                    if xt is None:
+                        continue
+                    rt = residual(xt)
+                    mt = merit(rt)
+                    if mt < m:
+                        x, r, m = xt, rt, mt
+                        break
+                else:
+                    raise ConvergenceError(f"Newton stalled at residual {m:.3e}", residual=float(m))
+            return x, r, b
+        except ConvergenceError:
+            if not reused:  # always so in the fresh-factor run
+                raise
+            store.clear()
 
 
 def _sup_norm(r: np.ndarray) -> float:
@@ -203,21 +230,16 @@ def _floored(u, t, du):
     return np.maximum(u + t * du, POSITIVITY_FLOOR)
 
 
-def _cholesky_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """jac^-1 rhs by Cholesky, or None when jac is not positive definite."""
+def _spd_solver(jac: np.ndarray):
+    """x -> jac^-1 x by one Cholesky, or None when jac is not positive definite."""
     factor = _try_cholesky(jac)
-    return None if factor is None else _cholesky_solver(factor)(rhs)
+    return None if factor is None else _cholesky_solver(factor)
 
 
 def _lu_solver(jac: np.ndarray):
     """x -> jac^-1 x by one LU with partial pivoting, or None when jac is not finite or exactly singular."""
     lu = _try_lu(jac)
     return None if lu is None else partial(lu_solve, lu, check_finite=False)
-
-
-def _lu_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """jac^-1 rhs by LU with partial pivoting, or None when jac is not finite or exactly singular."""
-    return None if (solve := _lu_solver(jac)) is None else solve(rhs)
 
 
 def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
@@ -245,7 +267,7 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-    u, res, bound = Equation(op, k, spec.delta, no_nonlinearity(), 1.0).solve(lower, tol, _cholesky_step, 80)
+    u, res, bound = Equation(op, k, spec.delta, no_nonlinearity(), 1.0).solve(lower, tol, _spd_solver, 80)
     if np.any(u < lower * (1.0 - 1e-6)):
         raise BracketViolation("pure singular solution dipped below the eigenfunction subsolution")
     return SolutionField(u, op.grid, spec, res, bound)
@@ -320,7 +342,7 @@ def solve_A(
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
     eq = Equation(op, lam * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0, rhs=h)
     try:
-        u, res, bound = eq.solve(upper, tol, _cholesky_step, 80)
+        u, res, bound = eq.solve(upper, tol, _spd_solver, 80)
     except ConvergenceError as exc:
         raise BracketViolation(f"solve for the shifted equation failed: {exc}") from exc
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
@@ -351,16 +373,24 @@ def monotone_iterate(
     With t -> K t^(-delta) + f(t) convex, Newton from a subsolution is the
     monotone iteration (see the module docstring): the iterates rise, stay
     below the minimal solution and meet Jacobians that dominate the one there,
-    so every step is a Cholesky solve.  A Jacobian that is not positive
-    definite ends the run with ConvergenceError; it shows that no stable
-    solution lies above `sub`, as past the fold.  The convexity is sampled on
-    (0, max u] (ValueError when it fails) and the result is checked against
-    `sub` a posteriori.
+    so every step is a Cholesky solve.  A chord step, which solves with the
+    Jacobian J_old = A + diag(p(u_old)) factored at an earlier, lower iterate,
+    is that iteration too.  The potential p = -lam (K t^(-delta) + f)' is
+    decreasing by the convexity, so J_old dominates the Jacobian J_k at the
+    current subsolution u_k on the diagonal, and J_old^-1 >= 0 (an M-matrix).
+    Hence dx = -J_old^-1 G(u_k) >= 0, and by concavity G(u_k + t dx) <=
+    G(u_k) + t J_k dx <= (1 - t) G(u_k) <= 0 for t in (0, 1]: the chord
+    iterates rise and stay subsolutions below the minimal solution.  A
+    Jacobian that is not positive definite ends the run with ConvergenceError;
+    it shows that no stable solution lies above `sub`, as past the fold.  The
+    convexity that this argument needs is sampled on (0, max u] by
+    `_require_convexity` (ValueError when it fails), and the result is checked
+    against `sub` a posteriori.
     """
     usub = _field_values(sub)
     eq = Equation.of(op, spec, lam)
     try:
-        u, res, bound = eq.solve(usub, tol, _cholesky_step, 60)
+        u, res, bound = eq.solve(usub, tol, _spd_solver, 60)
     except ConvergenceError as exc:
         msg = f"no minimal solution at lambda = {lam!r}, likely past the fold: {exc}"
         raise ConvergenceError(msg, residual=exc.residual) from exc

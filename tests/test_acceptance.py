@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fracfold import verify
+from fracfold import continuation, verify
 from fracfold.verify import (
     check_asymptotic,
     check_branch,
@@ -55,6 +55,25 @@ def test_criterion_03_scaling_identity(accept_cfg, accept_cache):
 
 def test_criterion_04_boundary_rates(accept_cfg, accept_cache):
     _run(check_rates, accept_cfg, accept_cache)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.1, -0.1])
+def test_criterion_04_rates_reject_a_planted_exponent(monkeypatch, accept_cfg, offset):
+    # exact power laws d^(alpha + offset) stand in for the pure singular
+    # solves, alpha the exponent each record expects (the middle of (0.4,
+    # 0.5) for rate-critical).  An exponent 0.1 off, twice each record's
+    # tolerance, must fail all three records.  A fresh cache, because the
+    # shared one already holds the real solves.
+    expected = {(0.4, 0.5): 0.4, (0.4, 3.0): 0.2, (0.5, 1.0): 0.45}
+
+    def power_law(spec, op, tol):
+        return SimpleNamespace(values=op.grid.distance() ** (expected[spec.s, spec.delta] + offset))
+
+    monkeypatch.setattr(verify, "solve_pure_singular", power_law)
+    records = check_rates(accept_cfg, _Cache())
+    assert [r.name for r in records] == ["rate-sub", "rate-super", "rate-critical"]
+    for r in records:
+        assert r.passed is (offset == 0.0), r
 
 
 def test_criterion_05_hs_threshold(accept_cfg, accept_cache):
@@ -186,6 +205,23 @@ def test_criterion_11_sensitivity_rejects_a_wrong_field(monkeypatch, accept_cfg,
 
 def test_criterion_12_small_lambda_uniqueness(accept_cfg, accept_cache):
     _run(check_uniqueness, accept_cfg, accept_cache)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_criterion_12_uniqueness_rejects_a_planted_distinct_solution(monkeypatch, accept_cfg, accept_cache, planted):
+    # every multistart solve that converges returns half its field: a positive
+    # field below the cap and far from the minimal solution, so the verdict
+    # must be falsified; unplanted, the record passes
+    class Planted(continuation.Equation):
+        def solve(self, *args):
+            u, res, bound = super().solve(*args)
+            return 0.5 * u, res, bound
+
+    if planted:
+        monkeypatch.setattr(continuation, "Equation", Planted)
+    (record,) = check_uniqueness(accept_cfg, accept_cache)
+    assert record.passed is not planted, record
+    assert record.measured.startswith("falsified" if planted else "unique"), record
 
 
 

@@ -358,6 +358,22 @@ def test_upper_lambda1_comes_from_the_lu_of_J(monkeypatch, folded_branch, op256_
         assert pair.vector.min() > 0.0
 
 
+def test_fold_lambda1_is_certified_without_cholesky(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # at the fold lambda1 is within rounding of 0, so J's Cholesky may fail
+    # there and its LU may see lambda1 of either sign: with the Cholesky
+    # forced to fail, the Perron test on J's LU still certifies lambda1, and
+    # no Gershgorin factor is built
+    _forbid_gershgorin_factor(monkeypatch)
+    fold = folded_branch.fold_point()
+    lin = linearized_operator(fold.lam, fold.solution, op256_s04, canonical_spec)
+    lin.cholesky = None  # the cached factor, as if its factorization had failed
+    pair = lambda1(fold.lam, fold.solution, op256_s04, canonical_spec, tol=max(fold.tol, 1e-10), lin=lin)
+    oracle = np.linalg.eigvalsh(lin.matrix)[0]
+    assert abs(oracle) <= 1e-6
+    assert pair.value == pytest.approx(oracle, abs=1e-9)
+    assert pair.vector.min() > 0.0
+
+
 def test_lambda1_falls_back_past_morse_index_one(op192):
     # J = A - cI with c between mu_2 and mu_3 of A has two negative eigenvalues;
     # the top Ritz pair of -J^-1 belongs to mu_2 - c, whose eigenvector changes

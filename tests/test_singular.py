@@ -20,6 +20,7 @@ from fracfold import (
     solve_pure_singular,
 )
 from fracfold import singular
+from fracfold.continuation import TracePolicy, trace_minimal
 from fracfold.linearization import lambda1
 from fracfold.operator import principal_eigenpair
 from fracfold.problem import Nonlinearity
@@ -59,7 +60,7 @@ def _regularized(spec, op, eps, tol=1e-8):
     k_eps = np.minimum(1.0 / eps, spec.k_field(op.grid))
     eq = singular.Equation(op, k_eps, spec.delta, no_nonlinearity(), 1.0, rhs=eps * op.matrix.sum(axis=1))
     start = np.maximum((k_eps / np.diag(op.matrix)) ** (1.0 / (1.0 + spec.delta)), eps)
-    v, _, _ = eq.solve(start, tol, singular._cholesky_step, 80)
+    v, _, _ = eq.solve(start, tol, singular._spd_solver, 80)
     return v - eps
 
 
@@ -294,17 +295,31 @@ RATES_SPECS = [
 ]
 
 
+def _counting(factor, steps, factors=None):
+    """`factor`, with each Newton step (a call of a solve it returns) appended to `steps`
+    and each factorization to `factors`."""
+
+    def counted(jac):
+        if factors is not None:
+            factors.append(1)
+        solve = factor(jac)
+        if solve is None:
+            return None
+
+        def step(v):
+            steps.append(1)
+            return solve(v)
+
+        return step
+
+    return counted
+
+
 def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
     # Newton steps of the pure singular solves, then of minimal solves that
     # rise from the cached pure solution
     calls = []
-    step = singular._cholesky_step
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(singular, "_cholesky_step", counting)
+    monkeypatch.setattr(singular, "_spd_solver", _counting(singular._spd_solver, calls))
     for spec in RATES_SPECS:
         counts = []
         for n in (256, 1024):
@@ -326,25 +341,71 @@ def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
         assert abs(counts[0] - counts[1]) <= 2, (lam, counts)
 
 
-def test_newton_tests_convergence_after_its_last_step(op256):
+def test_pure_singular_solves_reuse_factors():
+    # the chord rule: on each rates spec at n=1024 the pure singular solve
+    # takes more Newton steps than it makes factorizations
+    for spec in RATES_SPECS:
+        steps, factors = [], []
+        op = assemble_operator(build_grid(1.0, 1024), spec.s)
+        eq = singular.Equation(op, spec.k_field(op.grid), spec.delta, spec.nonlinearity, 1.0)
+        start = subsolution_constant(spec, op) * principal_eigenpair(op).vector
+        eq.solve(start, 1e-8, _counting(singular._spd_solver, steps, factors), 80)
+        assert len(factors) < len(steps), (spec, len(factors), len(steps))
+
+
+def test_newton_tests_convergence_after_its_last_step(monkeypatch, op256):
     # the iterate made by the last allowed step is tested too: a budget of
-    # exactly the steps the solve needs converges, one fewer fails
+    # exactly the steps the solve needs converges, one fewer fails.  This is
+    # asked of Newton with a fresh factor at every step (no chord step), since
+    # a chord run that runs out of steps is run again that way
     spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
     eq = singular.Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
     start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
-    steps = []
+    steps, chord_steps = [], []
+    chord, _, _ = eq.solve(start, 1e-8, _counting(singular._spd_solver, chord_steps), 80)
+    with monkeypatch.context() as m:
+        m.setattr(singular, "CHORD_RATIO", 0.0)
+        u, res, bound = eq.solve(start, 1e-8, _counting(singular._spd_solver, steps), 80)
+        needed = len(steps)
+        assert needed >= 2 and res <= bound
+        again, _, _ = eq.solve(start, 1e-8, singular._spd_solver, needed)
+        assert np.array_equal(again, u)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            eq.solve(start, 1e-8, singular._spd_solver, needed - 1)
+    # with chord steps: the run's own step count converges to its iterate, and
+    # one fewer falls back to the fresh-factor run, which converges to Newton's
+    again, _, _ = eq.solve(start, 1e-8, singular._spd_solver, len(chord_steps))
+    assert np.array_equal(again, chord)
+    fallback, _, _ = eq.solve(start, 1e-8, singular._spd_solver, len(chord_steps) - 1)
+    assert len(chord_steps) > needed and np.array_equal(fallback, u)
 
-    def counting(jac, rhs):
-        steps.append(1)
-        return singular._cholesky_step(jac, rhs)
 
-    u, res, bound = eq.solve(start, 1e-8, counting, 80)
-    needed = len(steps)
-    assert needed >= 2 and res <= bound
-    again, _, _ = eq.solve(start, 1e-8, singular._cholesky_step, needed)
-    assert np.array_equal(again, u)
-    with pytest.raises(ConvergenceError, match="stalled"):
-        eq.solve(start, 1e-8, singular._cholesky_step, needed - 1)
+def test_stale_factor_falls_back_to_fresh_newton(monkeypatch, op256):
+    # every reuse of a factor returns a zero step, so the chord run fails its
+    # line search and runs again with a fresh factor at every step: it returns
+    # exactly the iterate of Newton without reuse
+    spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
+    eq = singular.Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
+    start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
+    useless = []
+
+    def planted(jac):
+        solve, uses = singular._spd_solver(jac), []
+
+        def stored(v):
+            uses.append(1)
+            if len(uses) == 1:  # the step that made the factor
+                return solve(v)
+            useless.append(1)
+            return np.zeros_like(v)
+
+        return stored
+
+    u, res, bound = eq.solve(start, 1e-8, planted, 80)
+    assert len(useless) == 1 and res <= bound
+    monkeypatch.setattr(singular, "CHORD_RATIO", 0.0)
+    reference, _, _ = eq.solve(start, 1e-8, singular._spd_solver, 80)
+    assert np.array_equal(u, reference)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -416,3 +477,37 @@ def test_minimal_solve_properties(s, delta, beta_frac, power, coeff, fracs):
         assert lambda1(lam, u, op, spec).value > 0.0
     # ordered parameters, ordered minimal solutions
     assert np.all(lower.values <= upper.values + 1e-10 * (1.0 + upper.values.max()))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.1, 0.9),
+    delta=st.floats(0.1, 4.0),
+    beta_frac=st.floats(0.0, 0.5),
+    frac=st.floats(0.1, 0.99),
+)
+@example(s=0.4, delta=0.5, beta_frac=0.0, frac=0.99)
+def test_chord_run_rises_below_the_minimal_solution(s, delta, beta_frac, frac):
+    # the monotone iteration of the theory on the discrete problem: from a
+    # subsolution, every iterate Newton accepts, chord steps included, lies
+    # above the one before and below the minimal solution it converges to
+    op = assemble_operator(build_grid(1.0, 128), s)
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=power_nonlinearity(2.0))
+    lam = frac * trace_minimal(spec, op, TracePolicy()).fold_point().lam
+    sub = scale_pure_singular(pure_singular_cached(spec, op), lam).values
+    iterates, steps, factors = [], [], []
+    scale = singular.Equation.scale
+
+    def recording(eq, u):  # damped_newton reads the bound at each accepted iterate
+        iterates.append(u)
+        return scale(eq, u)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(singular.Equation, "scale", recording)
+        m.setattr(singular, "_spd_solver", _counting(singular._spd_solver, steps, factors))
+        u = monotone_iterate(lam, sub, op, spec).values
+    slack = singular.ORDER_SLACK * (1.0 + u.max())
+    assert len(factors) < len(steps) == len(iterates) - 1
+    for before, after in zip(iterates, iterates[1:]):
+        assert np.all(after >= before - slack)
+    assert np.all(np.array(iterates) <= u + slack)

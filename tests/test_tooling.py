@@ -186,3 +186,33 @@ def test_factorizations_are_called_only_in_the_operator_module():
                 continue
             sites += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("cho_factor", "lu_factor")]
     assert sites and all(site.startswith("operator.py:") for site in sites), sites
+
+
+def _chord_sites(tree) -> list[tuple[str | None, int]]:
+    """(enclosing top-level function or None, line) of every use of CHORD_RATIO and
+    every read (`store[...]`) or write (`store.append`) of a stored factor."""
+    sites = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            chord = isinstance(node, ast.Name) and node.id == "CHORD_RATIO"
+            read = isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "store"
+            write = (
+                _is_call_to(node, {"append"})
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "store"
+            )
+            if chord or read or write:
+                sites.append((getattr(top, "name", None), node.lineno))
+    return sites
+
+
+def test_chord_rule_has_one_home():
+    # Newton reuses a factor by one rule, in singular.damped_newton: every
+    # solve, the arclength corrector and the fold solve included, hands it a
+    # factor function, and no other function keeps a factor of its own
+    homes = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, line in _chord_sites(ast.parse(path.read_text())):
+            homes.setdefault((path.name, name), []).append(line)
+    assert len(homes.pop(("singular.py", None))) == 1  # the module constant
+    assert list(homes) == [("singular.py", "damped_newton")], homes
