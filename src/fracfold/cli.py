@@ -98,7 +98,7 @@ def _solve_common(cfg: RunConfig, pure: bool):
     profile = build_weight_profile(principal_eigenpair(op).vector, cfg.s, cfg.delta, cfg.beta)
     field.report = cone_norms(field.values, profile)
     try:
-        field.report.fitted_exponent, field.report.fit_r2 = fit_boundary_exponent(field.values, op.grid)
+        field.report.fitted_exponent = fit_boundary_exponent(field.values, op.grid)[0]
     except ValueError:
         pass
     return field

@@ -31,9 +31,9 @@ import numpy as np
 from .blas import single_pool
 from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
-from .operator import EigenPair, NonlocalOperator, principal_eigenpair
+from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair
 from .problem import ProblemSpec
-from .singular import DEFAULT_TOL, Equation, SolutionField, _lu_solver, damped_newton, solve_min
+from .singular import DEFAULT_TOL, Equation, SolutionField, damped_newton, solve_min
 
 __all__ = [
     "BranchPoint",
@@ -158,14 +158,28 @@ def _arclength_weight(op: NonlocalOperator, u_scale: float) -> float:
     return 1.0 / (np.sqrt(op.n) * max(u_scale, 1e-30))
 
 
+def _arclength(w: float, du: np.ndarray, dlam: float) -> float:
+    """Weighted length sqrt(w^2 |du|^2 + dlam^2) of a step (du, dlam) in (u, lam)."""
+    return float(np.sqrt(w ** 2 * (du @ du) + dlam ** 2))
+
+
 def _assign_arclength(points: list[BranchPoint], w: float) -> None:
     total = 0.0
     for i, p in enumerate(points):
         if i > 0:
             q = points[i - 1]
-            du = p.solution.values - q.solution.values
-            total += float(np.sqrt(w ** 2 * (du @ du) + (p.lam - q.lam) ** 2))
+            total += _arclength(w, p.solution.values - q.solution.values, p.lam - q.lam)
         p.arclength = total
+
+
+def _positive_trial(n: int):
+    """damped_newton's trial map for z = (u, ..., lam): the damped step, or None unless u > 0 and lam > 0."""
+
+    def trial(z, t, dz):
+        zt = z + t * dz
+        return zt if zt[:n].min() > 0.0 and zt[-1] > 0.0 else None
+
+    return trial
 
 
 @single_pool
@@ -237,14 +251,14 @@ def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: floa
 
 
 def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):
-    """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for _lu_solver."""
+    """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for lu_solver."""
     n = len(u)
     mat = np.empty((n + 1, n + 1))  # filled in place: np.block takes 20 times as long at n = 256
     at.jacobian(u, out=mat[:n, :n])
     mat[:n, n] = at.d_dlam(u)
     mat[n, :n] = row
     mat[n, n] = corner
-    return _lu_solver(mat)
+    return lu_solver(mat)
 
 
 def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
@@ -298,12 +312,8 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
 
         return bordered
 
-    def trial(z, t, dz):
-        zt = z + t * dz
-        return zt if zt[:n].min() > 0.0 and zt[-1] > 0.0 else None
-
     z0 = np.concatenate([start.solution.values, phi0, [start.lam]])
-    scale = bound(z0)
+    scale, trial = bound(z0), _positive_trial(n)
     try:
         z, r, b = damped_newton(z0, residual, lambda r: np.abs(r / scale).max(), bound, factor, trial, 20, 30)
     except ConvergenceError as exc:
@@ -341,16 +351,12 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
     def factor(z):
         return _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
 
-    def trial(z, t, dz):
-        zt = z + t * dz
-        return zt if zt[:n].min() > 0.0 and zt[n] > 0.0 else None
-
     def merit(r):
         return np.abs(r[:n]).max() + abs(r[n])
 
     predictor = np.append(np.maximum(u0 + ds * udot, 1e-14), lam0 + ds * lamdot)
     try:
-        z, r, b = damped_newton(predictor, residual, merit, bound, factor, trial, MAX_CORRECTOR, 30, store)
+        z, r, b = damped_newton(predictor, residual, merit, bound, factor, _positive_trial(n), MAX_CORRECTOR, 30, store)
     except ConvergenceError:
         return None
     return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[0])
@@ -364,7 +370,7 @@ def _tangent(w, zprev, zcurr, prev_tangent=None):
     """Unit secant from zprev to zcurr in the weighted norm, oriented along prev_tangent."""
     du = zcurr[0] - zprev[0]
     dlam = zcurr[1] - zprev[1]
-    norm = np.sqrt(w ** 2 * (du @ du) + dlam ** 2)
+    norm = _arclength(w, du, dlam)
     udot, lamdot = du / norm, dlam / norm
     if prev_tangent is not None:
         orient = w ** 2 * (prev_tangent[0] @ udot) + prev_tangent[1] * lamdot
@@ -397,8 +403,7 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tange
             u, lam, res, bound = out
             ds = min(ds * DS_GROWTH, policy.ds_max)
             tangent = _tangent(w, z, (u, lam), tangent)
-            du = u - z[0]
-            sigma += float(np.sqrt(w ** 2 * (du @ du) + (lam - z[1]) ** 2))
+            sigma += _arclength(w, u - z[0], lam - z[1])
             fld = SolutionField(values=u, grid=op.grid, spec=replace(spec, lam=lam), residual=res, residual_bound=bound)
             yield BranchPoint(lam, fld, op, policy.tol, sigma, segment)
             z = (u, lam)
@@ -508,7 +513,7 @@ def multiplicity_scan(
                 frac = 0.5 if a.lam == b.lam else (lam_t - a.lam) / (b.lam - a.lam)
                 seed = (1.0 - frac) * a.solution.values + frac * b.solution.values
                 try:
-                    vals, res, bound = Equation.of(op, spec, lam_t).solve(seed, tol, _lu_solver, 60)
+                    vals, res, bound = Equation.of(op, spec, lam_t).solve(seed, tol, lu_solver, 60)
                 except ConvergenceError:
                     continue
                 second = SolutionField(vals, op.grid, replace(spec, lam=lam_t), res, bound)
@@ -581,7 +586,6 @@ def small_solution_cap(spec: ProblemSpec, op: NonlocalOperator) -> float:
 @dataclass(eq=False)
 class UniquenessReport:
     verdict: str
-    cap: float
     trials: list[dict]
 
 
@@ -617,7 +621,7 @@ def uniqueness_probe(
     for t in range(trials):
         start = cap * rng.uniform(0.02, 1.0, size=op.n)
         try:
-            vals, _, _ = eq.solve(start, tol, _lu_solver, 60)
+            vals, _, _ = eq.solve(start, tol, lu_solver, 60)
         except ConvergenceError:
             records.append({"trial": t, "outcome": "diverged"})
             continue
@@ -629,4 +633,4 @@ def uniqueness_probe(
         else:
             records.append({"trial": t, "outcome": "distinct", "distance": dist})
             verdict = "falsified"
-    return UniquenessReport(verdict=verdict, cap=cap, trials=records)
+    return UniquenessReport(verdict=verdict, trials=records)

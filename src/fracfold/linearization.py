@@ -9,23 +9,24 @@ and the Fredholm monitor obeys I - P^(-1) F = P^(-1) J, so
 
     sigma_min(I - P^(-1) F) = 1 / sigma_max(J^(-1) P) = 1 / sigma_max(I + J^(-1) F).
 
-Both numbers come from one LinearizedOperator, which factors J once and
-shares the factor: Cholesky when J is positive definite, else LU.  lambda1
-runs Lanczos through it on J^-1, or on -J^-1 when J's Cholesky fails, whose
-top Ritz pair is the negative eigenvalue of J nearest 0.  J is an irreducible
-symmetric Z-matrix, so that pair is lambda1 exactly when its eigenvector is
-strictly positive (Perron-Frobenius), whatever the sign its Rayleigh quotient
-rounds to at a fold.  Where it is not, the top pair of J^-1 through the LU is
-tested the same way (a Cholesky that failed by rounding at a positive
-lambda1).  Only where neither is certified (Morse index 2 or more) does
-lambda1 take a second factor, the Cholesky factor of J - mu*I with the
-Gershgorin shift mu.  The
-monitor runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J's factor
-per step.  Each Lanczos run
-(operator._lanczos_largest) stops as soon as its Ritz pair has converged,
-after 2-15 steps on the default branch at n=256 to 2048.  Its start vector
-has no reflection symmetry: J and F are reflection-symmetric, and on the
-upper branch the monitor's singular vector can be antisymmetric.
+Both numbers come from one LinearizedOperator, which builds one solve with
+J and shares it: `operator.spd_solver` when J is positive definite, else
+`operator.lu_solver`.  This module holds solves only, never a factor.
+lambda1 runs Lanczos through the solve on J^-1, or on -J^-1 when J's
+Cholesky fails, whose top Ritz pair is the negative eigenvalue of J nearest
+0.  J is an irreducible symmetric Z-matrix, so that pair is lambda1 exactly
+when its eigenvector is strictly positive (Perron-Frobenius), whatever the
+sign its Rayleigh quotient rounds to at a fold.  Where it is not, the top
+pair of J^-1 through the LU is tested the same way (a Cholesky that failed
+by rounding at a positive lambda1).  Only where neither is certified (Morse
+index 2 or more) does lambda1 take a second factorization, through
+`operator.shifted_spd_solver`: a solve with J - mu*I for the Gershgorin
+shift mu.  The monitor runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves
+with J per step.  Each Lanczos run (operator._lanczos_largest) stops as soon
+as its Ritz pair has converged, after 2-15 steps on the default branch at
+n=256 to 2048.  Its start vector has no reflection symmetry: J and F are
+reflection-symmetric, and on the upper branch the monitor's singular vector
+can be antisymmetric.
 
 The solution operator T(lam, h) of G(u, lam) = A u - lam K u^-delta - h = 0
 is twice differentiable.  Implicit differentiation gives its derivative
@@ -54,14 +55,14 @@ from .errors import ConvergenceError
 from .operator import (
     EigenPair,
     NonlocalOperator,
-    _cholesky_solver,
-    _gershgorin_cholesky,
     _lanczos_largest,
-    _shift_invert_pairs,
-    _try_cholesky,
+    _shift_invert_pair,
+    lu_solver,
+    shifted_spd_solver,
+    spd_solver,
 )
 from .problem import ProblemSpec, no_nonlinearity
-from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, _lu_solver, solve_A
+from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, solve_A
 
 __all__ = [
     "LinearizedOperator",
@@ -80,21 +81,20 @@ MONITOR_RTOL = 1e-8
 
 @dataclass(eq=False)
 class LinearizedOperator:
-    """J = P - diag(fprime); each factor is computed once, on first use."""
+    """J = P - diag(fprime); each solve is built once, on first use."""
 
     matrix: np.ndarray
     fprime: np.ndarray
 
     @cached_property
     def cholesky(self):
-        """Cholesky factor of J, or None when J is not positive definite."""
-        return _try_cholesky(self.matrix)
+        """x -> J^-1 x by J's Cholesky factor, or None when J is not positive definite."""
+        return spd_solver(self.matrix)
 
     @cached_property
     def solve(self):
-        """x -> J^-1 x by J's Cholesky or LU factor, or None when J is exactly singular."""
-        cho = self.cholesky
-        return _lu_solver(self.matrix) if cho is None else _cholesky_solver(cho)
+        """x -> J^-1 x by J's Cholesky or else LU factor, or None when J is exactly singular."""
+        return self.cholesky or lu_solver(self.matrix)
 
 
 def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
@@ -112,18 +112,18 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
     """Principal eigenpair of the linearization around u.
 
-    Lanczos through J's own factor, with the Gershgorin-shifted Cholesky
-    factor as the fallback when J's Cholesky fails and the Perron test
+    Lanczos through J's own solve, with the Gershgorin-shifted Cholesky
+    solve as the fallback when J's Cholesky fails and the Perron test
     rejects the Lanczos pair of -J^-1 (see the module notes).  Pass
-    `lin` to reuse a linearization, and its factors, built at (lam, u).
+    `lin` to reuse a linearization, and its solves, built at (lam, u).
     """
     lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
     if lin.cholesky is not None:
-        return _shift_invert_pairs(lin.matrix, 1, lin.solve, tol)[0]
+        return _shift_invert_pair(lin.matrix, lin.cholesky, tol)
     pair = _perron_pair(lin, tol)
     if pair is not None:
         return pair
-    return _shift_invert_pairs(lin.matrix, 1, _cholesky_solver(_gershgorin_cholesky(lin.matrix)), tol)[0]
+    return _shift_invert_pair(lin.matrix, shifted_spd_solver(lin.matrix), tol)
 
 
 def _perron_pair(lin: LinearizedOperator, tol: float) -> EigenPair | None:
@@ -145,7 +145,7 @@ def _perron_pair(lin: LinearizedOperator, tol: float) -> EigenPair | None:
         return None
     for sign in (-1.0, 1.0):
         try:
-            pair = _shift_invert_pairs(lin.matrix, 1, lambda x: sign * solve(x), tol)[0]
+            pair = _shift_invert_pair(lin.matrix, lambda x: sign * solve(x), tol)
         except ConvergenceError:
             continue
         if pair.vector.min() > 0.0:
@@ -153,13 +153,13 @@ def _perron_pair(lin: LinearizedOperator, tol: float) -> EigenPair | None:
     return None
 
 
-def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str) -> tuple[np.ndarray, float]:
-    """(P^-1 rhs, sup residual), raising when the residual exceeds tol * (1 + sup|rhs|)."""
+def _checked_solve(p: LinearizedOperator, rhs: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """P^-1 rhs, raising when its sup residual exceeds tol * (1 + sup|rhs|)."""
     x = p.solve(rhs)
     res = float(np.abs(p.matrix @ x - rhs).max())
     if not res <= tol * (1.0 + np.abs(rhs).max()):  # also rejects a NaN residual
-        raise RuntimeError(f"{name} solve residual {res:.3e} exceeds tolerance")
-    return x, res
+        raise RuntimeError(f"sensitivity {name} solve residual {res:.3e} exceeds tolerance")
+    return x
 
 
 @dataclass(eq=False)
@@ -171,7 +171,6 @@ class SensitivityBundle:
     w12: np.ndarray
     w22: np.ndarray
     v: np.ndarray
-    residuals: dict
 
 
 @single_pool
@@ -188,7 +187,7 @@ def sensitivity_bundle(
 
     directions = (phi, psi) are the forcing-slot directions; psi defaults to
     phi, and v is the directional derivative along phi.  Every field's
-    residual is recorded and checked against tol.
+    residual is checked against tol.
     """
     if directions is None:
         directions = (np.ones(op.n), None)
@@ -200,19 +199,13 @@ def sensitivity_bundle(
     uv, eq, p = _field_values(u), Equation.of(op, spec, lam), linearized_operator(lam, u, op, spec)
     g_uu = eq.d_potential(uv)
     g_ulam = replace(eq, lam=1.0).potential(uv)
-    residuals = {}
-
-    def solve(name, rhs):
-        x, residuals[name] = _checked_solve(p, rhs, tol, f"sensitivity {name}")
-        return x
-
-    w1 = solve("w1", -eq.d_dlam(uv))
-    v = solve("v", phi)
+    w1 = _checked_solve(p, -eq.d_dlam(uv), tol, "w1")
+    v = _checked_solve(p, phi, tol, "v")
     v_psi = v if psi is phi else p.solve(psi)
-    w11 = solve("w11", -g_uu * w1 * w1 - 2.0 * g_ulam * w1)
-    w12 = solve("w12", -g_uu * w1 * v - g_ulam * v)
-    w22 = solve("w22", -g_uu * v * v_psi)
-    return SensitivityBundle(w1=w1, w11=w11, w12=w12, w22=w22, v=v, residuals=residuals)
+    w11 = _checked_solve(p, -g_uu * w1 * w1 - 2.0 * g_ulam * w1, tol, "w11")
+    w12 = _checked_solve(p, -g_uu * w1 * v - g_ulam * v, tol, "w12")
+    w22 = _checked_solve(p, -g_uu * v * v_psi, tol, "w22")
+    return SensitivityBundle(w1=w1, w11=w11, w12=w12, w22=w22, v=v)
 
 
 @single_pool
@@ -222,7 +215,7 @@ def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin
     This is the compact-perturbation-of-identity form of the equation's
     linearization; a near-zero value flags a singular point of the branch and
     co-occurs with a vanishing principal eigenvalue.  It is computed as
-    1/sigma_max(I + J^-1 F) by Lanczos on J's factor (see the module notes);
+    1/sigma_max(I + J^-1 F) by Lanczos on J's solve (see the module notes);
     pass `lin` to reuse a linearization built at (lam, u).
     """
     lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
@@ -237,8 +230,7 @@ def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin
         z = v + solve(fp * v)
         return z + fp * solve(z)
 
-    theta, vecs = _lanczos_largest(normal, op.n, 1, 0.01 * MONITOR_RTOL)
-    theta, x = float(theta[0]), vecs[:, 0]
+    theta, x = _lanczos_largest(normal, op.n, 0.01 * MONITOR_RTOL)
     res = float(np.linalg.norm(normal(x) - theta * x))
     if res > MONITOR_RTOL * theta:
         raise ConvergenceError(f"monitor Ritz residual {res:.3e} exceeds {MONITOR_RTOL:.0e} relative", residual=res)

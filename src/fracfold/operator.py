@@ -29,14 +29,21 @@ computable and removes the dominant boundary-layer error of nodal schemes
 The corrected matrix stays symmetric with positive diagonal, negative
 off-diagonals, and positive row sums: an M-matrix, so the discrete comparison
 principle holds.
+
+This is the one module that factors a dense matrix, and it hands out solves
+x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
+partial pivoting) and `shifted_spd_solver` (Cholesky below the Gershgorin
+discs).  Every other module solves through them, and the smallest eigenpair
+comes from one shift-invert Lanczos run through one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import cho_factor, eigh_tridiagonal, get_blas_funcs, lu_factor, toeplitz
+from scipy.linalg import cho_factor, eigh_tridiagonal, get_blas_funcs, lu_factor, lu_solve, toeplitz
 from scipy.special import gamma, hyp2f1
 
 from .errors import AssemblyError, ConvergenceError, GridError
@@ -49,6 +56,9 @@ __all__ = [
     "build_grid",
     "assemble_operator",
     "solve_dirichlet",
+    "spd_solver",
+    "lu_solver",
+    "shifted_spd_solver",
     "dump_triplets",
 ]
 
@@ -104,10 +114,10 @@ class NonlocalOperator:
     def n(self) -> int:
         return self.grid.n
 
-    def _cholesky(self):
-        if "cho" not in self._cache:
-            self._cache["cho"] = cho_factor(self.matrix, lower=True)
-        return self._cache["cho"]
+    @cached_property
+    def _solve(self):
+        """x -> A^-1 x by one Cholesky factor of A, which is positive definite (a symmetric M-matrix)."""
+        return spd_solver(self.matrix)
 
 
 def _hat_weights(n: int, h: float, sigma: float) -> np.ndarray:
@@ -186,7 +196,7 @@ def _check_structure(op: NonlocalOperator) -> None:
 
 
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs by the cached Cholesky factorization.
+    """Solve A w = rhs by the cached Cholesky solve.
 
     For rhs >= 0 not identically zero the result is strictly positive at all
     interior nodes (discrete maximum principle).
@@ -196,17 +206,16 @@ def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite at all nodes")
-    return _cholesky_solver(op._cholesky())(rhs)
+    return op._solve(rhs)
 
 
-def _cholesky_solver(factor):
-    """x -> L^-T L^-1 x for cho_factor's lower factor (L, True), by two BLAS trsv calls.
+def _trsv_pair(tri: np.ndarray):
+    """x -> L^-T L^-1 x for the lower Cholesky factor L = tri, by two BLAS trsv calls.
 
     LAPACK's potrs (scipy's cho_solve) runs the BLAS-3 trsm on a single
     column, which under OpenBLAS takes 2-4 times as long as the BLAS-2 trsv
     pair at n = 256 to 2048.
     """
-    tri = factor[0]
 
     def solve(x):
         return _TRSV(tri, _TRSV(tri, x, lower=1), lower=1, trans=1, overwrite_x=1)
@@ -223,18 +232,12 @@ class EigenPair:
     residual: float
 
 
-def _gershgorin_lower(mat: np.ndarray) -> float:
-    d = np.diag(mat)
-    radius = np.abs(mat).sum(axis=1) - np.abs(d)
-    return float(np.min(d - radius))
-
-
 def _sine_profile(n: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
 
 
-def _try_cholesky(mat: np.ndarray):
-    """Cholesky factor of mat, or None when mat is not positive definite.
+def spd_solver(mat: np.ndarray):
+    """x -> mat^-1 x by one Cholesky factor, or None when mat is not positive definite.
 
     A negative Rayleigh quotient on the sine profile already proves that
     (as on most of the upper branch) and saves the failing factorization.
@@ -243,113 +246,105 @@ def _try_cholesky(mat: np.ndarray):
     if probe @ (mat @ probe) < 0.0:
         return None
     try:
-        return cho_factor(mat, lower=True)
+        return _trsv_pair(cho_factor(mat, lower=True)[0])
     except np.linalg.LinAlgError:
         return None
 
 
-def _try_lu(mat: np.ndarray):
-    """LU factor of mat with partial pivoting, or None when mat is not finite or exactly singular."""
+def lu_solver(mat: np.ndarray):
+    """x -> mat^-1 x by one LU with partial pivoting, or None when mat is not finite or exactly singular."""
     if not np.all(np.isfinite(mat)):
         return None
     lu = lu_factor(mat, check_finite=False)
-    return lu if np.all(np.diag(lu[0])) else None
+    return partial(lu_solve, lu, check_finite=False) if np.all(np.diag(lu[0])) else None
 
 
-def _gershgorin_cholesky(mat: np.ndarray):
-    """Cholesky factor of mat - mu I, mu = min(g, 0) - 1 below every Gershgorin disc.
+def shifted_spd_solver(mat: np.ndarray):
+    """x -> (mat - mu I)^-1 x by one Cholesky, mu = min(g, 0) - 1 below every Gershgorin disc of mat.
 
-    The shift is taken off the diagonal of one Fortran-ordered copy, which
-    LAPACK then factors in place.
+    g is the lowest left end of the discs.  The shift is taken off the
+    diagonal of one Fortran-ordered copy, which LAPACK then factors in place;
+    mat is left as it was.
     """
-    shift = min(_gershgorin_lower(mat), 0.0) - 1.0
+    d = np.diag(mat)
+    shift = min(float(np.min(d - (np.abs(mat).sum(axis=1) - np.abs(d)))), 0.0) - 1.0
     shifted = np.array(mat, order="F")
     shifted[np.diag_indices_from(shifted)] -= shift
-    return cho_factor(shifted, lower=True, overwrite_a=True)
+    return _trsv_pair(cho_factor(shifted, lower=True, overwrite_a=True)[0])
 
 
-def _lanczos_largest(matvec, n: int, k: int, rtol: float):
-    """k largest eigenpairs of a symmetric operator by Lanczos, as (ascending values, column vectors).
+def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:
+    """Largest eigenpair of a symmetric operator by Lanczos, as (value, vector).
 
     Full reorthogonalization keeps the basis orthonormal, so the residual of
     a Ritz pair (theta, Q s) of the j x j tridiagonal is beta_j |s_j| (Parlett,
     The Symmetric Eigenvalue Problem, ch. 13).  It is tested after every
-    step, and the run stops once it is at most rtol |theta| for each of the
-    top k pairs; on breakdown (beta_j = 0) they are exact.  The basis grows
-    one vector per step.  The start vector linspace(1, 2, n) is fixed, so
-    repeated runs agree bit for bit.  It is positive, so it meets the Perron
-    vector of an inverse M-matrix, and it has no reflection symmetry, so the
-    Krylov space of a reflection-symmetric operator holds its antisymmetric
-    modes too.
+    step, and the run stops once it is at most rtol |theta| for the top
+    pair; on breakdown (beta_j = 0) it is exact.  The basis grows one vector
+    per step.  The start vector linspace(1, 2, n) is fixed, so repeated runs
+    agree bit for bit.  It is positive, so it meets the Perron vector of an
+    inverse M-matrix, and it has no reflection symmetry, so the Krylov space
+    of a reflection-symmetric operator holds its antisymmetric modes too.
     """
     q = np.linspace(1.0, 2.0, n)
     basis = [q / np.linalg.norm(q)]
     alpha: list[float] = []
     beta: list[float] = []
-    for j in range(1, min(LANCZOS_STEPS, n) + 1):
+    for _ in range(min(LANCZOS_STEPS, n)):
         w = matvec(basis[-1])
         alpha.append(float(basis[-1] @ w))
         qs = np.array(basis)
         w = w - qs.T @ (qs @ w)
         w -= qs.T @ (qs @ w)
         b = float(np.linalg.norm(w))
-        if j >= k:
-            theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
-            theta, s = theta[-k:], s[:, -k:]
-            if np.all(b * np.abs(s[-1]) <= rtol * np.abs(theta)):
-                return theta, qs.T @ s
+        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        theta, s = theta[-1:], s[:, -1:]
+        if b * abs(s[-1, 0]) <= rtol * abs(theta[0]):
+            return float(theta[0]), (qs.T @ s)[:, 0]
         if b == 0.0:
             break
         beta.append(b)
         basis.append(w / b)
-    raise ConvergenceError(f"Lanczos found no {k} converged Ritz pairs in {len(alpha)} steps")
+    raise ConvergenceError(f"Lanczos found no converged Ritz pair in {len(alpha)} steps")
 
 
-def _shift_invert_pairs(mat, k, solve, tol) -> list[EigenPair]:
-    """k eigenpairs of symmetric mat from the k largest of a shift-invert operator.
+def _shift_invert_pair(mat, solve, tol) -> EigenPair:
+    """Eigenpair of symmetric mat from the largest pair of a shift-invert operator.
 
-    solve is x -> (mat - mu I)^-1 x with mu below the spectrum, whose k
-    largest eigenvalues belong to the k smallest of mat; or x -> -mat^-1 x,
-    whose largest belongs to the negative eigenvalue of mat nearest 0.  Each
-    eigenvalue is the Rayleigh quotient of its Ritz vector; residuals are
+    solve is x -> (mat - mu I)^-1 x with mu below the spectrum, whose largest
+    eigenvalue belongs to the smallest of mat; or x -> -mat^-1 x, whose
+    largest belongs to the negative eigenvalue of mat nearest 0.  The
+    eigenvalue is the Rayleigh quotient of the Ritz vector; the residual is
     sup-norm on the sup-normalized vector.  Lanczos stops at the Ritz
-    residual rtol theta that keeps them below tol: the residual in mat is
-    then at most sqrt(n) ||mat - mu I|| rtol, and ||mat - mu I|| <=
-    2 ||mat||_inf + 1 for mu = 0 and for the Gershgorin shift alike.
+    residual rtol theta that keeps it below tol: the residual in mat is then
+    at most sqrt(n) ||mat - mu I|| rtol, and ||mat - mu I|| <= 2 ||mat||_inf
+    + 1 for mu = 0 and for the Gershgorin shift alike.
     """
     rtol = tol / (np.sqrt(mat.shape[0]) * (2.0 * np.abs(mat).sum(axis=1).max() + 1.0))
-    _, vecs = _lanczos_largest(solve, mat.shape[0], k, rtol)
-    pairs: list[EigenPair] = []
-    for x in vecs.T:
-        mu = float(x @ (mat @ x))
-        vec = x / np.abs(x).max()
-        if vec[np.argmax(np.abs(vec))] < 0.0:
-            vec = -vec
-        res = float(np.abs(mat @ vec - mu * vec).max())
-        if res > tol:
-            raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}", residual=res)
-        pairs.append(EigenPair(value=mu, vector=vec, residual=res))
-    pairs.sort(key=lambda p: p.value)
-    return pairs
+    _, x = _lanczos_largest(solve, mat.shape[0], rtol)
+    mu = float(x @ (mat @ x))
+    vec = x / np.abs(x).max()
+    if vec[np.argmax(np.abs(vec))] < 0.0:
+        vec = -vec
+    res = float(np.abs(mat @ vec - mu * vec).max())
+    if res > tol:
+        raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}", residual=res)
+    return EigenPair(value=mu, vector=vec, residual=res)
 
 
-def smallest_eigenpairs(mat: np.ndarray, k: int, tol: float = 1e-8) -> list[EigenPair]:
-    """k smallest eigenpairs of a dense symmetric matrix.
+def smallest_eigenpairs(mat: np.ndarray, tol: float = 1e-8) -> EigenPair:
+    """Smallest eigenpair of a dense symmetric matrix.
 
-    Shift-invert Lanczos through one Cholesky factor: of mat itself when it
-    is positive definite, else of mat - mu*I with the Gershgorin shift mu.
+    Shift-invert Lanczos through one Cholesky solve: with mat itself when it
+    is positive definite, else with mat - mu*I for the Gershgorin shift mu.
     """
-    n = mat.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < {n}, got {k}")
-    factor = _try_cholesky(mat) or _gershgorin_cholesky(mat)
-    return _shift_invert_pairs(mat, k, _cholesky_solver(factor), tol)
+    return _shift_invert_pair(mat, spd_solver(mat) or shifted_spd_solver(mat), tol)
 
 
 def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
     """Cached principal eigenpair of the operator (sup-normalized, strictly positive eigenvector)."""
     if "phi1" not in op._cache:
-        pair = smallest_eigenpairs(op.matrix, 1)[0]
+        pair = smallest_eigenpairs(op.matrix)
         if pair.vector.min() <= 0.0:
             raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
         op._cache["phi1"] = pair

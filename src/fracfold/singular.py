@@ -7,12 +7,14 @@ Every solve is one `Equation`,
 
 handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
-diag(potential)) and dG/dlam; the caller gives the factor function (Cholesky
-for the solves below, LU for the second solutions and multistarts in
-`continuation`, a bordered LU for its arclength corrector and its fold solve)
-and the trial map (the positivity floor here, rejection of nonpositive trials
-in `continuation`).  `damped_newton` reuses a factor while the merit falls
-fast (the chord rule), so a solve makes fewer factorizations than steps.
+diag(potential)) and dG/dlam; the caller gives the factor function, which
+maps a Jacobian to a solve with it and never hands out a LAPACK factor
+(`operator.spd_solver` for the solves below, `operator.lu_solver` for the
+second solutions and multistarts in `continuation`, a bordered LU solve for
+its arclength corrector and its fold solve), and the trial map (the
+positivity floor here, rejection of nonpositive trials in `continuation`).
+`damped_newton` reuses a factored solve while the merit falls fast (the
+chord rule), so a solve makes fewer factorizations than steps.
 
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
@@ -31,21 +33,17 @@ reaches it are not needed to compute it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError
 from .operator import (
     Grid,
     NonlocalOperator,
-    _cholesky_solver,
-    _try_cholesky,
-    _try_lu,
     principal_eigenpair,
     solve_dirichlet,
+    spd_solver,
 )
 from .problem import Nonlinearity, ProblemSpec, no_nonlinearity
 from .weights import NormReport
@@ -142,8 +140,8 @@ class Equation:
     def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
         """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
 
-        factor(jac) is _spd_solver or _lu_solver: a solve with the Jacobian,
-        or None when its factorization rejects it.  damped_newton keeps one
+        factor(jac) is operator.spd_solver or operator.lu_solver: a solve
+        with the Jacobian, or None when its factorization rejects it.  damped_newton keeps one
         such solve for the run and reuses it by its chord rule.  Returns (u,
         residual, bound) with residual <= bound = tol * scale(u); a solution
         resting on the floor is a ConvergenceError.
@@ -230,18 +228,6 @@ def _floored(u, t, du):
     return np.maximum(u + t * du, POSITIVITY_FLOOR)
 
 
-def _spd_solver(jac: np.ndarray):
-    """x -> jac^-1 x by one Cholesky, or None when jac is not positive definite."""
-    factor = _try_cholesky(jac)
-    return None if factor is None else _cholesky_solver(factor)
-
-
-def _lu_solver(jac: np.ndarray):
-    """x -> jac^-1 x by one LU with partial pivoting, or None when jac is not finite or exactly singular."""
-    lu = _try_lu(jac)
-    return None if lu is None else partial(lu_solve, lu, check_finite=False)
-
-
 def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
     """Largest c making c*phi a discrete subsolution of A u = K u^(-delta)."""
     pair = principal_eigenpair(op)
@@ -267,7 +253,7 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-    u, res, bound = Equation(op, k, spec.delta, no_nonlinearity(), 1.0).solve(lower, tol, _spd_solver, 80)
+    u, res, bound = Equation(op, k, spec.delta, no_nonlinearity(), 1.0).solve(lower, tol, spd_solver, 80)
     if np.any(u < lower * (1.0 - 1e-6)):
         raise BracketViolation("pure singular solution dipped below the eigenfunction subsolution")
     return SolutionField(u, op.grid, spec, res, bound)
@@ -316,7 +302,6 @@ def solve_A(
     op: NonlocalOperator,
     spec: ProblemSpec,
     tol: float = DEFAULT_TOL,
-    usub: np.ndarray | None = None,
 ) -> SolutionField:
     """Solution operator of A u - lam*K u^(-delta) = h.
 
@@ -337,12 +322,11 @@ def solve_A(
             raise BracketViolation("maximum principle violated in the linear solve")
         res = float(np.abs(op.matrix @ u - h).max())
         return SolutionField(u, op.grid, replace(spec, lam=lam), res, tol * (1.0 + np.abs(h).max()))
-    if usub is None:
-        usub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
+    usub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
     eq = Equation(op, lam * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0, rhs=h)
     try:
-        u, res, bound = eq.solve(upper, tol, _spd_solver, 80)
+        u, res, bound = eq.solve(upper, tol, spd_solver, 80)
     except ConvergenceError as exc:
         raise BracketViolation(f"solve for the shifted equation failed: {exc}") from exc
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
@@ -390,7 +374,7 @@ def monotone_iterate(
     usub = _field_values(sub)
     eq = Equation.of(op, spec, lam)
     try:
-        u, res, bound = eq.solve(usub, tol, _spd_solver, 60)
+        u, res, bound = eq.solve(usub, tol, spd_solver, 60)
     except ConvergenceError as exc:
         msg = f"no minimal solution at lambda = {lam!r}, likely past the fold: {exc}"
         raise ConvergenceError(msg, residual=exc.residual) from exc

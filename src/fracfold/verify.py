@@ -31,7 +31,7 @@ from .errors import ConvergenceError
 from .linearization import lambda1, sensitivity_bundle
 from .operator import assemble_operator, build_grid, normalization_constant, principal_eigenpair, solve_dirichlet
 from .problem import ProblemSpec, power_nonlinearity
-from .singular import Equation, scale_pure_singular, solve_A, solve_min, solve_pure_singular
+from .singular import Equation, pure_singular_cached, scale_pure_singular, solve_A, solve_min
 from .weights import classify_regime, fit_boundary_exponent, holder_seminorm, hs_membership_indicator, Regime
 
 __all__ = ["VerificationRecord", "VerificationReport", "verify_suite", "SUITES", "format_report"]
@@ -92,11 +92,8 @@ class _Cache(dict):
         return self[key]
 
     def pure(self, spec: ProblemSpec, n: int, tol: float):
-        """Pure singular solution on (-1, 1) with n nodes, shared across suites."""
-        key = ("pure", n, spec.s, spec.delta, spec.beta, spec.coeff, tol)
-        if key not in self:
-            self[key] = solve_pure_singular(spec, self.operator(1.0, n, spec.s), tol=tol)
-        return self[key]
+        """Pure singular solution on (-1, 1) with n nodes, cached on the shared operator."""
+        return pure_singular_cached(spec, self.operator(1.0, n, spec.s), tol)
 
 
 # --- 1. discretization oracle -------------------------------------------------

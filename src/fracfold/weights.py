@@ -16,7 +16,7 @@ the energy-class threshold 2*beta + delta*(2s-1) < 1 + 2s.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,6 @@ def weight_k(grid: Grid, beta: float, coeff: float, s: float) -> np.ndarray:
 class WeightProfile:
     regime: Regime
     values: np.ndarray
-    s: float
-    delta: float
-    beta: float
-    phi1s: np.ndarray
 
 
 def build_weight_profile(phi1s: np.ndarray, s: float, delta: float, beta: float) -> WeightProfile:
@@ -96,18 +92,16 @@ def build_weight_profile(phi1s: np.ndarray, s: float, delta: float, beta: float)
         values = phi * np.log(2.0 / phi) ** (1.0 / (delta + 1.0))
     else:
         values = phi ** ((2.0 * s - beta) / ((delta + 1.0) * s))
-    return WeightProfile(regime=regime, values=values, s=s, delta=delta, beta=beta, phi1s=phi)
+    return WeightProfile(regime=regime, values=values)
 
 
 @dataclass
 class NormReport:
-    """Cone norms against a weight profile plus optional boundary-fit data."""
+    """Cone norms against a weight profile plus the optional fitted boundary exponent."""
 
     cone_norm: float
     cone_lower: float
     fitted_exponent: float | None = None
-    fit_r2: float | None = None
-    holder: dict = field(default_factory=dict)
 
 
 def cone_norms(u: np.ndarray, profile: WeightProfile) -> NormReport:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fracfold import continuation, verify
+from fracfold import continuation, singular, verify
 from fracfold.verify import (
     check_asymptotic,
     check_branch,
@@ -69,7 +69,7 @@ def test_criterion_04_rates_reject_a_planted_exponent(monkeypatch, accept_cfg, o
     def power_law(spec, op, tol):
         return SimpleNamespace(values=op.grid.distance() ** (expected[spec.s, spec.delta] + offset))
 
-    monkeypatch.setattr(verify, "solve_pure_singular", power_law)
+    monkeypatch.setattr(singular, "solve_pure_singular", power_law)
     records = check_rates(accept_cfg, _Cache())
     assert [r.name for r in records] == ["rate-sub", "rate-super", "rate-critical"]
     for r in records:
@@ -98,7 +98,7 @@ def test_criterion_06_growth_rejects_wrong_exponent(monkeypatch, accept_cfg, off
     def power_law(spec, op, tol):
         return SimpleNamespace(values=op.grid.distance() ** (predicted[spec.delta] + offset))
 
-    monkeypatch.setattr(verify, "solve_pure_singular", power_law)
+    monkeypatch.setattr(singular, "solve_pure_singular", power_law)
     records = {r.name: r for r in check_holder(accept_cfg, _Cache())}
     for name in ("holder-sub", "holder-super"):
         assert records[f"{name}-growth"].passed is growth_passes, records[f"{name}-growth"]
@@ -243,7 +243,7 @@ def test_holder_reuses_the_rates_solves(monkeypatch, accept_cfg):
         solved.append((op.n, spec.s, spec.delta))
         return SimpleNamespace(values=op.grid.distance() ** 0.3)
 
-    monkeypatch.setattr(verify, "solve_pure_singular", power_law)
+    monkeypatch.setattr(singular, "solve_pure_singular", power_law)
     cache = _Cache()
     check_rates(accept_cfg, cache)
     holder = check_holder(accept_cfg, cache)

@@ -11,7 +11,8 @@ import pytest
 from fracfold import ConvergenceError, ProblemSpec, assemble_operator, blas, build_grid, no_nonlinearity
 from fracfold import singular
 from fracfold.continuation import _corrector
-from fracfold.singular import Equation, _lu_solver, solve_A
+from fracfold.operator import lu_solver
+from fracfold.singular import Equation, solve_A
 
 MAPS = "7f00-7f10 r-xp 00000000 00:2a 123 {}\n"
 NUMPY_LIB = "/site-packages/numpy.libs/libscipy_openblas64_-32a4b2a6.so"
@@ -102,9 +103,9 @@ def _zero_operator(n=8):
 def test_singular_jacobian_fails_newton_and_corrector():
     op = _zero_operator()
     spec = ProblemSpec(s=0.4, delta=0.0, nonlinearity=no_nonlinearity())
-    assert _lu_solver(op.matrix) is None
+    assert lu_solver(op.matrix) is None
     with pytest.raises(ConvergenceError, match="singular Jacobian"):
-        Equation.of(op, spec, 1.0).solve(np.ones(op.n), 1e-8, _lu_solver, 60)
+        Equation.of(op, spec, 1.0).solve(np.ones(op.n), 1e-8, lu_solver, 60)
     u = np.ones(op.n)
     tangent = (np.ones(op.n) / np.sqrt(op.n), 0.5)
     assert _corrector(Equation.of(op, spec, 1.0), (u, 1.0), tangent, 0.1, 1.0, 1e-8) is None
@@ -113,9 +114,9 @@ def test_singular_jacobian_fails_newton_and_corrector():
 def test_non_finite_jacobian_is_a_convergence_failure(op16, canonical_spec):
     jac = op16.matrix.copy()
     jac[3, 3] = np.nan
-    assert _lu_solver(jac) is None
+    assert lu_solver(jac) is None
     op = replace(op16, matrix=jac, _cache={})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConvergenceError):
-            Equation.of(op, canonical_spec, 0.1).solve(np.ones(op.n), 1e-8, _lu_solver, 60)
+            Equation.of(op, canonical_spec, 0.1).solve(np.ones(op.n), 1e-8, lu_solver, 60)

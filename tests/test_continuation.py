@@ -23,7 +23,8 @@ from fracfold.continuation import (
     trace_minimal,
     uniqueness_probe,
 )
-from fracfold.singular import Equation, _lu_solver
+from fracfold.operator import lu_solver
+from fracfold.singular import Equation
 from fracfold.verify import _folded, _nonexistence_bound, _traced
 
 
@@ -77,9 +78,9 @@ def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache,
 
     def counted(jac):
         sizes.append(len(jac))
-        return _lu_solver(jac)
+        return lu_solver(jac)
 
-    monkeypatch.setattr(fracfold.continuation, "_lu_solver", counted)
+    monkeypatch.setattr(fracfold.continuation, "lu_solver", counted)
     op = accept_cache.operator(1.0, n, canonical_spec.s)
     fold = _fold_point(op, canonical_spec, traced.minimal_points()[-1])
     assert 1 <= len(sizes) <= 6 and set(sizes) == {n + 1}  # at most one bordered LU per Newton step
@@ -321,7 +322,7 @@ def test_uniqueness_probe_small_lambda(folded_branch, op256_s04, canonical_spec)
 def test_uniqueness_probe_start_at_minimal(folded_branch, op256_s04, canonical_spec):
     lam = 1e-3 * folded_branch.fold_point().lam
     minimal = solve_min(lam, canonical_spec, op256_s04)
-    vals, res, _ = Equation.of(op256_s04, canonical_spec, lam).solve(minimal.values, 1e-10, _lu_solver, 60)
+    vals, res, _ = Equation.of(op256_s04, canonical_spec, lam).solve(minimal.values, 1e-10, lu_solver, 60)
     assert np.abs(vals - minimal.values).max() <= 1e-8
 
 
@@ -332,7 +333,7 @@ def test_uniqueness_probe_scaled_starts(folded_branch, op256_s04, canonical_spec
     limits = []
     for factor in (0.5, 2.0):
         start = np.minimum(factor * minimal.values, cap)
-        vals, _, _ = Equation.of(op256_s04, canonical_spec, lam).solve(start, 1e-10, _lu_solver, 60)
+        vals, _, _ = Equation.of(op256_s04, canonical_spec, lam).solve(start, 1e-10, lu_solver, 60)
         limits.append(vals)
     assert np.abs(limits[0] - limits[1]).max() <= 1e-8
     assert np.abs(limits[0] - minimal.values).max() <= 1e-7

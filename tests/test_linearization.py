@@ -37,14 +37,11 @@ def test_lambda1_nonnegative_potential_shifts_up(op192, pure_field):
 def test_lambda1_matches_dense_oracle(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     lin = linearized_operator(0.2, pure_field.values, op192, spec)
-    oracle = eigh(lin.matrix, eigvals_only=True)[:2]
+    oracle = eigh(lin.matrix, eigvals_only=True)[0]
     principal = lambda1(0.2, pure_field.values, op192, spec, lin=lin)
-    assert principal.value == pytest.approx(oracle[0], abs=1e-9 * max(1.0, abs(oracle[0])))
-    pairs = smallest_eigenpairs(lin.matrix, 2)
-    assert pairs[0].value == pytest.approx(oracle[0], abs=1e-9 * max(1.0, abs(oracle[0])))
-    assert pairs[1].value == pytest.approx(oracle[1], abs=1e-9 * max(1.0, abs(oracle[1])))
-    gap = (pairs[1].value - pairs[0].value) / abs(pairs[0].value)
-    assert gap > 0.0
+    assert principal.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
+    pair = smallest_eigenpairs(lin.matrix)
+    assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
 
 
 def test_lambda1_decreasing_in_lambda(op192):
@@ -166,21 +163,26 @@ def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
     assert calls == [(192, 192)]
 
 
-def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec):
+def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec, rng):
     # on an indefinite upper-branch J the shift comes off the diagonal of one
-    # copy: the factor equals that of J - mu I formed in full, and J is untouched
-    import fracfold.operator as op_mod
-    from scipy.linalg import cho_factor
+    # copy: the solve equals the trsv pair on the factor of J - mu I formed in
+    # full, bit for bit, and J is untouched
+    from scipy.linalg import cho_factor, get_blas_funcs
+
+    from fracfold.operator import shifted_spd_solver, spd_solver
 
     point = folded_branch.upper_points()[-1]
     jac = linearized_operator(point.lam, point.solution, op256_s04, canonical_spec).matrix
-    assert op_mod._try_cholesky(jac) is None
+    assert spd_solver(jac) is None
     before = jac.copy()
-    shift = min(op_mod._gershgorin_lower(jac), 0.0) - 1.0
-    factor, lower = op_mod._gershgorin_cholesky(jac)
-    expected, expected_lower = cho_factor(jac - shift * np.eye(len(jac)), lower=True)
-    assert lower is expected_lower is True
-    assert np.array_equal(factor.view(np.uint64), expected.view(np.uint64))  # bit for bit
+    d = np.diag(jac)
+    shift = min(float(np.min(d - (np.abs(jac).sum(axis=1) - np.abs(d)))), 0.0) - 1.0  # below every disc
+    factor = cho_factor(jac - shift * np.eye(len(jac)), lower=True)[0]
+    trsv = get_blas_funcs("trsv", dtype=np.float64)
+    solve = shifted_spd_solver(jac)
+    for x in (rng.normal(size=len(jac)), np.ones(len(jac))):
+        expected = trsv(factor, trsv(factor, x, lower=1), lower=1, trans=1)
+        assert np.array_equal(solve(x).view(np.uint64), expected.view(np.uint64))  # bit for bit
     assert np.array_equal(jac, before)
 
 
@@ -246,23 +248,21 @@ def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, c
     jac = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec).matrix
     oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 2])
     assert oracle[0] < 0.0 < oracle[1]
-    pairs = smallest_eigenpairs(jac, 3, tol=1e-9)
-    assert [q.value for q in pairs] == sorted(q.value for q in pairs)
-    for q, val in zip(pairs, oracle):
-        assert q.value == pytest.approx(val, abs=1e-9 * max(1.0, abs(val)))
-        assert np.abs(q.vector).max() == pytest.approx(1.0)
-        assert np.abs(jac @ q.vector - q.value * q.vector).max() <= 1e-9
-        assert q.residual <= 1e-9
+    q, val = smallest_eigenpairs(jac, tol=1e-9), oracle[0]
+    assert q.value == pytest.approx(val, abs=1e-9 * max(1.0, abs(val)))
+    assert np.abs(q.vector).max() == pytest.approx(1.0)
+    assert np.abs(jac @ q.vector - q.value * q.vector).max() <= 1e-9
+    assert q.residual <= 1e-9
 
 
 def _forbid_gershgorin_factor(monkeypatch):
-    """Make lambda1's fallback, the Gershgorin-shifted Cholesky factor, fail the test if it is built."""
+    """Make lambda1's fallback, the Gershgorin-shifted Cholesky solve, fail the test if it is built."""
     import fracfold.linearization as lin_mod
 
     def no_fallback(mat):
-        raise AssertionError("the Gershgorin-shifted factor was built")
+        raise AssertionError("the Gershgorin-shifted solve was built")
 
-    monkeypatch.setattr(lin_mod, "_gershgorin_cholesky", no_fallback)
+    monkeypatch.setattr(lin_mod, "shifted_spd_solver", no_fallback)
 
 
 def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
@@ -307,7 +307,6 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     # an indefinite J's LU serves lambda1 too, so no Gershgorin factor is built.
     import fracfold.linearization as lin_mod
     import fracfold.operator as op_mod
-    import fracfold.singular as sing_mod
 
     calls = {"solve": 0, "factor": 0}
 
@@ -315,23 +314,22 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
         calls[kind] += 1
         return result
 
-    def counted_solver(factor, _original=op_mod._cholesky_solver):
-        solve = _original(factor)
-        return lambda x: count("solve", solve(x))
+    def counted_solver(original):
+        def build(mat):
+            solve = original(mat)
+            return None if solve is None else (lambda x: count("solve", solve(x)))
 
-    for mod in (op_mod, lin_mod, sing_mod):
-        monkeypatch.setattr(mod, "_cholesky_solver", counted_solver)
-    for mod, name, kind in (
-        (sing_mod, "lu_solve", "solve"),
-        (op_mod, "cho_factor", "factor"),
-        (op_mod, "lu_factor", "factor"),
-    ):
-        original = getattr(mod, name)
+        return build
 
-        def counted(*args, _original=original, _kind=kind, **kwargs):
-            return count(_kind, _original(*args, **kwargs))
+    for name in ("spd_solver", "lu_solver"):
+        monkeypatch.setattr(lin_mod, name, counted_solver(getattr(lin_mod, name)))
+    for name in ("cho_factor", "lu_factor"):
+        original = getattr(op_mod, name)
 
-        monkeypatch.setattr(mod, name, counted)
+        def counted(*args, _original=original, **kwargs):
+            return count("factor", _original(*args, **kwargs))
+
+        monkeypatch.setattr(op_mod, name, counted)
     _forbid_gershgorin_factor(monkeypatch)
     points = _rounded(folded_branch)
     for p in points:
@@ -366,7 +364,7 @@ def test_fold_lambda1_is_certified_without_cholesky(monkeypatch, folded_branch, 
     _forbid_gershgorin_factor(monkeypatch)
     fold = folded_branch.fold_point()
     lin = linearized_operator(fold.lam, fold.solution, op256_s04, canonical_spec)
-    lin.cholesky = None  # the cached factor, as if its factorization had failed
+    lin.cholesky = None  # the cached Cholesky solve, as if its factorization had failed
     pair = lambda1(fold.lam, fold.solution, op256_s04, canonical_spec, tol=max(fold.tol, 1e-10), lin=lin)
     oracle = np.linalg.eigvalsh(lin.matrix)[0]
     assert abs(oracle) <= 1e-6
@@ -388,19 +386,21 @@ def test_lambda1_falls_back_past_morse_index_one(op192):
 
 
 def test_cholesky_solver_matches_cho_solve(op192, pure_field, rng):
+    # operator.spd_solver solves by the BLAS trsv pair, not LAPACK's potrs
     from scipy.linalg import cho_factor, cho_solve
 
-    from fracfold.operator import _cholesky_solver
+    from fracfold.operator import spd_solver
 
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     jac = linearized_operator(0.2, pure_field.values, op192, spec).matrix
     assert np.linalg.eigvalsh(jac)[0] > 0.0
     for mat in (op192.matrix, jac):
         factor = cho_factor(mat, lower=True)
+        solve = spd_solver(mat)
         for x in (rng.normal(size=op192.n), np.ones(op192.n)):
             expected = cho_solve(factor, x)
             kept = x.copy()
-            assert np.abs(_cholesky_solver(factor)(x) - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.abs(solve(x) - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.array_equal(x, kept)  # the right-hand side is not overwritten
 
 

@@ -60,7 +60,7 @@ def _regularized(spec, op, eps, tol=1e-8):
     k_eps = np.minimum(1.0 / eps, spec.k_field(op.grid))
     eq = singular.Equation(op, k_eps, spec.delta, no_nonlinearity(), 1.0, rhs=eps * op.matrix.sum(axis=1))
     start = np.maximum((k_eps / np.diag(op.matrix)) ** (1.0 / (1.0 + spec.delta)), eps)
-    v, _, _ = eq.solve(start, tol, singular._spd_solver, 80)
+    v, _, _ = eq.solve(start, tol, singular.spd_solver, 80)
     return v - eps
 
 
@@ -319,7 +319,7 @@ def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
     # Newton steps of the pure singular solves, then of minimal solves that
     # rise from the cached pure solution
     calls = []
-    monkeypatch.setattr(singular, "_spd_solver", _counting(singular._spd_solver, calls))
+    monkeypatch.setattr(singular, "spd_solver", _counting(singular.spd_solver, calls))
     for spec in RATES_SPECS:
         counts = []
         for n in (256, 1024):
@@ -349,7 +349,7 @@ def test_pure_singular_solves_reuse_factors():
         op = assemble_operator(build_grid(1.0, 1024), spec.s)
         eq = singular.Equation(op, spec.k_field(op.grid), spec.delta, spec.nonlinearity, 1.0)
         start = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-        eq.solve(start, 1e-8, _counting(singular._spd_solver, steps, factors), 80)
+        eq.solve(start, 1e-8, _counting(singular.spd_solver, steps, factors), 80)
         assert len(factors) < len(steps), (spec, len(factors), len(steps))
 
 
@@ -362,21 +362,21 @@ def test_newton_tests_convergence_after_its_last_step(monkeypatch, op256):
     eq = singular.Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
     start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
     steps, chord_steps = [], []
-    chord, _, _ = eq.solve(start, 1e-8, _counting(singular._spd_solver, chord_steps), 80)
+    chord, _, _ = eq.solve(start, 1e-8, _counting(singular.spd_solver, chord_steps), 80)
     with monkeypatch.context() as m:
         m.setattr(singular, "CHORD_RATIO", 0.0)
-        u, res, bound = eq.solve(start, 1e-8, _counting(singular._spd_solver, steps), 80)
+        u, res, bound = eq.solve(start, 1e-8, _counting(singular.spd_solver, steps), 80)
         needed = len(steps)
         assert needed >= 2 and res <= bound
-        again, _, _ = eq.solve(start, 1e-8, singular._spd_solver, needed)
+        again, _, _ = eq.solve(start, 1e-8, singular.spd_solver, needed)
         assert np.array_equal(again, u)
         with pytest.raises(ConvergenceError, match="stalled"):
-            eq.solve(start, 1e-8, singular._spd_solver, needed - 1)
+            eq.solve(start, 1e-8, singular.spd_solver, needed - 1)
     # with chord steps: the run's own step count converges to its iterate, and
     # one fewer falls back to the fresh-factor run, which converges to Newton's
-    again, _, _ = eq.solve(start, 1e-8, singular._spd_solver, len(chord_steps))
+    again, _, _ = eq.solve(start, 1e-8, singular.spd_solver, len(chord_steps))
     assert np.array_equal(again, chord)
-    fallback, _, _ = eq.solve(start, 1e-8, singular._spd_solver, len(chord_steps) - 1)
+    fallback, _, _ = eq.solve(start, 1e-8, singular.spd_solver, len(chord_steps) - 1)
     assert len(chord_steps) > needed and np.array_equal(fallback, u)
 
 
@@ -390,7 +390,7 @@ def test_stale_factor_falls_back_to_fresh_newton(monkeypatch, op256):
     useless = []
 
     def planted(jac):
-        solve, uses = singular._spd_solver(jac), []
+        solve, uses = singular.spd_solver(jac), []
 
         def stored(v):
             uses.append(1)
@@ -404,7 +404,7 @@ def test_stale_factor_falls_back_to_fresh_newton(monkeypatch, op256):
     u, res, bound = eq.solve(start, 1e-8, planted, 80)
     assert len(useless) == 1 and res <= bound
     monkeypatch.setattr(singular, "CHORD_RATIO", 0.0)
-    reference, _, _ = eq.solve(start, 1e-8, singular._spd_solver, 80)
+    reference, _, _ = eq.solve(start, 1e-8, singular.spd_solver, 80)
     assert np.array_equal(u, reference)
 
 
@@ -504,7 +504,7 @@ def test_chord_run_rises_below_the_minimal_solution(s, delta, beta_frac, frac):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(singular.Equation, "scale", recording)
-        m.setattr(singular, "_spd_solver", _counting(singular._spd_solver, steps, factors))
+        m.setattr(singular, "spd_solver", _counting(singular.spd_solver, steps, factors))
         u = monotone_iterate(lam, sub, op, spec).values
     slack = singular.ORDER_SLACK * (1.0 + u.max())
     assert len(factors) < len(steps) == len(iterates) - 1

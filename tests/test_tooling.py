@@ -25,13 +25,15 @@ SOURCE = pathlib.Path(fracfold.__file__).parent
 # matrix (lstsq fits three columns in weights.fit_boundary_exponent;
 # eigh_tridiagonal diagonalizes the j x j Lanczos tridiagonal, j at most the
 # step count of operator._lanczos_largest; get_blas_funcs fetches the O(n^2)
-# triangular solve trsv of operator._cholesky_solver).  A dense
+# triangular solve trsv of operator._trsv_pair).  A dense
 # `solve` is forbidden from both libraries: every factorization goes through
 # scipy's counted kernels, and numpy's BLAS pool stays out of the solves.
 # cho_solve is not allowed either: LAPACK's potrs takes 2-4 times as long as
 # the trsv pair on one right-hand side.
 COUNTED = {"cho_factor", "lu_factor", "svdvals"}
 HELPERS = {"get_blas_funcs", "lu_solve", "toeplitz", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
+# the factorizations and the solves with their factors: trsv is fetched by get_blas_funcs
+FACTOR_NAMES = ("cho_factor", "lu_factor", "lu_solve", "get_blas_funcs")
 FORBIDDEN = ("solve", "eigh", "eigvalsh", "eig", "ldl", "cholesky", "lu", "qr", "svd", "inv", "pinv", "det")
 
 
@@ -146,7 +148,7 @@ def _writes_a_diagonal(node) -> bool:
 
 def test_jacobians_are_assembled_only_by_the_equation():
     # a matrix diagonal is written in three places: operator assembles A (its
-    # wall correction) and shifts it for the Gershgorin factor, and
+    # wall correction) and shifts it for the Gershgorin-shifted solve, and
     # singular.Equation adds the potential to make the Jacobian.  Any other
     # site, in any module or a second one in these, is a second Jacobian assembly.
     sites = []
@@ -154,8 +156,8 @@ def test_jacobians_are_assembled_only_by_the_equation():
         for top in ast.parse(path.read_text()).body:
             sites += [(path.name, getattr(top, "name", None)) for node in ast.walk(top) if _writes_a_diagonal(node)]
     assert sorted(sites) == [
-        ("operator.py", "_gershgorin_cholesky"),
         ("operator.py", "assemble_operator"),
+        ("operator.py", "shifted_spd_solver"),
         ("singular.py", "Equation"),
     ]
 
@@ -170,9 +172,9 @@ def test_bordered_matrix_takes_its_block_from_the_equation():
 
 
 def test_factorizations_are_called_only_in_the_operator_module():
-    # every other module factors through operator's _try_cholesky, _try_lu or
-    # _gershgorin_cholesky, and solves with a Cholesky factor through its
-    # _cholesky_solver, so the factorization ledger has one home
+    # every other module solves through operator's spd_solver, lu_solver or
+    # shifted_spd_solver, which hand out solves and never a factor, so the
+    # factorization ledger has one home
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -184,7 +186,23 @@ def test_factorizations_are_called_only_in_the_operator_module():
                 names = [node.attr]
             else:
                 continue
-            sites += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("cho_factor", "lu_factor")]
+            sites += [f"{path.name}:{node.lineno} {name}" for name in names if name in FACTOR_NAMES]
+    assert sites and all(site.startswith("operator.py:") for site in sites), sites
+
+
+def test_only_the_operator_module_imports_scipy_linalg():
+    # no other module receives a LAPACK factor, so none needs scipy.linalg
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+                sites.append(f"{path.name}:{node.lineno}")
     assert sites and all(site.startswith("operator.py:") for site in sites), sites
 
 
