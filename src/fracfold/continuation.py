@@ -18,6 +18,14 @@ keeps falling fast enough, and factors afresh otherwise), so most points
 cost no factorization.  The fold solve and the fixed-lam LU solves (second
 solutions, multistarts) run the same rule within each solve.  Every point
 meets the same residual bound as with a fresh factor at every step.
+
+The branch is even under the reflection of the nodes: so are the minimal
+solutions, the principal eigenvector at the fold, and every tangent and
+bordering row built from them.  The bordered LU of the corrector and of the
+fold solve is then of the even form [[J_e, E^T G_lam], [E^T row, corner]],
+of order ceil(n/2) + 1 (`_bordered_solver`), and the second solutions of
+`multiplicity_scan` factor J_e.  Only the random starts of
+`uniqueness_probe` factor the n x n Jacobian.
 """
 
 from __future__ import annotations
@@ -58,8 +66,9 @@ class BranchPoint:
 
     `lambda1` (principal eigenvalue of the linearization), its `eigenvector`
     and `monitor` (the Fredholm monitor) are computed together on the first
-    read of any, from one linearized operator and its shared factor; the point
-    keeps the eigenpair and the monitor, not the matrix or its factor.  A
+    read of any, from one linearized operator and its shared factors (one
+    per block, the point's field being even); the point keeps the eigenpair
+    and the monitor, not the matrices or their factors.  A
     failure there surfaces only to a caller that reads them.
     """
 
@@ -251,14 +260,21 @@ def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: floa
 
 
 def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):
-    """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for lu_solver."""
-    n = len(u)
-    mat = np.empty((n + 1, n + 1))  # filled in place: np.block takes 20 times as long at n = 256
-    at.jacobian(u, out=mat[:n, :n])
-    mat[:n, n] = at.d_dlam(u)
-    mat[n, :n] = row
-    mat[n, n] = corner
-    return lu_solver(mat)
+    """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for lu_solver.
+
+    When u, row and the equation's data are even, M maps (E y, lam) to even
+    residuals, and the LU is of its even form [[J_e, E^T G_lam], [E^T row,
+    corner]], of order ceil(n/2) + 1: the solve folds the first n entries of
+    x and unfolds those of the solution (`operator.Basis`).
+    """
+    basis = at.basis(u, row)
+    k = basis.order
+    mat = np.empty((k + 1, k + 1))  # filled in place: np.block takes 20 times as long at n = 256
+    at.jacobian(u, out=mat[:k, :k])
+    mat[:k, k] = basis.fold(at.d_dlam(u))
+    mat[k, :k] = basis.fold(row)
+    mat[k, k] = corner
+    return basis.lift(lu_solver(mat))
 
 
 def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
@@ -435,7 +451,7 @@ def fold_round(
     back = list(_arclength_points(op, spec, near, w, fold, (-phi, 0.0), "minimal"))
     for p in back:
         p.arclength = 2.0 * fold.arclength - p.arclength
-    window = back[::-1] + [fold] + list(_arclength_points(op, spec, near, w, fold, (phi, 0.0), "upper"))
+    window = [*reversed(back), fold, *_arclength_points(op, spec, near, w, fold, (phi, 0.0), "upper")]
 
     sig = np.array([p.arclength for p in window]) - fold.arclength
     lams = np.array([p.lam for p in window])

@@ -30,11 +30,28 @@ The corrected matrix stays symmetric with positive diagonal, negative
 off-diagonals, and positive row sums: an M-matrix, so the discrete comparison
 principle holds.
 
+The grid is symmetric about 0 bit for bit, and so is A: with R the reversal
+of the nodes, A = RAR exactly (`toeplitz` is, and the wall correction is
+mirrored).  So A, and the Jacobian A + diag(p) at any even potential p,
+commute with R and split into two blocks of order about n/2 (Cantoni &
+Butler, Linear Algebra Appl. 13, 1976).  Let E be the n x ceil(n/2) map that
+unfolds first-half values y to the even field (y, Ry) (its centre column
+holds a single 1 when n is odd) and E_o the n x floor(n/2) map to the odd
+field (y, [0,] -Ry).  Then J = A + diag(p) acts on even fields as the even
+block J_e = E^T J E = E^T A E + diag(E^T p), and on odd ones as J_o = E_o^T J
+E_o; for an even x, J^-1 x = E J_e^-1 E^T x.  This module is the one home of
+that fold and unfold (`fold`, `unfold`, `Basis`), of the bitwise test that
+picks them (`is_even`), and of the cached blocks of A.  A solve whose data
+are all even runs on the even block; only asymmetric data take the n x n
+path.
+
 This is the one module that factors a dense matrix, and it hands out solves
 x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
-partial pivoting) and `shifted_spd_solver` (Cholesky below the Gershgorin
-discs).  Every other module solves through them, and the smallest eigenpair
-comes from one shift-invert Lanczos run through one of them.
+partial pivoting), `shifted_spd_solver` (Cholesky below the Gershgorin
+discs) and `split_solver` (both blocks of a reflection-symmetric J).  Every
+other module solves through them, and the smallest eigenpair comes from one
+shift-invert Lanczos run through one of them, on the even block when the
+matrix is one.
 """
 
 from __future__ import annotations
@@ -52,6 +69,11 @@ __all__ = [
     "Grid",
     "NonlocalOperator",
     "EigenPair",
+    "Basis",
+    "basis_for",
+    "is_even",
+    "fold",
+    "unfold",
     "normalization_constant",
     "build_grid",
     "assemble_operator",
@@ -59,6 +81,7 @@ __all__ = [
     "spd_solver",
     "lu_solver",
     "shifted_spd_solver",
+    "split_solver",
     "dump_triplets",
 ]
 
@@ -96,7 +119,8 @@ def build_grid(half_width: float, n: int) -> Grid:
     if n < MIN_NODES:
         raise GridError(f"need at least {MIN_NODES} interior nodes for exponent fits, got {n}")
     h = 2.0 * half_width / (n + 1)
-    nodes = -half_width + h * np.arange(1, n + 1)
+    # x_i = h (i - (n+1)/2): i - (n+1)/2 is an exact half-integer, so x_{n+1-i} = -x_i bit for bit
+    nodes = h * (np.arange(1, n + 1) - 0.5 * (n + 1))
     return Grid(half_width=float(half_width), n=int(n), h=h, nodes=nodes)
 
 
@@ -115,9 +139,105 @@ class NonlocalOperator:
         return self.grid.n
 
     @cached_property
+    def even_block(self) -> np.ndarray:
+        """E^T A E: A on even fields, of order ceil(n/2)."""
+        return _fold_matrix(self.matrix)
+
+    @cached_property
+    def odd_block(self) -> np.ndarray:
+        """E_o^T A E_o: A on odd fields, of order floor(n/2)."""
+        return _fold_matrix(self.matrix, odd=True)
+
+    @cached_property
     def _solve(self):
         """x -> A^-1 x by one Cholesky factor of A, which is positive definite (a symmetric M-matrix)."""
         return spd_solver(self.matrix)
+
+    @cached_property
+    def _even_solve(self):
+        """x -> A^-1 x on even x, by one Cholesky factor of E^T A E."""
+        return Basis(self.n, True).lift(spd_solver(self.even_block, self.n))
+
+
+def is_even(x) -> bool:
+    """True when x equals its reflection bit for bit: x_i = x_{n-1-i}, or M_ij = M_{n-1-i,n-1-j} for a matrix.
+
+    This is the one test that picks the even path; a scalar is even.
+    """
+    x = np.asarray(x)
+    return bool(np.array_equal(x, np.flip(x)))
+
+
+def fold(x: np.ndarray, odd: bool = False) -> np.ndarray:
+    """E^T x, or E_o^T x with odd=True, along the first axis of x.
+
+    Row i < floor(n/2) is x_i + x_{n-1-i} (x_i - x_{n-1-i} for E_o); E^T keeps
+    the centre row of an odd n once, E_o^T drops it.
+    """
+    n = len(x)
+    k = n // 2 if odd else (n + 1) // 2
+    mirror = x[::-1][:k]
+    out = x[:k] - mirror if odd else x[:k] + mirror
+    if n % 2 and not odd:
+        out[-1] = x[k - 1]
+    return out
+
+
+def unfold(y: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
+    """E y, or E_o y with odd=True: the even (odd) field on n nodes whose first-half values are y."""
+    if odd:
+        return np.concatenate((y, np.zeros(n - 2 * len(y)), -y[::-1]))
+    return np.concatenate((y, y[: n // 2][::-1]))
+
+
+def _fold_matrix(mat: np.ndarray, odd: bool = False) -> np.ndarray:
+    """E^T mat E (E_o^T mat E_o with odd=True), folding the rows and then the columns.
+
+    For a symmetric mat with mat = R mat R bit for bit, as A is, the entry
+    (i, j) is computed as (a + b) + (b + a) (as (a - b) - (b - a) for E_o),
+    with a = a_ij and b = a_i,n-1-j, and so is the entry (j, i): the block
+    is symmetric bit for bit.
+    """
+    return np.ascontiguousarray(fold(fold(mat, odd).T, odd).T)
+
+
+@dataclass(frozen=True)
+class Basis:
+    """The coordinates of a solve on n-node vectors: E's columns (even) or the nodes themselves.
+
+    `fold` maps a vector to the basis (E^T x) and `unfold` back (E y); both
+    carry entries past the first n (the unknowns of a bordered system)
+    through unchanged, and both return their argument on the node basis.
+    """
+
+    n: int
+    even: bool
+
+    @property
+    def order(self) -> int:
+        return (self.n + 1) // 2 if self.even else self.n
+
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate((fold(x[: self.n]), x[self.n :])) if self.even else x
+
+    def unfold(self, y: np.ndarray) -> np.ndarray:
+        k = self.order
+        return np.concatenate((unfold(y[:k], self.n), y[k:])) if self.even else y
+
+    def lift(self, solve):
+        """x -> E solve(E^T x): a solve with a matrix of this basis as one on n-node vectors.
+
+        For M = E^T J E and an even x it gives J^-1 x; the odd part of x,
+        which J maps to odd fields, is dropped.  None stays None.
+        """
+        if solve is None or not self.even:
+            return solve
+        return lambda x: self.unfold(solve(self.fold(x)))
+
+
+def basis_for(n: int, *data) -> Basis:
+    """E's columns when every one of the data (n-node fields or scalars) is even, else the nodes."""
+    return Basis(n, all(is_even(x) for x in data))
 
 
 def _hat_weights(n: int, h: float, sigma: float) -> np.ndarray:
@@ -176,7 +296,8 @@ def assemble_operator(grid: Grid, s: float) -> NonlocalOperator:
     w = _hat_weights(n, h, sigma)
     diag = 2.0 / ((2.0 - sigma) * h ** sigma) + 2.0 / (sigma * h ** sigma)
     col = np.concatenate(([diag], -w))
-    mat = (2.0 * normalization_constant(s)) * toeplitz(col)
+    mat = toeplitz(col)
+    mat *= 2.0 * normalization_constant(s)
     mat[np.diag_indices(n)] += _wall_correction(grid, s, mat)
     op = NonlocalOperator(grid=grid, s=float(s), normalization=normalization_constant(s), matrix=mat)
     _check_structure(op)
@@ -184,19 +305,24 @@ def assemble_operator(grid: Grid, s: float) -> NonlocalOperator:
 
 
 def _check_structure(op: NonlocalOperator) -> None:
+    """Symmetry, the M-matrix sign pattern, positive row sums and A = RAR, with one n x n temporary at a time."""
     mat = op.matrix
-    scale = np.abs(mat).max()
-    if np.abs(mat - mat.T).max() > SIGN_SLACK * scale:
+    scale = max(mat.max(), -mat.min())
+    asym = mat - mat.T
+    if np.abs(asym, out=asym).max() > SIGN_SLACK * scale:
         raise AssemblyError("assembled operator is not symmetric")
-    off = mat - np.diag(np.diag(mat))
-    if np.diag(mat).min() <= 0.0 or off.max() > SIGN_SLACK * scale:
+    del asym
+    # mat is symmetric, so its strict upper triangle holds every off-diagonal value (triu zeros the rest)
+    if np.diag(mat).min() <= 0.0 or np.triu(mat, 1).max() > SIGN_SLACK * scale:
         raise AssemblyError("assembled operator violates the M-matrix sign pattern")
     if mat.sum(axis=1).min() <= 0.0:
         raise AssemblyError("assembled operator has a nonpositive row sum")
+    if not is_even(mat):
+        raise AssemblyError("assembled operator does not commute with the reflection of the grid")
 
 
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs by the cached Cholesky solve.
+    """Solve A w = rhs by a cached Cholesky solve, of E^T A E when rhs is even, else of A.
 
     For rhs >= 0 not identically zero the result is strictly positive at all
     interior nodes (discrete maximum principle).
@@ -206,7 +332,7 @@ def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite at all nodes")
-    return op._solve(rhs)
+    return (op._even_solve if is_even(rhs) else op._solve)(rhs)
 
 
 def _trsv_pair(tri: np.ndarray):
@@ -236,13 +362,21 @@ def _sine_profile(n: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
 
 
-def spd_solver(mat: np.ndarray):
+def _mass(k: int, n: int | None) -> np.ndarray:
+    """diag(E^T E) for a block of order k < n (2 at each folded pair, 1 at an odd n's centre), else ones."""
+    return np.ones(k) if n in (None, k) else fold(np.ones(n))
+
+
+def spd_solver(mat: np.ndarray, n: int | None = None):
     """x -> mat^-1 x by one Cholesky factor, or None when mat is not positive definite.
 
     A negative Rayleigh quotient on the sine profile already proves that
     (as on most of the upper branch) and saves the failing factorization.
+    For a block of an n x n matrix (order k < n) the probe is the first k
+    values of the n-node profile, so it gives the full matrix's quotient.
     """
-    probe = _sine_profile(mat.shape[0])
+    k = mat.shape[0]
+    probe = _sine_profile(n or k)[:k]
     if probe @ (mat @ probe) < 0.0:
         return None
     try:
@@ -259,18 +393,38 @@ def lu_solver(mat: np.ndarray):
     return partial(lu_solve, lu, check_finite=False) if np.all(np.diag(lu[0])) else None
 
 
-def shifted_spd_solver(mat: np.ndarray):
-    """x -> (mat - mu I)^-1 x by one Cholesky, mu = min(g, 0) - 1 below every Gershgorin disc of mat.
+def shifted_spd_solver(mat: np.ndarray, n: int | None = None):
+    """x -> (mat - mu D)^-1 x by one Cholesky, mu = min(g, 0) - 1 below every Gershgorin disc of D^-1 mat.
 
-    g is the lowest left end of the discs.  The shift is taken off the
-    diagonal of one Fortran-ordered copy, which LAPACK then factors in place;
-    mat is left as it was.
+    D is the identity, or for the even block of an n x n matrix (order k <
+    n) the diagonal of E^T E, so that mu lies below the spectrum of the
+    generalized problem mat y = mu D y (see `_shift_invert_pair`).  g is the
+    lowest left end of the discs.  The shift is taken off the diagonal of
+    one Fortran-ordered copy, which LAPACK then factors in place; mat is
+    left as it was.
     """
+    mass = _mass(mat.shape[0], n)
     d = np.diag(mat)
-    shift = min(float(np.min(d - (np.abs(mat).sum(axis=1) - np.abs(d)))), 0.0) - 1.0
+    shift = min(float(np.min((d - (np.abs(mat).sum(axis=1) - np.abs(d))) / mass)), 0.0) - 1.0
     shifted = np.array(mat, order="F")
-    shifted[np.diag_indices_from(shifted)] -= shift
+    shifted[np.diag_indices_from(shifted)] -= shift * mass
     return _trsv_pair(cho_factor(shifted, lower=True, overwrite_a=True)[0])
+
+
+def split_solver(even, odd: np.ndarray, n: int):
+    """x -> J^-1 x on any n-node x, for an n x n J that commutes with the reflection, from its two blocks.
+
+    `even` is a solve with J_e = E^T J E (built here, and shared with the
+    caller's eigenpair); `odd` is J_o = E_o^T J E_o, factored here by
+    Cholesky or else LU.  Then J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x:
+    two solves of order about n/2.  None when either block is singular.
+    """
+    if even is None:
+        return None
+    odd_solve = spd_solver(odd, n) or lu_solver(odd)
+    if odd_solve is None:
+        return None
+    return lambda x: unfold(even(fold(x)), n) + unfold(odd_solve(fold(x, odd=True)), n, odd=True)
 
 
 def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:
@@ -283,8 +437,11 @@ def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:
     pair; on breakdown (beta_j = 0) it is exact.  The basis grows one vector
     per step.  The start vector linspace(1, 2, n) is fixed, so repeated runs
     agree bit for bit.  It is positive, so it meets the Perron vector of an
-    inverse M-matrix, and it has no reflection symmetry, so the Krylov space
-    of a reflection-symmetric operator holds its antisymmetric modes too.
+    inverse M-matrix: on an even block that is all it must do, since the
+    block holds no reflection.  On an n-node operator that commutes with
+    the reflection (the Fredholm monitor's) it matters too that the start
+    has no reflection symmetry: the Krylov space then holds the
+    antisymmetric modes as well.
     """
     q = np.linspace(1.0, 2.0, n)
     basis = [q / np.linalg.norm(q)]
@@ -308,43 +465,57 @@ def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:
     raise ConvergenceError(f"Lanczos found no converged Ritz pair in {len(alpha)} steps")
 
 
-def _shift_invert_pair(mat, solve, tol) -> EigenPair:
+def _shift_invert_pair(mat, solve, tol, n: int | None = None) -> EigenPair:
     """Eigenpair of symmetric mat from the largest pair of a shift-invert operator.
 
-    solve is x -> (mat - mu I)^-1 x with mu below the spectrum, whose largest
+    solve is x -> (mat - mu D)^-1 x with mu below the spectrum, whose largest
     eigenvalue belongs to the smallest of mat; or x -> -mat^-1 x, whose
-    largest belongs to the negative eigenvalue of mat nearest 0.  The
-    eigenvalue is the Rayleigh quotient of the Ritz vector; the residual is
-    sup-norm on the sup-normalized vector.  Lanczos stops at the Ritz
-    residual rtol theta that keeps it below tol: the residual in mat is then
-    at most sqrt(n) ||mat - mu I|| rtol, and ||mat - mu I|| <= 2 ||mat||_inf
-    + 1 for mu = 0 and for the Gershgorin shift alike.
+    largest belongs to the negative eigenvalue of mat nearest 0.  D is the
+    identity; or, when mat is the even block E^T J E of an n x n J (order k <
+    n), the diagonal of E^T E.  The pair is then J's among even fields, from
+    the generalized problem mat y = mu D y: Lanczos runs on D^1/2 solve D^1/2
+    in the coordinates z = D^1/2 y, where J on even fields is a symmetric
+    matrix, and the vector is unfolded to the n nodes.  The eigenvalue is
+    the Rayleigh quotient of the Ritz vector; the residual is the sup norm
+    of J x - mu x on the sup-normalized vector x.  Lanczos stops at the Ritz
+    residual rtol theta that keeps it below tol: the residual is then at most
+    sqrt(k) ||S - mu I|| rtol for the matrix S = D^-1/2 mat D^-1/2, and ||S -
+    mu I|| <= 2 ||mat||_inf / min D + 1 for mu = 0 and for the Gershgorin
+    shift alike.
     """
-    rtol = tol / (np.sqrt(mat.shape[0]) * (2.0 * np.abs(mat).sum(axis=1).max() + 1.0))
-    _, x = _lanczos_largest(solve, mat.shape[0], rtol)
+    k = mat.shape[0]
+    mass = _mass(k, n)
+    root = np.sqrt(mass)
+    rtol = tol / (np.sqrt(k) * (2.0 * np.abs(mat).sum(axis=1).max() / mass.min() + 1.0))
+    _, z = _lanczos_largest(lambda v: root * solve(root * v), k, rtol)
+    x = z / root
     mu = float(x @ (mat @ x))
     vec = x / np.abs(x).max()
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
-    res = float(np.abs(mat @ vec - mu * vec).max())
+    res = float(np.abs((mat @ vec - mu * mass * vec) / mass).max())
     if res > tol:
         raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}", residual=res)
-    return EigenPair(value=mu, vector=vec, residual=res)
+    return EigenPair(value=mu, vector=vec if n in (None, k) else unfold(vec, n), residual=res)
 
 
-def smallest_eigenpairs(mat: np.ndarray, tol: float = 1e-8) -> EigenPair:
-    """Smallest eigenpair of a dense symmetric matrix.
+def smallest_eigenpairs(mat: np.ndarray, tol: float = 1e-8, n: int | None = None) -> EigenPair:
+    """Smallest eigenpair of a dense symmetric matrix, or with n, of the n x n one whose even block mat is.
 
     Shift-invert Lanczos through one Cholesky solve: with mat itself when it
-    is positive definite, else with mat - mu*I for the Gershgorin shift mu.
+    is positive definite, else with mat - mu*D for the Gershgorin shift mu
+    (see `_shift_invert_pair` for D and the even block).
     """
-    return _shift_invert_pair(mat, spd_solver(mat) or shifted_spd_solver(mat), tol)
+    return _shift_invert_pair(mat, spd_solver(mat, n) or shifted_spd_solver(mat, n), tol, n)
 
 
 def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
-    """Cached principal eigenpair of the operator (sup-normalized, strictly positive eigenvector)."""
+    """Cached principal eigenpair of the operator (sup-normalized, strictly positive eigenvector).
+
+    The Perron vector of A is even, so it comes from A's even block.
+    """
     if "phi1" not in op._cache:
-        pair = smallest_eigenpairs(op.matrix)
+        pair = smallest_eigenpairs(op.even_block, n=op.n)
         if pair.vector.min() <= 0.0:
             raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
         op._cache["phi1"] = pair

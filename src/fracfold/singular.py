@@ -16,6 +16,16 @@ positivity floor here, rejection of nonpositive trials in `continuation`).
 `damped_newton` reuses a factored solve while the merit falls fast (the
 chord rule), so a solve makes fewer factorizations than steps.
 
+The grid, A and K are symmetric under the reflection of the nodes bit for
+bit, and every start below (c* phi_1, the scaled pure singular solution, the
+warm-start hints, the torsion bracket of an even forcing) is even.  When the
+start, k and rhs are all even, `Equation.jacobian` writes only the even
+block J_e = E^T J E of order ceil(n/2) and `Equation.solve` steps by E
+J_e^-1 E^T (-r): an exact Newton step, since J maps even fields to even
+fields, and every iterate stays even bit for bit.  So `damped_newton` and
+the residuals are the same on either path; only asymmetric data (a forcing
+that is not even, a random start) factor the n x n Jacobian.
+
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
 lands on a subsolution, and from a subsolution every (damped) step points
@@ -39,8 +49,11 @@ import numpy as np
 from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError
 from .operator import (
+    Basis,
     Grid,
     NonlocalOperator,
+    basis_for,
+    fold,
     principal_eigenpair,
     solve_dirichlet,
     spd_solver,
@@ -122,16 +135,33 @@ class Equation:
         singular = self.lam * self.delta * (self.delta + 1.0) * self.k * u ** (-self.delta - 2.0)
         return -singular - self.lam * self.nonlinearity.fsecond(u)
 
-    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """dG/du = A + diag(potential), written into `out` (an n x n array or view) or a new array.
+    def basis(self, u: np.ndarray, *data) -> Basis:
+        """E's columns when u, k, rhs and any further data are even, else the nodes (see `jacobian`)."""
+        return basis_for(len(u), u, self.k, self.rhs, *data)
 
-        A is copied into the target and the potential added to its diagonal,
-        which gives the bits of A + diag(potential) without an n x n temporary.
+    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False) -> np.ndarray:
+        """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array.
+
+        The even block is E^T J E = E^T A E + diag(E^T potential), of order
+        ceil(n/2) (E^T diag(p) E = diag(E^T p) for any p); with odd=True it
+        is the odd block E_o^T A E_o + diag of the first n//2 entries of E^T
+        potential.  Without `out` the basis of u picks the form: the even
+        block when u, k and rhs are even (J then commutes with the
+        reflection and is the sum of its blocks), else J itself; with `out`
+        its order does.  The matrix (A or its cached block) is copied into
+        the target and the potential added to its diagonal, which gives the
+        bits of the sum without a temporary of the matrix's size.
         """
+        pot = self.potential(u)
+        if odd or (self.basis(u).even if out is None else len(out) < len(u)):
+            base = self.op.odd_block if odd else self.op.even_block
+            pot = fold(pot)[: len(base)]
+        else:
+            base = self.op.matrix
         if out is None:
-            out = np.empty_like(self.op.matrix)
-        out[...] = self.op.matrix
-        out[np.diag_indices(len(u))] += self.potential(u)
+            out = np.empty_like(base)
+        out[...] = base
+        out[np.diag_indices(len(base))] += pot
         return out
 
     def d_dlam(self, u: np.ndarray) -> np.ndarray:
@@ -141,15 +171,19 @@ class Equation:
         """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
 
         factor(jac) is operator.spd_solver or operator.lu_solver: a solve
-        with the Jacobian, or None when its factorization rejects it.  damped_newton keeps one
-        such solve for the run and reuses it by its chord rule.  Returns (u,
-        residual, bound) with residual <= bound = tol * scale(u); a solution
-        resting on the floor is a ConvergenceError.
+        with the Jacobian, or None when its factorization rejects it.  At an
+        even u with even data it factors the even block and the step is
+        E J_e^-1 E^T (-r), so every iterate stays even bit for bit.
+        damped_newton keeps one such solve for the run and reuses it by its
+        chord rule.  Returns (u, residual, bound) with residual <= bound =
+        tol * scale(u); a solution resting on the floor is a ConvergenceError.
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
-        u, r, b = damped_newton(
-            u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), lambda u: factor(self.jacobian(u)), _floored, maxit, 40
-        )
+
+        def factored(u):
+            return self.basis(u).lift(factor(self.jacobian(u)))
+
+        u, r, b = damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factored, _floored, maxit, 40)
         res = float(_sup_norm(r))
         if u.min() <= 10.0 * POSITIVITY_FLOOR:
             raise ConvergenceError("positivity floor active at convergence", residual=res)

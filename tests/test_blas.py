@@ -3,7 +3,6 @@ and the LU steps that replaced numpy's dense solve keep Newton's failure contrac
 
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,7 +95,7 @@ def test_nested_calls_restore_the_outer_count(two_numpy_threads, op16, canonical
 
 
 def _zero_operator(n=8):
-    return SimpleNamespace(matrix=np.zeros((n, n)), grid=build_grid(1.0, n), n=n)
+    return replace(assemble_operator(build_grid(1.0, n), 0.4), matrix=np.zeros((n, n)), _cache={})
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -83,7 +83,8 @@ def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache,
     monkeypatch.setattr(fracfold.continuation, "lu_solver", counted)
     op = accept_cache.operator(1.0, n, canonical_spec.s)
     fold = _fold_point(op, canonical_spec, traced.minimal_points()[-1])
-    assert 1 <= len(sizes) <= 6 and set(sizes) == {n + 1}  # at most one bordered LU per Newton step
+    # at most one bordered LU per Newton step, of the even block: order n/2 + 1
+    assert 1 <= len(sizes) <= 6 and set(sizes) == {n // 2 + 1}
     assert fold.lam == traced.fold_point().lam
     assert fold.solution.values.min() > 0.0
     assert fold.eigenvector.min() > 0.0
@@ -404,7 +405,8 @@ def test_branch_pipeline_across_parameters(s, delta, beta_frac, p):
         assert fold.lam <= _nonexistence_bound(spec, op)
     assert branch.upper_points()
     for point in branch.points:
-        oracle = np.linalg.eigvalsh(Equation.of(op, spec, point.lam).jacobian(point.solution.values))[0]
+        potential = Equation.of(op, spec, point.lam).potential(point.solution.values)
+        oracle = np.linalg.eigvalsh(op.matrix + np.diag(potential))[0]
         assert point.lambda1 == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle))), (point.segment, point.lam)
         if point.segment == "minimal":
             assert point.lambda1 > 0.0, point.lam

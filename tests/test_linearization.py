@@ -14,7 +14,7 @@ from fracfold.linearization import (
     sensitivity_bundle,
 )
 from fracfold.operator import principal_eigenpair, smallest_eigenpairs
-from fracfold.singular import solve_pure_singular
+from fracfold.singular import Equation, solve_pure_singular
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,12 @@ def pure_field(op192):
     return solve_pure_singular(ProblemSpec(s=0.4, delta=0.5, beta=0.0, coeff=0.2), op192)
 
 
+def _dense_jacobian(lam, u, op, spec):
+    """J = A + diag(potential) on all n nodes, assembled here: the dense oracles' matrix at any field."""
+    uv = getattr(u, "values", u)
+    return op.matrix + np.diag(Equation.of(op, spec, lam).potential(uv))
+
+
 def test_lambda1_nonnegative_potential_shifts_up(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
     pair = lambda1(0.2, pure_field.values, op192, spec)
@@ -37,11 +43,12 @@ def test_lambda1_nonnegative_potential_shifts_up(op192, pure_field):
 def test_lambda1_matches_dense_oracle(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     lin = linearized_operator(0.2, pure_field.values, op192, spec)
-    oracle = eigh(lin.matrix, eigvals_only=True)[0]
+    jac = _dense_jacobian(0.2, pure_field.values, op192, spec)
+    oracle = eigh(jac, eigvals_only=True)[0]
     principal = lambda1(0.2, pure_field.values, op192, spec, lin=lin)
     assert principal.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
-    pair = smallest_eigenpairs(lin.matrix)
-    assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
+    for pair in (smallest_eigenpairs(jac), smallest_eigenpairs(lin.matrix, n=192)):
+        assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
 
 
 def test_lambda1_decreasing_in_lambda(op192):
@@ -144,7 +151,8 @@ def test_bundle_finite_difference_cross_checks(op192):
 
 
 def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
-    # one counted Cholesky of P serves every derivative field
+    # one counted Cholesky of each block of P (u is even, so P = P_e (+) P_o)
+    # serves every derivative field
     import fracfold.operator as op_mod
 
     spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
@@ -160,7 +168,7 @@ def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
 
     monkeypatch.setattr(op_mod, "cho_factor", counted)
     sensitivity_bundle(0.3, h, op192, spec, directions=(phi, phi), u=base)
-    assert calls == [(192, 192)]
+    assert calls == [(96, 96), (96, 96)]
 
 
 def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec, rng):
@@ -219,7 +227,7 @@ def test_branch_lambda1_matches_eigh(folded_branch, op256_s04, canonical_spec):
     points = _rounded(folded_branch)
     assert {p.segment for p in points} == {"minimal", "fold", "upper"}
     for p in points:
-        jac = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec).matrix
+        jac = _dense_jacobian(p.lam, p.solution, op256_s04, canonical_spec)
         oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 0])[0]
         scale = 1e-9 * max(1.0, abs(oracle))
         assert p.lambda1 == pytest.approx(oracle, abs=scale), (p.segment, p.lam)
@@ -245,7 +253,7 @@ def test_branch_monitor_matches_svd(folded_branch, op256_s04, canonical_spec):
 
 def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, canonical_spec):
     p = _rounded(folded_branch, "upper")[-1]
-    jac = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec).matrix
+    jac = _dense_jacobian(p.lam, p.solution, op256_s04, canonical_spec)
     oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 2])
     assert oracle[0] < 0.0 < oracle[1]
     q, val = smallest_eigenpairs(jac, tol=1e-9), oracle[0]
@@ -266,9 +274,11 @@ def _forbid_gershgorin_factor(monkeypatch):
 
 
 def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
-    # lambda1 and the monitor of one linearization: a single Cholesky of J on
-    # the minimal branch; on the upper one the sine profile proves J
-    # indefinite, and the LU of J serves both (lambda1 by Lanczos on -J^-1)
+    # lambda1 and the monitor of one linearization, at an even field where J =
+    # J_e (+) J_o: a single factor of each block, of order n/2.  On the minimal
+    # branch both are Cholesky; on the upper one the sine profile proves J_e
+    # indefinite, and the LU of J_e serves lambda1 (by Lanczos on -J_e^-1) and
+    # the monitor's solves with J_o's Cholesky
     import fracfold.operator as op_mod
 
     calls = []
@@ -276,13 +286,14 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         original = getattr(mod, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append((_name, len(args[0])))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counted)
+    half = op256_s04.n // 2
     for p, expected in (
-        (_rounded(folded_branch, "minimal")[-1], ["cho_factor"]),
-        (_rounded(folded_branch, "upper")[-1], ["lu_factor"]),
+        (_rounded(folded_branch, "minimal")[-1], [("cho_factor", half), ("cho_factor", half)]),
+        (_rounded(folded_branch, "upper")[-1], [("lu_factor", half), ("cho_factor", half)]),
     ):
         calls.clear()
         lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
@@ -303,8 +314,10 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
 def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):
     # each Lanczos run stops once its Ritz pair has converged; runs of a fixed
     # 21 applications take 65 solves per point (21 for lambda1, 2 * 21 + 2 for
-    # the monitor and its residual check).  The factors stay one per point:
-    # an indefinite J's LU serves lambda1 too, so no Gershgorin factor is built.
+    # the monitor and its residual check).  A solve here is one application
+    # of J_e^-1, alone (lambda1) or inside a split solve of J (the monitor).
+    # The factors stay one per block per point: an indefinite J_e's LU serves
+    # lambda1 too, so no Gershgorin factor is built.
     import fracfold.linearization as lin_mod
     import fracfold.operator as op_mod
 
@@ -315,8 +328,8 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
         return result
 
     def counted_solver(original):
-        def build(mat):
-            solve = original(mat)
+        def build(mat, *args):
+            solve = original(mat, *args)
             return None if solve is None else (lambda x: count("solve", solve(x)))
 
         return build
@@ -327,6 +340,7 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
         original = getattr(op_mod, name)
 
         def counted(*args, _original=original, **kwargs):
+            assert len(args[0]) == op256_s04.n // 2
             return count("factor", _original(*args, **kwargs))
 
         monkeypatch.setattr(op_mod, name, counted)
@@ -335,9 +349,9 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     for p in points:
         fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
         _ = (fresh.lambda1, fresh.monitor)
-    # measured: 594 solves over the 26 points, one factor each
+    # measured: 570 solves over the 26 points, one factor of each block
     assert calls["solve"] <= 24 * len(points)
-    assert calls["factor"] == len(points)
+    assert calls["factor"] == 2 * len(points)
 
 
 def test_upper_lambda1_comes_from_the_lu_of_J(monkeypatch, folded_branch, op256_s04, canonical_spec):
@@ -350,7 +364,7 @@ def test_upper_lambda1_comes_from_the_lu_of_J(monkeypatch, folded_branch, op256_
         lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
         assert lin.cholesky is None
         pair = lambda1(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
-        oracle = np.linalg.eigvalsh(lin.matrix)[0]
+        oracle = np.linalg.eigvalsh(_dense_jacobian(p.lam, p.solution, op256_s04, canonical_spec))[0]
         assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle))), p.lam
         assert pair.value < 0.0
         assert pair.vector.min() > 0.0
@@ -366,7 +380,7 @@ def test_fold_lambda1_is_certified_without_cholesky(monkeypatch, folded_branch, 
     lin = linearized_operator(fold.lam, fold.solution, op256_s04, canonical_spec)
     lin.cholesky = None  # the cached Cholesky solve, as if its factorization had failed
     pair = lambda1(fold.lam, fold.solution, op256_s04, canonical_spec, tol=max(fold.tol, 1e-10), lin=lin)
-    oracle = np.linalg.eigvalsh(lin.matrix)[0]
+    oracle = np.linalg.eigvalsh(_dense_jacobian(fold.lam, fold.solution, op256_s04, canonical_spec))[0]
     assert abs(oracle) <= 1e-6
     assert pair.value == pytest.approx(oracle, abs=1e-9)
     assert pair.vector.min() > 0.0
@@ -392,7 +406,7 @@ def test_cholesky_solver_matches_cho_solve(op192, pure_field, rng):
     from fracfold.operator import spd_solver
 
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
-    jac = linearized_operator(0.2, pure_field.values, op192, spec).matrix
+    jac = _dense_jacobian(0.2, pure_field.values, op192, spec)
     assert np.linalg.eigvalsh(jac)[0] > 0.0
     for mat in (op192.matrix, jac):
         factor = cho_factor(mat, lower=True)

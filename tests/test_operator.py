@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma
@@ -13,11 +15,17 @@ from fracfold import (
 )
 import fracfold.operator as op_mod
 from fracfold.operator import (
+    Basis,
     _lanczos_largest,
     dump_triplets,
+    fold,
+    is_even,
     normalization_constant,
     principal_eigenpair,
     smallest_eigenpairs,
+    spd_solver,
+    split_solver,
+    unfold,
 )
 
 
@@ -30,7 +38,7 @@ def test_grid_partition_arithmetic():
 
 def test_grid_symmetry_and_extremes():
     g = build_grid(2.0, 15)
-    assert np.allclose(g.nodes + g.nodes[::-1], 0.0, atol=1e-15)
+    assert np.array_equal(g.nodes, -g.nodes[::-1])  # bit for bit
     assert g.nodes[0] == pytest.approx(-2.0 + g.h)
     assert abs(g.nodes).max() < 2.0
 
@@ -238,3 +246,71 @@ def test_triplet_dump_roundtrip(tmp_path, op128_s05):
     assert rows.shape == (128 * 128, 3)
     rebuilt = rows[:, 2].reshape(128, 128)
     assert np.array_equal(rebuilt, op128_s05.matrix)
+
+
+def _sign_pattern(mat):
+    """Positive diagonal, nonpositive off-diagonals and positive row sums: the M-matrix pattern."""
+    off = mat - np.diag(np.diag(mat))
+    return np.diag(mat).min() > 0.0 and off.max() <= 0.0 and mat.sum(axis=1).min() > 0.0
+
+
+@pytest.mark.parametrize("n", [8, 9, 255, 1024])
+def test_fold_and_unfold_are_E_transpose_and_E(n, rng):
+    # against E and E_o written out as matrices: the centre node of an odd n
+    # is one column of E and no column of E_o
+    k, m = (n + 1) // 2, n // 2
+    e, e_odd = np.zeros((n, k)), np.zeros((n, m))
+    for i in range(m):
+        e[i, i] = e[n - 1 - i, i] = 1.0
+        e_odd[i, i], e_odd[n - 1 - i, i] = 1.0, -1.0
+    if n % 2:
+        e[m, m] = 1.0
+    x = rng.normal(size=n)
+    assert np.array_equal(fold(x), e.T @ x) and np.array_equal(fold(x, odd=True), e_odd.T @ x)
+    y, z = rng.normal(size=k), rng.normal(size=m)
+    assert np.array_equal(unfold(y, n), e @ y) and np.array_equal(unfold(z, n, odd=True), e_odd @ z)
+    assert is_even(unfold(y, n)) and not is_even(x)
+    op = assemble_operator(build_grid(1.0, n), 0.4)
+    assert np.allclose(op.even_block, e.T @ op.matrix @ e, rtol=1e-14, atol=0.0)
+    assert np.allclose(op.odd_block, e_odd.T @ op.matrix @ e_odd, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.05, 0.95),
+    n=st.integers(8, 300),
+    half_width=st.sampled_from([0.7, 1.0, 3.0]),
+    seed=st.integers(0, 2 ** 16),
+)
+@example(s=0.95, n=255, half_width=0.7, seed=0)
+@example(s=0.05, n=8, half_width=3.0, seed=1)
+@example(s=0.5, n=9, half_width=1.0, seed=2)
+def test_operator_reflection_split(s, n, half_width, seed):
+    # A = RAR bit for bit, A and its even block E^T A E are M-matrices, and
+    # the solves that the even/odd split gives match a solve with A itself
+    op = assemble_operator(build_grid(half_width, n), s)
+    mat = op.matrix
+    assert np.array_equal(mat, mat[::-1, ::-1])
+    assert np.array_equal(op.even_block, op.even_block.T) and np.array_equal(op.odd_block, op.odd_block.T)
+    assert _sign_pattern(mat) and _sign_pattern(op.even_block)
+    rng = np.random.default_rng(seed)
+    full = spd_solver(mat)
+    even = spd_solver(op.even_block, n)
+    split = split_solver(even, op.odd_block, n)
+    x = rng.normal(size=n)
+    even_rhs = x + x[::-1]
+    for solve, rhs in ((Basis(n, True).lift(even), even_rhs), (split, even_rhs), (split, x)):
+        expected = full(rhs)
+        assert np.abs(solve(rhs) - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert is_even(Basis(n, True).lift(even)(even_rhs))
+
+
+@pytest.mark.parametrize("n", [15, 255, 511, 1023, 1024])
+def test_principal_pair_from_the_even_block(n):
+    # phi_1 of A from E^T A E agrees with the pair of A itself, and is even bit for bit
+    op = assemble_operator(build_grid(1.0, n), 0.4)
+    block, full = principal_eigenpair(op), smallest_eigenpairs(op.matrix)
+    assert block.value == pytest.approx(full.value, rel=1e-12)
+    assert np.abs(block.vector - full.vector).max() <= 1e-8
+    assert is_even(block.vector) and block.vector.shape == (n,)
+    assert np.abs(op.matrix @ block.vector - block.value * block.vector).max() <= 1e-8

@@ -234,3 +234,50 @@ def test_chord_rule_has_one_home():
             homes.setdefault((path.name, name), []).append(line)
     assert len(homes.pop(("singular.py", None))) == 1  # the module constant
     assert list(homes) == [("singular.py", "damped_newton")], homes
+
+
+def _is_minus_one(node) -> bool:
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:  # not a literal, as in x[::stride]
+        return False
+
+
+def _reverses(index) -> bool:
+    """An index that reverses an axis: `::-1`, alone or in a tuple."""
+    parts = index.elts if isinstance(index, ast.Tuple) else [index]
+    return any(isinstance(p, ast.Slice) and p.step is not None and _is_minus_one(p.step) for p in parts)
+
+
+def _is_reversed(node) -> bool:
+    """A subscript that reverses an axis (`x[::-1]`, `m[:, ::-1]`), or such a subscript sliced again."""
+    return isinstance(node, ast.Subscript) and (_reverses(node.slice) or _is_reversed(node.value))
+
+
+def _reflection_sites(source: str) -> list[int]:
+    """Lines that reflect a matrix (a reversed axis in a tuple subscript, np.flip and kin) or
+    fold a vector (x + x[::-1], x - x[::-1])."""
+    sites = set()
+    for node in ast.walk(ast.parse(source)):
+        matrix = isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and _reverses(node.slice)
+        flip = _is_call_to(node, {"flip", "fliplr", "flipud", "rot90"})
+        folded = (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub))
+            and (_is_reversed(node.left) or _is_reversed(node.right))
+        )
+        if matrix or flip or folded:
+            sites.add(node.lineno)
+    return sorted(sites)
+
+
+def test_reflection_has_one_home():
+    # the even/odd split of the reflection symmetry (fold, unfold, the blocks
+    # of A and the test that picks them) lives in operator; every other module
+    # goes through its fold, unfold and Basis
+    planted = "a = m[:, ::-1]\nb = m[::-1, ::-1][:k]\nc = np.flip(m)\nd = x + x[::-1]\ne = x[:k] - x[::-1][:k]\n"
+    assert _reflection_sites(planted) == [1, 2, 3, 4, 5]
+    assert _reflection_sites("y = u[-k:][::-1] / d\nz = f(v[::-1][1::2]) + v[::k]\n") == []  # reversals, no fold
+    sites = {path.name: _reflection_sites(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert sites.pop("operator.py")
+    assert all(lines == [] for lines in sites.values()), sites
