@@ -14,8 +14,9 @@ each of its matrices and shares it: `operator.spd_solver` when the matrix is
 positive definite, else `operator.lu_solver`.  This module holds solves
 only, never a factor.  At an even solution (the whole traced branch) J
 commutes with the reflection of the nodes, and the LinearizedOperator holds
-its even block J_e = E^T J E and odd block J_o = E_o^T J E_o, each of order
-about n/2, in place of J.  The principal eigenvector is even (it is the
+its even block J_e = E^T J E, of order about n/2, in place of J, and a
+builder of its odd block J_o = E_o^T J E_o, which only a right-hand side with
+an odd part calls.  The principal eigenvector is even (it is the
 Perron vector), so lambda1 comes from J_e alone: Lanczos through the solve
 on J_e^-1, or on -J_e^-1 when J_e's Cholesky fails, whose top Ritz pair is
 the negative eigenvalue nearest 0 among even fields.  J_e is an irreducible
@@ -29,7 +30,9 @@ factorization, through `operator.shifted_spd_solver`: a solve with J_e -
 mu*D for the Gershgorin shift mu (D = E^T E).  Odd negative modes no longer
 reach that fallback: J_e does not see them.  The monitor runs Lanczos on
 (I + F J^-1)(I + J^-1 F), two solves with J per step, each the split solve
-through J_e and J_o (`operator.split_solver`).  Each Lanczos run
+through J_e and J_o (`operator.split_solver`); its start vector has an odd
+part, so the monitor builds and factors J_o, and lambda1 alone never does.
+The derivative fields at even data solve through J_e only.  Each Lanczos run
 (operator._lanczos_largest) stops as soon as its Ritz pair has converged,
 after 2-15 steps on the default branch at n=256 to 2048.  The monitor's run
 is on n-node vectors, and its start vector has no reflection symmetry: J and
@@ -54,8 +57,9 @@ solve itself in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -94,13 +98,13 @@ class LinearizedOperator:
     """J = P - diag(fprime) on n = len(fprime) nodes, in the basis of its field; each solve is built once, on first use.
 
     At an even field with even data `matrix` is J's even block J_e = E^T J E
-    and `odd` its odd block J_o = E_o^T J E_o (J = J_e (+) J_o); otherwise
-    `matrix` is J and `odd` is None.
+    and `odd` a function of no arguments that builds its odd block J_o =
+    E_o^T J E_o (J = J_e (+) J_o); otherwise `matrix` is J and `odd` is None.
     """
 
     matrix: np.ndarray
     fprime: np.ndarray
-    odd: np.ndarray | None = None
+    odd: Callable[[], np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -131,7 +135,7 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
     matrix = eq.jacobian(uv)
     if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
         raise ValueError("linearized potential is not finite")
-    odd = eq.jacobian(uv, odd=True) if len(matrix) < op.n else None
+    odd = partial(eq.jacobian, uv, odd=True) if len(matrix) < op.n else None
     return LinearizedOperator(matrix=matrix, fprime=lam * spec.nonlinearity.fprime(uv), odd=odd)
 
 
@@ -237,7 +241,7 @@ def sensitivity_bundle(
 
     w1 = _checked_solve(p, apply, -eq.d_dlam(uv), tol, "w1")
     v = _checked_solve(p, apply, phi, tol, "v")
-    v_psi = v if psi is phi else p.solve(psi)
+    v_psi = v if psi is phi else _checked_solve(p, apply, psi, tol, "v_psi")
     w11 = _checked_solve(p, apply, -g_uu * w1 * w1 - 2.0 * g_ulam * w1, tol, "w11")
     w12 = _checked_solve(p, apply, -g_uu * w1 * v - g_ulam * v, tol, "w12")
     w22 = _checked_solve(p, apply, -g_uu * v * v_psi, tol, "w22")

@@ -39,11 +39,13 @@ unfolds first-half values y to the even field (y, Ry) (its centre column
 holds a single 1 when n is odd) and E_o the n x floor(n/2) map to the odd
 field (y, [0,] -Ry).  Then J = A + diag(p) acts on even fields as the even
 block J_e = E^T J E = E^T A E + diag(E^T p), and on odd ones as J_o = E_o^T J
-E_o; for an even x, J^-1 x = E J_e^-1 E^T x.  This module is the one home of
-that fold and unfold (`fold`, `unfold`, `Basis`), of the bitwise test that
-picks them (`is_even`), and of the cached blocks of A.  A solve whose data
-are all even runs on the even block; only asymmetric data take the n x n
-path.
+E_o; for any x, J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x.  This module
+is the one home of that fold and unfold (`fold`, `unfold`, `Basis`), of the
+bitwise test that picks the even path for Newton (`is_even`), and of the
+cached blocks of A.  Every solve on n-node vectors with A, or with a J that
+commutes with R, is the split solve (`split_solver`), which factors J_o only
+once a right-hand side has an odd part; only an asymmetric Jacobian (an
+asymmetric forcing, a random start) is factored at order n.
 
 This is the one module that factors a dense matrix, and it hands out solves
 x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
@@ -51,13 +53,14 @@ partial pivoting), `shifted_spd_solver` (Cholesky below the Gershgorin
 discs) and `split_solver` (both blocks of a reflection-symmetric J).  Every
 other module solves through them, and the smallest eigenpair comes from one
 shift-invert Lanczos run through one of them, on the even block when the
-matrix is one.
+matrix is one.  Every `spd_solver` of a block of an n x n matrix is given
+n, so its probe is the n-node sine profile whatever the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 from scipy.linalg import cho_factor, eigh_tridiagonal, get_blas_funcs, lu_factor, lu_solve, toeplitz
@@ -130,7 +133,6 @@ class NonlocalOperator:
 
     grid: Grid
     s: float
-    normalization: float
     matrix: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -150,13 +152,8 @@ class NonlocalOperator:
 
     @cached_property
     def _solve(self):
-        """x -> A^-1 x by one Cholesky factor of A, which is positive definite (a symmetric M-matrix)."""
-        return spd_solver(self.matrix)
-
-    @cached_property
-    def _even_solve(self):
-        """x -> A^-1 x on even x, by one Cholesky factor of E^T A E."""
-        return Basis(self.n, True).lift(spd_solver(self.even_block, self.n))
+        """x -> A^-1 x on any n-node x: the split solve through Cholesky factors of A's blocks."""
+        return split_solver(spd_solver(self.even_block, self.n), lambda: self.odd_block, self.n)
 
 
 def is_even(x) -> bool:
@@ -299,7 +296,7 @@ def assemble_operator(grid: Grid, s: float) -> NonlocalOperator:
     mat = toeplitz(col)
     mat *= 2.0 * normalization_constant(s)
     mat[np.diag_indices(n)] += _wall_correction(grid, s, mat)
-    op = NonlocalOperator(grid=grid, s=float(s), normalization=normalization_constant(s), matrix=mat)
+    op = NonlocalOperator(grid=grid, s=float(s), matrix=mat)
     _check_structure(op)
     return op
 
@@ -322,7 +319,7 @@ def _check_structure(op: NonlocalOperator) -> None:
 
 
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs by a cached Cholesky solve, of E^T A E when rhs is even, else of A.
+    """Solve A w = rhs by the operator's cached split solve (`split_solver`).
 
     For rhs >= 0 not identically zero the result is strictly positive at all
     interior nodes (discrete maximum principle).
@@ -332,7 +329,7 @@ def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite at all nodes")
-    return (op._even_solve if is_even(rhs) else op._solve)(rhs)
+    return op._solve(rhs)
 
 
 def _trsv_pair(tri: np.ndarray):
@@ -411,20 +408,35 @@ def shifted_spd_solver(mat: np.ndarray, n: int | None = None):
     return _trsv_pair(cho_factor(shifted, lower=True, overwrite_a=True)[0])
 
 
-def split_solver(even, odd: np.ndarray, n: int):
+def split_solver(even, odd, n: int):
     """x -> J^-1 x on any n-node x, for an n x n J that commutes with the reflection, from its two blocks.
 
-    `even` is a solve with J_e = E^T J E (built here, and shared with the
-    caller's eigenpair); `odd` is J_o = E_o^T J E_o, factored here by
-    Cholesky or else LU.  Then J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x:
-    two solves of order about n/2.  None when either block is singular.
+    `even` is a solve with J_e = E^T J E (built by the caller, who may share
+    it with an eigenpair); `odd` is a function of no arguments that returns
+    J_o = E_o^T J E_o.  Then J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x:
+    two solves of order about n/2.  J_o is built and factored here, by
+    Cholesky or else LU, on the first x with E_o^T x != 0; an x with E_o^T x
+    = 0 (an even x) skips the odd half, which leaves the even one's bits.  A
+    singular J_o is a ConvergenceError at that solve.  None when `even` is.
     """
     if even is None:
         return None
-    odd_solve = spd_solver(odd, n) or lu_solver(odd)
-    if odd_solve is None:
-        return None
-    return lambda x: unfold(even(fold(x)), n) + unfold(odd_solve(fold(x, odd=True)), n, odd=True)
+
+    @cache
+    def odd_solve():
+        block = odd()
+        return spd_solver(block, n) or lu_solver(block)
+
+    def solve(x):
+        y = unfold(even(fold(x)), n)
+        z = fold(x, odd=True)
+        if not z.any():
+            return y
+        if (solve_odd := odd_solve()) is None:
+            raise ConvergenceError("the odd block of a reflection-symmetric matrix is exactly singular")
+        return y + unfold(solve_odd(z), n, odd=True)
+
+    return solve
 
 
 def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:

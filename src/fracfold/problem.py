@@ -1,4 +1,4 @@
-"""Problem data: parameters, nonlinearity descriptors, and hypothesis audits.
+"""Problem data: parameters and nonlinearity descriptors.
 
 The continuous problem on (-L, L) is
 
@@ -27,9 +27,7 @@ class Nonlinearity:
     """Descriptor for the superlinear term f.
 
     kind is one of "none", "power" (f(t) = c t^p), or "custom" with callables
-    and caller-declared compliance flags for the structural hypotheses
-    (positivity/C^2 with f(0)=0; joint convexity with the singular term;
-    superlinearity; power-law growth; bounded elasticity t f'(t)/f(t)).
+    for f, f' and f''.
     """
 
     kind: str = "none"
@@ -38,7 +36,6 @@ class Nonlinearity:
     f_fn: Callable | None = None
     fp_fn: Callable | None = None
     fpp_fn: Callable | None = None
-    compliance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "power", "custom"):
@@ -138,22 +135,3 @@ class ProblemSpec:
         if self.beta == 0.0:
             return np.full(grid.n, self.coeff)
         return self.coeff * grid.distance() ** (-self.beta)
-
-    def audit(self) -> dict:
-        """Hypothesis audit for the superlinear term; informative, not gating."""
-        nl = self.nonlinearity
-        record = {"kind": nl.kind, "hs_flag": self.hs_flag}
-        if nl.kind == "power":
-            record.update(
-                {
-                    "f1_vanishes_at_zero": True,
-                    "f2_convex_with_singular_term": nl.p > 1.0,
-                    "f3_superlinear_elasticity": nl.p,
-                    "f4_growth_exponent": nl.p,
-                    "f5_elasticity_bound": nl.p,
-                    "subcritical": nl.p < self.subcritical_limit,
-                }
-            )
-        elif nl.kind == "custom":
-            record.update(nl.compliance)
-        return record

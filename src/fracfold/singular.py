@@ -9,7 +9,8 @@ handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
 diag(potential)) and dG/dlam; the caller gives the factor function, which
 maps a Jacobian to a solve with it and never hands out a LAPACK factor
-(`operator.spd_solver` for the solves below, `operator.lu_solver` for the
+(`operator.spd_solver`, given n so that it probes every block with the
+n-node sine profile, for the solves below, `operator.lu_solver` for the
 second solutions and multistarts in `continuation`, a bordered LU solve for
 its arclength corrector and its fold solve), and the trial map (the
 positivity floor here, rejection of nonpositive trials in `continuation`).
@@ -43,6 +44,7 @@ reaches it are not needed to compute it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -287,7 +289,8 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-    u, res, bound = Equation(op, k, spec.delta, no_nonlinearity(), 1.0).solve(lower, tol, spd_solver, 80)
+    eq = Equation(op, k, spec.delta, no_nonlinearity(), 1.0)
+    u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80)
     if np.any(u < lower * (1.0 - 1e-6)):
         raise BracketViolation("pure singular solution dipped below the eigenfunction subsolution")
     return SolutionField(u, op.grid, spec, res, bound)
@@ -360,7 +363,7 @@ def solve_A(
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
     eq = Equation(op, lam * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0, rhs=h)
     try:
-        u, res, bound = eq.solve(upper, tol, spd_solver, 80)
+        u, res, bound = eq.solve(upper, tol, partial(spd_solver, n=op.n), 80)
     except ConvergenceError as exc:
         raise BracketViolation(f"solve for the shifted equation failed: {exc}") from exc
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
@@ -408,7 +411,7 @@ def monotone_iterate(
     usub = _field_values(sub)
     eq = Equation.of(op, spec, lam)
     try:
-        u, res, bound = eq.solve(usub, tol, spd_solver, 60)
+        u, res, bound = eq.solve(usub, tol, partial(spd_solver, n=op.n), 60)
     except ConvergenceError as exc:
         msg = f"no minimal solution at lambda = {lam!r}, likely past the fold: {exc}"
         raise ConvergenceError(msg, residual=exc.residual) from exc

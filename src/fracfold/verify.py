@@ -282,8 +282,7 @@ def check_hs_threshold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
         op = cache.operator(1.0, n, spec.s)
         u = cache.pure(spec, n, cfg.newton_tol)
         mass, verdict = hs_membership_indicator(u.values, op.grid, spec)
-        threshold = 2.0 * spec.beta + spec.delta * (2.0 * spec.s - 1.0)
-        algebraic = "finite" if threshold < 1.0 + 2.0 * spec.s else "diverging"
+        algebraic = "finite" if spec.hs_flag else "diverging"
         records.append(
             _record(
                 f"hs-threshold-s{spec.s}-d{spec.delta}-b{spec.beta}",

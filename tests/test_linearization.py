@@ -121,14 +121,17 @@ def test_bundle_w1_positive(op192):
 
 
 def test_bundle_finite_difference_cross_checks(op192):
-    # discriminates the lam-bearing right-hand sides: run at lam far from 1
+    # discriminates the lam-bearing right-hand sides: run at lam far from 1.
+    # psi is not phi, and not even: w22 is the mixed derivative along both,
+    # and v_psi solves through both blocks of P
     spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
     lam = 0.3
     h = 0.5 * (1.0 + np.cos(np.pi * op192.grid.nodes))
     phi = np.cos(0.5 * np.pi * op192.grid.nodes)
+    psi = np.exp(op192.grid.nodes)
     tol = 1e-11
     base = solve_A(lam, h, op192, spec, tol=tol)
-    bundle = sensitivity_bundle(lam, h, op192, spec, directions=(phi, phi), tol=tol, u=base)
+    bundle = sensitivity_bundle(lam, h, op192, spec, directions=(phi, psi), tol=tol, u=base)
 
     def tsolve(lam_, h_):
         return solve_A(lam_, h_, op192, spec, tol=tol).values
@@ -139,7 +142,12 @@ def test_bundle_finite_difference_cross_checks(op192):
     t = 1e-2
     w11_fd = (tsolve(lam + t, h) - 2.0 * base.values + tsolve(lam - t, h)) / t ** 2
     assert np.abs(w11_fd - bundle.w11).max() <= 1e-2 * (1.0 + np.abs(bundle.w11).max())
-    w22_fd = (tsolve(lam, h + t * phi) - 2.0 * base.values + tsolve(lam, h - t * phi)) / t ** 2
+    w22_fd = (
+        tsolve(lam, h + t * phi + t * psi)
+        - tsolve(lam, h + t * phi - t * psi)
+        - tsolve(lam, h - t * phi + t * psi)
+        + tsolve(lam, h - t * phi - t * psi)
+    ) / (4.0 * t ** 2)
     assert np.abs(w22_fd - bundle.w22).max() <= 1e-2 * (1.0 + np.abs(bundle.w22).max())
     w12_fd = (
         tsolve(lam + t, h + t * phi)
@@ -151,8 +159,9 @@ def test_bundle_finite_difference_cross_checks(op192):
 
 
 def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
-    # one counted Cholesky of each block of P (u is even, so P = P_e (+) P_o)
-    # serves every derivative field
+    # one counted Cholesky of P's even block serves every derivative field:
+    # u and the directions are even, so no right-hand side has an odd part
+    # and P's odd block is never built
     import fracfold.operator as op_mod
 
     spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
@@ -168,7 +177,7 @@ def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
 
     monkeypatch.setattr(op_mod, "cho_factor", counted)
     sensitivity_bundle(0.3, h, op192, spec, directions=(phi, phi), u=base)
-    assert calls == [(96, 96), (96, 96)]
+    assert calls == [(96, 96)]
 
 
 def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec, rng):
@@ -309,6 +318,26 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         assert (fresh.lambda1, fresh.monitor) == values
         assert calls == []
         assert values == (p.lambda1, p.monitor)
+
+
+def test_lambda1_alone_builds_no_odd_block(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # the principal pair is even, so lambda1 needs J_e only; J_o is built when
+    # the monitor first solves, since its Lanczos start vector has an odd part
+    calls = []
+    original = Equation.jacobian
+
+    def recording(self, u, out=None, odd=False):
+        calls.append(odd)
+        return original(self, u, out=out, odd=odd)
+
+    monkeypatch.setattr(Equation, "jacobian", recording)
+    for p in (_rounded(folded_branch, "minimal")[-1], _rounded(folded_branch, "upper")[-1]):
+        calls.clear()
+        lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
+        lambda1(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
+        assert calls == [False]
+        fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
+        assert calls == [False, True]
 
 
 def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):

@@ -296,13 +296,32 @@ def test_operator_reflection_split(s, n, half_width, seed):
     rng = np.random.default_rng(seed)
     full = spd_solver(mat)
     even = spd_solver(op.even_block, n)
-    split = split_solver(even, op.odd_block, n)
+    split = split_solver(even, lambda: op.odd_block, n)
     x = rng.normal(size=n)
     even_rhs = x + x[::-1]
     for solve, rhs in ((Basis(n, True).lift(even), even_rhs), (split, even_rhs), (split, x)):
         expected = full(rhs)
         assert np.abs(solve(rhs) - expected).max() <= 1e-12 * np.abs(expected).max()
     assert is_even(Basis(n, True).lift(even)(even_rhs))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_split_solve_meets_a_singular_odd_block_only_when_it_solves_with_it():
+    # the odd block is built on the first right-hand side with an odd part;
+    # an exactly singular one is then a ConvergenceError, not a solve
+    n, built = 9, []
+
+    def odd():
+        built.append(1)
+        return np.zeros((n // 2, n // 2))
+
+    split = split_solver(lambda y: y, odd, n)
+    x = np.arange(n, dtype=float)
+    even = x + x[::-1]
+    assert np.array_equal(split(even), unfold(fold(even), n)) and built == []
+    with pytest.raises(ConvergenceError, match="odd block"):
+        split(x)
+    assert built == [1]
 
 
 @pytest.mark.parametrize("n", [15, 255, 511, 1023, 1024])

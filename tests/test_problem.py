@@ -36,8 +36,7 @@ def test_custom_nonlinearity_requires_callables():
 
     with pytest.raises(ValueError):
         Nonlinearity(kind="custom")
-    nl = Nonlinearity(kind="custom", f_fn=np.sinh, fp_fn=np.cosh, fpp_fn=np.sinh,
-                      compliance={"superlinear": True})
+    nl = Nonlinearity(kind="custom", f_fn=np.sinh, fp_fn=np.cosh, fpp_fn=np.sinh)
     assert nl.f(1.0) == pytest.approx(np.sinh(1.0))
 
 
@@ -57,15 +56,6 @@ def test_subcritical_gate():
         bad.require_subcritical()
     high = ProblemSpec(s=0.6, delta=0.5, nonlinearity=power_nonlinearity(50.0))
     high.require_subcritical()  # no constraint for s >= 1/2
-
-
-def test_audit_record():
-    spec = ProblemSpec(s=0.4, delta=0.5, nonlinearity=power_nonlinearity(2.0))
-    audit = spec.audit()
-    assert audit["f1_vanishes_at_zero"]
-    assert audit["subcritical"]
-    assert audit["hs_flag"]
-    assert audit["f5_elasticity_bound"] == 2.0
 
 
 def test_k_field():

@@ -3,8 +3,9 @@
 A = RAR bit for bit (see tests/test_operator.py), so every solve whose data
 are even runs on the even block of its matrix, of order about n/2.  These
 tests check that the reduced solves give the answers of the n x n path,
-that the even path factors no matrix of order n, and that asymmetric data
-still take the n x n path.
+that the even path factors no matrix of order n, that a solve with A splits
+whatever its right-hand side, and that asymmetric Jacobians still take the
+n x n path.
 """
 
 from dataclasses import replace
@@ -20,12 +21,13 @@ from fracfold import (
     no_nonlinearity,
     power_nonlinearity,
     solve_A,
+    solve_dirichlet,
     solve_min,
     solve_pure_singular,
 )
 from fracfold.config import RunConfig
 from fracfold.continuation import FoldPolicy, TracePolicy, fold_round, trace_minimal, uniqueness_probe
-from fracfold.operator import is_even
+from fracfold.operator import is_even, spd_solver
 from fracfold.verify import verify_suite
 
 
@@ -94,6 +96,43 @@ def test_even_path_factors_no_matrix_of_order_n(monkeypatch):
     _ = [(p.lambda1, p.monitor) for p in branch.points]
     assert {kernel for kernel, _ in orders} == {"cho_factor", "lu_factor"}
     assert max(order for _, order in orders) <= 512 // 2 + 1  # the bordered LUs carry one more row
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_dirichlet_solve_splits_any_right_hand_side(monkeypatch, n, rng):
+    # an even right-hand side factors the even block of A only; the first one
+    # with an odd part factors the odd block too, and never A itself
+    op = assemble_operator(build_grid(1.0, n), 0.4)
+    x = rng.normal(size=n)
+    expected = spd_solver(op.matrix)(x)
+    orders = _factor_orders(monkeypatch)
+    solve_dirichlet(op, np.ones(n))
+    assert orders == [("cho_factor", (n + 1) // 2)]
+    w = solve_dirichlet(op, x)
+    assert orders == [("cho_factor", (n + 1) // 2), ("cho_factor", n // 2)]
+    assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
+    solve_dirichlet(op, x[::-1])
+    assert len(orders) == 2  # both factors are kept
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_newton_meets_no_failed_cholesky_on_the_default_branch(monkeypatch, n):
+    # every Newton Cholesky of an even block is first probed by the n-node sine
+    # profile, which rejects an indefinite block before it is factored
+    failed = []
+    original = op_mod.cho_factor
+
+    def checked(mat, *args, **kwargs):
+        try:
+            return original(mat, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            failed.append(len(mat))
+            raise
+
+    monkeypatch.setattr(op_mod, "cho_factor", checked)
+    spec = RunConfig().problem_spec()
+    trace_minimal(spec, assemble_operator(build_grid(1.0, n), spec.s), TracePolicy())
+    assert failed == []
 
 
 def test_asymmetric_forcing_takes_the_full_path(monkeypatch):

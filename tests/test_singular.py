@@ -299,10 +299,10 @@ def _counting(factor, steps, factors=None):
     """`factor`, with each Newton step (a call of a solve it returns) appended to `steps`
     and each factorization to `factors`."""
 
-    def counted(jac):
+    def counted(jac, **kwargs):
         if factors is not None:
             factors.append(1)
-        solve = factor(jac)
+        solve = factor(jac, **kwargs)
         if solve is None:
             return None
 

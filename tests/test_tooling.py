@@ -281,3 +281,15 @@ def test_reflection_has_one_home():
     sites = {path.name: _reflection_sites(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
     assert sites.pop("operator.py")
     assert all(lines == [] for lines in sites.values()), sites
+
+
+def test_reflection_test_picks_only_the_newton_basis():
+    # is_even picks the even path of a Newton solve (basis_for) and checks A
+    # at assembly; every other solve with A or a reflection-symmetric J is the
+    # split solve, whatever its right-hand side
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls = [node for node in ast.walk(top) if _is_call_to(node, {"is_even"})]
+            sites += [(path.name, getattr(top, "name", None))] * len(calls)
+    assert sorted(sites) == [("operator.py", "_check_structure"), ("operator.py", "basis_for")]
