@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .blas import single_pool
 from .config import RunConfig, load_config
 from .continuation import fold_round, multiplicity_scan, trace_minimal
 from .errors import ConvergenceError
@@ -84,7 +83,7 @@ def _cmd_assemble_check(args) -> int:
 
 
 def _solve_common(cfg: RunConfig, pure: bool):
-    """The solve-ps or solve-plambda solution, with its cone-norm report."""
+    """The solve-ps or solve-plambda solution and its cone-norm report."""
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
     if pure:
         lam = cfg.lam if cfg.lam > 0 else 1.0
@@ -96,22 +95,21 @@ def _solve_common(cfg: RunConfig, pure: bool):
     else:
         field = solve_min(cfg.lam, cfg.problem_spec(), op, tol=cfg.newton_tol)
     profile = build_weight_profile(principal_eigenpair(op).vector, cfg.s, cfg.delta, cfg.beta)
-    field.report = cone_norms(field.values, profile)
     try:
-        field.report.fitted_exponent = fit_boundary_exponent(field.values, op.grid)[0]
+        alpha = fit_boundary_exponent(field.values, op.grid)[0]
     except ValueError:
-        pass
-    return field
+        alpha = None
+    return field, replace(cone_norms(field.values, profile), fitted_exponent=alpha)
 
 
 def _cmd_solve(args, pure: bool) -> int:
     cfg = _build_config(args)
-    field = _solve_common(cfg, pure)
+    field, report = _solve_common(cfg, pure)
     os.makedirs(cfg.out_dir, exist_ok=True)
     name = "solution-ps.json" if pure else "solution-plambda.json"
     path = os.path.join(cfg.out_dir, name)
-    write_solution_json(field, path)
-    alpha = field.report.fitted_exponent
+    write_solution_json(field, report, path)
+    alpha = report.fitted_exponent
     print(
         f"{'solve-ps' if pure else 'solve-plambda'}: n={cfg.n} sup={field.sup_norm:.6f} "
         f"residual={field.residual:.2e} fitted_exponent={alpha if alpha is None else f'{alpha:.4f}'} -> {path}"
@@ -179,7 +177,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-@single_pool
 def main(argv=None) -> int:
     parser = _Parser(prog="fracfold", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

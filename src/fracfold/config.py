@@ -92,12 +92,16 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:  # no section header, a key given twice, a bad % interpolation
+        raise ValueError(f"malformed config: {exc}") from exc
     values = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
-        for name, raw in parser[section].items():
+        for name, raw in items.items():
             if name not in _SECTIONS[section]:
                 raise ValueError(f"unknown key {name!r} in section [{section}]")
             values[name] = _parse_value(name, raw)

@@ -36,10 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blas import single_pool
 from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
-from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair
+from .operator import EigenPair, NonlocalOperator, lu_solver, matvec, principal_eigenpair
 from .problem import ProblemSpec
 from .singular import DEFAULT_TOL, Equation, SolutionField, damped_newton, solve_min
 
@@ -191,7 +190,6 @@ def _positive_trial(n: int):
     return trial
 
 
-@single_pool
 def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy = TracePolicy()) -> Branch:
     """Trace the minimal branch to the fold and solve for the fold point.
 
@@ -303,7 +301,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
 
     def residual(z):
         u, phi, at = parts(z)
-        return np.concatenate([at.residual(u), op.matrix @ phi + at.potential(u) * phi, [l @ phi - 1.0]])
+        return np.concatenate([at.residual(u), matvec(op.matrix, phi) + at.potential(u) * phi, [l @ phi - 1.0]])
 
     def bound(z):
         u, phi, at = parts(z)
@@ -427,7 +425,6 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tange
         store.clear()
 
 
-@single_pool
 def fold_round(
     branch: Branch,
     op: NonlocalOperator,
@@ -489,7 +486,6 @@ def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
     return branch
 
 
-@single_pool
 def multiplicity_scan(
     spec: ProblemSpec,
     op: NonlocalOperator,
@@ -554,7 +550,6 @@ class ProbeResult:
     branch: Branch
 
 
-@single_pool
 def asymptotic_bifurcation_probe(
     branch: Branch,
     op: NonlocalOperator,
@@ -605,7 +600,6 @@ class UniquenessReport:
     trials: list[dict]
 
 
-@single_pool
 def uniqueness_probe(
     lam: float,
     spec: ProblemSpec,

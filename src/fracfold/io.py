@@ -14,6 +14,7 @@ import numpy as np
 
 from .continuation import Branch
 from .singular import SolutionField
+from .weights import NormReport
 
 __all__ = ["atomic_write_text", "solution_payload", "write_solution_json", "write_branch_csv", "export_plot_data"]
 
@@ -37,9 +38,8 @@ def _float(x):
     return None if x is None else float(x)
 
 
-def solution_payload(field: SolutionField) -> dict:
+def solution_payload(field: SolutionField, report: NormReport) -> dict:
     spec = field.spec
-    report = field.report
     return {
         "grid": {"L": field.grid.half_width, "n": field.grid.n},
         "params": {
@@ -51,13 +51,13 @@ def solution_payload(field: SolutionField) -> dict:
         },
         "values": [float(v) for v in field.values],
         "residual": float(field.residual),
-        "cone_norm": _float(report.cone_norm) if report else None,
-        "fitted_exponent": _float(report.fitted_exponent) if report else None,
+        "cone_norm": float(report.cone_norm),
+        "fitted_exponent": _float(report.fitted_exponent),
     }
 
 
-def write_solution_json(field: SolutionField, path) -> None:
-    atomic_write_text(path, json.dumps(solution_payload(field), indent=1) + "\n")
+def write_solution_json(field: SolutionField, report: NormReport, path) -> None:
+    atomic_write_text(path, json.dumps(solution_payload(field, report), indent=1) + "\n")
 
 
 def write_branch_csv(branch: Branch, path) -> None:

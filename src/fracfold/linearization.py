@@ -63,7 +63,6 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .blas import single_pool
 from .errors import ConvergenceError
 from .operator import (
     EigenPair,
@@ -71,6 +70,7 @@ from .operator import (
     _lanczos_largest,
     _shift_invert_pair,
     lu_solver,
+    matvec,
     shifted_spd_solver,
     spd_solver,
     split_solver,
@@ -139,7 +139,6 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
     return LinearizedOperator(matrix=matrix, fprime=lam * spec.nonlinearity.fprime(uv), odd=odd)
 
 
-@single_pool
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
     """Principal eigenpair of the linearization around u.
 
@@ -208,7 +207,6 @@ class SensitivityBundle:
     v: np.ndarray
 
 
-@single_pool
 def sensitivity_bundle(
     lam: float,
     h: np.ndarray,
@@ -237,7 +235,7 @@ def sensitivity_bundle(
     potential = eq.potential(uv)
 
     def apply(x):  # P x on the nodes, whatever basis p is in
-        return op.matrix @ x + potential * x
+        return matvec(op.matrix, x) + potential * x
 
     w1 = _checked_solve(p, apply, -eq.d_dlam(uv), tol, "w1")
     v = _checked_solve(p, apply, phi, tol, "v")
@@ -248,7 +246,6 @@ def sensitivity_bundle(
     return SensitivityBundle(w1=w1, w11=w11, w12=w12, w22=w22, v=v)
 
 
-@single_pool
 def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin=None) -> float:
     """Smallest singular value of I - P^(-1) diag(lam f'(u)).
 

@@ -47,14 +47,18 @@ commutes with R, is the split solve (`split_solver`), which factors J_o only
 once a right-hand side has an odd part; only an asymmetric Jacobian (an
 asymmetric forcing, a random start) is factored at order n.
 
-This is the one module that factors a dense matrix, and it hands out solves
-x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
-partial pivoting), `shifted_spd_solver` (Cholesky below the Gershgorin
-discs) and `split_solver` (both blocks of a reflection-symmetric J).  Every
-other module solves through them, and the smallest eigenpair comes from one
-shift-invert Lanczos run through one of them, on the even block when the
-matrix is one.  Every `spd_solver` of a block of an n x n matrix is given
-n, so its probe is the n-node sine profile whatever the block.
+This is the one module that calls a dense kernel: a factorization or a
+matrix-vector product.  Every product of a matrix with a vector is `matvec`,
+BLAS gemv from scipy, so all dense work runs in the one OpenBLAS that also
+factors and solves; numpy's own OpenBLAS, and its thread pool, stay idle.
+It hands out solves x -> M^-1 x, never factors: `spd_solver` (Cholesky),
+`lu_solver` (LU with partial pivoting), `shifted_spd_solver` (Cholesky
+below the Gershgorin discs) and `split_solver` (both blocks of a
+reflection-symmetric J).  Every other module solves through them, and the
+smallest eigenpair comes from one shift-invert Lanczos run through one of
+them, on the even block when the matrix is one.  Every `spd_solver` of a
+block of an n x n matrix is given n, so its probe is the n-node sine
+profile whatever the block.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ __all__ = [
     "lu_solver",
     "shifted_spd_solver",
     "split_solver",
+    "matvec",
     "dump_triplets",
 ]
 
@@ -92,8 +97,9 @@ MIN_NODES = 8
 SIGN_SLACK = 1e-12
 # Lanczos gives up after this many operator applications.
 LANCZOS_STEPS = 200
-# BLAS triangular solve with one right-hand side, from scipy's BLAS
+# BLAS triangular solve with one right-hand side, and the matrix-vector product, from scipy's BLAS
 _TRSV = get_blas_funcs("trsv", dtype=np.float64)
+_GEMV = get_blas_funcs("gemv", dtype=np.float64)
 
 
 def normalization_constant(s: float) -> float:
@@ -276,7 +282,7 @@ def _wall_correction(grid: Grid, s: float, mat: np.ndarray) -> np.ndarray:
     a = L - nodes
     b = L + nodes
     exact = 2.0 * normalization_constant(s) * a ** (-s) / s * hyp2f1(-s, s, s + 1.0, -b / a)
-    delta_left = (exact - mat @ u_left) / u_left
+    delta_left = (exact - matvec(mat, u_left)) / u_left
     delta_right = delta_left[::-1]
     delta = np.where(nodes < 0.0, delta_left, delta_right)
     if n % 2 == 1:
@@ -332,6 +338,18 @@ def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
     return op._solve(rhs)
 
 
+def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x by BLAS gemv from scipy, whose OpenBLAS also factors and solves.
+
+    A C-ordered mat goes in as its F-ordered transpose with trans=1, an
+    F-ordered one (a transpose such as qs.T) as it is, so f2py copies
+    neither.
+    """
+    if mat.flags.f_contiguous:
+        return _GEMV(1.0, mat, x)
+    return _GEMV(1.0, mat.T, x, trans=1)
+
+
 def _trsv_pair(tri: np.ndarray):
     """x -> L^-T L^-1 x for the lower Cholesky factor L = tri, by two BLAS trsv calls.
 
@@ -374,7 +392,7 @@ def spd_solver(mat: np.ndarray, n: int | None = None):
     """
     k = mat.shape[0]
     probe = _sine_profile(n or k)[:k]
-    if probe @ (mat @ probe) < 0.0:
+    if probe @ matvec(mat, probe) < 0.0:
         return None
     try:
         return _trsv_pair(cho_factor(mat, lower=True)[0])
@@ -439,8 +457,8 @@ def split_solver(even, odd, n: int):
     return solve
 
 
-def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:
-    """Largest eigenpair of a symmetric operator by Lanczos, as (value, vector).
+def _lanczos_largest(apply, n: int, rtol: float) -> tuple[float, np.ndarray]:
+    """Largest eigenpair of the symmetric operator x -> apply(x) by Lanczos, as (value, vector).
 
     Full reorthogonalization keeps the basis orthonormal, so the residual of
     a Ritz pair (theta, Q s) of the j x j tridiagonal is beta_j |s_j| (Parlett,
@@ -460,16 +478,16 @@ def _lanczos_largest(matvec, n: int, rtol: float) -> tuple[float, np.ndarray]:
     alpha: list[float] = []
     beta: list[float] = []
     for _ in range(min(LANCZOS_STEPS, n)):
-        w = matvec(basis[-1])
+        w = apply(basis[-1])
         alpha.append(float(basis[-1] @ w))
         qs = np.array(basis)
-        w = w - qs.T @ (qs @ w)
-        w -= qs.T @ (qs @ w)
+        w = w - matvec(qs.T, matvec(qs, w))
+        w -= matvec(qs.T, matvec(qs, w))
         b = float(np.linalg.norm(w))
         theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
         theta, s = theta[-1:], s[:, -1:]
         if b * abs(s[-1, 0]) <= rtol * abs(theta[0]):
-            return float(theta[0]), (qs.T @ s)[:, 0]
+            return float(theta[0]), matvec(qs.T, s[:, 0])
         if b == 0.0:
             break
         beta.append(b)
@@ -501,11 +519,11 @@ def _shift_invert_pair(mat, solve, tol, n: int | None = None) -> EigenPair:
     rtol = tol / (np.sqrt(k) * (2.0 * np.abs(mat).sum(axis=1).max() / mass.min() + 1.0))
     _, z = _lanczos_largest(lambda v: root * solve(root * v), k, rtol)
     x = z / root
-    mu = float(x @ (mat @ x))
+    mu = float(x @ matvec(mat, x))
     vec = x / np.abs(x).max()
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
-    res = float(np.abs((mat @ vec - mu * mass * vec) / mass).max())
+    res = float(np.abs((matvec(mat, vec) - mu * mass * vec) / mass).max())
     if res > tol:
         raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}", residual=res)
     return EigenPair(value=mu, vector=vec if n in (None, k) else unfold(vec, n), residual=res)

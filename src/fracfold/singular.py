@@ -48,7 +48,6 @@ from functools import partial
 
 import numpy as np
 
-from .blas import single_pool
 from .errors import BracketViolation, ConvergenceError
 from .operator import (
     Basis,
@@ -56,12 +55,12 @@ from .operator import (
     NonlocalOperator,
     basis_for,
     fold,
+    matvec,
     principal_eigenpair,
     solve_dirichlet,
     spd_solver,
 )
 from .problem import Nonlinearity, ProblemSpec, no_nonlinearity
-from .weights import NormReport
 
 __all__ = [
     "SolutionField",
@@ -83,14 +82,13 @@ CHORD_RATIO = 0.1  # a Newton run reuses its stored factor while the last step c
 
 @dataclass(eq=False)
 class SolutionField:
-    """Grid field with the residual it achieves and an optional norm report."""
+    """Grid field with the residual it achieves."""
 
     values: np.ndarray
     grid: Grid
     spec: ProblemSpec
     residual: float
     residual_bound: float
-    report: NormReport | None = None
 
     @property
     def sup_norm(self) -> float:
@@ -121,7 +119,7 @@ class Equation:
         return self.k * u ** (-self.delta) + self.nonlinearity.f(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return self.op.matrix @ u - self.lam * self._source(u) - self.rhs
+        return matvec(self.op.matrix, u) - self.lam * self._source(u) - self.rhs
 
     def scale(self, u: np.ndarray) -> float:
         """1 + sup of the nonlinear and forcing terms: Newton stops at residual <= tol * scale."""
@@ -272,7 +270,6 @@ def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
     return float(ratio.min() ** (1.0 / (1.0 + spec.delta)))
 
 
-@single_pool
 def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
     """Solve A u = K u^(-delta) by one damped-Newton run from c* phi_1.
 
@@ -285,7 +282,7 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:
         u = solve_dirichlet(op, k)
-        res = float(np.abs(op.matrix @ u - k).max())
+        res = float(np.abs(matvec(op.matrix, u) - k).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
@@ -312,7 +309,6 @@ def scale_pure_singular(u1: SolutionField, lam: float) -> SolutionField:
         spec=replace(spec, lam=lam),
         residual=factor * u1.residual,
         residual_bound=max(factor, 1.0) * u1.residual_bound,
-        report=None,
     )
 
 
@@ -332,7 +328,6 @@ def torsion_field(op: NonlocalOperator) -> np.ndarray:
     return op._cache["torsion"]
 
 
-@single_pool
 def solve_A(
     lam: float,
     h: np.ndarray,
@@ -357,7 +352,7 @@ def solve_A(
         u = solve_dirichlet(op, h)
         if h.min() >= 0.0 and u.min() <= 0.0 and np.any(h > 0.0):
             raise BracketViolation("maximum principle violated in the linear solve")
-        res = float(np.abs(op.matrix @ u - h).max())
+        res = float(np.abs(matvec(op.matrix, u) - h).max())
         return SolutionField(u, op.grid, replace(spec, lam=lam), res, tol * (1.0 + np.abs(h).max()))
     usub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
@@ -421,7 +416,6 @@ def monotone_iterate(
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)
 
 
-@single_pool
 def solve_min(
     lam: float,
     spec: ProblemSpec,

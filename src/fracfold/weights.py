@@ -95,7 +95,7 @@ def build_weight_profile(phi1s: np.ndarray, s: float, delta: float, beta: float)
     return WeightProfile(regime=regime, values=values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormReport:
     """Cone norms against a weight profile plus the optional fitted boundary exponent."""
 

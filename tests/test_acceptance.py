@@ -179,6 +179,22 @@ def test_criterion_09_multiplicity_rejects_a_planted_second_solution(monkeypatch
         assert r.passed is not planted, r
 
 
+def test_criterion_09_multiplicity_records_a_missing_second_solution(monkeypatch, accept_cfg, accept_cache):
+    # the last row of the scan without a second solution, as the scan writes
+    # it: both records are still made, and the gap order reads "missing"
+    real = verify.multiplicity_scan
+
+    def scan(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        return [*rows[:-1], {**rows[-1], "second": None, "gap": None, "complete": False}]
+
+    monkeypatch.setattr(verify, "multiplicity_scan", scan)
+    records = check_multiplicity(accept_cfg, accept_cache)
+    assert [r.name for r in records] == ["multiplicity-distinct", "multiplicity-gap-shrinks"]
+    assert not any(r.passed for r in records)
+    assert records[1].measured == "missing"
+
+
 def test_criterion_10_asymptotic_bifurcation(accept_cfg, accept_cache):
     _run(check_asymptotic, accept_cfg, accept_cache)
 

@@ -55,6 +55,16 @@ def test_cli_usage_errors_exit_one(capsys):
     assert err.value.code == 1
 
 
+def test_cli_malformed_config_is_a_clean_error(tmp_path, capsys):
+    # a file with no section header, and one that gives a key twice: an
+    # `error:` line on stderr and exit 1, not a traceback
+    for name, text in (("headless.cfg", "n = 64\n"), ("twice.cfg", "[grid]\nn = 64\nn = 128\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["assemble-check", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed config")
+
+
 def test_cli_assemble_check(capsys, tmp_path):
     code = main(["assemble-check", "--s", "0.5", "--n", "64", "--out", str(tmp_path), "--dump-matrix"])
     assert code == 0

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +25,7 @@ from fracfold.operator import (
     dump_triplets,
     fold,
     is_even,
+    matvec,
     normalization_constant,
     principal_eigenpair,
     smallest_eigenpairs,
@@ -333,3 +339,73 @@ def test_principal_pair_from_the_even_block(n):
     assert np.abs(block.vector - full.vector).max() <= 1e-8
     assert is_even(block.vector) and block.vector.shape == (n,)
     assert np.abs(op.matrix @ block.vector - block.value * block.vector).max() <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (5, 7), (64, 64)])
+def test_matvec_takes_either_memory_order(shape):
+    # a C-ordered matrix, its F-ordered transpose and an F-ordered copy give mat @ x
+    rng = np.random.default_rng(7)
+    mat = rng.standard_normal(shape)
+    x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+    for m, v in ((mat, x), (mat.T, y), (np.asfortranarray(mat), x)):
+        assert np.allclose(matvec(m, v), m @ v, rtol=1e-13, atol=1e-13)
+
+
+# Threads that appear while numpy is imported are its OpenBLAS pool; those that
+# appear with scipy.linalg are scipy's.  The script prints the CPU seconds that
+# numpy's threads spent, after the imports, on assembly, a pure singular solve,
+# and lambda1 and the monitor at one minimal point, or "skip" when there are
+# not two pools to tell apart.
+POOL_SCRIPT = """
+import os, sys, time
+
+def tasks():
+    return set(os.listdir("/proc/self/task"))
+
+def cpu_seconds(tid):
+    with open(f"/proc/self/task/{tid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+before = tasks()
+import numpy as np
+numpy_pool = tasks() - before
+import scipy.linalg
+scipy_pool = tasks() - before - numpy_pool
+if not numpy_pool or not scipy_pool:
+    print("skip")
+    sys.exit(0)
+
+from fracfold import (ProblemSpec, assemble_operator, build_grid, fredholm_monitor, lambda1, no_nonlinearity,
+                      power_nonlinearity, solve_min, solve_pure_singular)
+
+def pool_seconds():
+    return sum(cpu_seconds(t) for t in numpy_pool)
+
+spent = pool_seconds()
+for _ in range(40):  # OpenBLAS workers busy-wait a while after start-up before they sleep
+    time.sleep(0.05)
+    if pool_seconds() == spent:
+        break
+    spent = pool_seconds()
+op = assemble_operator(build_grid(1.0, 1024), 0.4)
+solve_pure_singular(ProblemSpec(s=0.4, delta=3.0, nonlinearity=no_nonlinearity()), op)
+spec = ProblemSpec(s=0.4, delta=0.5, nonlinearity=power_nonlinearity(2.0))
+field = solve_min(0.3, spec, op)
+lambda1(0.3, field, op, spec)
+fredholm_monitor(0.3, field, op, spec)
+print(pool_seconds() - spent)
+"""
+
+
+def test_solves_leave_numpys_thread_pool_idle():
+    # every dense kernel of a solve runs in scipy's BLAS, so numpy's own
+    # OpenBLAS pool, if it has one, stays asleep
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to read thread CPU times from")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", POOL_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    if out.stdout.strip() == "skip":
+        pytest.skip("numpy has no OpenBLAS thread pool of its own here")
+    assert float(out.stdout) <= 0.02

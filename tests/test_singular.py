@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,11 +21,12 @@ from fracfold import (
     solve_pure_singular,
 )
 from fracfold import singular
-from fracfold.continuation import TracePolicy, trace_minimal
+from fracfold.continuation import TracePolicy, _corrector, trace_minimal
 from fracfold.linearization import lambda1
-from fracfold.operator import principal_eigenpair
+from fracfold.operator import lu_solver, principal_eigenpair
 from fracfold.problem import Nonlinearity
 from fracfold.singular import (
+    Equation,
     monotone_iterate,
     pure_singular_cached,
     subsolution_constant,
@@ -37,6 +39,11 @@ from fracfold.weights import build_weight_profile, cone_norms
 @pytest.fixture(scope="module")
 def op256():
     return assemble_operator(build_grid(1.0, 256), 0.4)
+
+
+@pytest.fixture(scope="module")
+def op16():
+    return assemble_operator(build_grid(1.0, 16), 0.4)
 
 
 @pytest.fixture(scope="module")
@@ -511,3 +518,30 @@ def test_chord_run_rises_below_the_minimal_solution(s, delta, beta_frac, frac):
     for before, after in zip(iterates, iterates[1:]):
         assert np.all(after >= before - slack)
     assert np.all(np.array(iterates) <= u + slack)
+
+
+def _zero_operator(n=8):
+    return replace(assemble_operator(build_grid(1.0, n), 0.4), matrix=np.zeros((n, n)), _cache={})
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_jacobian_fails_newton_and_corrector():
+    op = _zero_operator()
+    spec = ProblemSpec(s=0.4, delta=0.0, nonlinearity=no_nonlinearity())
+    assert lu_solver(op.matrix) is None
+    with pytest.raises(ConvergenceError, match="singular Jacobian"):
+        Equation.of(op, spec, 1.0).solve(np.ones(op.n), 1e-8, lu_solver, 60)
+    u = np.ones(op.n)
+    tangent = (np.ones(op.n) / np.sqrt(op.n), 0.5)
+    assert _corrector(Equation.of(op, spec, 1.0), (u, 1.0), tangent, 0.1, 1.0, 1e-8) is None
+
+
+def test_non_finite_jacobian_is_a_convergence_failure(op16, canonical_spec):
+    jac = op16.matrix.copy()
+    jac[3, 3] = np.nan
+    assert lu_solver(jac) is None
+    op = replace(op16, matrix=jac, _cache={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ConvergenceError):
+            Equation.of(op, canonical_spec, 0.1).solve(np.ones(op.n), 1e-8, lu_solver, 60)

@@ -25,7 +25,8 @@ SOURCE = pathlib.Path(fracfold.__file__).parent
 # matrix (lstsq fits three columns in weights.fit_boundary_exponent;
 # eigh_tridiagonal diagonalizes the j x j Lanczos tridiagonal, j at most the
 # step count of operator._lanczos_largest; get_blas_funcs fetches the O(n^2)
-# triangular solve trsv of operator._trsv_pair).  A dense
+# triangular solve trsv of operator._trsv_pair and the matrix-vector product
+# gemv of operator.matvec).  A dense
 # `solve` is forbidden from both libraries: every factorization goes through
 # scipy's counted kernels, and numpy's BLAS pool stays out of the solves.
 # cho_solve is not allowed either: LAPACK's potrs takes 2-4 times as long as
@@ -188,6 +189,48 @@ def test_factorizations_are_called_only_in_the_operator_module():
                 continue
             sites += [f"{path.name}:{node.lineno} {name}" for name in names if name in FACTOR_NAMES]
     assert sites and all(site.startswith("operator.py:") for site in sites), sites
+
+
+MATRICES = {"matrix", "even_block", "odd_block"}
+
+
+def _is_matrix(node) -> bool:
+    """An `x.matrix`, `x.even_block` or `x.odd_block` attribute, also transposed or sliced."""
+    while isinstance(node, ast.Subscript) or (isinstance(node, ast.Attribute) and node.attr == "T"):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in MATRICES
+
+
+def _matrix_product_sites(source: str) -> list[int]:
+    """Lines with a product (`@`, `@=`, `dot`, `matmul`) that has a matrix operand (see `_is_matrix`)."""
+    sites = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = [node.target, node.value]
+        elif _is_call_to(node, {"dot", "matmul"}):
+            operands = [*node.args, *([node.func.value] if isinstance(node.func, ast.Attribute) else [])]
+        else:
+            continue
+        if any(_is_matrix(o) for o in operands):
+            sites.add(node.lineno)
+    return sorted(sites)
+
+
+def test_matrix_products_have_one_home():
+    # every product of an operator or Jacobian matrix with a vector is
+    # operator.matvec, in scipy's BLAS: numpy's matmul would run in numpy's
+    # own OpenBLAS, whose thread pool then contends with scipy's
+    planted = (
+        "a = op.matrix @ u\nb = x @ self.op.even_block\nc = np.dot(lin.odd_block, v)\n"
+        "d = op.matrix.dot(v)\ne = np.matmul(op.matrix.T, v)\nf = op.even_block[:k] @ y\n"
+    )
+    assert _matrix_product_sites(planted) == [1, 2, 3, 4, 5, 6]
+    assert _matrix_product_sites("a = u @ v\nb = matvec(op.matrix, u)\nc = qs.T @ w\nd = m.dot(x)\n") == []
+    sites = {path.name: _matrix_product_sites(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    sites.pop("operator.py")
+    assert all(lines == [] for lines in sites.values()), sites
 
 
 def test_only_the_operator_module_imports_scipy_linalg():
