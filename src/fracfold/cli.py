@@ -86,12 +86,13 @@ def _solve_common(cfg: RunConfig, pure: bool):
     """The solve-ps or solve-plambda solution and its cone-norm report."""
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
     if pure:
-        lam = cfg.lam if cfg.lam > 0 else 1.0
+        if cfg.lam <= 0.0:
+            raise ValueError(f"lambda must be positive, got {cfg.lam}")
         spec = ProblemSpec(
-            s=cfg.s, delta=cfg.delta, beta=cfg.beta, coeff=cfg.coeff * lam, nonlinearity=no_nonlinearity()
+            s=cfg.s, delta=cfg.delta, beta=cfg.beta, coeff=cfg.coeff * cfg.lam, nonlinearity=no_nonlinearity()
         )
         field = solve_pure_singular(spec, op, tol=cfg.newton_tol)
-        field.spec = replace(field.spec, coeff=cfg.coeff, lam=lam)
+        field.spec = replace(field.spec, coeff=cfg.coeff, lam=cfg.lam)
     else:
         field = solve_min(cfg.lam, cfg.problem_spec(), op, tol=cfg.newton_tol)
     profile = build_weight_profile(principal_eigenpair(op).vector, cfg.s, cfg.delta, cfg.beta)

@@ -9,29 +9,23 @@ and the Fredholm monitor obeys I - P^(-1) F = P^(-1) J, so
 
     sigma_min(I - P^(-1) F) = 1 / sigma_max(J^(-1) P) = 1 / sigma_max(I + J^(-1) F).
 
-Both numbers come from one LinearizedOperator, which builds one solve with
-each of its matrices and shares it: `operator.spd_solver` when the matrix is
-positive definite, else `operator.lu_solver`.  This module holds solves
-only, never a factor.  At an even solution (the whole traced branch) J
-commutes with the reflection of the nodes, and the LinearizedOperator holds
+Both numbers come from one `operator.LinearizedOperator` (re-exported
+here), the holder of J's solves, which A's own solves share
+(`NonlocalOperator.lin`).  It builds one solve with each of its matrices and
+shares it: Cholesky when the matrix is positive definite, else LU.  This
+module holds no solver and no factor.  At an even solution (the whole traced
+branch) J commutes with the reflection of the nodes, and the holder keeps
 its even block J_e = E^T J E, of order about n/2, in place of J, and a
 builder of its odd block J_o = E_o^T J E_o, which only a right-hand side with
-an odd part calls.  The principal eigenvector is even (it is the
-Perron vector), so lambda1 comes from J_e alone: Lanczos through the solve
-on J_e^-1, or on -J_e^-1 when J_e's Cholesky fails, whose top Ritz pair is
-the negative eigenvalue nearest 0 among even fields.  J_e is an irreducible
-symmetric Z-matrix (as J is), so that pair is lambda1 exactly when its
-eigenvector is strictly positive (Perron-Frobenius), whatever the sign its
-Rayleigh quotient rounds to at a fold.  Where it is not, the top pair of
-J_e^-1 through the LU is tested the same way (a Cholesky that failed by
-rounding at a positive lambda1).  Only where neither is certified (Morse
-index 2 or more among even fields) does lambda1 take a second
-factorization, through `operator.shifted_spd_solver`: a solve with J_e -
-mu*D for the Gershgorin shift mu (D = E^T E).  Odd negative modes no longer
-reach that fallback: J_e does not see them.  The monitor runs Lanczos on
-(I + F J^-1)(I + J^-1 F), two solves with J per step, each the split solve
-through J_e and J_o (`operator.split_solver`); its start vector has an odd
-part, so the monitor builds and factors J_o, and lambda1 alone never does.
+an odd part calls.  The principal eigenvector is even (it is the Perron
+vector), so lambda1 comes from J_e alone, by `operator.smallest_eigenpairs`,
+the one smallest-pair routine, which also gives phi_1 of A (its Perron
+certificate and fallbacks are described there); odd negative modes do not
+reach its Gershgorin fallback, since J_e does not see them.  The monitor
+runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J per step, each
+the split solve through J_e and J_o (`operator.split_solver`); its start
+vector has an odd part, so the monitor builds and factors J_o, and lambda1
+alone never does.
 The derivative fields at even data solve through J_e only.  Each Lanczos run
 (operator._lanczos_largest) stops as soon as its Ritz pair has converged,
 after 2-15 steps on the default branch at n=256 to 2048.  The monitor's run
@@ -57,24 +51,13 @@ solve itself in the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .operator import (
-    EigenPair,
-    NonlocalOperator,
-    _lanczos_largest,
-    _shift_invert_pair,
-    lu_solver,
-    matvec,
-    shifted_spd_solver,
-    spd_solver,
-    split_solver,
-)
+from .operator import EigenPair, LinearizedOperator, NonlocalOperator, _lanczos_largest, matvec, smallest_eigenpairs
 from .problem import ProblemSpec, no_nonlinearity
 from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, solve_A
 
@@ -93,39 +76,6 @@ __all__ = [
 MONITOR_RTOL = 1e-8
 
 
-@dataclass(eq=False)
-class LinearizedOperator:
-    """J = P - diag(fprime) on n = len(fprime) nodes, in the basis of its field; each solve is built once, on first use.
-
-    At an even field with even data `matrix` is J's even block J_e = E^T J E
-    and `odd` a function of no arguments that builds its odd block J_o =
-    E_o^T J E_o (J = J_e (+) J_o); otherwise `matrix` is J and `odd` is None.
-    """
-
-    matrix: np.ndarray
-    fprime: np.ndarray
-    odd: Callable[[], np.ndarray] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.fprime)
-
-    @cached_property
-    def cholesky(self):
-        """x -> matrix^-1 x by its Cholesky factor, or None when it is not positive definite."""
-        return spd_solver(self.matrix, self.n)
-
-    @cached_property
-    def block_solve(self):
-        """x -> matrix^-1 x by its Cholesky or else LU factor, or None when it is exactly singular."""
-        return self.cholesky or lu_solver(self.matrix)
-
-    @cached_property
-    def solve(self):
-        """x -> J^-1 x on any n-node x: `block_solve`, or at an even field the split solve through J_e and J_o."""
-        return self.block_solve if self.odd is None else split_solver(self.block_solve, self.odd, self.n)
-
-
 def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
     """A + diag(lam delta K u^(-delta-1) - lam f'(u)) around a positive field, on its blocks when the field is even."""
     uv = _field_values(u)
@@ -140,51 +90,13 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
 
 
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
-    """Principal eigenpair of the linearization around u.
+    """Principal eigenpair of the linearization around u, by `operator.smallest_eigenpairs`.
 
-    Lanczos through the solve with the linearization's matrix (J, or J_e
-    at an even u, whose pairs are J's among even fields), with the
-    Gershgorin-shifted Cholesky solve as the fallback when that matrix's
-    Cholesky fails and the Perron test rejects the Lanczos pair of its
-    negated inverse (see the module notes).  Pass `lin` to reuse a
-    linearization, and its solves, built at (lam, u).
+    At an even u it comes from J_e alone, whose pairs are J's among even
+    fields.  Pass `lin` to reuse a linearization, and its solves, built at
+    (lam, u).
     """
-    lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
-    if lin.cholesky is not None:
-        return _shift_invert_pair(lin.matrix, lin.cholesky, tol, lin.n)
-    pair = _perron_pair(lin, tol)
-    if pair is not None:
-        return pair
-    return _shift_invert_pair(lin.matrix, shifted_spd_solver(lin.matrix, lin.n), tol, lin.n)
-
-
-def _perron_pair(lin: LinearizedOperator, tol: float) -> EigenPair | None:
-    """lambda1 of J, when the Cholesky of lin.matrix (J or J_e) failed, from its LU; None when it is not certified.
-
-    The argument below holds for J_e as for J (below, J stands for either),
-    and the Perron vector of J is even, so it is J_e's.
-    J = A + diag(potential) is an irreducible symmetric Z-matrix, so by
-    Perron-Frobenius a strictly positive eigenvector belongs to lambda1 and to
-    no other eigenvalue; for the positive vector x with residual r the
-    Collatz-Wielandt bounds give |lambda1 - mu| <= max|r_i| / min x_i.  The
-    top Lanczos pair of -J^-1 is that of the negative eigenvalue nearest 0
-    (lambda1 at Morse index 1); when it is not certified, the top pair of
-    J^-1 is tried, lambda1 when J is positive definite and its Cholesky failed
-    only by rounding, as at a fold.  A pair is accepted when its residual is
-    at most tol and its sup-normalized vector is strictly positive, whatever
-    the sign its value rounds to.
-    """
-    solve = lin.block_solve
-    if solve is None:
-        return None
-    for sign in (-1.0, 1.0):
-        try:
-            pair = _shift_invert_pair(lin.matrix, lambda x: sign * solve(x), tol, lin.n)
-        except ConvergenceError:
-            continue
-        if pair.vector.min() > 0.0:
-            return pair
-    return None
+    return smallest_eigenpairs(lin if lin is not None else linearized_operator(lam, u, op, spec), tol)
 
 
 def _checked_solve(p: LinearizedOperator, apply, rhs: np.ndarray, tol: float, name: str) -> np.ndarray:

@@ -54,15 +54,19 @@ factors and solves; numpy's own OpenBLAS, and its thread pool, stay idle.
 It hands out solves x -> M^-1 x, never factors: `spd_solver` (Cholesky),
 `lu_solver` (LU with partial pivoting), `shifted_spd_solver` (Cholesky
 below the Gershgorin discs) and `split_solver` (both blocks of a
-reflection-symmetric J).  Every other module solves through them, and the
-smallest eigenpair comes from one shift-invert Lanczos run through one of
-them, on the even block when the matrix is one.  Every `spd_solver` of a
-block of an n x n matrix is given n, so its probe is the n-node sine
+reflection-symmetric J).  Every other module solves through them.  The
+solves with A and with every linearization J = A + diag(p) are held by one
+`LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0), and
+the smallest eigenpair of either comes from one routine,
+`smallest_eigenpairs`: shift-invert Lanczos through one of the holder's
+solves, on the even block when the holder keeps one.  Every `spd_solver` of
+a block of an n x n matrix is given n, so its probe is the n-node sine
 profile whatever the block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
@@ -76,6 +80,7 @@ __all__ = [
     "Grid",
     "NonlocalOperator",
     "EigenPair",
+    "LinearizedOperator",
     "Basis",
     "basis_for",
     "is_even",
@@ -151,15 +156,19 @@ class NonlocalOperator:
         """E^T A E: A on even fields, of order ceil(n/2)."""
         return _fold_matrix(self.matrix)
 
-    @cached_property
+    @property
     def odd_block(self) -> np.ndarray:
-        """E_o^T A E_o: A on odd fields, of order floor(n/2)."""
-        return _fold_matrix(self.matrix, odd=True)
+        """E_o^T A E_o: A on odd fields, of order floor(n/2), from the cached builder of `lin`."""
+        return self.lin.odd()
 
     @cached_property
-    def _solve(self):
-        """x -> A^-1 x on any n-node x: the split solve through Cholesky factors of A's blocks."""
-        return split_solver(spd_solver(self.even_block, self.n), lambda: self.odd_block, self.n)
+    def lin(self) -> LinearizedOperator:
+        """A as the linearization at lambda = 0: its even block, its odd block's builder and their solves.
+
+        The builder holds A's matrix, never the operator, so the operator
+        holds no reference to itself and is freed by reference counting.
+        """
+        return LinearizedOperator(self.even_block, np.zeros(self.n), cache(partial(_fold_matrix, self.matrix, odd=True)))
 
 
 def is_even(x) -> bool:
@@ -325,7 +334,7 @@ def _check_structure(op: NonlocalOperator) -> None:
 
 
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs by the operator's cached split solve (`split_solver`).
+    """Solve A w = rhs by the split solve of the operator's cached holder `lin` (`split_solver`).
 
     For rhs >= 0 not identically zero the result is strictly positive at all
     interior nodes (discrete maximum principle).
@@ -335,7 +344,7 @@ def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n},)")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite at all nodes")
-    return op._solve(rhs)
+    return op.lin.solve(rhs)
 
 
 def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -457,6 +466,40 @@ def split_solver(even, odd, n: int):
     return solve
 
 
+@dataclass(eq=False)
+class LinearizedOperator:
+    """J = P - diag(fprime) on n = len(fprime) nodes, in the basis of its field; each solve is built once, on first use.
+
+    At an even field with even data `matrix` is J's even block J_e = E^T J E
+    and `odd` a function of no arguments that builds its odd block J_o =
+    E_o^T J E_o (J = J_e (+) J_o); otherwise `matrix` is J and `odd` is None.
+    A itself is one, at fprime = 0 (`NonlocalOperator.lin`).
+    """
+
+    matrix: np.ndarray
+    fprime: np.ndarray
+    odd: Callable[[], np.ndarray] | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.fprime)
+
+    @cached_property
+    def cholesky(self):
+        """x -> matrix^-1 x by its Cholesky factor, or None when it is not positive definite."""
+        return spd_solver(self.matrix, self.n)
+
+    @cached_property
+    def block_solve(self):
+        """x -> matrix^-1 x by its Cholesky or else LU factor, or None when it is exactly singular."""
+        return self.cholesky or lu_solver(self.matrix)
+
+    @cached_property
+    def solve(self):
+        """x -> J^-1 x on any n-node x: `block_solve`, or at an even field the split solve through J_e and J_o."""
+        return self.block_solve if self.odd is None else split_solver(self.block_solve, self.odd, self.n)
+
+
 def _lanczos_largest(apply, n: int, rtol: float) -> tuple[float, np.ndarray]:
     """Largest eigenpair of the symmetric operator x -> apply(x) by Lanczos, as (value, vector).
 
@@ -529,23 +572,51 @@ def _shift_invert_pair(mat, solve, tol, n: int | None = None) -> EigenPair:
     return EigenPair(value=mu, vector=vec if n in (None, k) else unfold(vec, n), residual=res)
 
 
-def smallest_eigenpairs(mat: np.ndarray, tol: float = 1e-8, n: int | None = None) -> EigenPair:
-    """Smallest eigenpair of a dense symmetric matrix, or with n, of the n x n one whose even block mat is.
+def smallest_eigenpairs(lin: LinearizedOperator, tol: float = 1e-8) -> EigenPair:
+    """Smallest eigenpair of the matrix J that `lin` holds (among even fields when it holds J_e).
 
-    Shift-invert Lanczos through one Cholesky solve: with mat itself when it
-    is positive definite, else with mat - mu*D for the Gershgorin shift mu
-    (see `_shift_invert_pair` for D and the even block).
+    The one smallest-pair routine, for A (`principal_eigenpair`) and for
+    every linearization (`linearization.lambda1`).  Shift-invert Lanczos
+    (see `_shift_invert_pair`) runs first through lin's Cholesky solve: the
+    top pair of J^-1 when J is positive definite.  Where that Cholesky fails,
+    J (or J_e) is an irreducible symmetric Z-matrix, so by Perron-Frobenius a
+    strictly positive eigenvector belongs to the smallest eigenvalue and to
+    no other (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6), and for a positive x with residual r the
+    Collatz-Wielandt bounds give |lambda1 - mu| <= max|r_i| / min x_i; the
+    Perron vector of J is even, so it is J_e's.  The
+    top pair of -J^-1 through lin's LU is that of the negative eigenvalue
+    nearest 0 (the smallest at Morse index 1); the top pair of J^-1 through
+    the LU is the smallest when J is positive definite and its Cholesky
+    failed only by rounding, as at a fold.  The first of the two whose
+    residual is at most tol and whose sup-normalized vector is strictly
+    positive is returned, whatever the sign its value rounds to.  Only where
+    neither is certified (Morse index 2 or more) does it take a second
+    factorization: the Cholesky of J - mu*D for the Gershgorin shift mu
+    (`shifted_spd_solver`).
     """
-    return _shift_invert_pair(mat, spd_solver(mat, n) or shifted_spd_solver(mat, n), tol, n)
+    if lin.cholesky is not None:
+        return _shift_invert_pair(lin.matrix, lin.cholesky, tol, lin.n)
+    if (solve := lin.block_solve) is not None:
+        for sign in (-1.0, 1.0):
+            try:
+                pair = _shift_invert_pair(lin.matrix, lambda x: sign * solve(x), tol, lin.n)
+            except ConvergenceError:
+                continue
+            if pair.vector.min() > 0.0:
+                return pair
+    return _shift_invert_pair(lin.matrix, shifted_spd_solver(lin.matrix, lin.n), tol, lin.n)
 
 
 def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
     """Cached principal eigenpair of the operator (sup-normalized, strictly positive eigenvector).
 
-    The Perron vector of A is even, so it comes from A's even block.
+    The Perron vector of A is even, so it comes from A's even block, through
+    a holder of its own: its Cholesky factor is dropped with it, not kept on
+    the operator beside the one `lin` keeps for solves.
     """
     if "phi1" not in op._cache:
-        pair = smallest_eigenpairs(op.even_block, n=op.n)
+        pair = smallest_eigenpairs(LinearizedOperator(op.even_block, np.zeros(op.n)))
         if pair.vector.min() <= 0.0:
             raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
         op._cache["phi1"] = pair

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma
 
 from .config import RunConfig
@@ -101,6 +100,7 @@ def _closed_form_quadrature(s: float, x0: float) -> float:
     """Operator value of (1-x^2)^s_+ at x0 by adaptive quadrature of the
     symmetrized singular integral; the independent check of the closed-form
     constant before it is trusted."""
+    from scipy.integrate import quad  # imported here: no other path needs scipy.integrate
 
     def u(y):
         yy = np.asarray(y, dtype=float)

@@ -60,12 +60,8 @@ def distance_field(grid: Grid) -> np.ndarray:
 
 
 def weight_k(grid: Grid, beta: float, coeff: float, s: float) -> np.ndarray:
-    """Boundary-singular weight K(x_i) = coeff * d(x_i)^(-beta), gated at beta < 2s."""
-    if coeff <= 0.0:
-        raise ValueError(f"coefficient must be positive, got {coeff}")
-    if not (0.0 <= beta < 2.0 * s):
-        raise ValueError(f"beta must lie in [0, 2s) = [0, {2.0 * s}), got {beta}")
-    return coeff * distance_field(grid) ** (-beta)
+    """Boundary-singular weight K(x_i) = coeff * d(x_i)^(-beta), gated at beta < 2s: `ProblemSpec.k_field`."""
+    return ProblemSpec(s=s, delta=0.0, beta=beta, coeff=coeff).k_field(grid)
 
 
 @dataclass(frozen=True, eq=False)

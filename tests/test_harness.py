@@ -195,6 +195,14 @@ def test_cli_solve_past_the_fold_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_solve_ps_rejects_a_nonpositive_lambda(tmp_path, capsys):
+    # the pure singular solve scales K by lambda, so lambda <= 0 is an error, as for solve-plambda
+    for lam in ("-2", "0"):
+        assert main(["solve-ps", "--lambda", lam, "--n", "64", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda must be positive")
+    assert not (tmp_path / "solution-ps.json").exists()
+
+
 def test_cli_multiplicity(tmp_path):
     code = main(
         ["multiplicity", "--s", "0.4", "--delta", "0.5", "--beta", "0", "--p", "2",

@@ -47,7 +47,8 @@ def test_lambda1_matches_dense_oracle(op192, pure_field):
     oracle = eigh(jac, eigvals_only=True)[0]
     principal = lambda1(0.2, pure_field.values, op192, spec, lin=lin)
     assert principal.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
-    for pair in (smallest_eigenpairs(jac), smallest_eigenpairs(lin.matrix, n=192)):
+    for matrix in (jac, lin.matrix):
+        pair = smallest_eigenpairs(LinearizedOperator(matrix, np.zeros(192)))
         assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
 
 
@@ -265,7 +266,7 @@ def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, c
     jac = _dense_jacobian(p.lam, p.solution, op256_s04, canonical_spec)
     oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 2])
     assert oracle[0] < 0.0 < oracle[1]
-    q, val = smallest_eigenpairs(jac, tol=1e-9), oracle[0]
+    q, val = smallest_eigenpairs(LinearizedOperator(jac, np.zeros(len(jac))), tol=1e-9), oracle[0]
     assert q.value == pytest.approx(val, abs=1e-9 * max(1.0, abs(val)))
     assert np.abs(q.vector).max() == pytest.approx(1.0)
     assert np.abs(jac @ q.vector - q.value * q.vector).max() <= 1e-9
@@ -274,12 +275,12 @@ def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, c
 
 def _forbid_gershgorin_factor(monkeypatch):
     """Make lambda1's fallback, the Gershgorin-shifted Cholesky solve, fail the test if it is built."""
-    import fracfold.linearization as lin_mod
+    import fracfold.operator as op_mod
 
-    def no_fallback(mat):
+    def no_fallback(mat, n=None):
         raise AssertionError("the Gershgorin-shifted solve was built")
 
-    monkeypatch.setattr(lin_mod, "shifted_spd_solver", no_fallback)
+    monkeypatch.setattr(op_mod, "shifted_spd_solver", no_fallback)
 
 
 def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
@@ -344,13 +345,21 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     # each Lanczos run stops once its Ritz pair has converged; runs of a fixed
     # 21 applications take 65 solves per point (21 for lambda1, 2 * 21 + 2 for
     # the monitor and its residual check).  A solve here is one application
-    # of J_e^-1, alone (lambda1) or inside a split solve of J (the monitor).
+    # of J_e^-1, alone (lambda1) or inside a split solve of J (the monitor);
+    # the odd block's solves in the split solves are not counted.
     # The factors stay one per block per point: an indefinite J_e's LU serves
     # lambda1 too, so no Gershgorin factor is built.
-    import fracfold.linearization as lin_mod
     import fracfold.operator as op_mod
 
     calls = {"solve": 0, "factor": 0}
+    odd_blocks = []
+    jacobian = Equation.jacobian
+
+    def recording(self, u, out=None, odd=False):
+        block = jacobian(self, u, out=out, odd=odd)
+        if odd:
+            odd_blocks.append(block)
+        return block
 
     def count(kind, result):
         calls[kind] += 1
@@ -359,12 +368,15 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     def counted_solver(original):
         def build(mat, *args):
             solve = original(mat, *args)
-            return None if solve is None else (lambda x: count("solve", solve(x)))
+            if solve is None or any(mat is block for block in odd_blocks):
+                return solve
+            return lambda x: count("solve", solve(x))
 
         return build
 
+    monkeypatch.setattr(Equation, "jacobian", recording)
     for name in ("spd_solver", "lu_solver"):
-        monkeypatch.setattr(lin_mod, name, counted_solver(getattr(lin_mod, name)))
+        monkeypatch.setattr(op_mod, name, counted_solver(getattr(op_mod, name)))
     for name in ("cho_factor", "lu_factor"):
         original = getattr(op_mod, name)
 

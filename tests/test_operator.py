@@ -1,7 +1,9 @@
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from fracfold import (
 import fracfold.operator as op_mod
 from fracfold.operator import (
     Basis,
+    LinearizedOperator,
     _lanczos_largest,
     dump_triplets,
     fold,
@@ -163,7 +166,7 @@ def test_eigen_principal_pair(op128_s05):
 
 def test_eigen_against_dense_oracle(op256_s04):
     val = eigh(op256_s04.matrix, eigvals_only=True)[0]
-    pair = smallest_eigenpairs(op256_s04.matrix)
+    pair = smallest_eigenpairs(LinearizedOperator(op256_s04.matrix, np.zeros(op256_s04.n)))
     assert pair.value == pytest.approx(val, abs=1e-10 * max(1.0, abs(val)))
 
 
@@ -334,11 +337,29 @@ def test_split_solve_meets_a_singular_odd_block_only_when_it_solves_with_it():
 def test_principal_pair_from_the_even_block(n):
     # phi_1 of A from E^T A E agrees with the pair of A itself, and is even bit for bit
     op = assemble_operator(build_grid(1.0, n), 0.4)
-    block, full = principal_eigenpair(op), smallest_eigenpairs(op.matrix)
+    block, full = principal_eigenpair(op), smallest_eigenpairs(LinearizedOperator(op.matrix, np.zeros(n)))
     assert block.value == pytest.approx(full.value, rel=1e-12)
     assert np.abs(block.vector - full.vector).max() <= 1e-8
     assert is_even(block.vector) and block.vector.shape == (n,)
     assert np.abs(op.matrix @ block.vector - block.value * block.vector).max() <= 1e-8
+
+
+def test_operator_is_freed_by_reference_counting():
+    # A's solve holder keeps A's matrix, not the operator: with the cyclic
+    # collector off, a solve through both blocks and phi_1 leave no cycle
+    # that keeps an operator (and its n x n matrix and factors) alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        op = assemble_operator(build_grid(1.0, 64), 0.4)
+        ref = weakref.ref(op)
+        solve_dirichlet(op, np.linspace(0.0, 1.0, 64))  # not even: the odd block is built and factored
+        principal_eigenpair(op)
+        del op
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (5, 7), (64, 64)])

@@ -8,8 +8,10 @@ dense factorization the ledger does not count.
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import numpy.linalg
@@ -108,6 +110,42 @@ def test_no_sparse_eigensolver():
             else:
                 continue
             assert not any(m.startswith("scipy.sparse") for m in modules), f"{path.name}:{node.lineno}"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only verify's quadrature check needs scipy.integrate, and it imports it
+    # on the call: the CLI's start-up does not pay for it
+    src = str(SOURCE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, fracfold.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _references(tree, names) -> list[tuple[str | None, int]]:
+    """(enclosing top-level definition or None, line) of every name, attribute or import of one of names."""
+    sites = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            found = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                found |= {alias.name for alias in node.names}
+            if found & names:
+                sites.append((getattr(top, "name", None), node.lineno))
+    return sites
+
+
+def test_eigenpairs_have_one_home():
+    # the smallest pair of A (phi_1) and of every linearization (lambda1)
+    # comes from operator.smallest_eigenpairs, the one home of the Perron
+    # test and the Gershgorin fallback; linearization builds no solve itself
+    homes = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, line in _references(ast.parse(path.read_text()), {"_shift_invert_pair", "shifted_spd_solver"}):
+            homes.setdefault((path.name, name), []).append(line)
+    assert list(homes) == [("operator.py", "smallest_eigenpairs")], homes
+    solvers = {"spd_solver", "lu_solver", "split_solver", "shifted_spd_solver", "_shift_invert_pair"}
+    assert _references(ast.parse((SOURCE / "linearization.py").read_text()), solvers) == []
 
 
 def test_linearization_is_built_only_by_branch_points():
