@@ -82,10 +82,11 @@ def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) 
     if uv.min() <= 0.0:
         raise ValueError("linearization requires a strictly positive field")
     eq = Equation.of(op, spec, lam)
-    matrix = eq.jacobian(uv)
+    potential = eq.potential(uv)  # one evaluation for both blocks
+    matrix = eq.jacobian(uv, potential=potential)
     if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
         raise ValueError("linearized potential is not finite")
-    odd = partial(eq.jacobian, uv, odd=True) if len(matrix) < op.n else None
+    odd = partial(eq.jacobian, uv, odd=True, potential=potential) if len(matrix) < op.n else None
     return LinearizedOperator(matrix=matrix, fprime=lam * spec.nonlinearity.fprime(uv), odd=odd)
 
 

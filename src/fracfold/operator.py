@@ -28,7 +28,10 @@ computable and removes the dominant boundary-layer error of nodal schemes
 
 The corrected matrix stays symmetric with positive diagonal, negative
 off-diagonals, and positive row sums: an M-matrix, so the discrete comparison
-principle holds.
+principle holds.  Assembly checks all of it and allocates one n x n array, A
+itself: A = toeplitz(col) + diag(delta), so symmetry, A = RAR and the sign
+pattern are read from the scaled column col and the diagonal in O(n), and
+only the row sums read A (`_check_structure`).
 
 The grid is symmetric about 0 bit for bit, and so is A: with R the reversal
 of the nodes, A = RAR exactly (`toeplitz` is, and the wall correction is
@@ -42,10 +45,11 @@ block J_e = E^T J E = E^T A E + diag(E^T p), and on odd ones as J_o = E_o^T J
 E_o; for any x, J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x.  This module
 is the one home of that fold and unfold (`fold`, `unfold`, `Basis`), of the
 bitwise test that picks the even path for Newton (`is_even`), and of the
-cached blocks of A.  Every solve on n-node vectors with A, or with a J that
-commutes with R, is the split solve (`split_solver`), which factors J_o only
-once a right-hand side has an odd part; only an asymmetric Jacobian (an
-asymmetric forcing, a random start) is factored at order n.
+cached blocks of A, each folded from one quarter of A into one array of its
+own order (`_fold_matrix`).  Every solve on n-node vectors with A, or with a
+J that commutes with R, is the split solve (`split_solver`), which factors
+J_o only once a right-hand side has an odd part; only an asymmetric Jacobian
+(an asymmetric forcing, a random start) is factored at order n.
 
 This is the one module that calls a dense kernel: a factorization or a
 matrix-vector product.  Every product of a matrix with a vector is `matvec`,
@@ -203,14 +207,27 @@ def unfold(y: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
 
 
 def _fold_matrix(mat: np.ndarray, odd: bool = False) -> np.ndarray:
-    """E^T mat E (E_o^T mat E_o with odd=True), folding the rows and then the columns.
+    """E^T mat E (E_o^T mat E_o with odd=True) from the top-left quarter of mat and its mirror, as one k x k array.
 
-    For a symmetric mat with mat = R mat R bit for bit, as A is, the entry
-    (i, j) is computed as (a + b) + (b + a) (as (a - b) - (b - a) for E_o),
-    with a = a_ij and b = a_i,n-1-j, and so is the entry (j, i): the block
-    is symmetric bit for bit.
+    For mat = R mat R bit for bit, as A is, the four-term fold (rows, then
+    columns) gives entry (i, j), i, j < n//2, as (a + b) + (b + a) (as (a -
+    b) - (b - a) for E_o), with a = a_ij and b = a_i,n-1-j: that is 2 fl(a
+    + b) (2 fl(a - b)) exactly, so it is written as a + b once and then
+    doubled in place.  The centre row and column of an odd n enter E once,
+    not twice: its row is a_hj + a_h,n-1-j and its column a_ih + a_ih, left
+    undoubled, and the centre corner is a_hh itself.  Every entry has the
+    bits of the four-term fold; for a symmetric mat the block is symmetric
+    bit for bit.
     """
-    return np.ascontiguousarray(fold(fold(mat, odd).T, odd).T)
+    n = len(mat)
+    h = n // 2
+    k = h if odd else n - h
+    mirror = mat[:k, ::-1][:, :k]
+    out = mat[:k, :k] - mirror if odd else mat[:k, :k] + mirror
+    out[:h, :h] += out[:h, :h]
+    if k > h:
+        out[h, h] = mat[h, h]
+    return out
 
 
 @dataclass(frozen=True)
@@ -300,7 +317,7 @@ def _wall_correction(grid: Grid, s: float, mat: np.ndarray) -> np.ndarray:
 
 
 def assemble_operator(grid: Grid, s: float) -> NonlocalOperator:
-    """Assemble the dense n x n operator matrix for fractional order s in (0,1)."""
+    """Assemble the dense n x n operator matrix for fractional order s in (0,1): the one n x n array it allocates."""
     if not (0.0 < s < 1.0):
         raise GridError(f"fractional order must lie in (0,1), got {s}")
     sigma = 2.0 * s
@@ -308,28 +325,41 @@ def assemble_operator(grid: Grid, s: float) -> NonlocalOperator:
     w = _hat_weights(n, h, sigma)
     diag = 2.0 / ((2.0 - sigma) * h ** sigma) + 2.0 / (sigma * h ** sigma)
     col = np.concatenate(([diag], -w))
+    col *= 2.0 * normalization_constant(s)
     mat = toeplitz(col)
-    mat *= 2.0 * normalization_constant(s)
-    mat[np.diag_indices(n)] += _wall_correction(grid, s, mat)
+    delta = _wall_correction(grid, s, mat)
+    mat[np.diag_indices(n)] += delta
     op = NonlocalOperator(grid=grid, s=float(s), matrix=mat)
-    _check_structure(op)
+    _check_structure(op, col, delta)
     return op
 
 
-def _check_structure(op: NonlocalOperator) -> None:
-    """Symmetry, the M-matrix sign pattern, positive row sums and A = RAR, with one n x n temporary at a time."""
+def _check_structure(op: NonlocalOperator, col: np.ndarray, delta: np.ndarray) -> None:
+    """Symmetry, the M-matrix sign pattern, positive row sums and A = RAR, with no n x n temporary.
+
+    A = toeplitz(col) + diag(delta): its entry (i, j) off the diagonal is
+    col_|i-j| and its diagonal is col_0 + delta.  The diagonal and first
+    row are compared with that bit for bit; the construction then gives
+    the rest.  A Toeplitz matrix with equal first row and column is
+    symmetric, and it commutes with the reversal R (|(n-1-i) - (n-1-j)| =
+    |i-j|); diag(delta) commutes with R exactly when delta is even.  So A =
+    A^T and A = RAR bit for bit, without comparing n^2 entries.  The sign
+    pattern reads the same values: the off-diagonals are col[1:] and the
+    diagonal col_0 + delta, against the largest magnitude among them (the
+    largest of A).  The row sums are the one check that reads all of A:
+    one pass with an n-vector result.
+    """
     mat = op.matrix
-    scale = max(mat.max(), -mat.min())
-    asym = mat - mat.T
-    if np.abs(asym, out=asym).max() > SIGN_SLACK * scale:
+    diagonal = np.diagonal(mat)
+    off = col[1:]
+    if not (np.array_equal(diagonal, col[0] + delta) and np.array_equal(mat[0, 1:], off)):
         raise AssemblyError("assembled operator is not symmetric")
-    del asym
-    # mat is symmetric, so its strict upper triangle holds every off-diagonal value (triu zeros the rest)
-    if np.diag(mat).min() <= 0.0 or np.triu(mat, 1).max() > SIGN_SLACK * scale:
+    scale = max(diagonal.max(), off.max(), -diagonal.min(), -off.min())
+    if diagonal.min() <= 0.0 or off.max() > SIGN_SLACK * scale:
         raise AssemblyError("assembled operator violates the M-matrix sign pattern")
     if mat.sum(axis=1).min() <= 0.0:
         raise AssemblyError("assembled operator has a nonpositive row sum")
-    if not is_even(mat):
+    if not is_even(delta):
         raise AssemblyError("assembled operator does not commute with the reflection of the grid")
 
 

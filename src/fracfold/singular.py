@@ -139,7 +139,9 @@ class Equation:
         """E's columns when u, k, rhs and any further data are even, else the nodes (see `jacobian`)."""
         return basis_for(len(u), u, self.k, self.rhs, *data)
 
-    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False) -> np.ndarray:
+    def jacobian(
+        self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False, potential: np.ndarray | None = None
+    ) -> np.ndarray:
         """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array.
 
         The even block is E^T J E = E^T A E + diag(E^T potential), of order
@@ -150,9 +152,11 @@ class Equation:
         reflection and is the sum of its blocks), else J itself; with `out`
         its order does.  The matrix (A or its cached block) is copied into
         the target and the potential added to its diagonal, which gives the
-        bits of the sum without a temporary of the matrix's size.
+        bits of the sum without a temporary of the matrix's size.  Pass
+        `potential`, the potential at u, to write a second block at the same u
+        without computing it again.
         """
-        pot = self.potential(u)
+        pot = self.potential(u) if potential is None else potential
         if odd or (self.basis(u).even if out is None else len(out) < len(u)):
             base = self.op.odd_block if odd else self.op.even_block
             pot = fold(pot)[: len(base)]

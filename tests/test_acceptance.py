@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from fracfold import continuation, singular, verify
+from fracfold.operator import NonlocalOperator
 from fracfold.verify import (
     check_asymptotic,
     check_branch,
@@ -47,6 +48,24 @@ def test_criterion_01_discretization_oracle(accept_cfg, accept_cache):
 
 def test_criterion_02_mmatrix_comparison(accept_cfg, accept_cache):
     _run(check_comparison, accept_cfg, accept_cache)
+
+
+def test_criterion_02_mmatrix_rejects_a_planted_positive_pair(accept_cfg, accept_cache):
+    # the dense record is the independent check of the sign pattern that
+    # assembly derives from its construction: an operator with one positive
+    # symmetric off-diagonal pair (and its mirror, so A = RAR still holds and
+    # its blocks stay exact) must fail its record, and only that one
+    real = accept_cache.operator(1.0, 128, 0.4)
+    mat = real.matrix.copy()
+    n, i, j = 128, 10, 40
+    for a, b in ((i, j), (n - 1 - i, n - 1 - j)):
+        mat[a, b] = mat[b, a] = -mat[a, b]
+    cache = _Cache(accept_cache)
+    cache[("op", 1.0, 128, 0.4)] = NonlocalOperator(real.grid, real.s, mat)
+    records = {r.name: r for r in check_comparison(accept_cfg, cache)}
+    assert len(records) == 8
+    for name, record in records.items():
+        assert record.passed is (name != "mmatrix-s0.4-n128"), record
 
 
 def test_criterion_03_scaling_identity(accept_cfg, accept_cache):

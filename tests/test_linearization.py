@@ -327,9 +327,9 @@ def test_lambda1_alone_builds_no_odd_block(monkeypatch, folded_branch, op256_s04
     calls = []
     original = Equation.jacobian
 
-    def recording(self, u, out=None, odd=False):
+    def recording(self, u, out=None, odd=False, **kwargs):
         calls.append(odd)
-        return original(self, u, out=out, odd=odd)
+        return original(self, u, out=out, odd=odd, **kwargs)
 
     monkeypatch.setattr(Equation, "jacobian", recording)
     for p in (_rounded(folded_branch, "minimal")[-1], _rounded(folded_branch, "upper")[-1]):
@@ -339,6 +339,25 @@ def test_lambda1_alone_builds_no_odd_block(monkeypatch, folded_branch, op256_s04
         assert calls == [False]
         fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
         assert calls == [False, True]
+
+
+def test_linearization_computes_the_potential_once(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # J_e and J_o share one potential: building the linearization at an even
+    # point and reading the monitor, which builds J_o, evaluates it once
+    p = _rounded(folded_branch, "minimal")[-1]
+    monitor = p.monitor
+    calls = []
+    original = Equation.potential
+
+    def counted(self, u):
+        calls.append(1)
+        return original(self, u)
+
+    monkeypatch.setattr(Equation, "potential", counted)
+    lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
+    assert lin.odd is not None
+    assert fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin) == monitor
+    assert len(calls) == 1
 
 
 def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):
@@ -355,8 +374,8 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     odd_blocks = []
     jacobian = Equation.jacobian
 
-    def recording(self, u, out=None, odd=False):
-        block = jacobian(self, u, out=out, odd=odd)
+    def recording(self, u, out=None, odd=False, **kwargs):
+        block = jacobian(self, u, out=out, odd=odd, **kwargs)
         if odd:
             odd_blocks.append(block)
         return block

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.linalg import eigh
 from scipy.special import gamma
 
 from fracfold import (
+    AssemblyError,
     ConvergenceError,
     GridError,
     assemble_operator,
@@ -430,3 +432,102 @@ def test_solves_leave_numpys_thread_pool_idle():
     if out.stdout.strip() == "skip":
         pytest.skip("numpy has no OpenBLAS thread pool of its own here")
     assert float(out.stdout) <= 0.02
+
+
+def _planted_diagonal(monkeypatch, change):
+    """Patch the wall correction so that change(delta, mat) rewrites the diagonal it returns."""
+    original = op_mod._wall_correction
+
+    def planted(grid, s, mat):
+        delta = original(grid, s, mat)
+        change(delta, mat)
+        return delta
+
+    monkeypatch.setattr(op_mod, "_wall_correction", planted)
+
+
+def _set_wall_pair(delta, diagonal):
+    """Give both wall nodes the same correction, so that the diagonal stays mirrored."""
+    delta[0] = delta[-1] = diagonal
+
+
+def test_assembly_rejects_a_negative_weight(monkeypatch):
+    # one negative kernel weight puts a positive value on the two off-diagonals at its offset
+    original = op_mod._hat_weights
+
+    def planted(n, h, sigma):
+        w = original(n, h, sigma)
+        w[5] = -w[5]
+        return w
+
+    monkeypatch.setattr(op_mod, "_hat_weights", planted)
+    with pytest.raises(AssemblyError, match="M-matrix sign pattern"):
+        assemble_operator(build_grid(1.0, 64), 0.4)
+
+
+def test_assembly_rejects_an_unmirrored_wall_correction(monkeypatch):
+    # a larger diagonal at the left wall alone keeps A symmetric and an M-matrix, but not A = RAR
+    def change(delta, mat):
+        delta[0] += 0.01 * mat[0, 0]
+
+    _planted_diagonal(monkeypatch, change)
+    with pytest.raises(AssemblyError, match="reflection of the grid"):
+        assemble_operator(build_grid(1.0, 64), 0.4)
+
+
+def test_assembly_rejects_a_nonpositive_diagonal(monkeypatch):
+    # a zero diagonal at both walls keeps A symmetric and A = RAR
+    _planted_diagonal(monkeypatch, lambda delta, mat: _set_wall_pair(delta, -mat[0, 0]))
+    with pytest.raises(AssemblyError, match="M-matrix sign pattern"):
+        assemble_operator(build_grid(1.0, 64), 0.4)
+
+
+def test_assembly_rejects_a_nonpositive_row_sum(monkeypatch):
+    # the wall rows' diagonal stays positive but at half their off-diagonal mass
+    def change(delta, mat):
+        off = mat[0, 1:].sum()
+        _set_wall_pair(delta, -0.5 * off - mat[0, 0])
+
+    _planted_diagonal(monkeypatch, change)
+    with pytest.raises(AssemblyError, match="nonpositive row sum"):
+        assemble_operator(build_grid(1.0, 64), 0.4)
+
+
+def _dense_fold(mat, odd):
+    """The four-term fold E^T mat E (E_o^T mat E_o): the rows, then the columns."""
+    return fold(fold(mat, odd).T, odd).T
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(0.01, 0.99), n=st.integers(8, 400), half_width=st.floats(0.25, 4.0))
+@example(s=0.01, n=8, half_width=0.25)
+@example(s=0.02, n=9, half_width=4.0)
+@example(s=0.98, n=400, half_width=0.25)
+@example(s=0.99, n=399, half_width=4.0)
+def test_assembly_structure_across_parameters(s, n, half_width):
+    # the dense oracle of every property the assembly check derives from the
+    # construction, and both blocks against the four-term fold, bit for bit
+    op = assemble_operator(build_grid(half_width, n), s)
+    mat = op.matrix
+    assert np.array_equal(mat, mat.T) and np.array_equal(mat, mat[::-1, ::-1])
+    assert _sign_pattern(mat)
+    for block, odd in ((op.even_block, False), (op.odd_block, True)):
+        assert block.tobytes() == np.ascontiguousarray(_dense_fold(mat, odd)).tobytes()
+
+
+def test_assembly_allocates_one_matrix():
+    # assembly and its check hold one n x n array (A), and the odd block one
+    # of its own order: no temporary of either size
+    n = 1024
+    grid = build_grid(1.0, n)
+    tracemalloc.start()
+    try:
+        op = assemble_operator(grid, 0.4)
+        assert tracemalloc.get_traced_memory()[1] <= 1.1 * 8 * n * n
+        op.lin  # the even block and the odd block's builder
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        block = op.odd_block
+        assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * block.nbytes
+    finally:
+        tracemalloc.stop()
