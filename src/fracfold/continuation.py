@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
-from .operator import EigenPair, NonlocalOperator, lu_solver, matvec, principal_eigenpair
+from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair
 from .problem import ProblemSpec
 from .singular import DEFAULT_TOL, Equation, SolutionField, damped_newton, solve_min
 
@@ -263,16 +263,19 @@ def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float
     When u, row and the equation's data are even, M maps (E y, lam) to even
     residuals, and the LU is of its even form [[J_e, E^T G_lam], [E^T row,
     corner]], of order ceil(n/2) + 1: the solve folds the first n entries of
-    x and unfolds those of the solution (`operator.Basis`).
+    x and unfolds those of the solution (`operator.Basis`).  M is not
+    symmetric, so it is filled in column-major order, where LAPACK factors it
+    in place: its J block is written row by row into the transpose view of
+    that block, which holds J since J is symmetric.
     """
     basis = at.basis(u, row)
     k = basis.order
-    mat = np.empty((k + 1, k + 1))  # filled in place: np.block takes 20 times as long at n = 256
-    at.jacobian(u, out=mat[:k, :k])
+    mat = np.empty((k + 1, k + 1), order="F")  # filled in place: np.block takes 20 times as long at n = 256
+    at.jacobian(u, out=mat[:k, :k].T)
     mat[:k, k] = basis.fold(at.d_dlam(u))
     mat[k, :k] = basis.fold(row)
     mat[k, k] = corner
-    return basis.lift(lu_solver(mat))
+    return basis.lift(lu_solver(mat, overwrite=True))
 
 
 def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
@@ -301,7 +304,8 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
 
     def residual(z):
         u, phi, at = parts(z)
-        return np.concatenate([at.residual(u), matvec(op.matrix, phi) + at.potential(u) * phi, [l @ phi - 1.0]])
+        a_phi = op.apply(phi, at.basis(u, phi).even)
+        return np.concatenate([at.residual(u), a_phi + at.potential(u) * phi, [l @ phi - 1.0]])
 
     def bound(z):
         u, phi, at = parts(z)

@@ -76,13 +76,19 @@ __all__ = [
 MONITOR_RTOL = 1e-8
 
 
-def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
-    """A + diag(lam delta K u^(-delta-1) - lam f'(u)) around a positive field, on its blocks when the field is even."""
+def linearized_operator(
+    lam: float, u, op: NonlocalOperator, spec: ProblemSpec, potential: np.ndarray | None = None
+) -> LinearizedOperator:
+    """A + diag(lam delta K u^(-delta-1) - lam f'(u)) around a positive field, on its blocks when the field is even.
+
+    Pass `potential`, the potential at (lam, u), to reuse one computed already.
+    """
     uv = _field_values(u)
     if uv.min() <= 0.0:
         raise ValueError("linearization requires a strictly positive field")
     eq = Equation.of(op, spec, lam)
-    potential = eq.potential(uv)  # one evaluation for both blocks
+    if potential is None:
+        potential = eq.potential(uv)  # one evaluation for both blocks
     matrix = eq.jacobian(uv, potential=potential)
     if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
         raise ValueError("linearized potential is not finite")
@@ -142,10 +148,11 @@ def sensitivity_bundle(
     if u is None:
         u = solve_A(lam, np.asarray(h, dtype=float), op, spec, tol=tol)
     spec = replace(spec, nonlinearity=no_nonlinearity())  # P = G_u is the linearization without f
-    uv, eq, p = _field_values(u), Equation.of(op, spec, lam), linearized_operator(lam, u, op, spec)
+    uv, eq = _field_values(u), Equation.of(op, spec, lam)
+    potential = eq.potential(uv)
+    p = linearized_operator(lam, u, op, spec, potential=potential)
     g_uu = eq.d_potential(uv)
     g_ulam = replace(eq, lam=1.0).potential(uv)
-    potential = eq.potential(uv)
 
     def apply(x):  # P x on the nodes, whatever basis p is in
         return matvec(op.matrix, x) + potential * x

@@ -55,6 +55,16 @@ This is the one module that calls a dense kernel: a factorization or a
 matrix-vector product.  Every product of a matrix with a vector is `matvec`,
 BLAS gemv from scipy, so all dense work runs in the one OpenBLAS that also
 factors and solves; numpy's own OpenBLAS, and its thread pool, stay idle.
+An even field's product with A, as in every even Newton residual, is
+`NonlocalOperator.apply`: from the even block, a quarter of A's bytes.
+LAPACK reads column-major input, and f2py hands it a C-ordered array only
+through a transposing copy; so every matrix reaches cho_factor and
+lu_factor in column-major order.  A symmetric matrix (A, its blocks, every
+J and J_e) goes in as its transpose view, which holds its bits; the one
+that is not, the bordered matrix of `continuation`, is allocated F-ordered.
+Scratch matrices (Newton's fresh Jacobian, the bordered matrix) are
+factored in place; one that is kept (a holder's `matrix`, A's cached
+blocks, a J_o whose Cholesky an LU may follow) is copied once, contiguously.
 It hands out solves x -> M^-1 x, never factors: `spd_solver` (Cholesky),
 `lu_solver` (LU with partial pivoting), `shifted_spd_solver` (Cholesky
 below the Gershgorin discs) and `split_solver` (both blocks of a
@@ -173,6 +183,19 @@ class NonlocalOperator:
         holds no reference to itself and is freed by reference counting.
         """
         return LinearizedOperator(self.even_block, np.zeros(self.n), cache(partial(_fold_matrix, self.matrix, odd=True)))
+
+    def apply(self, x: np.ndarray, even: bool) -> np.ndarray:
+        """A x; with even=True (x even, as its `Basis` says) E D^-1 A_e y from the even block, y = x[:ceil(n/2)].
+
+        A x is then even and E^T A x = A_e y, which is D = diag(E^T E)
+        (`_mass`) times its first k values; so the product reads a quarter of
+        A's bytes, equals the n x n one in exact arithmetic and is even bit
+        for bit.  Otherwise it is the n x n product.
+        """
+        if not even:
+            return matvec(self.matrix, x)
+        k = (self.n + 1) // 2
+        return unfold(matvec(self.even_block, x[:k]) / _mass(k, self.n), self.n)
 
 
 def is_even(x) -> bool:
@@ -421,29 +444,42 @@ def _mass(k: int, n: int | None) -> np.ndarray:
     return np.ones(k) if n in (None, k) else fold(np.ones(n))
 
 
-def spd_solver(mat: np.ndarray, n: int | None = None):
-    """x -> mat^-1 x by one Cholesky factor, or None when mat is not positive definite.
+def spd_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False):
+    """x -> mat^-1 x by one Cholesky factor of symmetric mat, or None when it is not finite or not positive definite.
 
     A negative Rayleigh quotient on the sine profile already proves that
     (as on most of the upper branch) and saves the failing factorization.
-    For a block of an n x n matrix (order k < n) the probe is the first k
-    values of the n-node profile, so it gives the full matrix's quotient.
+    The profile is positive, so a NaN or infinite entry makes the quotient
+    NaN or infinite: that one test also rejects a non-finite mat, and LAPACK
+    is called unchecked.  For a block of an n x n matrix (order k < n) the
+    probe is the first k values of the n-node profile, so it gives the full
+    matrix's quotient.  LAPACK is handed mat's column-major form: mat when
+    F-ordered, else its transpose view, which for a symmetric mat holds the
+    same bits.  With overwrite=True mat is scratch and is factored in place;
+    otherwise it is copied once, contiguously, and left as it was.
     """
     k = mat.shape[0]
+    col = mat if mat.flags.f_contiguous else mat.T
     probe = _sine_profile(n or k)[:k]
-    if probe @ matvec(mat, probe) < 0.0:
+    if not 0.0 <= probe @ matvec(col.T, probe) < np.inf:  # False for a NaN quotient too
         return None
     try:
-        return _trsv_pair(cho_factor(mat, lower=True)[0])
+        return _trsv_pair(cho_factor(col, lower=True, overwrite_a=overwrite, check_finite=False)[0])
     except np.linalg.LinAlgError:
         return None
 
 
-def lu_solver(mat: np.ndarray):
-    """x -> mat^-1 x by one LU with partial pivoting, or None when mat is not finite or exactly singular."""
+def lu_solver(mat: np.ndarray, overwrite: bool = False):
+    """x -> mat^-1 x by one LU with partial pivoting, or None when mat is not finite or exactly singular.
+
+    LAPACK factors mat as it is given: an F-ordered mat with no copy (in
+    place with overwrite=True), a C-ordered one through f2py's transposing
+    copy.  So a caller holding a symmetric C-ordered mat hands over mat.T,
+    the same matrix in column-major order.
+    """
     if not np.all(np.isfinite(mat)):
         return None
-    lu = lu_factor(mat, check_finite=False)
+    lu = lu_factor(mat, overwrite_a=overwrite, check_finite=False)
     return partial(lu_solve, lu, check_finite=False) if np.all(np.diag(lu[0])) else None
 
 
@@ -454,13 +490,14 @@ def shifted_spd_solver(mat: np.ndarray, n: int | None = None):
     n) the diagonal of E^T E, so that mu lies below the spectrum of the
     generalized problem mat y = mu D y (see `_shift_invert_pair`).  g is the
     lowest left end of the discs.  The shift is taken off the diagonal of
-    one Fortran-ordered copy, which LAPACK then factors in place; mat is
-    left as it was.
+    one contiguous copy of the symmetric mat's transpose view (its
+    column-major form), which LAPACK then factors in place; mat is left as
+    it was.
     """
     mass = _mass(mat.shape[0], n)
     d = np.diag(mat)
     shift = min(float(np.min((d - (np.abs(mat).sum(axis=1) - np.abs(d))) / mass)), 0.0) - 1.0
-    shifted = np.array(mat, order="F")
+    shifted = mat.T.copy(order="F")
     shifted[np.diag_indices_from(shifted)] -= shift * mass
     return _trsv_pair(cho_factor(shifted, lower=True, overwrite_a=True)[0])
 
@@ -481,8 +518,8 @@ def split_solver(even, odd, n: int):
 
     @cache
     def odd_solve():
-        block = odd()
-        return spd_solver(block, n) or lu_solver(block)
+        block = odd()  # copied by the Cholesky, since an LU may follow it
+        return spd_solver(block, n) or lu_solver(block.T)
 
     def solve(x):
         y = unfold(even(fold(x)), n)
@@ -522,7 +559,7 @@ class LinearizedOperator:
     @cached_property
     def block_solve(self):
         """x -> matrix^-1 x by its Cholesky or else LU factor, or None when it is exactly singular."""
-        return self.cholesky or lu_solver(self.matrix)
+        return self.cholesky or lu_solver(self.matrix.T)  # symmetric: .T is its column-major form
 
     @cached_property
     def solve(self):

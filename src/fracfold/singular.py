@@ -23,9 +23,11 @@ warm-start hints, the torsion bracket of an even forcing) is even.  When the
 start, k and rhs are all even, `Equation.jacobian` writes only the even
 block J_e = E^T J E of order ceil(n/2) and `Equation.solve` steps by E
 J_e^-1 E^T (-r): an exact Newton step, since J maps even fields to even
-fields, and every iterate stays even bit for bit.  So `damped_newton` and
-the residuals are the same on either path; only asymmetric data (a forcing
-that is not even, a random start) factor the n x n Jacobian.
+fields, and every iterate stays even bit for bit.  The residual there takes
+A u from A's even block too (`NonlocalOperator.apply`): a quarter of A's
+bytes, and a residual even bit for bit.  So `damped_newton` is the same on
+either path; only asymmetric data (a forcing that is not even, a random
+start) factor the n x n Jacobian and multiply by the n x n A.
 
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
@@ -119,7 +121,8 @@ class Equation:
         return self.k * u ** (-self.delta) + self.nonlinearity.f(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return matvec(self.op.matrix, u) - self.lam * self._source(u) - self.rhs
+        """G(u); at an even u with even data A u comes from A's even block (`NonlocalOperator.apply`)."""
+        return self.op.apply(u, self.basis(u).even) - self.lam * self._source(u) - self.rhs
 
     def scale(self, u: np.ndarray) -> float:
         """1 + sup of the nonlinear and forcing terms: Newton stops at residual <= tol * scale."""
@@ -174,8 +177,10 @@ class Equation:
     def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
         """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
 
-        factor(jac) is operator.spd_solver or operator.lu_solver: a solve
-        with the Jacobian, or None when its factorization rejects it.  At an
+        factor(jac, overwrite=True) is operator.spd_solver or
+        operator.lu_solver: a solve with the Jacobian, or None when its
+        factorization rejects it.  It gets the fresh Jacobian as its
+        transpose view (J is symmetric) and factors it in place.  At an
         even u with even data it factors the even block and the step is
         E J_e^-1 E^T (-r), so every iterate stays even bit for bit.
         damped_newton keeps one such solve for the run and reuses it by its
@@ -184,8 +189,8 @@ class Equation:
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
 
-        def factored(u):
-            return self.basis(u).lift(factor(self.jacobian(u)))
+        def factored(u):  # J is symmetric: its transpose view is J in column-major order, and scratch
+            return self.basis(u).lift(factor(self.jacobian(u).T, overwrite=True))
 
         u, r, b = damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factored, _floored, maxit, 40)
         res = float(_sup_norm(r))

@@ -8,9 +8,11 @@ shared with the CLI's `verify` subcommand.
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fracfold import continuation, singular, verify
+from fracfold.continuation import ProbeResult
 from fracfold.operator import NonlocalOperator
 from fracfold.verify import (
     check_asymptotic,
@@ -150,6 +152,34 @@ def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cach
         assert records[name].passed is (passes or factor < 1.0), records[name]
 
 
+def _with_lambda1(point, value):
+    """A copy of point whose cached stability reads lambda1 = value (eigenvector and monitor kept)."""
+    pair, monitor = point._stability
+    copy = replace(point)
+    copy.__dict__["_stability"] = (replace(pair, value=value), monitor)
+    return copy
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_criterion_07_lambda1_rejects_a_planted_rising_tail(accept_cfg, accept_cache, planted):
+    # the folded n=512 branch with the lambda1 of its last four minimal
+    # points reversed, so they rise toward the fold: branch-lambda1-n512 must
+    # fail, and only it; unplanted, every record passes
+    branch = verify._folded(accept_cache, 512, accept_cfg.newton_tol)
+    tail = branch.minimal_points()[-4:]
+    rising = sorted(p.lambda1 for p in tail)
+    assert [p.lambda1 for p in tail] == rising[::-1]
+    if planted:
+        swap = {id(p): _with_lambda1(p, value) for p, value in zip(tail, rising)}
+        branch = replace(branch, points=[swap.get(id(p), p) for p in branch.points])
+    cache = _Cache(accept_cache)
+    cache[("folded", 512)] = branch
+    records = {r.name: r for r in check_branch(accept_cfg, cache)}
+    assert len(records) == 6
+    for name, record in records.items():
+        assert record.passed is (not planted or name != "branch-lambda1-n512"), record
+
+
 def test_criterion_08_fold_bending(accept_cfg, accept_cache):
     _run(check_fold, accept_cfg, accept_cache)
 
@@ -216,6 +246,25 @@ def test_criterion_09_multiplicity_records_a_missing_second_solution(monkeypatch
 
 def test_criterion_10_asymptotic_bifurcation(accept_cfg, accept_cache):
     _run(check_asymptotic, accept_cfg, accept_cache)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_criterion_10_asymptotic_rejects_a_bounded_upper_segment(monkeypatch, accept_cfg, accept_cache, planted):
+    # the probe returns the upper segment it is given, unextended: bounded in
+    # sup norm and in lam at whatever budget, so neither the growth nor the
+    # decreasing lam infimum holds and both asymptotic-* records must fail;
+    # unplanted, both pass
+    def bounded(branch, *args, **kwargs):
+        upper = branch.upper_points()
+        table = np.array([[p.lam, p.sup_norm] for p in upper])
+        return ProbeResult(lambda_a=float(table[:, 0].min()), table=table, branch=branch)
+
+    if planted:
+        monkeypatch.setattr(verify, "asymptotic_bifurcation_probe", bounded)
+    records = check_asymptotic(accept_cfg, accept_cache)
+    assert [r.name for r in records] == ["asymptotic-growth", "asymptotic-extends"]
+    for r in records:
+        assert r.passed is not planted, r
 
 
 def test_criterion_11_sensitivity_derivatives(accept_cfg, accept_cache):

@@ -76,9 +76,9 @@ def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache,
     traced = _traced(accept_cache, n, tol)
     sizes = []
 
-    def counted(jac):
+    def counted(jac, **kwargs):
         sizes.append(len(jac))
-        return lu_solver(jac)
+        return lu_solver(jac, **kwargs)
 
     monkeypatch.setattr(fracfold.continuation, "lu_solver", counted)
     op = accept_cache.operator(1.0, n, canonical_spec.s)

@@ -181,6 +181,24 @@ def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
     assert calls == [(96, 96)]
 
 
+def test_bundle_computes_the_potential_once(monkeypatch, op192):
+    # the potential at (lam, u) serves both P's linearization and its
+    # residual checks; the one other call is G_ulam, the potential at lam = 1
+    spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
+    h = np.full(192, 0.4)
+    base = solve_A(0.3, h, op192, spec)
+    lams = []
+    original = Equation.potential
+
+    def counted(self, u):
+        lams.append(self.lam)
+        return original(self, u)
+
+    monkeypatch.setattr(Equation, "potential", counted)
+    sensitivity_bundle(0.3, h, op192, spec, u=base)
+    assert sorted(lams) == [0.3, 1.0]
+
+
 def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec, rng):
     # on an indefinite upper-branch J the shift comes off the diagonal of one
     # copy: the solve equals the trsv pair on the factor of J - mu I formed in

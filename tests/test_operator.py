@@ -18,18 +18,22 @@ from fracfold import (
     AssemblyError,
     ConvergenceError,
     GridError,
+    ProblemSpec,
     assemble_operator,
     build_grid,
     solve_dirichlet,
+    solve_pure_singular,
 )
 import fracfold.operator as op_mod
 from fracfold.operator import (
     Basis,
     LinearizedOperator,
+    _fold_matrix,
     _lanczos_largest,
     dump_triplets,
     fold,
     is_even,
+    lu_solver,
     matvec,
     normalization_constant,
     principal_eigenpair,
@@ -38,6 +42,9 @@ from fracfold.operator import (
     split_solver,
     unfold,
 )
+from fracfold.config import RunConfig
+from fracfold.continuation import FoldPolicy, TracePolicy, fold_round, trace_minimal
+from fracfold.singular import Equation
 
 
 def test_grid_partition_arithmetic():
@@ -531,3 +538,95 @@ def test_assembly_allocates_one_matrix():
         assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * block.nbytes
     finally:
         tracemalloc.stop()
+
+
+def _factor_calls(monkeypatch):
+    """[kernel, matrix argument, overwrite_a, factor (None when it failed)] of every factorization in `operator`."""
+    calls = []
+    for name in ("cho_factor", "lu_factor"):
+        original = getattr(op_mod, name)
+
+        def recorded(mat, *args, _original=original, _name=name, **kwargs):
+            calls.append([_name, mat, kwargs.get("overwrite_a", False), None])
+            result = _original(mat, *args, **kwargs)
+            calls[-1][3] = result[0]
+            return result
+
+        monkeypatch.setattr(op_mod, name, recorded)
+    return calls
+
+
+def test_every_factored_matrix_is_column_major(monkeypatch):
+    # LAPACK gets every matrix in column-major order, so f2py makes no
+    # transposing copy: a scratch matrix is factored in place, a kept one on
+    # a copy; the branch, its rounding and every point's lambda1 and monitor
+    # meet both kernels, the bordered LU among them
+    spec = RunConfig().problem_spec()
+    op = assemble_operator(build_grid(1.0, 128), spec.s)
+    calls = _factor_calls(monkeypatch)
+    branch = fold_round(trace_minimal(spec, op, TracePolicy()), op, spec, FoldPolicy(steps=2))
+    for p in branch.points:
+        assert np.isfinite(p.monitor)
+    assert {kernel for kernel, *_ in calls} == {"cho_factor", "lu_factor"}
+    assert 65 in {len(mat) for kernel, mat, *_ in calls if kernel == "lu_factor"}  # the bordered matrix
+    assert all(mat.flags.f_contiguous for _, mat, _, _ in calls)
+    for _, mat, overwrite, factor in calls:
+        assert factor is None or np.shares_memory(factor, mat) is overwrite
+
+
+def test_newton_factors_its_jacobian_in_place(monkeypatch):
+    # each Newton Cholesky overwrites the fresh Jacobian; the one of A's
+    # cached even block (for phi_1) works on a copy and leaves the block
+    op = assemble_operator(build_grid(1.0, 256), 0.4)
+    jacobians = []
+    original = Equation.jacobian
+
+    def recording(self, u, *args, **kwargs):
+        jacobians.append(original(self, u, *args, **kwargs))
+        return jacobians[-1]
+
+    monkeypatch.setattr(Equation, "jacobian", recording)
+    calls = _factor_calls(monkeypatch)
+    solve_pure_singular(ProblemSpec(s=0.4, delta=0.5), op)
+    assert all(mat.flags.f_contiguous for _, mat, _, _ in calls)
+    newton = [(mat, factor) for _, mat, _, factor in calls if any(np.shares_memory(mat, j) for j in jacobians)]
+    assert len(newton) == len(jacobians) >= 2
+    assert all(np.shares_memory(factor, mat) for mat, factor in newton)
+    (kept,) = [factor for _, mat, _, factor in calls if np.shares_memory(mat, op.even_block)]
+    assert not np.shares_memory(kept, op.even_block)
+    assert np.array_equal(op.even_block, _fold_matrix(op.matrix))
+
+
+def test_lu_solver_solves_a_nonsymmetric_matrix_in_either_order(rng):
+    # a C-ordered matrix is factored from f2py's copy and left as it was; its
+    # F-ordered copy is factored in place, to the same bits
+    k = 50
+    mat = rng.standard_normal((k, k)) + k * np.eye(k)
+    assert mat.flags.c_contiguous and not np.array_equal(mat, mat.T)
+    before = mat.copy()
+    x = rng.standard_normal(k)
+    y = lu_solver(mat)(x)
+    assert np.array_equal(mat, before)
+    assert np.abs(mat @ y - x).max() <= 1e-12 * np.abs(x).max()
+    col = np.asfortranarray(mat)
+    assert np.array_equal(lu_solver(col, overwrite=True)(x), y)
+    assert not np.array_equal(col, before)
+
+
+def test_a_failed_cholesky_leaves_its_matrix_to_the_lu():
+    # symmetric, positive on the sine probe, indefinite at its last pivot:
+    # the Cholesky of a kept matrix fails on a copy, so the LU after it
+    # factors the matrix itself, as the holder's block solve and as the odd
+    # block of a split solve
+    k = 40
+    mat = np.diag(np.r_[np.full(k - 1, 2.0), -1.0]) - 0.5 * (np.eye(k, k=1) + np.eye(k, k=-1))
+    before = mat.copy()
+    lin = LinearizedOperator(mat, np.zeros(k))
+    assert lin.cholesky is None and np.array_equal(mat, before)
+    x = np.linspace(1.0, 2.0, k)
+    assert np.abs(mat @ lin.block_solve(x) - x).max() <= 1e-12
+    n = 2 * k
+    solve = split_solver(lambda y: y, lambda: mat, n)
+    z = fold(solve(unfold(x, n, odd=True)), odd=True) / 2.0  # E_o^T E_o = 2 I
+    assert np.abs(mat @ z - 2.0 * x).max() <= 1e-12
+    assert np.array_equal(mat, before)

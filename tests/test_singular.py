@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fracfold import (
 from fracfold import singular
 from fracfold.continuation import TracePolicy, _corrector, trace_minimal
 from fracfold.linearization import lambda1
-from fracfold.operator import lu_solver, principal_eigenpair
+from fracfold.operator import lu_solver, matvec, principal_eigenpair, spd_solver, unfold
 from fracfold.problem import Nonlinearity
 from fracfold.singular import (
     Equation,
@@ -396,8 +397,8 @@ def test_stale_factor_falls_back_to_fresh_newton(monkeypatch, op256):
     start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
     useless = []
 
-    def planted(jac):
-        solve, uses = singular.spd_solver(jac), []
+    def planted(jac, **kwargs):
+        solve, uses = singular.spd_solver(jac, **kwargs), []
 
         def stored(v):
             uses.append(1)
@@ -545,3 +546,37 @@ def test_non_finite_jacobian_is_a_convergence_failure(op16, canonical_spec):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConvergenceError):
             Equation.of(op, canonical_spec, 0.1).solve(np.ones(op.n), 1e-8, lu_solver, 60)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_jacobian_fails_the_cholesky_newton(op16, canonical_spec, bad):
+    # the probe's quotient is not finite for a matrix with a non-finite
+    # entry, so spd_solver rejects it (it raised ValueError from LAPACK's
+    # input check before) and Newton ends in ConvergenceError
+    jac = op16.matrix.copy()
+    jac[3, 3] = bad
+    assert spd_solver(jac) is None
+    assert spd_solver(np.asfortranarray(jac), overwrite=True) is None
+    op = replace(op16, matrix=jac, _cache={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ConvergenceError):
+            Equation.of(op, canonical_spec, 0.1).solve(np.ones(op.n), 1e-8, partial(spd_solver, n=op.n), 60)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_even_residual_comes_from_the_even_block(n, canonical_spec):
+    # at an even u with even data A u is E D^-1 A_e u[:k]: within 1e-13 of
+    # the n x n product and even bit for bit; an asymmetric u keeps the n x n
+    # product's bits
+    op = assemble_operator(build_grid(1.0, n), canonical_spec.s)
+    x = op.grid.nodes
+    u = unfold((1.0 - x[: (n + 1) // 2] ** 2) ** 0.4, n)
+    eq = Equation.of(op, canonical_spec, 0.3)
+    product = matvec(op.matrix, u)
+    r = eq.residual(u)
+    assert np.abs(r - (product + eq.lam * eq.d_dlam(u))).max() <= 1e-13 * np.abs(product).max()
+    assert np.abs(op.apply(u, even=True) - product).max() <= 1e-13 * np.abs(product).max()
+    assert np.array_equal(r, r[::-1])
+    tilted = u * (1.0 + 0.01 * x)
+    assert np.array_equal(eq.residual(tilted), matvec(op.matrix, tilted) + eq.lam * eq.d_dlam(tilted))
