@@ -310,7 +310,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     def bound(z):
         u, phi, at = parts(z)
         phi_scale = 1.0 + np.abs(at.potential(u) * phi).max()
-        return np.concatenate([np.full(n, tol * at.scale(u)), np.full(n, tol * phi_scale), [tol]])
+        return np.concatenate([tol * at.scale(u), np.full(n, tol * phi_scale), [tol]])
 
     def factor(z):
         u, phi, at = parts(z)
@@ -337,7 +337,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     except ConvergenceError as exc:
         raise ConvergenceError(f"no fold found from lambda = {start.lam!r}: {exc}", residual=exc.residual) from exc
     lam = float(z[-1])
-    fld = SolutionField(z[:n], op.grid, replace(spec, lam=lam), float(np.abs(r[:n]).max()), float(b[0]))
+    fld = SolutionField(z[:n], op.grid, replace(spec, lam=lam), float(np.abs(r[:n]).max()), float(b[:n].max()))
     return BranchPoint(lam, fld, op, tol, segment="fold")
 
 
@@ -349,8 +349,9 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
         G(u, lam) = 0,   w^2 udot.(u - u0) + lamdot (lam - lam0) = ds,
 
     whose Jacobian [[G_u, G_lam], [w^2 udot, lamdot]] is factored by LU; eq
-    gives G at any lam.  Returns (u, lam, residual, bound) with sup|G| <=
-    bound = tol * eq.scale(u) at the returned lam, or None on failure.
+    gives G at any lam.  Returns (u, lam, residual, bound) with |G| <= tol *
+    eq.scale(u) at every node at the returned lam, residual the sup of |G|
+    and bound the sup of tol * eq.scale(u), or None on failure.
     `store` is damped_newton's: the correctors of one arclength run share
     one bordered LU through it, reused by the chord rule there, fresh-factor
     retry included.
@@ -364,7 +365,7 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
         return np.append(replace(eq, lam=z[n]).residual(u), w ** 2 * (udot @ (u - u0)) + lamdot * (z[n] - lam0) - ds)
 
     def bound(z):
-        return np.append(np.full(n, tol * replace(eq, lam=z[n]).scale(z[:n])), tol * (1.0 + ds))
+        return np.append(tol * replace(eq, lam=z[n]).scale(z[:n]), tol * (1.0 + ds))
 
     def factor(z):
         return _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
@@ -377,7 +378,7 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
         z, r, b = damped_newton(predictor, residual, merit, bound, factor, _positive_trial(n), MAX_CORRECTOR, 30, store)
     except ConvergenceError:
         return None
-    return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[0])
+    return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[:n].max())
 
 
 class _StepFailure(ConvergenceError):

@@ -65,6 +65,10 @@ that is not, the bordered matrix of `continuation`, is allocated F-ordered.
 Scratch matrices (Newton's fresh Jacobian, the bordered matrix) are
 factored in place; one that is kept (a holder's `matrix`, A's cached
 blocks, a J_o whose Cholesky an LU may follow) is copied once, contiguously.
+A float32 matrix (the Jacobian of a single-precision Newton run in
+`singular`) is probed, factored and solved with by the float32 kernels
+(sgemv, spotrf, strsv), so no float64 copy of it is made; the solve takes
+and gives float64 vectors.
 It hands out solves x -> M^-1 x, never factors: `spd_solver` (Cholesky),
 `lu_solver` (LU with partial pivoting), `shifted_spd_solver` (Cholesky
 below the Gershgorin discs) and `split_solver` (both blocks of a
@@ -116,9 +120,11 @@ MIN_NODES = 8
 SIGN_SLACK = 1e-12
 # Lanczos gives up after this many operator applications.
 LANCZOS_STEPS = 200
-# BLAS triangular solve with one right-hand side, and the matrix-vector product, from scipy's BLAS
-_TRSV = get_blas_funcs("trsv", dtype=np.float64)
-_GEMV = get_blas_funcs("gemv", dtype=np.float64)
+# BLAS triangular solve with one right-hand side, and the matrix-vector product, from scipy's BLAS, by
+# the matrix's precision: a float32 matrix (a single-precision Jacobian) never meets a float64 kernel,
+# which f2py would feed a float64 copy of it
+_TRSV = {np.dtype(t): get_blas_funcs("trsv", dtype=t) for t in (np.float64, np.float32)}
+_GEMV = {np.dtype(t): get_blas_funcs("gemv", dtype=t) for t in (np.float64, np.float32)}
 
 
 def normalization_constant(s: float) -> float:
@@ -405,11 +411,12 @@ def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     A C-ordered mat goes in as its F-ordered transpose with trans=1, an
     F-ordered one (a transpose such as qs.T) as it is, so f2py copies
-    neither.
+    neither.  A float32 mat goes to sgemv, and the product is float32.
     """
+    gemv = _GEMV[mat.dtype]
     if mat.flags.f_contiguous:
-        return _GEMV(1.0, mat, x)
-    return _GEMV(1.0, mat.T, x, trans=1)
+        return gemv(1.0, mat, x)
+    return gemv(1.0, mat.T, x, trans=1)
 
 
 def _trsv_pair(tri: np.ndarray):
@@ -417,11 +424,13 @@ def _trsv_pair(tri: np.ndarray):
 
     LAPACK's potrs (scipy's cho_solve) runs the BLAS-3 trsm on a single
     column, which under OpenBLAS takes 2-4 times as long as the BLAS-2 trsv
-    pair at n = 256 to 2048.
+    pair at n = 256 to 2048.  A float32 factor solves in float32 (x is
+    rounded to it) and hands back a float64 result.
     """
+    trsv = _TRSV[tri.dtype]
 
     def solve(x):
-        return _TRSV(tri, _TRSV(tri, x, lower=1), lower=1, trans=1, overwrite_x=1)
+        return np.asarray(trsv(tri, trsv(tri, x, lower=1), lower=1, trans=1, overwrite_x=1), dtype=float)
 
     return solve
 
@@ -456,7 +465,11 @@ def spd_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False):
     matrix's quotient.  LAPACK is handed mat's column-major form: mat when
     F-ordered, else its transpose view, which for a symmetric mat holds the
     same bits.  With overwrite=True mat is scratch and is factored in place;
-    otherwise it is copied once, contiguously, and left as it was.
+    otherwise it is copied once, contiguously, and left as it was.  A
+    float32 mat is probed and factored in float32 (spotrf), and its solve
+    takes and gives float64 vectors; the Cholesky of a float32 mat that
+    overflowed when it was rounded, or that rounding made indefinite, is
+    None like any other.
     """
     k = mat.shape[0]
     col = mat if mat.flags.f_contiguous else mat.T

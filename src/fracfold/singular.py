@@ -15,15 +15,28 @@ second solutions and multistarts in `continuation`, a bordered LU solve for
 its arclength corrector and its fold solve), and the trial map (the
 positivity floor here, rejection of nonpositive trials in `continuation`).
 `damped_newton` reuses a factored solve while the merit falls fast (the
-chord rule), so a solve makes fewer factorizations than steps.
+chord rule), so a solve makes fewer factorizations than steps.  Newton stops
+when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
+|lam (k u^(-delta) + f(u))| + |rhs| (`Equation.scale`): the wall node, where
+k u^(-delta) is largest, sets only its own bound, so the interior converges
+to the same tolerance from any start.
+
+The pure singular and forced solves (`solve_pure_singular`, `solve_A`) have
+the Jacobian A + diag(p) with p >= 0, positive definite at every u with its
+smallest eigenvalue at least lambda_1(A).  Their Newton runs build each
+Jacobian in float32 and factor it in place in single precision, while the
+residual and the stopping test stay float64; a float32 factor or run that
+fails is made again in float64 (`Equation.solve`).  `monotone_iterate`, whose
+Jacobian goes singular at the fold, factors in float64.
 
 The grid, A and K are symmetric under the reflection of the nodes bit for
-bit, and every start below (c* phi_1, the scaled pure singular solution, the
-warm-start hints, the torsion bracket of an even forcing) is even.  When the
-start, k and rhs are all even, `Equation.jacobian` writes only the even
-block J_e = E^T J E of order ceil(n/2) and `Equation.solve` steps by E
-J_e^-1 E^T (-r): an exact Newton step, since J maps even fields to even
-fields, and every iterate stays even bit for bit.  The residual there takes
+bit, and every start below (max(c* phi_1, (K / diag A)^(1/(1+delta))), the
+scaled pure singular solution, the warm-start hints, the torsion bracket of
+an even forcing) is even.  When the start, k and rhs are all even,
+`Equation.jacobian` writes only the even block J_e = E^T J E of order
+ceil(n/2) and `Equation.solve` steps by E J_e^-1 E^T (-r): an exact Newton
+step, since J maps even fields to even fields, and every iterate stays even
+bit for bit.  The residual there takes
 A u from A's even block too (`NonlocalOperator.apply`): a quarter of A's
 bytes, and a residual even bit for bit.  So `damped_newton` is the same on
 either path; only asymmetric data (a forcing that is not even, a random
@@ -124,9 +137,13 @@ class Equation:
         """G(u); at an even u with even data A u comes from A's even block (`NonlocalOperator.apply`)."""
         return self.op.apply(u, self.basis(u).even) - self.lam * self._source(u) - self.rhs
 
-    def scale(self, u: np.ndarray) -> float:
-        """1 + sup of the nonlinear and forcing terms: Newton stops at residual <= tol * scale."""
-        return 1.0 + np.abs(self.lam * self._source(u)).max() + np.abs(self.rhs).max()
+    def scale(self, u: np.ndarray) -> np.ndarray:
+        """1 + |lam (k u^(-delta) + f(u))| + |rhs| at each node: Newton stops at |G(u)| <= tol * scale(u) node by node.
+
+        A scale shared by all nodes would be set by the wall node, where
+        k u^(-delta) is largest, and let the interior stop early.
+        """
+        return 1.0 + np.abs(self.lam * self._source(u)) + np.abs(self.rhs)
 
     def potential(self, u: np.ndarray) -> np.ndarray:
         """Diagonal part of the Jacobian: dG/du = A + diag(potential)."""
@@ -143,9 +160,14 @@ class Equation:
         return basis_for(len(u), u, self.k, self.rhs, *data)
 
     def jacobian(
-        self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False, potential: np.ndarray | None = None
+        self,
+        u: np.ndarray,
+        out: np.ndarray | None = None,
+        odd: bool = False,
+        potential: np.ndarray | None = None,
+        dtype=np.float64,
     ) -> np.ndarray:
-        """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array.
+        """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array of `dtype`.
 
         The even block is E^T J E = E^T A E + diag(E^T potential), of order
         ceil(n/2) (E^T diag(p) E = diag(E^T p) for any p); with odd=True it
@@ -154,8 +176,10 @@ class Equation:
         block when u, k and rhs are even (J then commutes with the
         reflection and is the sum of its blocks), else J itself; with `out`
         its order does.  The matrix (A or its cached block) is copied into
-        the target and the potential added to its diagonal, which gives the
-        bits of the sum without a temporary of the matrix's size.  Pass
+        the target and its diagonal summed with the potential, which gives
+        the bits of the sum without a temporary of the matrix's size; a
+        float32 target (dtype=np.float32, for Newton's single-precision
+        factor) takes each entry of the float64 sum rounded once.  Pass
         `potential`, the potential at u, to write a second block at the same u
         without computing it again.
         """
@@ -166,15 +190,15 @@ class Equation:
         else:
             base = self.op.matrix
         if out is None:
-            out = np.empty_like(base)
+            out = np.empty(base.shape, dtype)
         out[...] = base
-        out[np.diag_indices(len(base))] += pot
+        out[np.diag_indices(len(base))] = np.diagonal(base) + pot
         return out
 
     def d_dlam(self, u: np.ndarray) -> np.ndarray:
         return -self._source(u)
 
-    def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
+    def solve(self, u0, tol: float, factor, maxit: int, single: bool = False) -> tuple[np.ndarray, float, float]:
         """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
 
         factor(jac, overwrite=True) is operator.spd_solver or
@@ -184,19 +208,41 @@ class Equation:
         even u with even data it factors the even block and the step is
         E J_e^-1 E^T (-r), so every iterate stays even bit for bit.
         damped_newton keeps one such solve for the run and reuses it by its
-        chord rule.  Returns (u, residual, bound) with residual <= bound =
-        tol * scale(u); a solution resting on the floor is a ConvergenceError.
+        chord rule.  Returns (u, residual, bound) with |G(u)| <= tol *
+        scale(u) at every node, residual its sup and bound the sup of tol *
+        scale(u); a solution resting on the floor is a ConvergenceError.
+
+        single=True is for a Jacobian A + diag(p) with p >= 0, whose
+        smallest eigenvalue is at least lambda_1(A) at every u, so no fold
+        makes it singular: each Jacobian is then built in float32 and
+        factored in place in float32, while the residual, the step and the
+        stopping test stay float64.  The chord rule absorbs the factor's
+        rounding as it absorbs a stale factor (Langou et al., SC'06).  A
+        float32 factorization that fails is made again in float64, and a
+        float32 run that fails is run again from u0 in float64, so a
+        ConvergenceError is always the float64 Newton's.
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
 
-        def factored(u):  # J is symmetric: its transpose view is J in column-major order, and scratch
-            return self.basis(u).lift(factor(self.jacobian(u).T, overwrite=True))
+        def factored(u, dtype=np.float64):  # J is symmetric: its transpose view is J in column-major order, and scratch
+            return self.basis(u).lift(factor(self.jacobian(u, dtype=dtype).T, overwrite=True))
 
-        u, r, b = damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factored, _floored, maxit, 40)
+        def single_factored(u):
+            return factored(u, np.float32) or factored(u)
+
+        def run(factor_at):
+            return damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factor_at, _floored, maxit, 40)
+
+        try:
+            u, r, b = run(single_factored if single else factored)
+        except ConvergenceError:
+            if not single:
+                raise
+            u, r, b = run(factored)
         res = float(_sup_norm(r))
         if u.min() <= 10.0 * POSITIVITY_FLOOR:
             raise ConvergenceError("positivity floor active at convergence", residual=res)
-        return u, res, float(b)
+        return u, res, float(np.max(b))
 
 
 def damped_newton(x, residual, merit, bound, factor, trial, maxit: int, halvings: int, store: list | None = None):
@@ -280,13 +326,21 @@ def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
 
 
 def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
-    """Solve A u = K u^(-delta) by one damped-Newton run from c* phi_1.
+    """Solve A u = K u^(-delta) by one damped-Newton run from max(c* phi_1, (K / diag A)^(1/(1+delta))).
 
-    c* phi_1 is a discrete subsolution, and the residual map is componentwise
-    concave with an M-matrix Jacobian, so the iterates rise monotonically from
-    it onto the solution and stay positive; no regularization is needed.  Any
-    lambda must be folded into spec.coeff.  The result is checked a posteriori
-    against the subsolution.
+    Both terms of the start are discrete subsolutions: c* phi_1 by the
+    choice of c*, and w = (K / diag A)^(1/(1+delta)) because A's
+    off-diagonals are nonpositive, so (A w)_i <= a_ii w_i = K_i w_i^(-delta).
+    A is an M-matrix, so their max is a subsolution too.  The second term
+    sits on the boundary layer, whose steepness d^(2s/(1+delta)) phi_1's d^s
+    cannot follow; from c* phi_1 alone each wall node rises by about 1 +
+    1/delta per step.  The residual map is componentwise concave with an
+    M-matrix Jacobian, so the iterates rise monotonically from the start
+    onto the solution and stay positive; no regularization is needed.  The
+    Jacobian A + diag(delta K u^(-delta-1)) is positive definite at every u,
+    so it is factored in float32 (`Equation.solve` with single=True).  Any
+    lambda must be folded into spec.coeff.  The result is checked a
+    posteriori against the start.
     """
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:
@@ -294,11 +348,14 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         res = float(np.abs(matvec(op.matrix, u) - k).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
-    lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
+    lower = np.maximum(
+        subsolution_constant(spec, op) * principal_eigenpair(op).vector,
+        (k / np.diagonal(op.matrix)) ** (1.0 / (1.0 + spec.delta)),
+    )
     eq = Equation(op, k, spec.delta, no_nonlinearity(), 1.0)
-    u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80)
+    u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80, single=True)
     if np.any(u < lower * (1.0 - 1e-6)):
-        raise BracketViolation("pure singular solution dipped below the eigenfunction subsolution")
+        raise BracketViolation("pure singular solution dipped below its subsolution start")
     return SolutionField(u, op.grid, spec, res, bound)
 
 
@@ -349,8 +406,10 @@ def solve_A(
     For h >= 0 the solution is bracketed by the scaled pure singular solution
     below and that field plus max(h)*U above.  Newton starts from the upper
     bracket; its first step lands on a subsolution and the iterates rise from
-    there.  Nonpositive h is attempted anyway and reported as a bracket
-    violation if positivity fails.
+    there.  Its Jacobian A + diag(lam delta K u^(-delta-1)) is positive
+    definite at every u, so it is factored in float32 (`Equation.solve` with
+    single=True).  Nonpositive h is attempted anyway and reported as a
+    bracket violation if positivity fails.
     """
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
@@ -367,7 +426,7 @@ def solve_A(
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
     eq = Equation(op, lam * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0, rhs=h)
     try:
-        u, res, bound = eq.solve(upper, tol, partial(spd_solver, n=op.n), 80)
+        u, res, bound = eq.solve(upper, tol, partial(spd_solver, n=op.n), 80, single=True)
     except ConvergenceError as exc:
         raise BracketViolation(f"solve for the shifted equation failed: {exc}") from exc
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)

@@ -285,9 +285,11 @@ def test_pure_singular_properties(s, delta, beta_frac, coeff):
     u = field.values
     assert _residual(op, spec, 1.0, u) <= field.residual_bound
     slack = 1e-10 * (1.0 + u.max())
-    # Newton rises from the eigenfunction subsolution it starts at
+    # Newton rises from the subsolutions it starts at: the eigenfunction's and the wall's
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
     assert np.all(u >= lower - slack)
+    wall = (spec.k_field(op.grid) / np.diagonal(op.matrix)) ** (1.0 / (1.0 + spec.delta))
+    assert np.all(u >= wall - slack)
     # the regularized solution is a subsolution of the eps = 0 problem
     assert np.all(u >= _regularized(spec, op, 1e-2) - slack)
     # larger weight, larger solution
@@ -301,6 +303,8 @@ RATES_SPECS = [
     ProblemSpec(s=0.4, delta=3.0, beta=0.0),
     ProblemSpec(s=0.5, delta=1.0, beta=0.0),
 ]
+# beta / 2s = 0.95: a boundary layer like d^(2s/(1+delta)), far steeper than phi_1's d^s
+STEEP_SPEC = ProblemSpec(s=0.9, delta=12.0, beta=1.71)
 
 
 def _counting(factor, steps, factors=None):
@@ -325,9 +329,10 @@ def _counting(factor, steps, factors=None):
 
 def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
     # Newton steps of the pure singular solves, then of minimal solves that
-    # rise from the cached pure solution
-    calls = []
-    monkeypatch.setattr(singular, "spd_solver", _counting(singular.spd_solver, calls))
+    # rise from the cached pure solution, then factorizations of the steep
+    # wall layer's pure singular solve
+    calls, factors = [], []
+    monkeypatch.setattr(singular, "spd_solver", _counting(singular.spd_solver, calls, factors))
     for spec in RATES_SPECS:
         counts = []
         for n in (256, 1024):
@@ -347,6 +352,107 @@ def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
             counts.append(len(calls))
         assert min(counts) >= 2 and max(counts) <= 12, (lam, counts)
         assert abs(counts[0] - counts[1]) <= 2, (lam, counts)
+    # the start's wall term sits on the layer, so the solve makes 9-12
+    # factorizations over n = 128-1024; from c* phi_1 alone it made 45-68
+    counts = []
+    for n in (128, 256, 512, 1024):
+        op = assemble_operator(build_grid(1.0, n), STEEP_SPEC.s)
+        factors.clear()
+        solve_pure_singular(STEEP_SPEC, op)
+        counts.append(len(factors))
+    assert max(counts) <= 14 and all(b - a <= 2 for a, b in zip(counts, counts[1:])), counts
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_pure_singular_answer_does_not_depend_on_the_start(n):
+    # the stopping test is per node, so the wall node no longer sets the
+    # interior's bound: Newton from c* phi_1 alone and from the solver's start
+    # land within 1e-8 of each other, relative to the sup (2.4e-6 and 4.3e-6
+    # apart under one scale for all nodes)
+    op = assemble_operator(build_grid(1.0, n), STEEP_SPEC.s)
+    field = solve_pure_singular(STEEP_SPEC, op)
+    eq = Equation(op, STEEP_SPEC.k_field(op.grid), STEEP_SPEC.delta, no_nonlinearity(), 1.0)
+    start = subsolution_constant(STEEP_SPEC, op) * principal_eigenpair(op).vector
+    u, res, bound = eq.solve(start, singular.DEFAULT_TOL, partial(spd_solver, n=n), 200, single=True)
+    assert res <= bound
+    assert np.abs(u - field.values).max() <= 1e-8 * field.sup_norm
+
+
+def test_pure_singular_and_forced_newton_build_their_jacobians_in_float32(monkeypatch):
+    # each Jacobian of these runs is written in float32 and factored in place
+    # in float32, with no float64 J beside it; monotone_iterate, whose
+    # Jacobian goes singular at the fold, stays in float64
+    op = assemble_operator(build_grid(1.0, 256), 0.4)
+    spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
+    jacobians, factored = [], []
+    original = Equation.jacobian
+
+    def recording(self, u, *args, **kwargs):
+        jacobians.append(original(self, u, *args, **kwargs))
+        return jacobians[-1]
+
+    def factor(jac, **kwargs):
+        factored.append(jac)
+        return spd_solver(jac, **kwargs)
+
+    monkeypatch.setattr(Equation, "jacobian", recording)
+    monkeypatch.setattr(singular, "spd_solver", factor)
+    solve_pure_singular(spec, op)
+    pure = len(jacobians)
+    solve_A(0.3, np.ones(op.n), op, spec)
+    assert pure >= 2 and len(jacobians) > pure
+    assert all(j.dtype == np.float32 for j in jacobians)
+    assert len(factored) == len(jacobians) and all(np.shares_memory(f, j) for f, j in zip(factored, jacobians))
+    pure_singular_cached(_BRANCH_SPEC, op)
+    jacobians.clear()
+    solve_min(0.3, _BRANCH_SPEC, op)
+    assert jacobians and all(j.dtype == np.float64 for j in jacobians)
+
+
+def test_a_float32_factor_that_fails_is_made_again_in_float64(op256):
+    # A and K times 2^130 (exact in binary) leave the equation's solution as
+    # it was, but A's diagonal overflows float32 (max 3.4e38): every float32
+    # Jacobian has an infinite entry, its Cholesky is rejected, and the same
+    # Jacobian is factored in float64, so the run is the float64 run bit for bit
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
+    big = 2.0 ** 130
+    op = replace(op256, matrix=big * op256.matrix, _cache={})
+    eq = Equation(op, big * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0)
+    reference = pure_singular_cached(spec, op256)
+    start = 0.5 * reference.values
+    made = []
+
+    def factor(jac, **kwargs):
+        solve = spd_solver(jac, op.n, **kwargs)
+        made.append((jac.dtype.name, solve is not None))
+        return solve
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        u, res, bound = eq.solve(start, 1e-8, factor, 80, single=True)
+    assert made and set(made) == {("float32", False), ("float64", True)}
+    assert res <= bound
+    assert np.array_equal(u, eq.solve(start, 1e-8, partial(spd_solver, n=op.n), 80)[0])
+    assert np.abs(u - reference.values).max() <= 1e-8 * reference.sup_norm
+
+
+def test_a_failed_float32_run_is_run_again_in_float64(op256):
+    # a float32 solve that points uphill stalls every float32 run; the run is
+    # then made again from the start with float64 factors, to the float64
+    # run's bits, so a ConvergenceError is the float64 Newton's
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
+    eq = Equation(op256, spec.k_field(op256.grid), spec.delta, no_nonlinearity(), 1.0)
+    start = 0.5 * pure_singular_cached(spec, op256).values
+
+    def uphill(jac, **kwargs):
+        solve = spd_solver(jac, op256.n, **kwargs)
+        return (lambda x: -solve(x)) if jac.dtype == np.float32 else solve
+
+    u, res, bound = eq.solve(start, 1e-8, uphill, 80, single=True)
+    assert res <= bound
+    assert np.array_equal(u, eq.solve(start, 1e-8, partial(spd_solver, n=op256.n), 80)[0])
+    with pytest.raises(ConvergenceError):
+        eq.solve(start, 1e-8, lambda jac, **kwargs: None, 80, single=True)
 
 
 def test_pure_singular_solves_reuse_factors():

@@ -11,6 +11,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,7 @@ SOURCE = pathlib.Path(fracfold.__file__).parent
 # eigh_tridiagonal diagonalizes the j x j Lanczos tridiagonal, j at most the
 # step count of operator._lanczos_largest; get_blas_funcs fetches the O(n^2)
 # triangular solve trsv of operator._trsv_pair and the matrix-vector product
-# gemv of operator.matvec).  A dense
+# gemv of operator.matvec, each in float64 and float32).  A dense
 # `solve` is forbidden from both libraries: every factorization goes through
 # scipy's counted kernels, and numpy's BLAS pool stays out of the solves.
 # cho_solve is not allowed either: LAPACK's potrs takes 2-4 times as long as
@@ -227,6 +228,40 @@ def test_factorizations_are_called_only_in_the_operator_module():
                 continue
             sites += [f"{path.name}:{node.lineno} {name}" for name in names if name in FACTOR_NAMES]
     assert sites and all(site.startswith("operator.py:") for site in sites), sites
+
+
+# scipy's typed BLAS and LAPACK: the modules, the handle getters, and the routines by precision prefix
+LOW_LEVEL = {"blas", "lapack", "get_blas_funcs", "get_lapack_funcs"}
+TYPED_ROUTINE = re.compile(r"[sdcz](gemv|gemm|symv|trsv|trsm|potrf|potrs|getrf|getrs|sytrf)")
+
+
+def test_blas_and_lapack_handles_are_bound_only_in_the_operator_module():
+    # the float32 kernels of Newton's single-precision factor (sgemv for its
+    # probe, strsv for its solves, spotrf through cho_factor) are fetched by
+    # precision in `operator`, beside the float64 ones: no other module
+    # imports scipy's BLAS or LAPACK, asks for a handle or names a typed routine
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [*(node.module or "").split("."), *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            sites += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name in LOW_LEVEL or TYPED_ROUTINE.fullmatch(name)
+            ]
+    assert sites and all(site.startswith("operator.py:") for site in sites), sites
+    operator = importlib.import_module("fracfold.operator")
+    for table in (operator._GEMV, operator._TRSV):
+        assert {dtype.name: f.typecode for dtype, f in table.items()} == {"float64": "d", "float32": "s"}
 
 
 MATRICES = {"matrix", "even_block", "odd_block"}
