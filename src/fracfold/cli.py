@@ -17,8 +17,8 @@ import numpy as np
 from .config import RunConfig, load_config
 from .continuation import fold_round, multiplicity_scan, trace_minimal
 from .errors import ConvergenceError
-from .io import atomic_write_text, export_plot_data, write_branch_csv, write_solution_json
-from .operator import assemble_operator, build_grid, dump_triplets, principal_eigenpair
+from .io import atomic_write_text, dump_triplets, export_plot_data, write_branch_csv, write_solution_json
+from .operator import assemble_operator, build_grid, principal_eigenpair
 from .problem import ProblemSpec, no_nonlinearity
 from .singular import solve_min, solve_pure_singular
 from .verify import format_report, verify_suite
@@ -76,7 +76,6 @@ def _cmd_assemble_check(args) -> int:
     print(summary)
     if args.dump_matrix:
         path = os.path.join(cfg.out_dir, "operator-triplets.txt")
-        os.makedirs(cfg.out_dir, exist_ok=True)
         dump_triplets(op, path)
         print(f"wrote {path}")
     return 0
@@ -106,7 +105,6 @@ def _solve_common(cfg: RunConfig, pure: bool):
 def _cmd_solve(args, pure: bool) -> int:
     cfg = _build_config(args)
     field, report = _solve_common(cfg, pure)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     name = "solution-ps.json" if pure else "solution-plambda.json"
     path = os.path.join(cfg.out_dir, name)
     write_solution_json(field, report, path)
@@ -128,7 +126,6 @@ def _cmd_branch(args, with_fold: bool) -> int:
     branch = trace_minimal(spec, op, cfg.trace_policy())
     if with_fold:
         branch = fold_round(branch, op, spec, cfg.fold_policy())
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "branch.csv")
     write_branch_csv(branch, path)
     line = f"branch: n={cfg.n} points={len(branch.points)} Lambda={branch.fold_point().lam:.6f}"
@@ -149,7 +146,6 @@ def _cmd_multiplicity(args) -> int:
     lam_est = branch.fold_point().lam
     rows = multiplicity_scan(spec, op, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est],
                              tol=cfg.newton_tol, branch=branch)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "multiplicity.csv")
     lines = ["lambda,minimal_sup,second_sup,gap,complete"]
     for r in rows:
@@ -167,7 +163,6 @@ def _cmd_multiplicity(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _build_config(args)
     report = verify_suite(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     json_path = os.path.join(cfg.out_dir, "verification.json")
     atomic_write_text(json_path, report.to_json())
     table = format_report(report)

@@ -22,7 +22,7 @@ meets the same residual bound as with a fresh factor at every step.
 The branch is even under the reflection of the nodes: so are the minimal
 solutions, the principal eigenvector at the fold, and every tangent and
 bordering row built from them.  The bordered LU of the corrector and of the
-fold solve is then of the even form [[J_e, E^T G_lam], [E^T row, corner]],
+fold solve is then of the even form [[J_e, Q^T G_lam], [Q^T row, corner]],
 of order ceil(n/2) + 1 (`_bordered_solver`), and the second solutions of
 `multiplicity_scan` factor J_e.  Only the random starts of
 `uniqueness_probe` factor the n x n Jacobian.
@@ -260,8 +260,8 @@ def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: floa
 def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):
     """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for lu_solver.
 
-    When u, row and the equation's data are even, M maps (E y, lam) to even
-    residuals, and the LU is of its even form [[J_e, E^T G_lam], [E^T row,
+    When u, row and the equation's data are even, M maps (Q y, lam) to even
+    residuals, and the LU is of its even form [[J_e, Q^T G_lam], [Q^T row,
     corner]], of order ceil(n/2) + 1: the solve folds the first n entries of
     x and unfolds those of the solution (`operator.Basis`).  M is not
     symmetric, so it is filled in column-major order, where LAPACK factors it

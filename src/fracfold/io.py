@@ -1,4 +1,4 @@
-"""Deterministic artifact writers: JSON solutions, branch CSV, plot data.
+"""Deterministic artifact writers: JSON solutions, branch CSV, plot data, the operator's triplets.
 
 All writes are atomic (temp file in the target directory, then rename) and
 all floats are rendered with repr, so identical inputs give identical bytes.
@@ -9,29 +9,45 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
 from .continuation import Branch
+from .operator import NonlocalOperator
 from .singular import SolutionField
 from .weights import NormReport
 
-__all__ = ["atomic_write_text", "solution_payload", "write_solution_json", "write_branch_csv", "export_plot_data"]
+__all__ = [
+    "atomic_write_text",
+    "solution_payload",
+    "write_solution_json",
+    "write_branch_csv",
+    "export_plot_data",
+    "dump_triplets",
+]
 
 
-def atomic_write_text(path, text: str) -> None:
+@contextmanager
+def _atomic_file(path):
+    """A text file handle whose contents appear at `path` whole or not at all: a temp file there, then os.replace."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _float(x):
@@ -94,3 +110,10 @@ def export_plot_data(artifact, out_dir, prefix: str = "plot") -> list[str]:
     else:
         raise TypeError(f"cannot export plot data for {type(artifact).__name__}")
     return paths
+
+
+def dump_triplets(op: NonlocalOperator, path) -> None:
+    """Write A in plain-text triplet form, one `i j value` per line, streamed row by row into one atomic write."""
+    with _atomic_file(path) as fh:
+        for i, row in enumerate(op.matrix):
+            fh.writelines(f"{i} {j} {float(v)!r}\n" for j, v in enumerate(row))

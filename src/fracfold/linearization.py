@@ -15,15 +15,17 @@ here), the holder of J's solves, which A's own solves share
 shares it: Cholesky when the matrix is positive definite, else LU.  This
 module holds no solver and no factor.  At an even solution (the whole traced
 branch) J commutes with the reflection of the nodes, and the holder keeps
-its even block J_e = E^T J E, of order about n/2, in place of J, and a
-builder of its odd block J_o = E_o^T J E_o, which only a right-hand side with
-an odd part calls.  The principal eigenvector is even (it is the Perron
-vector), so lambda1 comes from J_e alone, by `operator.smallest_eigenpairs`,
+its even block J_e = Q^T J Q, of order about n/2, in place of J, and a
+builder of its odd block J_o = Q_o^T J Q_o, which only a right-hand side with
+an odd part calls; Q and Q_o have orthonormal columns, so both are plain
+symmetric matrices whose eigenpairs are J's among even (odd) fields.  The
+principal eigenvector is even (it is the Perron vector), so lambda1 comes
+from J_e alone, by `operator.smallest_eigenpairs`,
 the one smallest-pair routine, which also gives phi_1 of A (its Perron
 certificate and fallbacks are described there); odd negative modes do not
 reach its Gershgorin fallback, since J_e does not see them.  The monitor
 runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J per step, each
-the split solve through J_e and J_o (`operator.split_solver`); its start
+the split solve through J_e and J_o (`LinearizedOperator.solve`); its start
 vector has an odd part, so the monitor builds and factors J_o, and lambda1
 alone never does.
 The derivative fields at even data solve through J_e only.  Each Lanczos run
@@ -93,7 +95,7 @@ def linearized_operator(
     if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
         raise ValueError("linearized potential is not finite")
     odd = partial(eq.jacobian, uv, odd=True, potential=potential) if len(matrix) < op.n else None
-    return LinearizedOperator(matrix=matrix, fprime=lam * spec.nonlinearity.fprime(uv), odd=odd)
+    return LinearizedOperator(matrix=matrix, n=op.n, odd=odd)
 
 
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
@@ -175,11 +177,10 @@ def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin
     1/sigma_max(I + J^-1 F) by Lanczos on J's solve (see the module notes);
     pass `lin` to reuse a linearization built at (lam, u).
     """
-    lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
-    fp = lin.fprime
+    fp = lam * spec.nonlinearity.fprime(_field_values(u))
     if not np.any(fp):
         return 1.0
-    solve = lin.solve
+    solve = (lin if lin is not None else linearized_operator(lam, u, op, spec)).solve
     if solve is None:
         return 0.0
 

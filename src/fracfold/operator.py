@@ -37,19 +37,22 @@ The grid is symmetric about 0 bit for bit, and so is A: with R the reversal
 of the nodes, A = RAR exactly (`toeplitz` is, and the wall correction is
 mirrored).  So A, and the Jacobian A + diag(p) at any even potential p,
 commute with R and split into two blocks of order about n/2 (Cantoni &
-Butler, Linear Algebra Appl. 13, 1976).  Let E be the n x ceil(n/2) map that
-unfolds first-half values y to the even field (y, Ry) (its centre column
-holds a single 1 when n is odd) and E_o the n x floor(n/2) map to the odd
-field (y, [0,] -Ry).  Then J = A + diag(p) acts on even fields as the even
-block J_e = E^T J E = E^T A E + diag(E^T p), and on odd ones as J_o = E_o^T J
-E_o; for any x, J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x.  This module
-is the one home of that fold and unfold (`fold`, `unfold`, `Basis`), of the
-bitwise test that picks the even path for Newton (`is_even`), and of the
+Butler, Linear Algebra Appl. 13, 1976).  Let Q be the n x ceil(n/2) matrix
+whose orthonormal columns are (e_j + e_{n-1-j}) / sqrt(2), j < n//2, and
+e_h at the centre node h of an odd n, and Q_o the n x floor(n/2) one with
+columns (e_j - e_{n-1-j}) / sqrt(2): they span the even and the odd fields.
+Then J = A + diag(p) acts on even fields as the even block J_e = Q^T J Q =
+Q^T A Q + diag(p[:ceil(n/2)]), and on odd ones as J_o = Q_o^T J Q_o: plain
+symmetric matrices whose eigenpairs are J's among even (odd) fields, and
+for any x, J^-1 x = Q J_e^-1 Q^T x + Q_o J_o^-1 Q_o^T x.  This module is the
+one home of that fold and unfold (`fold` = Q^T, `unfold` = Q, `Basis`), of
+the bitwise test that picks the even path for Newton (`is_even`), and of the
 cached blocks of A, each folded from one quarter of A into one array of its
 own order (`_fold_matrix`).  Every solve on n-node vectors with A, or with a
-J that commutes with R, is the split solve (`split_solver`), which factors
-J_o only once a right-hand side has an odd part; only an asymmetric Jacobian
-(an asymmetric forcing, a random start) is factored at order n.
+J that commutes with R, is the split solve of its holder
+(`LinearizedOperator.solve`), which builds and factors J_o only once a
+right-hand side has an odd part; only an asymmetric Jacobian (an asymmetric
+forcing, a random start) is factored at order n.
 
 This is the one module that calls a dense kernel: a factorization or a
 matrix-vector product.  Every product of a matrix with a vector is `matvec`,
@@ -70,16 +73,15 @@ A float32 matrix (the Jacobian of a single-precision Newton run in
 (sgemv, spotrf, strsv), so no float64 copy of it is made; the solve takes
 and gives float64 vectors.
 It hands out solves x -> M^-1 x, never factors: `spd_solver` (Cholesky),
-`lu_solver` (LU with partial pivoting), `shifted_spd_solver` (Cholesky
-below the Gershgorin discs) and `split_solver` (both blocks of a
-reflection-symmetric J).  Every other module solves through them.  The
+`lu_solver` (LU with partial pivoting) and `shifted_spd_solver` (Cholesky
+below the Gershgorin discs).  Every other module solves through them.  The
 solves with A and with every linearization J = A + diag(p) are held by one
 `LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0), and
 the smallest eigenpair of either comes from one routine,
 `smallest_eigenpairs`: shift-invert Lanczos through one of the holder's
 solves, on the even block when the holder keeps one.  Every `spd_solver` of
-a block of an n x n matrix is given n, so its probe is the n-node sine
-profile whatever the block.
+a block of an n x n matrix is given n, so its probe is Q^T of the n-node
+sine profile, cut to the block's order, whatever the block.
 """
 
 from __future__ import annotations
@@ -111,13 +113,13 @@ __all__ = [
     "spd_solver",
     "lu_solver",
     "shifted_spd_solver",
-    "split_solver",
     "matvec",
-    "dump_triplets",
 ]
 
 MIN_NODES = 8
 SIGN_SLACK = 1e-12
+# 1/sqrt(2), the entries of Q and Q_o off an odd n's centre
+_ROOT_HALF = np.sqrt(0.5)
 # Lanczos gives up after this many operator applications.
 LANCZOS_STEPS = 200
 # BLAS triangular solve with one right-hand side, and the matrix-vector product, from scipy's BLAS, by
@@ -173,12 +175,12 @@ class NonlocalOperator:
 
     @cached_property
     def even_block(self) -> np.ndarray:
-        """E^T A E: A on even fields, of order ceil(n/2)."""
+        """Q^T A Q: A on even fields, of order ceil(n/2)."""
         return _fold_matrix(self.matrix)
 
     @property
     def odd_block(self) -> np.ndarray:
-        """E_o^T A E_o: A on odd fields, of order floor(n/2), from the cached builder of `lin`."""
+        """Q_o^T A Q_o: A on odd fields, of order floor(n/2), from the cached builder of `lin`."""
         return self.lin.odd()
 
     @cached_property
@@ -188,20 +190,18 @@ class NonlocalOperator:
         The builder holds A's matrix, never the operator, so the operator
         holds no reference to itself and is freed by reference counting.
         """
-        return LinearizedOperator(self.even_block, np.zeros(self.n), cache(partial(_fold_matrix, self.matrix, odd=True)))
+        return LinearizedOperator(self.even_block, self.n, cache(partial(_fold_matrix, self.matrix, odd=True)))
 
     def apply(self, x: np.ndarray, even: bool) -> np.ndarray:
-        """A x; with even=True (x even, as its `Basis` says) E D^-1 A_e y from the even block, y = x[:ceil(n/2)].
+        """A x; with even=True (x even, as its `Basis` says) Q A_e Q^T x from the even block.
 
-        A x is then even and E^T A x = A_e y, which is D = diag(E^T E)
-        (`_mass`) times its first k values; so the product reads a quarter of
-        A's bytes, equals the n x n one in exact arithmetic and is even bit
-        for bit.  Otherwise it is the n x n product.
+        A x is then even, so it is Q Q^T A x = Q A_e Q^T x: the product reads
+        a quarter of A's bytes, equals the n x n one in exact arithmetic and
+        is even bit for bit.  Otherwise it is the n x n product.
         """
         if not even:
             return matvec(self.matrix, x)
-        k = (self.n + 1) // 2
-        return unfold(matvec(self.even_block, x[:k]) / _mass(k, self.n), self.n)
+        return unfold(matvec(self.even_block, fold(x)), self.n)
 
 
 def is_even(x) -> bool:
@@ -214,56 +214,56 @@ def is_even(x) -> bool:
 
 
 def fold(x: np.ndarray, odd: bool = False) -> np.ndarray:
-    """E^T x, or E_o^T x with odd=True, along the first axis of x.
+    """Q^T x, or Q_o^T x with odd=True, along the first axis of x.
 
-    Row i < floor(n/2) is x_i + x_{n-1-i} (x_i - x_{n-1-i} for E_o); E^T keeps
-    the centre row of an odd n once, E_o^T drops it.
+    Row i < floor(n/2) is (x_i + x_{n-1-i}) / sqrt(2) ((x_i - x_{n-1-i}) /
+    sqrt(2) for Q_o); Q^T keeps the centre row of an odd n as it is, Q_o^T
+    drops it.
     """
     n = len(x)
     k = n // 2 if odd else (n + 1) // 2
     mirror = x[::-1][:k]
-    out = x[:k] - mirror if odd else x[:k] + mirror
+    out = (x[:k] - mirror if odd else x[:k] + mirror) * _ROOT_HALF
     if n % 2 and not odd:
         out[-1] = x[k - 1]
     return out
 
 
 def unfold(y: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
-    """E y, or E_o y with odd=True: the even (odd) field on n nodes whose first-half values are y."""
+    """Q y, or Q_o y with odd=True: the even (odd) field on n nodes with Q^T (Q_o^T) of it equal to y."""
+    half = y[: n // 2] * _ROOT_HALF
     if odd:
-        return np.concatenate((y, np.zeros(n - 2 * len(y)), -y[::-1]))
-    return np.concatenate((y, y[: n // 2][::-1]))
+        return np.concatenate((half, np.zeros(n - 2 * len(y)), -half[::-1]))
+    return np.concatenate((half, y[n // 2 :], half[::-1]))
 
 
 def _fold_matrix(mat: np.ndarray, odd: bool = False) -> np.ndarray:
-    """E^T mat E (E_o^T mat E_o with odd=True) from the top-left quarter of mat and its mirror, as one k x k array.
+    """Q^T mat Q (Q_o^T mat Q_o with odd=True) from the top-left quarter of mat and its mirror, as one k x k array.
 
-    For mat = R mat R bit for bit, as A is, the four-term fold (rows, then
-    columns) gives entry (i, j), i, j < n//2, as (a + b) + (b + a) (as (a -
-    b) - (b - a) for E_o), with a = a_ij and b = a_i,n-1-j: that is 2 fl(a
-    + b) (2 fl(a - b)) exactly, so it is written as a + b once and then
-    doubled in place.  The centre row and column of an odd n enter E once,
-    not twice: its row is a_hj + a_h,n-1-j and its column a_ih + a_ih, left
-    undoubled, and the centre corner is a_hh itself.  Every entry has the
-    bits of the four-term fold; for a symmetric mat the block is symmetric
-    bit for bit.
+    For mat = R mat R, as A is bit for bit, entry (i, j), i, j < n//2, is
+    ((a + b) + (b + a)) / 2 = a + b (a - b for Q_o), with a = a_ij and b =
+    a_i,n-1-j, so it is written as a + b once.  The centre row of an odd n
+    is (a_hj + a_h,n-1-j) / sqrt(2) and its column (a_ih + a_ih) / sqrt(2),
+    and the centre corner is a_hh itself.  For a symmetric mat the block is
+    symmetric bit for bit.
     """
     n = len(mat)
     h = n // 2
     k = h if odd else n - h
     mirror = mat[:k, ::-1][:, :k]
     out = mat[:k, :k] - mirror if odd else mat[:k, :k] + mirror
-    out[:h, :h] += out[:h, :h]
     if k > h:
+        out[h, :h] *= _ROOT_HALF
+        out[:h, h] *= _ROOT_HALF
         out[h, h] = mat[h, h]
     return out
 
 
 @dataclass(frozen=True)
 class Basis:
-    """The coordinates of a solve on n-node vectors: E's columns (even) or the nodes themselves.
+    """The coordinates of a solve on n-node vectors: Q's columns (even) or the nodes themselves.
 
-    `fold` maps a vector to the basis (E^T x) and `unfold` back (E y); both
+    `fold` maps a vector to the basis (Q^T x) and `unfold` back (Q y); both
     carry entries past the first n (the unknowns of a bordered system)
     through unchanged, and both return their argument on the node basis.
     """
@@ -283,9 +283,9 @@ class Basis:
         return np.concatenate((unfold(y[:k], self.n), y[k:])) if self.even else y
 
     def lift(self, solve):
-        """x -> E solve(E^T x): a solve with a matrix of this basis as one on n-node vectors.
+        """x -> Q solve(Q^T x): a solve with a matrix of this basis as one on n-node vectors.
 
-        For M = E^T J E and an even x it gives J^-1 x; the odd part of x,
+        For M = Q^T J Q and an even x it gives J^-1 x; the odd part of x,
         which J maps to odd fields, is dropped.  None stays None.
         """
         if solve is None or not self.even:
@@ -294,7 +294,7 @@ class Basis:
 
 
 def basis_for(n: int, *data) -> Basis:
-    """E's columns when every one of the data (n-node fields or scalars) is even, else the nodes."""
+    """Q's columns when every one of the data (n-node fields or scalars) is even, else the nodes."""
     return Basis(n, all(is_even(x) for x in data))
 
 
@@ -393,7 +393,7 @@ def _check_structure(op: NonlocalOperator, col: np.ndarray, delta: np.ndarray) -
 
 
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs by the split solve of the operator's cached holder `lin` (`split_solver`).
+    """Solve A w = rhs by the split solve of the operator's cached holder (`lin.solve`).
 
     For rhs >= 0 not identically zero the result is strictly positive at all
     interior nodes (discrete maximum principle).
@@ -448,11 +448,6 @@ def _sine_profile(n: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
 
 
-def _mass(k: int, n: int | None) -> np.ndarray:
-    """diag(E^T E) for a block of order k < n (2 at each folded pair, 1 at an odd n's centre), else ones."""
-    return np.ones(k) if n in (None, k) else fold(np.ones(n))
-
-
 def spd_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False):
     """x -> mat^-1 x by one Cholesky factor of symmetric mat, or None when it is not finite or not positive definite.
 
@@ -461,8 +456,9 @@ def spd_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False):
     The profile is positive, so a NaN or infinite entry makes the quotient
     NaN or infinite: that one test also rejects a non-finite mat, and LAPACK
     is called unchecked.  For a block of an n x n matrix (order k < n) the
-    probe is the first k values of the n-node profile, so it gives the full
-    matrix's quotient.  LAPACK is handed mat's column-major form: mat when
+    probe is the first k values of Q^T times the n-node profile: for the
+    even block that is Q^T of the profile, which gives the full matrix's
+    quotient.  LAPACK is handed mat's column-major form: mat when
     F-ordered, else its transpose view, which for a symmetric mat holds the
     same bits.  With overwrite=True mat is scratch and is factored in place;
     otherwise it is copied once, contiguously, and left as it was.  A
@@ -473,7 +469,7 @@ def spd_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False):
     """
     k = mat.shape[0]
     col = mat if mat.flags.f_contiguous else mat.T
-    probe = _sine_profile(n or k)[:k]
+    probe = _sine_profile(k) if n in (None, k) else fold(_sine_profile(n))[:k]
     if not 0.0 <= probe @ matvec(col.T, probe) < np.inf:  # False for a NaN quotient too
         return None
     try:
@@ -496,73 +492,34 @@ def lu_solver(mat: np.ndarray, overwrite: bool = False):
     return partial(lu_solve, lu, check_finite=False) if np.all(np.diag(lu[0])) else None
 
 
-def shifted_spd_solver(mat: np.ndarray, n: int | None = None):
-    """x -> (mat - mu D)^-1 x by one Cholesky, mu = min(g, 0) - 1 below every Gershgorin disc of D^-1 mat.
+def shifted_spd_solver(mat: np.ndarray):
+    """x -> (mat - mu I)^-1 x by one Cholesky, mu = min(g, 0) - 1 below every Gershgorin disc of mat.
 
-    D is the identity, or for the even block of an n x n matrix (order k <
-    n) the diagonal of E^T E, so that mu lies below the spectrum of the
-    generalized problem mat y = mu D y (see `_shift_invert_pair`).  g is the
-    lowest left end of the discs.  The shift is taken off the diagonal of
-    one contiguous copy of the symmetric mat's transpose view (its
-    column-major form), which LAPACK then factors in place; mat is left as
-    it was.
+    g is the lowest left end of the discs.  The shift is taken off the
+    diagonal of one contiguous copy of the symmetric mat's transpose view
+    (its column-major form), which LAPACK then factors in place; mat is
+    left as it was.
     """
-    mass = _mass(mat.shape[0], n)
     d = np.diag(mat)
-    shift = min(float(np.min((d - (np.abs(mat).sum(axis=1) - np.abs(d))) / mass)), 0.0) - 1.0
+    shift = min(float(np.min(d - (np.abs(mat).sum(axis=1) - np.abs(d)))), 0.0) - 1.0
     shifted = mat.T.copy(order="F")
-    shifted[np.diag_indices_from(shifted)] -= shift * mass
+    shifted[np.diag_indices_from(shifted)] -= shift
     return _trsv_pair(cho_factor(shifted, lower=True, overwrite_a=True)[0])
-
-
-def split_solver(even, odd, n: int):
-    """x -> J^-1 x on any n-node x, for an n x n J that commutes with the reflection, from its two blocks.
-
-    `even` is a solve with J_e = E^T J E (built by the caller, who may share
-    it with an eigenpair); `odd` is a function of no arguments that returns
-    J_o = E_o^T J E_o.  Then J^-1 x = E J_e^-1 E^T x + E_o J_o^-1 E_o^T x:
-    two solves of order about n/2.  J_o is built and factored here, by
-    Cholesky or else LU, on the first x with E_o^T x != 0; an x with E_o^T x
-    = 0 (an even x) skips the odd half, which leaves the even one's bits.  A
-    singular J_o is a ConvergenceError at that solve.  None when `even` is.
-    """
-    if even is None:
-        return None
-
-    @cache
-    def odd_solve():
-        block = odd()  # copied by the Cholesky, since an LU may follow it
-        return spd_solver(block, n) or lu_solver(block.T)
-
-    def solve(x):
-        y = unfold(even(fold(x)), n)
-        z = fold(x, odd=True)
-        if not z.any():
-            return y
-        if (solve_odd := odd_solve()) is None:
-            raise ConvergenceError("the odd block of a reflection-symmetric matrix is exactly singular")
-        return y + unfold(solve_odd(z), n, odd=True)
-
-    return solve
 
 
 @dataclass(eq=False)
 class LinearizedOperator:
-    """J = P - diag(fprime) on n = len(fprime) nodes, in the basis of its field; each solve is built once, on first use.
+    """J = A + diag(p) on n nodes, in the basis of its field; each solve is built once, on first use.
 
-    At an even field with even data `matrix` is J's even block J_e = E^T J E
+    At an even field with even data `matrix` is J's even block J_e = Q^T J Q
     and `odd` a function of no arguments that builds its odd block J_o =
-    E_o^T J E_o (J = J_e (+) J_o); otherwise `matrix` is J and `odd` is None.
-    A itself is one, at fprime = 0 (`NonlocalOperator.lin`).
+    Q_o^T J Q_o (J = J_e (+) J_o); otherwise `matrix` is J and `odd` is None.
+    A itself is one, at p = 0 (`NonlocalOperator.lin`).
     """
 
     matrix: np.ndarray
-    fprime: np.ndarray
+    n: int
     odd: Callable[[], np.ndarray] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.fprime)
 
     @cached_property
     def cholesky(self):
@@ -576,8 +533,34 @@ class LinearizedOperator:
 
     @cached_property
     def solve(self):
-        """x -> J^-1 x on any n-node x: `block_solve`, or at an even field the split solve through J_e and J_o."""
-        return self.block_solve if self.odd is None else split_solver(self.block_solve, self.odd, self.n)
+        """x -> J^-1 x on any n-node x: `block_solve`, or at an even field the split solve through J_e and J_o.
+
+        The split solve is J^-1 x = Q J_e^-1 Q^T x + Q_o J_o^-1 Q_o^T x: two
+        solves of order about n/2.  J_o gets a holder of its own, built with
+        its `block_solve` on the first x with Q_o^T x != 0; an x with Q_o^T x
+        = 0 (an even x) skips the odd half, which leaves the even one's bits.
+        A singular J_o is a ConvergenceError at that solve.  None when
+        `block_solve` is.  The solve holds the blocks' solves, not the
+        holder, so it makes no reference cycle.
+        """
+        even, build, n = self.block_solve, self.odd, self.n
+        if build is None or even is None:
+            return even
+
+        @cache
+        def odd_solve():
+            return LinearizedOperator(build(), n).block_solve
+
+        def solve(x):
+            y = unfold(even(fold(x)), n)
+            z = fold(x, odd=True)
+            if not z.any():
+                return y
+            if (solve_odd := odd_solve()) is None:
+                raise ConvergenceError("the odd block of a reflection-symmetric matrix is exactly singular")
+            return y + unfold(solve_odd(z), n, odd=True)
+
+        return solve
 
 
 def _lanczos_largest(apply, n: int, rtol: float) -> tuple[float, np.ndarray]:
@@ -618,38 +601,34 @@ def _lanczos_largest(apply, n: int, rtol: float) -> tuple[float, np.ndarray]:
     raise ConvergenceError(f"Lanczos found no converged Ritz pair in {len(alpha)} steps")
 
 
-def _shift_invert_pair(mat, solve, tol, n: int | None = None) -> EigenPair:
+def _shift_invert_pair(mat, solve, tol, n: int) -> EigenPair:
     """Eigenpair of symmetric mat from the largest pair of a shift-invert operator.
 
-    solve is x -> (mat - mu D)^-1 x with mu below the spectrum, whose largest
+    solve is x -> (mat - mu I)^-1 x with mu below the spectrum, whose largest
     eigenvalue belongs to the smallest of mat; or x -> -mat^-1 x, whose
-    largest belongs to the negative eigenvalue of mat nearest 0.  D is the
-    identity; or, when mat is the even block E^T J E of an n x n J (order k <
-    n), the diagonal of E^T E.  The pair is then J's among even fields, from
-    the generalized problem mat y = mu D y: Lanczos runs on D^1/2 solve D^1/2
-    in the coordinates z = D^1/2 y, where J on even fields is a symmetric
-    matrix, and the vector is unfolded to the n nodes.  The eigenvalue is
-    the Rayleigh quotient of the Ritz vector; the residual is the sup norm
-    of J x - mu x on the sup-normalized vector x.  Lanczos stops at the Ritz
-    residual rtol theta that keeps it below tol: the residual is then at most
-    sqrt(k) ||S - mu I|| rtol for the matrix S = D^-1/2 mat D^-1/2, and ||S -
-    mu I|| <= 2 ||mat||_inf / min D + 1 for mu = 0 and for the Gershgorin
+    largest belongs to the negative eigenvalue of mat nearest 0.  mat is an
+    n x n J, or its even block Q^T J Q (order k < n): the pair is then J's
+    among even fields, and the vector and residual are unfolded to the n
+    nodes.  The eigenvalue is the Rayleigh quotient of the Ritz vector; the
+    residual is the sup norm of J x - mu x on the sup-normalized vector x.
+    Lanczos stops at the Ritz residual rtol theta that keeps it below tol:
+    on the n nodes (unfolding keeps the 2-norm) the residual is then at
+    most sqrt(n) ||mat - mu I|| rtol, and
+    ||mat - mu I|| <= 2 ||mat||_inf + 1 for mu = 0 and for the Gershgorin
     shift alike.
     """
     k = mat.shape[0]
-    mass = _mass(k, n)
-    root = np.sqrt(mass)
-    rtol = tol / (np.sqrt(k) * (2.0 * np.abs(mat).sum(axis=1).max() / mass.min() + 1.0))
-    _, z = _lanczos_largest(lambda v: root * solve(root * v), k, rtol)
-    x = z / root
+    rtol = tol / (np.sqrt(n) * (2.0 * np.abs(mat).sum(axis=1).max() + 1.0))
+    _, x = _lanczos_largest(solve, k, rtol)
     mu = float(x @ matvec(mat, x))
-    vec = x / np.abs(x).max()
-    if vec[np.argmax(np.abs(vec))] < 0.0:
-        vec = -vec
-    res = float(np.abs((matvec(mat, vec) - mu * mass * vec) / mass).max())
+    r = matvec(mat, x) - mu * x
+    if k < n:
+        x, r = unfold(x, n), unfold(r, n)
+    top = x[np.argmax(np.abs(x))]  # the sup norm, with the sign that makes the largest entry positive
+    res = float(np.abs(r).max() / abs(top))
     if res > tol:
         raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}", residual=res)
-    return EigenPair(value=mu, vector=vec if n in (None, k) else unfold(vec, n), residual=res)
+    return EigenPair(value=mu, vector=x / top, residual=res)
 
 
 def smallest_eigenpairs(lin: LinearizedOperator, tol: float = 1e-8) -> EigenPair:
@@ -672,7 +651,7 @@ def smallest_eigenpairs(lin: LinearizedOperator, tol: float = 1e-8) -> EigenPair
     residual is at most tol and whose sup-normalized vector is strictly
     positive is returned, whatever the sign its value rounds to.  Only where
     neither is certified (Morse index 2 or more) does it take a second
-    factorization: the Cholesky of J - mu*D for the Gershgorin shift mu
+    factorization: the Cholesky of J - mu*I for the Gershgorin shift mu
     (`shifted_spd_solver`).
     """
     if lin.cholesky is not None:
@@ -685,7 +664,7 @@ def smallest_eigenpairs(lin: LinearizedOperator, tol: float = 1e-8) -> EigenPair
                 continue
             if pair.vector.min() > 0.0:
                 return pair
-    return _shift_invert_pair(lin.matrix, shifted_spd_solver(lin.matrix, lin.n), tol, lin.n)
+    return _shift_invert_pair(lin.matrix, shifted_spd_solver(lin.matrix), tol, lin.n)
 
 
 def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
@@ -696,17 +675,8 @@ def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
     the operator beside the one `lin` keeps for solves.
     """
     if "phi1" not in op._cache:
-        pair = smallest_eigenpairs(LinearizedOperator(op.even_block, np.zeros(op.n)))
+        pair = smallest_eigenpairs(LinearizedOperator(op.even_block, op.n))
         if pair.vector.min() <= 0.0:
             raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
         op._cache["phi1"] = pair
     return op._cache["phi1"]
-
-
-def dump_triplets(op: NonlocalOperator, path) -> None:
-    """Write the matrix in plain-text triplet form: one `i j value` per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(op.n):
-            row = op.matrix[i]
-            for j in range(op.n):
-                fh.write(f"{i} {j} {float(row[j])!r}\n")

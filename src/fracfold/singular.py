@@ -33,8 +33,8 @@ The grid, A and K are symmetric under the reflection of the nodes bit for
 bit, and every start below (max(c* phi_1, (K / diag A)^(1/(1+delta))), the
 scaled pure singular solution, the warm-start hints, the torsion bracket of
 an even forcing) is even.  When the start, k and rhs are all even,
-`Equation.jacobian` writes only the even block J_e = E^T J E of order
-ceil(n/2) and `Equation.solve` steps by E J_e^-1 E^T (-r): an exact Newton
+`Equation.jacobian` writes only the even block J_e = Q^T J Q of order
+ceil(n/2) and `Equation.solve` steps by Q J_e^-1 Q^T (-r): an exact Newton
 step, since J maps even fields to even fields, and every iterate stays even
 bit for bit.  The residual there takes
 A u from A's even block too (`NonlocalOperator.apply`): a quarter of A's
@@ -69,7 +69,6 @@ from .operator import (
     Grid,
     NonlocalOperator,
     basis_for,
-    fold,
     matvec,
     principal_eigenpair,
     solve_dirichlet,
@@ -156,7 +155,7 @@ class Equation:
         return -singular - self.lam * self.nonlinearity.fsecond(u)
 
     def basis(self, u: np.ndarray, *data) -> Basis:
-        """E's columns when u, k, rhs and any further data are even, else the nodes (see `jacobian`)."""
+        """Q's columns when u, k, rhs and any further data are even, else the nodes (see `jacobian`)."""
         return basis_for(len(u), u, self.k, self.rhs, *data)
 
     def jacobian(
@@ -169,13 +168,13 @@ class Equation:
     ) -> np.ndarray:
         """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array of `dtype`.
 
-        The even block is E^T J E = E^T A E + diag(E^T potential), of order
-        ceil(n/2) (E^T diag(p) E = diag(E^T p) for any p); with odd=True it
-        is the odd block E_o^T A E_o + diag of the first n//2 entries of E^T
-        potential.  Without `out` the basis of u picks the form: the even
-        block when u, k and rhs are even (J then commutes with the
-        reflection and is the sum of its blocks), else J itself; with `out`
-        its order does.  The matrix (A or its cached block) is copied into
+        The even block is Q^T J Q = Q^T A Q + diag(potential[:ceil(n/2)]),
+        of order ceil(n/2) (Q^T diag(p) Q = diag(p[:ceil(n/2)]) for an even
+        p); with odd=True it is the odd block Q_o^T A Q_o + diag of the first
+        n//2 entries of the potential.  Without `out` the basis of u picks
+        the form: the even block when u, k and rhs are even (J then commutes
+        with the reflection and is the sum of its blocks), else J itself;
+        with `out` its order does.  The matrix (A or its cached block) is copied into
         the target and its diagonal summed with the potential, which gives
         the bits of the sum without a temporary of the matrix's size; a
         float32 target (dtype=np.float32, for Newton's single-precision
@@ -186,7 +185,7 @@ class Equation:
         pot = self.potential(u) if potential is None else potential
         if odd or (self.basis(u).even if out is None else len(out) < len(u)):
             base = self.op.odd_block if odd else self.op.even_block
-            pot = fold(pot)[: len(base)]
+            pot = pot[: len(base)]
         else:
             base = self.op.matrix
         if out is None:
@@ -206,7 +205,7 @@ class Equation:
         factorization rejects it.  It gets the fresh Jacobian as its
         transpose view (J is symmetric) and factors it in place.  At an
         even u with even data it factors the even block and the step is
-        E J_e^-1 E^T (-r), so every iterate stays even bit for bit.
+        Q J_e^-1 Q^T (-r), so every iterate stays even bit for bit.
         damped_newton keeps one such solve for the run and reuses it by its
         chord rule.  Returns (u, residual, bound) with |G(u)| <= tol *
         scale(u) at every node, residual its sup and bound the sup of tol *

@@ -66,11 +66,12 @@ def test_cli_malformed_config_is_a_clean_error(tmp_path, capsys):
 
 
 def test_cli_assemble_check(capsys, tmp_path):
-    code = main(["assemble-check", "--s", "0.5", "--n", "64", "--out", str(tmp_path), "--dump-matrix"])
+    # the triplet writer, not the command, makes the output directory
+    code = main(["assemble-check", "--s", "0.5", "--n", "64", "--out", str(tmp_path / "new"), "--dump-matrix"])
     assert code == 0
     out = capsys.readouterr().out
     assert "assemble-check" in out
-    assert (tmp_path / "operator-triplets.txt").exists()
+    assert (tmp_path / "new" / "operator-triplets.txt").exists()
 
 
 def test_cli_solve_ps_writes_schema(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_lambda1_matches_dense_oracle(op192, pure_field):
     principal = lambda1(0.2, pure_field.values, op192, spec, lin=lin)
     assert principal.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
     for matrix in (jac, lin.matrix):
-        pair = smallest_eigenpairs(LinearizedOperator(matrix, np.zeros(192)))
+        pair = smallest_eigenpairs(LinearizedOperator(matrix, 192))
         assert pair.value == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle)))
 
 
@@ -284,7 +284,7 @@ def test_smallest_eigenpairs_indefinite_matches_eigh(folded_branch, op256_s04, c
     jac = _dense_jacobian(p.lam, p.solution, op256_s04, canonical_spec)
     oracle = eigh(jac, eigvals_only=True, subset_by_index=[0, 2])
     assert oracle[0] < 0.0 < oracle[1]
-    q, val = smallest_eigenpairs(LinearizedOperator(jac, np.zeros(len(jac))), tol=1e-9), oracle[0]
+    q, val = smallest_eigenpairs(LinearizedOperator(jac, len(jac)), tol=1e-9), oracle[0]
     assert q.value == pytest.approx(val, abs=1e-9 * max(1.0, abs(val)))
     assert np.abs(q.vector).max() == pytest.approx(1.0)
     assert np.abs(jac @ q.vector - q.value * q.vector).max() <= 1e-9
@@ -472,7 +472,7 @@ def test_lambda1_falls_back_past_morse_index_one(op192):
     c = 0.5 * (mu[1] + mu[2])
     jac = op192.matrix - c * np.eye(op192.n)
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
-    pair = lambda1(0.1, np.ones(op192.n), op192, spec, lin=LinearizedOperator(jac, np.zeros(op192.n)))
+    pair = lambda1(0.1, np.ones(op192.n), op192, spec, lin=LinearizedOperator(jac, op192.n))
     assert pair.value == pytest.approx(mu[0] - c, abs=1e-9 * abs(mu[0] - c))
     assert pair.vector.min() > 0.0
 
@@ -499,7 +499,7 @@ def test_cholesky_solver_matches_cho_solve(op192, pure_field, rng):
 def test_monitor_zero_when_linearization_is_singular(op192, pure_field):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     singular = np.diag(np.arange(192.0))
-    lin = LinearizedOperator(matrix=singular, fprime=np.ones(192))
+    lin = LinearizedOperator(matrix=singular, n=192)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # LU reports the zero pivot
         assert fredholm_monitor(0.2, pure_field.values, op192, spec, lin=lin) == 0.0

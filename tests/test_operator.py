@@ -30,7 +30,6 @@ from fracfold.operator import (
     LinearizedOperator,
     _fold_matrix,
     _lanczos_largest,
-    dump_triplets,
     fold,
     is_even,
     lu_solver,
@@ -39,10 +38,10 @@ from fracfold.operator import (
     principal_eigenpair,
     smallest_eigenpairs,
     spd_solver,
-    split_solver,
     unfold,
 )
 from fracfold.config import RunConfig
+from fracfold.io import dump_triplets
 from fracfold.continuation import FoldPolicy, TracePolicy, fold_round, trace_minimal
 from fracfold.singular import Equation
 
@@ -175,7 +174,7 @@ def test_eigen_principal_pair(op128_s05):
 
 def test_eigen_against_dense_oracle(op256_s04):
     val = eigh(op256_s04.matrix, eigvals_only=True)[0]
-    pair = smallest_eigenpairs(LinearizedOperator(op256_s04.matrix, np.zeros(op256_s04.n)))
+    pair = smallest_eigenpairs(LinearizedOperator(op256_s04.matrix, op256_s04.n))
     assert pair.value == pytest.approx(val, abs=1e-10 * max(1.0, abs(val)))
 
 
@@ -258,39 +257,68 @@ def test_discrete_comparison_random_pairs(op128_s05, rng):
 
 
 def test_triplet_dump_roundtrip(tmp_path, op128_s05):
-    path = tmp_path / "mat.txt"
+    # one `i j value` line per entry, floats by repr, written atomically into
+    # a directory it creates, with no temp file left beside it
+    path = tmp_path / "nested" / "mat.txt"
     dump_triplets(op128_s05, path)
+    mat = op128_s05.matrix
+    assert path.read_text() == "".join(f"{i} {j} {float(mat[i, j])!r}\n" for i in range(128) for j in range(128))
+    assert [p.name for p in path.parent.iterdir()] == ["mat.txt"]
     rows = np.loadtxt(path)
     assert rows.shape == (128 * 128, 3)
     rebuilt = rows[:, 2].reshape(128, 128)
     assert np.array_equal(rebuilt, op128_s05.matrix)
 
 
-def _sign_pattern(mat):
-    """Positive diagonal, nonpositive off-diagonals and positive row sums: the M-matrix pattern."""
+def _sign_pattern(mat, ones=None):
+    """Positive diagonal, nonpositive off-diagonals and positive row sums: the M-matrix pattern.
+
+    For a block Q^T A Q pass ones = Q^T 1, the folded n-node ones: its row
+    sums are then Q^T of A's, as Q Q^T 1 = 1.
+    """
     off = mat - np.diag(np.diag(mat))
-    return np.diag(mat).min() > 0.0 and off.max() <= 0.0 and mat.sum(axis=1).min() > 0.0
+    sums = mat.sum(axis=1) if ones is None else mat @ ones
+    return np.diag(mat).min() > 0.0 and off.max() <= 0.0 and sums.min() > 0.0
+
+
+def _dense_q(n, odd=False):
+    """Q (Q_o with odd=True) written out: columns (e_j +- e_{n-1-j}) / sqrt(2), and e_h at an odd n's centre in Q."""
+    m, r = n // 2, np.sqrt(0.5)
+    q = np.zeros((n, m if odd else n - m))
+    for i in range(m):
+        q[i, i], q[n - 1 - i, i] = r, (-r if odd else r)
+    if n % 2 and not odd:
+        q[m, m] = 1.0
+    return q
+
+
+def _assert_blocks_are_folds_of(op):
+    """Both blocks of A equal Q^T A Q (Q_o^T A Q_o) to rounding and are symmetric bit for bit.
+
+    The bound is the componentwise one of a product, 1e-14 (|Q|^T |A| |Q|):
+    an odd block's entry a - b cancels where a_ij and a_i,n-1-j are close.
+    """
+    for odd, block in ((False, op.even_block), (True, op.odd_block)):
+        q = _dense_q(op.n, odd)
+        assert np.all(np.abs(block - q.T @ op.matrix @ q) <= 1e-14 * (np.abs(q.T) @ np.abs(op.matrix) @ np.abs(q)))
+        assert np.array_equal(block, block.T)
 
 
 @pytest.mark.parametrize("n", [8, 9, 255, 1024])
-def test_fold_and_unfold_are_E_transpose_and_E(n, rng):
-    # against E and E_o written out as matrices: the centre node of an odd n
-    # is one column of E and no column of E_o
-    k, m = (n + 1) // 2, n // 2
-    e, e_odd = np.zeros((n, k)), np.zeros((n, m))
-    for i in range(m):
-        e[i, i] = e[n - 1 - i, i] = 1.0
-        e_odd[i, i], e_odd[n - 1 - i, i] = 1.0, -1.0
-    if n % 2:
-        e[m, m] = 1.0
+def test_fold_and_unfold_are_Q_transpose_and_Q(n, rng):
+    # against Q and Q_o written out as matrices: the centre node of an odd n
+    # is one column of Q and no column of Q_o.  Q's entries are irrational,
+    # so a fold (two terms per row) meets the dense product to rounding; an
+    # unfold (one term per row) meets it bit for bit
     x = rng.normal(size=n)
-    assert np.array_equal(fold(x), e.T @ x) and np.array_equal(fold(x, odd=True), e_odd.T @ x)
-    y, z = rng.normal(size=k), rng.normal(size=m)
-    assert np.array_equal(unfold(y, n), e @ y) and np.array_equal(unfold(z, n, odd=True), e_odd @ z)
+    for odd in (False, True):
+        q = _dense_q(n, odd)
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 2.0 * np.finfo(float).eps
+        assert np.abs(fold(x, odd) - q.T @ x).max() <= 1e-14 * np.abs(x).max()
+        y = rng.normal(size=q.shape[1])
+        assert np.array_equal(unfold(y, n, odd), q @ y)
     assert is_even(unfold(y, n)) and not is_even(x)
-    op = assemble_operator(build_grid(1.0, n), 0.4)
-    assert np.allclose(op.even_block, e.T @ op.matrix @ e, rtol=1e-14, atol=0.0)
-    assert np.allclose(op.odd_block, e_odd.T @ op.matrix @ e_odd, rtol=1e-14, atol=0.0)
+    _assert_blocks_are_folds_of(assemble_operator(build_grid(1.0, n), 0.4))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -304,17 +332,17 @@ def test_fold_and_unfold_are_E_transpose_and_E(n, rng):
 @example(s=0.05, n=8, half_width=3.0, seed=1)
 @example(s=0.5, n=9, half_width=1.0, seed=2)
 def test_operator_reflection_split(s, n, half_width, seed):
-    # A = RAR bit for bit, A and its even block E^T A E are M-matrices, and
+    # A = RAR bit for bit, A and its even block Q^T A Q are M-matrices, and
     # the solves that the even/odd split gives match a solve with A itself
     op = assemble_operator(build_grid(half_width, n), s)
     mat = op.matrix
     assert np.array_equal(mat, mat[::-1, ::-1])
     assert np.array_equal(op.even_block, op.even_block.T) and np.array_equal(op.odd_block, op.odd_block.T)
-    assert _sign_pattern(mat) and _sign_pattern(op.even_block)
+    assert _sign_pattern(mat) and _sign_pattern(op.even_block, fold(np.ones(n)))
     rng = np.random.default_rng(seed)
     full = spd_solver(mat)
     even = spd_solver(op.even_block, n)
-    split = split_solver(even, lambda: op.odd_block, n)
+    split = op.lin.solve
     x = rng.normal(size=n)
     even_rhs = x + x[::-1]
     for solve, rhs in ((Basis(n, True).lift(even), even_rhs), (split, even_rhs), (split, x)):
@@ -333,7 +361,7 @@ def test_split_solve_meets_a_singular_odd_block_only_when_it_solves_with_it():
         built.append(1)
         return np.zeros((n // 2, n // 2))
 
-    split = split_solver(lambda y: y, odd, n)
+    split = LinearizedOperator(np.eye((n + 1) // 2), n, odd).solve
     x = np.arange(n, dtype=float)
     even = x + x[::-1]
     assert np.array_equal(split(even), unfold(fold(even), n)) and built == []
@@ -344,9 +372,9 @@ def test_split_solve_meets_a_singular_odd_block_only_when_it_solves_with_it():
 
 @pytest.mark.parametrize("n", [15, 255, 511, 1023, 1024])
 def test_principal_pair_from_the_even_block(n):
-    # phi_1 of A from E^T A E agrees with the pair of A itself, and is even bit for bit
+    # phi_1 of A from Q^T A Q agrees with the pair of A itself, and is even bit for bit
     op = assemble_operator(build_grid(1.0, n), 0.4)
-    block, full = principal_eigenpair(op), smallest_eigenpairs(LinearizedOperator(op.matrix, np.zeros(n)))
+    block, full = principal_eigenpair(op), smallest_eigenpairs(LinearizedOperator(op.matrix, n))
     assert block.value == pytest.approx(full.value, rel=1e-12)
     assert np.abs(block.vector - full.vector).max() <= 1e-8
     assert is_even(block.vector) and block.vector.shape == (n,)
@@ -500,11 +528,6 @@ def test_assembly_rejects_a_nonpositive_row_sum(monkeypatch):
         assemble_operator(build_grid(1.0, 64), 0.4)
 
 
-def _dense_fold(mat, odd):
-    """The four-term fold E^T mat E (E_o^T mat E_o): the rows, then the columns."""
-    return fold(fold(mat, odd).T, odd).T
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(s=st.floats(0.01, 0.99), n=st.integers(8, 400), half_width=st.floats(0.25, 4.0))
 @example(s=0.01, n=8, half_width=0.25)
@@ -513,13 +536,12 @@ def _dense_fold(mat, odd):
 @example(s=0.99, n=399, half_width=4.0)
 def test_assembly_structure_across_parameters(s, n, half_width):
     # the dense oracle of every property the assembly check derives from the
-    # construction, and both blocks against the four-term fold, bit for bit
+    # construction, and both blocks against Q^T A Q, symmetric bit for bit
     op = assemble_operator(build_grid(half_width, n), s)
     mat = op.matrix
     assert np.array_equal(mat, mat.T) and np.array_equal(mat, mat[::-1, ::-1])
     assert _sign_pattern(mat)
-    for block, odd in ((op.even_block, False), (op.odd_block, True)):
-        assert block.tobytes() == np.ascontiguousarray(_dense_fold(mat, odd)).tobytes()
+    _assert_blocks_are_folds_of(op)
 
 
 def test_assembly_allocates_one_matrix():
@@ -621,12 +643,25 @@ def test_a_failed_cholesky_leaves_its_matrix_to_the_lu():
     k = 40
     mat = np.diag(np.r_[np.full(k - 1, 2.0), -1.0]) - 0.5 * (np.eye(k, k=1) + np.eye(k, k=-1))
     before = mat.copy()
-    lin = LinearizedOperator(mat, np.zeros(k))
+    lin = LinearizedOperator(mat, k)
     assert lin.cholesky is None and np.array_equal(mat, before)
     x = np.linspace(1.0, 2.0, k)
     assert np.abs(mat @ lin.block_solve(x) - x).max() <= 1e-12
     n = 2 * k
-    solve = split_solver(lambda y: y, lambda: mat, n)
-    z = fold(solve(unfold(x, n, odd=True)), odd=True) / 2.0  # E_o^T E_o = 2 I
-    assert np.abs(mat @ z - 2.0 * x).max() <= 1e-12
+    solve = LinearizedOperator(np.eye(k), n, lambda: mat).solve
+    z = fold(solve(unfold(x, n, odd=True)), odd=True)
+    assert np.abs(mat @ z - x).max() <= 1e-12
     assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_block_probe_gives_the_full_matrix_quotient(monkeypatch, n):
+    # spd_solver probes a block with Q^T of the n-node sine profile, so a J
+    # whose sine quotient is negative is rejected from its even block with no
+    # factorization, at an odd n too, where the centre is a column of Q alone
+    op = assemble_operator(build_grid(1.0, n), 0.4)
+    sine = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    c = (1.0 + 1e-6) * (sine @ op.matrix @ sine) / (sine @ sine)
+    calls = _factor_calls(monkeypatch)
+    assert spd_solver(op.even_block - c * np.eye(len(op.even_block)), n) is None
+    assert calls == []

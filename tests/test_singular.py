@@ -672,7 +672,7 @@ def test_non_finite_jacobian_fails_the_cholesky_newton(op16, canonical_spec, bad
 
 @pytest.mark.parametrize("n", [255, 256])
 def test_even_residual_comes_from_the_even_block(n, canonical_spec):
-    # at an even u with even data A u is E D^-1 A_e u[:k]: within 1e-13 of
+    # at an even u with even data A u is Q A_e Q^T u: within 1e-13 of
     # the n x n product and even bit for bit; an asymmetric u keeps the n x n
     # product's bits
     op = assemble_operator(build_grid(1.0, n), canonical_spec.s)

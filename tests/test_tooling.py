@@ -145,7 +145,7 @@ def test_eigenpairs_have_one_home():
         for name, line in _references(ast.parse(path.read_text()), {"_shift_invert_pair", "shifted_spd_solver"}):
             homes.setdefault((path.name, name), []).append(line)
     assert list(homes) == [("operator.py", "smallest_eigenpairs")], homes
-    solvers = {"spd_solver", "lu_solver", "split_solver", "shifted_spd_solver", "_shift_invert_pair"}
+    solvers = {"spd_solver", "lu_solver", "shifted_spd_solver", "_shift_invert_pair"}
     assert _references(ast.parse((SOURCE / "linearization.py").read_text()), solvers) == []
 
 
