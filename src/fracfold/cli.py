@@ -67,7 +67,7 @@ def _build_config(args) -> RunConfig:
 def _cmd_assemble_check(args) -> int:
     cfg = _build_config(args)
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
-    mat = op.matrix
+    mat = op.dense()
     scale = np.abs(mat).max()
     summary = (
         f"assemble-check: n={cfg.n} s={cfg.s} sym={np.abs(mat - mat.T).max() / scale:.1e} "

@@ -1,4 +1,4 @@
-"""Run configuration: flat key=value sections, round-trip safe."""
+"""Run configuration: flat key=value sections, round-trip safe (values are taken literally: no % interpolation)."""
 
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ def _parse_value(name: str, raw: str):
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, names in _SECTIONS.items():
         parser[section] = {name: _format_value(getattr(cfg, name)) for name in names}
     buf = io.StringIO()
@@ -91,11 +91,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         parser.read_string(text)
         sections = {section: dict(parser[section]) for section in parser.sections()}
-    except configparser.Error as exc:  # no section header, a key given twice, a bad % interpolation
+    except configparser.Error as exc:  # no section header, a key given twice
         raise ValueError(f"malformed config: {exc}") from exc
     values = {}
     for section, items in sections.items():

@@ -304,8 +304,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
 
     def residual(z):
         u, phi, at = parts(z)
-        a_phi = op.apply(phi, at.basis(u, phi).even)
-        return np.concatenate([at.residual(u), a_phi + at.potential(u) * phi, [l @ phi - 1.0]])
+        return np.concatenate([at.residual(u), op.apply(phi) + at.potential(u) * phi, [l @ phi - 1.0]])
 
     def bound(z):
         u, phi, at = parts(z)

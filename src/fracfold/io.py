@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,7 +34,8 @@ def _atomic_file(path):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0666 less the umask, as open() makes it
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
@@ -115,5 +116,5 @@ def export_plot_data(artifact, out_dir, prefix: str = "plot") -> list[str]:
 def dump_triplets(op: NonlocalOperator, path) -> None:
     """Write A in plain-text triplet form, one `i j value` per line, streamed row by row into one atomic write."""
     with _atomic_file(path) as fh:
-        for i, row in enumerate(op.matrix):
+        for i, row in enumerate(op.dense()):
             fh.writelines(f"{i} {j} {float(v)!r}\n" for j, v in enumerate(row))

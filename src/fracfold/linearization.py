@@ -59,7 +59,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConvergenceError
-from .operator import EigenPair, LinearizedOperator, NonlocalOperator, _lanczos_largest, matvec, smallest_eigenpairs
+from .operator import EigenPair, LinearizedOperator, NonlocalOperator, _lanczos_largest, smallest_eigenpairs
 from .problem import ProblemSpec, no_nonlinearity
 from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, solve_A
 
@@ -157,7 +157,7 @@ def sensitivity_bundle(
     g_ulam = replace(eq, lam=1.0).potential(uv)
 
     def apply(x):  # P x on the nodes, whatever basis p is in
-        return matvec(op.matrix, x) + potential * x
+        return op.apply(x) + potential * x
 
     w1 = _checked_solve(p, apply, -eq.d_dlam(uv), tol, "w1")
     v = _checked_solve(p, apply, phi, tol, "v")

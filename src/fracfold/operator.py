@@ -26,62 +26,53 @@ operator value has a hypergeometric closed form, so the correction is
 computable and removes the dominant boundary-layer error of nodal schemes
 (observed sup errors on the closed-form benchmark drop by two orders).
 
-The corrected matrix stays symmetric with positive diagonal, negative
-off-diagonals, and positive row sums: an M-matrix, so the discrete comparison
-principle holds.  Assembly checks all of it and allocates one n x n array, A
-itself: A = toeplitz(col) + diag(delta), so symmetry, A = RAR and the sign
-pattern are read from the scaled column col and the diagonal in O(n), and
-only the row sums read A (`_check_structure`).
+The corrected matrix is a symmetric M-matrix (positive diagonal, negative
+off-diagonals, positive row sums), so the discrete comparison principle
+holds.  The kernel is translation invariant, so A = toeplitz(column) +
+diag(wall): `NonlocalOperator` holds the scaled kernel column and the wall
+diagonal, and only this module reads them.  Symmetry holds by that form,
+and assembly checks the rest in O(n) from the two (`_check_structure`).
+The wall correction's product with toeplitz(column) is the one n x n array
+assembly makes; A is built whole only by `NonlocalOperator.dense`.
 
 The grid is symmetric about 0 bit for bit, and so is A: with R the reversal
-of the nodes, A = RAR exactly (`toeplitz` is, and the wall correction is
-mirrored).  So A, and the Jacobian A + diag(p) at any even potential p,
-commute with R and split into two blocks of order about n/2 (Cantoni &
-Butler, Linear Algebra Appl. 13, 1976).  Let Q be the n x ceil(n/2) matrix
-whose orthonormal columns are (e_j + e_{n-1-j}) / sqrt(2), j < n//2, and
-e_h at the centre node h of an odd n, and Q_o the n x floor(n/2) one with
-columns (e_j - e_{n-1-j}) / sqrt(2): they span the even and the odd fields.
-Then J = A + diag(p) acts on even fields as the even block J_e = Q^T J Q =
-Q^T A Q + diag(p[:ceil(n/2)]), and on odd ones as J_o = Q_o^T J Q_o: plain
+of the nodes, A = RAR exactly.  So A, and the Jacobian J = A + diag(p) at
+any even p, split into two blocks of order about n/2 (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976).  Let Q be the n x ceil(n/2) matrix whose
+orthonormal columns are (e_j + e_{n-1-j}) / sqrt(2), j < n//2, and e_h at
+the centre node h of an odd n, and Q_o the n x floor(n/2) one with columns
+(e_j - e_{n-1-j}) / sqrt(2).  Then J acts on even fields as J_e = Q^T J Q =
+Q^T A Q + diag(p[:ceil(n/2)]) and on odd ones as J_o = Q_o^T J Q_o, plain
 symmetric matrices whose eigenpairs are J's among even (odd) fields, and
-for any x, J^-1 x = Q J_e^-1 Q^T x + Q_o J_o^-1 Q_o^T x.  This module is the
-one home of that fold and unfold (`fold` = Q^T, `unfold` = Q, `Basis`), of
-the bitwise test that picks the even path for Newton (`is_even`), and of the
-cached blocks of A, each folded from one quarter of A into one array of its
-own order (`_fold_matrix`).  Every solve on n-node vectors with A, or with a
-J that commutes with R, is the split solve of its holder
+J^-1 x = Q J_e^-1 Q^T x + Q_o J_o^-1 Q_o^T x.  This module is the one home
+of that fold and unfold (`fold` = Q^T, `unfold` = Q, `Basis`), of the
+bitwise test that picks Newton's even path (`is_even`), and of A's cached
+blocks, each Toeplitz plus (minus) Hankel plus a diagonal (Heinig & Rost,
+Algebraic Methods for Toeplitz-like Matrices and Operators, 1984), built
+from strided views of the column (`_block`).  Every solve with A, or with a
+J that commutes with R, is its holder's split solve
 (`LinearizedOperator.solve`), which builds and factors J_o only once a
-right-hand side has an odd part; only an asymmetric Jacobian (an asymmetric
-forcing, a random start) is factored at order n.
+right-hand side has an odd part; only an asymmetric Jacobian is factored at
+order n.
 
 This is the one module that calls a dense kernel: a factorization or a
 matrix-vector product.  Every product of a matrix with a vector is `matvec`,
-BLAS gemv from scipy, so all dense work runs in the one OpenBLAS that also
-factors and solves; numpy's own OpenBLAS, and its thread pool, stay idle.
-An even field's product with A, as in every even Newton residual, is
-`NonlocalOperator.apply`: from the even block, a quarter of A's bytes.
-LAPACK reads column-major input, and f2py hands it a C-ordered array only
-through a transposing copy; so every matrix reaches cho_factor and
-lu_factor in column-major order.  A symmetric matrix (A, its blocks, every
-J and J_e) goes in as its transpose view, which holds its bits; the one
-that is not, the bordered matrix of `continuation`, is allocated F-ordered.
-Scratch matrices (Newton's fresh Jacobian, the bordered matrix) are
-factored in place; one that is kept (a holder's `matrix`, A's cached
-blocks, a J_o whose Cholesky an LU may follow) is copied once, contiguously.
-A float32 matrix (the Jacobian of a single-precision Newton run in
-`singular`) is probed, factored and solved with by the float32 kernels
-(sgemv, spotrf, strsv), so no float64 copy of it is made; the solve takes
-and gives float64 vectors.
-It hands out solves x -> M^-1 x, never factors: `spd_solver` (Cholesky),
-`lu_solver` (LU with partial pivoting) and `shifted_spd_solver` (Cholesky
-below the Gershgorin discs).  Every other module solves through them.  The
-solves with A and with every linearization J = A + diag(p) are held by one
-`LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0), and
-the smallest eigenpair of either comes from one routine,
-`smallest_eigenpairs`: shift-invert Lanczos through one of the holder's
-solves, on the even block when the holder keeps one.  Every `spd_solver` of
-a block of an n x n matrix is given n, so its probe is Q^T of the n-node
-sine profile, cut to the block's order, whatever the block.
+BLAS gemv from scipy, so numpy's own OpenBLAS and its thread pool stay idle;
+every product with A is `NonlocalOperator.apply`, from the blocks (from the
+even block alone for an even field).  LAPACK gets every matrix in
+column-major order, so f2py makes no transposing copy: a symmetric matrix
+as its transpose view, the bordered matrix of `continuation` allocated
+F-ordered.  Scratch matrices (Newton's fresh Jacobian, the bordered matrix)
+are factored in place; a kept one (a holder's `matrix`, A's blocks, a J_o
+whose Cholesky an LU may follow) is copied once, contiguously.  A float32
+matrix (a single-precision Newton Jacobian) meets only the float32 kernels.
+The module hands out solves x -> M^-1 x, never factors: `spd_solver`
+(Cholesky), `lu_solver` (LU with partial pivoting) and `shifted_spd_solver`
+(Cholesky below the Gershgorin discs).  The solves with A and with every J
+are held by one `LinearizedOperator` each (A's is `NonlocalOperator.lin`,
+at p = 0), and the smallest eigenpair of either comes from
+`smallest_eigenpairs`: shift-invert Lanczos through the holder's solve, on
+the even block when it keeps one.
 """
 
 from __future__ import annotations
@@ -91,7 +82,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
-from scipy.linalg import cho_factor, eigh_tridiagonal, get_blas_funcs, lu_factor, lu_solve, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor, eigh_tridiagonal, get_blas_funcs, lu_factor, lu_solve
 from scipy.special import gamma, hyp2f1
 
 from .errors import AssemblyError, ConvergenceError, GridError
@@ -162,21 +154,35 @@ def build_grid(half_width: float, n: int) -> Grid:
 
 @dataclass(eq=False)
 class NonlocalOperator:
-    """Dense matrix form of the fractional Laplacian restricted to interior nodes."""
+    """The fractional Laplacian on the interior nodes: A = toeplitz(column) + diag(wall), held as two n-vectors."""
 
     grid: Grid
     s: float
-    matrix: np.ndarray
+    column: np.ndarray
+    wall: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return self.grid.n
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        """A's diagonal, column_0 + wall, with the bits of dense()'s."""
+        return self.column[0] + self.wall
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """A, built whole only here: written into `out` (an array or view, each entry rounded once) or a new array."""
+        if out is None:
+            out = np.empty((self.n, self.n))
+        out[...] = _toeplitz(self.column, self.n)
+        out[np.diag_indices(self.n)] = self.diagonal
+        return out
+
     @cached_property
     def even_block(self) -> np.ndarray:
         """Q^T A Q: A on even fields, of order ceil(n/2)."""
-        return _fold_matrix(self.matrix)
+        return _block(self.column, self.wall)
 
     @property
     def odd_block(self) -> np.ndarray:
@@ -185,23 +191,20 @@ class NonlocalOperator:
 
     @cached_property
     def lin(self) -> LinearizedOperator:
-        """A as the linearization at lambda = 0: its even block, its odd block's builder and their solves.
+        """A as a holder at p = 0: its even block, its solves, and an odd-block builder of column and wall, not of self."""
+        return LinearizedOperator(self.even_block, self.n, cache(partial(_block, self.column, self.wall, odd=True)))
 
-        The builder holds A's matrix, never the operator, so the operator
-        holds no reference to itself and is freed by reference counting.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x = Q A_e Q^T x + Q_o A_o Q_o^T x, from the blocks.
+
+        An even x (Q_o^T x = 0) skips the odd half: A x is then Q A_e Q^T x,
+        from a quarter of A's bytes, and even bit for bit.
         """
-        return LinearizedOperator(self.even_block, self.n, cache(partial(_fold_matrix, self.matrix, odd=True)))
-
-    def apply(self, x: np.ndarray, even: bool) -> np.ndarray:
-        """A x; with even=True (x even, as its `Basis` says) Q A_e Q^T x from the even block.
-
-        A x is then even, so it is Q Q^T A x = Q A_e Q^T x: the product reads
-        a quarter of A's bytes, equals the n x n one in exact arithmetic and
-        is even bit for bit.  Otherwise it is the n x n product.
-        """
-        if not even:
-            return matvec(self.matrix, x)
-        return unfold(matvec(self.even_block, fold(x)), self.n)
+        y = unfold(matvec(self.even_block, fold(x)), self.n)
+        z = fold(x, odd=True)
+        if not z.any():
+            return y
+        return y + unfold(matvec(self.odd_block, z), self.n, odd=True)
 
 
 def is_even(x) -> bool:
@@ -237,25 +240,33 @@ def unfold(y: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
     return np.concatenate((half, y[n // 2 :], half[::-1]))
 
 
-def _fold_matrix(mat: np.ndarray, odd: bool = False) -> np.ndarray:
-    """Q^T mat Q (Q_o^T mat Q_o with odd=True) from the top-left quarter of mat and its mirror, as one k x k array.
+def _toeplitz(column: np.ndarray, k: int) -> np.ndarray:
+    """The leading k x k block of toeplitz(column), entry (i, j) = column_|i-j|, as a strided view of one vector."""
+    n = len(column)
+    r = np.concatenate((column[:0:-1], column))  # r[m] = column_|m-(n-1)|
+    return sliding_window_view(r, k)[n - k : n][::-1]
 
-    For mat = R mat R, as A is bit for bit, entry (i, j), i, j < n//2, is
-    ((a + b) + (b + a)) / 2 = a + b (a - b for Q_o), with a = a_ij and b =
-    a_i,n-1-j, so it is written as a + b once.  The centre row of an odd n
-    is (a_hj + a_h,n-1-j) / sqrt(2) and its column (a_ih + a_ih) / sqrt(2),
-    and the centre corner is a_hh itself.  For a symmetric mat the block is
-    symmetric bit for bit.
+
+def _block(column: np.ndarray, wall: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Q^T A Q (Q_o^T A Q_o with odd=True) of A = toeplitz(column) + diag(wall), as the one k x k array it allocates.
+
+    Entry (i, j), i, j < n//2, is a_ij +- a_i,n-1-j: the Toeplitz entry
+    column_|i-j| +- the Hankel entry column_(n-1-i-j), both strided views of
+    the column, and on the diagonal (column_0 + wall_i) +- column_(n-1-2i).
+    An odd n's centre row and column are scaled by 1/sqrt(2), and the centre
+    corner is a_hh.  The block is symmetric bit for bit.
     """
-    n = len(mat)
-    h = n // 2
-    k = h if odd else n - h
-    mirror = mat[:k, ::-1][:, :k]
-    out = mat[:k, :k] - mirror if odd else mat[:k, :k] + mirror
+    h = len(column) // 2
+    k = h if odd else len(column) - h
+    hankel = sliding_window_view(column[::-1][: 2 * k - 1], k)
+    toeplitz = _toeplitz(column, k)
+    out = np.subtract(toeplitz, hankel) if odd else np.add(toeplitz, hankel)
+    diagonal = column[0] + wall[:k]
+    out[np.diag_indices(k)] = diagonal - np.diagonal(hankel) if odd else diagonal + np.diagonal(hankel)
     if k > h:
         out[h, :h] *= _ROOT_HALF
         out[:h, h] *= _ROOT_HALF
-        out[h, h] = mat[h, h]
+        out[h, h] = diagonal[h]
     return out
 
 
@@ -323,8 +334,8 @@ def _hat_weights(n: int, h: float, sigma: float) -> np.ndarray:
     return w
 
 
-def _wall_correction(grid: Grid, s: float, mat: np.ndarray) -> np.ndarray:
-    """Diagonal wall-consistency correction.
+def _wall_correction(grid: Grid, s: float, column: np.ndarray) -> np.ndarray:
+    """Diagonal wall-consistency correction of toeplitz(column).
 
     With uL(y) = (y+L)^s_+ cut off at the far wall, the exact operator value is
     R(x) = 2 C(1,s) a^(-s)/s * 2F1(-s, s; s+1; -b/a), a = L-x, b = L+x (the
@@ -337,59 +348,53 @@ def _wall_correction(grid: Grid, s: float, mat: np.ndarray) -> np.ndarray:
     a = L - nodes
     b = L + nodes
     exact = 2.0 * normalization_constant(s) * a ** (-s) / s * hyp2f1(-s, s, s + 1.0, -b / a)
-    delta_left = (exact - matvec(mat, u_left)) / u_left
-    delta_right = delta_left[::-1]
-    delta = np.where(nodes < 0.0, delta_left, delta_right)
+    wall_left = (exact - matvec(_toeplitz(column, n).copy(), u_left)) / u_left
+    wall_right = wall_left[::-1]
+    wall = np.where(nodes < 0.0, wall_left, wall_right)
     if n % 2 == 1:
-        delta[n // 2] = 0.5 * (delta_left[n // 2] + delta_right[n // 2])
-    return delta
+        wall[n // 2] = 0.5 * (wall_left[n // 2] + wall_right[n // 2])
+    return wall
 
 
 def assemble_operator(grid: Grid, s: float) -> NonlocalOperator:
-    """Assemble the dense n x n operator matrix for fractional order s in (0,1): the one n x n array it allocates."""
+    """Assemble the operator for fractional order s in (0,1): its kernel column and wall diagonal, both checked."""
     if not (0.0 < s < 1.0):
         raise GridError(f"fractional order must lie in (0,1), got {s}")
     sigma = 2.0 * s
     h, n = grid.h, grid.n
     w = _hat_weights(n, h, sigma)
     diag = 2.0 / ((2.0 - sigma) * h ** sigma) + 2.0 / (sigma * h ** sigma)
-    col = np.concatenate(([diag], -w))
-    col *= 2.0 * normalization_constant(s)
-    mat = toeplitz(col)
-    delta = _wall_correction(grid, s, mat)
-    mat[np.diag_indices(n)] += delta
-    op = NonlocalOperator(grid=grid, s=float(s), matrix=mat)
-    _check_structure(op, col, delta)
-    return op
+    column = np.concatenate(([diag], -w))
+    column *= 2.0 * normalization_constant(s)
+    wall = _wall_correction(grid, s, column)
+    _check_structure(column, wall)
+    return NonlocalOperator(grid=grid, s=float(s), column=column, wall=wall)
 
 
-def _check_structure(op: NonlocalOperator, col: np.ndarray, delta: np.ndarray) -> None:
-    """Symmetry, the M-matrix sign pattern, positive row sums and A = RAR, with no n x n temporary.
+def _check_structure(column: np.ndarray, wall: np.ndarray) -> None:
+    """Finiteness, the M-matrix sign pattern, positive row sums and A = RAR, in O(n) from the column and wall diagonal.
 
-    A = toeplitz(col) + diag(delta): its entry (i, j) off the diagonal is
-    col_|i-j| and its diagonal is col_0 + delta.  The diagonal and first
-    row are compared with that bit for bit; the construction then gives
-    the rest.  A Toeplitz matrix with equal first row and column is
-    symmetric, and it commutes with the reversal R (|(n-1-i) - (n-1-j)| =
-    |i-j|); diag(delta) commutes with R exactly when delta is even.  So A =
-    A^T and A = RAR bit for bit, without comparing n^2 entries.  The sign
-    pattern reads the same values: the off-diagonals are col[1:] and the
-    diagonal col_0 + delta, against the largest magnitude among them (the
-    largest of A).  The row sums are the one check that reads all of A:
-    one pass with an n-vector result.
+    A = toeplitz(column) + diag(wall) is symmetric, and commutes with the
+    reversal R exactly when wall is even.  The sign pattern is judged
+    against the largest magnitude of A.
     """
-    mat = op.matrix
-    diagonal = np.diagonal(mat)
-    off = col[1:]
-    if not (np.array_equal(diagonal, col[0] + delta) and np.array_equal(mat[0, 1:], off)):
-        raise AssemblyError("assembled operator is not symmetric")
+    if not (np.all(np.isfinite(column)) and np.all(np.isfinite(wall))):
+        raise AssemblyError("assembled operator is not finite")
+    diagonal = column[0] + wall
+    off = column[1:]
     scale = max(diagonal.max(), off.max(), -diagonal.min(), -off.min())
     if diagonal.min() <= 0.0 or off.max() > SIGN_SLACK * scale:
         raise AssemblyError("assembled operator violates the M-matrix sign pattern")
-    if mat.sum(axis=1).min() <= 0.0:
+    if _row_sums(column, wall).min() <= 0.0:
         raise AssemblyError("assembled operator has a nonpositive row sum")
-    if not is_even(delta):
+    if not is_even(wall):
         raise AssemblyError("assembled operator does not commute with the reflection of the grid")
+
+
+def _row_sums(column: np.ndarray, wall: np.ndarray) -> np.ndarray:
+    """A's row sums (column_0 + wall_i) + S_i + S_(n-1-i), S the prefix sums of column[1:] (S_0 = 0)."""
+    prefix = np.concatenate(([0.0], np.cumsum(column[1:])))
+    return column[0] + wall + prefix + prefix[::-1]
 
 
 def solve_dirichlet(op: NonlocalOperator, rhs: np.ndarray) -> np.ndarray:

@@ -37,10 +37,9 @@ an even forcing) is even.  When the start, k and rhs are all even,
 ceil(n/2) and `Equation.solve` steps by Q J_e^-1 Q^T (-r): an exact Newton
 step, since J maps even fields to even fields, and every iterate stays even
 bit for bit.  The residual there takes
-A u from A's even block too (`NonlocalOperator.apply`): a quarter of A's
-bytes, and a residual even bit for bit.  So `damped_newton` is the same on
-either path; only asymmetric data (a forcing that is not even, a random
-start) factor the n x n Jacobian and multiply by the n x n A.
+A u from A's even block alone (`NonlocalOperator.apply`), even bit for bit.
+So `damped_newton` is the same on either path; only asymmetric data (a
+forcing that is not even, a random start) factor the n x n Jacobian.
 
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
@@ -69,7 +68,6 @@ from .operator import (
     Grid,
     NonlocalOperator,
     basis_for,
-    matvec,
     principal_eigenpair,
     solve_dirichlet,
     spd_solver,
@@ -133,8 +131,8 @@ class Equation:
         return self.k * u ** (-self.delta) + self.nonlinearity.f(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        """G(u); at an even u with even data A u comes from A's even block (`NonlocalOperator.apply`)."""
-        return self.op.apply(u, self.basis(u).even) - self.lam * self._source(u) - self.rhs
+        """G(u); A u comes from A's blocks (`NonlocalOperator.apply`), at an even u from the even block alone."""
+        return self.op.apply(u) - self.lam * self._source(u) - self.rhs
 
     def scale(self, u: np.ndarray) -> np.ndarray:
         """1 + |lam (k u^(-delta) + f(u))| + |rhs| at each node: Newton stops at |G(u)| <= tol * scale(u) node by node.
@@ -168,30 +166,27 @@ class Equation:
     ) -> np.ndarray:
         """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array of `dtype`.
 
-        The even block is Q^T J Q = Q^T A Q + diag(potential[:ceil(n/2)]),
-        of order ceil(n/2) (Q^T diag(p) Q = diag(p[:ceil(n/2)]) for an even
-        p); with odd=True it is the odd block Q_o^T A Q_o + diag of the first
-        n//2 entries of the potential.  Without `out` the basis of u picks
-        the form: the even block when u, k and rhs are even (J then commutes
-        with the reflection and is the sum of its blocks), else J itself;
-        with `out` its order does.  The matrix (A or its cached block) is copied into
-        the target and its diagonal summed with the potential, which gives
-        the bits of the sum without a temporary of the matrix's size; a
-        float32 target (dtype=np.float32, for Newton's single-precision
-        factor) takes each entry of the float64 sum rounded once.  Pass
-        `potential`, the potential at u, to write a second block at the same u
-        without computing it again.
+        The even block is Q^T A Q + diag(potential[:ceil(n/2)]) (Q^T diag(p)
+        Q = diag(p[:ceil(n/2)]) for an even p); with odd=True it is Q_o^T A
+        Q_o + diag(potential[:n//2]).  Without `out` the basis of u picks the
+        form (the even block when u, k and rhs are even, else J); with `out`
+        its order does.  A's cached block, or A from `NonlocalOperator.dense`,
+        goes into the target and its diagonal is summed with the potential:
+        the bits of the sum with no temporary of the matrix's size, each
+        entry rounded once into a float32 target (dtype=np.float32, for
+        Newton's single-precision factor).  Pass `potential`, the potential
+        at u, to write a second block at the same u without computing it again.
         """
         pot = self.potential(u) if potential is None else potential
         if odd or (self.basis(u).even if out is None else len(out) < len(u)):
             base = self.op.odd_block if odd else self.op.even_block
-            pot = pot[: len(base)]
+            out = np.empty(base.shape, dtype) if out is None else out
+            out[...] = base
+            diagonal = np.diagonal(base)
         else:
-            base = self.op.matrix
-        if out is None:
-            out = np.empty(base.shape, dtype)
-        out[...] = base
-        out[np.diag_indices(len(base))] = np.diagonal(base) + pot
+            out = self.op.dense(np.empty((len(u), len(u)), dtype) if out is None else out)
+            diagonal = self.op.diagonal
+        out[np.diag_indices(len(out))] = diagonal + pot[: len(out)]
         return out
 
     def d_dlam(self, u: np.ndarray) -> np.ndarray:
@@ -344,12 +339,12 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:
         u = solve_dirichlet(op, k)
-        res = float(np.abs(matvec(op.matrix, u) - k).max())
+        res = float(np.abs(op.apply(u) - k).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
     lower = np.maximum(
         subsolution_constant(spec, op) * principal_eigenpair(op).vector,
-        (k / np.diagonal(op.matrix)) ** (1.0 / (1.0 + spec.delta)),
+        (k / op.diagonal) ** (1.0 / (1.0 + spec.delta)),
     )
     eq = Equation(op, k, spec.delta, no_nonlinearity(), 1.0)
     u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80, single=True)
@@ -419,7 +414,7 @@ def solve_A(
         u = solve_dirichlet(op, h)
         if h.min() >= 0.0 and u.min() <= 0.0 and np.any(h > 0.0):
             raise BracketViolation("maximum principle violated in the linear solve")
-        res = float(np.abs(matvec(op.matrix, u) - h).max())
+        res = float(np.abs(op.apply(u) - h).max())
         return SolutionField(u, op.grid, replace(spec, lam=lam), res, tol * (1.0 + np.abs(h).max()))
     usub = scale_pure_singular(pure_singular_cached(spec, op, tol), lam).values
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)

@@ -169,7 +169,7 @@ def check_comparison(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     for s in (0.25, 0.4, 0.5, 0.75):
         for n in (128, 256):
             op = cache.operator(1.0, n, s)
-            mat = op.matrix
+            mat = op.dense()
             scale = np.abs(mat).max()
             sign_ok = (
                 np.diag(mat).min() > 0.0

@@ -54,16 +54,14 @@ def test_criterion_02_mmatrix_comparison(accept_cfg, accept_cache):
 
 def test_criterion_02_mmatrix_rejects_a_planted_positive_pair(accept_cfg, accept_cache):
     # the dense record is the independent check of the sign pattern that
-    # assembly derives from its construction: an operator with one positive
-    # symmetric off-diagonal pair (and its mirror, so A = RAR still holds and
-    # its blocks stay exact) must fail its record, and only that one
+    # assembly derives from its column: an operator whose column has one
+    # positive offset (A stays symmetric with A = RAR, and its blocks exact)
+    # must fail its record, and only that one
     real = accept_cache.operator(1.0, 128, 0.4)
-    mat = real.matrix.copy()
-    n, i, j = 128, 10, 40
-    for a, b in ((i, j), (n - 1 - i, n - 1 - j)):
-        mat[a, b] = mat[b, a] = -mat[a, b]
+    column = real.column.copy()
+    column[30] = -column[30]
     cache = _Cache(accept_cache)
-    cache[("op", 1.0, 128, 0.4)] = NonlocalOperator(real.grid, real.s, mat)
+    cache[("op", 1.0, 128, 0.4)] = NonlocalOperator(real.grid, real.s, column, real.wall)
     records = {r.name: r for r in check_comparison(accept_cfg, cache)}
     assert len(records) == 8
     for name, record in records.items():

@@ -406,7 +406,7 @@ def test_branch_pipeline_across_parameters(s, delta, beta_frac, p):
     assert branch.upper_points()
     for point in branch.points:
         potential = Equation.of(op, spec, point.lam).potential(point.solution.values)
-        oracle = np.linalg.eigvalsh(op.matrix + np.diag(potential))[0]
+        oracle = np.linalg.eigvalsh(op.dense() + np.diag(potential))[0]
         assert point.lambda1 == pytest.approx(oracle, abs=1e-9 * max(1.0, abs(oracle))), (point.segment, point.lam)
         if point.segment == "minimal":
             assert point.lambda1 > 0.0, point.lam

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
 import pathlib
+import re
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracfold.cli import main
 from fracfold.config import RunConfig, parse_config, serialize_config
@@ -22,6 +27,31 @@ def test_config_round_trip_identity():
     again = parse_config(text)
     assert again == cfg
     assert parse_config(serialize_config(again)) == again
+
+
+# a config string value: no line break, no surrounding whitespace (which INI
+# values lose) and no ";" at its start or after whitespace, which starts an
+# inline comment such as the README's; INI's own punctuation drawn often
+_CONFIG_TEXT = st.text(
+    st.sampled_from("%$(){}[]=:;# ") | st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))
+).filter(
+    lambda v: v == v.strip() and not re.search(r"(^|\s);", v)
+)
+_CONFIG_VALUE = {
+    "float": st.floats(allow_nan=False),
+    "int": st.integers(-(2 ** 63), 2 ** 63),
+    "str": _CONFIG_TEXT,
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries({f.name: _CONFIG_VALUE[f.type] for f in dataclasses.fields(RunConfig)}))
+@example(dataclasses.asdict(RunConfig(out_dir="a%b", suites="%(s)s")))
+def test_config_round_trips_every_field(values):
+    # serialize then parse is the identity for any value of every field,
+    # strings with % in them included
+    cfg = RunConfig(**values)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_readme_config_block_parses_to_defaults():
@@ -152,6 +182,18 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(target, "payload")
     assert target.read_text() == "payload"
     assert [p.name for p in (tmp_path / "nested").iterdir()] == ["file.txt"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_gives_the_mode_of_the_umask(tmp_path, umask, mode):
+    # an artifact gets the mode open() would give it, 0666 less the umask,
+    # not the 0600 of its temp file
+    before = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "file.txt", "payload")
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE((tmp_path / "file.txt").stat().st_mode) == mode
 
 
 def test_export_refuses_empty_branch(tmp_path):

@@ -30,7 +30,7 @@ def pure_field(op192):
 def _dense_jacobian(lam, u, op, spec):
     """J = A + diag(potential) on all n nodes, assembled here: the dense oracles' matrix at any field."""
     uv = getattr(u, "values", u)
-    return op.matrix + np.diag(Equation.of(op, spec, lam).potential(uv))
+    return op.dense() + np.diag(Equation.of(op, spec, lam).potential(uv))
 
 
 def test_lambda1_nonnegative_potential_shifts_up(op192, pure_field):
@@ -245,7 +245,7 @@ def _rounded(branch, segment=None):
 def _dense_monitor(lam, u, op, spec):
     """sigma_min of I - P^-1 F and its right singular vector."""
     k = spec.k_field(op.grid)
-    p = op.matrix + np.diag(lam * spec.delta * k * u ** (-spec.delta - 1.0))
+    p = op.dense() + np.diag(lam * spec.delta * k * u ** (-spec.delta - 1.0))
     f = np.diag(lam * spec.nonlinearity.fprime(u))
     _, sigma, vh = svd(np.eye(op.n) - np.linalg.solve(p, f))
     return float(sigma[-1]), vh[-1]
@@ -468,9 +468,10 @@ def test_lambda1_falls_back_past_morse_index_one(op192):
     # J = A - cI with c between mu_2 and mu_3 of A has two negative eigenvalues;
     # the top Ritz pair of -J^-1 belongs to mu_2 - c, whose eigenvector changes
     # sign, so lambda1 must come from the shifted Cholesky factor instead
-    mu = np.linalg.eigvalsh(op192.matrix)[:3]
+    mat = op192.dense()
+    mu = np.linalg.eigvalsh(mat)[:3]
     c = 0.5 * (mu[1] + mu[2])
-    jac = op192.matrix - c * np.eye(op192.n)
+    jac = mat - c * np.eye(op192.n)
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
     pair = lambda1(0.1, np.ones(op192.n), op192, spec, lin=LinearizedOperator(jac, op192.n))
     assert pair.value == pytest.approx(mu[0] - c, abs=1e-9 * abs(mu[0] - c))
@@ -486,7 +487,7 @@ def test_cholesky_solver_matches_cho_solve(op192, pure_field, rng):
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=power_nonlinearity(2.0))
     jac = _dense_jacobian(0.2, pure_field.values, op192, spec)
     assert np.linalg.eigvalsh(jac)[0] > 0.0
-    for mat in (op192.matrix, jac):
+    for mat in (op192.dense(), jac):
         factor = cho_factor(mat, lower=True)
         solve = spd_solver(mat)
         for x in (rng.normal(size=op192.n), np.ones(op192.n)):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import eigh
+from scipy.linalg import eigh, toeplitz
 from scipy.special import gamma
 
 from fracfold import (
@@ -28,7 +28,8 @@ import fracfold.operator as op_mod
 from fracfold.operator import (
     Basis,
     LinearizedOperator,
-    _fold_matrix,
+    _block,
+    _row_sums,
     _lanczos_largest,
     fold,
     is_even,
@@ -73,7 +74,7 @@ def test_grid_rejections():
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_operator_structure(s):
     op = assemble_operator(build_grid(1.0, 128), s)
-    mat = op.matrix
+    mat = op.dense()
     scale = np.abs(mat).max()
     assert np.abs(mat - mat.T).max() <= 1e-12 * scale
     off = mat - np.diag(np.diag(mat))
@@ -91,13 +92,14 @@ def test_operator_rejects_bad_order():
 
 def test_constant_field_sees_only_the_tail(op128_s05):
     c = 1.7
-    out = op128_s05.matrix @ np.full(128, c)
+    mat = op128_s05.dense()
+    out = mat @ np.full(128, c)
     assert np.all(out > 0.0)
-    assert np.allclose(out, c * op128_s05.matrix.sum(axis=1), rtol=1e-13)
+    assert np.allclose(out, c * mat.sum(axis=1), rtol=1e-13)
 
 
 def test_apply_linearity_and_shapes(op128_s05, rng):
-    n, mat = op128_s05.n, op128_s05.matrix
+    n, mat = op128_s05.n, op128_s05.dense()
     assert np.all(mat @ np.zeros(n) == 0.0)
     u, v = rng.normal(size=n), rng.normal(size=n)
     lhs = mat @ (u + v)
@@ -134,7 +136,7 @@ def test_closed_form_constant_against_quadrature():
 def test_apply_on_closed_form_samples(s, const):
     g = build_grid(1.0, 1024)
     op = assemble_operator(g, s)
-    out = op.matrix @ (1.0 - g.nodes ** 2) ** s
+    out = op.dense() @ (1.0 - g.nodes ** 2) ** s
     inner = np.abs(g.nodes) <= 0.5
     assert np.abs(out[inner] - const).max() / const <= 1e-2
 
@@ -142,7 +144,7 @@ def test_apply_on_closed_form_samples(s, const):
 def test_solve_zero_and_roundtrip(op128_s05, rng):
     assert np.all(solve_dirichlet(op128_s05, np.zeros(128)) == 0.0)
     v = rng.normal(size=128)
-    rec = solve_dirichlet(op128_s05, op128_s05.matrix @ v)
+    rec = solve_dirichlet(op128_s05, op128_s05.dense() @ v)
     assert np.abs(rec - v).max() <= 1e-10 * np.abs(v).max()
     with pytest.raises(ValueError):
         solve_dirichlet(op128_s05, np.full(128, np.nan))
@@ -168,13 +170,14 @@ def test_eigen_principal_pair(op128_s05):
     assert pair.vector.min() > 0.0
     assert np.abs(pair.vector).max() == pytest.approx(1.0)
     assert pair.residual <= 1e-8
-    out = op128_s05.matrix @ pair.vector
+    out = op128_s05.dense() @ pair.vector
     assert np.abs(out - pair.value * pair.vector).max() <= 1e-7
 
 
 def test_eigen_against_dense_oracle(op256_s04):
-    val = eigh(op256_s04.matrix, eigvals_only=True)[0]
-    pair = smallest_eigenpairs(LinearizedOperator(op256_s04.matrix, op256_s04.n))
+    mat = op256_s04.dense()
+    val = eigh(mat, eigvals_only=True)[0]
+    pair = smallest_eigenpairs(LinearizedOperator(mat, op256_s04.n))
     assert pair.value == pytest.approx(val, abs=1e-10 * max(1.0, abs(val)))
 
 
@@ -261,13 +264,13 @@ def test_triplet_dump_roundtrip(tmp_path, op128_s05):
     # a directory it creates, with no temp file left beside it
     path = tmp_path / "nested" / "mat.txt"
     dump_triplets(op128_s05, path)
-    mat = op128_s05.matrix
+    mat = op128_s05.dense()
     assert path.read_text() == "".join(f"{i} {j} {float(mat[i, j])!r}\n" for i in range(128) for j in range(128))
     assert [p.name for p in path.parent.iterdir()] == ["mat.txt"]
     rows = np.loadtxt(path)
     assert rows.shape == (128 * 128, 3)
     rebuilt = rows[:, 2].reshape(128, 128)
-    assert np.array_equal(rebuilt, op128_s05.matrix)
+    assert np.array_equal(rebuilt, mat)
 
 
 def _sign_pattern(mat, ones=None):
@@ -298,9 +301,10 @@ def _assert_blocks_are_folds_of(op):
     The bound is the componentwise one of a product, 1e-14 (|Q|^T |A| |Q|):
     an odd block's entry a - b cancels where a_ij and a_i,n-1-j are close.
     """
+    mat = op.dense()
     for odd, block in ((False, op.even_block), (True, op.odd_block)):
         q = _dense_q(op.n, odd)
-        assert np.all(np.abs(block - q.T @ op.matrix @ q) <= 1e-14 * (np.abs(q.T) @ np.abs(op.matrix) @ np.abs(q)))
+        assert np.all(np.abs(block - q.T @ mat @ q) <= 1e-14 * (np.abs(q.T) @ np.abs(mat) @ np.abs(q)))
         assert np.array_equal(block, block.T)
 
 
@@ -321,6 +325,29 @@ def test_fold_and_unfold_are_Q_transpose_and_Q(n, rng):
     _assert_blocks_are_folds_of(assemble_operator(build_grid(1.0, n), 0.4))
 
 
+@pytest.mark.parametrize("s", [0.1, 0.9])
+@pytest.mark.parametrize("n", [8, 9, 255, 256, 1025])
+def test_dense_and_blocks_have_the_bits_of_the_dense_construction(n, s):
+    # dense() is toeplitz(column) with wall added to its diagonal, and each
+    # block is the sum a_ij +- a_i,n-1-j of A's entries (the centre row and
+    # column of an odd n scaled by 1/sqrt(2), the corner a_hh), bit for bit
+    op = assemble_operator(build_grid(1.0, n), s)
+    mat = toeplitz(op.column)
+    mat[np.diag_indices(n)] += op.wall
+    assert np.array_equal(op.dense(), mat)
+    assert np.array_equal(op.diagonal, np.diagonal(mat))
+    h = n // 2
+    for odd, block in ((False, op.even_block), (True, op.odd_block)):
+        k = h if odd else n - h
+        mirror = mat[:k, ::-1][:, :k]
+        folded = mat[:k, :k] - mirror if odd else mat[:k, :k] + mirror
+        if k > h:
+            folded[h, :h] *= np.sqrt(0.5)
+            folded[:h, h] *= np.sqrt(0.5)
+            folded[h, h] = mat[h, h]
+        assert np.array_equal(block, folded)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     s=st.floats(0.05, 0.95),
@@ -335,7 +362,7 @@ def test_operator_reflection_split(s, n, half_width, seed):
     # A = RAR bit for bit, A and its even block Q^T A Q are M-matrices, and
     # the solves that the even/odd split gives match a solve with A itself
     op = assemble_operator(build_grid(half_width, n), s)
-    mat = op.matrix
+    mat = op.dense()
     assert np.array_equal(mat, mat[::-1, ::-1])
     assert np.array_equal(op.even_block, op.even_block.T) and np.array_equal(op.odd_block, op.odd_block.T)
     assert _sign_pattern(mat) and _sign_pattern(op.even_block, fold(np.ones(n)))
@@ -374,17 +401,18 @@ def test_split_solve_meets_a_singular_odd_block_only_when_it_solves_with_it():
 def test_principal_pair_from_the_even_block(n):
     # phi_1 of A from Q^T A Q agrees with the pair of A itself, and is even bit for bit
     op = assemble_operator(build_grid(1.0, n), 0.4)
-    block, full = principal_eigenpair(op), smallest_eigenpairs(LinearizedOperator(op.matrix, n))
+    mat = op.dense()
+    block, full = principal_eigenpair(op), smallest_eigenpairs(LinearizedOperator(mat, n))
     assert block.value == pytest.approx(full.value, rel=1e-12)
     assert np.abs(block.vector - full.vector).max() <= 1e-8
     assert is_even(block.vector) and block.vector.shape == (n,)
-    assert np.abs(op.matrix @ block.vector - block.value * block.vector).max() <= 1e-8
+    assert np.abs(mat @ block.vector - block.value * block.vector).max() <= 1e-8
 
 
 def test_operator_is_freed_by_reference_counting():
-    # A's solve holder keeps A's matrix, not the operator: with the cyclic
-    # collector off, a solve through both blocks and phi_1 leave no cycle
-    # that keeps an operator (and its n x n matrix and factors) alive
+    # A's solve holder keeps A's column and wall, not the operator: with the
+    # cyclic collector off, a solve through both blocks and phi_1 leave no
+    # cycle that keeps an operator (and its blocks and factors) alive
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -470,20 +498,20 @@ def test_solves_leave_numpys_thread_pool_idle():
 
 
 def _planted_diagonal(monkeypatch, change):
-    """Patch the wall correction so that change(delta, mat) rewrites the diagonal it returns."""
+    """Patch the wall correction so that change(wall, column) rewrites the wall diagonal it returns."""
     original = op_mod._wall_correction
 
-    def planted(grid, s, mat):
-        delta = original(grid, s, mat)
-        change(delta, mat)
-        return delta
+    def planted(grid, s, column):
+        wall = original(grid, s, column)
+        change(wall, column)
+        return wall
 
     monkeypatch.setattr(op_mod, "_wall_correction", planted)
 
 
-def _set_wall_pair(delta, diagonal):
+def _set_wall_pair(wall, value):
     """Give both wall nodes the same correction, so that the diagonal stays mirrored."""
-    delta[0] = delta[-1] = diagonal
+    wall[0] = wall[-1] = value
 
 
 def test_assembly_rejects_a_negative_weight(monkeypatch):
@@ -502,8 +530,8 @@ def test_assembly_rejects_a_negative_weight(monkeypatch):
 
 def test_assembly_rejects_an_unmirrored_wall_correction(monkeypatch):
     # a larger diagonal at the left wall alone keeps A symmetric and an M-matrix, but not A = RAR
-    def change(delta, mat):
-        delta[0] += 0.01 * mat[0, 0]
+    def change(wall, column):
+        wall[0] += 0.01 * (column[0] + wall[0])
 
     _planted_diagonal(monkeypatch, change)
     with pytest.raises(AssemblyError, match="reflection of the grid"):
@@ -512,19 +540,27 @@ def test_assembly_rejects_an_unmirrored_wall_correction(monkeypatch):
 
 def test_assembly_rejects_a_nonpositive_diagonal(monkeypatch):
     # a zero diagonal at both walls keeps A symmetric and A = RAR
-    _planted_diagonal(monkeypatch, lambda delta, mat: _set_wall_pair(delta, -mat[0, 0]))
+    _planted_diagonal(monkeypatch, lambda wall, column: _set_wall_pair(wall, -column[0]))
     with pytest.raises(AssemblyError, match="M-matrix sign pattern"):
         assemble_operator(build_grid(1.0, 64), 0.4)
 
 
 def test_assembly_rejects_a_nonpositive_row_sum(monkeypatch):
     # the wall rows' diagonal stays positive but at half their off-diagonal mass
-    def change(delta, mat):
-        off = mat[0, 1:].sum()
-        _set_wall_pair(delta, -0.5 * off - mat[0, 0])
+    def change(wall, column):
+        _set_wall_pair(wall, -0.5 * column[1:].sum() - column[0])
 
     _planted_diagonal(monkeypatch, change)
     with pytest.raises(AssemblyError, match="nonpositive row sum"):
+        assemble_operator(build_grid(1.0, 64), 0.4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_assembly_rejects_a_non_finite_wall_diagonal(monkeypatch, bad):
+    # a non-finite value at both walls keeps the wall diagonal mirrored; it
+    # is named as such, not as an asymmetry through NaN != NaN
+    _planted_diagonal(monkeypatch, lambda wall, column: _set_wall_pair(wall, bad))
+    with pytest.raises(AssemblyError, match="not finite"):
         assemble_operator(build_grid(1.0, 64), 0.4)
 
 
@@ -538,28 +574,44 @@ def test_assembly_structure_across_parameters(s, n, half_width):
     # the dense oracle of every property the assembly check derives from the
     # construction, and both blocks against Q^T A Q, symmetric bit for bit
     op = assemble_operator(build_grid(half_width, n), s)
-    mat = op.matrix
+    mat = op.dense()
     assert np.array_equal(mat, mat.T) and np.array_equal(mat, mat[::-1, ::-1])
     assert _sign_pattern(mat)
     _assert_blocks_are_folds_of(op)
 
 
-def test_assembly_allocates_one_matrix():
-    # assembly and its check hold one n x n array (A), and the odd block one
-    # of its own order: no temporary of either size
+def test_assembled_operator_keeps_no_n_by_n_array():
+    # the operator keeps its column and wall diagonal, O(n) bytes, once
+    # assembly has dropped the one n x n product of its wall correction;
+    # each block is the one array of its order that its builder allocates
     n = 1024
     grid = build_grid(1.0, n)
+    assemble_operator(grid, 0.4)  # the first call's one-off allocations (special functions, caches)
     tracemalloc.start()
     try:
         op = assemble_operator(grid, 0.4)
-        assert tracemalloc.get_traced_memory()[1] <= 1.1 * 8 * n * n
-        op.lin  # the even block and the odd block's builder
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        block = op.odd_block
-        assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * block.nbytes
+        assert tracemalloc.get_traced_memory()[0] <= 8 * 8 * n
+        for build in (lambda: op.even_block, lambda: op.odd_block):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            block = build()
+            assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * block.nbytes
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [8, 9, 255, 1025, 4096])
+def test_row_sums_from_prefix_sums_match_the_dense_ones(n, s):
+    # the assembly check's O(n) row sums, (column_0 + wall_i) + S_i +
+    # S_(n-1-i), against a sum over each row of A: they agree to rounding
+    # relative to the row's absolute mass, not bit for bit (another order of
+    # summation), and the smallest row sum is positive either way
+    op = assemble_operator(build_grid(1.0, n), s)
+    sums = _row_sums(op.column, op.wall)
+    mat = op.dense()
+    assert np.all(np.abs(sums - mat.sum(axis=1)) <= 1e-13 * np.abs(mat).sum(axis=1))
+    assert sums.min() > 0.0 and mat.sum(axis=1).min() > 0.0
 
 
 def _factor_calls(monkeypatch):
@@ -616,7 +668,7 @@ def test_newton_factors_its_jacobian_in_place(monkeypatch):
     assert all(np.shares_memory(factor, mat) for mat, factor in newton)
     (kept,) = [factor for _, mat, _, factor in calls if np.shares_memory(mat, op.even_block)]
     assert not np.shares_memory(kept, op.even_block)
-    assert np.array_equal(op.even_block, _fold_matrix(op.matrix))
+    assert np.array_equal(op.even_block, _block(op.column, op.wall))
 
 
 def test_lu_solver_solves_a_nonsymmetric_matrix_in_either_order(rng):
@@ -661,7 +713,7 @@ def test_block_probe_gives_the_full_matrix_quotient(monkeypatch, n):
     # factorization, at an odd n too, where the centre is a column of Q alone
     op = assemble_operator(build_grid(1.0, n), 0.4)
     sine = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
-    c = (1.0 + 1e-6) * (sine @ op.matrix @ sine) / (sine @ sine)
+    c = (1.0 + 1e-6) * (sine @ op.dense() @ sine) / (sine @ sine)
     calls = _factor_calls(monkeypatch)
     assert spd_solver(op.even_block - c * np.eye(len(op.even_block)), n) is None
     assert calls == []

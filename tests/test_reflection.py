@@ -104,7 +104,7 @@ def test_dirichlet_solve_splits_any_right_hand_side(monkeypatch, n, rng):
     # with an odd part factors the odd block too, and never A itself
     op = assemble_operator(build_grid(1.0, n), 0.4)
     x = rng.normal(size=n)
-    expected = spd_solver(op.matrix)(x)
+    expected = spd_solver(op.dense())(x)
     orders = _factor_orders(monkeypatch)
     solve_dirichlet(op, np.ones(n))
     assert orders == [("cho_factor", (n + 1) // 2)]
@@ -146,7 +146,7 @@ def test_asymmetric_forcing_takes_the_full_path(monkeypatch):
     h = 0.7 + 0.3 * op.grid.nodes  # rises from left to right
     field = solve_A(0.2, h, op, spec)
     assert orders and all(order == n for _, order in orders)
-    residual = op.matrix @ field.values - 0.2 * spec.k_field(op.grid) * field.values ** -spec.delta - h
+    residual = op.dense() @ field.values - 0.2 * spec.k_field(op.grid) * field.values ** -spec.delta - h
     assert np.abs(residual).max() <= field.residual_bound
     assert field.values[-1] > field.values[0]  # larger forcing on the right, larger solution there
 

@@ -54,7 +54,7 @@ def op192_s05():
 
 def _residual(op, spec, lam, u):
     k = spec.k_field(op.grid)
-    return np.abs(op.matrix @ u - lam * (k * u ** (-spec.delta) + spec.nonlinearity.f(u))).max()
+    return np.abs(op.dense() @ u - lam * (k * u ** (-spec.delta) + spec.nonlinearity.f(u))).max()
 
 
 def _regularized(spec, op, eps, tol=1e-8):
@@ -66,8 +66,8 @@ def _regularized(spec, op, eps, tol=1e-8):
     the iterates rise onto the unique solution.
     """
     k_eps = np.minimum(1.0 / eps, spec.k_field(op.grid))
-    eq = singular.Equation(op, k_eps, spec.delta, no_nonlinearity(), 1.0, rhs=eps * op.matrix.sum(axis=1))
-    start = np.maximum((k_eps / np.diag(op.matrix)) ** (1.0 / (1.0 + spec.delta)), eps)
+    eq = singular.Equation(op, k_eps, spec.delta, no_nonlinearity(), 1.0, rhs=eps * op.dense().sum(axis=1))
+    start = np.maximum((k_eps / op.diagonal) ** (1.0 / (1.0 + spec.delta)), eps)
     v, _, _ = eq.solve(start, tol, singular.spd_solver, 80)
     return v - eps
 
@@ -288,7 +288,7 @@ def test_pure_singular_properties(s, delta, beta_frac, coeff):
     # Newton rises from the subsolutions it starts at: the eigenfunction's and the wall's
     lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
     assert np.all(u >= lower - slack)
-    wall = (spec.k_field(op.grid) / np.diagonal(op.matrix)) ** (1.0 / (1.0 + spec.delta))
+    wall = (spec.k_field(op.grid) / np.diagonal(op.dense())) ** (1.0 / (1.0 + spec.delta))
     assert np.all(u >= wall - slack)
     # the regularized solution is a subsolution of the eps = 0 problem
     assert np.all(u >= _regularized(spec, op, 1e-2) - slack)
@@ -416,7 +416,7 @@ def test_a_float32_factor_that_fails_is_made_again_in_float64(op256):
     # Jacobian is factored in float64, so the run is the float64 run bit for bit
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
     big = 2.0 ** 130
-    op = replace(op256, matrix=big * op256.matrix, _cache={})
+    op = replace(op256, column=big * op256.column, wall=big * op256.wall, _cache={})
     eq = Equation(op, big * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0)
     reference = pure_singular_cached(spec, op256)
     start = 0.5 * reference.values
@@ -541,20 +541,21 @@ def test_equation_derivatives_match_finite_differences(s, delta, beta_frac, lam,
     eq = singular.Equation(op, spec.k_field(op.grid), delta, nl, lam, rhs=np.cos(x))
     u = 0.05 + (1.0 - x ** 2) * (1.0 + 0.3 * np.sin(5.0 * x))
     # size of the terms of G, which bounds the rounding error of a difference of residuals
-    size = np.abs(op.matrix) @ u + lam * (eq.k * u ** (-delta) + nl.f(u)) + 1.0
+    mat = op.dense()
+    size = np.abs(mat) @ u + lam * (eq.k * u ** (-delta) + nl.f(u)) + 1.0
 
     # potential: the Jacobian is A + diag(potential); relative steps of 1e-6 in u
     v = u * np.sin(3.0 * x + 0.5)
     h = 1e-6
     fd = (eq.residual(u + h * v) - eq.residual(u - h * v)) / (2.0 * h)
-    jv = op.matrix @ v + eq.potential(u) * v
+    jv = mat @ v + eq.potential(u) * v
     assert np.all(np.abs(fd - jv) <= 1e-7 * np.abs(eq.potential(u) * v) + 1e-8 * size)
     assert np.allclose(eq.jacobian(u) @ v, jv, rtol=1e-12, atol=1e-12 * size.max())
     # assembled in place, into a new array or the leading block of a larger
     # one, it has the bits of A + diag(potential) and leaves the border alone
     block = np.zeros((n + 1, n + 1))
     eq.jacobian(u, out=block[:n, :n])
-    assert np.array_equal(block[:n, :n], op.matrix + np.diag(eq.potential(u)))
+    assert np.array_equal(block[:n, :n], mat + np.diag(eq.potential(u)))
     assert np.array_equal(eq.jacobian(u), block[:n, :n])
     assert not block[n].any() and not block[:, n].any()
 
@@ -628,14 +629,14 @@ def test_chord_run_rises_below_the_minimal_solution(s, delta, beta_frac, frac):
 
 
 def _zero_operator(n=8):
-    return replace(assemble_operator(build_grid(1.0, n), 0.4), matrix=np.zeros((n, n)), _cache={})
+    return replace(assemble_operator(build_grid(1.0, n), 0.4), column=np.zeros(n), wall=np.zeros(n), _cache={})
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_jacobian_fails_newton_and_corrector():
     op = _zero_operator()
     spec = ProblemSpec(s=0.4, delta=0.0, nonlinearity=no_nonlinearity())
-    assert lu_solver(op.matrix) is None
+    assert lu_solver(op.dense()) is None and not op.dense().any()
     with pytest.raises(ConvergenceError, match="singular Jacobian"):
         Equation.of(op, spec, 1.0).solve(np.ones(op.n), 1e-8, lu_solver, 60)
     u = np.ones(op.n)
@@ -644,10 +645,10 @@ def test_singular_jacobian_fails_newton_and_corrector():
 
 
 def test_non_finite_jacobian_is_a_convergence_failure(op16, canonical_spec):
-    jac = op16.matrix.copy()
-    jac[3, 3] = np.nan
-    assert lu_solver(jac) is None
-    op = replace(op16, matrix=jac, _cache={})
+    wall = op16.wall.copy()
+    wall[3] = np.nan
+    op = replace(op16, wall=wall, _cache={})
+    assert lu_solver(op.dense()) is None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConvergenceError):
@@ -659,11 +660,12 @@ def test_non_finite_jacobian_fails_the_cholesky_newton(op16, canonical_spec, bad
     # the probe's quotient is not finite for a matrix with a non-finite
     # entry, so spd_solver rejects it (it raised ValueError from LAPACK's
     # input check before) and Newton ends in ConvergenceError
-    jac = op16.matrix.copy()
-    jac[3, 3] = bad
+    wall = op16.wall.copy()
+    wall[3] = bad
+    op = replace(op16, wall=wall, _cache={})
+    jac = op.dense()
     assert spd_solver(jac) is None
     assert spd_solver(np.asfortranarray(jac), overwrite=True) is None
-    op = replace(op16, matrix=jac, _cache={})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConvergenceError):
@@ -672,17 +674,19 @@ def test_non_finite_jacobian_fails_the_cholesky_newton(op16, canonical_spec, bad
 
 @pytest.mark.parametrize("n", [255, 256])
 def test_even_residual_comes_from_the_even_block(n, canonical_spec):
-    # at an even u with even data A u is Q A_e Q^T u: within 1e-13 of
-    # the n x n product and even bit for bit; an asymmetric u keeps the n x n
-    # product's bits
+    # at an even u A u is Q A_e Q^T u: within 1e-13 of the n x n product
+    # and even bit for bit; at an asymmetric u the odd block's half is added,
+    # and the sum meets the n x n product to the same bound
     op = assemble_operator(build_grid(1.0, n), canonical_spec.s)
+    mat = op.dense()
     x = op.grid.nodes
     u = unfold((1.0 - x[: (n + 1) // 2] ** 2) ** 0.4, n)
     eq = Equation.of(op, canonical_spec, 0.3)
-    product = matvec(op.matrix, u)
+    product = matvec(mat, u)
     r = eq.residual(u)
     assert np.abs(r - (product + eq.lam * eq.d_dlam(u))).max() <= 1e-13 * np.abs(product).max()
-    assert np.abs(op.apply(u, even=True) - product).max() <= 1e-13 * np.abs(product).max()
+    assert np.abs(op.apply(u) - product).max() <= 1e-13 * np.abs(product).max()
     assert np.array_equal(r, r[::-1])
     tilted = u * (1.0 + 0.01 * x)
-    assert np.array_equal(eq.residual(tilted), matvec(op.matrix, tilted) + eq.lam * eq.d_dlam(tilted))
+    product = matvec(mat, tilted)
+    assert np.abs(eq.residual(tilted) - (product + eq.lam * eq.d_dlam(tilted))).max() <= 1e-13 * np.abs(product).max()

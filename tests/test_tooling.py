@@ -35,7 +35,7 @@ SOURCE = pathlib.Path(fracfold.__file__).parent
 # cho_solve is not allowed either: LAPACK's potrs takes 2-4 times as long as
 # the trsv pair on one right-hand side.
 COUNTED = {"cho_factor", "lu_factor", "svdvals"}
-HELPERS = {"get_blas_funcs", "lu_solve", "toeplitz", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
+HELPERS = {"get_blas_funcs", "lu_solve", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
 # the factorizations and the solves with their factors: trsv is fetched by get_blas_funcs
 FACTOR_NAMES = ("cho_factor", "lu_factor", "lu_solve", "get_blas_funcs")
 FORBIDDEN = ("solve", "eigh", "eigvalsh", "eig", "ldl", "cholesky", "lu", "qr", "svd", "inv", "pinv", "det")
@@ -187,16 +187,18 @@ def _writes_a_diagonal(node) -> bool:
 
 
 def test_jacobians_are_assembled_only_by_the_equation():
-    # a matrix diagonal is written in three places: operator assembles A (its
-    # wall correction) and shifts it for the Gershgorin-shifted solve, and
-    # singular.Equation adds the potential to make the Jacobian.  Any other
-    # site, in any module or a second one in these, is a second Jacobian assembly.
+    # a matrix diagonal is written in four places: operator writes A's (in
+    # NonlocalOperator.dense) and each block's (in _block) and shifts one for
+    # the Gershgorin-shifted solve, and singular.Equation adds the potential
+    # to make the Jacobian.  Any other site, in any module or a second one in
+    # these, is a second Jacobian assembly.
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             sites += [(path.name, getattr(top, "name", None)) for node in ast.walk(top) if _writes_a_diagonal(node)]
     assert sorted(sites) == [
-        ("operator.py", "assemble_operator"),
+        ("operator.py", "NonlocalOperator"),
+        ("operator.py", "_block"),
         ("operator.py", "shifted_spd_solver"),
         ("singular.py", "Equation"),
     ]
@@ -304,6 +306,30 @@ def test_matrix_products_have_one_home():
     sites = {path.name: _matrix_product_sites(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
     sites.pop("operator.py")
     assert all(lines == [] for lines in sites.values()), sites
+
+
+def test_only_the_operator_module_knows_the_form_of_A():
+    # A is held as its Toeplitz column and wall diagonal, and only operator
+    # reads them; A is built whole by NonlocalOperator.dense, called only by
+    # an asymmetric Jacobian and by the dense checks and dumps
+    fields, dense = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fields += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("column", "wall")
+        ]
+        for top in tree.body:
+            calls = [node for node in ast.walk(top) if _is_call_to(node, {"dense"})]
+            dense += [(path.name, getattr(top, "name", None))] * len(calls)
+    assert fields and all(site.startswith("operator.py:") for site in fields), fields
+    assert sorted(dense) == [
+        ("cli.py", "_cmd_assemble_check"),
+        ("io.py", "dump_triplets"),
+        ("singular.py", "Equation"),
+        ("verify.py", "check_comparison"),
+    ]
 
 
 def test_only_the_operator_module_imports_scipy_linalg():
