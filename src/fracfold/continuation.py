@@ -22,10 +22,10 @@ meets the same residual bound as with a fresh factor at every step.
 The branch is even under the reflection of the nodes: so are the minimal
 solutions, the principal eigenvector at the fold, and every tangent and
 bordering row built from them.  The bordered LU of the corrector and of the
-fold solve is then of the even form [[J_e, Q^T G_lam], [Q^T row, corner]],
-of order ceil(n/2) + 1 (`_bordered_solver`), and the second solutions of
-`multiplicity_scan` factor J_e.  Only the random starts of
-`uniqueness_probe` factor the n x n Jacobian.
+fold solve, which the equation builds (`singular.Equation.bordered_solver`)
+from the row and corner given here, is then of order ceil(n/2) + 1, and the
+second solutions of `multiplicity_scan` factor J_e.  Only the random starts
+of `uniqueness_probe` factor the n x n Jacobian.
 """
 
 from __future__ import annotations
@@ -257,27 +257,6 @@ def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: floa
     raise ConvergenceError(f"no minimal solve between lambda = {below.lam!r} and {above!r}")
 
 
-def _bordered_solver(at: Equation, u: np.ndarray, row: np.ndarray, corner: float):
-    """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at (u, at.lam), by one LU; None as for lu_solver.
-
-    When u, row and the equation's data are even, M maps (Q y, lam) to even
-    residuals, and the LU is of its even form [[J_e, Q^T G_lam], [Q^T row,
-    corner]], of order ceil(n/2) + 1: the solve folds the first n entries of
-    x and unfolds those of the solution (`operator.Basis`).  M is not
-    symmetric, so it is filled in column-major order, where LAPACK factors it
-    in place: its J block is written row by row into the transpose view of
-    that block, which holds J since J is symmetric.
-    """
-    basis = at.basis(u, row)
-    k = basis.order
-    mat = np.empty((k + 1, k + 1), order="F")  # filled in place: np.block takes 20 times as long at n = 256
-    at.jacobian(u, out=mat[:k, :k].T)
-    mat[:k, k] = basis.fold(at.d_dlam(u))
-    mat[k, :k] = basis.fold(row)
-    mat[k, k] = corner
-    return basis.lift(lu_solver(mat, overwrite=True))
-
-
 def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
     """The fold as the regular solution z = (u, phi, lam) of the Moore-Spence system
 
@@ -313,7 +292,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
 
     def factor(z):
         u, phi, at = parts(z)
-        solve = _bordered_solver(at, u, l, 0.0)
+        solve = at.bordered_solver(u, l, 0.0)
         if solve is None:
             return None
         b, c = at.d_potential(u) * phi, replace(at, lam=1.0).potential(u) * phi
@@ -367,7 +346,7 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
         return np.append(tol * replace(eq, lam=z[n]).scale(z[:n]), tol * (1.0 + ds))
 
     def factor(z):
-        return _bordered_solver(replace(eq, lam=z[n]), z[:n], w ** 2 * udot, lamdot)
+        return replace(eq, lam=z[n]).bordered_solver(z[:n], w ** 2 * udot, lamdot)
 
     def merit(r):
         return np.abs(r[:n]).max() + abs(r[n])
@@ -494,25 +473,22 @@ def multiplicity_scan(
     spec: ProblemSpec,
     op: NonlocalOperator,
     lam_list,
+    branch: Branch,
     tol: float = DEFAULT_TOL,
-    branch: Branch | None = None,
 ) -> list[dict]:
     """Minimal and second solutions at each requested lam below the fold.
 
-    The second solution is pulled off the fold-rounded upper segment: the two
-    upper samples straddling the target lam seed a fixed-lam Newton solve.
-    Requires the superlinear power case with beta = 0 (the regime with the
-    uniform bound that pins the asymptotic bifurcation at zero).
+    The second solution is pulled off the upper segment of the fold-rounded
+    `branch` (ValueError when it has none): the two upper samples straddling
+    the target lam seed a fixed-lam Newton solve.  Requires the superlinear
+    power case with beta = 0 (the regime with the uniform bound that pins the
+    asymptotic bifurcation at zero).
     """
     if spec.nonlinearity.kind != "power":
         raise ValueError("multiplicity scan requires a power nonlinearity")
     if spec.beta != 0.0:
         raise ValueError("multiplicity scan requires beta = 0")
     spec.require_subcritical()
-    if branch is None:
-        branch = trace_minimal(spec, op, TracePolicy(tol=tol))
-    if branch.fold is None:
-        branch = fold_round(branch, op, spec, FoldPolicy(steps=400, tol=tol))
     lam_targets = sorted(lam_list, reverse=True)
     need = min(lam_targets)
     branch = _extend_upper(branch, op, spec, FoldPolicy(steps=600, tol=tol), stop=lambda p: p.lam < need)

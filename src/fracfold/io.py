@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,7 +33,7 @@ def _atomic_file(path):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0666 less the umask, as open() makes it
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

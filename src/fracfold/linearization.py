@@ -11,10 +11,11 @@ and the Fredholm monitor obeys I - P^(-1) F = P^(-1) J, so
 
 Both numbers come from one `operator.LinearizedOperator` (re-exported
 here), the holder of J's solves, which A's own solves share
-(`NonlocalOperator.lin`).  It builds one solve with each of its matrices and
-shares it: Cholesky when the matrix is positive definite, else LU.  This
-module holds no solver and no factor.  At an even solution (the whole traced
-branch) J commutes with the reflection of the nodes, and the holder keeps
+(`NonlocalOperator.lin`) and the equation builds (`Equation.linearization`).
+It builds one solve with each of its matrices and shares it: Cholesky when
+the matrix is positive definite, else LU.  This module holds no solver, no
+factor and no block of J.  At an even solution (the whole traced branch) J
+commutes with the reflection of the nodes, and the holder keeps
 its even block J_e = Q^T J Q, of order about n/2, in place of J, and a
 builder of its odd block J_o = Q_o^T J Q_o, which only a right-hand side with
 an odd part calls; Q and Q_o have orthonormal columns, so both are plain
@@ -54,7 +55,6 @@ solve itself in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -78,24 +78,12 @@ __all__ = [
 MONITOR_RTOL = 1e-8
 
 
-def linearized_operator(
-    lam: float, u, op: NonlocalOperator, spec: ProblemSpec, potential: np.ndarray | None = None
-) -> LinearizedOperator:
-    """A + diag(lam delta K u^(-delta-1) - lam f'(u)) around a positive field, on its blocks when the field is even.
-
-    Pass `potential`, the potential at (lam, u), to reuse one computed already.
-    """
+def linearized_operator(lam: float, u, op: NonlocalOperator, spec: ProblemSpec) -> LinearizedOperator:
+    """A + diag(lam delta K u^(-delta-1) - lam f'(u)) around a positive field, on its blocks when the field is even."""
     uv = _field_values(u)
     if uv.min() <= 0.0:
         raise ValueError("linearization requires a strictly positive field")
-    eq = Equation.of(op, spec, lam)
-    if potential is None:
-        potential = eq.potential(uv)  # one evaluation for both blocks
-    matrix = eq.jacobian(uv, potential=potential)
-    if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
-        raise ValueError("linearized potential is not finite")
-    odd = partial(eq.jacobian, uv, odd=True, potential=potential) if len(matrix) < op.n else None
-    return LinearizedOperator(matrix=matrix, n=op.n, odd=odd)
+    return Equation.of(op, spec, lam).linearization(uv)
 
 
 def lambda1(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, tol: float = DEFAULT_TOL, lin=None) -> EigenPair:
@@ -151,8 +139,8 @@ def sensitivity_bundle(
         u = solve_A(lam, np.asarray(h, dtype=float), op, spec, tol=tol)
     spec = replace(spec, nonlinearity=no_nonlinearity())  # P = G_u is the linearization without f
     uv, eq = _field_values(u), Equation.of(op, spec, lam)
+    p = linearized_operator(lam, u, op, spec)
     potential = eq.potential(uv)
-    p = linearized_operator(lam, u, op, spec, potential=potential)
     g_uu = eq.d_potential(uv)
     g_ulam = replace(eq, lam=1.0).potential(uv)
 

@@ -7,13 +7,16 @@ Every solve is one `Equation`,
 
 handed to one damped-Newton core, `damped_newton`.  The equation gives the
 residual, the stopping scale, the potential (the Jacobian is A +
-diag(potential)) and dG/dlam; the caller gives the factor function, which
+diag(potential)) and dG/dlam, and it alone outside `operator` decides J's
+form: its precision, its blocks, the holder of its solves
+(`Equation.linearization`) and the bordered LU of `continuation`
+(`Equation.bordered_solver`).  The caller gives the factor function, which
 maps a Jacobian to a solve with it and never hands out a LAPACK factor
 (`operator.spd_solver`, given n so that it probes every block with the
 n-node sine profile, for the solves below, `operator.lu_solver` for the
-second solutions and multistarts in `continuation`, a bordered LU solve for
-its arclength corrector and its fold solve), and the trial map (the
-positivity floor here, rejection of nonpositive trials in `continuation`).
+second solutions and multistarts in `continuation`, the bordered LU for its
+arclength corrector and its fold solve), and the trial map (the positivity
+floor here, rejection of nonpositive trials in `continuation`).
 `damped_newton` reuses a factored solve while the merit falls fast (the
 chord rule), so a solve makes fewer factorizations than steps.  Newton stops
 when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
@@ -21,13 +24,13 @@ when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
 k u^(-delta) is largest, sets only its own bound, so the interior converges
 to the same tolerance from any start.
 
-The pure singular and forced solves (`solve_pure_singular`, `solve_A`) have
-the Jacobian A + diag(p) with p >= 0, positive definite at every u with its
-smallest eigenvalue at least lambda_1(A).  Their Newton runs build each
-Jacobian in float32 and factor it in place in single precision, while the
-residual and the stopping test stay float64; a float32 factor or run that
-fails is made again in float64 (`Equation.solve`).  `monotone_iterate`, whose
-Jacobian goes singular at the fold, factors in float64.
+When f = 0 and lam delta k >= 0, as in the pure singular and forced solves
+(`solve_pure_singular`, `solve_A`), the Jacobian is A + diag(p) with p >= 0,
+positive definite at every u with its smallest eigenvalue at least
+lambda_1(A).  Newton then builds and factors each Jacobian in float32, while
+the residual and the stopping test stay float64; a float32 run that fails
+is run again in float64 (`Equation.solve`).  Solves whose f is not zero,
+whose Jacobian goes singular at the fold, factor in float64.
 
 The grid, A and K are symmetric under the reflection of the nodes bit for
 bit, and every start below (max(c* phi_1, (K / diag A)^(1/(1+delta))), the
@@ -66,8 +69,10 @@ from .errors import BracketViolation, ConvergenceError
 from .operator import (
     Basis,
     Grid,
+    LinearizedOperator,
     NonlocalOperator,
     basis_for,
+    lu_solver,
     principal_eigenpair,
     solve_dirichlet,
     spd_solver,
@@ -156,14 +161,7 @@ class Equation:
         """Q's columns when u, k, rhs and any further data are even, else the nodes (see `jacobian`)."""
         return basis_for(len(u), u, self.k, self.rhs, *data)
 
-    def jacobian(
-        self,
-        u: np.ndarray,
-        out: np.ndarray | None = None,
-        odd: bool = False,
-        potential: np.ndarray | None = None,
-        dtype=np.float64,
-    ) -> np.ndarray:
+    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False, dtype=np.float64) -> np.ndarray:
         """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array of `dtype`.
 
         The even block is Q^T A Q + diag(potential[:ceil(n/2)]) (Q^T diag(p)
@@ -174,10 +172,9 @@ class Equation:
         goes into the target and its diagonal is summed with the potential:
         the bits of the sum with no temporary of the matrix's size, each
         entry rounded once into a float32 target (dtype=np.float32, for
-        Newton's single-precision factor).  Pass `potential`, the potential
-        at u, to write a second block at the same u without computing it again.
+        Newton's single-precision factor).
         """
-        pot = self.potential(u) if potential is None else potential
+        pot = self.potential(u)
         if odd or (self.basis(u).even if out is None else len(out) < len(u)):
             base = self.op.odd_block if odd else self.op.even_block
             out = np.empty(base.shape, dtype) if out is None else out
@@ -192,7 +189,40 @@ class Equation:
     def d_dlam(self, u: np.ndarray) -> np.ndarray:
         return -self._source(u)
 
-    def solve(self, u0, tol: float, factor, maxit: int, single: bool = False) -> tuple[np.ndarray, float, float]:
+    def linearization(self, u: np.ndarray) -> LinearizedOperator:
+        """J at u as the holder of its solves (at an even u with even data, J_e and a builder of J_o); ValueError unless finite."""
+        matrix = self.jacobian(u)
+        if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
+            raise ValueError("linearized potential is not finite")
+        odd = partial(self.jacobian, u, odd=True) if self.basis(u).even else None
+        return LinearizedOperator(matrix=matrix, n=self.op.n, odd=odd)
+
+    def bordered_solver(self, u: np.ndarray, row: np.ndarray, corner: float):
+        """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at u, by one LU; None as for lu_solver.
+
+        When u, row and the equation's data are even, M maps (Q y, lam) to even
+        residuals, and the LU is of its even form [[J_e, Q^T G_lam], [Q^T row,
+        corner]], of order ceil(n/2) + 1: the solve folds the first n entries of
+        x and unfolds those of the solution (`operator.Basis`).  M is not
+        symmetric, so it is filled in column-major order, where LAPACK factors it
+        in place: its J block is written row by row into the transpose view of
+        that block, which holds J since J is symmetric.
+        """
+        basis = self.basis(u, row)
+        k = basis.order
+        mat = np.empty((k + 1, k + 1), order="F")  # filled in place: np.block takes 20 times as long at n = 256
+        self.jacobian(u, out=mat[:k, :k].T)
+        mat[:k, k] = basis.fold(self.d_dlam(u))
+        mat[k, :k] = basis.fold(row)
+        mat[k, k] = corner
+        return basis.lift(lu_solver(mat, overwrite=True))
+
+    @property
+    def precision(self) -> type:
+        """Newton's factor dtype: float32 when f = 0 and lam delta k >= 0, so p >= 0 at every u (see the module notes)."""
+        return np.float32 if self.nonlinearity.is_none and self.lam * self.delta * np.min(self.k) >= 0.0 else np.float64
+
+    def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
         """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
 
         factor(jac, overwrite=True) is operator.spd_solver or
@@ -206,33 +236,28 @@ class Equation:
         scale(u) at every node, residual its sup and bound the sup of tol *
         scale(u); a solution resting on the floor is a ConvergenceError.
 
-        single=True is for a Jacobian A + diag(p) with p >= 0, whose
-        smallest eigenvalue is at least lambda_1(A) at every u, so no fold
-        makes it singular: each Jacobian is then built in float32 and
-        factored in place in float32, while the residual, the step and the
-        stopping test stay float64.  The chord rule absorbs the factor's
-        rounding as it absorbs a stale factor (Langou et al., SC'06).  A
-        float32 factorization that fails is made again in float64, and a
-        float32 run that fails is run again from u0 in float64, so a
+        Each Jacobian is built and factored in place in `precision`, while
+        the residual, the step and the stopping test stay float64.  In
+        float32 the chord rule absorbs the factor's rounding as it absorbs a
+        stale factor (Langou et al., SC'06), and a float32 run that fails, a
+        rejected factor included, is run again from u0 in float64, so a
         ConvergenceError is always the float64 Newton's.
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
 
-        def factored(u, dtype=np.float64):  # J is symmetric: its transpose view is J in column-major order, and scratch
-            return self.basis(u).lift(factor(self.jacobian(u, dtype=dtype).T, overwrite=True))
+        def run(dtype):
+            def factored(u):  # J is symmetric: its transpose view is J in column-major order, and scratch
+                return self.basis(u).lift(factor(self.jacobian(u, dtype=dtype).T, overwrite=True))
 
-        def single_factored(u):
-            return factored(u, np.float32) or factored(u)
+            return damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factored, _floored, maxit, 40)
 
-        def run(factor_at):
-            return damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factor_at, _floored, maxit, 40)
-
+        dtype = self.precision
         try:
-            u, r, b = run(single_factored if single else factored)
+            u, r, b = run(dtype)
         except ConvergenceError:
-            if not single:
+            if dtype is np.float64:
                 raise
-            u, r, b = run(factored)
+            u, r, b = run(np.float64)
         res = float(_sup_norm(r))
         if u.min() <= 10.0 * POSITIVITY_FLOOR:
             raise ConvergenceError("positivity floor active at convergence", residual=res)
@@ -332,9 +357,9 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
     M-matrix Jacobian, so the iterates rise monotonically from the start
     onto the solution and stay positive; no regularization is needed.  The
     Jacobian A + diag(delta K u^(-delta-1)) is positive definite at every u,
-    so it is factored in float32 (`Equation.solve` with single=True).  Any
-    lambda must be folded into spec.coeff.  The result is checked a
-    posteriori against the start.
+    so it is factored in float32 (`Equation.precision`).  Any lambda must be
+    folded into spec.coeff.  The result is checked a posteriori against the
+    start.
     """
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:
@@ -347,7 +372,7 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         (k / op.diagonal) ** (1.0 / (1.0 + spec.delta)),
     )
     eq = Equation(op, k, spec.delta, no_nonlinearity(), 1.0)
-    u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80, single=True)
+    u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80)
     if np.any(u < lower * (1.0 - 1e-6)):
         raise BracketViolation("pure singular solution dipped below its subsolution start")
     return SolutionField(u, op.grid, spec, res, bound)
@@ -401,9 +426,9 @@ def solve_A(
     below and that field plus max(h)*U above.  Newton starts from the upper
     bracket; its first step lands on a subsolution and the iterates rise from
     there.  Its Jacobian A + diag(lam delta K u^(-delta-1)) is positive
-    definite at every u, so it is factored in float32 (`Equation.solve` with
-    single=True).  Nonpositive h is attempted anyway and reported as a
-    bracket violation if positivity fails.
+    definite at every u, so it is factored in float32 (`Equation.precision`).
+    Nonpositive h is attempted anyway and reported as a bracket violation if
+    positivity fails.
     """
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
@@ -420,7 +445,7 @@ def solve_A(
     upper = usub + max(float(h.max()), 0.0) * torsion_field(op)
     eq = Equation(op, lam * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0, rhs=h)
     try:
-        u, res, bound = eq.solve(upper, tol, partial(spd_solver, n=op.n), 80, single=True)
+        u, res, bound = eq.solve(upper, tol, partial(spd_solver, n=op.n), 80)
     except ConvergenceError as exc:
         raise BracketViolation(f"solve for the shifted equation failed: {exc}") from exc
     return SolutionField(u, op.grid, replace(spec, lam=lam), res, bound)

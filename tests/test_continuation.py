@@ -12,7 +12,6 @@ from fracfold.continuation import (
     TracePolicy,
     _arclength_points,
     _arclength_weight,
-    _bordered_solver,
     _corrector,
     _fold_point,
     _tangent,
@@ -80,7 +79,7 @@ def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache,
         sizes.append(len(jac))
         return lu_solver(jac, **kwargs)
 
-    monkeypatch.setattr(fracfold.continuation, "lu_solver", counted)
+    monkeypatch.setattr(fracfold.singular, "lu_solver", counted)  # the bordered LU is the equation's
     op = accept_cache.operator(1.0, n, canonical_spec.s)
     fold = _fold_point(op, canonical_spec, traced.minimal_points()[-1])
     # at most one bordered LU per Newton step, of the even block: order n/2 + 1
@@ -156,15 +155,16 @@ def test_multiplicity_gaps(folded_branch, op256_s04, canonical_spec):
         assert ressup > r["minimal"].sup_norm  # the second solution sits above
 
 
-def test_multiplicity_requires_power_and_beta_zero(op256_s04, canonical_spec):
+def test_multiplicity_requires_power_and_beta_zero(folded_branch, op256_s04, canonical_spec):
+    # the checks fire before the branch is read: on a good branch they are the only ValueError
     from dataclasses import replace
 
     from fracfold import no_nonlinearity
 
-    with pytest.raises(ValueError):
-        multiplicity_scan(replace(canonical_spec, nonlinearity=no_nonlinearity()), op256_s04, [0.1])
-    with pytest.raises(ValueError):
-        multiplicity_scan(replace(canonical_spec, beta=0.1), op256_s04, [0.1])
+    with pytest.raises(ValueError, match="power nonlinearity"):
+        multiplicity_scan(replace(canonical_spec, nonlinearity=no_nonlinearity()), op256_s04, [0.1], folded_branch)
+    with pytest.raises(ValueError, match="beta = 0"):
+        multiplicity_scan(replace(canonical_spec, beta=0.1), op256_s04, [0.1], folded_branch)
 
 
 def test_asymptotic_probe_growth_and_extension(folded_branch, op256_s04, canonical_spec):
@@ -211,14 +211,15 @@ def test_corrector_recovers_from_a_stale_factor(monkeypatch, folded_branch, op25
     upper = folded_branch.upper_points()
     far = upper[-1]
     far_udot, far_lamdot = _upper_tangent(folded_branch, w, len(upper) - 1)
-    stale = _bordered_solver(Equation.of(op, spec, far.lam), far.solution.values, w ** 2 * far_udot, far_lamdot)
+    stale = Equation.of(op, spec, far.lam).bordered_solver(far.solution.values, w ** 2 * far_udot, far_lamdot)
     fresh = []
+    original = Equation.bordered_solver
 
-    def counted(*args):
+    def counted(self, *args):
         fresh.append(1)
-        return _bordered_solver(*args)
+        return original(self, *args)
 
-    monkeypatch.setattr(fracfold.continuation, "_bordered_solver", counted)
+    monkeypatch.setattr(Equation, "bordered_solver", counted)
     udot, lamdot = _upper_tangent(folded_branch, w, 1)
     u0, lam0 = upper[1].solution.values, upper[1].lam
     store = [stale]
@@ -251,9 +252,10 @@ def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op
     monkeypatch.undo()
 
     useless = []
+    original = Equation.bordered_solver
 
-    def planted(*args):
-        solve = _bordered_solver(*args)
+    def planted(self, *args):
+        solve = original(self, *args)
         if solve is None:
             return None
         uses = []
@@ -267,7 +269,7 @@ def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op
 
         return stored
 
-    monkeypatch.setattr(fracfold.continuation, "_bordered_solver", planted)
+    monkeypatch.setattr(Equation, "bordered_solver", planted)
     fallen_back = run()
     assert len(useless) >= policy.steps - 1
     assert len(fallen_back) == len(never_reused) == policy.steps
@@ -355,9 +357,10 @@ def test_lambda1_extrapolation_predicts_fold(folded_branch):
     assert abs(crossing - folded_branch.fold_point().lam) <= 2e-3 * folded_branch.fold_point().lam
 
 
-def test_multiplicity_scan_builds_its_own_branch(canonical_spec):
+def test_multiplicity_scan_on_a_coarse_branch(canonical_spec):
     op = assemble_operator(build_grid(1.0, 96), canonical_spec.s)
-    rows = multiplicity_scan(canonical_spec, op, [0.2])
+    branch = fold_round(trace_minimal(canonical_spec, op), op, canonical_spec, FoldPolicy(steps=400))
+    rows = multiplicity_scan(canonical_spec, op, [0.2], branch)
     assert rows[0]["complete"]
     assert rows[0]["gap"] > 1e-3
 

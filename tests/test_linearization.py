@@ -181,24 +181,6 @@ def test_bundle_factors_P_once_through_the_operator(monkeypatch, op192):
     assert calls == [(96, 96)]
 
 
-def test_bundle_computes_the_potential_once(monkeypatch, op192):
-    # the potential at (lam, u) serves both P's linearization and its
-    # residual checks; the one other call is G_ulam, the potential at lam = 1
-    spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2)
-    h = np.full(192, 0.4)
-    base = solve_A(0.3, h, op192, spec)
-    lams = []
-    original = Equation.potential
-
-    def counted(self, u):
-        lams.append(self.lam)
-        return original(self, u)
-
-    monkeypatch.setattr(Equation, "potential", counted)
-    sensitivity_bundle(0.3, h, op192, spec, u=base)
-    assert sorted(lams) == [0.3, 1.0]
-
-
 def test_gershgorin_factor_matches_the_shifted_matrix(folded_branch, op256_s04, canonical_spec, rng):
     # on an indefinite upper-branch J the shift comes off the diagonal of one
     # copy: the solve equals the trsv pair on the factor of J - mu I formed in
@@ -357,25 +339,6 @@ def test_lambda1_alone_builds_no_odd_block(monkeypatch, folded_branch, op256_s04
         assert calls == [False]
         fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
         assert calls == [False, True]
-
-
-def test_linearization_computes_the_potential_once(monkeypatch, folded_branch, op256_s04, canonical_spec):
-    # J_e and J_o share one potential: building the linearization at an even
-    # point and reading the monitor, which builds J_o, evaluates it once
-    p = _rounded(folded_branch, "minimal")[-1]
-    monitor = p.monitor
-    calls = []
-    original = Equation.potential
-
-    def counted(self, u):
-        calls.append(1)
-        return original(self, u)
-
-    monkeypatch.setattr(Equation, "potential", counted)
-    lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
-    assert lin.odd is not None
-    assert fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin) == monitor
-    assert len(calls) == 1
 
 
 def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):

@@ -1,4 +1,5 @@
 import warnings
+from contextlib import suppress
 from dataclasses import replace
 from functools import partial
 
@@ -373,15 +374,15 @@ def test_pure_singular_answer_does_not_depend_on_the_start(n):
     field = solve_pure_singular(STEEP_SPEC, op)
     eq = Equation(op, STEEP_SPEC.k_field(op.grid), STEEP_SPEC.delta, no_nonlinearity(), 1.0)
     start = subsolution_constant(STEEP_SPEC, op) * principal_eigenpair(op).vector
-    u, res, bound = eq.solve(start, singular.DEFAULT_TOL, partial(spd_solver, n=n), 200, single=True)
+    u, res, bound = eq.solve(start, singular.DEFAULT_TOL, partial(spd_solver, n=n), 200)
     assert res <= bound
     assert np.abs(u - field.values).max() <= 1e-8 * field.sup_norm
 
 
 def test_pure_singular_and_forced_newton_build_their_jacobians_in_float32(monkeypatch):
     # each Jacobian of these runs is written in float32 and factored in place
-    # in float32, with no float64 J beside it; monotone_iterate, whose
-    # Jacobian goes singular at the fold, stays in float64
+    # in float32, with no float64 J beside it; a minimal solve with a power
+    # f, whose Jacobian goes singular at the fold, stays in float64
     op = assemble_operator(build_grid(1.0, 256), 0.4)
     spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
     jacobians, factored = [], []
@@ -409,15 +410,68 @@ def test_pure_singular_and_forced_newton_build_their_jacobians_in_float32(monkey
     assert jacobians and all(j.dtype == np.float64 for j in jacobians)
 
 
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(
+    power=st.booleans(),
+    lam=st.floats(0.01, 0.1),
+    delta=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
+    beta_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+@example(power=False, lam=0.05, delta=1.0, beta_frac=0.0)  # f = 0 in monotone_iterate: float64 before the rule
+def test_newton_factors_in_float32_exactly_when_f_is_zero_and_lam_delta_k_is_nonnegative(power, lam, delta, beta_frac):
+    # p = lam delta K u^(-delta-1) - lam f'(u) >= 0 at every u exactly when
+    # f = 0 and lam delta K >= 0; every Jacobian a Newton run factors is then
+    # float32, and float64 otherwise.  The pure singular and forced solves
+    # have f = 0 whatever the spec; monotone_iterate has the spec's f, and the
+    # same equation at -lam has lam delta K < 0 unless delta = 0
+    op = assemble_operator(build_grid(1.0, 64), 0.4)
+    nonlinearity = power_nonlinearity(2.0) if power else no_nonlinearity()
+    spec = ProblemSpec(s=0.4, delta=delta, beta=beta_frac * 0.8, nonlinearity=nonlinearity)
+    dtypes = []
+
+    def factor(jac, **kwargs):
+        dtypes.append(jac.dtype.type)
+        return spd_solver(jac, **kwargs)
+
+    def factored(run):
+        dtypes.clear()
+        with suppress(ConvergenceError):
+            run()
+        assert dtypes
+        return set(dtypes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(singular, "spd_solver", factor)
+        if delta > 0.0:  # at delta = 0 both are linear solves from their exact start
+            assert factored(lambda: solve_pure_singular(spec, op)) == {np.float32}
+            assert factored(lambda: solve_A(lam, np.ones(op.n), op, spec)) == {np.float32}
+        sub = 0.5 * scale_pure_singular(pure_singular_cached(spec, op), lam).values  # leaves Newton work to do
+        assert factored(lambda: monotone_iterate(lam, sub, op, spec)) == {np.float64 if power else np.float32}
+        eq = replace(Equation.of(op, spec, lam), lam=-lam)
+        first_run = np.float64 if power or delta > 0.0 else np.float32
+        dtypes.clear()
+        with suppress(ConvergenceError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            eq.solve(sub, 1e-8, partial(factor, n=op.n), 10)
+        assert dtypes and dtypes[0] == first_run
+
+
+def _float64_only(n):
+    """A factor function that refuses every float32 matrix: its Newton solve is the run-level float64 fallback alone."""
+    return lambda jac, **kwargs: spd_solver(jac, n, **kwargs) if jac.dtype == np.float64 else None
+
+
 def test_a_float32_factor_that_fails_is_made_again_in_float64(op256):
     # A and K times 2^130 (exact in binary) leave the equation's solution as
     # it was, but A's diagonal overflows float32 (max 3.4e38): every float32
-    # Jacobian has an infinite entry, its Cholesky is rejected, and the same
-    # Jacobian is factored in float64, so the run is the float64 run bit for bit
+    # Jacobian has an infinite entry, its Cholesky is rejected, the float32
+    # run fails and is run again in float64, so it ends on the bits of the
+    # run whose factor refuses every float32 matrix
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
     big = 2.0 ** 130
     op = replace(op256, column=big * op256.column, wall=big * op256.wall, _cache={})
     eq = Equation(op, big * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0)
+    assert eq.precision is np.float32
     reference = pure_singular_cached(spec, op256)
     start = 0.5 * reference.values
     made = []
@@ -429,17 +483,18 @@ def test_a_float32_factor_that_fails_is_made_again_in_float64(op256):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        u, res, bound = eq.solve(start, 1e-8, factor, 80, single=True)
-    assert made and set(made) == {("float32", False), ("float64", True)}
-    assert res <= bound
-    assert np.array_equal(u, eq.solve(start, 1e-8, partial(spd_solver, n=op.n), 80)[0])
+        u, res, bound = eq.solve(start, 1e-8, factor, 80)
+        assert made[0] == ("float32", False) and set(made[1:]) == {("float64", True)}
+        assert res <= bound
+        assert np.array_equal(u, eq.solve(start, 1e-8, _float64_only(op.n), 80)[0])
     assert np.abs(u - reference.values).max() <= 1e-8 * reference.sup_norm
 
 
 def test_a_failed_float32_run_is_run_again_in_float64(op256):
     # a float32 solve that points uphill stalls every float32 run; the run is
-    # then made again from the start with float64 factors, to the float64
-    # run's bits, so a ConvergenceError is the float64 Newton's
+    # then made again from the start with float64 factors, to the bits of the
+    # run whose factor refuses every float32 matrix, so a ConvergenceError is
+    # the float64 Newton's
     spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0)
     eq = Equation(op256, spec.k_field(op256.grid), spec.delta, no_nonlinearity(), 1.0)
     start = 0.5 * pure_singular_cached(spec, op256).values
@@ -448,11 +503,11 @@ def test_a_failed_float32_run_is_run_again_in_float64(op256):
         solve = spd_solver(jac, op256.n, **kwargs)
         return (lambda x: -solve(x)) if jac.dtype == np.float32 else solve
 
-    u, res, bound = eq.solve(start, 1e-8, uphill, 80, single=True)
+    u, res, bound = eq.solve(start, 1e-8, uphill, 80)
     assert res <= bound
-    assert np.array_equal(u, eq.solve(start, 1e-8, partial(spd_solver, n=op256.n), 80)[0])
+    assert np.array_equal(u, eq.solve(start, 1e-8, _float64_only(op256.n), 80)[0])
     with pytest.raises(ConvergenceError):
-        eq.solve(start, 1e-8, lambda jac, **kwargs: None, 80, single=True)
+        eq.solve(start, 1e-8, lambda jac, **kwargs: None, 80)
 
 
 def test_pure_singular_solves_reuse_factors():

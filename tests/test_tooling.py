@@ -207,10 +207,50 @@ def test_jacobians_are_assembled_only_by_the_equation():
 def test_bordered_matrix_takes_its_block_from_the_equation():
     # the corrector's and the fold solve's bordered matrix has G_u written in
     # place by Equation.jacobian, not copied from an array assembled elsewhere
-    tree = ast.parse((SOURCE / "continuation.py").read_text())
-    (solver,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_bordered_solver"]
+    tree = ast.parse((SOURCE / "singular.py").read_text())
+    (equation,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Equation"]
+    (solver,) = [f for f in equation.body if isinstance(f, ast.FunctionDef) and f.name == "bordered_solver"]
     calls = [node for node in ast.walk(solver) if _is_call_to(node, {"jacobian"})]
     assert len(calls) == 1 and [kw.arg for kw in calls[0].keywords] == ["out"]
+
+
+# what decides J's form: its basis (even block or nodes), block order and memory layout
+FORM_NAMES = {"Basis", "basis_for"}
+
+
+def _decides_jacobian_form(node) -> bool:
+    """A name of J's basis, a `.basis(` or `.order`, an `order="F"`, or an `odd=` or `out=` passed to `jacobian`."""
+    if isinstance(node, (ast.Name, ast.alias)):
+        return getattr(node, "id", getattr(node, "name", None)) in FORM_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr == "order"
+    if isinstance(node, ast.keyword):
+        return node.arg == "order" and isinstance(node.value, ast.Constant) and node.value.value == "F"
+    if not isinstance(node, ast.Call):
+        return False
+    target = node.args[0] if _is_call_to(node, {"partial"}) and node.args else node.func  # partial(eq.jacobian, odd=True)
+    name = getattr(target, "attr", getattr(target, "id", None))
+    return name == "basis" or (name == "jacobian" and any(kw.arg in ("odd", "out") for kw in node.keywords))
+
+
+def _form_sites(source: str) -> list[int]:
+    return sorted({getattr(node, "lineno", 0) for node in ast.walk(ast.parse(source)) if _decides_jacobian_form(node)})
+
+
+def test_only_the_equation_decides_the_jacobians_form():
+    # outside operator, only singular (the Equation) names J's basis, its
+    # block order or its column-major layout, or asks jacobian for a block
+    # or a target: linearization and continuation ask the equation for solves
+    planted = (
+        "from .operator import Basis\nb = basis_for(n, u)\nk = eq.basis(u).order\n"
+        "m = np.empty((k, k), order=\"F\")\neq.jacobian(u, odd=True)\neq.jacobian(u, out=m)\n"
+        "build = partial(eq.jacobian, u, odd=True)\n"
+    )
+    assert _form_sites(planted) == [1, 2, 3, 4, 5, 6, 7]
+    assert _form_sites("m = np.empty((k, k), order='C')\nj = eq.jacobian(u)\nf = partial(eq.solve, odd=1)\n") == []
+    sites = {path.name: _form_sites(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert sites.pop("operator.py") and sites.pop("singular.py")
+    assert all(lines == [] for lines in sites.values()), sites
 
 
 def test_factorizations_are_called_only_in_the_operator_module():
