@@ -65,10 +65,13 @@ class BranchPoint:
 
     `lambda1` (principal eigenvalue of the linearization), its `eigenvector`
     and `monitor` (the Fredholm monitor) are computed together on the first
-    read of any, from one linearized operator and its shared factors (one
-    per block, the point's field being even); the point keeps the eigenpair
-    and the monitor, not the matrices or their factors.  A
-    failure there surfaces only to a caller that reads them.
+    read of any, from one linearized operator and its shared factors: J_e's
+    one factor serves lambda1 and the monitor's even block, and J_o is built
+    and factored only where the monitor's odd floor cannot rule it out (the
+    last points of the upper segment on the default branch).  The point
+    keeps the eigenpair and the monitor, not the matrices or their factors.
+    A failure there surfaces only to a caller that reads them; an exactly
+    singular J_o reads as a monitor of 0.0, beside lambda1.
     """
 
     lam: float

@@ -17,25 +17,25 @@ the matrix is positive definite, else LU.  This module holds no solver, no
 factor and no block of J.  At an even solution (the whole traced branch) J
 commutes with the reflection of the nodes, and the holder keeps
 its even block J_e = Q^T J Q, of order about n/2, in place of J, and a
-builder of its odd block J_o = Q_o^T J Q_o, which only a right-hand side with
-an odd part calls; Q and Q_o have orthonormal columns, so both are plain
-symmetric matrices whose eigenpairs are J's among even (odd) fields.  The
-principal eigenvector is even (it is the Perron vector), so lambda1 comes
-from J_e alone, by `operator.smallest_eigenpairs`,
+builder of its odd block J_o = Q_o^T J Q_o; Q and Q_o have orthonormal
+columns, so both are plain symmetric matrices whose eigenpairs are J's among
+even (odd) fields.  The principal eigenvector is even (it is the Perron
+vector), so lambda1 comes from J_e alone, by `operator.smallest_eigenpairs`,
 the one smallest-pair routine, which also gives phi_1 of A (its Perron
 certificate and fallbacks are described there); odd negative modes do not
-reach its Gershgorin fallback, since J_e does not see them.  The monitor
-runs Lanczos on (I + F J^-1)(I + J^-1 F), two solves with J per step, each
-the split solve through J_e and J_o (`LinearizedOperator.solve`); its start
-vector has an odd part, so the monitor builds and factors J_o, and lambda1
-alone never does.
-The derivative fields at even data solve through J_e only.  Each Lanczos run
+reach its Gershgorin fallback, since J_e does not see them.  P and F split
+on Q and Q_o as J does, so the monitor is min(sigma_e, sigma_o), each read
+on its own block by `operator.fredholm_sigma`: Lanczos on (I + F_e
+J_e^-1)(I + J_e^-1 F_e) through the J_e factor lambda1 already made, and
+the same on J_o only where a Collatz-Wielandt floor on lambda_min(J_o)
+(`operator.odd_floor`, from the equation's potential) does not already show
+sigma_o above sigma_e.  On the default branch that floor rules sigma_o out
+at every minimal point, the fold and the first upper points, so J_o is
+built and factored at the last few upper points only.  The derivative
+fields at even data solve through J_e only.  Each Lanczos run
 (operator._lanczos_largest) stops as soon as its Ritz pair has converged,
-after 2-15 steps on the default branch at n=256 to 2048.  The monitor's run
-is on n-node vectors, and its start vector has no reflection symmetry: J and
-F are reflection-symmetric, and on the upper branch the monitor's singular
-vector can be antisymmetric.  The lambda1 runs are on the even block, which
-holds no reflection, so there the start only needs to be positive.
+after 2-15 steps on the default branch at n=256 to 2048.  At an asymmetric
+field the monitor's run is on n-node vectors through J's solve.
 
 The solution operator T(lam, h) of G(u, lam) = A u - lam K u^-delta - h = 0
 is twice differentiable.  Implicit differentiation gives its derivative
@@ -58,8 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .operator import EigenPair, LinearizedOperator, NonlocalOperator, _lanczos_largest, smallest_eigenpairs
+from .operator import EigenPair, LinearizedOperator, NonlocalOperator, fredholm_sigma, smallest_eigenpairs
 from .problem import ProblemSpec, no_nonlinearity
 from .singular import DEFAULT_TOL, Equation, SolutionField, _field_values, solve_A
 
@@ -161,23 +160,16 @@ def fredholm_monitor(lam: float, u, op: NonlocalOperator, spec: ProblemSpec, lin
 
     This is the compact-perturbation-of-identity form of the equation's
     linearization; a near-zero value flags a singular point of the branch and
-    co-occurs with a vanishing principal eigenvalue.  It is computed as
-    1/sigma_max(I + J^-1 F) by Lanczos on J's solve (see the module notes);
-    pass `lin` to reuse a linearization built at (lam, u).
+    co-occurs with a vanishing principal eigenvalue.  It is 1/sigma_max(I +
+    J^-1 F), read by `operator.fredholm_sigma` from F = lam f'(u) and the
+    equation's potential (see the module notes): at an even u the smaller of
+    the even and odd blocks' values, J_o being built only where the odd
+    floor cannot rule it out.  An exactly singular J, or block of J, gives
+    0.0.  Pass `lin` to reuse a linearization built at (lam, u).
     """
-    fp = lam * spec.nonlinearity.fprime(_field_values(u))
+    uv = _field_values(u)
+    fp = lam * spec.nonlinearity.fprime(uv)
     if not np.any(fp):
         return 1.0
-    solve = (lin if lin is not None else linearized_operator(lam, u, op, spec)).solve
-    if solve is None:
-        return 0.0
-
-    def normal(v):  # (I + F J^-1)(I + J^-1 F) v = (J^-1 P)^T (J^-1 P) v
-        z = v + solve(fp * v)
-        return z + fp * solve(z)
-
-    theta, x = _lanczos_largest(normal, op.n, 0.01 * MONITOR_RTOL)
-    res = float(np.linalg.norm(normal(x) - theta * x))
-    if res > MONITOR_RTOL * theta:
-        raise ConvergenceError(f"monitor Ritz residual {res:.3e} exceeds {MONITOR_RTOL:.0e} relative", residual=res)
-    return float(1.0 / np.sqrt(theta))
+    lin = lin if lin is not None else linearized_operator(lam, u, op, spec)
+    return fredholm_sigma(lin, op, fp, Equation.of(op, spec, lam).potential(uv), MONITOR_RTOL)

@@ -53,7 +53,10 @@ from strided views of the column (`_block`).  Every solve with A, or with a
 J that commutes with R, is its holder's split solve
 (`LinearizedOperator.solve`), which builds and factors J_o only once a
 right-hand side has an odd part; only an asymmetric Jacobian is factored at
-order n.
+order n.  The Fredholm monitor is read block by block too
+(`fredholm_sigma`), and J_o is built for it only where a Collatz-Wielandt
+floor on its smallest eigenvalue (`odd_floor`, from A_o's Perron vector,
+cached per operator) cannot rule the odd block out.
 
 This is the one module that calls a dense kernel: a factorization or a
 matrix-vector product.  Every product of a matrix with a vector is `matvec`,
@@ -72,7 +75,9 @@ The module hands out solves x -> M^-1 x, never factors: `spd_solver`
 are held by one `LinearizedOperator` each (A's is `NonlocalOperator.lin`,
 at p = 0), and the smallest eigenpair of either comes from
 `smallest_eigenpairs`: shift-invert Lanczos through the holder's solve, on
-the even block when it keeps one.
+the even block when it keeps one.  The LU solve and the Lanczos
+tridiagonal's eigensolver call LAPACK (getrs, stevd) directly, without
+scipy's per-call wrappers.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_factor, eigh_tridiagonal, get_blas_funcs, lu_factor, lu_solve
+from scipy.linalg import cho_factor, get_blas_funcs, get_lapack_funcs, lu_factor
 from scipy.special import gamma, hyp2f1
 
 from .errors import AssemblyError, ConvergenceError, GridError
@@ -106,6 +111,8 @@ __all__ = [
     "lu_solver",
     "shifted_spd_solver",
     "matvec",
+    "odd_floor",
+    "fredholm_sigma",
 ]
 
 MIN_NODES = 8
@@ -114,11 +121,19 @@ SIGN_SLACK = 1e-12
 _ROOT_HALF = np.sqrt(0.5)
 # Lanczos gives up after this many operator applications.
 LANCZOS_STEPS = 200
+# The monitor's odd block is ruled out when its floor clears sigma_e by this much, relative: far more than
+# the Lanczos error of sigma_e (5e-9 at the monitor's tolerance) and the rounding of the floor's last sums.
+FLOOR_MARGIN = 1e-6
 # BLAS triangular solve with one right-hand side, and the matrix-vector product, from scipy's BLAS, by
 # the matrix's precision: a float32 matrix (a single-precision Jacobian) never meets a float64 kernel,
 # which f2py would feed a float64 copy of it
 _TRSV = {np.dtype(t): get_blas_funcs("trsv", dtype=t) for t in (np.float64, np.float32)}
 _GEMV = {np.dtype(t): get_blas_funcs("gemv", dtype=t) for t in (np.float64, np.float32)}
+# LAPACK's solve with an LU factor, and the tridiagonal eigensolver that scipy's eigh_tridiagonal runs for
+# all pairs, called without scipy's per-call wrappers; a float32 LU factor (of a single-precision Newton
+# Jacobian) solves in float64, as scipy's lu_solve does with a float64 right-hand side
+_GETRS = get_lapack_funcs("getrs", dtype=np.float64)
+_STEVD = get_lapack_funcs("stevd", dtype=np.float64)
 
 
 def normalization_constant(s: float) -> float:
@@ -489,12 +504,20 @@ def lu_solver(mat: np.ndarray, overwrite: bool = False):
     LAPACK factors mat as it is given: an F-ordered mat with no copy (in
     place with overwrite=True), a C-ordered one through f2py's transposing
     copy.  So a caller holding a symmetric C-ordered mat hands over mat.T,
-    the same matrix in column-major order.
+    the same matrix in column-major order.  The solve is LAPACK's getrs,
+    called directly: the bits of scipy's lu_solve at a third of its cost
+    per call.
     """
     if not np.all(np.isfinite(mat)):
         return None
-    lu = lu_factor(mat, overwrite_a=overwrite, check_finite=False)
-    return partial(lu_solve, lu, check_finite=False) if np.all(np.diag(lu[0])) else None
+    lu, piv = lu_factor(mat, overwrite_a=overwrite, check_finite=False)
+    if not np.all(np.diag(lu)):
+        return None
+
+    def solve(x):
+        return _GETRS(lu, piv, x)[0]
+
+    return solve
 
 
 def shifted_spd_solver(mat: np.ndarray):
@@ -518,7 +541,8 @@ class LinearizedOperator:
 
     At an even field with even data `matrix` is J's even block J_e = Q^T J Q
     and `odd` a function of no arguments that builds its odd block J_o =
-    Q_o^T J Q_o (J = J_e (+) J_o); otherwise `matrix` is J and `odd` is None.
+    Q_o^T J Q_o (J = J_e (+) J_o), called only by `odd_solve`; otherwise
+    `matrix` is J and `odd` is None.
     A itself is one, at p = 0 (`NonlocalOperator.lin`).
     """
 
@@ -537,24 +561,34 @@ class LinearizedOperator:
         return self.cholesky or lu_solver(self.matrix.T)  # symmetric: .T is its column-major form
 
     @cached_property
+    def odd_solve(self):
+        """At an even field, a function of no arguments that gives J_o's `block_solve`; None without an odd block.
+
+        J_o gets a holder of its own, built and factored on the first call
+        and kept: the split solve and the Fredholm monitor share its one
+        factor.  The function holds the builder, not this holder, so it
+        makes no reference cycle.
+        """
+        build, n = self.odd, self.n
+        if build is None:
+            return None
+        return cache(lambda: LinearizedOperator(build(), n).block_solve)
+
+    @cached_property
     def solve(self):
         """x -> J^-1 x on any n-node x: `block_solve`, or at an even field the split solve through J_e and J_o.
 
         The split solve is J^-1 x = Q J_e^-1 Q^T x + Q_o J_o^-1 Q_o^T x: two
-        solves of order about n/2.  J_o gets a holder of its own, built with
-        its `block_solve` on the first x with Q_o^T x != 0; an x with Q_o^T x
-        = 0 (an even x) skips the odd half, which leaves the even one's bits.
-        A singular J_o is a ConvergenceError at that solve.  None when
-        `block_solve` is.  The solve holds the blocks' solves, not the
-        holder, so it makes no reference cycle.
+        solves of order about n/2.  J_o is built on the first x with Q_o^T x
+        != 0 (`odd_solve`); an x with Q_o^T x = 0 (an even x) skips the odd
+        half, which leaves the even one's bits.  A singular J_o is a
+        ConvergenceError at that solve.  None when `block_solve` is.  The
+        solve holds the blocks' solves, not the holder, so it makes no
+        reference cycle.
         """
-        even, build, n = self.block_solve, self.odd, self.n
-        if build is None or even is None:
+        even, odd_solve, n = self.block_solve, self.odd_solve, self.n
+        if odd_solve is None or even is None:
             return even
-
-        @cache
-        def odd_solve():
-            return LinearizedOperator(build(), n).block_solve
 
         def solve(x):
             y = unfold(even(fold(x)), n)
@@ -575,35 +609,38 @@ def _lanczos_largest(apply, n: int, rtol: float) -> tuple[float, np.ndarray]:
     a Ritz pair (theta, Q s) of the j x j tridiagonal is beta_j |s_j| (Parlett,
     The Symmetric Eigenvalue Problem, ch. 13).  It is tested after every
     step, and the run stops once it is at most rtol |theta| for the top
-    pair; on breakdown (beta_j = 0) it is exact.  The basis grows one vector
-    per step.  The start vector linspace(1, 2, n) is fixed, so repeated runs
-    agree bit for bit.  It is positive, so it meets the Perron vector of an
-    inverse M-matrix: on an even block that is all it must do, since the
-    block holds no reflection.  On an n-node operator that commutes with
-    the reflection (the Fredholm monitor's) it matters too that the start
-    has no reflection symmetry: the Krylov space then holds the
+    pair; on breakdown (beta_j = 0) it is exact.  The basis vectors are the
+    rows of one C-ordered array allocated up front, whose leading j rows
+    are the j x n matrix of the reorthogonalization's two gemv pairs, and
+    the tridiagonal is diagonalized by LAPACK's stevd, called directly.  The
+    start vector linspace(1, 2, n) is fixed, so repeated runs agree bit for
+    bit.  It is positive, so it meets the Perron vector of an inverse
+    M-matrix: on a block (lambda1's, and the Fredholm monitor's at an even
+    field) that is all it must do, since a block holds no reflection.  On an
+    n-node operator that commutes with the reflection it matters too that
+    the start has no reflection symmetry: the Krylov space then holds the
     antisymmetric modes as well.
     """
+    steps = min(LANCZOS_STEPS, n)
+    basis = np.empty((steps + 1, n))
+    alpha, beta = np.empty(steps), np.zeros(steps)
     q = np.linspace(1.0, 2.0, n)
-    basis = [q / np.linalg.norm(q)]
-    alpha: list[float] = []
-    beta: list[float] = []
-    for _ in range(min(LANCZOS_STEPS, n)):
-        w = apply(basis[-1])
-        alpha.append(float(basis[-1] @ w))
-        qs = np.array(basis)
+    basis[0] = q / np.linalg.norm(q)
+    for j in range(steps):
+        w = apply(basis[j])
+        alpha[j] = basis[j] @ w
+        qs = basis[: j + 1]
         w = w - matvec(qs.T, matvec(qs, w))
         w -= matvec(qs.T, matvec(qs, w))
         b = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
-        theta, s = theta[-1:], s[:, -1:]
-        if b * abs(s[-1, 0]) <= rtol * abs(theta[0]):
-            return float(theta[0]), matvec(qs.T, s[:, 0])
+        theta, s, _ = _STEVD(alpha[: j + 1], beta[: max(j, 1)])  # stevd takes one off-diagonal entry at order 1
+        if b * abs(s[-1, -1]) <= rtol * abs(theta[-1]):
+            return float(theta[-1]), matvec(qs.T, s[:, -1])
         if b == 0.0:
             break
-        beta.append(b)
-        basis.append(w / b)
-    raise ConvergenceError(f"Lanczos found no converged Ritz pair in {len(alpha)} steps")
+        beta[j] = b
+        basis[j + 1] = w / b
+    raise ConvergenceError(f"Lanczos found no converged Ritz pair in {j + 1} steps")
 
 
 def _shift_invert_pair(mat, solve, tol, n: int) -> EigenPair:
@@ -685,3 +722,94 @@ def principal_eigenpair(op: NonlocalOperator) -> EigenPair:
             raise ConvergenceError("principal eigenvector is not strictly positive", residual=pair.residual)
         op._cache["phi1"] = pair
     return op._cache["phi1"]
+
+
+def _odd_collatz_wielandt(op: NonlocalOperator) -> np.ndarray | None:
+    """c_i = (A_o psi)_i / psi_i less a rounding bound, for A_o's Perron vector psi; None when the premise fails.
+
+    A_o's off-diagonals are column_|i-j| - column_(n-1-i-j), with |i-j| <
+    n-1-i-j, so they are <= 0, rounded too, when column[1:] is
+    non-decreasing (a kernel that decays with distance): then A_o and J_o =
+    A_o + diag(p[:n//2]) at any even p are symmetric Z-matrices, and for any
+    x > 0, min_i (J_o x)_i / x_i <= lambda_min(J_o) (Collatz-Wielandt;
+    Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    ch. 6).  With x = psi that minimum is min_i (c_i + p_i).  The computed
+    product is within gamma_m (|A_o| psi)_i of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), and for a
+    Z-matrix |A_o| psi = (|d| + d) psi - A_o psi, d its diagonal; that bound
+    is taken off.  psi is the smallest eigenvector of A_o from
+    `smallest_eigenpairs` on a holder of A_o of its own order (one Cholesky
+    of order n//2); it need not be exact, only strictly positive.
+    """
+    if np.any(np.diff(op.column[1:]) < 0.0):
+        return None
+    block = op.odd_block
+    m = len(block)
+    psi = smallest_eigenpairs(LinearizedOperator(block, m)).vector
+    if not psi.min() > 0.0:
+        return None
+    d = np.diagonal(block)
+    product = matvec(block, psi)
+    gamma_m = m * np.finfo(float).eps / (1.0 - m * np.finfo(float).eps)
+    return (product - gamma_m * ((np.abs(d) + d) * psi - product)) / psi
+
+
+def odd_floor(op: NonlocalOperator, potential: np.ndarray) -> float:
+    """A lower bound on lambda_min(J_o) for J = A + diag(potential) with an even potential; -inf when the premise fails.
+
+    It is min_i (c_i + p_i) over the first n//2 nodes, c from
+    `_odd_collatz_wielandt`, computed once per operator and cached in
+    op._cache as phi_1 is: O(n) per call after the first.
+    """
+    if "odd_floor" not in op._cache:
+        op._cache["odd_floor"] = _odd_collatz_wielandt(op)
+    c = op._cache["odd_floor"]
+    return -np.inf if c is None else float(np.min(c + potential[: len(c)]))
+
+
+def _sigma_min(solve, f: np.ndarray, rtol: float) -> float:
+    """1 / sigma_max(I + M^-1 F) for symmetric M, F = diag(f), through solve = x -> M^-1 x; 0.0 when solve is None.
+
+    Lanczos runs on (I + F M^-1)(I + M^-1 F) = (M^-1 P)^T (M^-1 P), P = M +
+    F, two solves per step, to a Ritz residual of rtol/100; the Ritz pair
+    (theta, x) is then checked, |B x - theta x| <= rtol theta, so sigma_max^2
+    is within rtol theta of an eigenvalue.
+    """
+    if solve is None:
+        return 0.0
+
+    def normal(v):
+        z = v + solve(f * v)
+        return z + f * solve(z)
+
+    theta, x = _lanczos_largest(normal, len(f), 0.01 * rtol)
+    res = float(np.linalg.norm(normal(x) - theta * x))
+    if res > rtol * theta:
+        raise ConvergenceError(f"monitor Ritz residual {res:.3e} exceeds {rtol:.0e} relative", residual=res)
+    return float(1.0 / np.sqrt(theta))
+
+
+def fredholm_sigma(lin: LinearizedOperator, op: NonlocalOperator, f, potential, rtol: float) -> float:
+    """sigma_min(I - P^-1 F) for the J = P - F = A + diag(potential) that lin holds, F = diag(f); 0 for a singular J.
+
+    I - P^-1 F = P^-1 J, so sigma_min = 1 / sigma_max(I + J^-1 F)
+    (`_sigma_min`).  At an even field J, P and F split on Q and Q_o, and
+    sigma_min = min(sigma_e, sigma_o), each read on its own block: sigma_e
+    through J_e's `block_solve`, the factor lambda1 uses, with F_e =
+    diag(f[:ceil(n/2)]).  J_o is built and factored (`odd_solve`) only when
+    a floor on sigma_o does not rule it out: for l = `odd_floor` > 0, J_o >=
+    l I, so |J_o^-1 F_o| <= max|f_o| / l and sigma_o >= 1 / (1 + max|f_o| /
+    l); once that is at least (1 + FLOOR_MARGIN) sigma_e, the minimum is
+    sigma_e.  Where it is not, or the floor's premise fails, sigma_o is read
+    like sigma_e, and a singular J_o gives 0.0.  Without an odd block (an
+    asymmetric field) one run on n nodes goes through J's solve.
+    """
+    if lin.odd_solve is None:
+        return _sigma_min(lin.solve, f, rtol)
+    k = len(lin.matrix)
+    sigma = _sigma_min(lin.block_solve, f[:k], rtol)
+    f_odd = f[: lin.n - k]
+    floor = odd_floor(op, potential)
+    if floor > 0.0 and 1.0 / (1.0 + np.abs(f_odd).max() / floor) >= (1.0 + FLOOR_MARGIN) * sigma:
+        return sigma
+    return min(sigma, _sigma_min(lin.odd_solve(), f_odd, rtol))

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh, svd
 
 from fracfold import ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_A, solve_min
-from fracfold.continuation import BranchPoint
+from fracfold.continuation import BranchPoint, FoldPolicy, TracePolicy, fold_round, trace_minimal
 from fracfold.linearization import (
     LinearizedOperator,
     fredholm_monitor,
@@ -13,7 +13,7 @@ from fracfold.linearization import (
     linearized_operator,
     sensitivity_bundle,
 )
-from fracfold.operator import principal_eigenpair, smallest_eigenpairs
+from fracfold.operator import odd_floor, principal_eigenpair, smallest_eigenpairs
 from fracfold.singular import Equation, solve_pure_singular
 
 
@@ -283,14 +283,22 @@ def _forbid_gershgorin_factor(monkeypatch):
     monkeypatch.setattr(op_mod, "shifted_spd_solver", no_fallback)
 
 
+def _warm_odd_floor(op):
+    """Compute and cache the odd floor's Perron terms of op (one Cholesky of A_o), so later counts leave it out."""
+    odd_floor(op, np.zeros(op.n))
+
+
 def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, canonical_spec):
     # lambda1 and the monitor of one linearization, at an even field where J =
-    # J_e (+) J_o: a single factor of each block, of order n/2.  On the minimal
-    # branch both are Cholesky; on the upper one the sine profile proves J_e
-    # indefinite, and the LU of J_e serves lambda1 (by Lanczos on -J_e^-1) and
-    # the monitor's solves with J_o's Cholesky
+    # J_e (+) J_o: one factor of order n/2 per block that is read.  At a
+    # minimal point the odd floor rules sigma_o out, so J_e's Cholesky alone
+    # serves lambda1 and the monitor; at the last upper point the sine profile
+    # proves J_e indefinite, its LU serves lambda1 (by Lanczos on -J_e^-1) and
+    # sigma_e, and the floor does not rule sigma_o out, so J_o is built and
+    # its Cholesky read
     import fracfold.operator as op_mod
 
+    _warm_odd_floor(op256_s04)
     calls = []
     for mod, name in ((op_mod, "cho_factor"), (op_mod, "lu_factor")):
         original = getattr(mod, name)
@@ -302,7 +310,7 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         monkeypatch.setattr(mod, name, counted)
     half = op256_s04.n // 2
     for p, expected in (
-        (_rounded(folded_branch, "minimal")[-1], [("cho_factor", half), ("cho_factor", half)]),
+        (_rounded(folded_branch, "minimal")[-1], [("cho_factor", half)]),
         (_rounded(folded_branch, "upper")[-1], [("lu_factor", half), ("cho_factor", half)]),
     ):
         calls.clear()
@@ -321,9 +329,32 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         assert values == (p.lambda1, p.monitor)
 
 
+def test_odd_floor_factors_A_o_once_per_operator(monkeypatch, folded_branch, canonical_spec):
+    # the floor's Perron vector of A_o comes from one Cholesky of order n/2 on
+    # a fresh operator, cached on it: later points pay O(n) for the floor
+    import fracfold.operator as op_mod
+
+    op = assemble_operator(build_grid(1.0, 256), 0.4)  # the bits of the branch's operator
+    calls = []
+    original = op_mod.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(op_mod, "cho_factor", counted)
+    p = _rounded(folded_branch, "minimal")[0]
+    pot = Equation.of(op, canonical_spec, p.lam).potential(p.solution.values)
+    first = odd_floor(op, pot)
+    assert calls == [128]
+    assert odd_floor(op, pot) == first and odd_floor(op, np.zeros(op.n)) < first
+    assert calls == [128]
+
+
 def test_lambda1_alone_builds_no_odd_block(monkeypatch, folded_branch, op256_s04, canonical_spec):
-    # the principal pair is even, so lambda1 needs J_e only; J_o is built when
-    # the monitor first solves, since its Lanczos start vector has an odd part
+    # the principal pair is even, so lambda1 needs J_e only.  The monitor
+    # reads sigma_e on J_e too, and builds J_o only where the odd floor does
+    # not rule sigma_o out: never at a minimal point, at the last upper point
     calls = []
     original = Equation.jacobian
 
@@ -332,33 +363,37 @@ def test_lambda1_alone_builds_no_odd_block(monkeypatch, folded_branch, op256_s04
         return original(self, u, out=out, odd=odd, **kwargs)
 
     monkeypatch.setattr(Equation, "jacobian", recording)
-    for p in (_rounded(folded_branch, "minimal")[-1], _rounded(folded_branch, "upper")[-1]):
+    minimal, upper = _rounded(folded_branch, "minimal")[-1], _rounded(folded_branch, "upper")[-1]
+    for p, monitor in ((minimal, [False]), (upper, [False, True])):
         calls.clear()
         lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
         lambda1(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
         assert calls == [False]
         fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
-        assert calls == [False, True]
+        assert calls == monitor
 
 
 def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, op256_s04):
     # each Lanczos run stops once its Ritz pair has converged; runs of a fixed
     # 21 applications take 65 solves per point (21 for lambda1, 2 * 21 + 2 for
     # the monitor and its residual check).  A solve here is one application
-    # of J_e^-1, alone (lambda1) or inside a split solve of J (the monitor);
-    # the odd block's solves in the split solves are not counted.
-    # The factors stay one per block per point: an indefinite J_e's LU serves
-    # lambda1 too, so no Gershgorin factor is built.
+    # of J_e^-1, for lambda1 or for sigma_e; the solves with J_o are not
+    # counted.  The factors stay one per block that is read: an indefinite
+    # J_e's LU serves lambda1 too, so no Gershgorin factor is built, and J_o
+    # is built and factored only at the points the odd floor does not
+    # certify, the last upper ones
     import fracfold.operator as op_mod
 
+    _warm_odd_floor(op256_s04)
     calls = {"solve": 0, "factor": 0}
-    odd_blocks = []
+    odd_blocks, uncertified = [], []
     jacobian = Equation.jacobian
 
     def recording(self, u, out=None, odd=False, **kwargs):
         block = jacobian(self, u, out=out, odd=odd, **kwargs)
         if odd:
             odd_blocks.append(block)
+            uncertified.append(self.lam)
         return block
 
     def count(kind, result):
@@ -390,9 +425,138 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     for p in points:
         fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
         _ = (fresh.lambda1, fresh.monitor)
-    # measured: 570 solves over the 26 points, one factor of each block
+    # measured: 539 solves over the 26 points, and 4 points not certified, the last four of the upper segment
+    assert uncertified == [p.lam for p in folded_branch.upper_points()[-4:]]
     assert calls["solve"] <= 24 * len(points)
-    assert calls["factor"] == 2 * len(points)
+    assert calls["factor"] == len(points) + len(uncertified)
+
+
+# --- the odd floor: a Collatz-Wielandt bound that rules sigma_o out -----------------------
+
+
+@pytest.fixture(scope="module")
+def small_branches():
+    """(op, spec, folded branch) at an odd n, and with a weight that blows up at the wall (beta > 0)."""
+    out = []
+    for n, beta in ((63, 0.0), (64, 0.3)):
+        spec = ProblemSpec(s=0.4, delta=0.5, beta=beta, coeff=1.0, nonlinearity=power_nonlinearity(2.0))
+        op = assemble_operator(build_grid(1.0, n), spec.s)
+        out.append((op, spec, fold_round(trace_minimal(spec, op, TracePolicy()), op, spec, FoldPolicy())))
+    return out
+
+
+def _odd_parts(lam, u, op, spec):
+    """(l, 1 / (1 + max F_o / l), lambda_min(J_o), sigma_o): the code's floors and the dense oracles of the odd block.
+
+    The oracles restrict the n x n matrices to the odd fields with Q_o, whose
+    columns (e_j - e_{n-1-j}) / sqrt(2) are built here.
+    """
+    m = op.n // 2
+    q = np.zeros((op.n, m))
+    q[np.arange(m), np.arange(m)] = np.sqrt(0.5)
+    q[op.n - 1 - np.arange(m), np.arange(m)] = -np.sqrt(0.5)
+    jac = _dense_jacobian(lam, u, op, spec)
+    f = lam * spec.nonlinearity.fprime(u)
+    ell = odd_floor(op, Equation.of(op, spec, lam).potential(u))
+    floor = 1.0 / (1.0 + np.abs(f[:m]).max() / ell) if ell > 0.0 else 0.0
+    monitor = np.eye(op.n) - np.linalg.solve(jac + np.diag(f), np.diag(f))  # I - P^-1 F, P = J + F
+    return ell, floor, eigh(q.T @ jac @ q, eigvals_only=True)[0], svd(q.T @ monitor @ q, compute_uv=False)[-1]
+
+
+def test_odd_floor_is_below_the_dense_odd_block(folded_branch, op256_s04, canonical_spec, small_branches):
+    # soundness at every point of three folded branches: l <= lambda_min(J_o)
+    # and the floor on sigma_o is at most the SVD's; the floor rules sigma_o
+    # out on the whole minimal segment and at the fold
+    from fracfold.operator import FLOOR_MARGIN
+
+    for op, spec, branch in [(op256_s04, canonical_spec, folded_branch), *small_branches]:
+        assert {p.segment for p in branch.points} == {"minimal", "fold", "upper"}
+        for p in branch.points:
+            ell, floor, lowest, sigma_o = _odd_parts(p.lam, p.solution.values, op, spec)
+            assert 0.0 < ell <= lowest, (op.n, p.segment, p.lam)
+            assert floor <= sigma_o, (op.n, p.segment, p.lam)
+            if p.segment != "upper":
+                assert floor >= (1.0 + FLOOR_MARGIN) * p.monitor, (op.n, p.segment, p.lam)
+
+
+def test_uncertified_points_read_sigma_o_to_the_dense_svd(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # where the floor does not rule sigma_o out, the monitor reads sigma_o on
+    # J_o by Lanczos: it matches the SVD of the odd block, and the monitor is
+    # the smaller of the two blocks' values
+    import fracfold.operator as op_mod
+
+    sigmas = []
+    original = op_mod._sigma_min
+
+    def recording(solve, f, rtol):
+        sigmas.append(original(solve, f, rtol))
+        return sigmas[-1]
+
+    monkeypatch.setattr(op_mod, "_sigma_min", recording)
+    read = 0
+    for p in folded_branch.upper_points():
+        sigmas.clear()
+        monitor = fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec)
+        if len(sigmas) == 1:  # ruled out: sigma_e alone
+            assert monitor == sigmas[0]
+            continue
+        read += 1
+        sigma_e, sigma_o = sigmas
+        assert sigma_o == pytest.approx(_odd_parts(p.lam, p.solution.values, op256_s04, canonical_spec)[3], abs=1e-9)
+        assert monitor == min(sigma_e, sigma_o)
+    assert read == 4
+
+
+@pytest.mark.parametrize("plant", ["psi", "column"])
+def test_a_failed_premise_turns_the_skip_off(monkeypatch, folded_branch, canonical_spec, plant):
+    # a Perron vector of A_o with a negative entry, or a kernel column that is not
+    # monotone (A_o may then have a positive off-diagonal), voids the bound:
+    # the floor is -inf, and the monitor builds J_o where it would skip it
+    import fracfold.operator as op_mod
+    from fracfold.operator import EigenPair
+
+    op = assemble_operator(build_grid(1.0, 256), 0.4)  # the bits of the branch's operator, with no floor cached
+    if plant == "psi":
+        original = op_mod.smallest_eigenpairs
+
+        def planted(lin, tol=1e-8):
+            pair = original(lin, tol)
+            vector = pair.vector.copy()
+            vector[len(vector) // 2] *= -1.0  # its quotient would raise the floor, not void it
+            return EigenPair(pair.value, vector, pair.residual)
+
+        monkeypatch.setattr(op_mod, "smallest_eigenpairs", planted)
+    else:
+        _ = op.lin  # the blocks keep the assembled column: only the premise reads the planted one
+        column = op.column.copy()
+        column[[10, 11]] = column[[11, 10]]
+        assert column[10] > column[11]
+        op.column = column
+    calls = []
+    jacobian = Equation.jacobian
+
+    def recording(self, u, out=None, odd=False, **kwargs):
+        calls.append(odd)
+        return jacobian(self, u, out=out, odd=odd, **kwargs)
+
+    monkeypatch.setattr(Equation, "jacobian", recording)
+    p = _rounded(folded_branch, "minimal")[-1]
+    assert odd_floor(op, np.zeros(op.n)) == -np.inf
+    assert fredholm_monitor(p.lam, p.solution, op, canonical_spec) == p.monitor  # sigma_e, and sigma_o is larger
+    assert calls == [False, True]
+
+
+def test_monitor_zero_when_the_odd_block_is_singular(folded_branch, op256_s04, canonical_spec):
+    # an exactly singular J_o makes sigma_o = 0: the monitor is 0.0, as for a
+    # singular J_e, and lambda1 of the same linearization is still read
+    p = _rounded(folded_branch, "upper")[-1]  # a point whose floor does not rule sigma_o out
+    lin = linearized_operator(p.lam, p.solution, op256_s04, canonical_spec)
+    m = op256_s04.n // 2
+    lin.odd = lambda: np.diag(np.arange(m, dtype=float))  # planted before J_o is first built
+    assert lambda1(p.lam, p.solution, op256_s04, canonical_spec, tol=max(p.tol, 1e-10), lin=lin).value == p.lambda1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LU reports the zero pivot
+        assert fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin) == 0.0
 
 
 def test_upper_lambda1_comes_from_the_lu_of_J(monkeypatch, folded_branch, op256_s04, canonical_spec):

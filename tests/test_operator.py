@@ -216,6 +216,54 @@ def test_lanczos_breakdown_and_step_cap(monkeypatch):
         _lanczos_largest(lambda x: mat @ x, 40, 1e-12)
 
 
+def _lanczos_reference(apply, n, rtol):
+    """The Lanczos run on a list of basis vectors, stacked by np.array at every step, and scipy's eigh_tridiagonal."""
+    from scipy.linalg import eigh_tridiagonal
+
+    q = np.linspace(1.0, 2.0, n)
+    basis, alpha, beta = [q / np.linalg.norm(q)], [], []
+    for _ in range(min(op_mod.LANCZOS_STEPS, n)):
+        w = apply(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        qs = np.array(basis)
+        w = w - matvec(qs.T, matvec(qs, w))
+        w -= matvec(qs.T, matvec(qs, w))
+        b = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        if b * abs(s[-1, -1]) <= rtol * abs(theta[-1]):
+            return float(theta[-1]), matvec(qs.T, s[:, -1])
+        beta.append(b)
+        basis.append(w / b)
+    raise AssertionError("no converged pair")
+
+
+def test_lanczos_keeps_the_bits_of_the_list_basis(op256_s04):
+    # the preallocated basis and the direct stevd call change no bit of the
+    # run: A_e^-1 on the even block and a one-step breakdown alike
+    solve = op256_s04.lin.block_solve
+    k = len(op256_s04.even_block)
+    for apply, n in ((solve, k), (lambda x: 3.0 * x, 12)):
+        val, vec = _lanczos_largest(apply, n, 1e-10)
+        ref_val, ref_vec = _lanczos_reference(apply, n, 1e-10)
+        assert val == ref_val
+        assert np.array_equal(vec.view(np.uint64), ref_vec.view(np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lu_solver_keeps_the_bits_of_scipy_lu_solve(rng, dtype):
+    # the direct getrs call solves as scipy's lu_solve does, bit for bit; a
+    # float32 factor (a single-precision Newton Jacobian) solves in float64
+    from scipy.linalg import lu_factor, lu_solve
+
+    k = 129
+    mat = (rng.standard_normal((k, k)) + k * np.eye(k)).astype(dtype)
+    x = rng.standard_normal(k)
+    y = lu_solver(mat.T)(x)
+    expected = lu_solve(lu_factor(mat.T), x)
+    assert y.dtype == expected.dtype == np.float64
+    assert np.array_equal(y.view(np.uint64), expected.view(np.uint64))
+
+
 def _green_column(op, j):
     """Discrete Green function x -> G(x, x_j): column j of the inverse scaled by 1/h."""
     return solve_dirichlet(op, np.eye(op.n)[j]) / op.grid.h

@@ -26,18 +26,20 @@ SOURCE = pathlib.Path(fracfold.__file__).parent
 
 # the dense kernels the ledger counts, and linalg names that factor no n x n
 # matrix (lstsq fits three columns in weights.fit_boundary_exponent;
-# eigh_tridiagonal diagonalizes the j x j Lanczos tridiagonal, j at most the
-# step count of operator._lanczos_largest; get_blas_funcs fetches the O(n^2)
-# triangular solve trsv of operator._trsv_pair and the matrix-vector product
-# gemv of operator.matvec, each in float64 and float32).  A dense
+# get_blas_funcs fetches the O(n^2) triangular solve trsv of
+# operator._trsv_pair and the matrix-vector product gemv of operator.matvec,
+# each in float64 and float32; get_lapack_funcs fetches the O(n^2) LU solve
+# getrs of operator.lu_solver and the tridiagonal eigensolver stevd, which
+# diagonalizes the j x j Lanczos tridiagonal, j at most the step count of
+# operator._lanczos_largest).  A dense
 # `solve` is forbidden from both libraries: every factorization goes through
 # scipy's counted kernels, and numpy's BLAS pool stays out of the solves.
 # cho_solve is not allowed either: LAPACK's potrs takes 2-4 times as long as
 # the trsv pair on one right-hand side.
 COUNTED = {"cho_factor", "lu_factor", "svdvals"}
-HELPERS = {"get_blas_funcs", "lu_solve", "norm", "lstsq", "LinAlgError", "eigh_tridiagonal"}
-# the factorizations and the solves with their factors: trsv is fetched by get_blas_funcs
-FACTOR_NAMES = ("cho_factor", "lu_factor", "lu_solve", "get_blas_funcs")
+HELPERS = {"get_blas_funcs", "get_lapack_funcs", "norm", "lstsq", "LinAlgError"}
+# the factorizations and the solves with their factors: trsv is fetched by get_blas_funcs, getrs by get_lapack_funcs
+FACTOR_NAMES = ("cho_factor", "lu_factor", "get_blas_funcs", "get_lapack_funcs")
 FORBIDDEN = ("solve", "eigh", "eigvalsh", "eig", "ldl", "cholesky", "lu", "qr", "svd", "inv", "pinv", "det")
 
 
@@ -274,7 +276,7 @@ def test_factorizations_are_called_only_in_the_operator_module():
 
 # scipy's typed BLAS and LAPACK: the modules, the handle getters, and the routines by precision prefix
 LOW_LEVEL = {"blas", "lapack", "get_blas_funcs", "get_lapack_funcs"}
-TYPED_ROUTINE = re.compile(r"[sdcz](gemv|gemm|symv|trsv|trsm|potrf|potrs|getrf|getrs|sytrf)")
+TYPED_ROUTINE = re.compile(r"[sdcz](gemv|gemm|symv|trsv|trsm|potrf|potrs|getrf|getrs|sytrf|stevd|stemr)")
 
 
 def test_blas_and_lapack_handles_are_bound_only_in_the_operator_module():
@@ -304,6 +306,9 @@ def test_blas_and_lapack_handles_are_bound_only_in_the_operator_module():
     operator = importlib.import_module("fracfold.operator")
     for table in (operator._GEMV, operator._TRSV):
         assert {dtype.name: f.typecode for dtype, f in table.items()} == {"float64": "d", "float32": "s"}
+    # the LU solve and the Lanczos tridiagonal's eigensolver are float64 only (a float32 LU solves in float64)
+    assert operator._GETRS is scipy.linalg.lapack.dgetrs and operator._GETRS.typecode == "d"
+    assert operator._STEVD is scipy.linalg.lapack.dstevd and operator._STEVD.typecode == "d"
 
 
 MATRICES = {"matrix", "even_block", "odd_block"}
