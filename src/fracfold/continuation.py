@@ -21,11 +21,22 @@ meets the same residual bound as with a fresh factor at every step.
 
 The branch is even under the reflection of the nodes: so are the minimal
 solutions, the principal eigenvector at the fold, and every tangent and
-bordering row built from them.  The bordered LU of the corrector and of the
-fold solve, which the equation builds (`singular.Equation.bordered_solver`)
-from the row and corner given here, is then of order ceil(n/2) + 1, and the
-second solutions of `multiplicity_scan` factor J_e.  Only the random starts
-of `uniqueness_probe` factor the n x n Jacobian.
+bordering row built from them.  Each Newton run here takes its coordinates
+from the equation once, when it starts (`singular.Equation.on`: one choice
+per arclength run and per fold solve, not per corrector), and on the even
+branch they are the half grid, the first ceil(n/2) node values of each
+field (`operator.Basis`).  The correctors and the fold solve evaluate,
+factor and step there; the products over all n nodes, the arclength row
+w^2 udot.(u - u0), l.phi and the tangents and arclengths between points,
+are taken on the mirrored n-node fields (`Equation.field`), so they keep
+their bits, and each point's field is mirrored once, when its run ends.
+The bordered LU of the corrector and of the fold solve, which the equation
+builds (`singular.Equation.bordered_solver`) from the row and corner given
+here, is then of order ceil(n/2) + 1, and the second solutions of
+`multiplicity_scan` factor J_e.  Only the random starts of
+`uniqueness_probe` run on the nodes and factor the n x n Jacobian: by
+Cholesky, which holds below the amplitude cap, else by LU
+(`operator.spd_or_lu_solver`).
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
-from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair
+from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair, spd_or_lu_solver
 from .problem import ProblemSpec
 from .singular import DEFAULT_TOL, Equation, SolutionField, damped_newton, solve_min
 
@@ -275,50 +286,51 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     c dlam, r3) are affine in t, and t makes xi = 0.  The factor handed to
     damped_newton is that bordering closure, with M's LU and the t-columns
     solved once per factorization, so a chord step costs two LU solves.
+    Newton runs on u and phi in the coordinates the equation picks from
+    (u, phi0, l), the half grid on the even branch, with l.phi taken on the
+    mirrored phi.
     """
-    n, tol = op.n, start.tol
-    eq = Equation.of(op, spec, start.lam)
+    tol = start.tol
     phi0 = start.eigenvector
     l = phi0 / (phi0 @ phi0)
+    eq = Equation.of(op, spec, start.lam).on(start.solution.values, phi0, l)
+    z0 = np.concatenate([eq.restrict(start.solution.values), eq.restrict(phi0), [start.lam]])
+    k = (len(z0) - 1) // 2
 
-    def parts(z):
-        return z[:n], z[n:-1], replace(eq, lam=z[-1])
-
-    def residual(z):
-        u, phi, at = parts(z)
-        return np.concatenate([at.residual(u), op.apply(phi) + at.potential(u) * phi, [l @ phi - 1.0]])
-
-    def bound(z):
-        u, phi, at = parts(z)
-        phi_scale = 1.0 + np.abs(at.potential(u) * phi).max()
-        return np.concatenate([tol * at.scale(u), np.full(n, tol * phi_scale), [tol]])
+    def evaluate(z):
+        u, phi, lam = z[:k], z[k:-1], z[-1]
+        g, bound = eq.evaluate(u, tol, lam)
+        pphi = eq.potential(u, lam) * phi
+        r = np.concatenate([g, eq.apply(phi) + pphi, [l @ eq.field(phi) - 1.0]])
+        return r, np.concatenate([bound, np.full(k, tol * (1.0 + np.abs(pphi).max())), [tol]])
 
     def factor(z):
-        u, phi, at = parts(z)
-        solve = at.bordered_solver(u, l, 0.0)
+        u, phi, lam = z[:k], z[k:-1], z[-1]
+        at = replace(eq, lam=lam)
+        solve = at.bordered_solver(u, eq.restrict(l), 0.0)
         if solve is None:
             return None
-        b, c = at.d_potential(u) * phi, replace(at, lam=1.0).potential(u) * phi
-        x1 = solve(np.append(np.zeros(n), 1.0))
-        y1 = solve(np.append(-b * x1[:n] - c * x1[n], 0.0))
+        b, c = at.d_potential(u) * phi, eq.potential(u, 1.0) * phi
+        x1 = solve(np.append(np.zeros(k), 1.0))
+        y1 = solve(np.append(-b * x1[:k] - c * x1[k], 0.0))
 
         def bordered(v):
-            x = solve(np.append(v[:n], 0.0))
-            y = solve(np.append(v[n:-1] - b * x[:n] - c * x[n], v[-1]))
-            t = -y[n] / y1[n]
+            x = solve(np.append(v[:k], 0.0))
+            y = solve(np.append(v[k:-1] - b * x[:k] - c * x[k], v[-1]))
+            t = -y[k] / y1[k]
             dx, dy = x + t * x1, y + t * y1
-            return np.concatenate([dx[:n], dy[:n], dx[n:]])
+            return np.concatenate([dx[:k], dy[:k], dx[k:]])
 
         return bordered
 
-    z0 = np.concatenate([start.solution.values, phi0, [start.lam]])
-    scale, trial = bound(z0), _positive_trial(n)
+    scale, trial = evaluate(z0)[1], _positive_trial(k)
     try:
-        z, r, b = damped_newton(z0, residual, lambda r: np.abs(r / scale).max(), bound, factor, trial, 20, 30)
+        z, r, b = damped_newton(z0, evaluate, lambda r: np.abs(r / scale).max(), factor, trial, 20, 30)
     except ConvergenceError as exc:
         raise ConvergenceError(f"no fold found from lambda = {start.lam!r}: {exc}", residual=exc.residual) from exc
     lam = float(z[-1])
-    fld = SolutionField(z[:n], op.grid, replace(spec, lam=lam), float(np.abs(r[:n]).max()), float(b[:n].max()))
+    res, bound = float(np.abs(r[:k]).max()), float(b[:k].max())
+    fld = SolutionField(eq.field(z[:k]), op.grid, replace(spec, lam=lam), res, bound)
     return BranchPoint(lam, fld, op, tol, segment="fold")
 
 
@@ -330,36 +342,38 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
         G(u, lam) = 0,   w^2 udot.(u - u0) + lamdot (lam - lam0) = ds,
 
     whose Jacobian [[G_u, G_lam], [w^2 udot, lamdot]] is factored by LU; eq
-    gives G at any lam.  Returns (u, lam, residual, bound) with |G| <= tol *
-    eq.scale(u) at every node at the returned lam, residual the sup of |G|
-    and bound the sup of tol * eq.scale(u), or None on failure.
+    gives G and its bound at any lam (`Equation.evaluate`).  Returns (u, lam,
+    residual, bound) with |G| within that bound at every node at the
+    returned lam, residual the sup of |G| and bound the sup of the bound, or
+    None on failure.
     `store` is damped_newton's: the correctors of one arclength run share
     one bordered LU through it, reused by the chord rule there, fresh-factor
-    retry included.
+    retry included.  eq is in the run's coordinates (`Equation.on`), which
+    anchor and tangent, given on the n nodes, are restricted to; the row's
+    product is taken on the mirrored u, and u is returned on the n nodes.
     """
     u0, lam0 = anchor
     udot, lamdot = tangent
-    n = len(u0)
+    predictor = np.append(np.maximum(eq.restrict(u0) + ds * eq.restrict(udot), 1e-14), lam0 + ds * lamdot)
+    k = len(predictor) - 1
 
-    def residual(z):
-        u = z[:n]
-        return np.append(replace(eq, lam=z[n]).residual(u), w ** 2 * (udot @ (u - u0)) + lamdot * (z[n] - lam0) - ds)
-
-    def bound(z):
-        return np.append(tol * replace(eq, lam=z[n]).scale(z[:n]), tol * (1.0 + ds))
+    def evaluate(z):
+        u = z[:k]
+        g, bound = eq.evaluate(u, tol, z[k])
+        row = w ** 2 * (udot @ (eq.field(u) - u0)) + lamdot * (z[k] - lam0) - ds
+        return np.concatenate((g, (row,))), np.concatenate((bound, (tol * (1.0 + ds),)))
 
     def factor(z):
-        return replace(eq, lam=z[n]).bordered_solver(z[:n], w ** 2 * udot, lamdot)
+        return replace(eq, lam=z[k]).bordered_solver(z[:k], eq.restrict(w ** 2 * udot), lamdot)
 
     def merit(r):
-        return np.abs(r[:n]).max() + abs(r[n])
+        return np.abs(r[:k]).max() + abs(r[k])
 
-    predictor = np.append(np.maximum(u0 + ds * udot, 1e-14), lam0 + ds * lamdot)
     try:
-        z, r, b = damped_newton(predictor, residual, merit, bound, factor, _positive_trial(n), MAX_CORRECTOR, 30, store)
+        z, r, b = damped_newton(predictor, evaluate, merit, factor, _positive_trial(k), MAX_CORRECTOR, 30, store)
     except ConvergenceError:
         return None
-    return z[:n], z[n], float(np.abs(r[:n]).max()), float(b[:n].max())
+    return eq.field(z[:k]), z[k], float(np.abs(r[:k]).max()), float(b[:k].max())
 
 
 class _StepFailure(ConvergenceError):
@@ -387,9 +401,10 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tange
     start's.  A corrector failing at every step length raises _StepFailure.
     A step computes no lambda1 or monitor: the points compute them when read,
     so only a caller reading them meets their failures.  The correctors share
-    one stored bordered LU (see `_corrector`), dropped when the run ends.
+    one stored bordered LU (see `_corrector`), dropped when the run ends, and
+    the coordinates the equation picks from start and tangent when it begins.
     """
-    eq = Equation.of(op, spec, 0.0)
+    eq = Equation.of(op, spec, 0.0).on(start.solution.values, tangent[0])
     z = (start.solution.values, start.lam)
     ds = policy.ds
     sigma = start.arclength
@@ -614,7 +629,7 @@ def uniqueness_probe(
     for t in range(trials):
         start = cap * rng.uniform(0.02, 1.0, size=op.n)
         try:
-            vals, _, _ = eq.solve(start, tol, lu_solver, 60)
+            vals, _, _ = eq.solve(start, tol, spd_or_lu_solver, 60)
         except ConvergenceError:
             records.append({"trial": t, "outcome": "diverged"})
             continue

@@ -45,8 +45,11 @@ the centre node h of an odd n, and Q_o the n x floor(n/2) one with columns
 Q^T A Q + diag(p[:ceil(n/2)]) and on odd ones as J_o = Q_o^T J Q_o, plain
 symmetric matrices whose eigenpairs are J's among even (odd) fields, and
 J^-1 x = Q J_e^-1 Q^T x + Q_o J_o^-1 Q_o^T x.  This module is the one home
-of that fold and unfold (`fold` = Q^T, `unfold` = Q, `Basis`), of the
-bitwise test that picks Newton's even path (`is_even`), and of A's cached
+of that fold and unfold (`fold` = Q^T, `unfold` = Q), of the coordinates of
+a Newton run (`Basis`: an even field carried as its first ceil(n/2) node
+values, the half grid, with A's product and the block solves taken there
+with the bits of the n-node ones), of the bitwise test that picks them
+(`is_even`, once per run through `basis_for`), and of A's cached
 blocks, each Toeplitz plus (minus) Hankel plus a diagonal (Heinig & Rost,
 Algebraic Methods for Toeplitz-like Matrices and Operators, 1984), built
 from strided views of the column (`_block`).  Every solve with A, or with a
@@ -62,22 +65,23 @@ This is the one module that calls a dense kernel: a factorization or a
 matrix-vector product.  Every product of a matrix with a vector is `matvec`,
 BLAS gemv from scipy, so numpy's own OpenBLAS and its thread pool stay idle;
 every product with A is `NonlocalOperator.apply`, from the blocks (from the
-even block alone for an even field).  LAPACK gets every matrix in
-column-major order, so f2py makes no transposing copy: a symmetric matrix
-as its transpose view, the bordered matrix of `continuation` allocated
-F-ordered.  Scratch matrices (Newton's fresh Jacobian, the bordered matrix)
-are factored in place; a kept one (a holder's `matrix`, A's blocks, a J_o
-whose Cholesky an LU may follow) is copied once, contiguously.  A float32
-matrix (a single-precision Newton Jacobian) meets only the float32 kernels.
-The module hands out solves x -> M^-1 x, never factors: `spd_solver`
-(Cholesky), `lu_solver` (LU with partial pivoting) and `shifted_spd_solver`
-(Cholesky below the Gershgorin discs).  The solves with A and with every J
-are held by one `LinearizedOperator` each (A's is `NonlocalOperator.lin`,
-at p = 0), and the smallest eigenpair of either comes from
-`smallest_eigenpairs`: shift-invert Lanczos through the holder's solve, on
-the even block when it keeps one.  The LU solve and the Lanczos
-tridiagonal's eigensolver call LAPACK (getrs, stevd) directly, without
-scipy's per-call wrappers.
+even block alone for an even field), or `Basis.apply` on the half grid.
+LAPACK gets every matrix in column-major order, so f2py makes no
+transposing copy: a symmetric matrix as its transpose view, the bordered
+matrix of `continuation` allocated F-ordered.  Scratch matrices (Newton's
+fresh Jacobian, the bordered matrix) are factored in place; a kept one (a
+holder's `matrix`, A's blocks, a J_o whose Cholesky an LU may follow) is
+copied once, contiguously.  A float32 matrix (a single-precision Newton
+Jacobian) meets only the float32 kernels.  The module hands out solves
+x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
+partial pivoting), `spd_or_lu_solver` ("Cholesky, else LU", for a holder's
+block and a scratch Jacobian alike) and `shifted_spd_solver` (Cholesky
+below the Gershgorin discs).  The solves with A and with every J are held
+by one `LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0),
+and the smallest eigenpair of either comes from `smallest_eigenpairs`:
+shift-invert Lanczos through the holder's solve, on the even block when it
+keeps one.  The LU solve and the Lanczos tridiagonal's eigensolver call
+LAPACK (getrs, stevd) directly, without scipy's per-call wrappers.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ __all__ = [
     "solve_dirichlet",
     "spd_solver",
     "lu_solver",
+    "spd_or_lu_solver",
     "shifted_spd_solver",
     "matvec",
     "odd_floor",
@@ -199,6 +204,11 @@ class NonlocalOperator:
         """Q^T A Q: A on even fields, of order ceil(n/2)."""
         return _block(self.column, self.wall)
 
+    @cached_property
+    def even_off_sums(self) -> np.ndarray:
+        """sum_(j != i) |(Q^T A Q)_ij| by row, computed once: J_e = Q^T A Q + diag(p) has the same ones."""
+        return np.abs(self.even_block).sum(axis=1) - np.abs(np.diagonal(self.even_block))
+
     @property
     def odd_block(self) -> np.ndarray:
         """Q_o^T A Q_o: A on odd fields, of order floor(n/2), from the cached builder of `lin`."""
@@ -287,11 +297,19 @@ def _block(column: np.ndarray, wall: np.ndarray, odd: bool = False) -> np.ndarra
 
 @dataclass(frozen=True)
 class Basis:
-    """The coordinates of a solve on n-node vectors: Q's columns (even) or the nodes themselves.
+    """The coordinates of a Newton run: the half grid of an even field, or the n nodes themselves.
 
-    `fold` maps a vector to the basis (Q^T x) and `unfold` back (Q y); both
-    carry entries past the first n (the unknowns of a bordered system)
-    through unchanged, and both return their argument on the node basis.
+    On the half grid an even field is carried as its first ceil(n/2) node
+    values, an odd n's centre node once: `half` takes them from an n-node
+    vector (a scalar passes through), and `mirror` gives the field back.
+    `fold` maps them to Q's coordinates (Q^T of the mirrored field) and
+    `unfold` maps those back; both carry one entry past the first
+    ceil(n/2), the unknown of a bordered system, through unchanged.  Both
+    do the arithmetic of the module's `fold` and `unfold` on the mirrored
+    field, where x_i + x_(n-1-i) is x_i + x_i, so A's product (`apply`,
+    from the even block) and a solve with a block (`solver`) give the first
+    ceil(n/2) entries of their n-node results bit for bit.  On the node
+    basis every map is the identity and `apply` is `NonlocalOperator.apply`.
     """
 
     n: int
@@ -301,22 +319,50 @@ class Basis:
     def order(self) -> int:
         return (self.n + 1) // 2 if self.even else self.n
 
-    def fold(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate((fold(x[: self.n]), x[self.n :])) if self.even else x
+    def half(self, x):
+        """The first ceil(n/2) values of an n-node x on the half grid; x itself on the nodes or for a scalar."""
+        return x[: self.order] if self.even and np.ndim(x) else x
+
+    def mirror(self, v: np.ndarray) -> np.ndarray:
+        """The n-node even field whose first ceil(n/2) values are v, on the half grid; v itself on the nodes."""
+        return np.concatenate((v, v[: self.n // 2][::-1])) if self.even else v
+
+    @cached_property
+    def _scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row scales of `fold` and `unfold` on the half grid, 1 past it.
+
+        (v_i + v_i) / sqrt(2) and v_i (2 / sqrt(2)) are one rounding of the
+        same product, since doubling is exact, so one multiply has the bits
+        of the module's `fold` on the mirrored field.
+        """
+        h, k = self.n // 2, self.order
+        scales = np.ones((2, k + 1))
+        scales[:, :h] = ((2.0 * _ROOT_HALF,), (_ROOT_HALF,))
+        return scales[0], scales[1]
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """Q^T of the field of v on the half grid (rows (v_i + v_i) / sqrt(2), the centre as it is); v on the nodes."""
+        return v * self._scales[0][: len(v)] if self.even else v
 
     def unfold(self, y: np.ndarray) -> np.ndarray:
-        k = self.order
-        return np.concatenate((unfold(y[:k], self.n), y[k:])) if self.even else y
+        """The half-grid values of Q y (rows y_i / sqrt(2), the centre as it is): the inverse of `fold`."""
+        return y * self._scales[1][: len(y)] if self.even else y
 
-    def lift(self, solve):
-        """x -> Q solve(Q^T x): a solve with a matrix of this basis as one on n-node vectors.
+    def apply(self, op: NonlocalOperator, v: np.ndarray) -> np.ndarray:
+        """A v in these coordinates: on the half grid from the even block alone, with the bits of `op.apply`."""
+        if not self.even:
+            return op.apply(v)
+        return self.unfold(matvec(op.even_block, self.fold(v)))
 
-        For M = Q^T J Q and an even x it gives J^-1 x; the odd part of x,
-        which J maps to odd fields, is dropped.  None stays None.
+    def solver(self, solve):
+        """v -> unfold(solve(fold(v))): a solve with a matrix of Q's coordinates as one on these; None stays None.
+
+        For M = Q^T J Q (or its bordered form) and v on the half grid it
+        gives J^-1 of the mirrored v on the half grid.
         """
         if solve is None or not self.even:
             return solve
-        return lambda x: self.unfold(solve(self.fold(x)))
+        return lambda v: self.unfold(solve(self.fold(v)))
 
 
 def basis_for(n: int, *data) -> Basis:
@@ -520,6 +566,32 @@ def lu_solver(mat: np.ndarray, overwrite: bool = False):
     return solve
 
 
+def spd_or_lu_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False, cholesky=None):
+    """x -> mat^-1 x for symmetric mat by its Cholesky factor, else by LU; None when mat is exactly singular.
+
+    The one home of "Cholesky, else LU".  The Cholesky is `spd_solver(mat,
+    n, overwrite)`, or the function of no arguments `cholesky` when the
+    caller keeps that solve already (a holder's cached one).  The LU gets
+    mat's column-major form.  With overwrite=True the Cholesky factors mat
+    in place and only mat's diagonal is kept aside: LAPACK's potrf with
+    lower=True neither reads nor writes the strict upper triangle, so after
+    a failed Cholesky that triangle, mirrored, and the kept diagonal give
+    the LU mat back bit for bit.  A copy of the whole matrix would be a
+    fresh allocation on every call, whose page faults cost more at n = 256
+    than the Cholesky saves over the LU.
+    """
+    col = mat if mat.flags.f_contiguous else mat.T
+    diagonal = np.diagonal(col).copy() if overwrite else None
+    solve = spd_solver(mat, n, overwrite) if cholesky is None else cholesky()
+    if solve is not None:
+        return solve
+    if overwrite:  # the lower triangle may hold part of a factor: put mat back from the rest
+        k = len(col)
+        np.copyto(col, col.T, where=np.tri(k, k, -1, dtype=bool))
+        col[np.diag_indices(k)] = diagonal
+    return lu_solver(col, overwrite)
+
+
 def shifted_spd_solver(mat: np.ndarray):
     """x -> (mat - mu I)^-1 x by one Cholesky, mu = min(g, 0) - 1 below every Gershgorin disc of mat.
 
@@ -542,13 +614,23 @@ class LinearizedOperator:
     At an even field with even data `matrix` is J's even block J_e = Q^T J Q
     and `odd` a function of no arguments that builds its odd block J_o =
     Q_o^T J Q_o (J = J_e (+) J_o), called only by `odd_solve`; otherwise
-    `matrix` is J and `odd` is None.
+    `matrix` is J and `odd` is None.  `off_sums`, when given, are matrix's
+    off-diagonal absolute row sums, A's block's (a potential moves only the
+    diagonal), from which `inf_norm` is read in O(k).
     A itself is one, at p = 0 (`NonlocalOperator.lin`).
     """
 
     matrix: np.ndarray
     n: int
     odd: Callable[[], np.ndarray] | None = None
+    off_sums: np.ndarray | None = None
+
+    @cached_property
+    def inf_norm(self) -> float:
+        """||matrix||_inf: from `off_sums` and the diagonal in O(k) when given, else from |matrix| whole."""
+        if self.off_sums is None:
+            return float(np.abs(self.matrix).sum(axis=1).max())
+        return float(np.max(self.off_sums + np.abs(np.diagonal(self.matrix))))
 
     @cached_property
     def cholesky(self):
@@ -558,7 +640,7 @@ class LinearizedOperator:
     @cached_property
     def block_solve(self):
         """x -> matrix^-1 x by its Cholesky or else LU factor, or None when it is exactly singular."""
-        return self.cholesky or lu_solver(self.matrix.T)  # symmetric: .T is its column-major form
+        return spd_or_lu_solver(self.matrix, self.n, cholesky=lambda: self.cholesky)
 
     @cached_property
     def odd_solve(self):
@@ -643,8 +725,8 @@ def _lanczos_largest(apply, n: int, rtol: float) -> tuple[float, np.ndarray]:
     raise ConvergenceError(f"Lanczos found no converged Ritz pair in {j + 1} steps")
 
 
-def _shift_invert_pair(mat, solve, tol, n: int) -> EigenPair:
-    """Eigenpair of symmetric mat from the largest pair of a shift-invert operator.
+def _shift_invert_pair(lin: LinearizedOperator, solve, tol) -> EigenPair:
+    """Eigenpair of the symmetric mat that lin holds, from the largest pair of a shift-invert operator.
 
     solve is x -> (mat - mu I)^-1 x with mu below the spectrum, whose largest
     eigenvalue belongs to the smallest of mat; or x -> -mat^-1 x, whose
@@ -657,10 +739,11 @@ def _shift_invert_pair(mat, solve, tol, n: int) -> EigenPair:
     on the n nodes (unfolding keeps the 2-norm) the residual is then at
     most sqrt(n) ||mat - mu I|| rtol, and
     ||mat - mu I|| <= 2 ||mat||_inf + 1 for mu = 0 and for the Gershgorin
-    shift alike.
+    shift alike (`LinearizedOperator.inf_norm`).
     """
+    mat, n = lin.matrix, lin.n
     k = mat.shape[0]
-    rtol = tol / (np.sqrt(n) * (2.0 * np.abs(mat).sum(axis=1).max() + 1.0))
+    rtol = tol / (np.sqrt(n) * (2.0 * lin.inf_norm + 1.0))
     _, x = _lanczos_largest(solve, k, rtol)
     mu = float(x @ matvec(mat, x))
     r = matvec(mat, x) - mu * x
@@ -697,16 +780,16 @@ def smallest_eigenpairs(lin: LinearizedOperator, tol: float = 1e-8) -> EigenPair
     (`shifted_spd_solver`).
     """
     if lin.cholesky is not None:
-        return _shift_invert_pair(lin.matrix, lin.cholesky, tol, lin.n)
+        return _shift_invert_pair(lin, lin.cholesky, tol)
     if (solve := lin.block_solve) is not None:
         for sign in (-1.0, 1.0):
             try:
-                pair = _shift_invert_pair(lin.matrix, lambda x: sign * solve(x), tol, lin.n)
+                pair = _shift_invert_pair(lin, lambda x: sign * solve(x), tol)
             except ConvergenceError:
                 continue
             if pair.vector.min() > 0.0:
                 return pair
-    return _shift_invert_pair(lin.matrix, shifted_spd_solver(lin.matrix), tol, lin.n)
+    return _shift_invert_pair(lin, shifted_spd_solver(lin.matrix), tol)
 
 
 def principal_eigenpair(op: NonlocalOperator) -> EigenPair:

@@ -6,21 +6,23 @@ Every solve is one `Equation`,
     G(u) = A u - lam (k(x) u^(-delta) + f(u)) - rhs,
 
 handed to one damped-Newton core, `damped_newton`.  The equation gives the
-residual, the stopping scale, the potential (the Jacobian is A +
-diag(potential)) and dG/dlam, and it alone outside `operator` decides J's
-form: its precision, its blocks, the holder of its solves
+residual with its stopping bound (`Equation.evaluate`), the potential (the
+Jacobian is A + diag(potential)) and dG/dlam, and it alone outside
+`operator` decides J's form: its precision, its blocks, the coordinates of
+a Newton run (`Equation.on`), the holder of its solves
 (`Equation.linearization`) and the bordered LU of `continuation`
 (`Equation.bordered_solver`).  The caller gives the factor function, which
 maps a Jacobian to a solve with it and never hands out a LAPACK factor
 (`operator.spd_solver`, given n so that it probes every block with the
 n-node sine profile, for the solves below, `operator.lu_solver` for the
-second solutions and multistarts in `continuation`, the bordered LU for its
-arclength corrector and its fold solve), and the trial map (the positivity
-floor here, rejection of nonpositive trials in `continuation`).
+second solutions in `continuation`, `operator.spd_or_lu_solver` for its
+multistarts, the bordered LU for its arclength corrector and its fold
+solve), and the trial map (the positivity floor here, rejection of
+nonpositive trials in `continuation`).
 `damped_newton` reuses a factored solve while the merit falls fast (the
 chord rule), so a solve makes fewer factorizations than steps.  Newton stops
 when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
-|lam (k u^(-delta) + f(u))| + |rhs| (`Equation.scale`): the wall node, where
+|lam (k u^(-delta) + f(u))| + |rhs| (`Equation.evaluate`): the wall node, where
 k u^(-delta) is largest, sets only its own bound, so the interior converges
 to the same tolerance from any start.
 
@@ -35,14 +37,19 @@ whose Jacobian goes singular at the fold, factor in float64.
 The grid, A and K are symmetric under the reflection of the nodes bit for
 bit, and every start below (max(c* phi_1, (K / diag A)^(1/(1+delta))), the
 scaled pure singular solution, the warm-start hints, the torsion bracket of
-an even forcing) is even.  When the start, k and rhs are all even,
-`Equation.jacobian` writes only the even block J_e = Q^T J Q of order
-ceil(n/2) and `Equation.solve` steps by Q J_e^-1 Q^T (-r): an exact Newton
-step, since J maps even fields to even fields, and every iterate stays even
-bit for bit.  The residual there takes
-A u from A's even block alone (`NonlocalOperator.apply`), even bit for bit.
-So `damped_newton` is the same on either path; only asymmetric data (a
-forcing that is not even, a random start) factor the n x n Jacobian.
+an even forcing) is even.  A Newton run picks its coordinates once, from
+its start and data (`Equation.on`).  When the start, k and rhs are all
+even, the run is on the half grid (`operator.Basis`): every field is its
+first ceil(n/2) node values, `Equation.jacobian` writes only the even block
+J_e = Q^T J Q, and the step is J_e^-1 (-r) folded and unfolded there, an
+exact Newton step, since J maps even fields to even fields.  The residual
+takes A u from A's even block alone, and each evaluation computes the
+source term once for the residual and its bound (`Equation.evaluate`).
+Every entry has the bits of the node-space run, whose iterates are the
+mirrored ones, and the field is mirrored back once, when the run ends.  So
+`damped_newton` is the same on either basis; only asymmetric data (a
+forcing that is not even, a random start) run on the nodes and factor the
+n x n Jacobian.
 
 When t -> k t^(-delta) + f(t) is convex the residual map is componentwise
 concave and its Jacobian is a symmetric Z-matrix.  Hence a full Newton step
@@ -114,10 +121,13 @@ class SolutionField:
 
 @dataclass(frozen=True, eq=False)
 class Equation:
-    """G(u) = A u - lam (k u^(-delta) + f(u)) - rhs on op's grid.
+    """G(u) = A u - lam (k u^(-delta) + f(u)) - rhs on op's grid, in the coordinates `basis`.
 
     With rhs = 0 this is the map G(u, lam) of the problem; the forced solve
-    sets rhs.  Callers that fold lam into k pass lam = 1.
+    sets rhs.  Callers that fold lam into k pass lam = 1.  An equation takes
+    and gives n-node fields; `on` gives it in the coordinates of a Newton
+    run, where k, rhs and every field are carried on the half grid when they
+    are all even (`operator.Basis`).
     """
 
     op: NonlocalOperator
@@ -126,56 +136,86 @@ class Equation:
     nonlinearity: Nonlinearity
     lam: float
     rhs: np.ndarray | float = 0.0
+    basis: Basis | None = None  # None: the n nodes
+
+    def __post_init__(self):
+        if self.basis is None:
+            object.__setattr__(self, "basis", Basis(self.op.n, False))
 
     @classmethod
     def of(cls, op: NonlocalOperator, spec: ProblemSpec, lam: float) -> "Equation":
         """G(u, lam) = A u - lam (K u^(-delta) + f(u)) for spec's data."""
         return cls(op, spec.k_field(op.grid), spec.delta, spec.nonlinearity, lam)
 
+    def on(self, u: np.ndarray, *data) -> "Equation":
+        """This equation in the coordinates of a Newton run from the n-node field u, chosen once for the run.
+
+        They are the half grid when u, k, rhs and the further n-node data of
+        the run (a tangent, a bordering row) are all even, else the nodes.
+        An even start stays even: J maps even fields to even fields, so
+        every step, iterate and bordered unknown of the run is even too.
+        `restrict` takes n-node fields to the run's coordinates and `field`
+        gives them back.
+        """
+        basis = basis_for(len(u), u, self.k, self.rhs, *data)
+        return replace(self, k=basis.half(self.k), rhs=basis.half(self.rhs), basis=basis)
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        """An n-node field in this equation's coordinates."""
+        return self.basis.half(x)
+
+    def field(self, u: np.ndarray) -> np.ndarray:
+        """The n-node field of u, given in this equation's coordinates."""
+        return self.basis.mirror(u)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u in this equation's coordinates (`Basis.apply`): on the half grid from A's even block alone."""
+        return self.basis.apply(self.op, u)
+
     def _source(self, u: np.ndarray) -> np.ndarray:
         return self.k * u ** (-self.delta) + self.nonlinearity.f(u)
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """G(u); A u comes from A's blocks (`NonlocalOperator.apply`), at an even u from the even block alone."""
-        return self.op.apply(u) - self.lam * self._source(u) - self.rhs
+    def evaluate(self, u: np.ndarray, tol: float, lam: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(G(u), tol * scale(u)) at lam, the equation's own by default, from one evaluation of the source term.
 
-    def scale(self, u: np.ndarray) -> np.ndarray:
-        """1 + |lam (k u^(-delta) + f(u))| + |rhs| at each node: Newton stops at |G(u)| <= tol * scale(u) node by node.
-
-        A scale shared by all nodes would be set by the wall node, where
-        k u^(-delta) is largest, and let the interior stop early.
+        The scale is 1 + |lam (k u^(-delta) + f(u))| + |rhs| at each node:
+        Newton stops at |G(u)| <= tol * scale(u) node by node.  A scale
+        shared by all nodes would be set by the wall node, where k u^(-delta)
+        is largest, and let the interior stop early.
         """
-        return 1.0 + np.abs(self.lam * self._source(u)) + np.abs(self.rhs)
+        source = (self.lam if lam is None else lam) * self._source(u)
+        return self.apply(u) - source - self.rhs, tol * (1.0 + np.abs(source) + np.abs(self.rhs))
 
-    def potential(self, u: np.ndarray) -> np.ndarray:
-        """Diagonal part of the Jacobian: dG/du = A + diag(potential)."""
-        singular = self.lam * self.delta * self.k * u ** (-self.delta - 1.0)
-        return singular - self.lam * self.nonlinearity.fprime(u)
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """G(u)."""
+        return self.evaluate(u, 0.0)[0]
+
+    def potential(self, u: np.ndarray, lam: float | None = None) -> np.ndarray:
+        """Diagonal part of the Jacobian at lam, the equation's own by default: dG/du = A + diag(potential)."""
+        lam = self.lam if lam is None else lam
+        singular = lam * self.delta * self.k * u ** (-self.delta - 1.0)
+        return singular - lam * self.nonlinearity.fprime(u)
 
     def d_potential(self, u: np.ndarray) -> np.ndarray:
         """d(potential)/du: the second derivative G_uu[v, w] is d_potential * v * w."""
         singular = self.lam * self.delta * (self.delta + 1.0) * self.k * u ** (-self.delta - 2.0)
         return -singular - self.lam * self.nonlinearity.fsecond(u)
 
-    def basis(self, u: np.ndarray, *data) -> Basis:
-        """Q's columns when u, k, rhs and any further data are even, else the nodes (see `jacobian`)."""
-        return basis_for(len(u), u, self.k, self.rhs, *data)
-
     def jacobian(self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False, dtype=np.float64) -> np.ndarray:
         """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array of `dtype`.
 
         The even block is Q^T A Q + diag(potential[:ceil(n/2)]) (Q^T diag(p)
         Q = diag(p[:ceil(n/2)]) for an even p); with odd=True it is Q_o^T A
-        Q_o + diag(potential[:n//2]).  Without `out` the basis of u picks the
-        form (the even block when u, k and rhs are even, else J); with `out`
-        its order does.  A's cached block, or A from `NonlocalOperator.dense`,
-        goes into the target and its diagonal is summed with the potential:
-        the bits of the sum with no temporary of the matrix's size, each
-        entry rounded once into a float32 target (dtype=np.float32, for
-        Newton's single-precision factor).
+        Q_o + diag(potential[:n//2]).  The order of `out`, else of u, picks
+        the form: a u on the half grid gives the even block, one on the n
+        nodes J.  A's cached block, or A from `NonlocalOperator.dense`, goes
+        into the target and its diagonal is summed with the potential: the
+        bits of the sum with no temporary of the matrix's size, each entry
+        rounded once into a float32 target (dtype=np.float32, for Newton's
+        single-precision factor).
         """
         pot = self.potential(u)
-        if odd or (self.basis(u).even if out is None else len(out) < len(u)):
+        if odd or len(u if out is None else out) < self.op.n:
             base = self.op.odd_block if odd else self.op.even_block
             out = np.empty(base.shape, dtype) if out is None else out
             out[...] = base
@@ -190,32 +230,34 @@ class Equation:
         return -self._source(u)
 
     def linearization(self, u: np.ndarray) -> LinearizedOperator:
-        """J at u as the holder of its solves (at an even u with even data, J_e and a builder of J_o); ValueError unless finite."""
-        matrix = self.jacobian(u)
+        """J at the n-node u as the holder of its solves (J_e and a builder of J_o at even data); ValueError unless finite."""
+        run = self.on(u)
+        matrix = run.jacobian(run.restrict(u))
         if not np.all(np.isfinite(np.diagonal(matrix))):  # A is finite, so only the potential can fail
             raise ValueError("linearized potential is not finite")
-        odd = partial(self.jacobian, u, odd=True) if self.basis(u).even else None
-        return LinearizedOperator(matrix=matrix, n=self.op.n, odd=odd)
+        if not run.basis.even:
+            return LinearizedOperator(matrix, self.op.n)
+        return LinearizedOperator(matrix, self.op.n, partial(self.jacobian, u, odd=True), self.op.even_off_sums)
 
     def bordered_solver(self, u: np.ndarray, row: np.ndarray, corner: float):
         """x -> M^-1 x for M = [[G_u, G_lam], [row, corner]] at u, by one LU; None as for lu_solver.
 
-        When u, row and the equation's data are even, M maps (Q y, lam) to even
-        residuals, and the LU is of its even form [[J_e, Q^T G_lam], [Q^T row,
-        corner]], of order ceil(n/2) + 1: the solve folds the first n entries of
-        x and unfolds those of the solution (`operator.Basis`).  M is not
-        symmetric, so it is filled in column-major order, where LAPACK factors it
-        in place: its J block is written row by row into the transpose view of
-        that block, which holds J since J is symmetric.
+        u, row and x are in this equation's coordinates.  On the half grid M
+        maps (Q y, lam) to even residuals, and the LU is of its even form
+        [[J_e, Q^T G_lam], [Q^T row, corner]], of order ceil(n/2) + 1; the
+        solve folds the first ceil(n/2) entries of x and unfolds those of the
+        solution (`Basis.solver`).  M is not symmetric, so it is filled in
+        column-major order, where LAPACK factors it in place: its J block is
+        written row by row into the transpose view of that block, which holds
+        J since J is symmetric.
         """
-        basis = self.basis(u, row)
-        k = basis.order
+        k = len(u)
         mat = np.empty((k + 1, k + 1), order="F")  # filled in place: np.block takes 20 times as long at n = 256
         self.jacobian(u, out=mat[:k, :k].T)
-        mat[:k, k] = basis.fold(self.d_dlam(u))
-        mat[k, :k] = basis.fold(row)
+        mat[:k, k] = self.basis.fold(self.d_dlam(u))
+        mat[k, :k] = self.basis.fold(row)
         mat[k, k] = corner
-        return basis.lift(lu_solver(mat, overwrite=True))
+        return self.basis.solver(lu_solver(mat, overwrite=True))
 
     @property
     def precision(self) -> type:
@@ -223,17 +265,18 @@ class Equation:
         return np.float32 if self.nonlinearity.is_none and self.lam * self.delta * np.min(self.k) >= 0.0 else np.float64
 
     def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
-        """Damped Newton from u0 with trials floored at POSITIVITY_FLOOR.
+        """Damped Newton from the n-node u0 with trials floored at POSITIVITY_FLOOR, in the run's coordinates (`on`).
 
-        factor(jac, overwrite=True) is operator.spd_solver or
-        operator.lu_solver: a solve with the Jacobian, or None when its
+        factor(jac, overwrite=True) is operator.spd_solver, lu_solver or
+        spd_or_lu_solver: a solve with the Jacobian, or None when its
         factorization rejects it.  It gets the fresh Jacobian as its
         transpose view (J is symmetric) and factors it in place.  At an
-        even u with even data it factors the even block and the step is
-        Q J_e^-1 Q^T (-r), so every iterate stays even bit for bit.
-        damped_newton keeps one such solve for the run and reuses it by its
-        chord rule.  Returns (u, residual, bound) with |G(u)| <= tol *
-        scale(u) at every node, residual its sup and bound the sup of tol *
+        even u0 with even data the run is on the half grid: it factors the
+        even block, its step is J_e^-1 (-r) through `Basis.solver`, and
+        the field is mirrored back once, at the end.  damped_newton keeps
+        one such solve for the run and reuses it by its chord rule.
+        Returns (u, residual, bound) with |G(u)| <= tol * scale(u) at every
+        node (`evaluate`), residual its sup and bound the sup of tol *
         scale(u); a solution resting on the floor is a ConvergenceError.
 
         Each Jacobian is built and factored in place in `precision`, while
@@ -244,37 +287,40 @@ class Equation:
         ConvergenceError is always the float64 Newton's.
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
+        run = self.on(u0)
+        start = run.restrict(u0)
 
-        def run(dtype):
+        def newton(dtype):
             def factored(u):  # J is symmetric: its transpose view is J in column-major order, and scratch
-                return self.basis(u).lift(factor(self.jacobian(u, dtype=dtype).T, overwrite=True))
+                return run.basis.solver(factor(run.jacobian(u, dtype=dtype).T, overwrite=True))
 
-            return damped_newton(u0, self.residual, _sup_norm, lambda u: tol * self.scale(u), factored, _floored, maxit, 40)
+            return damped_newton(start, partial(run.evaluate, tol=tol), _sup_norm, factored, _floored, maxit, 40)
 
         dtype = self.precision
         try:
-            u, r, b = run(dtype)
+            u, r, b = newton(dtype)
         except ConvergenceError:
             if dtype is np.float64:
                 raise
-            u, r, b = run(np.float64)
+            u, r, b = newton(np.float64)
         res = float(_sup_norm(r))
         if u.min() <= 10.0 * POSITIVITY_FLOOR:
             raise ConvergenceError("positivity floor active at convergence", residual=res)
-        return u, res, float(np.max(b))
+        return run.field(u), res, float(np.max(b))
 
 
-def damped_newton(x, residual, merit, bound, factor, trial, maxit: int, halvings: int, store: list | None = None):
+def damped_newton(x, evaluate, merit, factor, trial, maxit: int, halvings: int, store: list | None = None):
     """Newton's method with a halving line search on merit(residual(x)), reusing factors by the chord rule.
 
-    x is converged when |residual(x)| <= bound(x) componentwise (bound may be
-    a scalar); this is tested at the start and after every step, the last
-    allowed one included.  factor(x) returns a solve v -> J(x)^-1 v with the
-    Jacobian at x, or None when its factorization rejects it (not finite,
-    exactly singular, or not positive definite for a Cholesky factor); the
-    step for residual r is solve(-r).  trial(x, t, dx) maps the damped step
-    x + t dx into the admissible set, or gives None to reject it; t runs 1,
-    1/2, ..., 2^-halvings until the merit decreases.
+    evaluate(x) gives (residual(x), bound(x)) from one evaluation, once per
+    trial; x is converged when |residual(x)| <= bound(x) componentwise
+    (bound may be a scalar), tested at the start and after every step, the
+    last allowed one included.  factor(x) returns a solve v -> J(x)^-1 v
+    with the Jacobian at x, or None when its factorization rejects it (not
+    finite, exactly singular, or not positive definite for a Cholesky
+    factor); the step for residual r is solve(-r).  trial(x, t, dx) maps the
+    damped step x + t dx into the admissible set, or gives None to reject
+    it; t runs 1, 1/2, ..., 2^-halvings until the merit decreases.
 
     The chord rule (Shamanskii's method with Kelley's contraction test,
     Kelley, SIAM 2003, ch. 2 and 5): `store` holds at most one solve.  A step
@@ -290,12 +336,12 @@ def damped_newton(x, residual, merit, bound, factor, trial, maxit: int, halvings
     bound(x)); failure is a ConvergenceError.
     """
     store = [] if store is None else store
-    start, r0 = x, residual(x)
+    start, (r0, b0) = x, evaluate(x)
     for chord in (True, False):
-        x, r, reused, prev, steps = start, r0, False, None, 0
+        x, r, b, reused, prev, steps = start, r0, b0, False, None, 0
         m = merit(r)
         try:
-            while not np.all(np.abs(r) <= (b := bound(x))):
+            while not (np.abs(r) <= b).all():
                 if steps == maxit:
                     raise ConvergenceError(f"Newton stalled at residual {m:.3e} after {maxit} steps", residual=float(m))
                 steps += 1
@@ -314,10 +360,10 @@ def damped_newton(x, residual, merit, bound, factor, trial, maxit: int, halvings
                     xt = trial(x, 0.5 ** j, dx)
                     if xt is None:
                         continue
-                    rt = residual(xt)
+                    rt, bt = evaluate(xt)
                     mt = merit(rt)
                     if mt < m:
-                        x, r, m = xt, rt, mt
+                        x, r, b, m = xt, rt, bt, mt
                         break
                 else:
                     raise ConvergenceError(f"Newton stalled at residual {m:.3e}", residual=float(m))

@@ -158,5 +158,7 @@ def test_uniqueness_random_starts_take_the_full_path(monkeypatch):
     orders = _factor_orders(monkeypatch)
     report = uniqueness_probe(1e-3, spec, op, trials=4)
     assert report.verdict == "unique"
-    assert ("lu_factor", n) in orders  # the random starts are not even
-    assert all(order == n // 2 for kernel, order in orders if kernel == "cho_factor")  # the minimal solve is
+    # the random starts are not even, and below the cap their Jacobians are
+    # positive definite: Cholesky of order n; the minimal solve is even
+    assert ("cho_factor", n) in orders and ("cho_factor", n // 2) in orders
+    assert {order for _, order in orders} == {n // 2, n}

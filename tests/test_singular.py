@@ -665,22 +665,29 @@ def test_chord_run_rises_below_the_minimal_solution(s, delta, beta_frac, frac):
     spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=power_nonlinearity(2.0))
     lam = frac * trace_minimal(spec, op, TracePolicy()).fold_point().lam
     sub = scale_pure_singular(pure_singular_cached(spec, op), lam).values
-    iterates, steps, factors = [], [], []
-    scale = singular.Equation.scale
+    trials, steps, factors = [], [], []
+    evaluate = singular.Equation.evaluate
 
-    def recording(eq, u):  # damped_newton reads the bound at each accepted iterate
-        iterates.append(u)
-        return scale(eq, u)
+    def recording(eq, u, *args, **kwargs):  # damped_newton evaluates the start and each trial once
+        r, b = evaluate(eq, u, *args, **kwargs)
+        trials.append((u, np.abs(r).max()))
+        return r, b
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(singular.Equation, "scale", recording)
+        m.setattr(singular.Equation, "evaluate", recording)
         m.setattr(singular, "spd_solver", _counting(singular.spd_solver, steps, factors))
         u = monotone_iterate(lam, sub, op, spec).values
+    # the accepted iterates: the start, then each trial whose merit (the sup residual) fell below the last one's
+    iterates, merit = [trials[0][0]], trials[0][1]
+    for x, m in trials[1:]:
+        if m < merit:
+            iterates.append(x)
+            merit = m
     slack = singular.ORDER_SLACK * (1.0 + u.max())
     assert len(factors) < len(steps) == len(iterates) - 1
     for before, after in zip(iterates, iterates[1:]):
         assert np.all(after >= before - slack)
-    assert np.all(np.array(iterates) <= u + slack)
+    assert np.all(np.array(iterates) <= u[: len(iterates[0])] + slack)  # the run is on the half grid, u's first values
 
 
 def _zero_operator(n=8):
@@ -745,3 +752,33 @@ def test_even_residual_comes_from_the_even_block(n, canonical_spec):
     tilted = u * (1.0 + 0.01 * x)
     product = matvec(mat, tilted)
     assert np.abs(eq.residual(tilted) - (product + eq.lam * eq.d_dlam(tilted))).max() <= 1e-13 * np.abs(product).max()
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_newton_evaluates_each_trial_once(monkeypatch, op256, even):
+    # damped_newton gets the residual and its bound from one evaluate call,
+    # made for the start and once for every trial of the line search, and
+    # each evaluation computes the source term, and so f, once; an even start
+    # runs on the half grid, a tilted one on the nodes
+    spec = _BRANCH_SPEC
+    op = op256
+    lam = 0.3
+    start = 0.5 * scale_pure_singular(pure_singular_cached(spec, op), lam).values
+    if not even:
+        start = start * (1.0 + 0.01 * op.grid.nodes)
+    counts = {"evaluate": 0, "trial": 0, "f": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(singular.Equation, "evaluate", counted("evaluate", singular.Equation.evaluate))
+    monkeypatch.setattr(singular, "_floored", counted("trial", singular._floored))
+    monkeypatch.setattr(Nonlinearity, "f", counted("f", Nonlinearity.f))
+    eq = Equation.of(op, spec, lam)
+    u, res, bound = eq.solve(start, 1e-8, partial(spd_solver, n=op.n), 60)
+    assert res <= bound and len(u) == op.n
+    assert counts["trial"] >= 2 and counts["evaluate"] == 1 + counts["trial"] == counts["f"]

@@ -7,6 +7,7 @@ dense factorization the ledger does not count.
 """
 
 import ast
+import collections
 import importlib
 import os
 import pathlib
@@ -189,11 +190,13 @@ def _writes_a_diagonal(node) -> bool:
 
 
 def test_jacobians_are_assembled_only_by_the_equation():
-    # a matrix diagonal is written in four places: operator writes A's (in
-    # NonlocalOperator.dense) and each block's (in _block) and shifts one for
-    # the Gershgorin-shifted solve, and singular.Equation adds the potential
-    # to make the Jacobian.  Any other site, in any module or a second one in
-    # these, is a second Jacobian assembly.
+    # a matrix diagonal is written in five places: operator writes A's (in
+    # NonlocalOperator.dense) and each block's (in _block), shifts one for
+    # the Gershgorin-shifted solve and puts back the one a failed in-place
+    # Cholesky overwrote (in spd_or_lu_solver, from a kept copy), and
+    # singular.Equation adds the potential to make the Jacobian.  Any other
+    # site, in any module or a second one in these, is a second Jacobian
+    # assembly.
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -202,6 +205,7 @@ def test_jacobians_are_assembled_only_by_the_equation():
         ("operator.py", "NonlocalOperator"),
         ("operator.py", "_block"),
         ("operator.py", "shifted_spd_solver"),
+        ("operator.py", "spd_or_lu_solver"),
         ("singular.py", "Equation"),
     ]
 
@@ -218,21 +222,24 @@ def test_bordered_matrix_takes_its_block_from_the_equation():
 
 # what decides J's form: its basis (even block or nodes), block order and memory layout
 FORM_NAMES = {"Basis", "basis_for"}
+# operator's coordinate maps: Basis's own and the module's fold and unfold
+COORDINATE_MAPS = {"half", "mirror", "fold", "unfold", "solver", "lift"}
 
 
 def _decides_jacobian_form(node) -> bool:
-    """A name of J's basis, a `.basis(` or `.order`, an `order="F"`, or an `odd=` or `out=` passed to `jacobian`."""
+    """A name of J's basis, a `.basis` or `.order`, an `order="F"`, an `odd=` or `out=` passed to `jacobian`,
+    or a call of a coordinate map."""
     if isinstance(node, (ast.Name, ast.alias)):
         return getattr(node, "id", getattr(node, "name", None)) in FORM_NAMES
     if isinstance(node, ast.Attribute):
-        return node.attr == "order"
+        return node.attr in ("order", "basis")
     if isinstance(node, ast.keyword):
         return node.arg == "order" and isinstance(node.value, ast.Constant) and node.value.value == "F"
     if not isinstance(node, ast.Call):
         return False
     target = node.args[0] if _is_call_to(node, {"partial"}) and node.args else node.func  # partial(eq.jacobian, odd=True)
     name = getattr(target, "attr", getattr(target, "id", None))
-    return name == "basis" or (name == "jacobian" and any(kw.arg in ("odd", "out") for kw in node.keywords))
+    return name in COORDINATE_MAPS or (name == "jacobian" and any(kw.arg in ("odd", "out") for kw in node.keywords))
 
 
 def _form_sites(source: str) -> list[int]:
@@ -241,18 +248,71 @@ def _form_sites(source: str) -> list[int]:
 
 def test_only_the_equation_decides_the_jacobians_form():
     # outside operator, only singular (the Equation) names J's basis, its
-    # block order or its column-major layout, or asks jacobian for a block
-    # or a target: linearization and continuation ask the equation for solves
+    # block order or its column-major layout, asks jacobian for a block or a
+    # target, or calls a coordinate map: linearization and continuation ask
+    # the equation for solves, and continuation runs Newton in the
+    # coordinates the equation picks (`Equation.on`), moving fields there and
+    # back through it (`restrict`, `field`)
     planted = (
         "from .operator import Basis\nb = basis_for(n, u)\nk = eq.basis(u).order\n"
         "m = np.empty((k, k), order=\"F\")\neq.jacobian(u, odd=True)\neq.jacobian(u, out=m)\n"
-        "build = partial(eq.jacobian, u, odd=True)\n"
+        "build = partial(eq.jacobian, u, odd=True)\nv = eq.basis.half(u)\nx = mirror(v)\n"
+        "y = fold(x)\nz = b.unfold(y)\ns = b.solver(solve)\n"
     )
-    assert _form_sites(planted) == [1, 2, 3, 4, 5, 6, 7]
-    assert _form_sites("m = np.empty((k, k), order='C')\nj = eq.jacobian(u)\nf = partial(eq.solve, odd=1)\n") == []
+    assert _form_sites(planted) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+    kept = "m = np.empty((k, k), order='C')\nj = eq.jacobian(u)\nf = partial(eq.solve, odd=1)\nv = eq.restrict(u)\n"
+    assert _form_sites(kept + "u = eq.field(v)\nr = eq.apply(v)\np = branch.fold_point()\nq = branch.fold\n") == []
     sites = {path.name: _form_sites(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
     assert sites.pop("operator.py") and sites.pop("singular.py")
     assert all(lines == [] for lines in sites.values()), sites
+
+
+def test_the_newton_basis_is_chosen_once_per_run(monkeypatch, tmp_path):
+    # `fold --n 64`: the even test (is_even, through basis_for) runs when a
+    # Newton run picks its coordinates (`Equation.on`), never inside a run:
+    # once per Equation.solve, arclength run, fold solve and linearization,
+    # and not once per corrector
+    cli, continuation, operator, singular = (
+        importlib.import_module(f"fracfold.{m}") for m in ("cli", "continuation", "operator", "singular")
+    )
+    depth, inside, tests, choices, calls = [0], [], [], [], collections.Counter()
+
+    def even(x, _is_even=operator.is_even):
+        (inside if depth[0] else tests).append(1)
+        return _is_even(x)
+
+    def newton(*args, _newton=singular.damped_newton, **kwargs):
+        depth[0] += 1
+        try:
+            return _newton(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def on(eq, u, *data, _on=singular.Equation.on):
+        choices.append(len(data))
+        return _on(eq, u, *data)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    monkeypatch.setattr(operator, "is_even", even)
+    monkeypatch.setattr(singular, "damped_newton", newton)
+    monkeypatch.setattr(continuation, "damped_newton", newton)
+    monkeypatch.setattr(singular.Equation, "on", on)
+    for owner, name in ((singular.Equation, "solve"), (singular.Equation, "linearization"),
+                        (continuation, "_arclength_points"), (continuation, "_fold_point"), (continuation, "_corrector")):
+        counted(owner, name)
+    assert cli.main(["fold", "--n", "64", "--out", str(tmp_path)]) == 0
+    assert inside == [] and calls["_corrector"] >= 10
+    runs = calls["solve"] + calls["_arclength_points"] + calls["_fold_point"] + calls["linearization"]
+    assert len(choices) == runs
+    assert len(tests) == 1 + sum(3 + d for d in choices)  # A at assembly; u, k, rhs and the run's further fields
 
 
 def test_factorizations_are_called_only_in_the_operator_module():
