@@ -144,8 +144,7 @@ def _cmd_multiplicity(args) -> int:
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
     branch = fold_round(trace_minimal(spec, op, cfg.trace_policy()), op, spec, cfg.fold_policy())
     lam_est = branch.fold_point().lam
-    rows = multiplicity_scan(spec, op, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est],
-                             tol=cfg.newton_tol, branch=branch)
+    rows = multiplicity_scan(branch, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est])
     path = os.path.join(cfg.out_dir, "multiplicity.csv")
     lines = ["lambda,minimal_sup,second_sup,gap,complete"]
     for r in rows:

@@ -60,7 +60,7 @@ class RunConfig:
         return TracePolicy(lambda_init=lambda_init, max_points=self.max_points, tol=self.newton_tol)
 
     def fold_policy(self) -> FoldPolicy:
-        return FoldPolicy(ds=self.arc_step, steps=self.fold_steps, tol=self.newton_tol)
+        return FoldPolicy(ds=self.arc_step, steps=self.fold_steps)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -5,19 +5,24 @@ small-parameter uniqueness probe.
 
 The minimal branch is advanced in lam with warm-started minimal solves until
 the first one fails; the fold is then solved for as the regular solution of
-the Moore-Spence system, and its lam is the extremal parameter.  From the
-fold, one pseudo-arclength stepping loop on the pair (u, lam),
-`_arclength_points`, walks back down the minimal segment, out along the upper
-one, and extends the upper segment.  Its corrector is the damped-Newton core
-of `singular` on the problem's `Equation`, bordered by the tangent
-normalization and solved by LU, with the u-component weighted by
-1/||u_fold||_inf so both components contribute comparably to arclength near
-the fold.  One run keeps one bordered LU for all its correctors, reused by
-the chord rule of `damped_newton` (a step solves with it while the merit
-keeps falling fast enough, and factors afresh otherwise), so most points
-cost no factorization.  The fold solve and the fixed-lam LU solves (second
-solutions, multistarts) run the same rule within each solve.  Every point
-meets the same residual bound as with a fresh factor at every step.
+the Moore-Spence system, and its lam is the extremal parameter.
+`trace_minimal` is the one place where a problem enters a branch: every
+function downstream reads the operator, the problem and the Newton tolerance
+from the branch's points.  From the fold, one pseudo-arclength stepping loop
+on the pair (u, lam), `_arclength_points`, walks back down the minimal
+segment, out along the upper one, and extends the upper segment.  Its
+corrector is the damped-Newton core of `singular` on the problem's `Equation`,
+bordered by the tangent normalization and solved by LU, with the u-component
+weighted by 1/||u_fold||_inf so both components contribute comparably to
+arclength near the fold.  A corrected point whose secant leaves the predictor
+tangent by too wide an angle is rejected like a failed corrector
+(`MIN_COSINE`), so a step cannot jump to another part of the solution set.
+One run keeps one bordered LU for all its correctors, reused by the chord rule
+of `damped_newton` (a step solves with it while the merit keeps falling fast
+enough, and factors afresh otherwise), so most points cost no factorization.
+The fold solve and the fixed-lam LU solves (second solutions, multistarts) run
+the same rule within each solve.  Every point meets the same residual bound as
+with a fresh factor at every step.
 
 The branch is even under the reflection of the nodes: so are the minimal
 solutions, the principal eigenvector at the fold, and every tangent and
@@ -74,6 +79,8 @@ __all__ = [
 class BranchPoint:
     """A solution (lam, u) of the branch, located by arclength and segment.
 
+    It carries its problem, which every continuation from it reuses: the
+    solution's spec (whose lam is the point's), the operator and the tolerance.
     `lambda1` (principal eigenvalue of the linearization), its `eigenvector`
     and `monitor` (the Fredholm monitor) are computed together on the first
     read of any, from one linearized operator and its shared factors: J_e's
@@ -85,12 +92,15 @@ class BranchPoint:
     singular J_o reads as a monitor of 0.0, beside lambda1.
     """
 
-    lam: float
     solution: SolutionField
     op: NonlocalOperator
     tol: float
     arclength: float = 0.0
     segment: str = "minimal"
+
+    @property
+    def lam(self) -> float:
+        return self.solution.spec.lam
 
     @property
     def sup_norm(self) -> float:
@@ -151,14 +161,18 @@ LAMBDA_GROWTH = 2.0
 FOLD_STARTS = 4
 
 # Pseudo-arclength step control: a failed corrector halves ds down to DS_MIN;
-# a success grows it by DS_GROWTH up to the policy's ds_max.  Fold rounding
-# takes FIT_HALFWIDTH steps of DS_FOLD on either side of the fold (the window
-# of the quadratic fit) before the upper segment continues at the policy's ds.
+# a success grows it by DS_GROWTH up to the policy's ds_max.  A corrected
+# point fails too when its secant's cosine with the predictor tangent, ds/|secant|,
+# is below MIN_COSINE (0.999 on the default branch, 0.75 at s = 0.1; 0.33 where
+# an f = e^u probe jumps onto the minimal segment).  Fold rounding takes
+# FIT_HALFWIDTH steps of DS_FOLD on either side of the fold (the window of the
+# quadratic fit) before the upper segment continues at the policy's ds.
 DS_MIN = 1e-8
 DS_GROWTH = 1.4
 DS_FOLD = 2.5e-3
 FIT_HALFWIDTH = 6
 MAX_CORRECTOR = 14  # Newton steps of one corrector
+MIN_COSINE = 0.5
 
 
 @dataclass(frozen=True)
@@ -173,7 +187,6 @@ class FoldPolicy:
     ds: float = 0.02
     ds_max: float = 0.25
     steps: int = 60
-    tol: float = DEFAULT_TOL
 
 
 def _arclength_weight(op: NonlocalOperator, u_scale: float) -> float:
@@ -225,7 +238,7 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
             lam *= 0.5
             if lam < 1e-12 * lam1s:
                 raise ConvergenceError("no starting point found on the minimal branch")
-    points = [BranchPoint(lam, fld, op, policy.tol)]
+    points = [BranchPoint(fld, op, policy.tol)]
 
     while len(points) < policy.max_points:
         lam *= LAMBDA_GROWTH
@@ -233,28 +246,28 @@ def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy =
             fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=points[-1].solution)
         except ConvergenceError:
             break
-        points.append(BranchPoint(lam, fld, op, policy.tol))
+        points.append(BranchPoint(fld, op, policy.tol))
     else:
         raise ConvergenceError("minimal branch did not terminate within the point budget")
 
     above = lam  # the first lam whose minimal solve failed
     for attempt in range(FOLD_STARTS):
         try:
-            fold = _fold_point(op, spec, points[-1])
+            fold = _fold_point(points[-1])
             break
         except ConvergenceError:
             if attempt == FOLD_STARTS - 1:
                 raise
         # Moore-Spence Newton can diverge from a start far below the fold (at
         # s = 0.1 from 65 % of it): start again from a point closer to it
-        point, above = _closer_point(spec, op, policy, points[-1], above)
+        point, above = _closer_point(points[-1], above)
         points.append(point)
     points.append(fold)
     _assign_arclength(points, _arclength_weight(op, fold.sup_norm))
     return Branch(points=points)
 
 
-def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: float) -> tuple[BranchPoint, float]:
+def _closer_point(below: BranchPoint, above: float) -> tuple[BranchPoint, float]:
     """The minimal point at the geometric mean of below.lam and the failed lam `above`, and the new `above`.
 
     A failed solve at the mean takes the place of `above`, and the mean is
@@ -263,15 +276,15 @@ def _closer_point(spec, op, policy: TracePolicy, below: BranchPoint, above: floa
     for _ in range(FOLD_STARTS):
         lam = float(np.sqrt(below.lam * above))
         try:
-            fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=below.solution)
+            fld = solve_min(lam, below.solution.spec, below.op, tol=below.tol, sub_hint=below.solution)
         except ConvergenceError:
             above = lam
             continue
-        return BranchPoint(lam, fld, op, policy.tol), above
+        return BranchPoint(fld, below.op, below.tol), above
     raise ConvergenceError(f"no minimal solve between lambda = {below.lam!r} and {above!r}")
 
 
-def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> BranchPoint:
+def _fold_point(start: BranchPoint) -> BranchPoint:
     """The fold as the regular solution z = (u, phi, lam) of the Moore-Spence system
 
         G(u, lam) = 0,   G_u(u, lam) phi = 0,   l.phi = 1
@@ -290,7 +303,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     (u, phi0, l), the half grid on the even branch, with l.phi taken on the
     mirrored phi.
     """
-    tol = start.tol
+    op, spec, tol = start.op, start.solution.spec, start.tol
     phi0 = start.eigenvector
     l = phi0 / (phi0 @ phi0)
     eq = Equation.of(op, spec, start.lam).on(start.solution.values, phi0, l)
@@ -331,7 +344,7 @@ def _fold_point(op: NonlocalOperator, spec: ProblemSpec, start: BranchPoint) -> 
     lam = float(z[-1])
     res, bound = float(np.abs(r[:k]).max()), float(b[:k].max())
     fld = SolutionField(eq.field(z[:k]), op.grid, replace(spec, lam=lam), res, bound)
-    return BranchPoint(lam, fld, op, tol, segment="fold")
+    return BranchPoint(fld, op, tol, segment="fold")
 
 
 def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = None):
@@ -377,33 +390,30 @@ def _corrector(eq: Equation, anchor, tangent, ds, w, tol, store: list | None = N
 
 
 class _StepFailure(ConvergenceError):
-    """The corrector failed at every step length down to DS_MIN."""
+    """No corrected point was accepted at any step length down to DS_MIN."""
 
 
-def _tangent(w, zprev, zcurr, prev_tangent=None):
-    """Unit secant from zprev to zcurr in the weighted norm, oriented along prev_tangent."""
+def _tangent(w, zprev, zcurr):
+    """Unit secant from zprev to zcurr in the weighted norm."""
     du = zcurr[0] - zprev[0]
     dlam = zcurr[1] - zprev[1]
     norm = _arclength(w, du, dlam)
-    udot, lamdot = du / norm, dlam / norm
-    if prev_tangent is not None:
-        orient = w ** 2 * (prev_tangent[0] @ udot) + prev_tangent[1] * lamdot
-        if orient < 0.0:
-            udot, lamdot = -udot, -lamdot
-    return udot, lamdot
+    return du / norm, dlam / norm
 
 
-def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tangent, segment: str):
-    """Pseudo-arclength continuation from `start` along the unit `tangent`.
+def _arclength_points(policy: FoldPolicy, w, start: BranchPoint, tangent, segment: str):
+    """Pseudo-arclength continuation from `start` along the unit `tangent`, on start's problem.
 
     Yields one BranchPoint per step, labelled `segment`, at most policy.steps
     of them; the caller decides where to stop.  Arclength runs on from
-    start's.  A corrector failing at every step length raises _StepFailure.
+    start's.  A corrected point's secant is the next step's tangent, once its
+    cosine with this one is MIN_COSINE or more; none at any ds raises _StepFailure.
     A step computes no lambda1 or monitor: the points compute them when read,
     so only a caller reading them meets their failures.  The correctors share
     one stored bordered LU (see `_corrector`), dropped when the run ends, and
     the coordinates the equation picks from start and tangent when it begins.
     """
+    op, spec, tol = start.op, start.solution.spec, start.tol
     eq = Equation.of(op, spec, 0.0).on(start.solution.values, tangent[0])
     z = (start.solution.values, start.lam)
     ds = policy.ds
@@ -411,16 +421,20 @@ def _arclength_points(op, spec, policy: FoldPolicy, w, start: BranchPoint, tange
     store = []
     try:
         for _ in range(policy.steps):
-            while ds >= DS_MIN and (out := _corrector(eq, z, tangent, ds, w, policy.tol, store)) is None:
+            while ds >= DS_MIN:
+                if (out := _corrector(eq, z, tangent, ds, w, tol, store)) is not None:
+                    secant = _tangent(w, z, out[:2])
+                    if w ** 2 * (tangent[0] @ secant[0]) + tangent[1] * secant[1] >= MIN_COSINE:
+                        break
                 ds *= 0.5
-            if ds < DS_MIN:
+            else:
                 raise _StepFailure("pseudo-arclength corrector failed below the minimum step")
             u, lam, res, bound = out
             ds = min(ds * DS_GROWTH, policy.ds_max)
-            tangent = _tangent(w, z, (u, lam), tangent)
+            tangent = secant
             sigma += _arclength(w, u - z[0], lam - z[1])
             fld = SolutionField(values=u, grid=op.grid, spec=replace(spec, lam=lam), residual=res, residual_bound=bound)
-            yield BranchPoint(lam, fld, op, policy.tol, sigma, segment)
+            yield BranchPoint(fld, op, tol, sigma, segment)
             z = (u, lam)
     finally:
         store.clear()
@@ -434,8 +448,10 @@ def fold_round(
 ) -> Branch:
     """Round the fold from the traced fold point and append the upper segment.
 
-    At the fold the branch's tangent is (phi, 0), phi the principal
-    eigenvector there.  FIT_HALFWIDTH steps of DS_FOLD along -phi walk back
+    op and spec must be the fold point's operator and problem (spec's lam
+    aside), else ValueError; then, like every continuation here, it reads
+    them and the tolerance from the branch.  At the fold the branch's tangent
+    is (phi, 0), phi the principal eigenvector there.  FIT_HALFWIDTH steps of DS_FOLD along -phi walk back
     down the minimal segment, as many along +phi start the upper one, and the
     upper segment then continues under `policy` until lam falls below 0.85
     of the fold's.  lam(arclength) is fitted by a quadratic over these points
@@ -443,13 +459,15 @@ def fold_round(
     (normalized by the lam scale) and the curvature are stored.
     """
     fold = branch.fold_point()
-    w = _arclength_weight(op, fold.sup_norm)
+    if op is not fold.op or replace(spec, lam=fold.lam) != fold.solution.spec:
+        raise ValueError("op and spec are not the operator and problem the branch was traced for")
+    w = _arclength_weight(fold.op, fold.sup_norm)
     phi = fold.eigenvector / (w * np.linalg.norm(fold.eigenvector))
-    near = FoldPolicy(ds=DS_FOLD, ds_max=DS_FOLD, steps=FIT_HALFWIDTH, tol=policy.tol)
-    back = list(_arclength_points(op, spec, near, w, fold, (-phi, 0.0), "minimal"))
+    near = FoldPolicy(ds=DS_FOLD, ds_max=DS_FOLD, steps=FIT_HALFWIDTH)
+    back = list(_arclength_points(near, w, fold, (-phi, 0.0), "minimal"))
     for p in back:
         p.arclength = 2.0 * fold.arclength - p.arclength
-    window = [*reversed(back), fold, *_arclength_points(op, spec, near, w, fold, (phi, 0.0), "upper")]
+    window = [*reversed(back), fold, *_arclength_points(near, w, fold, (phi, 0.0), "upper")]
 
     sig = np.array([p.arclength for p in window]) - fold.arclength
     lams = np.array([p.lam for p in window])
@@ -460,48 +478,45 @@ def fold_round(
         fit_residual=float(np.abs(np.polyval(coeffs, sig) - lams).max()),
     )
     rounded = Branch(branch.minimal_points() + window, info)
-    return _extend_upper(rounded, op, spec, policy, stop=lambda p: p.lam < 0.85 * fold.lam)
+    return _extend_upper(rounded, policy, stop=lambda p: p.lam < 0.85 * fold.lam)
 
 
-def _extend_upper(branch: Branch, op, spec, policy: FoldPolicy, stop) -> Branch:
-    """Continue the upper segment until stop(point) or the step budget ends.
+def _extend_upper(branch: Branch, policy: FoldPolicy, stop) -> Branch:
+    """Continue the upper segment from its last point until stop(point) or the step budget ends.
 
     The points go to a new Branch; the one passed in is left as it was.  Only
-    a corrector failing at every step length ends the extension early; no
-    lambda1 or monitor is computed unless stop reads it.
+    a step failed or rejected at every step length ends the extension early;
+    no lambda1 or monitor is computed unless stop reads it.
     """
     branch = replace(branch, points=list(branch.points))
     upper = branch.upper_points()
     if len(upper) < 2:
         raise ValueError("branch has no rounded upper segment to extend")
-    w = _arclength_weight(op, branch.fold_point().sup_norm)
+    prev, last = upper[-2:]
+    w = _arclength_weight(last.op, branch.fold_point().sup_norm)
     if stop(branch.points[-1]):
         return branch
-    prev, last = upper[-2:]
     tangent = _tangent(w, (prev.solution.values, prev.lam), (last.solution.values, last.lam))
     with suppress(_StepFailure):
-        for point in _arclength_points(op, spec, policy, w, last, tangent, "upper"):
+        for point in _arclength_points(policy, w, last, tangent, "upper"):
             branch.points.append(point)
             if stop(point) or point.lam <= 1e-8:
                 break
     return branch
 
 
-def multiplicity_scan(
-    spec: ProblemSpec,
-    op: NonlocalOperator,
-    lam_list,
-    branch: Branch,
-    tol: float = DEFAULT_TOL,
-) -> list[dict]:
-    """Minimal and second solutions at each requested lam below the fold.
+def multiplicity_scan(branch: Branch, lam_list) -> list[dict]:
+    """Minimal and second solutions at each requested lam below the fold, for the branch's problem.
 
     The second solution is pulled off the upper segment of the fold-rounded
     `branch` (ValueError when it has none): the two upper samples straddling
-    the target lam seed a fixed-lam Newton solve.  Requires the superlinear
-    power case with beta = 0 (the regime with the uniform bound that pins the
+    the target lam seed a fixed-lam Newton solve.  Operator, problem and
+    Newton tolerance are the fold point's.  Requires the superlinear power
+    case with beta = 0 (the regime with the uniform bound that pins the
     asymptotic bifurcation at zero).
     """
+    fold = branch.fold_point()
+    op, spec, tol = fold.op, fold.solution.spec, fold.tol
     if spec.nonlinearity.kind != "power":
         raise ValueError("multiplicity scan requires a power nonlinearity")
     if spec.beta != 0.0:
@@ -509,7 +524,7 @@ def multiplicity_scan(
     spec.require_subcritical()
     lam_targets = sorted(lam_list, reverse=True)
     need = min(lam_targets)
-    branch = _extend_upper(branch, op, spec, FoldPolicy(steps=600, tol=tol), stop=lambda p: p.lam < need)
+    branch = _extend_upper(branch, FoldPolicy(steps=600), stop=lambda p: p.lam < need)
 
     upper = branch.upper_points()
     rows = []
@@ -529,15 +544,7 @@ def multiplicity_scan(
                 second = SolutionField(vals, op.grid, replace(spec, lam=lam_t), res, bound)
                 break
         gap = float(np.abs(second.values - minimal.values).max()) if second is not None else None
-        rows.append(
-            {
-                "lam": lam_t,
-                "minimal": minimal,
-                "second": second,
-                "gap": gap,
-                "complete": second is not None,
-            }
-        )
+        rows.append({"lam": lam_t, "minimal": minimal, "second": second, "gap": gap, "complete": second is not None})
     return rows
 
 
@@ -548,15 +555,8 @@ class ProbeResult:
     branch: Branch
 
 
-def asymptotic_bifurcation_probe(
-    branch: Branch,
-    op: NonlocalOperator,
-    spec: ProblemSpec,
-    growth_cap: float = 1e3,
-    steps: int = 2000,
-    tol: float = DEFAULT_TOL,
-) -> ProbeResult:
-    """Follow the upper segment toward lam -> 0 and tabulate (lam, sup_norm).
+def asymptotic_bifurcation_probe(branch: Branch, growth_cap: float = 1e3, steps: int = 2000) -> ProbeResult:
+    """Follow the upper segment toward lam -> 0, on the branch's problem, and tabulate (lam, sup_norm).
 
     Stops when the sup norm exceeds growth_cap times the fold amplitude or the
     step budget is exhausted; the lam infimum of the traversed segment is the
@@ -566,10 +566,8 @@ def asymptotic_bifurcation_probe(
     if branch.fold is None:
         raise ValueError("probe requires a fold-rounded branch")
     fold_sup = branch.fold_point().sup_norm
-    policy = FoldPolicy(ds=0.2, ds_max=2.0, steps=steps, tol=tol)
-    branch = _extend_upper(
-        branch, op, spec, policy, stop=lambda p: p.sup_norm >= growth_cap * fold_sup
-    )
+    policy = FoldPolicy(ds=0.2, ds_max=2.0, steps=steps)
+    branch = _extend_upper(branch, policy, stop=lambda p: p.sup_norm >= growth_cap * fold_sup)
     upper = branch.upper_points()
     table = np.array([[p.lam, p.sup_norm] for p in upper])
     lambda_a = float(min(p.lam for p in upper))

@@ -597,14 +597,17 @@ def shifted_spd_solver(mat: np.ndarray):
 
     g is the lowest left end of the discs.  The shift is taken off the
     diagonal of one contiguous copy of the symmetric mat's transpose view
-    (its column-major form), which LAPACK then factors in place; mat is
-    left as it was.
+    (its column-major form), which `spd_solver` then factors in place; mat
+    is left as it was.  A shifted matrix that still fails its Cholesky (one
+    not finite) raises ConvergenceError.
     """
     d = np.diag(mat)
     shift = min(float(np.min(d - (np.abs(mat).sum(axis=1) - np.abs(d)))), 0.0) - 1.0
     shifted = mat.T.copy(order="F")
     shifted[np.diag_indices_from(shifted)] -= shift
-    return _trsv_pair(cho_factor(shifted, lower=True, overwrite_a=True)[0])
+    if (solve := spd_solver(shifted, overwrite=True)) is None:
+        raise ConvergenceError(f"no Cholesky of the matrix shifted by {-shift!r}")
+    return solve
 
 
 @dataclass(eq=False)

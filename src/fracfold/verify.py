@@ -358,7 +358,7 @@ def _folded(cache: _Cache, n: int, tol: float):
     key = ("folded", n)
     if key not in cache:
         op = cache.operator(1.0, n, _BRANCH_SPEC.s)
-        cache[key] = fold_round(_traced(cache, n, tol), op, _BRANCH_SPEC, FoldPolicy(tol=tol))
+        cache[key] = fold_round(_traced(cache, n, tol), op, _BRANCH_SPEC, FoldPolicy())
     return cache[key]
 
 
@@ -467,7 +467,7 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     tol = cfg.newton_tol
     spec_b = ProblemSpec(s=0.45, delta=1.0, beta=0.1, coeff=1.0, nonlinearity=power_nonlinearity(2.5))
     op_b = cache.operator(1.0, 256, spec_b.s)
-    branch_b = fold_round(trace_minimal(spec_b, op_b, TracePolicy(tol=tol)), op_b, spec_b, FoldPolicy(tol=tol))
+    branch_b = fold_round(trace_minimal(spec_b, op_b, TracePolicy(tol=tol)), op_b, spec_b, FoldPolicy())
     sets = [("fold-a", _BRANCH_SPEC, _folded(cache, 256, tol)), ("fold-b", spec_b, branch_b)]
     for name, spec, branch in sets:
         fold = branch.fold
@@ -492,11 +492,8 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
 
 def check_multiplicity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     branch = _folded(cache, 256, cfg.newton_tol)
-    op = cache.operator(1.0, 256, _BRANCH_SPEC.s)
     lam_est = branch.fold_point().lam
-    rows = multiplicity_scan(
-        _BRANCH_SPEC, op, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est], tol=cfg.newton_tol, branch=branch
-    )
+    rows = multiplicity_scan(branch, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est])
     by_lam = {round(r["lam"] / lam_est, 1): r for r in rows}
     gap_half = by_lam[0.5]["gap"]
     complete = all(r["complete"] for r in rows)
@@ -531,10 +528,9 @@ def check_multiplicity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
 
 def check_asymptotic(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     branch = _folded(cache, 256, cfg.newton_tol)
-    op = cache.operator(1.0, 256, _BRANCH_SPEC.s)
     fold_sup = branch.fold_point().sup_norm
     apex_lam = max(p.lam for p in branch.points)
-    probe1 = asymptotic_bifurcation_probe(branch, op, _BRANCH_SPEC, growth_cap=30.0, steps=400, tol=cfg.newton_tol)
+    probe1 = asymptotic_bifurcation_probe(branch, growth_cap=30.0, steps=400)
     lam_inf_1 = probe1.lambda_a
     sup_max_1 = probe1.table[:, 1].max()
     records = [
@@ -548,9 +544,7 @@ def check_asymptotic(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             sup_max_1 >= 10.0 * fold_sup and lam_inf_1 <= apex_lam / 10.0,
         )
     ]
-    probe2 = asymptotic_bifurcation_probe(
-        probe1.branch, op, _BRANCH_SPEC, growth_cap=300.0, steps=800, tol=cfg.newton_tol
-    )
+    probe2 = asymptotic_bifurcation_probe(probe1.branch, growth_cap=300.0, steps=800)
     records.append(
         _record(
             "asymptotic-extends",

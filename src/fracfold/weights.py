@@ -181,11 +181,11 @@ def _trapezoid_mass(values: np.ndarray, spacing: float) -> float:
 def hs_membership_indicator(u: np.ndarray, grid: Grid, spec: ProblemSpec) -> tuple[float, str]:
     """Trapezoid mass of K u^(1-delta) with a divergence verdict.
 
-    The mass is recomputed on the once- and twice-coarsened grids; subsampling
-    starts at index stride-1 so the nearest retained node sits at distance
-    stride*h from the wall, exactly as on a grid of spacing stride*h (forward
+    The mass is recomputed on the grid coarsened by a stride of 4;
+    subsampling starts at index 3 so the nearest retained node sits at
+    distance 4h from the wall, exactly as on a grid of spacing 4h (forward
     and backward sweeps are averaged so both boundaries are treated alike).
-    A fine-to-coarsest mass ratio above 1.5 signals a boundary-divergent
+    A fine-to-coarse mass ratio above 1.5 signals a boundary-divergent
     integrand, matching the algebraic threshold 2*beta + delta*(2s-1) < 1+2s
     on resolved solutions.
     """
@@ -193,11 +193,8 @@ def hs_membership_indicator(u: np.ndarray, grid: Grid, spec: ProblemSpec) -> tup
     if u.min() <= 0.0:
         raise ValueError("field must be strictly positive at interior nodes")
     integrand = spec.k_field(grid) * u ** (1.0 - spec.delta)
-    masses = [_trapezoid_mass(integrand, grid.h)]
-    for stride in (2, 4):
-        fwd = _trapezoid_mass(integrand[stride - 1 :: stride], stride * grid.h)
-        bwd = _trapezoid_mass(integrand[::-1][stride - 1 :: stride], stride * grid.h)
-        masses.append(0.5 * (fwd + bwd))
-    ratio = masses[0] / masses[2]
-    verdict = "diverging" if ratio > 1.5 else "finite"
-    return masses[0], verdict
+    mass = _trapezoid_mass(integrand, grid.h)
+    fwd = _trapezoid_mass(integrand[3::4], 4 * grid.h)
+    bwd = _trapezoid_mass(integrand[::-1][3::4], 4 * grid.h)
+    verdict = "diverging" if mass / (0.5 * (fwd + bwd)) > 1.5 else "finite"
+    return mass, verdict

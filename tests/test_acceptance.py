@@ -129,10 +129,11 @@ def test_criterion_07_minimal_branch(accept_cfg, accept_cache):
     _run(check_branch, accept_cfg, accept_cache)
 
 
-def _with_fold(branch, **changes):
-    """A copy of branch whose fold point is replaced by a copy with `changes`."""
+def _with_fold_lam(branch, lam):
+    """A copy of branch whose fold point is replaced by a copy whose solution claims `lam`."""
     fold = branch.fold_point()
-    return replace(branch, points=[replace(p, **changes) if p is fold else p for p in branch.points])
+    planted = replace(fold, solution=replace(fold.solution, spec=replace(fold.solution.spec, lam=lam)))
+    return replace(branch, points=[planted if p is fold else p for p in branch.points])
 
 
 @pytest.mark.parametrize("factor, passes", [(0.9, False), (1.0, True), (1.1, False)])
@@ -143,7 +144,7 @@ def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cach
     cache = _Cache()
     for n in (512, 1024):
         branch = verify._folded(accept_cache, n, accept_cfg.newton_tol)
-        cache[("folded", n)] = _with_fold(branch, lam=factor * branch.fold_point().lam)
+        cache[("folded", n)] = _with_fold_lam(branch, factor * branch.fold_point().lam)
     records = {r.name: r for r in check_branch(accept_cfg, cache)}
     assert records["branch-fold-point"].passed is passes, records["branch-fold-point"]
     for name in ("branch-nonexistence", "branch-existence"):

@@ -1,3 +1,6 @@
+from contextlib import suppress
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +9,18 @@ from hypothesis import strategies as st
 import fracfold.continuation
 import fracfold.operator
 import fracfold.singular
-from fracfold import ConvergenceError, ProblemSpec, assemble_operator, build_grid, power_nonlinearity, solve_min
+from fracfold import (
+    ConvergenceError,
+    Nonlinearity,
+    ProblemSpec,
+    assemble_operator,
+    build_grid,
+    no_nonlinearity,
+    power_nonlinearity,
+    solve_min,
+)
 from fracfold.continuation import (
+    BranchPoint,
     FoldPolicy,
     TracePolicy,
     _arclength_points,
@@ -80,8 +93,7 @@ def test_fold_solve_converges_to_the_apex(monkeypatch, accept_cfg, accept_cache,
         return lu_solver(jac, **kwargs)
 
     monkeypatch.setattr(fracfold.singular, "lu_solver", counted)  # the bordered LU is the equation's
-    op = accept_cache.operator(1.0, n, canonical_spec.s)
-    fold = _fold_point(op, canonical_spec, traced.minimal_points()[-1])
+    fold = _fold_point(traced.minimal_points()[-1])
     # at most one bordered LU per Newton step, of the even block: order n/2 + 1
     assert 1 <= len(sizes) <= 6 and set(sizes) == {n // 2 + 1}
     assert fold.lam == traced.fold_point().lam
@@ -142,11 +154,9 @@ def test_nonexistence_above_fold(folded_branch, op256_s04, canonical_spec):
             solve_min(factor * lam_est, canonical_spec, op256_s04)
 
 
-def test_multiplicity_gaps(folded_branch, op256_s04, canonical_spec):
+def test_multiplicity_gaps(folded_branch):
     lam_est = folded_branch.fold_point().lam
-    rows = multiplicity_scan(
-        canonical_spec, op256_s04, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est], branch=folded_branch
-    )
+    rows = multiplicity_scan(folded_branch, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est])
     assert all(r["complete"] for r in rows)
     gaps = {round(r["lam"] / lam_est, 1): r["gap"] for r in rows}
     assert gaps[0.5] > gaps[0.7] > gaps[0.9] > 1e-7
@@ -155,32 +165,52 @@ def test_multiplicity_gaps(folded_branch, op256_s04, canonical_spec):
         assert ressup > r["minimal"].sup_norm  # the second solution sits above
 
 
-def test_multiplicity_requires_power_and_beta_zero(folded_branch, op256_s04, canonical_spec):
-    # the checks fire before the branch is read: on a good branch they are the only ValueError
-    from dataclasses import replace
+def _carrying(branch, spec):
+    """The branch with every point's solution relabelled as a solution of `spec` at the point's lam."""
+    points = [
+        BranchPoint(replace(p.solution, spec=replace(spec, lam=p.lam)), p.op, p.tol, p.arclength, p.segment)
+        for p in branch.points
+    ]
+    return replace(branch, points=points)
 
-    from fracfold import no_nonlinearity
 
+def test_multiplicity_requires_power_and_beta_zero(folded_branch, canonical_spec):
+    # the checks read the problem the branch's points carry and fire before
+    # the branch is extended: on a good branch they are the only ValueError
     with pytest.raises(ValueError, match="power nonlinearity"):
-        multiplicity_scan(replace(canonical_spec, nonlinearity=no_nonlinearity()), op256_s04, [0.1], folded_branch)
+        multiplicity_scan(_carrying(folded_branch, replace(canonical_spec, nonlinearity=no_nonlinearity())), [0.1])
     with pytest.raises(ValueError, match="beta = 0"):
-        multiplicity_scan(replace(canonical_spec, beta=0.1), op256_s04, [0.1], folded_branch)
+        multiplicity_scan(_carrying(folded_branch, replace(canonical_spec, beta=0.1)), [0.1])
 
 
-def test_asymptotic_probe_growth_and_extension(folded_branch, op256_s04, canonical_spec):
+def test_fold_round_rejects_an_operator_or_problem_not_the_branch_s(canonical_spec):
+    # the rounding reads op and spec from the fold point; handed others, it
+    # says so rather than round one problem's fold with another's data
+    op = assemble_operator(build_grid(1.0, 64), canonical_spec.s)
+    traced = trace_minimal(canonical_spec, op)
+    with pytest.raises(ValueError, match="traced for"):
+        fold_round(traced, assemble_operator(build_grid(1.0, 64), canonical_spec.s), canonical_spec)
+    with pytest.raises(ValueError, match="traced for"):
+        fold_round(traced, op, replace(canonical_spec, delta=0.6))
+    # a spec's own lam is no part of the problem
+    rounded = fold_round(traced, op, replace(canonical_spec, lam=0.3), FoldPolicy(steps=2))
+    assert rounded.upper_points() and rounded.fold.quadratic_coeff < 0.0
+
+
+def test_asymptotic_probe_growth_and_extension(folded_branch):
     fold_sup = folded_branch.fold_point().sup_norm
     apex_lam = max(p.lam for p in folded_branch.points)
-    probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=30.0, steps=400)
+    probe = asymptotic_bifurcation_probe(folded_branch, growth_cap=30.0, steps=400)
     sup_max = probe.table[:, 1].max()
     assert sup_max >= 10.0 * fold_sup
     assert probe.lambda_a <= apex_lam / 10.0
-    probe2 = asymptotic_bifurcation_probe(probe.branch, op256_s04, canonical_spec, growth_cap=120.0, steps=400)
+    probe2 = asymptotic_bifurcation_probe(probe.branch, growth_cap=120.0, steps=400)
     assert probe2.lambda_a < probe.lambda_a
     minimal_sups = [p.sup_norm for p in folded_branch.minimal_points()]
     assert max(minimal_sups) <= fold_sup * (1.0 + 1e-9)
 
 
-def test_probe_makes_fewer_factorizations_than_points(monkeypatch, folded_branch, op256_s04, canonical_spec):
+def test_probe_makes_fewer_factorizations_than_points(monkeypatch, folded_branch):
     # the correctors of one arclength run share a bordered LU: most points are
     # corrected with a factor made for an earlier one, so the probe makes fewer
     # LU factorizations than it adds points (one or more each without reuse)
@@ -192,7 +222,7 @@ def test_probe_makes_fewer_factorizations_than_points(monkeypatch, folded_branch
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fracfold.operator, "lu_factor", counted)
-    probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, steps=400)
+    probe = asymptotic_bifurcation_probe(folded_branch, steps=400)
     added = len(probe.branch.points) - len(folded_branch.points)
     assert len(calls) < added
 
@@ -231,19 +261,18 @@ def test_corrector_recovers_from_a_stale_factor(monkeypatch, folded_branch, op25
     assert len(store) <= 1 and (not store or store[0] is not stale)
 
 
-def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op256_s04, canonical_spec):
+def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op256_s04):
     # every reuse of a stored factor returns a zero step, so each corrector
     # that reuses one fails its line search and runs again with a fresh
     # factor at every step, at the same ds: the run yields the points of a
     # run that never reuses
-    op, spec = op256_s04, canonical_spec
-    w = _arclength_weight(op, folded_branch.fold_point().sup_norm)
+    w = _arclength_weight(op256_s04, folded_branch.fold_point().sup_norm)
     upper = folded_branch.upper_points()
     start, tangent = upper[-1], _upper_tangent(folded_branch, w, len(upper) - 1)
     policy = FoldPolicy(steps=12)
 
     def run():
-        return [(p.lam, p.arclength) for p in _arclength_points(op, spec, policy, w, start, tangent, "upper")]
+        return [(p.lam, p.arclength) for p in _arclength_points(policy, w, start, tangent, "upper")]
 
     real = fracfold.continuation._corrector
     monkeypatch.setattr(fracfold.continuation, "_corrector", lambda *args: real(*args[:6]))
@@ -278,17 +307,17 @@ def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op
         assert abs(sig_a - sig_b) <= 1e-8
 
 
-def test_upper_extension_leaves_the_input_branch_alone(folded_branch, op256_s04, canonical_spec):
+def test_upper_extension_leaves_the_input_branch_alone(folded_branch):
     before = list(folded_branch.points)
     lam_est = folded_branch.fold_point().lam
-    multiplicity_scan(canonical_spec, op256_s04, [0.9 * lam_est], branch=folded_branch)
-    probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=3.0, steps=40)
+    multiplicity_scan(folded_branch, [0.9 * lam_est])
+    probe = asymptotic_bifurcation_probe(folded_branch, growth_cap=3.0, steps=40)
     assert len(probe.branch.points) > len(before)
     assert len(folded_branch.points) == len(before)
     assert all(a is b for a, b in zip(folded_branch.points, before))
 
 
-def test_upper_extension_computes_no_stability(monkeypatch, folded_branch, op256_s04, canonical_spec):
+def test_upper_extension_computes_no_stability(monkeypatch, folded_branch):
     # the probe and the multiplicity extension read lam and sup_norm only, so no
     # point they add computes its lambda1 or monitor
     calls = []
@@ -301,18 +330,54 @@ def test_upper_extension_computes_no_stability(monkeypatch, folded_branch, op256
 
         monkeypatch.setattr(fracfold.continuation, name, counted)
     lam_est = folded_branch.fold_point().lam
-    multiplicity_scan(canonical_spec, op256_s04, [0.5 * lam_est], branch=folded_branch)
-    asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=30.0, steps=400)
+    multiplicity_scan(folded_branch, [0.5 * lam_est])
+    asymptotic_bifurcation_probe(folded_branch, growth_cap=30.0, steps=400)
     assert calls == []
 
 
-def test_asymptotic_tail_power_law(folded_branch, op256_s04, canonical_spec):
+def test_asymptotic_tail_power_law(folded_branch):
     # natural scaling of the superlinear term: sup ~ lam^(-1/(p-1)) on the tail
-    probe = asymptotic_bifurcation_probe(folded_branch, op256_s04, canonical_spec, growth_cap=60.0, steps=400)
+    probe = asymptotic_bifurcation_probe(folded_branch, growth_cap=60.0, steps=400)
     table = probe.table
     tail = table[table[:, 1] >= 8.0 * folded_branch.fold_point().sup_norm]
     slope = np.polyfit(np.log(tail[:, 0]), np.log(tail[:, 1]), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
+
+
+def test_no_step_of_the_default_branch_is_rejected(monkeypatch, op256_s04, canonical_spec):
+    # every corrected step of the default rounding and probe meets the angle
+    # bound: with no bound at all, each point keeps its bits
+    def points():
+        branch = fold_round(trace_minimal(canonical_spec, op256_s04), op256_s04, canonical_spec)
+        probe = asymptotic_bifurcation_probe(branch, growth_cap=30.0, steps=400)
+        return [(p.lam, p.arclength, p.solution.values) for p in probe.branch.points]
+
+    bounded = points()
+    monkeypatch.setattr(fracfold.continuation, "MIN_COSINE", -np.inf)
+    unbounded = points()
+    assert len(bounded) == len(unbounded)
+    for (lam_a, sig_a, u_a), (lam_b, sig_b, u_b) in zip(bounded, unbounded):
+        assert lam_a == lam_b and sig_a == sig_b and np.array_equal(u_a, u_b)
+
+
+def test_a_step_that_jumps_off_its_branch_is_rejected():
+    # f = e^u at s = 0.4, delta = 0.5: without a bound on the angle between a
+    # step's secant and its predictor tangent, the probe jumps from the upper
+    # segment at sup 8.06, lam 0.0395 onto the minimal solution at lam 0.2909
+    # (cosine 0.33) and follows the minimal branch down, labelled "upper"
+    expu = Nonlinearity(kind="custom", f_fn=np.exp, fp_fn=np.exp, fpp_fn=np.exp)
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=expu)
+    op = assemble_operator(build_grid(1.0, 256), spec.s)
+    branch = fold_round(trace_minimal(spec, op), op, spec)
+    upper = asymptotic_bifurcation_probe(branch, growth_cap=300.0, steps=800).branch.upper_points()
+    compared = 0
+    for p in upper:
+        with suppress(ConvergenceError):  # no minimal solve there, so no minimal solution to land on
+            minimal = solve_min(p.lam, spec, op)
+            compared += 1
+            assert np.abs(minimal.values - p.solution.values).max() > 1e-6, p.lam
+        assert p.lambda1 < 0.0, p.lam
+    assert compared >= len(upper) // 2
 
 
 def test_uniqueness_probe_small_lambda(folded_branch, op256_s04, canonical_spec):
@@ -360,7 +425,7 @@ def test_lambda1_extrapolation_predicts_fold(folded_branch):
 def test_multiplicity_scan_on_a_coarse_branch(canonical_spec):
     op = assemble_operator(build_grid(1.0, 96), canonical_spec.s)
     branch = fold_round(trace_minimal(canonical_spec, op), op, canonical_spec, FoldPolicy(steps=400))
-    rows = multiplicity_scan(canonical_spec, op, [0.2], branch)
+    rows = multiplicity_scan(branch, [0.2])
     assert rows[0]["complete"]
     assert rows[0]["gap"] > 1e-3
 

@@ -341,7 +341,7 @@ def test_fold_solve_on_the_half_grid_keeps_the_node_space_bits(monkeypatch, n, b
     _ = start.eigenvector  # its linearization is made before any factorization is recorded
 
     def halved():
-        fold = _fold_point(op, spec, start)
+        fold = _fold_point(start)
         return fold.solution.values, fold.lam, fold.solution.residual, fold.solution.residual_bound
 
     calls = _assert_same_run(monkeypatch, halved, lambda: _reference_fold(Equation.of(op, spec, start.lam), start))

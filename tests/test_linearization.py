@@ -319,7 +319,7 @@ def test_branch_point_shares_one_factor(monkeypatch, folded_branch, op256_s04, c
         fredholm_monitor(p.lam, p.solution, op256_s04, canonical_spec, lin=lin)
         assert calls == expected
         # a branch point reads both from one linearization, once, and then keeps the values
-        fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
+        fresh = BranchPoint(p.solution, op256_s04, p.tol, p.arclength, p.segment)
         calls.clear()
         values = (fresh.lambda1, fresh.monitor)
         assert calls == expected
@@ -423,7 +423,7 @@ def test_branch_points_read_stability_in_few_solves(monkeypatch, folded_branch, 
     _forbid_gershgorin_factor(monkeypatch)
     points = _rounded(folded_branch)
     for p in points:
-        fresh = BranchPoint(p.lam, p.solution, op256_s04, p.tol, p.arclength, p.segment)
+        fresh = BranchPoint(p.solution, op256_s04, p.tol, p.arclength, p.segment)
         _ = (fresh.lambda1, fresh.monitor)
     # measured: 539 solves over the 26 points, and 4 points not certified, the last four of the upper segment
     assert uncertified == [p.lam for p in folded_branch.upper_points()[-4:]]

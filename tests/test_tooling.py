@@ -177,6 +177,21 @@ def _is_call_to(node, names) -> bool:
     )
 
 
+def test_each_factorization_has_one_call_site():
+    # every Cholesky is made by spd_solver and every LU by lu_solver (the
+    # shifted and the "Cholesky, else LU" solves go through them), so one
+    # counter in each would see every factorization
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            sites += [
+                (path.name, getattr(top, "name", None), getattr(node.func, "id", None) or node.func.attr)
+                for node in ast.walk(top)
+                if _is_call_to(node, {"cho_factor", "lu_factor"})
+            ]
+    assert sorted(sites) == [("operator.py", "lu_solver", "lu_factor"), ("operator.py", "spd_solver", "cho_factor")]
+
+
 def _writes_a_diagonal(node) -> bool:
     """`m + diag(d)`, or an assignment into `m[diag_indices(...)]` (`+=` included)."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
