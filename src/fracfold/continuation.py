@@ -16,7 +16,7 @@ bordered by the tangent normalization and solved by LU, with the u-component
 weighted by 1/||u_fold||_inf so both components contribute comparably to
 arclength near the fold.  A corrected point whose secant leaves the predictor
 tangent by too wide an angle is rejected like a failed corrector
-(`MIN_COSINE`), so a step cannot jump to another part of the solution set.
+(`MIN_COSINE`), so a step that jumps across the solution set is taken shorter.
 One run keeps one bordered LU for all its correctors, reused by the chord rule
 of `damped_newton` (a step solves with it while the merit keeps falling fast
 enough, and factors afresh otherwise), so most points cost no factorization.
