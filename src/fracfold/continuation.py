@@ -13,13 +13,21 @@ on the pair (u, lam), `_arclength_points`, walks back down the minimal
 segment, out along the upper one, and extends the upper segment.  Its
 corrector is the damped-Newton core of `singular` on the problem's `Equation`,
 bordered by the tangent normalization and solved by LU, with the u-component
-weighted by 1/||u_fold||_inf so both components contribute comparably to
-arclength near the fold.  A corrected point whose secant leaves the predictor
+weighted by w = 1/(sqrt(n) ||u||_inf) so both components contribute
+comparably to arclength.  Fold rounding, its upper extension and the
+multiplicity scan hold w at the fold's amplitude.  The asymptotic probe takes
+it at the amplitude of each step's start point (Allgower & Georg, SIAM 2003,
+ch. 6), with the predictor tangent rescaled to unit length in the new w: on
+the self-similar blow-up of the upper segment its steps then change the
+amplitude by a constant factor, and its step count grows with the logarithm
+of the growth cap.  A corrected point whose secant leaves the predictor
 tangent by too wide an angle is rejected like a failed corrector
 (`MIN_COSINE`), so a step that jumps across the solution set is taken shorter.
 One run keeps one bordered LU for all its correctors, reused by the chord rule
 of `damped_newton` (a step solves with it while the merit keeps falling fast
-enough, and factors afresh otherwise), so most points cost no factorization.
+enough, and factors afresh otherwise), so at the fold's weight most points
+cost no factorization; the probe's longer relative steps need about one
+fresh factor per point.
 The fold solve and the fixed-lam LU solves (second solutions, multistarts) run
 the same rule within each solve.  Every point meets the same residual bound as
 with a fresh factor at every step.
@@ -81,6 +89,10 @@ class BranchPoint:
 
     It carries its problem, which every continuation from it reuses: the
     solution's spec (whose lam is the point's), the operator and the tolerance.
+    `arclength` sums the weighted lengths of the steps that reached the
+    point: in the fold's weight on the minimal and rounded upper segments,
+    and on a probe's points that sum plus the relative lengths of the
+    probe's steps, each in its start point's weight (`_arclength_points`).
     `lambda1` (principal eigenvalue of the linearization), its `eigenvector`
     and `monitor` (the Fredholm monitor) are computed together on the first
     read of any, from one linearized operator and its shared factors: J_e's
@@ -173,6 +185,7 @@ DS_FOLD = 2.5e-3
 FIT_HALFWIDTH = 6
 MAX_CORRECTOR = 14  # Newton steps of one corrector
 MIN_COSINE = 0.5
+LAM_FLOOR = 1e-8  # an upper extension ends at the first point with lam at or below this
 
 
 @dataclass(frozen=True)
@@ -401,13 +414,19 @@ def _tangent(w, zprev, zcurr):
     return du / norm, dlam / norm
 
 
-def _arclength_points(policy: FoldPolicy, w, start: BranchPoint, tangent, segment: str):
-    """Pseudo-arclength continuation from `start` along the unit `tangent`, on start's problem.
+def _arclength_points(policy: FoldPolicy, weight, start: BranchPoint, tangent, segment: str):
+    """Pseudo-arclength continuation from `start` along `tangent`, on start's problem.
 
     Yields one BranchPoint per step, labelled `segment`, at most policy.steps
-    of them; the caller decides where to stop.  Arclength runs on from
-    start's.  A corrected point's secant is the next step's tangent, once its
-    cosine with this one is MIN_COSINE or more; none at any ds raises _StepFailure.
+    of them; the caller decides where to stop.  weight(u) is the arclength
+    weight w of a step that starts from the n-node field u; `tangent` is a
+    unit vector in start's.  A step's corrector row, its angle test and its
+    secant all take that one w, and arclength runs on from start's by the
+    step's length in it.  Where the next step's w differs from this one's,
+    the secant is rescaled to unit length in the new w before it predicts;
+    a constant weight never rescales it.  A corrected point's secant is the
+    next step's tangent, once its cosine with this one is MIN_COSINE or
+    more; none at any ds raises _StepFailure.
     A step computes no lambda1 or monitor: the points compute them when read,
     so only a caller reading them meets their failures.  The correctors share
     one stored bordered LU (see `_corrector`), dropped when the run ends, and
@@ -418,6 +437,7 @@ def _arclength_points(policy: FoldPolicy, w, start: BranchPoint, tangent, segmen
     z = (start.solution.values, start.lam)
     ds = policy.ds
     sigma = start.arclength
+    w = weight(z[0])
     store = []
     try:
         for _ in range(policy.steps):
@@ -436,6 +456,9 @@ def _arclength_points(policy: FoldPolicy, w, start: BranchPoint, tangent, segmen
             fld = SolutionField(values=u, grid=op.grid, spec=replace(spec, lam=lam), residual=res, residual_bound=bound)
             yield BranchPoint(fld, op, tol, sigma, segment)
             z = (u, lam)
+            if (w_next := weight(u)) != w:
+                norm = _arclength(w_next, *tangent)
+                tangent, w = (tangent[0] / norm, tangent[1] / norm), w_next
     finally:
         store.clear()
 
@@ -464,10 +487,14 @@ def fold_round(
     w = _arclength_weight(fold.op, fold.sup_norm)
     phi = fold.eigenvector / (w * np.linalg.norm(fold.eigenvector))
     near = FoldPolicy(ds=DS_FOLD, ds_max=DS_FOLD, steps=FIT_HALFWIDTH)
-    back = list(_arclength_points(near, w, fold, (-phi, 0.0), "minimal"))
+
+    def weight(u):
+        return w
+
+    back = list(_arclength_points(near, weight, fold, (-phi, 0.0), "minimal"))
     for p in back:
         p.arclength = 2.0 * fold.arclength - p.arclength
-    window = [*reversed(back), fold, *_arclength_points(near, w, fold, (phi, 0.0), "upper")]
+    window = [*reversed(back), fold, *_arclength_points(near, weight, fold, (phi, 0.0), "upper")]
 
     sig = np.array([p.arclength for p in window]) - fold.arclength
     lams = np.array([p.lam for p in window])
@@ -478,29 +505,30 @@ def fold_round(
         fit_residual=float(np.abs(np.polyval(coeffs, sig) - lams).max()),
     )
     rounded = Branch(branch.minimal_points() + window, info)
-    return _extend_upper(rounded, policy, stop=lambda p: p.lam < 0.85 * fold.lam)
+    return _extend_upper(rounded, policy, stop=lambda p: p.lam < 0.85 * fold.lam, weight=weight)
 
 
-def _extend_upper(branch: Branch, policy: FoldPolicy, stop) -> Branch:
+def _extend_upper(branch: Branch, policy: FoldPolicy, stop, weight) -> Branch:
     """Continue the upper segment from its last point until stop(point) or the step budget ends.
 
-    The points go to a new Branch; the one passed in is left as it was.  Only
-    a step failed or rejected at every step length ends the extension early;
-    no lambda1 or monitor is computed unless stop reads it.
+    weight is `_arclength_points`'s; the first tangent is the secant of the
+    last two upper points, unit in the weight of the last.  The points go to
+    a new Branch; the one passed in is left as it was.  Only a step failed or
+    rejected at every step length ends the extension early; no lambda1 or
+    monitor is computed unless stop reads it.
     """
     branch = replace(branch, points=list(branch.points))
     upper = branch.upper_points()
     if len(upper) < 2:
         raise ValueError("branch has no rounded upper segment to extend")
     prev, last = upper[-2:]
-    w = _arclength_weight(last.op, branch.fold_point().sup_norm)
     if stop(branch.points[-1]):
         return branch
-    tangent = _tangent(w, (prev.solution.values, prev.lam), (last.solution.values, last.lam))
+    tangent = _tangent(weight(last.solution.values), (prev.solution.values, prev.lam), (last.solution.values, last.lam))
     with suppress(_StepFailure):
-        for point in _arclength_points(policy, w, last, tangent, "upper"):
+        for point in _arclength_points(policy, weight, last, tangent, "upper"):
             branch.points.append(point)
-            if stop(point) or point.lam <= 1e-8:
+            if stop(point) or point.lam <= LAM_FLOOR:
                 break
     return branch
 
@@ -524,7 +552,8 @@ def multiplicity_scan(branch: Branch, lam_list) -> list[dict]:
     spec.require_subcritical()
     lam_targets = sorted(lam_list, reverse=True)
     need = min(lam_targets)
-    branch = _extend_upper(branch, FoldPolicy(steps=600), stop=lambda p: p.lam < need)
+    w = _arclength_weight(op, fold.sup_norm)
+    branch = _extend_upper(branch, FoldPolicy(steps=600), stop=lambda p: p.lam < need, weight=lambda u: w)
 
     upper = branch.upper_points()
     rows = []
@@ -550,28 +579,61 @@ def multiplicity_scan(branch: Branch, lam_list) -> list[dict]:
 
 @dataclass(eq=False)
 class ProbeResult:
+    """The probe's branch, its (lam, sup_norm) table over the upper segment, and why it stopped.
+
+    `stopped` is "cap" (the sup norm reached the growth cap), "lam_floor"
+    (lam fell to LAM_FLOOR), "steps" (the step budget ran out) or
+    "step_failure" (a step failed or was rejected at every step length).
+    """
+
     lambda_a: float
     table: np.ndarray
     branch: Branch
+    stopped: str
 
 
 def asymptotic_bifurcation_probe(branch: Branch, growth_cap: float = 1e3, steps: int = 2000) -> ProbeResult:
     """Follow the upper segment toward lam -> 0, on the branch's problem, and tabulate (lam, sup_norm).
 
-    Stops when the sup norm exceeds growth_cap times the fold amplitude or the
-    step budget is exhausted; the lam infimum of the traversed segment is the
-    asymptotic-bifurcation estimate (it keeps decreasing under larger budgets
-    when the blow-up parameter is zero).
+    Stops when the sup norm reaches growth_cap times the fold amplitude, when
+    lam falls to LAM_FLOOR, when the step budget is spent or when a step
+    fails at every step length (`ProbeResult.stopped`); the lam infimum of
+    the traversed segment is the asymptotic-bifurcation estimate (it keeps
+    decreasing under larger budgets when the blow-up parameter is zero).
+
+    Each step is weighted by the amplitude of the point it starts from,
+    w = 1/(sqrt(n) ||u||_inf), not by the fold's: near the blow-up the upper
+    segment is self-similar, u ~ lam^(-1/(p-1)) times the Lane-Emden
+    solution, so steps of the policy's ds_max in that scale change the
+    amplitude by about the same factor each, and the step count grows with
+    the logarithm of growth_cap rather than in proportion to it.  The
+    arclength of a probe point is the fold-weighted arclength of the branch
+    it extends plus the sum of these relative step lengths.
     """
     if branch.fold is None:
         raise ValueError("probe requires a fold-rounded branch")
-    fold_sup = branch.fold_point().sup_norm
-    policy = FoldPolicy(ds=0.2, ds_max=2.0, steps=steps)
-    branch = _extend_upper(branch, policy, stop=lambda p: p.sup_norm >= growth_cap * fold_sup)
+    fold, given = branch.fold_point(), len(branch.points)
+
+    def weight(u):
+        return _arclength_weight(fold.op, np.abs(u).max())
+
+    def capped(p):
+        return p.sup_norm >= growth_cap * fold.sup_norm
+
+    branch = _extend_upper(branch, FoldPolicy(ds=0.2, steps=steps), stop=capped, weight=weight)
     upper = branch.upper_points()
     table = np.array([[p.lam, p.sup_norm] for p in upper])
     lambda_a = float(min(p.lam for p in upper))
-    return ProbeResult(lambda_a=lambda_a, table=table, branch=branch)
+    last = branch.points[-1]
+    if capped(last):
+        stopped = "cap"
+    elif last.lam <= LAM_FLOOR:
+        stopped = "lam_floor"
+    elif len(branch.points) - given >= steps:
+        stopped = "steps"
+    else:
+        stopped = "step_failure"
+    return ProbeResult(lambda_a=lambda_a, table=table, branch=branch, stopped=stopped)
 
 
 def small_solution_cap(spec: ProblemSpec, op: NonlocalOperator) -> float:

@@ -280,7 +280,11 @@ class Equation:
         scale(u); a solution resting on the floor is a ConvergenceError.
 
         Each Jacobian is built and factored in place in `precision`, while
-        the residual, the step and the stopping test stay float64.  In
+        the residual, the step and the stopping test stay float64.  A run
+        builds every Jacobian into one buffer of its dtype: damped_newton
+        drops the stored solve before it factors the next Jacobian, so the
+        buffer is free by then, and a run of many factorizations touches
+        the pages of one matrix, not of one per factorization.  In
         float32 the chord rule absorbs the factor's rounding as it absorbs a
         stale factor (Langou et al., SC'06), and a float32 run that fails, a
         rejected factor included, is run again from u0 in float64, so a
@@ -291,8 +295,10 @@ class Equation:
         start = run.restrict(u0)
 
         def newton(dtype):
+            jac = np.empty((len(start), len(start)), dtype)  # the run's one Jacobian buffer
+
             def factored(u):  # J is symmetric: its transpose view is J in column-major order, and scratch
-                return run.basis.solver(factor(run.jacobian(u, dtype=dtype).T, overwrite=True))
+                return run.basis.solver(factor(run.jacobian(u, out=jac).T, overwrite=True))
 
             return damped_newton(start, partial(run.evaluate, tol=tol), _sup_norm, factored, _floored, maxit, 40)
 

@@ -256,7 +256,7 @@ def test_criterion_10_asymptotic_rejects_a_bounded_upper_segment(monkeypatch, ac
     def bounded(branch, *args, **kwargs):
         upper = branch.upper_points()
         table = np.array([[p.lam, p.sup_norm] for p in upper])
-        return ProbeResult(lambda_a=float(table[:, 0].min()), table=table, branch=branch)
+        return ProbeResult(lambda_a=float(table[:, 0].min()), table=table, branch=branch, stopped="steps")
 
     if planted:
         monkeypatch.setattr(verify, "asymptotic_bifurcation_probe", bounded)

@@ -210,10 +210,10 @@ def test_asymptotic_probe_growth_and_extension(folded_branch):
     assert max(minimal_sups) <= fold_sup * (1.0 + 1e-9)
 
 
-def test_probe_makes_fewer_factorizations_than_points(monkeypatch, folded_branch):
-    # the correctors of one arclength run share a bordered LU: most points are
-    # corrected with a factor made for an earlier one, so the probe makes fewer
-    # LU factorizations than it adds points (one or more each without reuse)
+def test_probe_to_the_default_cap_takes_few_points_and_factorizations(monkeypatch, folded_branch):
+    # the probe steps in the amplitude's own scale, so it reaches the default
+    # cap of 1e3 times the fold's sup in 21 points and 39 bordered LUs (351
+    # and 80 with every step weighted by the fold's amplitude)
     calls = []
     original = fracfold.operator.lu_factor
 
@@ -224,7 +224,39 @@ def test_probe_makes_fewer_factorizations_than_points(monkeypatch, folded_branch
     monkeypatch.setattr(fracfold.operator, "lu_factor", counted)
     probe = asymptotic_bifurcation_probe(folded_branch, steps=400)
     added = len(probe.branch.points) - len(folded_branch.points)
-    assert len(calls) < added
+    assert probe.stopped == "cap"
+    assert added <= 25 and len(calls) <= 45
+
+
+def test_probe_steps_by_a_constant_factor_of_the_amplitude(folded_branch):
+    # beyond 4x the fold's sup every step is of ds_max in the relative weight
+    # 1/(sqrt(n) sup): consecutive sups differ by a factor of 1.3594-1.3601,
+    # evenly spaced in log sup, and cap 300 is reached in 31 upper points
+    # (123 with the fold's weight)
+    fold_sup = folded_branch.fold_point().sup_norm
+    probe = asymptotic_bifurcation_probe(folded_branch, growth_cap=300.0, steps=800)
+    sups = [p.sup_norm for p in probe.branch.upper_points()]
+    ratios = [b / a for a, b in zip(sups, sups[1:]) if a > 4.0 * fold_sup]
+    assert len(ratios) >= 10 and all(1.35 <= r <= 1.37 for r in ratios)
+    assert probe.stopped == "cap" and len(sups) <= 40
+
+
+def test_probe_says_why_it_stopped(monkeypatch, folded_branch):
+    assert asymptotic_bifurcation_probe(folded_branch, steps=2).stopped == "steps"
+    monkeypatch.setattr(fracfold.continuation, "_corrector", lambda *args: None)
+    probe = asymptotic_bifurcation_probe(folded_branch, steps=400)
+    assert probe.stopped == "step_failure" and len(probe.branch.points) == len(folded_branch.points)
+
+
+def test_an_exponential_probe_stops_at_the_lam_floor():
+    # f = e^u at s = 0.4, delta = 0.5 has no amplitude cap within reach: its
+    # upper segment runs down to lam <= 1e-8 at sup about 26
+    expu = Nonlinearity(kind="custom", f_fn=np.exp, fp_fn=np.exp, fpp_fn=np.exp)
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=expu)
+    op = assemble_operator(build_grid(1.0, 256), spec.s)
+    probe = asymptotic_bifurcation_probe(fold_round(trace_minimal(spec, op), op, spec), growth_cap=300.0, steps=800)
+    assert probe.stopped == "lam_floor"
+    assert probe.lambda_a <= 1e-8 and probe.table[-1, 1] < 300.0 * probe.branch.fold_point().sup_norm
 
 
 def _upper_tangent(branch, w, i):
@@ -272,7 +304,7 @@ def test_arclength_run_falls_back_to_fresh_newton(monkeypatch, folded_branch, op
     policy = FoldPolicy(steps=12)
 
     def run():
-        return [(p.lam, p.arclength) for p in _arclength_points(policy, w, start, tangent, "upper")]
+        return [(p.lam, p.arclength) for p in _arclength_points(policy, lambda u: w, start, tangent, "upper")]
 
     real = fracfold.continuation._corrector
     monkeypatch.setattr(fracfold.continuation, "_corrector", lambda *args: real(*args[:6]))

@@ -25,7 +25,7 @@ from fracfold import (
 from fracfold import singular
 from fracfold.continuation import TracePolicy, _corrector, trace_minimal
 from fracfold.linearization import lambda1
-from fracfold.operator import lu_solver, matvec, principal_eigenpair, spd_solver, unfold
+from fracfold.operator import lu_solver, matvec, principal_eigenpair, spd_or_lu_solver, spd_solver, unfold
 from fracfold.problem import Nonlinearity
 from fracfold.singular import (
     Equation,
@@ -520,6 +520,40 @@ def test_pure_singular_solves_reuse_factors():
         start = subsolution_constant(spec, op) * principal_eigenpair(op).vector
         eq.solve(start, 1e-8, _counting(singular.spd_solver, steps, factors), 80)
         assert len(factors) < len(steps), (spec, len(factors), len(steps))
+
+
+def test_a_newton_run_builds_every_jacobian_in_one_buffer(monkeypatch, op256, canonical_spec):
+    # with a fresh factor at every step, every factorization of one run gets
+    # the same memory (the matrices handed over are held, so none is freed
+    # for the next to reuse): a random start runs on the nodes (Cholesky,
+    # else LU, of J), an even one on the half grid (J_e), and a run of
+    # float32 Jacobians that fails is run again into a float64 buffer
+    monkeypatch.setattr(singular, "CHORD_RATIO", 0.0)
+    lam = 1e-3 * 0.52  # uniqueness_probe's: 1e-3 of the fold's lam
+    eq = Equation.of(op256, canonical_spec, lam)
+    starts = [np.random.default_rng(0).uniform(0.01, 0.5, op256.n), solve_min(lam, canonical_spec, op256).values * 2.0]
+    for start, order in zip(starts, (op256.n, (op256.n + 1) // 2)):
+        jacs = []
+
+        def factor(jac, **kwargs):
+            jacs.append(jac)
+            return spd_or_lu_solver(jac, **kwargs)
+
+        eq.solve(start, 1e-8, factor, 60)
+        assert len(jacs) >= 3 and jacs[0].shape == (order, order)
+        assert all(np.shares_memory(jac, jacs[0]) for jac in jacs)
+
+    spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
+    pure = Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
+    jacs = []
+
+    def float64_only(jac, **kwargs):
+        jacs.append(jac)
+        return spd_solver(jac, op256.n, **kwargs) if jac.dtype == np.float64 else None
+
+    pure.solve(subsolution_constant(spec, op256) * principal_eigenpair(op256).vector, 1e-8, float64_only, 80)
+    assert [jac.dtype for jac in jacs[:2]] == [np.float32, np.float64] and len(jacs) >= 3
+    assert all(np.shares_memory(jac, jacs[1]) for jac in jacs[1:])
 
 
 def test_newton_tests_convergence_after_its_last_step(monkeypatch, op256):
