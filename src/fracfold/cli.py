@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,11 +51,7 @@ def _add_common(p: _Parser) -> None:
 
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("s", "delta", "beta", "coeff", "p", "lam", "n", "half_width", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
     if getattr(args, "suite", None):
         overrides["suites"] = args.suite
     cfg = replace(cfg, **overrides)
@@ -176,49 +173,40 @@ def main(argv=None) -> int:
     parser = _Parser(prog="fracfold", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("assemble-check", parents=[], help="assemble the operator and verify its structure")
+    p = sub.add_parser("assemble-check", help="assemble the operator and verify its structure")
     _add_common(p)
     p.add_argument("--dump-matrix", action="store_true", help="write the matrix in triplet form")
+    p.set_defaults(run=_cmd_assemble_check)
 
-    for name in ("solve-ps", "solve-plambda"):
-        p = sub.add_parser(name, help="solve the pure singular problem" if name == "solve-ps"
+    for name, pure in (("solve-ps", True), ("solve-plambda", False)):
+        p = sub.add_parser(name, help="solve the pure singular problem" if pure
                            else "solve the full problem at one lambda")
         _add_common(p)
         p.add_argument("--export-plots", action="store_true")
+        p.set_defaults(run=partial(_cmd_solve, pure=pure))
 
-    for name in ("branch", "fold"):
-        p = sub.add_parser(name, help="trace the minimal branch" if name == "branch"
-                           else "trace the branch and round the fold")
+    for name, with_fold in (("branch", False), ("fold", True)):
+        p = sub.add_parser(name, help="trace the branch and round the fold" if with_fold
+                           else "trace the minimal branch")
         _add_common(p)
         p.add_argument("--export-plots", action="store_true")
+        p.set_defaults(run=partial(_cmd_branch, with_fold=with_fold))
 
     p = sub.add_parser("multiplicity", help="minimal and second solutions below the fold")
     _add_common(p)
+    p.set_defaults(run=_cmd_multiplicity)
 
     p = sub.add_parser("verify", help="run verification suites")
     _add_common(p)
     p.add_argument("--suite", help="comma-separated suite names (default from config: all)")
+    p.set_defaults(run=_cmd_verify)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "assemble-check":
-            return _cmd_assemble_check(args)
-        if args.command == "solve-ps":
-            return _cmd_solve(args, pure=True)
-        if args.command == "solve-plambda":
-            return _cmd_solve(args, pure=False)
-        if args.command == "branch":
-            return _cmd_branch(args, with_fold=False)
-        if args.command == "fold":
-            return _cmd_branch(args, with_fold=True)
-        if args.command == "multiplicity":
-            return _cmd_multiplicity(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except (ValueError, OSError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ Cholesky, which holds below the amplitude cap, else by LU
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -505,17 +504,19 @@ def fold_round(
         fit_residual=float(np.abs(np.polyval(coeffs, sig) - lams).max()),
     )
     rounded = Branch(branch.minimal_points() + window, info)
-    return _extend_upper(rounded, policy, stop=lambda p: p.lam < 0.85 * fold.lam, weight=weight)
+    return _extend_upper(rounded, policy, stop=lambda p: p.lam < 0.85 * fold.lam, weight=weight)[0]
 
 
-def _extend_upper(branch: Branch, policy: FoldPolicy, stop, weight) -> Branch:
-    """Continue the upper segment from its last point until stop(point) or the step budget ends.
+def _extend_upper(branch: Branch, policy: FoldPolicy, stop, weight) -> tuple[Branch, str]:
+    """Continue the upper segment from its last point until stop(point) or the step budget ends; (branch, why).
 
     weight is `_arclength_points`'s; the first tangent is the secant of the
     last two upper points, unit in the weight of the last.  The points go to
     a new Branch; the one passed in is left as it was.  Only a step failed or
     rejected at every step length ends the extension early; no lambda1 or
-    monitor is computed unless stop reads it.
+    monitor is computed unless stop reads it.  why is "stop" (stop held at
+    the last point), "lam_floor" (lam fell to LAM_FLOOR), "steps" (policy's
+    step budget ran out) or "step_failure".
     """
     branch = replace(branch, points=list(branch.points))
     upper = branch.upper_points()
@@ -523,14 +524,18 @@ def _extend_upper(branch: Branch, policy: FoldPolicy, stop, weight) -> Branch:
         raise ValueError("branch has no rounded upper segment to extend")
     prev, last = upper[-2:]
     if stop(branch.points[-1]):
-        return branch
+        return branch, "stop"
     tangent = _tangent(weight(last.solution.values), (prev.solution.values, prev.lam), (last.solution.values, last.lam))
-    with suppress(_StepFailure):
+    try:
         for point in _arclength_points(policy, weight, last, tangent, "upper"):
             branch.points.append(point)
-            if stop(point) or point.lam <= LAM_FLOOR:
-                break
-    return branch
+            if stop(point):
+                return branch, "stop"
+            if point.lam <= LAM_FLOOR:
+                return branch, "lam_floor"
+    except _StepFailure:
+        return branch, "step_failure"
+    return branch, "steps"
 
 
 def multiplicity_scan(branch: Branch, lam_list) -> list[dict]:
@@ -553,7 +558,7 @@ def multiplicity_scan(branch: Branch, lam_list) -> list[dict]:
     lam_targets = sorted(lam_list, reverse=True)
     need = min(lam_targets)
     w = _arclength_weight(op, fold.sup_norm)
-    branch = _extend_upper(branch, FoldPolicy(steps=600), stop=lambda p: p.lam < need, weight=lambda u: w)
+    branch = _extend_upper(branch, FoldPolicy(steps=600), stop=lambda p: p.lam < need, weight=lambda u: w)[0]
 
     upper = branch.upper_points()
     rows = []
@@ -612,7 +617,7 @@ def asymptotic_bifurcation_probe(branch: Branch, growth_cap: float = 1e3, steps:
     """
     if branch.fold is None:
         raise ValueError("probe requires a fold-rounded branch")
-    fold, given = branch.fold_point(), len(branch.points)
+    fold = branch.fold_point()
 
     def weight(u):
         return _arclength_weight(fold.op, np.abs(u).max())
@@ -620,20 +625,11 @@ def asymptotic_bifurcation_probe(branch: Branch, growth_cap: float = 1e3, steps:
     def capped(p):
         return p.sup_norm >= growth_cap * fold.sup_norm
 
-    branch = _extend_upper(branch, FoldPolicy(ds=0.2, steps=steps), stop=capped, weight=weight)
+    branch, stopped = _extend_upper(branch, FoldPolicy(ds=0.2, steps=steps), stop=capped, weight=weight)
     upper = branch.upper_points()
     table = np.array([[p.lam, p.sup_norm] for p in upper])
     lambda_a = float(min(p.lam for p in upper))
-    last = branch.points[-1]
-    if capped(last):
-        stopped = "cap"
-    elif last.lam <= LAM_FLOOR:
-        stopped = "lam_floor"
-    elif len(branch.points) - given >= steps:
-        stopped = "steps"
-    else:
-        stopped = "step_failure"
-    return ProbeResult(lambda_a=lambda_a, table=table, branch=branch, stopped=stopped)
+    return ProbeResult(lambda_a=lambda_a, table=table, branch=branch, stopped="cap" if stopped == "stop" else stopped)
 
 
 def small_solution_cap(spec: ProblemSpec, op: NonlocalOperator) -> float:

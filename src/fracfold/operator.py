@@ -74,14 +74,16 @@ holder's `matrix`, A's blocks, a J_o whose Cholesky an LU may follow) is
 copied once, contiguously.  A float32 matrix (a single-precision Newton
 Jacobian) meets only the float32 kernels.  The module hands out solves
 x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
-partial pivoting), `spd_or_lu_solver` ("Cholesky, else LU", for a holder's
-block and a scratch Jacobian alike) and `shifted_spd_solver` (Cholesky
-below the Gershgorin discs).  The solves with A and with every J are held
-by one `LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0),
-and the smallest eigenpair of either comes from `smallest_eigenpairs`:
-shift-invert Lanczos through the holder's solve, on the even block when it
-keeps one.  The LU solve and the Lanczos tridiagonal's eigensolver call
-LAPACK (getrs, stevd) directly, without scipy's per-call wrappers.
+partial pivoting), `spd_or_lu_solver` ("Cholesky, else LU" in place, for a
+Newton run's scratch Jacobian) and `shifted_spd_solver` (Cholesky below the
+Gershgorin discs).  The solves with A and with every J are held by one
+`LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0), which
+keeps its own "Cholesky, else LU": its cached Cholesky, else an LU of a
+copy of its kept matrix (`block_solve`).  The smallest eigenpair of either
+comes from `smallest_eigenpairs`: shift-invert Lanczos through the holder's
+solve, on the even block when it keeps one.  The LU solve and the Lanczos
+tridiagonal's eigensolver call LAPACK (getrs, stevd) directly, without
+scipy's per-call wrappers.
 """
 
 from __future__ import annotations
@@ -566,24 +568,23 @@ def lu_solver(mat: np.ndarray, overwrite: bool = False):
     return solve
 
 
-def spd_or_lu_solver(mat: np.ndarray, n: int | None = None, overwrite: bool = False, cholesky=None):
+def spd_or_lu_solver(mat: np.ndarray, overwrite: bool = False):
     """x -> mat^-1 x for symmetric mat by its Cholesky factor, else by LU; None when mat is exactly singular.
 
-    The one home of "Cholesky, else LU".  The Cholesky is `spd_solver(mat,
-    n, overwrite)`, or the function of no arguments `cholesky` when the
-    caller keeps that solve already (a holder's cached one).  The LU gets
-    mat's column-major form.  With overwrite=True the Cholesky factors mat
-    in place and only mat's diagonal is kept aside: LAPACK's potrf with
-    lower=True neither reads nor writes the strict upper triangle, so after
-    a failed Cholesky that triangle, mirrored, and the kept diagonal give
-    the LU mat back bit for bit.  A copy of the whole matrix would be a
+    "Cholesky, else LU" for a Newton run's scratch Jacobian (the multistarts
+    of `continuation.uniqueness_probe`); a holder keeps its own rule
+    (`LinearizedOperator.block_solve`).  The Cholesky is `spd_solver` and
+    the LU gets mat's column-major form.  With overwrite=True the Cholesky
+    factors mat in place and only mat's diagonal is kept aside: LAPACK's
+    potrf with lower=True neither reads nor writes the strict upper
+    triangle, so after a failed Cholesky that triangle, mirrored, and the
+    kept diagonal give the LU mat back bit for bit.  A copy of the whole matrix would be a
     fresh allocation on every call, whose page faults cost more at n = 256
     than the Cholesky saves over the LU.
     """
     col = mat if mat.flags.f_contiguous else mat.T
     diagonal = np.diagonal(col).copy() if overwrite else None
-    solve = spd_solver(mat, n, overwrite) if cholesky is None else cholesky()
-    if solve is not None:
+    if (solve := spd_solver(mat, overwrite=overwrite)) is not None:
         return solve
     if overwrite:  # the lower triangle may hold part of a factor: put mat back from the rest
         k = len(col)
@@ -642,8 +643,11 @@ class LinearizedOperator:
 
     @cached_property
     def block_solve(self):
-        """x -> matrix^-1 x by its Cholesky or else LU factor, or None when it is exactly singular."""
-        return spd_or_lu_solver(self.matrix, self.n, cholesky=lambda: self.cholesky)
+        """x -> matrix^-1 x by its cached `cholesky`, else by an LU of matrix's column-major form; None when singular.
+
+        matrix is kept, so the LU factors a copy and no Cholesky is tried twice.
+        """
+        return self.cholesky or lu_solver(self.matrix if self.matrix.flags.f_contiguous else self.matrix.T)
 
     @cached_property
     def odd_solve(self):
@@ -888,12 +892,12 @@ def fredholm_sigma(lin: LinearizedOperator, op: NonlocalOperator, f, potential, 
     l); once that is at least (1 + FLOOR_MARGIN) sigma_e, the minimum is
     sigma_e.  Where it is not, or the floor's premise fails, sigma_o is read
     like sigma_e, and a singular J_o gives 0.0.  Without an odd block (an
-    asymmetric field) one run on n nodes goes through J's solve.
+    asymmetric field) matrix is J itself and sigma_e is sigma_min.
     """
-    if lin.odd_solve is None:
-        return _sigma_min(lin.solve, f, rtol)
     k = len(lin.matrix)
     sigma = _sigma_min(lin.block_solve, f[:k], rtol)
+    if lin.odd_solve is None:
+        return sigma
     f_odd = f[: lin.n - k]
     floor = odd_floor(op, potential)
     if floor > 0.0 and 1.0 / (1.0 + np.abs(f_odd).max() / floor) >= (1.0 + FLOOR_MARGIN) * sigma:

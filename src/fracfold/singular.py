@@ -15,10 +15,12 @@ a Newton run (`Equation.on`), the holder of its solves
 maps a Jacobian to a solve with it and never hands out a LAPACK factor
 (`operator.spd_solver`, given n so that it probes every block with the
 n-node sine profile, for the solves below, `operator.lu_solver` for the
-second solutions in `continuation`, `operator.spd_or_lu_solver` for its
-multistarts, the bordered LU for its arclength corrector and its fold
-solve), and the trial map (the positivity floor here, rejection of
-nonpositive trials in `continuation`).
+second solutions in `continuation`, `operator.spd_or_lu_solver`, Cholesky
+else LU in place, for its multistarts, the bordered LU for its arclength
+corrector and its fold solve), and the trial map (the positivity floor
+here, rejection of nonpositive trials in `continuation`).  A holder of a
+linearization's solves keeps its own "Cholesky, else LU"
+(`operator.LinearizedOperator.block_solve`).
 `damped_newton` reuses a factored solve while the merit falls fast (the
 chord rule), so a solve makes fewer factorizations than steps.  Newton stops
 when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
@@ -201,8 +203,8 @@ class Equation:
         singular = self.lam * self.delta * (self.delta + 1.0) * self.k * u ** (-self.delta - 2.0)
         return -singular - self.lam * self.nonlinearity.fsecond(u)
 
-    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False, dtype=np.float64) -> np.ndarray:
-        """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new array of `dtype`.
+    def jacobian(self, u: np.ndarray, out: np.ndarray | None = None, odd: bool = False) -> np.ndarray:
+        """dG/du = A + diag(potential), or one of its blocks, written into `out` (an array or view) or a new float64 array.
 
         The even block is Q^T A Q + diag(potential[:ceil(n/2)]) (Q^T diag(p)
         Q = diag(p[:ceil(n/2)]) for an even p); with odd=True it is Q_o^T A
@@ -211,17 +213,16 @@ class Equation:
         nodes J.  A's cached block, or A from `NonlocalOperator.dense`, goes
         into the target and its diagonal is summed with the potential: the
         bits of the sum with no temporary of the matrix's size, each entry
-        rounded once into a float32 target (dtype=np.float32, for Newton's
-        single-precision factor).
+        rounded once into a float32 `out` (Newton's single-precision buffer).
         """
         pot = self.potential(u)
         if odd or len(u if out is None else out) < self.op.n:
             base = self.op.odd_block if odd else self.op.even_block
-            out = np.empty(base.shape, dtype) if out is None else out
+            out = np.empty(base.shape) if out is None else out
             out[...] = base
             diagonal = np.diagonal(base)
         else:
-            out = self.op.dense(np.empty((len(u), len(u)), dtype) if out is None else out)
+            out = self.op.dense(out)
             diagonal = self.op.diagonal
         out[np.diag_indices(len(out))] = diagonal + pot[: len(out)]
         return out

@@ -45,6 +45,11 @@ class VerificationRecord:
     tolerance: str
     passed: bool
 
+    def __post_init__(self):
+        """expected, measured and tolerance as text and passed as a plain bool, whatever a check computed them as."""
+        self.expected, self.measured, self.tolerance = str(self.expected), str(self.measured), str(self.tolerance)
+        self.passed = bool(self.passed)
+
 
 @dataclass
 class VerificationReport:
@@ -70,28 +75,17 @@ def format_report(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def _record(name, claim, params, expected, measured, tolerance, passed) -> VerificationRecord:
-    return VerificationRecord(
-        name=name,
-        claim=claim,
-        params=params,
-        expected=str(expected),
-        measured=str(measured),
-        tolerance=str(tolerance),
-        passed=bool(passed),
-    )
-
-
 class _Cache(dict):
-    def operator(self, half_width, n, s):
-        key = ("op", half_width, n, s)
+    def operator(self, n, s):
+        """The operator of order s on (-1, 1) with n nodes, assembled once."""
+        key = ("op", n, s)
         if key not in self:
-            self[key] = assemble_operator(build_grid(half_width, n), s)
+            self[key] = assemble_operator(build_grid(1.0, n), s)
         return self[key]
 
     def pure(self, spec: ProblemSpec, n: int, tol: float):
         """Pure singular solution on (-1, 1) with n nodes, cached on the shared operator."""
-        return pure_singular_cached(spec, self.operator(1.0, n, spec.s), tol)
+        return pure_singular_cached(spec, self.operator(n, spec.s), tol)
 
 
 # --- 1. discretization oracle -------------------------------------------------
@@ -130,7 +124,7 @@ def check_discretization(cfg: RunConfig, cache: _Cache) -> list[VerificationReco
             abs(_closed_form_quadrature(s, x0) - exact_const) / exact_const for x0 in (0.0, 0.3, -0.45)
         )
         records.append(
-            _record(
+            VerificationRecord(
                 f"getoor-constant-s{s}",
                 "closed-form operator constant confirmed by adaptive quadrature",
                 {"s": s},
@@ -142,13 +136,13 @@ def check_discretization(cfg: RunConfig, cache: _Cache) -> list[VerificationReco
         )
         errs = []
         for n in (128, 256, 512, 1024):
-            op = cache.operator(1.0, n, s)
+            op = cache.operator(n, s)
             w = solve_dirichlet(op, np.ones(n))
             exact = (1.0 - op.grid.nodes ** 2) ** s / exact_const
             errs.append(float(np.abs(w - exact).max() / np.abs(exact).max()))
         mono = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         records.append(
-            _record(
+            VerificationRecord(
                 f"getoor-solve-s{s}",
                 "unit-forcing solve matches (1-x^2)^s / Gamma(2s+1)",
                 {"s": s, "n": [128, 256, 512, 1024]},
@@ -168,7 +162,7 @@ def check_comparison(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     records = []
     for s in (0.25, 0.4, 0.5, 0.75):
         for n in (128, 256):
-            op = cache.operator(1.0, n, s)
+            op = cache.operator(n, s)
             mat = op.dense()
             scale = np.abs(mat).max()
             sign_ok = (
@@ -185,7 +179,7 @@ def check_comparison(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
                 if diff.min() < -1e-12 * max(1.0, np.abs(diff).max()):
                     violations += 1
             records.append(
-                _record(
+                VerificationRecord(
                     f"mmatrix-s{s}-n{n}",
                     "sign pattern, symmetry, and comparison on 100 ordered pairs",
                     {"s": s, "n": n},
@@ -211,7 +205,7 @@ def check_scaling(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             scaled = scale_pure_singular(u1, lam)
             dist = float(np.abs(direct.values - scaled.values).max())
             records.append(
-                _record(
+                VerificationRecord(
                     f"scaling-d{delta}-lam{lam}",
                     "solve with weight lam*K equals lam^(1/(delta+1)) times the unit solve",
                     {"s": s, "delta": delta, "lam": lam, "n": n},
@@ -233,11 +227,11 @@ def check_rates(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         ("rate-sub", ProblemSpec(s=0.4, delta=0.5, beta=0.0), 0.4, 0.05),
         ("rate-super", ProblemSpec(s=0.4, delta=3.0, beta=0.0), 0.2, 0.05),
     ):
-        op = cache.operator(1.0, n, spec.s)
+        op = cache.operator(n, spec.s)
         u = cache.pure(spec, n, cfg.newton_tol)
         alpha, r2 = fit_boundary_exponent(u.values, op.grid)
         records.append(
-            _record(
+            VerificationRecord(
                 name,
                 "fitted boundary exponent matches the regime prediction",
                 {"s": spec.s, "delta": spec.delta, "beta": spec.beta, "n": n},
@@ -248,12 +242,12 @@ def check_rates(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             )
         )
     spec = ProblemSpec(s=0.5, delta=1.0, beta=0.0)
-    op = cache.operator(1.0, n, spec.s)
+    op = cache.operator(n, spec.s)
     u = cache.pure(spec, n, cfg.newton_tol)
     alpha, r2 = fit_boundary_exponent(u.values, op.grid)
     flag = classify_regime(spec.s, spec.delta, spec.beta) is Regime.CRITICAL
     records.append(
-        _record(
+        VerificationRecord(
             "rate-critical",
             "borderline case fits strictly below the plain eigenfunction rate, "
             "within 0.1, with the log-correction flag raised",
@@ -278,12 +272,12 @@ def check_hs_threshold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
         ProblemSpec(s=0.75, delta=1.0, beta=1.4),
         ProblemSpec(s=0.75, delta=5.0, beta=1.4),
     ):
-        op = cache.operator(1.0, n, spec.s)
+        op = cache.operator(n, spec.s)
         u = cache.pure(spec, n, cfg.newton_tol)
         mass, verdict = hs_membership_indicator(u.values, op.grid, spec)
         algebraic = "finite" if spec.hs_flag else "diverging"
         records.append(
-            _record(
+            VerificationRecord(
                 f"hs-threshold-s{spec.s}-d{spec.delta}-b{spec.beta}",
                 "integrability verdict agrees with the algebraic threshold",
                 {"s": spec.s, "delta": spec.delta, "beta": spec.beta, "n": n},
@@ -309,7 +303,7 @@ def check_holder(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     ):
         at_g, at_gp, hs = [], [], []
         for n in (256, 512, 1024):
-            op = cache.operator(1.0, n, spec.s)
+            op = cache.operator(n, spec.s)
             u = cache.pure(spec, n, cfg.newton_tol)
             at_g.append(holder_seminorm(u.values, op.grid, gam))
             at_gp.append(holder_seminorm(u.values, op.grid, gam + 0.1))
@@ -317,7 +311,7 @@ def check_holder(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         stable = max(at_g) / min(at_g) <= 1.5
         growth = [np.log(at_gp[i + 1] / at_gp[i]) / np.log(hs[i] / hs[i + 1]) for i in range(2)]
         records.append(
-            _record(
+            VerificationRecord(
                 f"{name}-stable",
                 "seminorm at the predicted exponent is refinement-stable",
                 {"s": spec.s, "delta": spec.delta, "gamma": gam},
@@ -328,7 +322,7 @@ def check_holder(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             )
         )
         records.append(
-            _record(
+            VerificationRecord(
                 f"{name}-growth",
                 "seminorm 0.1 above the predicted exponent blows up like h^-0.1 under refinement",
                 {"s": spec.s, "delta": spec.delta, "gamma": round(gam + 0.1, 12)},
@@ -347,17 +341,17 @@ _BRANCH_SPEC = ProblemSpec(s=0.4, delta=0.5, beta=0.0, coeff=1.0, nonlinearity=p
 
 
 def _traced(cache: _Cache, n: int, tol: float):
-    key = ("branch", n)
+    key = ("branch", n, tol)
     if key not in cache:
-        op = cache.operator(1.0, n, _BRANCH_SPEC.s)
+        op = cache.operator(n, _BRANCH_SPEC.s)
         cache[key] = trace_minimal(_BRANCH_SPEC, op, TracePolicy(tol=tol))
     return cache[key]
 
 
 def _folded(cache: _Cache, n: int, tol: float):
-    key = ("folded", n)
+    key = ("folded", n, tol)
     if key not in cache:
-        op = cache.operator(1.0, n, _BRANCH_SPEC.s)
+        op = cache.operator(n, _BRANCH_SPEC.s)
         cache[key] = fold_round(_traced(cache, n, tol), op, _BRANCH_SPEC, FoldPolicy())
     return cache[key]
 
@@ -372,7 +366,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         tail = l1[-4:]
         decreasing = all(tail[i] > tail[i + 1] for i in range(len(tail) - 1))
         records.append(
-            _record(
+            VerificationRecord(
                 f"branch-lambda1-n{n}",
                 "principal eigenvalue positive on the minimal branch, decreasing near the fold",
                 {"n": n, **_params(_BRANCH_SPEC)},
@@ -384,7 +378,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         )
     rel = abs(estimates[512] - estimates[1024]) / estimates[1024]
     records.append(
-        _record(
+        VerificationRecord(
             "branch-lambda-reproducible",
             "extremal-parameter estimate agrees across grid refinement",
             {"n": [512, 1024]},
@@ -394,12 +388,12 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
             rel <= 0.01,
         )
     )
-    op = cache.operator(1.0, 512, _BRANCH_SPEC.s)
+    op = cache.operator(512, _BRANCH_SPEC.s)
     fold = _folded(cache, 512, cfg.newton_tol).fold_point()
     lam_est = fold.lam
     bound = _nonexistence_bound(_BRANCH_SPEC, op)
     records.append(
-        _record(
+        VerificationRecord(
             "branch-nonexistence",
             "every solution has lambda <= mu_1/m, so the traced extremal parameter lies below it",
             {"n": 512, **_params(_BRANCH_SPEC)},
@@ -416,7 +410,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     except ConvergenceError as exc:
         lam1, measured = None, f"solve failed: {exc}"
     records.append(
-        _record(
+        VerificationRecord(
             "branch-existence",
             "a stable minimal solution exists just below the extremal parameter",
             {"n": 512, "lam": lam},
@@ -428,7 +422,7 @@ def check_branch(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     )
     res = float(np.abs(Equation.of(op, _BRANCH_SPEC, fold.lam).residual(fold.solution.values)).max())
     records.append(
-        _record(
+        VerificationRecord(
             "branch-fold-point",
             "the fold point solves the problem at the extremal parameter, where lambda1 vanishes with phi > 0",
             {"n": 512, **_params(_BRANCH_SPEC)},
@@ -466,7 +460,7 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     records = []
     tol = cfg.newton_tol
     spec_b = ProblemSpec(s=0.45, delta=1.0, beta=0.1, coeff=1.0, nonlinearity=power_nonlinearity(2.5))
-    op_b = cache.operator(1.0, 256, spec_b.s)
+    op_b = cache.operator(256, spec_b.s)
     branch_b = fold_round(trace_minimal(spec_b, op_b, TracePolicy(tol=tol)), op_b, spec_b, FoldPolicy())
     sets = [("fold-a", _BRANCH_SPEC, _folded(cache, 256, tol)), ("fold-b", spec_b, branch_b)]
     for name, spec, branch in sets:
@@ -475,7 +469,7 @@ def check_fold(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
         lam_est = branch.fold_point().lam
         consistent = abs(apex - lam_est) <= 1e-3 * lam_est
         records.append(
-            _record(
+            VerificationRecord(
                 name,
                 "normalized branch slope vanishes at the fold and the curvature is negative",
                 {**_params(spec), "n": 256},
@@ -498,7 +492,7 @@ def check_multiplicity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
     gap_half = by_lam[0.5]["gap"]
     complete = all(r["complete"] for r in rows)
     records = [
-        _record(
+        VerificationRecord(
             "multiplicity-distinct",
             "two distinct solutions exist at half the extremal parameter",
             {"lam": 0.5 * lam_est, "n": 256},
@@ -511,7 +505,7 @@ def check_multiplicity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord
     gaps = [by_lam[k]["gap"] for k in (0.5, 0.7, 0.9)]
     found = None not in gaps
     records.append(
-        _record(
+        VerificationRecord(
             "multiplicity-gap-shrinks",
             "the two solutions approach each other toward the fold",
             {"lams": [0.5, 0.7, 0.9]},
@@ -534,7 +528,7 @@ def check_asymptotic(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     lam_inf_1 = probe1.lambda_a
     sup_max_1 = probe1.table[:, 1].max()
     records = [
-        _record(
+        VerificationRecord(
             "asymptotic-growth",
             "along the upper segment the amplitude grows 10x while lam shrinks 10x",
             {"n": 256, "cap": 30.0},
@@ -546,7 +540,7 @@ def check_asymptotic(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     ]
     probe2 = asymptotic_bifurcation_probe(probe1.branch, growth_cap=300.0, steps=800)
     records.append(
-        _record(
+        VerificationRecord(
             "asymptotic-extends",
             "the lam infimum keeps decreasing under a larger continuation budget",
             {"cap": 300.0},
@@ -564,7 +558,7 @@ def check_asymptotic(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
 def check_sensitivity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     spec = ProblemSpec(s=0.4, delta=0.7, beta=0.2, coeff=1.0)
     n = 192
-    op = cache.operator(1.0, n, spec.s)
+    op = cache.operator(n, spec.s)
     lam = 0.3
     x = op.grid.nodes
     h_field = 0.5 * (1.0 + np.cos(np.pi * x))
@@ -582,40 +576,34 @@ def check_sensitivity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]
     def err(field, approx):
         return float(np.abs(approx - field).max() / (1.0 + np.abs(field).max()))
 
-    # w1: central difference in lam, order ~2
-    errors = []
-    for t in (1e-3 * scale, 1e-4 * scale):
-        approx = (tsolve(lam + t, h_field) - tsolve(lam - t, h_field)) / (2.0 * t)
-        errors.append(err(bundle.w1, approx))
-    order = np.log10(errors[0] / errors[1])
-    records.append(
-        _record(
-            "sensitivity-w1",
+    # first derivatives: w1 by central differences in lam (order ~2), v by forward differences in h (order ~1)
+    for name, claim, derivative, difference in (
+        (
+            "w1",
             "lam-derivative field matches central differences of the solve",
-            {"steps": [1e-3, 1e-4]},
-            "order >= 1",
-            f"errs {errors[0]:.2e}/{errors[1]:.2e}, order {order:.2f}",
-            "observed order >= 0.9",
-            order >= 0.9 and errors[1] < errors[0],
-        )
-    )
-    # v: forward difference in h, order ~1
-    errors = []
-    for t in (1e-3 * scale, 1e-4 * scale):
-        approx = (tsolve(lam, h_field + t * phi) - base.values) / t
-        errors.append(err(bundle.v, approx))
-    order = np.log10(errors[0] / errors[1])
-    records.append(
-        _record(
-            "sensitivity-v",
+            bundle.w1,
+            lambda t: (tsolve(lam + t, h_field) - tsolve(lam - t, h_field)) / (2.0 * t),
+        ),
+        (
+            "v",
             "forcing-direction derivative matches forward differences",
-            {"steps": [1e-3, 1e-4]},
-            "order >= 1",
-            f"errs {errors[0]:.2e}/{errors[1]:.2e}, order {order:.2f}",
-            "observed order >= 0.9",
-            order >= 0.9 and errors[1] < errors[0],
+            bundle.v,
+            lambda t: (tsolve(lam, h_field + t * phi) - base.values) / t,
+        ),
+    ):
+        errors = [err(derivative, difference(t)) for t in (1e-3 * scale, 1e-4 * scale)]
+        order = np.log10(errors[0] / errors[1])
+        records.append(
+            VerificationRecord(
+                f"sensitivity-{name}",
+                claim,
+                {"steps": [1e-3, 1e-4]},
+                "order >= 1",
+                f"errs {errors[0]:.2e}/{errors[1]:.2e}, order {order:.2f}",
+                "observed order >= 0.9",
+                order >= 0.9 and errors[1] < errors[0],
+            )
         )
-    )
     # second derivatives: central second differences at two steps, consistent decay
     second = {}
     for t in (1e-2 * scale, 1e-3 * scale):
@@ -633,7 +621,7 @@ def check_sensitivity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]
     for name, errs in second.items():
         order = np.log10(errs[0] / errs[1])
         records.append(
-            _record(
+            VerificationRecord(
                 f"sensitivity-{name}",
                 "second-derivative field matches second differences of the solve",
                 {"steps": [1e-2, 1e-3]},
@@ -650,12 +638,12 @@ def check_sensitivity(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]
 
 def check_uniqueness(cfg: RunConfig, cache: _Cache) -> list[VerificationRecord]:
     branch = _traced(cache, 256, cfg.newton_tol)
-    op = cache.operator(1.0, 256, _BRANCH_SPEC.s)
+    op = cache.operator(256, _BRANCH_SPEC.s)
     lam = 1e-3 * branch.fold_point().lam
     report = uniqueness_probe(lam, _BRANCH_SPEC, op, trials=10, tol=cfg.newton_tol, seed=cfg.seed)
     outcomes = [t["outcome"] for t in report.trials]
     return [
-        _record(
+        VerificationRecord(
             "uniqueness-small-lambda",
             "ten multistart solves below the decreasing-window cap all return the minimal solution",
             {"lam": lam, "trials": 10, "seed": cfg.seed},
@@ -704,7 +692,7 @@ def verify_suite(cfg: RunConfig, suites: list[str] | None = None) -> Verificatio
             report.records.extend(fn(cfg, cache))
         except Exception as exc:  # a failed module run is a failed record, not a crash
             report.records.append(
-                _record(
+                VerificationRecord(
                     f"{fn.__name__}-error",
                     "check executed without raising",
                     {},

@@ -57,11 +57,11 @@ def test_criterion_02_mmatrix_rejects_a_planted_positive_pair(accept_cfg, accept
     # assembly derives from its column: an operator whose column has one
     # positive offset (A stays symmetric with A = RAR, and its blocks exact)
     # must fail its record, and only that one
-    real = accept_cache.operator(1.0, 128, 0.4)
+    real = accept_cache.operator(128, 0.4)
     column = real.column.copy()
     column[30] = -column[30]
     cache = _Cache(accept_cache)
-    cache[("op", 1.0, 128, 0.4)] = NonlocalOperator(real.grid, real.s, column, real.wall)
+    cache[("op", 128, 0.4)] = NonlocalOperator(real.grid, real.s, column, real.wall)
     records = {r.name: r for r in check_comparison(accept_cfg, cache)}
     assert len(records) == 8
     for name, record in records.items():
@@ -144,7 +144,7 @@ def test_criterion_07_existence_pair_rejects_high_lambda(accept_cfg, accept_cach
     cache = _Cache()
     for n in (512, 1024):
         branch = verify._folded(accept_cache, n, accept_cfg.newton_tol)
-        cache[("folded", n)] = _with_fold_lam(branch, factor * branch.fold_point().lam)
+        cache[("folded", n, accept_cfg.newton_tol)] = _with_fold_lam(branch, factor * branch.fold_point().lam)
     records = {r.name: r for r in check_branch(accept_cfg, cache)}
     assert records["branch-fold-point"].passed is passes, records["branch-fold-point"]
     for name in ("branch-nonexistence", "branch-existence"):
@@ -172,7 +172,7 @@ def test_criterion_07_lambda1_rejects_a_planted_rising_tail(accept_cfg, accept_c
         swap = {id(p): _with_lambda1(p, value) for p, value in zip(tail, rising)}
         branch = replace(branch, points=[swap.get(id(p), p) for p in branch.points])
     cache = _Cache(accept_cache)
-    cache[("folded", 512)] = branch
+    cache[("folded", 512, accept_cfg.newton_tol)] = branch
     records = {r.name: r for r in check_branch(accept_cfg, cache)}
     assert len(records) == 6
     for name, record in records.items():
@@ -195,7 +195,7 @@ def test_criterion_08_fold_rejects_a_planted_fit(monkeypatch, accept_cfg, accept
         return branch
 
     cache = _Cache(accept_cache)
-    cache[("folded", 256)] = plant(verify._folded(accept_cache, 256, accept_cfg.newton_tol))
+    cache[("folded", 256, accept_cfg.newton_tol)] = plant(verify._folded(accept_cache, 256, accept_cfg.newton_tol))
     real = verify.fold_round
     monkeypatch.setattr(verify, "fold_round", lambda *args, **kwargs: plant(real(*args, **kwargs)))
     records = check_fold(accept_cfg, cache)

@@ -35,9 +35,9 @@ from fracfold.continuation import (
     trace_minimal,
     uniqueness_probe,
 )
-from fracfold.operator import lu_solver
+from fracfold.operator import lu_solver, spd_or_lu_solver
 from fracfold.singular import Equation
-from fracfold.verify import _folded, _nonexistence_bound, _traced
+from fracfold.verify import _Cache, _folded, _nonexistence_bound, _traced
 
 
 def test_trace_orders_and_positivity(folded_branch):
@@ -437,6 +437,79 @@ def test_uniqueness_probe_scaled_starts(folded_branch, op256_s04, canonical_spec
         limits.append(vals)
     assert np.abs(limits[0] - limits[1]).max() <= 1e-8
     assert np.abs(limits[0] - minimal.values).max() <= 1e-7
+
+
+def test_uniqueness_probe_records_diverged_and_escaped_starts(monkeypatch, folded_branch, op256_s04, canonical_spec):
+    # the first multistart raises, the second lands above the amplitude cap
+    # and the third runs: neither planted outcome falsifies uniqueness
+    lam = 1e-3 * folded_branch.fold_point().lam
+    cap = small_solution_cap(canonical_spec, op256_s04)
+    solve, starts = Equation.solve, []
+
+    def planted(self, u0, tol, factor, maxit):
+        if factor is not spd_or_lu_solver:  # solve_min's own solve
+            return solve(self, u0, tol, factor, maxit)
+        starts.append(u0)
+        if len(starts) == 1:
+            raise ConvergenceError("planted")
+        if len(starts) == 2:
+            return np.full(op256_s04.n, 2.0 * cap), 0.0, 1.0
+        return solve(self, u0, tol, factor, maxit)
+
+    monkeypatch.setattr(Equation, "solve", planted)
+    report = uniqueness_probe(lam, canonical_spec, op256_s04, trials=3, seed=3)
+    assert [t["outcome"] for t in report.trials] == ["diverged", "left_admissible_set", "minimal"]
+    assert report.trials[1]["sup"] == 2.0 * cap and report.verdict == "unique"
+
+
+def test_uniqueness_probe_caps_a_zero_nonlinearity_at_one(monkeypatch, op256_s04):
+    # with f = 0 every amplitude is in the decreasing window: the cap is inf
+    # and the probe draws its starts below 1.0
+    spec = ProblemSpec(s=0.4, delta=0.5, beta=0.0, nonlinearity=no_nonlinearity())
+    assert small_solution_cap(spec, op256_s04) == np.inf
+    solve, starts = Equation.solve, []
+
+    def recording(self, u0, tol, factor, maxit):
+        if factor is spd_or_lu_solver:
+            starts.append(u0)
+        return solve(self, u0, tol, factor, maxit)
+
+    monkeypatch.setattr(Equation, "solve", recording)
+    report = uniqueness_probe(1e-3, spec, op256_s04, trials=2, seed=5)
+    assert report.verdict == "unique" and len(starts) == 2
+    rng = np.random.default_rng(5)
+    for start in starts:
+        assert np.array_equal(start, 1.0 * rng.uniform(0.02, 1.0, size=op256_s04.n))
+
+
+@pytest.mark.parametrize("c,p", [(1.0, 2.0), (0.3, 3.5)])
+def test_small_solution_cap_scan_lands_within_one_grid_ratio(op256_s04, canonical_spec, c, p):
+    # a custom f = c t^p takes the scan, whose grid steps by 10^(16/2048):
+    # it gives the last grid point at or below the power law's closed form
+    power = replace(canonical_spec, nonlinearity=power_nonlinearity(p, c))
+    custom = replace(
+        canonical_spec,
+        nonlinearity=Nonlinearity(
+            kind="custom",
+            f_fn=lambda t: c * t ** p,
+            fp_fn=lambda t: c * p * t ** (p - 1.0),
+            fpp_fn=lambda t: c * p * (p - 1.0) * t ** (p - 2.0),
+        ),
+    )
+    closed = small_solution_cap(power, op256_s04)
+    scanned = small_solution_cap(custom, op256_s04)
+    assert closed / 10.0 ** (16.0 / 2048.0) < scanned <= closed
+
+
+def test_verify_caches_each_branch_at_its_tolerance():
+    # a second call at another tolerance traces its own branch instead of
+    # handing back the first call's
+    cache = _Cache()
+    loose, tight = _traced(cache, 64, 1e-6), _traced(cache, 64, 1e-10)
+    assert (loose.fold_point().tol, tight.fold_point().tol) == (1e-6, 1e-10)
+    assert _traced(cache, 64, 1e-6) is loose
+    for tol, traced in ((1e-6, loose), (1e-10, tight)):
+        assert _folded(cache, 64, tol).fold_point() is traced.fold_point()
 
 
 def test_uniqueness_probe_requires_window(folded_branch, op256_s04, canonical_spec):

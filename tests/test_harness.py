@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from fracfold.cli import main
 from fracfold.config import RunConfig, parse_config, serialize_config
-from fracfold.io import atomic_write_text, export_plot_data
-from fracfold.verify import SUITES, VerificationRecord
+from fracfold.errors import ConvergenceError
+from fracfold.io import _atomic_file, atomic_write_text, export_plot_data
+from fracfold.verify import SUITES, VerificationRecord, verify_suite
 
 
 def test_every_config_field_has_a_default():
@@ -177,11 +178,38 @@ def test_cli_verify_exit_codes(tmp_path, monkeypatch):
     assert main(["verify", "--suite", "no-such-suite", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_a_check_that_raises_is_one_failed_record(monkeypatch):
+    # the other suites still report, and a record's fields are coerced to
+    # text and a plain bool whatever the check computed them as
+    def check_boom(cfg, cache):
+        raise ConvergenceError("planted")
+
+    monkeypatch.setitem(SUITES, "boom", check_boom)
+    monkeypatch.setitem(SUITES, "fine", lambda cfg, cache: [VerificationRecord("ok", "", {}, 1, 2.5, 0.1, np.True_)])
+    report = verify_suite(RunConfig(), ["boom", "fine"])
+    error, ok = report.records
+    assert (error.name, error.passed, error.measured) == ("check_boom-error", False, "ConvergenceError: planted")
+    assert (ok.expected, ok.measured, ok.tolerance) == ("1", "2.5", "0.1") and ok.passed is True
+    assert not report.passed
+    assert [r["name"] for r in json.loads(report.to_json())] == ["check_boom-error", "ok"]
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "nested" / "file.txt"
     atomic_write_text(target, "payload")
     assert target.read_text() == "payload"
     assert [p.name for p in (tmp_path / "nested").iterdir()] == ["file.txt"]
+
+
+def test_an_atomic_write_that_raises_leaves_the_target_as_it_was(tmp_path):
+    target = tmp_path / "file.txt"
+    atomic_write_text(target, "before")
+    with pytest.raises(ValueError, match="planted"):
+        with _atomic_file(target) as fh:
+            fh.write("half an artifact")
+            raise ValueError("planted")
+    assert target.read_text() == "before"
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
