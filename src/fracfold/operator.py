@@ -32,8 +32,9 @@ holds.  The kernel is translation invariant, so A = toeplitz(column) +
 diag(wall): `NonlocalOperator` holds the scaled kernel column and the wall
 diagonal, and only this module reads them.  Symmetry holds by that form,
 and assembly checks the rest in O(n) from the two (`_check_structure`).
-The wall correction's product with toeplitz(column) is the one n x n array
-assembly makes; A is built whole only by `NonlocalOperator.dense`.
+The wall correction's product with toeplitz(column) is taken in blocks of
+rows of at most 16 MiB (`_toeplitz_product`), the one large temporary of
+assembly; A is built whole only by `NonlocalOperator.dense`.
 
 The grid is symmetric about 0 bit for bit, and so is A: with R the reversal
 of the nodes, A = RAR exactly.  So A, and the Jacobian J = A + diag(p) at
@@ -131,6 +132,11 @@ LANCZOS_STEPS = 200
 # The monitor's odd block is ruled out when its floor clears sigma_e by this much, relative: far more than
 # the Lanczos error of sigma_e (5e-9 at the monitor's tolerance) and the rounding of the floor's last sums.
 FLOOR_MARGIN = 1e-6
+# The most bytes of toeplitz(column) the wall correction's product copies at once.  Not less: glibc's malloc
+# raises its mmap threshold to the size of a freed mapped block (up to 32 MiB), below which Newton's per-run
+# Jacobians reuse heap pages; after 64-row blocks each of them maps fresh pages, 2458 minor faults per
+# `fold --n 512` against 4, and 7 % of its wall time on a 2-vCPU host
+WALL_BLOCK_BYTES = 2**24
 # BLAS triangular solve with one right-hand side, and the matrix-vector product, from scipy's BLAS, by
 # the matrix's precision: a float32 matrix (a single-precision Jacobian) never meets a float64 kernel,
 # which f2py would feed a float64 copy of it
@@ -397,6 +403,24 @@ def _hat_weights(n: int, h: float, sigma: float) -> np.ndarray:
     return w
 
 
+def _toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """toeplitz(column) @ x by one gemv per block of rows, each copied contiguously from the strided view.
+
+    A block is at most WALL_BLOCK_BYTES, in a multiple of 64 rows, so up to
+    n = 1448 the product is one gemv on the whole matrix, and at n = 8192 the
+    temporary is 16 MiB, not 512.  Each entry of a gemv with trans=1 is the
+    dot product of one row with x: blocks of 64 rows or a multiple kept the
+    bits of the one gemv at n = 255, 256, 1023, 1024, 2047, 2048 and 4096, at
+    one BLAS thread and at two, where blocks of 37 rows did not.  Not at
+    every n: at two threads, n = 1449, 1500 and 2049 moved some entries by up
+    to 3e-15 relative, a rounding-level change of the wall diagonal.
+    """
+    n = len(column)
+    rows = max(64, WALL_BLOCK_BYTES // (8 * n) // 64 * 64)
+    view = _toeplitz(column, n)
+    return np.concatenate([matvec(view[i : i + rows].copy(), x) for i in range(0, n, rows)])
+
+
 def _wall_correction(grid: Grid, s: float, column: np.ndarray) -> np.ndarray:
     """Diagonal wall-consistency correction of toeplitz(column).
 
@@ -411,7 +435,7 @@ def _wall_correction(grid: Grid, s: float, column: np.ndarray) -> np.ndarray:
     a = L - nodes
     b = L + nodes
     exact = 2.0 * normalization_constant(s) * a ** (-s) / s * hyp2f1(-s, s, s + 1.0, -b / a)
-    wall_left = (exact - matvec(_toeplitz(column, n).copy(), u_left)) / u_left
+    wall_left = (exact - _toeplitz_product(column, u_left)) / u_left
     wall_right = wall_left[::-1]
     wall = np.where(nodes < 0.0, wall_left, wall_right)
     if n % 2 == 1:

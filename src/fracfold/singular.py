@@ -37,9 +37,10 @@ is run again in float64 (`Equation.solve`).  Solves whose f is not zero,
 whose Jacobian goes singular at the fold, factor in float64.
 
 The grid, A and K are symmetric under the reflection of the nodes bit for
-bit, and every start below (max(c* phi_1, (K / diag A)^(1/(1+delta))), the
-scaled pure singular solution, the warm-start hints, the torsion bracket of
-an even forcing) is even.  A Newton run picks its coordinates once, from
+bit, and every start below (max(c b, (K / diag A)^(1/(1+delta))) with b =
+(L^2 - x^2)^gamma at the paper's boundary exponent gamma, the scaled pure
+singular solution, the warm-start hints, the torsion bracket of an even
+forcing) is even.  A Newton run picks its coordinates once, from
 its start and data (`Equation.on`).  When the start, k and rhs are all
 even, the run is on the half grid (`operator.Basis`): every field is its
 first ceil(n/2) node values, `Equation.jacobian` writes only the even block
@@ -82,11 +83,11 @@ from .operator import (
     NonlocalOperator,
     basis_for,
     lu_solver,
-    principal_eigenpair,
     solve_dirichlet,
     spd_solver,
 )
 from .problem import Nonlinearity, ProblemSpec, no_nonlinearity
+from .weights import boundary_exponent
 
 __all__ = [
     "SolutionField",
@@ -96,6 +97,7 @@ __all__ = [
     "monotone_iterate",
     "solve_min",
     "subsolution_constant",
+    "pure_singular_start",
     "torsion_field",
     "pure_singular_cached",
 ]
@@ -389,30 +391,57 @@ def _floored(u, t, du):
     return np.maximum(u + t * du, POSITIVITY_FLOOR)
 
 
-def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator) -> float:
-    """Largest c making c*phi a discrete subsolution of A u = K u^(-delta)."""
-    pair = principal_eigenpair(op)
+def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator, profile: np.ndarray) -> float:
+    """Largest c making c * profile a discrete subsolution of A u = K u^(-delta), for a positive profile b.
+
+    A (c b) <= K (c b)^(-delta) holds at a node with (A b)_i <= 0 for every
+    c > 0, and elsewhere exactly when c^(1+delta) <= K_i / ((A b)_i b_i^delta).
+    So c is the min of (K_i / ((A b)_i b_i^delta))^(1/(1+delta)) over the
+    nodes with (A b)_i > 0, from one product A b (`NonlocalOperator.apply`).
+    For b largest at the centre, as the boundary profile and phi_1 are, the
+    centre node is one of them: A's off-diagonals are nonpositive and its row
+    sums positive, so (A b)_c >= b_c (row sum) > 0.
+    """
     k = spec.k_field(op.grid)
-    ratio = k * pair.vector ** (-(1.0 + spec.delta)) / pair.value
+    image = op.apply(profile)
+    rising = image > 0.0
+    ratio = k[rising] / (image[rising] * profile[rising] ** spec.delta)
     return float(ratio.min() ** (1.0 / (1.0 + spec.delta)))
 
 
-def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
-    """Solve A u = K u^(-delta) by one damped-Newton run from max(c* phi_1, (K / diag A)^(1/(1+delta))).
+def pure_singular_start(spec: ProblemSpec, op: NonlocalOperator) -> np.ndarray:
+    """max(c b, (K / diag A)^(1/(1+delta))), b = (L^2 - x^2)^gamma: the subsolution `solve_pure_singular` starts from.
 
-    Both terms of the start are discrete subsolutions: c* phi_1 by the
-    choice of c*, and w = (K / diag A)^(1/(1+delta)) because A's
-    off-diagonals are nonpositive, so (A w)_i <= a_ii w_i = K_i w_i^(-delta).
-    A is an M-matrix, so their max is a subsolution too.  The second term
-    sits on the boundary layer, whose steepness d^(2s/(1+delta)) phi_1's d^s
-    cannot follow; from c* phi_1 alone each wall node rises by about 1 +
-    1/delta per step.  The residual map is componentwise concave with an
-    M-matrix Jacobian, so the iterates rise monotonically from the start
-    onto the solution and stay positive; no regularization is needed.  The
-    Jacobian A + diag(delta K u^(-delta-1)) is positive definite at every u,
-    so it is factored in float32 (`Equation.precision`).  Any lambda must be
-    folded into spec.coeff.  The result is checked a posteriori against the
-    start.
+    gamma is the paper's boundary exponent (`weights.boundary_exponent`) and
+    c is `subsolution_constant` of b.  b is even bit for bit, since (L - x)
+    (L + x) is one product of the same two factors at x and -x, so the start
+    is even and its Newton run is on the half grid.
+    """
+    x, half_width = op.grid.nodes, op.grid.half_width
+    profile = ((half_width - x) * (half_width + x)) ** boundary_exponent(spec.s, spec.delta, spec.beta)
+    wall = (spec.k_field(op.grid) / op.diagonal) ** (1.0 / (1.0 + spec.delta))
+    return np.maximum(subsolution_constant(spec, op, profile) * profile, wall)
+
+
+def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DEFAULT_TOL) -> SolutionField:
+    """Solve A u = K u^(-delta) by one damped-Newton run from `pure_singular_start`.
+
+    The start is max(c b, w), b = (L^2 - x^2)^gamma and w = (K / diag
+    A)^(1/(1+delta)).  Both terms are discrete subsolutions: c b by the
+    choice of c (`subsolution_constant`), and w because A's off-diagonals are
+    nonpositive, so (A w)_i <= a_ii w_i = K_i w_i^(-delta).  A is an
+    M-matrix, so their max is a subsolution too.  b vanishes like d^gamma,
+    gamma = min(s, (2s - beta)/(1+delta)), the paper's boundary rate of the
+    solution, so the start has the solution's boundary layer in every
+    regime, and c is read off one product A b: the solve needs no eigenpair.
+    w sits on the wall nodes, from below which each node would rise by only
+    about 1 + 1/delta per step.  The residual map is componentwise concave
+    with an M-matrix Jacobian, so the iterates rise monotonically from the
+    start onto the solution and stay positive; no regularization is needed.
+    The Jacobian A + diag(delta K u^(-delta-1)) is positive definite at every
+    u, so it is factored in float32 (`Equation.precision`).  Any lambda must
+    be folded into spec.coeff.  The result is checked a posteriori against
+    the start.
     """
     k = spec.k_field(op.grid)
     if spec.delta == 0.0:
@@ -420,10 +449,7 @@ def solve_pure_singular(spec: ProblemSpec, op: NonlocalOperator, tol: float = DE
         res = float(np.abs(op.apply(u) - k).max())
         return SolutionField(u, op.grid, spec, res, tol * (1.0 + np.abs(k).max()))
 
-    lower = np.maximum(
-        subsolution_constant(spec, op) * principal_eigenpair(op).vector,
-        (k / op.diagonal) ** (1.0 / (1.0 + spec.delta)),
-    )
+    lower = pure_singular_start(spec, op)
     eq = Equation(op, k, spec.delta, no_nonlinearity(), 1.0)
     u, res, bound = eq.solve(lower, tol, partial(spd_solver, n=op.n), 80)
     if np.any(u < lower * (1.0 - 1e-6)):

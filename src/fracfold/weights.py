@@ -8,6 +8,9 @@ sup-normalized principal eigenfunction and ratio = beta/s + delta:
     ratio = 1:  phi * (ln(2/phi))^(1/(delta+1))
     ratio > 1:  phi^((2s-beta)/((delta+1) s))
 
+so a solution vanishes at the wall like d^gamma, gamma = min(s, (2s-beta)/(1+delta))
+(`boundary_exponent`), with the logarithm at ratio = 1.
+
 This module also provides the cone norms u/phi, a log-log boundary-exponent
 fit, a grid Hoelder-seminorm estimate, and the integrability indicator for
 the energy-class threshold 2*beta + delta*(2s-1) < 1 + 2s.
@@ -28,6 +31,7 @@ __all__ = [
     "WeightProfile",
     "NormReport",
     "classify_regime",
+    "boundary_exponent",
     "distance_field",
     "weight_k",
     "build_weight_profile",
@@ -52,6 +56,15 @@ def classify_regime(s: float, delta: float, beta: float) -> Regime:
     if abs(indicator) <= CRITICAL_TOL:
         return Regime.CRITICAL
     return Regime.SUB if indicator < 0.0 else Regime.SUPER
+
+
+def boundary_exponent(s: float, delta: float, beta: float) -> float:
+    """gamma = min(s, (2s-beta)/(1+delta)), the power of d at which solutions vanish at the wall.
+
+    It is s below and at the critical ratio beta/s + delta = 1, where the two
+    terms agree, and (2s-beta)/(1+delta) above it.
+    """
+    return min(s, (2.0 * s - beta) / (1.0 + delta))
 
 
 def distance_field(grid: Grid) -> np.ndarray:
@@ -87,7 +100,7 @@ def build_weight_profile(phi1s: np.ndarray, s: float, delta: float, beta: float)
     elif regime is Regime.CRITICAL:
         values = phi * np.log(2.0 / phi) ** (1.0 / (delta + 1.0))
     else:
-        values = phi ** ((2.0 * s - beta) / ((delta + 1.0) * s))
+        values = phi ** (boundary_exponent(s, delta, beta) / s)
     return WeightProfile(regime=regime, values=values)
 
 

@@ -633,17 +633,20 @@ def test_assembly_structure_across_parameters(s, n, half_width):
     _assert_blocks_are_folds_of(op)
 
 
-def test_assembled_operator_keeps_no_n_by_n_array():
-    # the operator keeps its column and wall diagonal, O(n) bytes, once
-    # assembly has dropped the one n x n product of its wall correction;
-    # each block is the one array of its order that its builder allocates
+def test_assembled_operator_keeps_no_n_by_n_array(monkeypatch):
+    # the operator keeps its column and wall diagonal, O(n) bytes, and
+    # assembly holds no more than one block of rows of toeplitz(column) for
+    # its wall correction's product, here cut to 64 rows; each block is the
+    # one array of its order that its builder allocates
     n = 1024
+    monkeypatch.setattr(op_mod, "WALL_BLOCK_BYTES", 64 * 8 * n)
     grid = build_grid(1.0, n)
     assemble_operator(grid, 0.4)  # the first call's one-off allocations (special functions, caches)
     tracemalloc.start()
     try:
         op = assemble_operator(grid, 0.4)
         assert tracemalloc.get_traced_memory()[0] <= 8 * 8 * n
+        assert tracemalloc.get_traced_memory()[1] <= 2 * op_mod.WALL_BLOCK_BYTES
         for build in (lambda: op.even_block, lambda: op.odd_block):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -651,6 +654,21 @@ def test_assembled_operator_keeps_no_n_by_n_array():
             assert tracemalloc.get_traced_memory()[1] - base <= 1.1 * block.nbytes
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [255, 256, 1023, 1024])
+def test_blocked_toeplitz_product_has_the_bits_of_one_gemv(monkeypatch, n):
+    # the wall correction's product, one gemv per block of 64, 128 or 256
+    # rows, gives the bits of one gemv on the whole toeplitz(column), so the
+    # wall diagonal keeps them too
+    grid = build_grid(1.0, n)
+    for s in (0.1, 0.4, 0.75, 0.9):
+        column = assemble_operator(grid, s).column
+        x = (grid.nodes + grid.half_width) ** s
+        whole = matvec(toeplitz(column), x)
+        for rows in (64, 128, 256):
+            monkeypatch.setattr(op_mod, "WALL_BLOCK_BYTES", rows * 8 * n)
+            assert np.array_equal(op_mod._toeplitz_product(column, x), whole), (s, rows)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
@@ -703,7 +721,9 @@ def test_every_factored_matrix_is_column_major(monkeypatch):
 
 def test_newton_factors_its_jacobian_in_place(monkeypatch):
     # each Newton Cholesky overwrites the fresh Jacobian; the one of A's
-    # cached even block (for phi_1) works on a copy and leaves the block
+    # cached even block (for phi_1) works on a copy and leaves the block.
+    # At delta = 3 the pure solve builds two Jacobians; it needs no phi_1,
+    # which is asked for after it
     op = assemble_operator(build_grid(1.0, 256), 0.4)
     jacobians = []
     original = Equation.jacobian
@@ -714,7 +734,8 @@ def test_newton_factors_its_jacobian_in_place(monkeypatch):
 
     monkeypatch.setattr(Equation, "jacobian", recording)
     calls = _factor_calls(monkeypatch)
-    solve_pure_singular(ProblemSpec(s=0.4, delta=0.5), op)
+    solve_pure_singular(ProblemSpec(s=0.4, delta=3.0), op)
+    principal_eigenpair(op)
     assert all(mat.flags.f_contiguous for _, mat, _, _ in calls)
     newton = [(mat, factor) for _, mat, _, factor in calls if any(np.shares_memory(mat, j) for j in jacobians)]
     assert len(newton) == len(jacobians) >= 2

@@ -22,6 +22,7 @@ from fracfold import (
     solve_min,
     solve_pure_singular,
 )
+from fracfold import operator as operator_module
 from fracfold import singular
 from fracfold.continuation import TracePolicy, _corrector, trace_minimal
 from fracfold.linearization import lambda1
@@ -31,11 +32,12 @@ from fracfold.singular import (
     Equation,
     monotone_iterate,
     pure_singular_cached,
+    pure_singular_start,
     subsolution_constant,
     torsion_field,
 )
 from fracfold.verify import _BRANCH_SPEC, _nonexistence_bound
-from fracfold.weights import build_weight_profile, cone_norms
+from fracfold.weights import Regime, build_weight_profile, classify_regime, cone_norms
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,12 @@ def _regularized(spec, op, eps, tol=1e-8):
     return v - eps
 
 
+def _phi_start(spec, op):
+    """c* phi_1: the largest discrete subsolution along the principal eigenfunction."""
+    phi = principal_eigenpair(op).vector
+    return subsolution_constant(spec, op, phi) * phi
+
+
 def test_regularized_monotone_in_eps(op256):
     spec = ProblemSpec(s=0.4, delta=1.0, beta=0.0)
     fields = [_regularized(spec, op256, eps) for eps in (0.5, 0.25, 0.125)]
@@ -102,9 +110,7 @@ def test_pure_singular_residual_and_subsolution(op256):
     spec = ProblemSpec(s=0.4, delta=1.5, beta=0.2)
     field = solve_pure_singular(spec, op256)
     assert _residual(op256, spec, 1.0, field.values) <= field.residual_bound
-    cstar = subsolution_constant(spec, op256)
-    phi = principal_eigenpair(op256).vector
-    assert np.all(field.values >= cstar * phi * (1.0 - 1e-6))
+    assert np.all(field.values >= _phi_start(spec, op256) * (1.0 - 1e-6))
 
 
 @pytest.mark.parametrize(
@@ -286,9 +292,8 @@ def test_pure_singular_properties(s, delta, beta_frac, coeff):
     u = field.values
     assert _residual(op, spec, 1.0, u) <= field.residual_bound
     slack = 1e-10 * (1.0 + u.max())
-    # Newton rises from the subsolutions it starts at: the eigenfunction's and the wall's
-    lower = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-    assert np.all(u >= lower - slack)
+    # the solution lies above every subsolution: the eigenfunction's and the wall's
+    assert np.all(u >= _phi_start(spec, op) - slack)
     wall = (spec.k_field(op.grid) / np.diagonal(op.dense())) ** (1.0 / (1.0 + spec.delta))
     assert np.all(u >= wall - slack)
     # the regularized solution is a subsolution of the eps = 0 problem
@@ -353,15 +358,101 @@ def test_pure_singular_newton_count_is_mesh_independent(monkeypatch):
             counts.append(len(calls))
         assert min(counts) >= 2 and max(counts) <= 12, (lam, counts)
         assert abs(counts[0] - counts[1]) <= 2, (lam, counts)
-    # the start's wall term sits on the layer, so the solve makes 9-12
-    # factorizations over n = 128-1024; from c* phi_1 alone it made 45-68
+    # the start's profile and wall term sit on the layer, so the solve makes
+    # 4 factorizations at every n = 128-1024; from c* phi_1 and the wall term
+    # it made 9-12, from c* phi_1 alone 45-68
     counts = []
     for n in (128, 256, 512, 1024):
         op = assemble_operator(build_grid(1.0, n), STEEP_SPEC.s)
         factors.clear()
         solve_pure_singular(STEEP_SPEC, op)
         counts.append(len(factors))
-    assert max(counts) <= 14 and all(b - a <= 2 for a, b in zip(counts, counts[1:])), counts
+    assert max(counts) <= 6 and all(b - a <= 2 for a, b in zip(counts, counts[1:])), counts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.05, 0.95),
+    delta=st.floats(0.01, 20.0),
+    beta_frac=st.floats(0.0, 0.95),
+    coeff=st.floats(1e-3, 1e3),
+    n=st.integers(8, 400),
+    half_width=st.floats(0.1, 10.0),
+)
+@example(s=0.9, delta=12.0, beta_frac=0.95, coeff=1.0, n=255, half_width=1.0)
+@example(s=0.05, delta=20.0, beta_frac=0.0, coeff=1e-3, n=8, half_width=10.0)
+def test_pure_singular_start_is_an_even_subsolution(s, delta, beta_frac, coeff, n, half_width):
+    # the start v = max(c b, (K / diag A)^(1/(1+delta))) is even bit for bit
+    # and meets A v <= K v^(-delta) at every node up to rounding: the
+    # computed product is within n eps (|A| v)_i of the exact one (Higham,
+    # Accuracy and Stability of Numerical Algorithms, ch. 3), and c, b and the
+    # wall term each carry a few roundings of K v^(-delta).  Newton rises
+    # from it, so the solution is nowhere below it
+    op = assemble_operator(build_grid(half_width, n), s)
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, coeff=coeff)
+    v = pure_singular_start(spec, op)
+    assert np.array_equal(v, v[::-1]) and v.min() > 0.0
+    mat = op.dense()
+    source = spec.k_field(op.grid) * v ** (-delta)
+    assert np.all(mat @ v <= source + n * np.finfo(float).eps * (np.abs(mat) @ v + source))
+    assert np.all(solve_pure_singular(spec, op).values >= v)
+
+
+def test_subsolution_constant_is_the_largest_for_any_positive_profile(op256):
+    # a spike at the centre pushes (A b)_i below 0 beside it, where c b is a
+    # subsolution for every c; elsewhere the largest c makes A (c b) = K (c
+    # b)^(-delta) at one node, up to rounding
+    spec = ProblemSpec(s=0.4, delta=1.5, beta=0.2)
+    profile = np.ones(op256.n)
+    profile[127:129] = 50.0
+    assert op256.apply(profile).min() < 0.0
+    v = subsolution_constant(spec, op256, profile) * profile
+    mat = op256.dense()
+    source = spec.k_field(op256.grid) * v ** (-spec.delta)
+    assert np.all(mat @ v <= source + op256.n * np.finfo(float).eps * (np.abs(mat) @ v + source))
+    assert np.max(mat @ v / source) == pytest.approx(1.0, rel=1e-12)
+
+
+# a spec of each regime of beta/s + delta against 1 (`weights.classify_regime`)
+REGIME_SPECS = {
+    Regime.SUB: ProblemSpec(s=0.4, delta=0.5, beta=0.0),
+    Regime.CRITICAL: ProblemSpec(s=0.4, delta=0.5, beta=0.2),
+    Regime.SUPER: ProblemSpec(s=0.75, delta=3.0, beta=0.6),
+}
+
+
+def test_pure_singular_factorizations_do_not_grow_with_n(monkeypatch):
+    # the start vanishes at the wall at the solution's own rate in every
+    # regime, so the factorization count stays within one over n = 256-2048
+    # (1, 2 and 2-3 here; from c* phi_1 and the wall term the super spec
+    # made 6-8)
+    factors = []
+    monkeypatch.setattr(singular, "spd_solver", _counting(singular.spd_solver, [], factors))
+    for regime, spec in REGIME_SPECS.items():
+        assert classify_regime(spec.s, spec.delta, spec.beta) is regime
+        counts = []
+        for n in (256, 512, 1024, 2048):
+            op = assemble_operator(build_grid(1.0, n), spec.s)
+            factors.clear()
+            solve_pure_singular(spec, op)
+            counts.append(len(factors))
+        assert max(counts) - min(counts) <= 1, (regime, counts)
+
+
+def test_pure_singular_solve_needs_no_eigenpair(monkeypatch):
+    # the start's constant comes from one product A b: no phi_1 is computed or cached
+    eigen, original = [], operator_module.smallest_eigenpairs
+
+    def counted(*args, **kwargs):
+        eigen.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operator_module, "smallest_eigenpairs", counted)
+    for spec in (*RATES_SPECS, *REGIME_SPECS.values(), STEEP_SPEC):
+        op = assemble_operator(build_grid(1.0, 256), spec.s)
+        solve_pure_singular(spec, op)
+        assert "phi1" not in op._cache
+    assert eigen == []
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -373,7 +464,7 @@ def test_pure_singular_answer_does_not_depend_on_the_start(n):
     op = assemble_operator(build_grid(1.0, n), STEEP_SPEC.s)
     field = solve_pure_singular(STEEP_SPEC, op)
     eq = Equation(op, STEEP_SPEC.k_field(op.grid), STEEP_SPEC.delta, no_nonlinearity(), 1.0)
-    start = subsolution_constant(STEEP_SPEC, op) * principal_eigenpair(op).vector
+    start = _phi_start(STEEP_SPEC, op)
     u, res, bound = eq.solve(start, singular.DEFAULT_TOL, partial(spd_solver, n=n), 200)
     assert res <= bound
     assert np.abs(u - field.values).max() <= 1e-8 * field.sup_norm
@@ -517,8 +608,7 @@ def test_pure_singular_solves_reuse_factors():
         steps, factors = [], []
         op = assemble_operator(build_grid(1.0, 1024), spec.s)
         eq = singular.Equation(op, spec.k_field(op.grid), spec.delta, spec.nonlinearity, 1.0)
-        start = subsolution_constant(spec, op) * principal_eigenpair(op).vector
-        eq.solve(start, 1e-8, _counting(singular.spd_solver, steps, factors), 80)
+        eq.solve(_phi_start(spec, op), 1e-8, _counting(singular.spd_solver, steps, factors), 80)
         assert len(factors) < len(steps), (spec, len(factors), len(steps))
 
 
@@ -551,7 +641,7 @@ def test_a_newton_run_builds_every_jacobian_in_one_buffer(monkeypatch, op256, ca
         jacs.append(jac)
         return spd_solver(jac, op256.n, **kwargs) if jac.dtype == np.float64 else None
 
-    pure.solve(subsolution_constant(spec, op256) * principal_eigenpair(op256).vector, 1e-8, float64_only, 80)
+    pure.solve(_phi_start(spec, op256), 1e-8, float64_only, 80)
     assert [jac.dtype for jac in jacs[:2]] == [np.float32, np.float64] and len(jacs) >= 3
     assert all(np.shares_memory(jac, jacs[1]) for jac in jacs[1:])
 
@@ -563,7 +653,7 @@ def test_newton_tests_convergence_after_its_last_step(monkeypatch, op256):
     # a chord run that runs out of steps is run again that way
     spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
     eq = singular.Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
-    start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
+    start = _phi_start(spec, op256)
     steps, chord_steps = [], []
     chord, _, _ = eq.solve(start, 1e-8, _counting(singular.spd_solver, chord_steps), 80)
     with monkeypatch.context() as m:
@@ -589,7 +679,7 @@ def test_stale_factor_falls_back_to_fresh_newton(monkeypatch, op256):
     # exactly the iterate of Newton without reuse
     spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
     eq = singular.Equation(op256, spec.k_field(op256.grid), spec.delta, spec.nonlinearity, 1.0)
-    start = subsolution_constant(spec, op256) * principal_eigenpair(op256).vector
+    start = _phi_start(spec, op256)
     useless = []
 
     def planted(jac, **kwargs):

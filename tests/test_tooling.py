@@ -152,6 +152,15 @@ def test_eigenpairs_have_one_home():
     assert _references(ast.parse((SOURCE / "linearization.py").read_text()), solvers) == []
 
 
+def test_the_pure_singular_solve_needs_no_eigenpair():
+    # the pure singular Newton starts from the boundary profile, whose
+    # constant comes from one product with A: singular reads no phi_1
+    names = {"principal_eigenpair", "smallest_eigenpairs"}
+    planted = "from .operator import matvec, principal_eigenpair\nphi = operator.smallest_eigenpairs(op.lin).vector\n"
+    assert _references(ast.parse(planted), names) == [(None, 1), (None, 2)]
+    assert _references(ast.parse((SOURCE / "singular.py").read_text()), names) == []
+
+
 def test_linearization_is_built_only_by_branch_points():
     # continuation computes lambda1 and the monitor only when a BranchPoint's are read
     tree = ast.parse((SOURCE / "continuation.py").read_text())
