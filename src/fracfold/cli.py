@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .config import RunConfig, load_config
-from .continuation import fold_round, multiplicity_scan, trace_minimal
+from .continuation import FoldPolicy, TracePolicy, fold_round, multiplicity_scan, trace_minimal
 from .errors import ConvergenceError
 from .io import atomic_write_text, dump_triplets, export_plot_data, write_branch_csv, write_solution_json
 from .operator import assemble_operator, build_grid, principal_eigenpair
@@ -82,8 +82,8 @@ def _solve_common(cfg: RunConfig, pure: bool):
     """The solve-ps or solve-plambda solution and its cone-norm report."""
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
     if pure:
-        if cfg.lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {cfg.lam}")
+        if not 0.0 < cfg.lam < np.inf:
+            raise ValueError(f"lambda must be positive and finite, got {cfg.lam}")
         spec = ProblemSpec(
             s=cfg.s, delta=cfg.delta, beta=cfg.beta, coeff=cfg.coeff * cfg.lam, nonlinearity=no_nonlinearity()
         )
@@ -120,9 +120,9 @@ def _cmd_branch(args, with_fold: bool) -> int:
     cfg = _build_config(args)
     spec = cfg.problem_spec()
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
-    branch = trace_minimal(spec, op, cfg.trace_policy())
+    branch = trace_minimal(spec, op, TracePolicy(tol=cfg.newton_tol))
     if with_fold:
-        branch = fold_round(branch, op, spec, cfg.fold_policy())
+        branch = fold_round(branch, op, spec, FoldPolicy())
     path = os.path.join(cfg.out_dir, "branch.csv")
     write_branch_csv(branch, path)
     line = f"branch: n={cfg.n} points={len(branch.points)} Lambda={branch.fold_point().lam:.6f}"
@@ -139,7 +139,7 @@ def _cmd_multiplicity(args) -> int:
     cfg = _build_config(args)
     spec = cfg.problem_spec()
     op = assemble_operator(build_grid(cfg.half_width, cfg.n), cfg.s)
-    branch = fold_round(trace_minimal(spec, op, cfg.trace_policy()), op, spec, cfg.fold_policy())
+    branch = fold_round(trace_minimal(spec, op, TracePolicy(tol=cfg.newton_tol)), op, spec, FoldPolicy())
     lam_est = branch.fold_point().lam
     rows = multiplicity_scan(branch, [0.5 * lam_est, 0.7 * lam_est, 0.9 * lam_est])
     path = os.path.join(cfg.out_dir, "multiplicity.csv")

@@ -6,7 +6,6 @@ import configparser
 import io
 from dataclasses import dataclass, fields
 
-from .continuation import FoldPolicy, TracePolicy
 from .problem import ProblemSpec, no_nonlinearity, power_nonlinearity
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config"]
@@ -15,7 +14,6 @@ _SECTIONS = {
     "problem": ("s", "delta", "beta", "coeff", "nonlinearity", "p", "c", "lam"),
     "grid": ("half_width", "n"),
     "tolerances": ("newton_tol",),
-    "continuation": ("lambda_init", "max_points", "arc_step", "fold_steps"),
     "output": ("out_dir", "seed"),
     "verify": ("suites",),
 }
@@ -36,10 +34,6 @@ class RunConfig:
     half_width: float = 1.0
     n: int = 511
     newton_tol: float = 1e-8
-    lambda_init: float = 0.0
-    max_points: int = 48
-    arc_step: float = 0.02
-    fold_steps: int = 60
     out_dir: str = "out"
     seed: int = 0
     suites: str = "all"
@@ -54,13 +48,6 @@ class RunConfig:
         return ProblemSpec(
             s=self.s, delta=self.delta, beta=self.beta, coeff=self.coeff, nonlinearity=nl, lam=self.lam
         )
-
-    def trace_policy(self) -> TracePolicy:
-        lambda_init = self.lambda_init if self.lambda_init > 0.0 else None
-        return TracePolicy(lambda_init=lambda_init, max_points=self.max_points, tol=self.newton_tol)
-
-    def fold_policy(self) -> FoldPolicy:
-        return FoldPolicy(ds=self.arc_step, steps=self.fold_steps)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -47,9 +47,10 @@ The bordered LU of the corrector and of the fold solve, which the equation
 builds (`singular.Equation.bordered_solver`) from the row and corner given
 here, is then of order ceil(n/2) + 1, and the second solutions of
 `multiplicity_scan` factor J_e.  Only the random starts of
-`uniqueness_probe` run on the nodes and factor the n x n Jacobian: by
-Cholesky, which holds below the amplitude cap, else by LU
-(`operator.spd_or_lu_solver`).
+`uniqueness_probe` run on the nodes and factor the n x n Jacobian, by
+Cholesky (`operator.spd_solver`): below the amplitude cap the potential is
+nonnegative, so J dominates A and is positive definite, and a failed
+Cholesky means the iterate has left the admissible set.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linearization import fredholm_monitor, lambda1, linearized_operator
-from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair, spd_or_lu_solver
+from .operator import EigenPair, NonlocalOperator, lu_solver, principal_eigenpair, spd_solver
 from .problem import ProblemSpec
 from .singular import DEFAULT_TOL, Equation, SolutionField, damped_newton, solve_min
 
@@ -165,10 +166,15 @@ class Branch:
         return [p for p in self.points if p.segment == "upper"]
 
 
-# Minimal-branch tracing multiplies lam by this factor until a solve fails.
-# A fold solve that fails is started again from a point between the last
-# solved and the first failed lam, at most FOLD_STARTS - 1 times.
+# Minimal-branch tracing (`trace_minimal`): its first lam and the floor of
+# its halving, in units of lambda_1(A), the factor lam grows by until a
+# solve fails, and the budget of minimal points.  A fold solve that fails is
+# started again from a point between the last solved and the first failed
+# lam, at most FOLD_STARTS - 1 times.
+LAMBDA_START = 0.02
+LAMBDA_FLOOR = 1e-12
 LAMBDA_GROWTH = 2.0
+MAX_POINTS = 48
 FOLD_STARTS = 4
 
 # Pseudo-arclength step control: a failed corrector halves ds down to DS_MIN;
@@ -189,8 +195,6 @@ LAM_FLOOR = 1e-8  # an upper extension ends at the first point with lam at or be
 
 @dataclass(frozen=True)
 class TracePolicy:
-    lambda_init: float | None = None
-    max_points: int = 48
     tol: float = DEFAULT_TOL
 
 
@@ -232,27 +236,30 @@ def _positive_trial(n: int):
 def trace_minimal(spec: ProblemSpec, op: NonlocalOperator, policy: TracePolicy = TracePolicy()) -> Branch:
     """Trace the minimal branch to the fold and solve for the fold point.
 
-    lam grows geometrically with warm-started minimal solves until the first
-    one fails.  That failure only ends the growth: it proves nothing about
-    existence.  The fold is then solved for from the last point by
+    The first lam is LAMBDA_START * lambda_1(A), halved while its minimal
+    solve fails; one below LAMBDA_FLOOR * lambda_1(A) raises
+    ConvergenceError.  From there lam grows geometrically with warm-started
+    minimal solves until the first one fails, within MAX_POINTS points.
+    That failure only ends the growth: it proves nothing about existence.
+    The fold is then solved for from the last point by
     `_fold_point` and appended as the branch's one "fold" point; its lam is
     the extremal parameter.  When that solve fails, a point closer to the
     fold (`_closer_point`) is added and the fold solved for from there; the
     last failure raises ConvergenceError.
     """
     lam1s = principal_eigenpair(op).value
-    lam = policy.lambda_init if policy.lambda_init is not None else 0.02 * lam1s
-    for _ in range(80):
+    lam = LAMBDA_START * lam1s
+    while lam >= LAMBDA_FLOOR * lam1s:
         try:
             fld = solve_min(lam, spec, op, tol=policy.tol)
             break
         except ConvergenceError:
             lam *= 0.5
-            if lam < 1e-12 * lam1s:
-                raise ConvergenceError("no starting point found on the minimal branch")
+    else:
+        raise ConvergenceError("no starting point found on the minimal branch")
     points = [BranchPoint(fld, op, policy.tol)]
 
-    while len(points) < policy.max_points:
+    while len(points) < MAX_POINTS:
         lam *= LAMBDA_GROWTH
         try:
             fld = solve_min(lam, spec, op, tol=policy.tol, sub_hint=points[-1].solution)
@@ -667,7 +674,10 @@ def uniqueness_probe(
     Every start either fails to converge inside the admissible set or lands on
     the minimal solution; a distinct converged solution below the cap means
     FALSIFIED (given the comparison principle this signals an implementation
-    bug, not new mathematics).
+    bug, not new mathematics).  Each start's Jacobians are factored by
+    Cholesky alone: below the cap every potential entry
+    lam (delta K_i u_i^(-delta-1) - f'(u_i)) is nonnegative, so J dominates
+    A, and a failed Cholesky ends the start as "diverged".
     """
     cap = small_solution_cap(spec, op)
     if not np.isfinite(cap):
@@ -685,7 +695,7 @@ def uniqueness_probe(
     for t in range(trials):
         start = cap * rng.uniform(0.02, 1.0, size=op.n)
         try:
-            vals, _, _ = eq.solve(start, tol, spd_or_lu_solver, 60)
+            vals, _, _ = eq.solve(start, tol, spd_solver, 60)
         except ConvergenceError:
             records.append({"trial": t, "outcome": "diverged"})
             continue

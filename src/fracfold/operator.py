@@ -75,12 +75,11 @@ holder's `matrix`, A's blocks, a J_o whose Cholesky an LU may follow) is
 copied once, contiguously.  A float32 matrix (a single-precision Newton
 Jacobian) meets only the float32 kernels.  The module hands out solves
 x -> M^-1 x, never factors: `spd_solver` (Cholesky), `lu_solver` (LU with
-partial pivoting), `spd_or_lu_solver` ("Cholesky, else LU" in place, for a
-Newton run's scratch Jacobian) and `shifted_spd_solver` (Cholesky below the
-Gershgorin discs).  The solves with A and with every J are held by one
-`LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0), which
-keeps its own "Cholesky, else LU": its cached Cholesky, else an LU of a
-copy of its kept matrix (`block_solve`).  The smallest eigenpair of either
+partial pivoting) and `shifted_spd_solver` (Cholesky below the Gershgorin
+discs).  The solves with A and with every J are held by one
+`LinearizedOperator` each (A's is `NonlocalOperator.lin`, at p = 0), whose
+`block_solve` is the one "Cholesky, else LU": its cached Cholesky, else an
+LU of a copy of its kept matrix.  The smallest eigenpair of either
 comes from `smallest_eigenpairs`: shift-invert Lanczos through the holder's
 solve, on the even block when it keeps one.  The LU solve and the Lanczos
 tridiagonal's eigensolver call LAPACK (getrs, stevd) directly, without
@@ -116,7 +115,6 @@ __all__ = [
     "solve_dirichlet",
     "spd_solver",
     "lu_solver",
-    "spd_or_lu_solver",
     "shifted_spd_solver",
     "matvec",
     "odd_floor",
@@ -590,31 +588,6 @@ def lu_solver(mat: np.ndarray, overwrite: bool = False):
         return _GETRS(lu, piv, x)[0]
 
     return solve
-
-
-def spd_or_lu_solver(mat: np.ndarray, overwrite: bool = False):
-    """x -> mat^-1 x for symmetric mat by its Cholesky factor, else by LU; None when mat is exactly singular.
-
-    "Cholesky, else LU" for a Newton run's scratch Jacobian (the multistarts
-    of `continuation.uniqueness_probe`); a holder keeps its own rule
-    (`LinearizedOperator.block_solve`).  The Cholesky is `spd_solver` and
-    the LU gets mat's column-major form.  With overwrite=True the Cholesky
-    factors mat in place and only mat's diagonal is kept aside: LAPACK's
-    potrf with lower=True neither reads nor writes the strict upper
-    triangle, so after a failed Cholesky that triangle, mirrored, and the
-    kept diagonal give the LU mat back bit for bit.  A copy of the whole matrix would be a
-    fresh allocation on every call, whose page faults cost more at n = 256
-    than the Cholesky saves over the LU.
-    """
-    col = mat if mat.flags.f_contiguous else mat.T
-    diagonal = np.diagonal(col).copy() if overwrite else None
-    if (solve := spd_solver(mat, overwrite=overwrite)) is not None:
-        return solve
-    if overwrite:  # the lower triangle may hold part of a factor: put mat back from the rest
-        k = len(col)
-        np.copyto(col, col.T, where=np.tri(k, k, -1, dtype=bool))
-        col[np.diag_indices(k)] = diagonal
-    return lu_solver(col, overwrite)
 
 
 def shifted_spd_solver(mat: np.ndarray):

@@ -22,6 +22,12 @@ from .operator import Grid
 __all__ = ["Nonlinearity", "ProblemSpec", "power_nonlinearity", "no_nonlinearity"]
 
 
+def _require_finite(name: str, value) -> None:
+    """ValueError naming the field unless value is a finite number (None included)."""
+    if value is None or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Descriptor for the superlinear term f.
@@ -41,9 +47,11 @@ class Nonlinearity:
         if self.kind not in ("none", "power", "custom"):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "power":
-            if self.p is None or self.p <= 1.0:
+            for name in ("p", "c"):
+                _require_finite(name, getattr(self, name))
+            if self.p <= 1.0:
                 raise ValueError("power nonlinearity requires p > 1")
-            if self.c is None or self.c <= 0.0:
+            if self.c <= 0.0:
                 raise ValueError("power nonlinearity requires c > 0")
         if self.kind == "custom" and not (self.f_fn and self.fp_fn and self.fpp_fn):
             raise ValueError("custom nonlinearity requires f, f', and f'' callables")
@@ -97,6 +105,8 @@ class ProblemSpec:
     lam: float = 0.0
 
     def __post_init__(self):
+        for name in ("s", "delta", "beta", "coeff", "lam"):
+            _require_finite(name, getattr(self, name))
         if not (0.0 < self.s < 1.0):
             raise ValueError(f"s must lie in (0,1), got {self.s}")
         if self.delta < 0.0:

@@ -14,13 +14,12 @@ a Newton run (`Equation.on`), the holder of its solves
 (`Equation.bordered_solver`).  The caller gives the factor function, which
 maps a Jacobian to a solve with it and never hands out a LAPACK factor
 (`operator.spd_solver`, given n so that it probes every block with the
-n-node sine profile, for the solves below, `operator.lu_solver` for the
-second solutions in `continuation`, `operator.spd_or_lu_solver`, Cholesky
-else LU in place, for its multistarts, the bordered LU for its arclength
-corrector and its fold solve), and the trial map (the positivity floor
-here, rejection of nonpositive trials in `continuation`).  A holder of a
-linearization's solves keeps its own "Cholesky, else LU"
-(`operator.LinearizedOperator.block_solve`).
+n-node sine profile, for the solves below and, on the nodes, for the
+multistarts in `continuation`, `operator.lu_solver` for its second
+solutions, the bordered LU for its arclength corrector and its fold solve),
+and the trial map (the positivity floor here, rejection of nonpositive
+trials in `continuation`).  "Cholesky, else LU" is kept only by the holder
+of a linearization's solves (`operator.LinearizedOperator.block_solve`).
 `damped_newton` reuses a factored solve while the merit falls fast (the
 chord rule), so a solve makes fewer factorizations than steps.  Newton stops
 when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
@@ -270,13 +269,13 @@ class Equation:
     def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
         """Damped Newton from the n-node u0 with trials floored at POSITIVITY_FLOOR, in the run's coordinates (`on`).
 
-        factor(jac, overwrite=True) is operator.spd_solver, lu_solver or
-        spd_or_lu_solver: a solve with the Jacobian, or None when its
-        factorization rejects it.  It gets the fresh Jacobian as its
-        transpose view (J is symmetric) and factors it in place.  At an
-        even u0 with even data the run is on the half grid: it factors the
-        even block, its step is J_e^-1 (-r) through `Basis.solver`, and
-        the field is mirrored back once, at the end.  damped_newton keeps
+        factor(jac, overwrite=True) is operator.spd_solver or lu_solver: a
+        solve with the Jacobian, or None when its factorization rejects it.
+        It gets the fresh Jacobian as its transpose view (J is symmetric)
+        and factors it in place.  At an even u0 with even data the run is
+        on the half grid: it factors the even block, its step is J_e^-1
+        (-r) through `Basis.solver`, and the field is mirrored back once,
+        at the end.  damped_newton keeps
         one such solve for the run and reuses it by its chord rule.
         Returns (u, residual, bound) with |G(u)| <= tol * scale(u) at every
         node (`evaluate`), residual its sup and bound the sup of tol *

@@ -679,9 +679,11 @@ SUITES = {
 
 
 def verify_suite(cfg: RunConfig, suites: list[str] | None = None) -> VerificationReport:
-    """Run the requested suites (default: the config's `suites` field)."""
+    """Run the requested suites (default: the config's `suites` field); ValueError when none is named."""
     if suites is None:
         suites = [name.strip() for name in cfg.suites.split(",") if name.strip()]
+    if not suites:
+        raise ValueError(f"no suite selected; choose from {sorted(SUITES)} or 'all'")
     cache = _Cache()
     report = VerificationReport()
     for name in (one for name in suites for one in (SUITES if name == "all" else [name])):

@@ -35,7 +35,7 @@ from fracfold.continuation import (
     trace_minimal,
     uniqueness_probe,
 )
-from fracfold.operator import lu_solver, spd_or_lu_solver
+from fracfold.operator import lu_solver, spd_solver
 from fracfold.singular import Equation
 from fracfold.verify import _Cache, _folded, _nonexistence_bound, _traced
 
@@ -77,6 +77,44 @@ def test_trace_stops_solving_at_the_first_failed_step(monkeypatch, op256_s04, ca
     branch = trace_minimal(canonical_spec, op256_s04)
     assert len(lams) == len(branch.minimal_points()) + 1
     assert lams[-1] > branch.fold_point().lam
+    assert branch.points[-1] is branch.fold_point()
+
+
+def test_trace_without_a_starting_point_is_a_convergence_error(monkeypatch, canonical_spec):
+    # every minimal solve fails: lam is halved from LAMBDA_START * lambda_1
+    # until it falls below LAMBDA_FLOOR * lambda_1, and no further
+    op = assemble_operator(build_grid(1.0, 64), canonical_spec.s)
+    lam1 = fracfold.operator.principal_eigenpair(op).value
+    lams = []
+
+    def failing(lam, *args, **kwargs):
+        lams.append(lam)
+        raise ConvergenceError("planted")
+
+    monkeypatch.setattr(fracfold.continuation, "solve_min", failing)
+    with pytest.raises(ConvergenceError, match="no starting point"):
+        trace_minimal(canonical_spec, op)
+    assert lams[0] == fracfold.continuation.LAMBDA_START * lam1
+    assert all(b == 0.5 * a for a, b in zip(lams, lams[1:]))
+    assert lams[-1] >= fracfold.continuation.LAMBDA_FLOOR * lam1 > 0.5 * lams[-1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_trace_starts_where_the_first_minimal_solve_succeeds(monkeypatch, canonical_spec, k):
+    # the first k minimal solves fail: the branch starts at 0.02 lambda_1 / 2^k
+    op = assemble_operator(build_grid(1.0, 64), canonical_spec.s)
+    lam1 = fracfold.operator.principal_eigenpair(op).value
+    original, calls = fracfold.continuation.solve_min, []
+
+    def failing_first(lam, *args, **kwargs):
+        calls.append(lam)
+        if len(calls) <= k:
+            raise ConvergenceError("planted")
+        return original(lam, *args, **kwargs)
+
+    monkeypatch.setattr(fracfold.continuation, "solve_min", failing_first)
+    branch = trace_minimal(canonical_spec, op)
+    assert branch.points[0].lam == 0.02 * lam1 / 2 ** k
     assert branch.points[-1] is branch.fold_point()
 
 
@@ -447,7 +485,7 @@ def test_uniqueness_probe_records_diverged_and_escaped_starts(monkeypatch, folde
     solve, starts = Equation.solve, []
 
     def planted(self, u0, tol, factor, maxit):
-        if factor is not spd_or_lu_solver:  # solve_min's own solve
+        if factor is not spd_solver:  # solve_min's own solve, by partial(spd_solver, n=n)
             return solve(self, u0, tol, factor, maxit)
         starts.append(u0)
         if len(starts) == 1:
@@ -470,7 +508,7 @@ def test_uniqueness_probe_caps_a_zero_nonlinearity_at_one(monkeypatch, op256_s04
     solve, starts = Equation.solve, []
 
     def recording(self, u0, tol, factor, maxit):
-        if factor is spd_or_lu_solver:
+        if factor is spd_solver:
             starts.append(u0)
         return solve(self, u0, tol, factor, maxit)
 
@@ -480,6 +518,32 @@ def test_uniqueness_probe_caps_a_zero_nonlinearity_at_one(monkeypatch, op256_s04
     rng = np.random.default_rng(5)
     for start in starts:
         assert np.array_equal(start, 1.0 * rng.uniform(0.02, 1.0, size=op256_s04.n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.05, 0.95),
+    delta=st.floats(0.05, 4.0),
+    beta_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    p_frac=st.floats(0.01, 1.0),
+    c=st.floats(0.1, 10.0),
+    lam=st.floats(1e-4, 10.0),
+    n=st.integers(8, 96),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_multistart_jacobians_below_the_cap_are_positive_definite(s, delta, beta_frac, p_frac, c, lam, n, seed):
+    # uniqueness_probe factors its multistarts by Cholesky alone: at a start
+    # drawn as it draws them, cap * U(0.02, 1), every potential entry
+    # lam (delta K_i u_i^(-delta-1) - f'(u_i)) is >= 0 since K_i >= min K,
+    # so J = A + diag(potential) dominates A and its Cholesky succeeds
+    p = 1.0 + 0.99 * p_frac * (min(ProblemSpec(s=s, delta=delta).subcritical_limit, 8.0) - 1.0)
+    spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=power_nonlinearity(p, c))
+    spec.require_subcritical()
+    op = assemble_operator(build_grid(1.0, n), s)
+    u = small_solution_cap(spec, op) * np.random.default_rng(seed).uniform(0.02, 1.0, size=n)
+    eq = Equation.of(op, spec, lam)
+    assert (eq.potential(u) >= 0.0).all()
+    assert spd_solver(eq.jacobian(u)) is not None
 
 
 @pytest.mark.parametrize("c,p", [(1.0, 2.0), (0.3, 3.5)])

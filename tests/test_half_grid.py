@@ -25,7 +25,7 @@ from fracfold.continuation import (
     _tangent,
     trace_minimal,
 )
-from fracfold.operator import fold, is_even, lu_solver, principal_eigenpair, spd_or_lu_solver, spd_solver, unfold
+from fracfold.operator import fold, is_even, lu_solver, principal_eigenpair, spd_solver, unfold
 from fracfold.singular import (
     CHORD_RATIO,
     POSITIVITY_FLOOR,
@@ -358,27 +358,10 @@ def test_an_asymmetric_start_runs_on_the_nodes(monkeypatch, n):
     eq = Equation.of(op, spec, 0.2)
     start = 0.05 * np.random.default_rng(n).uniform(0.5, 1.0, size=n)
     assert not is_even(start) and not eq.on(start).basis.even
-    for factor in (spd_or_lu_solver, lu_solver):
+    for factor in (spd_solver, lu_solver):
         calls = _assert_same_run(
             monkeypatch,
             lambda: eq.solve(start, 1e-10, factor, 60),
             lambda: _reference_solve(eq, start, 1e-10, factor, 60),
         )
         assert {len(mat) for _, mat in calls} == {n}
-
-
-def test_a_failed_in_place_cholesky_hands_the_lu_the_matrix_it_was_given(monkeypatch):
-    # symmetric, positive on the sine probe, indefinite at its last pivot: the
-    # in-place Cholesky fails part way, and the LU after it factors the
-    # matrix as it was handed over, from the untouched triangle and the kept
-    # diagonal, to the bits of an LU of the matrix itself
-    k = 40
-    mat = np.diag(np.r_[np.full(k - 1, 2.0), -1.0]) - 0.5 * (np.eye(k, k=1) + np.eye(k, k=-1))
-    mat[0, 2:] = mat[2:, 0] = -np.linspace(0.01, 0.02, k - 2)  # entries a misplaced triangle would scramble
-    calls = _factor_calls(monkeypatch)
-    scratch = mat.copy()
-    solve = spd_or_lu_solver(scratch.T, overwrite=True)
-    assert [kernel for kernel, _ in calls] == ["cho_factor", "lu_factor"]
-    assert _bits(calls[1][1]) == _bits(mat.T.copy())
-    x = np.linspace(1.0, 2.0, k)
-    assert _bits(solve(x)) == _bits(lu_solver(mat.T)(x))

@@ -72,7 +72,9 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_removed_keys():
     for section, name in (("tolerances", "eps_stop"), ("tolerances", "eigen_tol"),
                           ("continuation", "probe_steps"), ("continuation", "growth_cap"),
-                          ("continuation", "lambda1_threshold"), ("continuation", "bracket_rtol")):
+                          ("continuation", "lambda1_threshold"), ("continuation", "bracket_rtol"),
+                          ("continuation", "lambda_init"), ("continuation", "max_points"),
+                          ("continuation", "arc_step"), ("continuation", "fold_steps")):
         with pytest.raises(ValueError):
             parse_config(f"[{section}]\n{name} = 1\n")
 
@@ -272,6 +274,29 @@ def test_cli_solve_ps_rejects_a_nonpositive_lambda(tmp_path, capsys):
         assert main(["solve-ps", "--lambda", lam, "--n", "64", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: lambda must be positive")
     assert not (tmp_path / "solution-ps.json").exists()
+
+
+def test_cli_rejects_a_non_finite_lambda_as_a_usage_error(tmp_path, capsys):
+    # nan is no lambda: the error names the parameter, and says nothing of the fold
+    assert main(["solve-plambda", "--lambda", "nan", "--n", "64", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: lam must be a finite number, got nan\n"
+    assert main(["solve-ps", "--lambda", "inf", "--n", "64", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: lambda must be positive and finite")
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_empty_suite_selection_is_a_usage_error(tmp_path, capsys):
+    # `--suite ,` and a config with `suites =` name no suite: exit 1 and no
+    # verification.json, not a report of 0/0 records passed
+    with pytest.raises(ValueError, match="no suite selected"):
+        verify_suite(RunConfig(), [])
+    assert main(["verify", "--suite", ",", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: no suite selected")
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("[verify]\nsuites =\n")
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: no suite selected")
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.cfg"]
 
 
 def test_cli_multiplicity(tmp_path):

@@ -17,6 +17,22 @@ def test_spec_validation():
         ProblemSpec(s=0.4, delta=0.5, lam=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["s", "delta", "beta", "coeff", "lam"])
+def test_spec_rejects_a_non_finite_field_by_name(name, bad):
+    # a non-finite parameter is a usage error at construction, not a solver
+    # failure later that reads like nonexistence
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {bad!r}"):
+        ProblemSpec(**{"s": 0.4, "delta": 0.5, name: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["p", "c"])
+def test_power_nonlinearity_rejects_a_non_finite_field_by_name(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {bad!r}"):
+        power_nonlinearity(**{"p": 2.0, "c": 1.0, name: bad})
+
+
 def test_nonlinearity_validation_and_values():
     with pytest.raises(ValueError):
         power_nonlinearity(1.0)

@@ -26,7 +26,7 @@ from fracfold import operator as operator_module
 from fracfold import singular
 from fracfold.continuation import TracePolicy, _corrector, trace_minimal
 from fracfold.linearization import lambda1
-from fracfold.operator import lu_solver, matvec, principal_eigenpair, spd_or_lu_solver, spd_solver, unfold
+from fracfold.operator import lu_solver, matvec, principal_eigenpair, spd_solver, unfold
 from fracfold.problem import Nonlinearity
 from fracfold.singular import (
     Equation,
@@ -615,9 +615,9 @@ def test_pure_singular_solves_reuse_factors():
 def test_a_newton_run_builds_every_jacobian_in_one_buffer(monkeypatch, op256, canonical_spec):
     # with a fresh factor at every step, every factorization of one run gets
     # the same memory (the matrices handed over are held, so none is freed
-    # for the next to reuse): a random start runs on the nodes (Cholesky,
-    # else LU, of J), an even one on the half grid (J_e), and a run of
-    # float32 Jacobians that fails is run again into a float64 buffer
+    # for the next to reuse): a random start runs on the nodes (Cholesky of
+    # J), an even one on the half grid (J_e), and a run of float32
+    # Jacobians that fails is run again into a float64 buffer
     monkeypatch.setattr(singular, "CHORD_RATIO", 0.0)
     lam = 1e-3 * 0.52  # uniqueness_probe's: 1e-3 of the fold's lam
     eq = Equation.of(op256, canonical_spec, lam)
@@ -627,7 +627,7 @@ def test_a_newton_run_builds_every_jacobian_in_one_buffer(monkeypatch, op256, ca
 
         def factor(jac, **kwargs):
             jacs.append(jac)
-            return spd_or_lu_solver(jac, **kwargs)
+            return spd_solver(jac, **kwargs)
 
         eq.solve(start, 1e-8, factor, 60)
         assert len(jacs) >= 3 and jacs[0].shape == (order, order)

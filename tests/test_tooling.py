@@ -188,7 +188,7 @@ def _is_call_to(node, names) -> bool:
 
 def test_each_factorization_has_one_call_site():
     # every Cholesky is made by spd_solver and every LU by lu_solver (the
-    # shifted and the "Cholesky, else LU" solves go through them), so one
+    # shifted solve and a holder's "Cholesky, else LU" go through them), so one
     # counter in each would see every factorization
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
@@ -199,6 +199,48 @@ def test_each_factorization_has_one_call_site():
                 if _is_call_to(node, {"cho_factor", "lu_factor"})
             ]
     assert sorted(sites) == [("operator.py", "lu_solver", "lu_factor"), ("operator.py", "spd_solver", "cho_factor")]
+
+
+def _cholesky_else_lu_sites(tree) -> list[str]:
+    """Names of the top-level functions and methods that call lu_solver and also use spd_solver or a `.cholesky`."""
+    functions = [(top.name, top) for top in tree.body if isinstance(top, ast.FunctionDef)]
+    functions += [
+        (f"{top.name}.{f.name}", f)
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for f in top.body
+        if isinstance(f, ast.FunctionDef)
+    ]
+
+    def cholesky(node):
+        return getattr(node, "id", None) == "spd_solver" or getattr(node, "attr", None) in ("spd_solver", "cholesky")
+
+    return [
+        name
+        for name, f in functions
+        if any(_is_call_to(node, {"lu_solver"}) for node in ast.walk(f)) and any(map(cholesky, ast.walk(f)))
+    ]
+
+
+def test_cholesky_else_lu_has_one_home():
+    # a holder's block_solve takes its cached Cholesky, else an LU of a copy;
+    # every other solve takes one factorization: the Newton runs on a
+    # positive definite J (the minimal solves, the multistarts below the
+    # amplitude cap) by Cholesky alone, those on an indefinite one by LU
+    planted = (
+        "def scratch_solver(mat):\n"
+        "    return spd_solver(mat, overwrite=True) or lu_solver(mat, overwrite=True)\n"
+        "class Holder:\n"
+        "    def solve(self):\n"
+        "        return self.cholesky or operator.lu_solver(self.matrix)\n"
+    )
+    assert _cholesky_else_lu_sites(ast.parse(planted)) == ["scratch_solver", "Holder.solve"]
+    sites = [
+        f"{path.name}:{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in _cholesky_else_lu_sites(ast.parse(path.read_text()))
+    ]
+    assert sites == ["operator.py:LinearizedOperator.block_solve"]
 
 
 def _writes_a_diagonal(node) -> bool:
@@ -214,13 +256,11 @@ def _writes_a_diagonal(node) -> bool:
 
 
 def test_jacobians_are_assembled_only_by_the_equation():
-    # a matrix diagonal is written in five places: operator writes A's (in
-    # NonlocalOperator.dense) and each block's (in _block), shifts one for
-    # the Gershgorin-shifted solve and puts back the one a failed in-place
-    # Cholesky overwrote (in spd_or_lu_solver, from a kept copy), and
-    # singular.Equation adds the potential to make the Jacobian.  Any other
-    # site, in any module or a second one in these, is a second Jacobian
-    # assembly.
+    # a matrix diagonal is written in four places: operator writes A's (in
+    # NonlocalOperator.dense) and each block's (in _block) and shifts one for
+    # the Gershgorin-shifted solve, and singular.Equation adds the potential
+    # to make the Jacobian.  Any other site, in any module or a second one in
+    # these, is a second Jacobian assembly.
     sites = []
     for path in sorted(SOURCE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -229,7 +269,6 @@ def test_jacobians_are_assembled_only_by_the_equation():
         ("operator.py", "NonlocalOperator"),
         ("operator.py", "_block"),
         ("operator.py", "shifted_spd_solver"),
-        ("operator.py", "spd_or_lu_solver"),
         ("singular.py", "Equation"),
     ]
 
