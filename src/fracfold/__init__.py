@@ -47,7 +47,6 @@ from .singular import (
 from .weights import (
     NormReport,
     Regime,
-    WeightProfile,
     build_weight_profile,
     classify_regime,
     cone_norms,

@@ -19,7 +19,7 @@ from .config import RunConfig, load_config
 from .continuation import FoldPolicy, TracePolicy, fold_round, multiplicity_scan, trace_minimal
 from .errors import ConvergenceError
 from .io import atomic_write_text, dump_triplets, export_plot_data, write_branch_csv, write_solution_json
-from .operator import assemble_operator, build_grid, principal_eigenpair
+from .operator import assemble_operator, build_grid
 from .problem import ProblemSpec, no_nonlinearity
 from .singular import solve_min, solve_pure_singular
 from .verify import format_report, verify_suite
@@ -91,7 +91,7 @@ def _solve_common(cfg: RunConfig, pure: bool):
         field.spec = replace(field.spec, coeff=cfg.coeff, lam=cfg.lam)
     else:
         field = solve_min(cfg.lam, cfg.problem_spec(), op, tol=cfg.newton_tol)
-    profile = build_weight_profile(principal_eigenpair(op).vector, cfg.s, cfg.delta, cfg.beta)
+    profile = build_weight_profile(op.grid, cfg.s, cfg.delta, cfg.beta)
     try:
         alpha = fit_boundary_exponent(field.values, op.grid)[0]
     except ValueError:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .problem import ProblemSpec, no_nonlinearity, power_nonlinearity
@@ -37,6 +38,10 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
     suites: str = "all"
+
+    def __post_init__(self):
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
 
     def problem_spec(self) -> ProblemSpec:
         if self.nonlinearity == "power":

@@ -86,7 +86,7 @@ from .operator import (
     spd_solver,
 )
 from .problem import Nonlinearity, ProblemSpec, no_nonlinearity
-from .weights import boundary_exponent
+from .weights import boundary_exponent, boundary_profile
 
 __all__ = [
     "SolutionField",
@@ -411,13 +411,12 @@ def subsolution_constant(spec: ProblemSpec, op: NonlocalOperator, profile: np.nd
 def pure_singular_start(spec: ProblemSpec, op: NonlocalOperator) -> np.ndarray:
     """max(c b, (K / diag A)^(1/(1+delta))), b = (L^2 - x^2)^gamma: the subsolution `solve_pure_singular` starts from.
 
-    gamma is the paper's boundary exponent (`weights.boundary_exponent`) and
-    c is `subsolution_constant` of b.  b is even bit for bit, since (L - x)
-    (L + x) is one product of the same two factors at x and -x, so the start
-    is even and its Newton run is on the half grid.
+    b is `weights.boundary_profile` at the paper's boundary exponent gamma
+    (`weights.boundary_exponent`) and c is `subsolution_constant` of b.  b is
+    even bit for bit, so the start is even and its Newton run is on the half
+    grid.
     """
-    x, half_width = op.grid.nodes, op.grid.half_width
-    profile = ((half_width - x) * (half_width + x)) ** boundary_exponent(spec.s, spec.delta, spec.beta)
+    profile = boundary_profile(op.grid, boundary_exponent(spec.s, spec.delta, spec.beta))
     wall = (spec.k_field(op.grid) / op.diagonal) ** (1.0 / (1.0 + spec.delta))
     return np.maximum(subsolution_constant(spec, op, profile) * profile, wall)
 

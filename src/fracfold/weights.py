@@ -1,17 +1,13 @@
 """Boundary-weight profiles and regularity measurement instruments.
 
-The sharp boundary profile of positive solutions is an eigenfunction power,
-with a logarithmic correction in the borderline regime.  With phi the
-sup-normalized principal eigenfunction and ratio = beta/s + delta:
+Positive solutions vanish at the wall like d^gamma, gamma = min(s,
+(2s-beta)/(1+delta)) (`boundary_exponent`), with a logarithmic correction on
+the critical line beta/s + delta = 1.  The profile of that rate is the
+boundary profile b = (L^2 - x^2)^gamma (`boundary_profile`); sup-normalized,
+and times (ln(2/b))^(1/(delta+1)) on the critical line, it is the weight
+of the cone norm (`build_weight_profile`).
 
-    ratio < 1:  phi
-    ratio = 1:  phi * (ln(2/phi))^(1/(delta+1))
-    ratio > 1:  phi^((2s-beta)/((delta+1) s))
-
-so a solution vanishes at the wall like d^gamma, gamma = min(s, (2s-beta)/(1+delta))
-(`boundary_exponent`), with the logarithm at ratio = 1.
-
-This module also provides the cone norms u/phi, a log-log boundary-exponent
+This module also provides the cone norm sup |u|/b, a log-log boundary-exponent
 fit, a grid Hoelder-seminorm estimate, and the integrability indicator for
 the energy-class threshold 2*beta + delta*(2s-1) < 1 + 2s.
 """
@@ -28,10 +24,10 @@ from .problem import ProblemSpec
 
 __all__ = [
     "Regime",
-    "WeightProfile",
     "NormReport",
     "classify_regime",
     "boundary_exponent",
+    "boundary_profile",
     "distance_field",
     "weight_k",
     "build_weight_profile",
@@ -42,6 +38,10 @@ __all__ = [
 ]
 
 CRITICAL_TOL = 1e-12
+# fit_boundary_exponent fits nodes with d <= FIT_WINDOW * L on each side
+FIT_WINDOW = 0.15
+# holder_seminorm pairs nodes at most HOLDER_STRIDE_CAP spacings apart
+HOLDER_STRIDE_CAP = 64
 
 
 class Regime(enum.Enum):
@@ -67,6 +67,16 @@ def boundary_exponent(s: float, delta: float, beta: float) -> float:
     return min(s, (2.0 * s - beta) / (1.0 + delta))
 
 
+def boundary_profile(grid: Grid, gamma: float) -> np.ndarray:
+    """b = (L^2 - x^2)^gamma at the interior nodes, the rate d^gamma at both walls.
+
+    b is even bit for bit: (L - x)(L + x) is one product of the same two
+    factors at x and -x.
+    """
+    x, half_width = grid.nodes, grid.half_width
+    return ((half_width - x) * (half_width + x)) ** gamma
+
+
 def distance_field(grid: Grid) -> np.ndarray:
     """d(x_i) = L - |x_i| at the interior nodes."""
     return grid.distance()
@@ -77,53 +87,37 @@ def weight_k(grid: Grid, beta: float, coeff: float, s: float) -> np.ndarray:
     return ProblemSpec(s=s, delta=0.0, beta=beta, coeff=coeff).k_field(grid)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightProfile:
-    regime: Regime
-    values: np.ndarray
+def build_weight_profile(grid: Grid, s: float, delta: float, beta: float) -> np.ndarray:
+    """The cone norm's weight for (s, delta, beta): b = boundary_profile / L^(2 gamma), log-corrected on the critical line.
 
-
-def build_weight_profile(phi1s: np.ndarray, s: float, delta: float, beta: float) -> WeightProfile:
-    """Boundary profile for (s, delta, beta) built from the principal eigenfunction.
-
-    phi1s must be strictly positive and sup-normalized to 1, so ln(2/phi1s) > 0
-    everywhere and the critical-regime formula is well defined.
+    b is (1 - x^2/L^2)^gamma, so 0 < b <= 1 with b = 1 only at x = 0; on the
+    critical line it is multiplied by (ln(2/b))^(1/(delta+1)), which keeps
+    it in (0, 1] since t (ln(2/t))^p <= 1 for t in (0, 1], p in (0, 1].
     """
-    phi = np.asarray(phi1s, dtype=float)
-    if phi.min() <= 0.0:
-        raise ValueError("principal eigenfunction must be strictly positive")
-    if abs(phi.max() - 1.0) > 1e-10:
-        raise ValueError(f"principal eigenfunction must be sup-normalized, max is {phi.max()!r}")
-    regime = classify_regime(s, delta, beta)
-    if regime is Regime.SUB:
-        values = phi.copy()
-    elif regime is Regime.CRITICAL:
-        values = phi * np.log(2.0 / phi) ** (1.0 / (delta + 1.0))
-    else:
-        values = phi ** (boundary_exponent(s, delta, beta) / s)
-    return WeightProfile(regime=regime, values=values)
+    gamma = boundary_exponent(s, delta, beta)
+    b = boundary_profile(grid, gamma) / (grid.half_width * grid.half_width) ** gamma
+    if classify_regime(s, delta, beta) is Regime.CRITICAL:
+        b = b * np.log(2.0 / b) ** (1.0 / (delta + 1.0))
+    return b
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """Cone norms against a weight profile plus the optional fitted boundary exponent."""
+    """The cone norm against a weight profile plus the optional fitted boundary exponent."""
 
     cone_norm: float
-    cone_lower: float
     fitted_exponent: float | None = None
 
 
-def cone_norms(u: np.ndarray, profile: WeightProfile) -> NormReport:
-    """sup |u|/phi and inf u/phi; membership in the positive cone needs both > 0."""
-    u = np.asarray(u, dtype=float)
-    ratios = u / profile.values
-    return NormReport(cone_norm=float(np.abs(ratios).max()), cone_lower=float(ratios.min()))
+def cone_norms(u: np.ndarray, profile: np.ndarray) -> NormReport:
+    """sup |u|/b over the weight profile b (`build_weight_profile`)."""
+    return NormReport(cone_norm=float(np.abs(np.asarray(u, dtype=float) / profile).max()))
 
 
-def fit_boundary_exponent(u: np.ndarray, grid: Grid, window: float = 0.15) -> tuple[float, float]:
+def fit_boundary_exponent(u: np.ndarray, grid: Grid) -> tuple[float, float]:
     """Boundary exponent from a weighted log-log fit near each endpoint.
 
-    Uses nodes with d in [2h, window*L] on each side separately (the node
+    Uses nodes with d in [2h, FIT_WINDOW*L] on each side separately (the node
     nearest each endpoint is excluded as discretization-polluted) and averages
     the two sides.  The model is ln u = alpha ln d + c + b d, i.e. a power law
     times an analytic correction, which is the structure positive solutions
@@ -136,7 +130,7 @@ def fit_boundary_exponent(u: np.ndarray, grid: Grid, window: float = 0.15) -> tu
     u = np.asarray(u, dtype=float)
     d = distance_field(grid)
     lo = 2.0 * grid.h * (1.0 - 1e-12)
-    hi = window * grid.half_width
+    hi = FIT_WINDOW * grid.half_width
     slopes, rsqs = [], []
     for side in (grid.nodes < 0.0, grid.nodes > 0.0):
         mask = side & (d >= lo) & (d <= hi)
@@ -160,30 +154,25 @@ def fit_boundary_exponent(u: np.ndarray, grid: Grid, window: float = 0.15) -> tu
     return float(np.mean(slopes)), float(np.mean(rsqs))
 
 
-def holder_seminorm(
-    u: np.ndarray, grid: Grid, gamma: float, stride_cap: int = 64, include_boundary: bool = True
-) -> float:
-    """max |u_i - u_j| / |x_i - x_j|^gamma over node pairs within the stride cap.
+def holder_seminorm(u: np.ndarray, grid: Grid, gamma: float) -> float:
+    """max |u_i - u_j| / |x_i - x_j|^gamma over node pairs at most HOLDER_STRIDE_CAP spacings apart.
 
-    With include_boundary (the default) each near-wall node is also paired
-    against the exterior zero value at its wall, so a boundary layer steeper
-    than gamma is detected; fields that do not vanish toward the walls are
-    then dominated by their wall pairs.  Pass include_boundary=False to probe
-    only the interior difference quotient.
+    Each near-wall node is also paired against the exterior zero value at its
+    wall, so a boundary layer steeper than gamma is detected; fields that do
+    not vanish toward the walls are then dominated by their wall pairs.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     u = np.asarray(u, dtype=float)
     n, h = grid.n, grid.h
     best = 0.0
-    for m in range(1, min(stride_cap, n - 1) + 1):
+    for m in range(1, min(HOLDER_STRIDE_CAP, n - 1) + 1):
         diff = np.abs(u[m:] - u[:-m]).max()
         best = max(best, diff / (m * h) ** gamma)
-    if include_boundary:
-        cap = min(stride_cap, n)
-        dist = h * np.arange(1, cap + 1)
-        best = max(best, float((np.abs(u[:cap]) / dist ** gamma).max()))
-        best = max(best, float((np.abs(u[-cap:][::-1]) / dist ** gamma).max()))
+    cap = min(HOLDER_STRIDE_CAP, n)
+    dist = h * np.arange(1, cap + 1)
+    best = max(best, float((np.abs(u[:cap]) / dist ** gamma).max()))
+    best = max(best, float((np.abs(u[-cap:][::-1]) / dist ** gamma).max()))
     return best
 
 

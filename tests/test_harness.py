@@ -46,7 +46,12 @@ _CONFIG_VALUE = {
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.fixed_dictionaries({f.name: _CONFIG_VALUE[f.type] for f in dataclasses.fields(RunConfig)}))
+@given(
+    st.fixed_dictionaries(
+        {f.name: _CONFIG_VALUE[f.type] for f in dataclasses.fields(RunConfig)}
+        | {"newton_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)}
+    )
+)
 @example(dataclasses.asdict(RunConfig(out_dir="a%b", suites="%(s)s")))
 def test_config_round_trips_every_field(values):
     # serialize then parse is the identity for any value of every field,
@@ -283,6 +288,22 @@ def test_cli_rejects_a_non_finite_lambda_as_a_usage_error(tmp_path, capsys):
     assert main(["solve-ps", "--lambda", "inf", "--n", "64", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: lambda must be positive and finite")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_a_bad_newton_tol_is_a_usage_error(tmp_path, capsys, tol):
+    # a tolerance that no residual can meet, or that every residual meets,
+    # is rejected as input: not a stalled Newton run, nor a solution at any residual
+    text = f"[tolerances]\nnewton_tol = {tol}\n"
+    with pytest.raises(ValueError, match="newton_tol"):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["solve-plambda", "--config", str(cfg_path), "--n", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: newton_tol must be positive and finite"), err
+    assert not out.exists()
 
 
 def test_an_empty_suite_selection_is_a_usage_error(tmp_path, capsys):

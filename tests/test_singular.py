@@ -37,7 +37,7 @@ from fracfold.singular import (
     torsion_field,
 )
 from fracfold.verify import _BRANCH_SPEC, _nonexistence_bound
-from fracfold.weights import Regime, build_weight_profile, classify_regime, cone_norms
+from fracfold.weights import Regime, classify_regime
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +258,7 @@ def test_solve_min_delta_zero_against_picard_oracle(op256):
 def test_solve_min_residual_contract(op256, canonical_spec):
     field = solve_min(0.2, canonical_spec, op256)
     assert _residual(op256, canonical_spec, 0.2, field.values) <= field.residual_bound
-    profile = build_weight_profile(principal_eigenpair(op256).vector, canonical_spec.s, canonical_spec.delta, 0.0)
-    assert cone_norms(field.values, profile).cone_lower > 0.0
+    assert field.values.min() > 0.0
 
 
 def test_solve_min_rejects_nonpositive_lambda(op256, canonical_spec):

@@ -154,11 +154,13 @@ def test_eigenpairs_have_one_home():
 
 def test_the_pure_singular_solve_needs_no_eigenpair():
     # the pure singular Newton starts from the boundary profile, whose
-    # constant comes from one product with A: singular reads no phi_1
+    # constant comes from one product with A, and the cone norm's weight is
+    # that profile: singular, weights and the CLI's solves read no phi_1
     names = {"principal_eigenpair", "smallest_eigenpairs"}
     planted = "from .operator import matvec, principal_eigenpair\nphi = operator.smallest_eigenpairs(op.lin).vector\n"
     assert _references(ast.parse(planted), names) == [(None, 1), (None, 2)]
-    assert _references(ast.parse((SOURCE / "singular.py").read_text()), names) == []
+    for module in ("singular.py", "weights.py", "cli.py"):
+        assert _references(ast.parse((SOURCE / module).read_text()), names) == [], module
 
 
 def test_linearization_is_built_only_by_branch_points():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracfold import (
     ProblemSpec,
@@ -15,7 +17,8 @@ from fracfold import (
     weight_k,
 )
 from fracfold import assemble_operator
-from fracfold.operator import principal_eigenpair
+from fracfold.operator import is_even, principal_eigenpair
+from fracfold.weights import boundary_exponent, boundary_profile
 
 
 @pytest.fixture(scope="module")
@@ -68,44 +71,55 @@ def test_regime_classification_matches_sign():
 
 
 def test_weight_profile_formulas(grid1023):
-    phi = np.sin(np.pi * (grid1023.nodes + 1.0) / 2.0)
-    phi = phi / phi.max()
-    sub = build_weight_profile(phi, s=0.4, delta=0.5, beta=0.0)
-    assert sub.regime is Regime.SUB
-    assert np.array_equal(sub.values, phi)
-    crit = build_weight_profile(phi, s=0.5, delta=1.0, beta=0.0)
-    assert crit.regime is Regime.CRITICAL
-    assert np.allclose(crit.values, phi * np.log(2.0 / phi) ** 0.5)
-    assert np.all(np.log(2.0 / phi) > 0.0)
-    sup = build_weight_profile(phi, s=0.4, delta=3.0, beta=0.0)
-    assert sup.regime is Regime.SUPER
-    assert np.allclose(sup.values, phi ** 0.5)
+    x = grid1023.nodes
+    sub = build_weight_profile(grid1023, s=0.4, delta=0.5, beta=0.0)
+    assert np.allclose(sub, (1.0 - x ** 2) ** 0.4, rtol=1e-14)
+    crit = build_weight_profile(grid1023, s=0.5, delta=1.0, beta=0.0)
+    b = np.sqrt(1.0 - x ** 2)
+    assert np.allclose(crit, b * np.log(2.0 / b) ** 0.5, rtol=1e-13)
+    sup = build_weight_profile(grid1023, s=0.4, delta=3.0, beta=0.0)
+    assert np.allclose(sup, (1.0 - x ** 2) ** 0.2, rtol=1e-14)
+    # the profile is the boundary profile over its value at the centre, on any L
+    wide = build_grid(2.5, 255)
+    prof = build_weight_profile(wide, s=0.3, delta=0.5, beta=0.1)
+    assert np.allclose(prof, boundary_profile(wide, 0.3) / 2.5 ** 0.6, rtol=1e-14)
 
 
-def test_weight_profile_rejects_bad_input(grid1023):
-    phi = np.full(grid1023.n, 0.5)
-    with pytest.raises(ValueError):
-        build_weight_profile(phi, 0.4, 0.5, 0.0)
-    phi = np.linspace(-0.1, 1.0, grid1023.n)
-    with pytest.raises(ValueError):
-        build_weight_profile(phi, 0.4, 0.5, 0.0)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.05, 0.95),
+    delta=st.floats(0.0, 4.0),
+    beta_frac=st.floats(0.0, 0.99),
+    critical=st.booleans(),
+    n=st.sampled_from((255, 256, 1023, 1024)),
+)
+@example(s=0.5, delta=1.0, beta_frac=0.0, critical=False, n=1023)
+@example(s=0.4, delta=2.0, beta_frac=0.0, critical=True, n=1024)
+def test_weight_profile_is_even_bounded_and_has_the_boundary_rate(s, delta, beta_frac, critical, n):
+    # on the critical line beta/s + delta = 1 (delta scaled into [0, 1]) when
+    # asked, else any beta in [0, 2s)
+    if critical:
+        delta /= 4.0
+    beta = s * (1.0 - delta) if critical else beta_frac * 2.0 * s
+    g = build_grid(1.0, n)
+    b = build_weight_profile(g, s, delta, beta)
+    assert is_even(b)
+    assert b.min() > 0.0 and b.max() <= 1.0
+    gamma = boundary_exponent(s, delta, beta)
+    fitted, _ = fit_boundary_exponent(b, g)
+    if classify_regime(s, delta, beta) is Regime.CRITICAL:
+        # the log factor makes the profile flatter at the wall than d^gamma
+        assert fitted < gamma
+    else:
+        assert abs(fitted - gamma) < 1e-3
 
 
 def test_cone_norms_identity_homogeneity(grid1023):
-    phi = np.sin(np.pi * (grid1023.nodes + 1.0) / 2.0)
-    phi /= phi.max()
-    profile = build_weight_profile(phi, 0.4, 0.5, 0.0)
-    rep = cone_norms(phi, profile)
-    assert rep.cone_norm == pytest.approx(1.0)
-    assert rep.cone_lower == pytest.approx(1.0)
-    rep2 = cone_norms(2.0 * phi, profile)
-    assert rep2.cone_norm == pytest.approx(2.0)
-    assert rep2.cone_lower == pytest.approx(2.0)
-    rep0 = cone_norms(np.zeros(grid1023.n), profile)
-    assert rep0.cone_norm == 0.0 and rep0.cone_lower == 0.0
-    repm = cone_norms(-phi, profile)
-    assert repm.cone_norm == pytest.approx(1.0)
-    assert rep.cone_lower <= rep.cone_norm
+    profile = build_weight_profile(grid1023, 0.4, 0.5, 0.0)
+    assert cone_norms(profile, profile).cone_norm == pytest.approx(1.0)
+    assert cone_norms(2.0 * profile, profile).cone_norm == pytest.approx(2.0)
+    assert cone_norms(np.zeros(grid1023.n), profile).cone_norm == 0.0
+    assert cone_norms(-profile, profile).cone_norm == pytest.approx(1.0)
 
 
 def test_fit_exact_on_power_laws(grid1023):
@@ -132,20 +146,16 @@ def test_fit_on_principal_eigenfunction():
     assert fitted == pytest.approx(0.5, abs=0.05)
 
 
-def test_fit_refuses_thin_window(grid1023):
-    d = distance_field(grid1023)
+def test_fit_refuses_thin_window():
+    # at n = 32 only one node has d in [2h, 0.15 L]
+    g = build_grid(1.0, 32)
     with pytest.raises(ValueError, match="refine grid"):
-        fit_boundary_exponent(d ** 0.5, grid1023, window=0.004)
+        fit_boundary_exponent(distance_field(g) ** 0.5, g)
 
 
 def test_holder_trivial_fields(grid1023):
-    # interior difference quotient: constants give 0, |x - x0| is 1-Lipschitz
     c = np.full(grid1023.n, 2.4)
-    assert holder_seminorm(c, grid1023, 0.5, include_boundary=False) == 0.0
     assert holder_seminorm(np.zeros(grid1023.n), grid1023, 0.5) == 0.0
-    u = np.abs(grid1023.nodes - 0.25)
-    val = holder_seminorm(u, grid1023, 1.0, stride_cap=grid1023.n, include_boundary=False)
-    assert val == pytest.approx(1.0, abs=1e-12)
     # a field that does not vanish at the wall is dominated by its wall pairs
     assert holder_seminorm(c, grid1023, 0.5) == pytest.approx(2.4 / grid1023.h ** 0.5)
 
