@@ -42,6 +42,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.newton_tol < math.inf:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def problem_spec(self) -> ProblemSpec:
         if self.nonlinearity == "power":
@@ -64,13 +66,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(section: str, name: str, raw: str):
     kind = _FIELD_TYPES[name]
-    if kind in ("float", float):
-        return float(raw)
-    if kind in ("int", int):
-        return int(raw)
-    return raw
+    parse = {"float": float, "int": int}.get(kind)
+    if parse is None:
+        return raw
+    try:
+        return parse(raw)
+    except ValueError:
+        expected = "an integer" if parse is int else "a float"
+        raise ValueError(f"[{section}] {name} must be {expected}, got {raw!r}") from None
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -96,7 +101,7 @@ def parse_config(text: str) -> RunConfig:
         for name, raw in items.items():
             if name not in _SECTIONS[section]:
                 raise ValueError(f"unknown key {name!r} in section [{section}]")
-            values[name] = _parse_value(name, raw)
+            values[name] = _parse_value(section, name, raw)
     return RunConfig(**values)
 
 

@@ -49,7 +49,9 @@ here, is then of order ceil(n/2) + 1, and the second solutions of
 `multiplicity_scan` factor J_e.  Only the random starts of
 `uniqueness_probe` run on the nodes and factor the n x n Jacobian, by
 Cholesky (`operator.spd_solver`): below the amplitude cap the potential is
-nonnegative, so J dominates A and is positive definite, and a failed
+nonnegative, so J dominates A and is positive definite.  For the same reason
+each start's run factors in float32 first (`singular.Equation.precision`);
+a float32 run that fails is run again in float64, and a failed float64
 Cholesky means the iterate has left the admissible set.
 """
 
@@ -677,7 +679,10 @@ def uniqueness_probe(
     bug, not new mathematics).  Each start's Jacobians are factored by
     Cholesky alone: below the cap every potential entry
     lam (delta K_i u_i^(-delta-1) - f'(u_i)) is nonnegative, so J dominates
-    A, and a failed Cholesky ends the start as "diverged".
+    A.  So each start's Newton run factors in float32 first
+    (`singular.Equation.precision`) and is run again in float64 if it
+    fails; a float64 run that fails, a failed Cholesky included, ends the
+    start as "diverged".
     """
     cap = small_solution_cap(spec, op)
     if not np.isfinite(cap):

@@ -27,13 +27,20 @@ when |G(u)| <= tol * scale(u) at every node, with the per-node scale 1 +
 k u^(-delta) is largest, sets only its own bound, so the interior converges
 to the same tolerance from any start.
 
-When f = 0 and lam delta k >= 0, as in the pure singular and forced solves
-(`solve_pure_singular`, `solve_A`), the Jacobian is A + diag(p) with p >= 0,
-positive definite at every u with its smallest eigenvalue at least
-lambda_1(A).  Newton then builds and factors each Jacobian in float32, while
-the residual and the stopping test stay float64; a float32 run that fails
-is run again in float64 (`Equation.solve`).  Solves whose f is not zero,
-whose Jacobian goes singular at the fold, factor in float64.
+A Newton run takes its factor precision from its start u0
+(`Equation.precision`).  When the potential p(u0) is >= 0 at every node,
+J(u0) = A + diag(p(u0)) dominates A: it is positive definite with its
+smallest eigenvalue at least lambda_1(A).  The run then builds and factors
+each Jacobian in float32, while the residual and the stopping test stay
+float64; a float32 run that fails is run again in float64
+(`Equation.solve`).  When f = 0 and lam delta k >= 0, as in the pure
+singular and forced solves (`solve_pure_singular`, `solve_A`), p >= 0 at
+every u, so these always start in float32.  So do the multistarts of
+`continuation.uniqueness_probe`, drawn below the amplitude cap where every
+entry of p is >= 0, and the minimal solves whose start (the scaled pure
+singular solution, joined with a hint) has p >= 0, as at small lam.  A
+start with a negative entry of p, as near the fold, where J goes singular,
+factors in float64.
 
 The grid, A and K are symmetric under the reflection of the nodes bit for
 bit, and every start below (max(c b, (K / diag A)^(1/(1+delta))) with b =
@@ -261,10 +268,15 @@ class Equation:
         mat[k, k] = corner
         return self.basis.solver(lu_solver(mat, overwrite=True))
 
-    @property
-    def precision(self) -> type:
-        """Newton's factor dtype: float32 when f = 0 and lam delta k >= 0, so p >= 0 at every u (see the module notes)."""
-        return np.float32 if self.nonlinearity.is_none and self.lam * self.delta * np.min(self.k) >= 0.0 else np.float64
+    def precision(self, u0: np.ndarray) -> type:
+        """Newton's factor dtype from the start u0: float32 when potential(u0) >= 0 at every node, else float64.
+
+        A nonnegative potential makes J(u0) dominate A, so J(u0) is positive
+        definite (see the module notes).  With f = 0 and lam delta k >= 0 the
+        potential is nonnegative at every u, so the answer is float32 at
+        every start.
+        """
+        return np.float32 if np.all(self.potential(u0) >= 0.0) else np.float64
 
     def solve(self, u0, tol: float, factor, maxit: int) -> tuple[np.ndarray, float, float]:
         """Damped Newton from the n-node u0 with trials floored at POSITIVITY_FLOOR, in the run's coordinates (`on`).
@@ -281,16 +293,18 @@ class Equation:
         node (`evaluate`), residual its sup and bound the sup of tol *
         scale(u); a solution resting on the floor is a ConvergenceError.
 
-        Each Jacobian is built and factored in place in `precision`, while
-        the residual, the step and the stopping test stay float64.  A run
-        builds every Jacobian into one buffer of its dtype: damped_newton
-        drops the stored solve before it factors the next Jacobian, so the
-        buffer is free by then, and a run of many factorizations touches
-        the pages of one matrix, not of one per factorization.  In
-        float32 the chord rule absorbs the factor's rounding as it absorbs a
-        stale factor (Langou et al., SC'06), and a float32 run that fails, a
-        rejected factor included, is run again from u0 in float64, so a
-        ConvergenceError is always the float64 Newton's.
+        Each Jacobian is built and factored in place in `precision(u0)`,
+        float32 when the potential at the start is nonnegative at every
+        node, while the residual, the step and the stopping test stay
+        float64.  A run builds every Jacobian into one buffer of its dtype:
+        damped_newton drops the stored solve before it factors the next
+        Jacobian, so the buffer is free by then, and a run of many
+        factorizations touches the pages of one matrix, not of one per
+        factorization.  In float32 the chord rule absorbs the factor's
+        rounding as it absorbs a stale factor (Langou et al., SC'06), and a
+        float32 run that fails, a rejected factor included, is run again
+        from u0 in float64, so a ConvergenceError is always the float64
+        Newton's.
         """
         u0 = np.maximum(np.asarray(u0, dtype=float), POSITIVITY_FLOOR)
         run = self.on(u0)
@@ -304,7 +318,7 @@ class Equation:
 
             return damped_newton(start, partial(run.evaluate, tol=tol), _sup_norm, factored, _floored, maxit, 40)
 
-        dtype = self.precision
+        dtype = run.precision(start)
         try:
             u, r, b = newton(dtype)
         except ConvergenceError:

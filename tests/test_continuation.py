@@ -457,6 +457,35 @@ def test_uniqueness_probe_small_lambda(folded_branch, op256_s04, canonical_spec)
     assert all(t["outcome"] in ("minimal", "diverged", "left_admissible_set") for t in report.trials)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_uniqueness_probe_outcomes_do_not_depend_on_the_factor_precision(
+    monkeypatch, folded_branch, op256_s04, canonical_spec, seed
+):
+    # the multistarts lie below the cap, so their Jacobians are factored in
+    # float32; with every Newton run held to float64 the probe gives the same
+    # outcome at every start, and each converged start lands on the minimal
+    # solution within the probe's bound on either side
+    lam = 1e-3 * folded_branch.fold_point().lam
+    factored = set()
+    original = fracfold.continuation.spd_solver
+
+    def recorded(jac, **kwargs):
+        factored.add((len(jac), jac.dtype.type))
+        return original(jac, **kwargs)
+
+    monkeypatch.setattr(fracfold.continuation, "spd_solver", recorded)
+    single = uniqueness_probe(lam, canonical_spec, op256_s04, trials=10, seed=seed)
+    assert factored == {(op256_s04.n, np.float32)}
+    factored.clear()
+    monkeypatch.setattr(Equation, "precision", lambda self, u0: np.float64)
+    double = uniqueness_probe(lam, canonical_spec, op256_s04, trials=10, seed=seed)
+    assert factored == {(op256_s04.n, np.float64)}
+    assert single.verdict == double.verdict == "unique"
+    assert [t["outcome"] for t in single.trials] == [t["outcome"] for t in double.trials]
+    bound = 10.0 * 1e-8 * max(1.0, solve_min(lam, canonical_spec, op256_s04).sup_norm)
+    assert all(t["distance"] <= bound for t in single.trials + double.trials if t["outcome"] == "minimal")
+
+
 def test_uniqueness_probe_start_at_minimal(folded_branch, op256_s04, canonical_spec):
     lam = 1e-3 * folded_branch.fold_point().lam
     minimal = solve_min(lam, canonical_spec, op256_s04)
@@ -535,15 +564,17 @@ def test_multistart_jacobians_below_the_cap_are_positive_definite(s, delta, beta
     # uniqueness_probe factors its multistarts by Cholesky alone: at a start
     # drawn as it draws them, cap * U(0.02, 1), every potential entry
     # lam (delta K_i u_i^(-delta-1) - f'(u_i)) is >= 0 since K_i >= min K,
-    # so J = A + diag(potential) dominates A and its Cholesky succeeds
+    # so J = A + diag(potential) dominates A and its Cholesky succeeds, in
+    # float64 and in the float32 that Newton factors such a start's J in
     p = 1.0 + 0.99 * p_frac * (min(ProblemSpec(s=s, delta=delta).subcritical_limit, 8.0) - 1.0)
     spec = ProblemSpec(s=s, delta=delta, beta=beta_frac * 2.0 * s, nonlinearity=power_nonlinearity(p, c))
     spec.require_subcritical()
     op = assemble_operator(build_grid(1.0, n), s)
     u = small_solution_cap(spec, op) * np.random.default_rng(seed).uniform(0.02, 1.0, size=n)
     eq = Equation.of(op, spec, lam)
-    assert (eq.potential(u) >= 0.0).all()
+    assert (eq.potential(u) >= 0.0).all() and eq.precision(u) is np.float32
     assert spd_solver(eq.jacobian(u)) is not None
+    assert spd_solver(eq.jacobian(u, out=np.empty((n, n), np.float32))) is not None
 
 
 @pytest.mark.parametrize("c,p", [(1.0, 2.0), (0.3, 3.5)])

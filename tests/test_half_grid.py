@@ -107,6 +107,11 @@ def _d_potential(eq, u, lam):
     return -(lam * eq.delta * (eq.delta + 1.0) * eq.k * u ** (-eq.delta - 2.0)) - lam * eq.nonlinearity.fsecond(u)
 
 
+def _precision(eq, u0):
+    """float32 when the potential at the start is nonnegative at every node, else float64."""
+    return np.float32 if np.all(_potential(eq, u0, eq.lam) >= 0.0) else np.float64
+
+
 def _even(*data) -> bool:
     return all(is_even(x) for x in data)
 
@@ -177,10 +182,11 @@ def _reference_solve(eq, u0, tol, factor, maxit):
 
         return _reference_newton(u0, residual, lambda r: np.abs(r).max(), bound, factored, floored, maxit, 40)
 
+    dtype = _precision(eq, u0)
     try:
-        u, r, b = run(eq.precision)
+        u, r, b = run(dtype)
     except ConvergenceError:
-        if eq.precision is np.float64:
+        if dtype is np.float64:
             raise
         u, r, b = run(np.float64)
     return u, float(np.abs(r).max()), float(np.max(b))
@@ -289,25 +295,31 @@ def _warm(op, spec):
 
 @pytest.mark.parametrize("n,power,beta", CASES)
 def test_newton_solve_on_the_half_grid_keeps_the_node_space_bits(monkeypatch, n, power, beta):
-    # a minimal solve (float64, f a power) or a pure singular one (float32, f = 0) from an even start
+    # a pure singular solve (f = 0) from below its solution factors in
+    # float32; a minimal solve (f a power) from the scaled pure singular
+    # solution has a nonnegative potential there and factors in float32 too,
+    # and from twice that field, where the potential has negative entries, in
+    # float64.  Each is an even start, so each run is on the half grid
     op = assemble_operator(build_grid(1.0, n), 0.4)
     spec = _spec(power, beta)
     _warm(op, spec)
-    lam = 0.2
-    start = scale_pure_singular(pure_singular_cached(spec, op), lam).values
-    eq = Equation.of(op, spec, lam)
-    if not power:  # the pure singular equation, from below its solution: Newton factors in float32
+    if power:
+        eq = Equation.of(op, spec, 0.2)
+        sub = scale_pure_singular(pure_singular_cached(spec, op), 0.2).values
+        runs = [(sub, np.float32), (2.0 * sub, np.float64)]
+    else:
         eq = Equation(op, spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0)
-        start = 0.5 * pure_singular_cached(spec, op).values
-        assert eq.precision is np.float32
+        runs = [(0.5 * pure_singular_cached(spec, op).values, np.float32)]
     factor = partial(spd_solver, n=n)
-    calls = _assert_same_run(
-        monkeypatch,
-        lambda: eq.solve(start, 1e-10, factor, 80),
-        lambda: _reference_solve(eq, start, 1e-10, factor, 80),
-    )
-    assert {len(mat) for _, mat in calls} == {(n + 1) // 2}
-    assert {mat.dtype for _, mat in calls} == {np.dtype(np.float64 if power else np.float32)}
+    for start, dtype in runs:
+        assert eq.precision(start) is _precision(eq, start) is dtype
+        calls = _assert_same_run(
+            monkeypatch,
+            lambda: eq.solve(start, 1e-10, factor, 80),
+            lambda: _reference_solve(eq, start, 1e-10, factor, 80),
+        )
+        assert {len(mat) for _, mat in calls} == {(n + 1) // 2}
+        assert {mat.dtype for _, mat in calls} == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("n,power,beta", CASES)

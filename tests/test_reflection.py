@@ -58,8 +58,13 @@ def _branch_run(spec, op):
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 @pytest.mark.parametrize("n", [15, 255, 511, 1023, 1024])
 def test_reduced_solves_match_the_full_path(monkeypatch, n, beta):
-    # the same solves with the even test switched off run on the n x n matrices;
-    # measured agreement is 1.5e-14 or better
+    # the same solves with the even test switched off run on the n x n matrices.
+    # The pure singular field and the fold's lam agree to 1.1e-13 or better.
+    # The minimal solves of the traced branch start where the potential is
+    # nonnegative, so they factor J_e and J in float32, whose rounding differs
+    # between the two orders; each run stops within the Newton tolerance, not
+    # at the same bits, and the minimal field, the branch fields, lambda1 and
+    # the monitor agree to 7.6e-12 or better (1.1e-14 with float64 factors)
     spec = ProblemSpec(s=0.4, delta=0.5, beta=beta, nonlinearity=power_nonlinearity(2.0))
     reduced_op, full_op = (assemble_operator(build_grid(1.0, n), spec.s) for _ in range(2))
     orders = _factor_orders(monkeypatch)
@@ -70,13 +75,14 @@ def test_reduced_solves_match_the_full_path(monkeypatch, n, beta):
     full = _branch_run(spec, full_op)
     assert max(order for _, order in orders) >= n
 
-    def close(a, b):
-        return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+    def close(a, b, rtol=1e-12):
+        return np.abs(a - b).max() <= rtol * max(1.0, np.abs(b).max())
 
+    float32_rtol = 1e-10
     pure, minimal, fields, stability, lam = reduced
-    assert close(pure, full[0]) and close(minimal, full[1])
-    assert len(fields) == len(full[2]) and all(close(a, b) for a, b in zip(fields, full[2]))
-    assert close(stability, full[3])
+    assert close(pure, full[0]) and close(minimal, full[1], float32_rtol)
+    assert len(fields) == len(full[2]) and all(close(a, b, float32_rtol) for a, b in zip(fields, full[2]))
+    assert close(stability, full[3], float32_rtol)
     assert lam == pytest.approx(full[4], rel=1e-12)
     assert all(is_even(u) for u in (pure, minimal, *fields))
 

@@ -471,8 +471,9 @@ def test_pure_singular_answer_does_not_depend_on_the_start(n):
 
 def test_pure_singular_and_forced_newton_build_their_jacobians_in_float32(monkeypatch):
     # each Jacobian of these runs is written in float32 and factored in place
-    # in float32, with no float64 J beside it; a minimal solve with a power
-    # f, whose Jacobian goes singular at the fold, stays in float64
+    # in float32, with no float64 J beside it; a Newton run on the problem's
+    # equation from a start whose potential has a negative entry stays in
+    # float64
     op = assemble_operator(build_grid(1.0, 256), 0.4)
     spec = ProblemSpec(s=0.4, delta=3.0, beta=0.0)
     jacobians, factored = [], []
@@ -494,9 +495,11 @@ def test_pure_singular_and_forced_newton_build_their_jacobians_in_float32(monkey
     assert pure >= 2 and len(jacobians) > pure
     assert all(j.dtype == np.float32 for j in jacobians)
     assert len(factored) == len(jacobians) and all(np.shares_memory(f, j) for f, j in zip(factored, jacobians))
-    pure_singular_cached(_BRANCH_SPEC, op)
+    eq = Equation.of(op, _BRANCH_SPEC, 0.3)
+    start = 2.0 * solve_min(0.3, _BRANCH_SPEC, op).values
+    assert eq.potential(start).min() < 0.0
     jacobians.clear()
-    solve_min(0.3, _BRANCH_SPEC, op)
+    eq.solve(start, 1e-8, partial(spd_solver, n=op.n), 60)
     assert jacobians and all(j.dtype == np.float64 for j in jacobians)
 
 
@@ -506,14 +509,24 @@ def test_pure_singular_and_forced_newton_build_their_jacobians_in_float32(monkey
     lam=st.floats(0.01, 0.1),
     delta=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
     beta_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    scale=st.floats(0.25, 4.0),
+    sign=st.sampled_from([1.0, -1.0]),
 )
-@example(power=False, lam=0.05, delta=1.0, beta_frac=0.0)  # f = 0 in monotone_iterate: float64 before the rule
-def test_newton_factors_in_float32_exactly_when_f_is_zero_and_lam_delta_k_is_nonnegative(power, lam, delta, beta_frac):
-    # p = lam delta K u^(-delta-1) - lam f'(u) >= 0 at every u exactly when
-    # f = 0 and lam delta K >= 0; every Jacobian a Newton run factors is then
-    # float32, and float64 otherwise.  The pure singular and forced solves
-    # have f = 0 whatever the spec; monotone_iterate has the spec's f, and the
-    # same equation at -lam has lam delta K < 0 unless delta = 0
+@example(power=False, lam=0.05, delta=1.0, beta_frac=0.0, scale=0.5, sign=1.0)  # f = 0: float32 at every start
+@example(power=True, lam=0.05, delta=0.5, beta_frac=0.0, scale=1.0, sign=1.0)  # f a power: float32 below the cap
+@example(power=True, lam=0.05, delta=0.5, beta_frac=0.0, scale=4.0, sign=1.0)  # and float64 far above it
+def test_newton_factors_in_float32_exactly_when_the_start_potential_is_nonnegative(
+    power, lam, delta, beta_frac, scale, sign
+):
+    # J(u0) = A + diag(p(u0)) dominates A when every entry of the potential p
+    # at the start u0 is >= 0; a Newton run then builds and factors its
+    # Jacobians in float32 (and is run again in float64 only if that run
+    # fails), and in float64 throughout otherwise.  The pure singular and
+    # forced solves (f = 0, lam delta K >= 0) have p >= 0 at every u, so they
+    # factor in float32 whatever the spec.  The problem's equation, at lam or
+    # -lam, from the scaled pure singular solution times `scale`, follows the
+    # sign of its start's potential; and one node raised until its entry of
+    # the potential is the one negative entry sends the run to float64
     op = assemble_operator(build_grid(1.0, 64), 0.4)
     nonlinearity = power_nonlinearity(2.0) if power else no_nonlinearity()
     spec = ProblemSpec(s=0.4, delta=delta, beta=beta_frac * 0.8, nonlinearity=nonlinearity)
@@ -525,25 +538,31 @@ def test_newton_factors_in_float32_exactly_when_f_is_zero_and_lam_delta_k_is_non
 
     def factored(run):
         dtypes.clear()
-        with suppress(ConvergenceError):
+        with suppress(ConvergenceError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             run()
         assert dtypes
-        return set(dtypes)
+        return dtypes
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(singular, "spd_solver", factor)
         if delta > 0.0:  # at delta = 0 both are linear solves from their exact start
-            assert factored(lambda: solve_pure_singular(spec, op)) == {np.float32}
-            assert factored(lambda: solve_A(lam, np.ones(op.n), op, spec)) == {np.float32}
-        sub = 0.5 * scale_pure_singular(pure_singular_cached(spec, op), lam).values  # leaves Newton work to do
-        assert factored(lambda: monotone_iterate(lam, sub, op, spec)) == {np.float64 if power else np.float32}
-        eq = replace(Equation.of(op, spec, lam), lam=-lam)
-        first_run = np.float64 if power or delta > 0.0 else np.float32
-        dtypes.clear()
-        with suppress(ConvergenceError), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            eq.solve(sub, 1e-8, partial(factor, n=op.n), 10)
-        assert dtypes and dtypes[0] == first_run
+            assert set(factored(lambda: solve_pure_singular(spec, op))) == {np.float32}
+            assert set(factored(lambda: solve_A(lam, np.ones(op.n), op, spec))) == {np.float32}
+    eq = replace(Equation.of(op, spec, lam), lam=sign * lam)
+    start = scale * scale_pure_singular(pure_singular_cached(spec, op), lam).values
+    if np.all(eq.potential(start) >= 0.0):
+        assert eq.precision(start) is np.float32
+        assert factored(lambda: eq.solve(start, 1e-8, partial(factor, n=op.n), 10))[0] == np.float32
+    else:
+        assert eq.precision(start) is np.float64
+        assert set(factored(lambda: eq.solve(start, 1e-8, partial(factor, n=op.n), 10))) == {np.float64}
+    if power and sign > 0.0 and np.all(eq.potential(start) >= 0.0):
+        bumped = start.copy()
+        bumped[op.n // 3] = 10.0  # lam (delta K u^(-delta-1) - 2 u) < 0 there for every spec drawn
+        assert np.count_nonzero(eq.potential(bumped) < 0.0) == 1
+        assert eq.precision(bumped) is np.float64
+        assert set(factored(lambda: eq.solve(bumped, 1e-8, partial(factor, n=op.n), 10))) == {np.float64}
 
 
 def _float64_only(n):
@@ -561,9 +580,9 @@ def test_a_float32_factor_that_fails_is_made_again_in_float64(op256):
     big = 2.0 ** 130
     op = replace(op256, column=big * op256.column, wall=big * op256.wall, _cache={})
     eq = Equation(op, big * spec.k_field(op.grid), spec.delta, no_nonlinearity(), 1.0)
-    assert eq.precision is np.float32
     reference = pure_singular_cached(spec, op256)
     start = 0.5 * reference.values
+    assert eq.precision(start) is np.float32
     made = []
 
     def factor(jac, **kwargs):
